@@ -21,14 +21,16 @@ module Par_bench = Mj_benchkit.Par_bench
 module Wcoj_bench = Mj_benchkit.Wcoj_bench
 module Yann_bench = Mj_benchkit.Yann_bench
 module Serve_bench = Mj_benchkit.Serve_bench
+module Bench_core = Mj_benchkit.Bench_core
 module Engine = Mj_engine.Engine
 
-(* Set by the --quick flag: trims the KERNEL grid to CI-smoke scale. *)
+(* Set by the --quick flag: trims the bench legs' grids to CI-smoke
+   scale. *)
 let quick = ref false
 
 (* The process-wide engine configuration, resolved once in [main] from
-   the uniform CLI flags (--engine / --domains / --policy) with the
-   environment as fallback — the same precedence as the mjoin CLI. *)
+   the engine flags shared with the mjoin CLI ([Mj_cli.engine_term]),
+   with the environment as fallback. *)
 let config = ref None
 
 let get_config () =
@@ -603,43 +605,7 @@ let yann () =
   print_endline
     "  Gated leg: semijoin program vs best binary plan on planted\n\
     \  dangling-star workloads (bit-identical, engine-certified, top-k)";
-  let t = Yann_bench.run ~quick:!quick () in
-  Printf.printf "  cores: %d%s\n" t.cores
-    (if !quick then " (quick grid)" else "");
-  Printf.printf
-    "  %-10s %-8s %-7s %-9s %-11s %-11s %-8s %-10s %-9s %-7s %-6s %-5s %-5s\n"
-    "shape" "n" "fanout" "matching" "binary ms" "yann ms" "speedup" "tau-bin"
-    "tau-yann" "floor" "equal" "cert" "topk";
-  List.iter
-    (fun (r : Yann_bench.row) ->
-      Printf.printf
-        "  %-10s %-8d %-7d %-9d %-11.3f %-11.3f %-8s %-10d %-9d %-7s %-6s \
-         %-5s %s\n"
-        r.shape r.n r.fanout r.matching r.binary_ms r.yann_ms
-        (Printf.sprintf "%.2fx" r.speedup)
-        r.tau_binary r.tau_yann
-        (match r.speedup_floor with
-        | Some f -> Printf.sprintf "%.1fx" f
-        | None -> "-")
-        (if r.equal then "OK" else "FAIL")
-        (if r.cert_ok then "OK" else "FAIL")
-        (if r.topk_ok then "OK" else "FAIL"))
-    t.rows;
-  check "yann result is bit-identical to the binary fold on every row"
-    (List.for_all (fun (r : Yann_bench.row) -> r.equal) t.rows);
-  check "engine matrix {seed,frame} x {1,4} domains agrees on result and tau"
-    (List.for_all (fun (r : Yann_bench.row) -> r.cert_ok) t.rows);
-  check "top-k streams the sorted prefix without materializing the join"
-    (List.for_all
-       (fun (r : Yann_bench.row) -> r.topk_ok && r.topk_probes < r.binary_probes)
-       t.rows);
-  check "every floored row meets its speedup floor"
-    (List.for_all Yann_bench.floor_ok t.rows);
-  Printf.printf "  BENCH_JSON %s\n"
-    (Mj_obs.Json.to_string (Yann_bench.bench_json t));
-  Yann_bench.write_file "BENCH_YANN.json" t;
-  print_endline "  (full report written to BENCH_YANN.json)";
-  if Yann_bench.failures t <> [] then exit 1
+  Bench_core.report (Yann_bench.run ~quick:!quick ())
 
 (* ------------------------------------------------------------------ *)
 (* EST: does estimate-driven optimization find good plans?              *)
@@ -1169,254 +1135,55 @@ let obs_metrics () =
      = Some (Dpccp.count_csg_cmp_pairs d))
 
 (* ------------------------------------------------------------------ *)
-(* KERNEL: bitmask subset kernel vs the legacy path                     *)
+(* KERNEL FRAME PAR WCOJ SERVE PLAN: the gated head-to-head legs         *)
 (* ------------------------------------------------------------------ *)
 
-let kernel () =
-  section "KERNEL"
+(* Each leg is a case list over Bench_core: the report prints the table
+   and checks, writes BENCH_<ID>.json and exits 1 on any failure. *)
+let leg id title run =
+  ( id,
+    fun () ->
+      section id title;
+      Bench_core.report (run ()) )
+
+let kernel =
+  leg "KERNEL"
     "Bitmask subset kernel vs preserved legacy path (same oracle, equal \
-     results)";
-  let t = Kernel_bench.run ~domains:(config_domains ()) ~quick:!quick () in
-  Printf.printf "  domains: %d%s\n" t.domains
-    (if !quick then " (quick grid)" else "");
-  Printf.printf "  %-12s %-7s %-4s %-5s %-12s %-12s %-9s %-6s\n" "workload"
-    "shape" "n" "reps" "legacy ms" "kernel ms" "speedup" "equal";
-  List.iter
-    (fun (r : Kernel_bench.row) ->
-      Printf.printf "  %-12s %-7s %-4d %-5d %-12.3f %-12.3f %-9s %s\n"
-        r.experiment r.shape r.n r.reps r.legacy_ms r.kernel_ms
-        (Printf.sprintf "%.1fx" r.speedup)
-        (if r.equal then "OK" else "FAIL"))
-    t.rows;
-  Printf.printf
-    "  shared tau-oracle cache (Theorems.verify, uniform chain5): %d hits, %d \
-     misses\n"
-    t.cache_hits t.cache_misses;
-  check "legacy and kernel paths agree on every row"
-    (List.for_all (fun (r : Kernel_bench.row) -> r.equal) t.rows);
-  Printf.printf "  BENCH_JSON %s\n"
-    (Mj_obs.Json.to_string (Kernel_bench.bench_json t));
-  Kernel_bench.write_file "BENCH_KERNEL.json" t;
-  print_endline "  (full report written to BENCH_KERNEL.json)"
+     results)"
+    (fun () -> Kernel_bench.run ~domains:(config_domains ()) ~quick:!quick ())
 
-(* ------------------------------------------------------------------ *)
-(* FRAME: columnar data plane vs the seed tuple path                     *)
-(* ------------------------------------------------------------------ *)
-
-let frame () =
-  section "FRAME"
+let frame =
+  leg "FRAME"
     "Columnar dictionary-encoded frames vs seed Relation/Exec data plane \
-     (equal results certified)";
-  let t = Frame_bench.run ~domains:(config_domains ()) ~quick:!quick () in
-  Printf.printf "  domains: %d (on %d core%s), dict: %d values%s\n" t.domains
-    t.cores
-    (if t.cores = 1 then "" else "s")
-    t.dict_size
-    (if !quick then " (quick grid)" else "");
-  Printf.printf "  %-12s %-9s %-7s %-5s %-12s %-12s %-9s %-6s\n" "workload"
-    "shape" "n" "reps" "seed ms" "frame ms" "speedup" "equal";
-  List.iter
-    (fun (r : Frame_bench.row) ->
-      Printf.printf "  %-12s %-9s %-7d %-5d %-12.3f %-12.3f %-9s %s\n"
-        r.experiment r.shape r.n r.reps r.seed_ms r.frame_ms
-        (Printf.sprintf "%.1fx" r.speedup)
-        (if r.equal then "OK" else "FAIL"))
-    t.rows;
-  check "seed and frame data planes agree on every row"
-    (List.for_all (fun (r : Frame_bench.row) -> r.equal) t.rows);
-  let floor_fails = Frame_bench.floor_failures t in
-  check "every row with a speedup floor meets it" (floor_fails = []);
-  Printf.printf "  BENCH_JSON %s\n"
-    (Mj_obs.Json.to_string (Frame_bench.bench_json t));
-  Frame_bench.write_file "BENCH_FRAME.json" t;
-  print_endline "  (full report written to BENCH_FRAME.json)";
-  print_endline
-    "  (join-morsel compares the columnar join at 1 domain vs the pool's\n\
-    \   domain count and certifies bit-identical frames; wall-clock gains\n\
-    \   need >1 physical core.  tau-gamma/tau-thm certify bit-identical\n\
-    \   tau tables)";
-  if floor_fails <> [] then begin
-    List.iter
-      (fun (r : Frame_bench.row) ->
-        Printf.printf "  FLOOR FAIL %s %s n=%d: %.2fx < required %.2fx\n"
-          r.experiment r.shape r.n r.speedup
-          (Option.value r.speedup_floor ~default:0.0))
-      floor_fails;
-    exit 1
-  end
+     (equal results certified)"
+    (fun () -> Frame_bench.run ~domains:(config_domains ()) ~quick:!quick ())
 
-(* ------------------------------------------------------------------ *)
-(* PAR: morsel-join scaling over storage x domains                      *)
-(* ------------------------------------------------------------------ *)
-
-let par () =
-  section "PAR"
+let par =
+  leg "PAR"
     "Morsel-driven join scaling: 1/2/4/8 domains, heap vs bigarray storage \
-     (bit-identical results certified)";
-  let t = Par_bench.run ~quick:!quick () in
-  Printf.printf "  cores: %d, morsel: %d rows, pool clamp events: %d%s\n"
-    t.cores t.morsel t.clamp_events
-    (if !quick then " (quick grid)" else "");
-  if t.clamp_events > 0 then
-    Printf.printf
-      "  (pool clamped %d multi-domain run(s) to the core count; scaling\n\
-      \   numbers above 1 domain are not meaningful on this machine)\n"
-      t.clamp_events;
-  Printf.printf "  %-9s %-8s %-7s %-7s %-5s %-12s %-12s %-9s %-8s %-6s\n"
-    "storage" "domains" "shape" "n" "reps" "1-dom ms" "par ms" "speedup"
-    "clamped" "equal";
-  List.iter
-    (fun (r : Par_bench.row) ->
-      Printf.printf "  %-9s %-8d %-7s %-7d %-5d %-12.3f %-12.3f %-9s %-8s %s\n"
-        (Mj_relation.Frame.storage_name r.storage)
-        r.domains r.shape r.n r.reps r.base_ms r.par_ms
-        (* a clamped cell timed oversubscription, not scaling *)
-        (if r.clamped then "-" else Printf.sprintf "%.2fx" r.speedup)
-        (if r.clamped then "yes" else "no")
-        (if r.equal then "OK" else "FAIL"))
-    t.rows;
-  let unclamped =
-    List.filter (fun (r : Par_bench.row) -> not r.clamped) t.rows
-  in
-  check "every unclamped cell reports a positive speedup"
-    (List.for_all (fun (r : Par_bench.row) -> r.speedup > 0.0) unclamped);
-  check "every cell is bit-identical to the 1-domain heap reference"
-    (List.for_all (fun (r : Par_bench.row) -> r.equal) t.rows);
-  Printf.printf "  BENCH_JSON %s\n"
-    (Mj_obs.Json.to_string (Par_bench.bench_json t));
-  Par_bench.write_file "BENCH_PAR.json" t;
-  print_endline "  (full report written to BENCH_PAR.json)";
-  if not (List.for_all (fun (r : Par_bench.row) -> r.equal) t.rows) then exit 1
+     (bit-identical results certified)"
+    (fun () -> Par_bench.run ~quick:!quick ())
 
-(* ------------------------------------------------------------------ *)
-(* WCOJ: generic join vs best binary plan on cyclic skewed workloads    *)
-(* ------------------------------------------------------------------ *)
-
-let wcoj () =
-  section "WCOJ"
+let wcoj =
+  leg "WCOJ"
     "Worst-case-optimal generic join vs the best binary plan on cyclic \
-     zipf-skewed workloads (bit-identical results, AGM-priced)";
-  let t = Wcoj_bench.run ~quick:!quick () in
-  Printf.printf "  cores: %d%s\n" t.cores (if !quick then " (quick grid)" else "");
-  Printf.printf "  %-9s %-8s %-7s %-5s %-11s %-11s %-8s %-10s %-9s %-11s %-7s %-6s\n"
-    "shape" "n" "domain" "skew" "binary ms" "wcoj ms" "speedup" "tau-bin"
-    "tau-wcoj" "agm-bound" "floor" "equal";
-  List.iter
-    (fun (r : Wcoj_bench.row) ->
-      Printf.printf
-        "  %-9s %-8d %-7d %-5.2f %-11.3f %-11.3f %-8s %-10d %-9d %-11s %-7s %s\n"
-        r.shape r.n r.domain r.skew r.binary_ms r.wcoj_ms
-        (Printf.sprintf "%.2fx" r.speedup)
-        r.tau_binary r.tau_wcoj
-        (match r.agm_bound with
-        | Some b -> Printf.sprintf "%.3g" b
-        | None -> "-")
-        (match r.speedup_floor with
-        | Some f -> Printf.sprintf "%.1fx" f
-        | None -> "-")
-        (if r.equal then "OK" else "FAIL"))
-    t.rows;
-  check "generic join is bit-identical to the binary plan on every row"
-    (List.for_all (fun (r : Wcoj_bench.row) -> r.equal) t.rows);
-  check "the generic join materializes no binary intermediate (tau = output)"
-    (List.for_all
-       (fun (r : Wcoj_bench.row) -> r.tau_wcoj = r.rows_out)
-       t.rows);
-  check "every floored row meets its speedup floor"
-    (List.for_all Wcoj_bench.floor_ok t.rows);
-  Printf.printf "  BENCH_JSON %s\n"
-    (Mj_obs.Json.to_string (Wcoj_bench.bench_json t));
-  Wcoj_bench.write_file "BENCH_WCOJ.json" t;
-  print_endline "  (full report written to BENCH_WCOJ.json)";
-  if Wcoj_bench.failures t <> [] then exit 1
+     zipf-skewed workloads (bit-identical results, AGM-priced)"
+    (fun () -> Wcoj_bench.run ~quick:!quick ())
 
-(* ------------------------------------------------------------------ *)
-(* SERVE: the mjoin serve daemon under concurrent load                  *)
-(* ------------------------------------------------------------------ *)
-
-let serve () =
-  section "SERVE"
+let serve =
+  leg "SERVE"
     "mjoin serve under concurrent mixed load (every response certified \
-     against a cold Engine.run; plan-cache warm-over-cold gated)";
-  let t = Serve_bench.run ~quick:!quick () in
-  Printf.printf "  cores: %d%s\n" t.cores
-    (if !quick then " (quick grid)" else "");
-  let opt fmt = function Some v -> Printf.sprintf fmt v | None -> "-" in
-  Printf.printf
-    "  %-10s %-8s %-9s %-9s %-9s %-9s %-9s %-4s %-5s %-4s %-6s %-5s\n"
-    "workload" "clients" "requests" "p50 ms" "p95 ms" "p99 ms" "qps" "ok"
-    "shed" "err" "hits" "cert";
-  List.iter
-    (fun (r : Serve_bench.row) ->
-      Printf.printf
-        "  %-10s %-8d %-9d %-9s %-9s %-9s %-9s %-4d %-5d %-4d %-6d %s\n"
-        r.workload r.clients r.requests (opt "%.3f" r.p50_ms)
-        (opt "%.3f" r.p95_ms) (opt "%.3f" r.p99_ms) (opt "%.0f" r.qps) r.ok
-        r.overloaded r.errors r.cache_hits
-        (if r.certified then "OK" else "FAIL"))
-    t.rows;
-  List.iter
-    (fun (r : Serve_bench.row) ->
-      match (r.cold_ms, r.warm_ms, r.speedup) with
-      | Some cold, Some warm, Some s ->
-          Printf.printf
-            "  plan-cache gate: cold %.3f ms, warm %.3f ms, speedup %.2fx \
-             (floor %s)\n"
-            cold warm s
-            (opt "%.1fx" r.speedup_floor)
-      | _ -> ())
-    t.rows;
-  check "every served response is bit-identical to a cold Engine.run"
-    (List.for_all (fun (r : Serve_bench.row) -> r.certified) t.rows);
-  check "the warm plan-cache row meets its speedup floor"
-    (List.for_all Serve_bench.floor_ok t.rows);
-  Printf.printf "  BENCH_JSON %s\n"
-    (Mj_obs.Json.to_string (Serve_bench.bench_json t));
-  Serve_bench.write_file "BENCH_SERVE.json" t;
-  print_endline "  (full report written to BENCH_SERVE.json)";
-  if Serve_bench.failures t <> [] then exit 1
+     against a cold Engine.run; plan-cache warm-over-cold gated)"
+    (fun () -> Serve_bench.run ~quick:!quick ())
 
-(* ------------------------------------------------------------------ *)
-(* PLAN: default-hash vs cost-based lowering                            *)
-(* ------------------------------------------------------------------ *)
-
-let plan () =
-  section "PLAN"
+let plan =
+  leg "PLAN"
     "Baseline vs cost-based lowering of one strategy (equal results, equal \
-     tau certified)";
-  let cfg = get_config () in
-  let t =
-    Plan_bench.run ~baseline:cfg.Engine.Config.algo_policy
-      ~domains:cfg.Engine.Config.domains ~quick:!quick ()
-  in
-  Printf.printf "  baseline lowering: %s\n" t.baseline;
-  Printf.printf "  %-16s %-7s %-5s %-10s %-10s %-8s %-24s %-6s\n" "workload"
-    "rows" "reps" "base ms" "cost ms" "speedup" "cost-based algorithms" "equal";
-  List.iter
-    (fun (r : Plan_bench.row) ->
-      Printf.printf "  %-16s %-7d %-5d %-10.3f %-10.3f %-8s %-24s %s\n"
-        r.workload r.rows_per_rel r.reps r.base_ms r.cost_ms
-        (Printf.sprintf "%.1fx" r.speedup)
-        r.cost_algos
-        (if r.equal then "OK" else "FAIL"))
-    t.rows;
-  Printf.printf "  %-16s %-14s %-14s %-12s %-12s %-8s\n" "workload"
-    "base cmps" "cost cmps" "base probes" "cost probes" "tau";
-  List.iter
-    (fun (r : Plan_bench.row) ->
-      Printf.printf "  %-16s %-14d %-14d %-12d %-12d %-8d\n" r.workload
-        r.base_comparisons r.cost_comparisons r.base_probes r.cost_probes r.tau)
-    t.rows;
-  check "both lowerings agree on every row (results and tau)"
-    (List.for_all (fun (r : Plan_bench.row) -> r.equal) t.rows);
-  Printf.printf "  BENCH_JSON %s\n"
-    (Mj_obs.Json.to_string (Plan_bench.bench_json t));
-  Plan_bench.write_file "BENCH_PLAN.json" t;
-  print_endline "  (full report written to BENCH_PLAN.json)";
-  print_endline
-    "  (tau is identical by construction — the paper's measure counts\n\
-    \   tuples generated, not work per tuple, so the chooser can only move\n\
-    \   wall-clock and the comparison/probe mix, never the answer)"
+     tau certified)"
+    (fun () ->
+      let cfg = get_config () in
+      Plan_bench.run ~baseline:cfg.Engine.Config.algo_policy
+        ~domains:cfg.Engine.Config.domains ~quick:!quick ())
 
 (* ------------------------------------------------------------------ *)
 (* PERF: optimizer timings (bechamel)                                   *)
@@ -1494,64 +1261,45 @@ let experiments =
     ("SK", sk); ("SPACE", space); ("GAMMA", gamma); ("MONO", mono);
     ("SETOP", setop); ("YANN", yann); ("EST", est); ("RAND", rand);
     ("PIPE", pipe); ("LEM", lem); ("COST", cost_models); ("C4JT", c4jt); ("CASE", case); ("MAKESPAN", makespan); ("LOSS", loss);
-    ("OBS", obs_metrics); ("KERNEL", kernel); ("FRAME", frame); ("PAR", par); ("WCOJ", wcoj); ("SERVE", serve); ("PLAN", plan);
+    ("OBS", obs_metrics); kernel; frame; par; wcoj; serve; plan;
     ("PERF", perf);
   ]
 
 let () =
-  let engine = ref None and domains = ref None and policy = ref None in
-  let rec parse = function
-    | [] -> []
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | [ (("--engine" | "--domains" | "--policy") as flag) ] ->
-        Printf.eprintf "%s expects a value\n" flag;
-        exit 2
-    | "--engine" :: v :: rest ->
-        (match Engine.plane_of_string v with
-        | Some p -> engine := Some p
-        | None ->
-            Printf.eprintf "unknown engine %s (expected seed or frame)\n" v;
-            exit 2);
-        parse rest
-    | "--domains" :: v :: rest ->
-        (match int_of_string_opt (String.trim v) with
-        | Some d -> domains := Some (max 1 d)
-        | None ->
-            Printf.eprintf "--domains expects an integer, got %s\n" v;
-            exit 2);
-        parse rest
-    | "--policy" :: v :: rest ->
-        (match Mj_engine.Planner.policy_of_string v with
-        | Some p -> policy := Some p
-        | None ->
-            Printf.eprintf
-              "unknown policy %s (expected hash, cost, wcoj or yann)\n" v;
-            exit 2);
-        parse rest
-    | a :: rest -> a :: parse rest
+  let open Cmdliner in
+  let quick_arg =
+    Arg.(
+      value & flag
+      & info [ "quick" ] ~doc:"Trim the bench legs' grids to CI-smoke scale.")
   in
-  let args = parse (List.tl (Array.to_list Sys.argv)) in
-  (* CLI > env > default: flag values are registered before the config
-     forces its (memoized, first-set-wins) environment read, so every
-     default-using path — the pool's worker count, [Cost.Cache]'s
-     τ-oracle backend in THM/GAMMA/CASE — observes the flags. *)
-  (match !engine with
-  | Some p -> Cost.Cache.set_env_backend (Engine.backend_of_plane p)
-  | None -> ());
-  (match !domains with Some d -> Pool.set_env_domains d | None -> ());
-  config :=
-    Some (Engine.Config.make ?plane:!engine ?domains:!domains ?policy:!policy ());
-  let requested =
-    match args with [] -> List.map fst experiments | ids -> ids
+  let ids_arg =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"ID" ~doc:"Experiments to run (default: all).")
   in
-  List.iter
-    (fun id ->
-      match List.assoc_opt id experiments with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "unknown experiment %s (known: %s)\n" id
-            (String.concat " " (List.map fst experiments));
-          exit 2)
-    requested
+  let run q ids flags =
+    quick := q;
+    (match List.filter (fun id -> not (List.mem_assoc id experiments)) ids with
+    | [] -> ()
+    | id :: _ ->
+        Printf.eprintf "unknown experiment %s (known: %s)\n" id
+          (String.concat " " (List.map fst experiments));
+        exit 2);
+    (* CLI > env > default: flag values are registered before the config
+       forces its (memoized, first-set-wins) environment read, so every
+       default-using path — the pool's worker count, [Cost.Cache]'s
+       τ-oracle backend in THM/GAMMA/CASE — observes the flags. *)
+    Option.iter
+      (fun p -> Cost.Cache.set_env_backend (Engine.backend_of_plane p))
+      flags.Mj_cli.plane;
+    Option.iter (fun d -> Pool.set_env_domains (max 1 d)) flags.Mj_cli.domains;
+    config := Some (Mj_cli.make_config flags);
+    List.iter
+      (fun id -> List.assoc id experiments ())
+      (if ids = [] then List.map fst experiments else ids)
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "bench" ~doc:"Paper experiments and the gated bench legs")
+          Term.(const run $ quick_arg $ ids_arg $ Mj_cli.engine_term)))

@@ -84,120 +84,8 @@ let regime_arg =
     & info [ "regime" ]
         ~doc:"Data regime: superkey (C3 holds), uniform, skewed, consistent.")
 
-(* The engine-configuration flags, shared by verify/optimize/explain
-   (and mirrored by the bench harness).  Every flag is optional; the
-   precedence is CLI flag > environment variable > built-in default,
-   implemented by [Engine.Config.make] over the one-time env read of
-   [Engine.Config.of_env]. *)
-
-let plane_conv =
-  let parse s =
-    match Engine.plane_of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg (Printf.sprintf "unknown engine %s (expected seed or frame)" s))
-  in
-  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Engine.plane_name p))
-
-let policy_conv =
-  let parse s =
-    match Planner.policy_of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown policy %s (expected hash, cost, wcoj or yann)" s))
-  in
-  Arg.conv
-    (parse, fun fmt p -> Format.pp_print_string fmt (Planner.policy_name p))
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (some plane_conv) None
-    & info [ "engine" ] ~docv:"PLANE"
-        ~doc:
-          "Data plane: 'seed' (materializing tuple engine) or 'frame' \
-           (columnar dictionary-encoded engine).  Default: \
-           $(b,MJ_DATA_PLANE), else seed.")
-
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains for parallel sections.  Default: $(b,MJ_DOMAINS), \
-           else the core count capped at 8.")
-
-let policy_arg =
-  Arg.(
-    value
-    & opt (some policy_conv) None
-    & info [ "policy" ]
-        ~doc:
-          "Plan-lowering policy: 'hash' (every join step a hash join), \
-           'cost' (catalog-driven per-step algorithm choice), 'wcoj' \
-           (worst-case-optimal generic join on cyclic queries, binary \
-           cost-based lowering on acyclic ones) or 'yann' (Yannakakis \
-           semijoin program over a cost-chosen join tree on acyclic \
-           queries, wcoj fallthrough on cyclic ones).  Default: \
-           $(b,MJ_ALGO_POLICY), else hash.")
-
-let telemetry_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "telemetry" ] ~docv:"FILE"
-        ~doc:
-          "Append a per-query telemetry record (shape, plane, policy, \
-           domains, per-step est/actual cardinality, Q-error, timings, GC \
-           deltas) to $(docv) as JSONL.  Default: $(b,MJ_TELEMETRY), else \
-           off.")
-
-let storage_conv =
-  let parse s =
-    match Frame.storage_of_string s with
-    | Some st -> Ok st
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown storage %s (expected heap or bigarray)" s))
-  in
-  Arg.conv
-    (parse, fun fmt st -> Format.pp_print_string fmt (Frame.storage_name st))
-
-let storage_arg =
-  Arg.(
-    value
-    & opt (some storage_conv) None
-    & info [ "storage" ] ~docv:"STORE"
-        ~doc:
-          "Frame-plane row store: 'heap' (boxed int arrays) or 'bigarray' \
-           (off-heap int32 columns the GC never scans).  Default: \
-           $(b,MJ_FRAME_STORAGE), else heap.")
-
-let morsel_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "morsel" ] ~docv:"ROWS"
-        ~doc:
-          "Probe-morsel size (rows) for the frame plane's parallel join.  \
-           Default: $(b,MJ_MORSEL), else 16384.")
-
-let config_term =
-  Term.(
-    const (fun plane domains policy telemetry storage morsel ->
-        (plane, domains, policy, telemetry, storage, morsel))
-    $ engine_arg $ domains_arg $ policy_arg $ telemetry_arg $ storage_arg
-    $ morsel_arg)
-
-let make_config ?obs (plane, domains, policy, telemetry, storage, morsel) =
-  Engine.Config.make ?plane ?domains ?policy ?obs ?telemetry ?storage ?morsel
-    ()
+let config_term = Mj_cli.config_term
+let make_config = Mj_cli.make_config
 
 (* Telemetry plumbing shared by verify/optimize/explain: every record
    carries the engine configuration and the sink's GC totals; the
@@ -413,9 +301,8 @@ let run_optimize (shape_name, shape) n seed rows domain regime config
      separate, the search-effort counters accumulate across them.
      Telemetry also needs an active sink, for the GC totals. *)
   let telemetry_on =
-    match config with
-    | _, _, _, Some _, _, _ -> true
-    | _ -> (Engine.Config.of_env ()).Engine.Config.telemetry <> None
+    config.Mj_cli.telemetry <> None
+    || (Engine.Config.of_env ()).Engine.Config.telemetry <> None
   in
   let obs =
     if trace_file <> None || telemetry_on then Obs.make () else Obs.noop
@@ -769,10 +656,9 @@ let run_explain scenario (shape_name, shape) n seed rows domain regime
      scan/join spans, so the tree walk below is engine-agnostic; only
      the summary tail differs, keyed on the plane-specific stats. *)
   let cfg =
-    let plane, domains, policy, telemetry, storage, morsel = config in
-    Engine.Config.make ?plane ?domains
-      ?policy:(match forced with Some _ -> forced | None -> policy)
-      ~obs ?telemetry ?storage ?morsel ()
+    make_config ~obs
+      { config with
+        Mj_cli.policy = (match forced with None -> config.Mj_cli.policy | f -> f) }
   in
   let plan = Engine.lower cfg db strategy in
   let t0 = Obs.monotonic_time () in
@@ -993,9 +879,7 @@ let run_topk scenario (shape_name, shape) n seed rows domain regime k config
   let cfg =
     (* The ranked path is the yann lowering by construction; --policy is
        still parsed (shared config block) but does not change it. *)
-    let plane, domains, _policy, telemetry, storage, morsel = config in
-    Engine.Config.make ?plane ?domains ~policy:Planner.Yannakakis ~obs
-      ?telemetry ?storage ?morsel ()
+    make_config ~obs { config with Mj_cli.policy = Some Planner.Yannakakis }
   in
   let strategy = Strategy.left_deep (Scheme.Set.elements d) in
   let plan =

@@ -1,14 +1,11 @@
 (* Bench regression gate: diff two BENCH_*.json trajectory files.
 
-   The bench writers (Frame_bench, Kernel_bench, Plan_bench) all emit
-   one JSON object with a "rows" array; each row mixes identity fields
-   (experiment, shape, n, ...) with timing fields (named "*_ms") and
-   derived fields ("speedup", "reps", counts).  The diff is schema
-   agnostic: rows are matched on their identity fields — everything
-   except timings and derived fields — and every "*_ms" field present
-   in both copies of a matched row is compared against a percentage
-   threshold.  Rows present on only one side (a --quick grid against a
-   full one) are reported but are not regressions. *)
+   Every leg writes Bench_core's one schema: a "rows" array and a
+   top-level "key" naming the identity fields.  Rows are matched on
+   their key values, and every "*_ms" field present in both copies of
+   a matched row is compared against a percentage threshold.  Rows
+   present on only one side (a --quick grid against a full one) are
+   reported but are not regressions. *)
 
 module Json = Mj_obs.Json
 
@@ -31,22 +28,7 @@ let is_timing_field name =
   let n = String.length name in
   n > 3 && String.sub name (n - 3) 3 = "_ms"
 
-let is_derived_field = function
-  (* "clamped" is derived, not identity: whether a row was clamped
-     depends on the machine's core count, and a row must still match
-     its twin from a run on differently sized hardware. *)
-  | "speedup" | "reps" | "speedup_floor" | "speedup_ok" | "clamped" -> true
-  (* Serve-bench outputs: throughput and the response/cache tallies of
-     a concurrent load run vary with scheduling, so they cannot key a
-     row either. *)
-  | "qps" | "ok" | "overloaded" | "errors" | "cache_hits" | "cache_misses"
-    -> true
-  | name -> is_timing_field name
-
-let is_clamped row =
-  match List.assoc_opt "clamped" (match row with Json.Obj f -> f | _ -> []) with
-  | Some (Json.Bool b) -> b
-  | _ -> false
+let is_clamped row = Json.member "clamped" row = Some (Json.Bool true)
 
 let row_fields = function Json.Obj fields -> fields | _ -> []
 
@@ -59,13 +41,23 @@ let render_value = function
   | Json.Null -> "null"
   | j -> Json.to_string j
 
-let row_key row =
+let row_key names row =
   String.concat " "
-    (List.filter_map
-       (fun (k, v) ->
-         if is_derived_field k then None
-         else Some (Printf.sprintf "%s=%s" k (render_value v)))
-       (row_fields row))
+    (List.map
+       (fun k ->
+         Printf.sprintf "%s=%s" k
+           (render_value (Option.value ~default:Json.Null (Json.member k row))))
+       names)
+
+let key_of doc =
+  match Json.member "key" doc with
+  | Some (Json.Arr names) ->
+      List.map
+        (function
+          | Json.Str k -> k
+          | _ -> failwith "bench-diff: \"key\" must list field names")
+        names
+  | _ -> failwith "bench-diff: no \"key\" array in bench file"
 
 let timing_fields row =
   List.filter_map
@@ -86,8 +78,11 @@ let delta_pct ~old_ms ~new_ms =
   else 0.0
 
 let diff ~threshold old_doc new_doc =
-  let old_rows = List.map (fun r -> (row_key r, r)) (rows_of old_doc) in
-  let new_rows = List.map (fun r -> (row_key r, r)) (rows_of new_doc) in
+  let keyed doc =
+    let names = key_of doc in
+    List.map (fun r -> (row_key names r, r)) (rows_of doc)
+  in
+  let old_rows = keyed old_doc and new_rows = keyed new_doc in
   let compared =
     List.concat_map
       (fun (key, orow) ->

@@ -1,18 +1,16 @@
 (** Bench regression gate over [BENCH_*.json] trajectory files.
 
-    Rows are matched on their identity fields (everything except
-    ["*_ms"] timings and derived fields: ["speedup"], ["reps"],
-    ["speedup_floor"], ["speedup_ok"], ["clamped"], and the SERVE load
-    outputs ["qps"], ["ok"], ["overloaded"], ["errors"],
-    ["cache_hits"], ["cache_misses"]); every timing
-    field present in both copies of a matched row is compared, and a
-    comparison whose increase exceeds the percentage threshold is a
-    regression.  Rows present on only one side (e.g. a [--quick] grid
-    diffed against a full one) are listed but never fail the gate.
-    Matched rows marked ["clamped": true] on either side (a PAR cell
-    that requested more domains than the machine has cores) are
-    skipped entirely: their timings measure oversubscription noise,
-    not performance. *)
+    Each file is one {!Bench_core} document: rows are matched on the
+    values of the fields its top-level ["key"] array names (a field a
+    row lacks matches as [null]); every ["*_ms"] timing field present
+    in both copies of a matched row is compared, and a comparison whose
+    increase exceeds the percentage threshold is a regression.  Other
+    fields ([qps], tallies, outputs) neither split a match nor gate.
+    Rows present on only one side (e.g. a [--quick] grid diffed
+    against a full one) are listed but never fail the gate.  Matched
+    rows marked ["clamped": true] on either side (more domains or
+    clients than the machine has cores) are skipped entirely: their
+    timings measure oversubscription noise, not performance. *)
 
 type comparison = {
   key : string;  (** identity fields, rendered ["k=v k=v ..."] *)
@@ -33,7 +31,8 @@ type report = {
 
 val diff : threshold:float -> Mj_obs.Json.t -> Mj_obs.Json.t -> report
 (** [diff ~threshold old_doc new_doc].
-    @raise Failure if either document lacks a ["rows"] array. *)
+    @raise Failure if either document lacks a ["rows"] or ["key"]
+    array. *)
 
 val inflate : pct:float -> Mj_obs.Json.t -> Mj_obs.Json.t
 (** Every timing field multiplied by [1 + pct/100] — a synthetic

@@ -5,46 +5,6 @@ module Dbgen = Mj_workload.Dbgen
 module Pool = Mj_pool.Pool
 module Json = Mj_obs.Json
 
-type row = {
-  experiment : string;
-  shape : string;
-  n : int;
-  reps : int;
-  seed_ms : float;
-  frame_ms : float;
-  speedup : float;
-  seed_value : int;
-  frame_value : int;
-  equal : bool;
-  speedup_floor : float option;
-}
-
-type t = {
-  domains : int;
-  cores : int; (* Domain.recommended_domain_count at run time *)
-  dict_size : int;
-  rows : row list;
-}
-
-let time reps f =
-  (* Settle the heap first so GC slices triggered inside [f] don't
-     charge one contender for marking the other's live data, then
-     report the fastest rep: scheduler preemption and GC pauses only
-     ever add time, so the minimum is the least-contaminated estimate
-     — medians still wobble on a loaded single-core machine, and the
-     floored rows compare two of these estimates as a ratio. *)
-  Gc.full_major ();
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (!best, Option.get !result)
-
 let shape_of = function
   | "chain" -> Querygraph.chain
   | "cycle" -> Querygraph.cycle
@@ -60,24 +20,20 @@ let micro_db shape n =
 
 let mk_row ?floor experiment shape n reps (seed_ms, seed_value)
     (frame_ms, frame_value) equal =
-  {
-    experiment;
-    shape;
-    n;
-    reps;
-    seed_ms;
-    frame_ms;
-    speedup = (if frame_ms > 0.0 then seed_ms /. frame_ms else 0.0);
-    seed_value;
-    frame_value;
-    equal;
-    speedup_floor = floor;
-  }
-
-let floor_ok r =
-  match r.speedup_floor with None -> true | Some f -> r.speedup >= f
-
-let floor_failures t = List.filter (fun r -> not (floor_ok r)) t.rows
+  Bench_core.(
+    row ?floor
+      [
+        ("experiment", Key (Json.str experiment));
+        ("shape", Key (Json.str shape));
+        ("n", Key (Json.int n));
+        ("reps", Info (Json.int reps));
+        ("seed_ms", Ms seed_ms);
+        ("frame_ms", Ms frame_ms);
+        speedup seed_ms frame_ms;
+        ("seed_value", Out (Json.int seed_value));
+        ("frame_value", Out (Json.int frame_value));
+        ("equal", Check equal);
+      ])
 
 (* Seed Relation.natural_join fold vs the columnar join, both pinned to
    one domain so the row isolates the kernel, not parallelism. *)
@@ -85,8 +41,12 @@ let join_micro_row dict_size (shape, n, reps) =
   let db = micro_db shape n in
   let fdb = Frame.Db.of_database db in
   dict_size := max !dict_size (Frame.Dict.size (Frame.Db.dict fdb));
-  let frame_ms, frame_f = time reps (fun () -> Frame.Db.join_all ~domains:1 fdb) in
-  let seed_ms, seed_r = time reps (fun () -> Database.join_all db) in
+  let frame_ms, frame_f =
+    Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains:1 fdb)
+  in
+  let seed_ms, seed_r =
+    Bench_core.best_of ~reps (fun () -> Database.join_all db)
+  in
   let equal = Relation.equal seed_r (Frame.to_relation frame_f) in
   mk_row "join-micro" shape n reps
     (seed_ms, Relation.cardinality seed_r)
@@ -99,9 +59,12 @@ let join_micro_row dict_size (shape, n, reps) =
 let join_morsel_row ~domains (shape, n, reps) =
   let db = micro_db shape n in
   let fdb = Frame.Db.of_database db in
-  let one_ms, one_f = time reps (fun () -> Frame.Db.join_all ~domains:1 fdb) in
+  let one_ms, one_f =
+    Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains:1 fdb)
+  in
   let par_ms, par_f =
-    time reps (fun () -> Frame.Db.join_all ~domains ~par_threshold:1 fdb)
+    Bench_core.best_of ~reps (fun () ->
+        Frame.Db.join_all ~domains ~par_threshold:1 fdb)
   in
   mk_row "join-morsel" shape n reps
     (one_ms, Frame.cardinality one_f)
@@ -115,34 +78,13 @@ let exec_engine_row n =
   let db = Dbgen.uniform_db ~rng ~rows:n ~domain:(max 2 (n / 3)) (Querygraph.chain 5) in
   let strategy = Strategy.left_deep (Database.scheme_list db) in
   let plan = Mj_engine.Physical.of_strategy strategy in
-  (* This row carries a hard speedup floor, so its measurement must be
-     robust: return memory to the OS so major-GC slices over a bloated
-     heap don't dominate both contenders, and interleave the two
-     contenders' reps so noise on a longer timescale than one rep
-     (frequency scaling, co-tenants on a 1-core box) lands on both
-     sides of the ratio instead of one whole run. *)
-  Gc.compact ();
+  (* The floored row: interleaved, GC-settled reps (Bench_core.race). *)
   let reps = 9 in
-  let seed_best = ref infinity and frame_best = ref infinity in
-  let seed_res = ref None and frame_res = ref None in
-  for _ = 1 to reps do
-    (* settle between segments so neither contender's timed window
-       sweeps the other's garbage *)
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    seed_res := Some (Mj_engine.Exec.execute db plan);
-    let t1 = Unix.gettimeofday () in
-    if t1 -. t0 < !seed_best then seed_best := t1 -. t0;
-    Gc.full_major ();
-    let t2 = Unix.gettimeofday () in
-    frame_res := Some (Mj_engine.Frame_engine.execute db strategy);
-    let t3 = Unix.gettimeofday () in
-    if t3 -. t2 < !frame_best then frame_best := t3 -. t2
-  done;
-  seed_best := !seed_best *. 1000.0;
-  frame_best := !frame_best *. 1000.0;
-  let seed_ms = !seed_best and seed_r, seed_stats = Option.get !seed_res in
-  let frame_ms = !frame_best and frame_r, frame_stats = Option.get !frame_res in
+  let (seed_ms, (seed_r, seed_stats)), (frame_ms, (frame_r, frame_stats)) =
+    Bench_core.race ~reps
+      (fun () -> Mj_engine.Exec.execute db plan)
+      (fun () -> Mj_engine.Frame_engine.execute db strategy)
+  in
   let equal =
     Relation.equal seed_r frame_r
     && seed_stats.Mj_engine.Exec.tuples_generated
@@ -190,9 +132,9 @@ let gamma_trace backend dbs =
 
 let tau_gamma_row regime trials =
   let dbs = trial_dbs regime trials in
-  let seed_ms, seed_trace = time 1 (fun () -> gamma_trace Cost.Cache.Seed dbs) in
+  let seed_ms, seed_trace = Bench_core.best_of ~reps:1 (fun () -> gamma_trace Cost.Cache.Seed dbs) in
   let frame_ms, frame_trace =
-    time 1 (fun () -> gamma_trace Cost.Cache.Frame dbs)
+    Bench_core.best_of ~reps:1 (fun () -> gamma_trace Cost.Cache.Frame dbs)
   in
   mk_row "tau-gamma" regime trials 1
     (seed_ms, List.fold_left ( + ) 0 seed_trace)
@@ -204,8 +146,8 @@ let tau_thm_row regime trials =
   let verify_all backend () =
     List.map (fun db -> Theorems.verify ~backend db) dbs
   in
-  let seed_ms, seed_reports = time 1 (verify_all Cost.Cache.Seed) in
-  let frame_ms, frame_reports = time 1 (verify_all Cost.Cache.Frame) in
+  let seed_ms, seed_reports = Bench_core.best_of ~reps:1 (verify_all Cost.Cache.Seed) in
+  let frame_ms, frame_reports = Bench_core.best_of ~reps:1 (verify_all Cost.Cache.Frame) in
   let sum rs =
     List.fold_left (fun acc (r : Theorems.report) -> acc + r.min_all) 0 rs
   in
@@ -244,59 +186,13 @@ let run ?domains ?(quick = false) () =
   let dict_size = ref 0 in
   let micro_rows = List.map (join_micro_row dict_size) micro_specs in
   let morsel_rows = List.map (join_morsel_row ~domains) morsel_specs in
-  { domains; cores = Domain.recommended_domain_count ();
-    dict_size = !dict_size;
-    rows = micro_rows @ morsel_rows @ engine_rows @ tau_rows }
-
-let row_json ~timings r =
-  Json.Obj
-    ([
-       ("experiment", Json.str r.experiment);
-       ("shape", Json.str r.shape);
-       ("n", Json.int r.n);
-     ]
-    @ (if timings then
-         [
-           ("reps", Json.int r.reps);
-           ("seed_ms", Json.float r.seed_ms);
-           ("frame_ms", Json.float r.frame_ms);
-           ("speedup", Json.float r.speedup);
-         ]
-         @
-         match r.speedup_floor with
-         | None -> []
-         | Some f ->
-             [
-               ("speedup_floor", Json.float f);
-               ("speedup_ok", Json.bool (floor_ok r));
-             ]
-       else [])
-    @ [
-        ("seed_value", Json.int r.seed_value);
-        ("frame_value", Json.int r.frame_value);
-        ("equal", Json.bool r.equal);
-      ])
-
-let bench_json t =
-  Json.Obj
-    [
-      ("experiment", Json.str "FRAME");
-      ("domains", Json.int t.domains);
-      ("cores", Json.int t.cores);
-      ("dict_size", Json.int t.dict_size);
-      ("rows", Json.Arr (List.map (row_json ~timings:true) t.rows));
-    ]
-
-let deterministic_json t =
-  Json.Obj
-    [
-      ("experiment", Json.str "FRAME");
-      ("dict_size", Json.int t.dict_size);
-      ("rows", Json.Arr (List.map (row_json ~timings:false) t.rows));
-    ]
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (bench_json t));
-  output_char oc '\n';
-  close_out oc
+  Bench_core.
+    {
+      name = "FRAME";
+      meta =
+        [
+          ("domains", Info (Json.int domains));
+          ("dict_size", Out (Json.int !dict_size));
+        ];
+      rows = micro_rows @ morsel_rows @ engine_rows @ tau_rows;
+    }

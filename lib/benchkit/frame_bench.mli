@@ -28,43 +28,10 @@
     order; the timing-sensitive join rows run sequentially so wall
     times are not polluted by sibling rows. *)
 
-type row = {
-  experiment : string;
-  shape : string;
-  n : int;          (** tuples per relation, or trial count for tau rows *)
-  reps : int;
-  seed_ms : float;
-      (** fastest rep wall time of the seed path (for ["join-morsel"]:
-          1-domain frames) *)
-  frame_ms : float;  (** fastest rep wall time of the frame path *)
-  speedup : float;  (** [seed_ms /. frame_ms] *)
-  seed_value : int;
-  frame_value : int;
-  equal : bool;
-  speedup_floor : float option;
-      (** when set, the row asserts [speedup >= floor]; surfaced as
-          [speedup_ok] in the JSON and by {!floor_failures} *)
-}
-
-type t = {
-  domains : int;
-  cores : int;  (** [Domain.recommended_domain_count] at run time *)
-  dict_size : int;  (** interned values of the largest join-micro database *)
-  rows : row list;
-}
-
-val run : ?domains:int -> ?quick:bool -> unit -> t
+val run : ?domains:int -> ?quick:bool -> unit -> Bench_core.leg
 (** [quick] (default [false]) trims sizes to CI-smoke scale.  [domains]
-    defaults to {!Mj_pool.Pool.default_domains}. *)
-
-val floor_failures : t -> row list
-(** Rows whose measured [speedup] fell below their [speedup_floor] —
-    empty on a healthy run; the bench driver reports them and fails. *)
-
-val bench_json : t -> Mj_obs.Json.t
-val deterministic_json : t -> Mj_obs.Json.t
-(** {!bench_json} minus wall times and domain count — identical across
-    runs and domain counts; the pool determinism test compares this. *)
-
-val write_file : string -> t -> unit
-(** Write {!bench_json} (one line) to a file, e.g. [BENCH_FRAME.json]. *)
+    defaults to {!Mj_pool.Pool.default_domains}.  Rows carry [seed_ms],
+    [frame_ms] (fastest rep; for ["join-morsel"] the 1-domain and
+    pool-width frame joins), [seed_value]/[frame_value] and the
+    [equal] check; the document's [dict_size] counts the interned
+    values of the largest join-micro database. *)

@@ -7,26 +7,6 @@ module Pool = Mj_pool.Pool
 module Obs = Mj_obs.Obs
 module Json = Mj_obs.Json
 
-type row = {
-  experiment : string;
-  shape : string;
-  n : int;
-  reps : int;
-  legacy_ms : float;
-  kernel_ms : float;
-  speedup : float;
-  legacy_value : int;
-  kernel_value : int;
-  equal : bool;
-}
-
-type t = {
-  domains : int;
-  rows : row list;
-  cache_hits : int;
-  cache_misses : int;
-}
-
 (* Deterministic synthetic statistics: the oracle is pure arithmetic, so
    the timing isolates the subset machinery (Set/string legacy path vs
    mask kernel) rather than join evaluation. *)
@@ -38,15 +18,6 @@ let oracle_for d =
          (Scheme.Set.elements d))
   in
   Estimate.of_catalog cat
-
-let time reps f =
-  let t0 = Unix.gettimeofday () in
-  let result = ref (f ()) in
-  for _ = 2 to reps do
-    result := f ()
-  done;
-  let t1 = Unix.gettimeofday () in
-  ((t1 -. t0) *. 1000.0 /. float_of_int reps, !result)
 
 (* The kernel-path twin of [Legacy.conditions_checksum]: same
    configuration spaces and τ folds, driven by the bitmask kernel. *)
@@ -95,53 +66,47 @@ let shape_of = function
   | "star" -> Querygraph.star
   | s -> invalid_arg ("Kernel_bench: unknown shape " ^ s)
 
-let dp_row (shape, n, reps) =
-  let d = shape_of shape n in
-  let oracle = oracle_for d in
-  let legacy_ms, legacy_r =
-    time reps (fun () ->
-        Legacy.optimum_with_oracle ~subspace:Enumerate.All ~oracle d)
-  in
-  let kernel_ms, kernel_r =
-    time reps (fun () ->
-        Optimal.optimum_with_oracle ~subspace:Enumerate.All ~oracle d)
-  in
-  let legacy_value = (Option.get legacy_r).Optimal.cost in
-  let kernel_value = (Option.get kernel_r).Optimal.cost in
-  {
-    experiment = "dp-bushy";
-    shape;
-    n;
-    reps;
-    legacy_ms;
-    kernel_ms;
-    speedup = (if kernel_ms > 0.0 then legacy_ms /. kernel_ms else 0.0);
-    legacy_value;
-    kernel_value;
-    equal = legacy_value = kernel_value;
-  }
+(* One head-to-head row: both paths under [best_of], equal values
+   certified. *)
+let head_to_head experiment (shape, n, reps) ~legacy ~kernel ~value =
+  let legacy_ms, legacy_r = Bench_core.best_of ~reps legacy in
+  let kernel_ms, kernel_r = Bench_core.best_of ~reps kernel in
+  Bench_core.(
+    row
+      [
+        ("experiment", Key (Json.str experiment));
+        ("shape", Key (Json.str shape));
+        ("n", Key (Json.int n));
+        ("reps", Info (Json.int reps));
+        ("legacy_ms", Ms legacy_ms);
+        ("kernel_ms", Ms kernel_ms);
+        speedup legacy_ms kernel_ms;
+        ("legacy_value", Out (Json.int (value legacy_r)));
+        ("kernel_value", Out (Json.int (value kernel_r)));
+        ("equal", Check (legacy_r = kernel_r));
+      ])
 
-let conditions_row (shape, n, reps) =
+let dp_row ((shape, n, _) as spec) =
   let d = shape_of shape n in
   let oracle = oracle_for d in
-  let legacy_ms, (lc, lv) =
-    time reps (fun () -> Legacy.conditions_checksum d ~oracle)
-  in
-  let kernel_ms, (kc, kv) =
-    time reps (fun () -> kernel_conditions_checksum d ~oracle)
-  in
-  {
-    experiment = "conditions";
-    shape;
-    n;
-    reps;
-    legacy_ms;
-    kernel_ms;
-    speedup = (if kernel_ms > 0.0 then legacy_ms /. kernel_ms else 0.0);
-    legacy_value = lv;
-    kernel_value = kv;
-    equal = lc = kc && lv = kv;
-  }
+  head_to_head "dp-bushy" spec
+    ~legacy:(fun () ->
+      (Option.get
+         (Legacy.optimum_with_oracle ~subspace:Enumerate.All ~oracle d))
+        .Optimal.cost)
+    ~kernel:(fun () ->
+      (Option.get
+         (Optimal.optimum_with_oracle ~subspace:Enumerate.All ~oracle d))
+        .Optimal.cost)
+    ~value:Fun.id
+
+let conditions_row ((shape, n, _) as spec) =
+  let d = shape_of shape n in
+  let oracle = oracle_for d in
+  head_to_head "conditions" spec
+    ~legacy:(fun () -> Legacy.conditions_checksum d ~oracle)
+    ~kernel:(fun () -> kernel_conditions_checksum d ~oracle)
+    ~value:snd
 
 let cache_stats () =
   let rng = Random.State.make [| 1; 1990 |] in
@@ -178,61 +143,19 @@ let run ?domains ?(quick = false) () =
   in
   let rows = Array.to_list (Pool.run ~domains tasks) in
   let cache_hits, cache_misses = cache_stats () in
-  { domains; rows; cache_hits; cache_misses }
-
-let row_json ~timings r =
-  Json.Obj
-    ([
-       ("experiment", Json.str r.experiment);
-       ("shape", Json.str r.shape);
-       ("n", Json.int r.n);
-     ]
-    @ (if timings then
-         [
-           ("reps", Json.int r.reps);
-           ("legacy_ms", Json.float r.legacy_ms);
-           ("kernel_ms", Json.float r.kernel_ms);
-           ("speedup", Json.float r.speedup);
-         ]
-       else [])
-    @ [
-        ("legacy_value", Json.int r.legacy_value);
-        ("kernel_value", Json.int r.kernel_value);
-        ("equal", Json.bool r.equal);
-      ])
-
-let bench_json t =
-  Json.Obj
-    [
-      ("experiment", Json.str "KERNEL");
-      ("domains", Json.int t.domains);
-      ("rows", Json.Arr (List.map (row_json ~timings:true) t.rows));
-      ( "tau_cache",
-        Json.Obj
-          [
-            ("hits", Json.int t.cache_hits);
-            ("misses", Json.int t.cache_misses);
-          ] );
-    ]
-
-(* Wall times (and the domain count) vary run to run; everything else is
-   deterministic — the 1-vs-N pool determinism test compares exactly
-   this projection. *)
-let deterministic_json t =
-  Json.Obj
-    [
-      ("experiment", Json.str "KERNEL");
-      ("rows", Json.Arr (List.map (row_json ~timings:false) t.rows));
-      ( "tau_cache",
-        Json.Obj
-          [
-            ("hits", Json.int t.cache_hits);
-            ("misses", Json.int t.cache_misses);
-          ] );
-    ]
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (bench_json t));
-  output_char oc '\n';
-  close_out oc
+  Bench_core.
+    {
+      name = "KERNEL";
+      meta =
+        [
+          ("domains", Info (Json.int domains));
+          ( "tau_cache",
+            Out
+              (Json.Obj
+                 [
+                   ("hits", Json.int cache_hits);
+                   ("misses", Json.int cache_misses);
+                 ]) );
+        ];
+      rows;
+    }

@@ -3,43 +3,15 @@
     Each row times one workload twice — once through the preserved seed
     implementations ({!Legacy}) and once through the kernel-backed
     modules — against the same deterministic synthetic cardinality
-    oracle, and certifies that both paths compute identical values
-    (optimum costs, condition-space checksums).  Rows fan out over a
-    {!Mj_pool.Pool}; results merge in row order, so everything except
-    wall times is independent of the domain count. *)
+    oracle, and certifies ([equal]) that both paths compute identical
+    values (optimum costs, condition-space checksums).  Rows fan out
+    over a {!Mj_pool.Pool}; results merge in row order, so the
+    {!Bench_core.deterministic_json} projection is independent of the
+    domain count.  Timings are GC-settled only at one domain: each
+    row's heap settle stops every domain, pausing its siblings' reps.
+    The document's [tau_cache] records the shared τ-oracle cache
+    traffic of one [Theorems.verify] on a reference database. *)
 
-type row = {
-  experiment : string;  (** ["dp-bushy"] or ["conditions"] *)
-  shape : string;
-  n : int;
-  reps : int;
-  legacy_ms : float;    (** mean wall time per repetition *)
-  kernel_ms : float;
-  speedup : float;      (** [legacy_ms /. kernel_ms] *)
-  legacy_value : int;
-  kernel_value : int;
-  equal : bool;
-}
-
-type t = {
-  domains : int;
-  rows : row list;
-  cache_hits : int;    (** shared τ-oracle cache traffic of one
-                           [Theorems.verify] on a reference database *)
-  cache_misses : int;
-}
-
-val run : ?domains:int -> ?quick:bool -> unit -> t
+val run : ?domains:int -> ?quick:bool -> unit -> Bench_core.leg
 (** [quick] (default [false]) trims the size grid to CI-smoke scale.
     [domains] defaults to {!Mj_pool.Pool.default_domains}. *)
-
-val bench_json : t -> Mj_obs.Json.t
-(** The full report, timings included — the [BENCH_JSON] payload. *)
-
-val deterministic_json : t -> Mj_obs.Json.t
-(** The report minus wall times and domain count: identical across runs
-    and across domain counts.  The pool determinism test compares this
-    projection at [domains:1] vs [domains:N]. *)
-
-val write_file : string -> t -> unit
-(** Write {!bench_json} (one line) to a file, e.g. [BENCH_KERNEL.json]. *)

@@ -4,42 +4,6 @@ module Dbgen = Mj_workload.Dbgen
 module Pool = Mj_pool.Pool
 module Json = Mj_obs.Json
 
-type row = {
-  storage : Frame.storage;
-  domains : int;
-  clamped : bool;
-  shape : string;
-  n : int;
-  reps : int;
-  base_ms : float;
-  par_ms : float;
-  speedup : float;
-  rows_out : int;
-  equal : bool;
-}
-
-type t = {
-  cores : int;
-  morsel : int;
-  clamp_events : int;
-  rows : row list;
-}
-
-(* Fastest rep: preemption and GC pauses only ever add time, so the
-   minimum is the least-contaminated estimate (see Frame_bench.time). *)
-let time reps f =
-  Gc.full_major ();
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (!best, Option.get !result)
-
 let shape_of = function
   | "chain" -> Querygraph.chain
   | "cycle" -> Querygraph.cycle
@@ -64,34 +28,38 @@ let sweep ~cores ~storages ~domain_counts ~reps (shape, n) =
     (fun storage ->
       let fdb = Frame.Db.of_database ~storage db in
       let base_ms, base_f =
-        time reps (fun () -> Frame.Db.join_all ~domains:1 fdb)
+        Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains:1 fdb)
       in
       List.map
         (fun domains ->
           let par_ms, par_f =
             if domains = 1 then (base_ms, base_f)
             else
-              time reps (fun () ->
+              Bench_core.best_of ~reps (fun () ->
                   Frame.Db.join_all ~domains ~par_threshold:1 fdb)
           in
-          {
-            storage;
-            domains;
-            (* More domains than cores: the pool clamps the worker
-               count, so timings for this cell measure oversubscription
-               noise, not scaling.  Consumers (the PAR speedup check,
-               bench-diff) skip timing comparisons on clamped rows;
-               bit-identity is still enforced. *)
-            clamped = domains > cores;
-            shape;
-            n;
-            reps;
-            base_ms;
-            par_ms;
-            speedup = (if par_ms > 0.0 then base_ms /. par_ms else 0.0);
-            rows_out = Frame.cardinality par_f;
-            equal = Frame.equal reference par_f;
-          })
+          (* More domains than cores: the pool clamps the worker count,
+             so this cell's timings measure oversubscription noise, not
+             scaling.  The speedup check and bench-diff skip its
+             timings; bit-identity is still enforced. *)
+          let clamped = domains > cores in
+          let positive = clamped || (par_ms > 0.0 && base_ms > 0.0) in
+          Bench_core.(
+            row ~clamped
+              ~checks:[ ("speedup > 0 unless clamped", positive) ]
+              [
+                ("experiment", Key (Json.str "join-scaling"));
+                ("storage", Key (Json.str (Frame.storage_name storage)));
+                ("domains", Key (Json.int domains));
+                ("shape", Key (Json.str shape));
+                ("n", Key (Json.int n));
+                ("reps", Info (Json.int reps));
+                ("base_ms", Ms base_ms);
+                ("par_ms", Ms par_ms);
+                speedup base_ms par_ms;
+                ("rows_out", Out (Json.int (Frame.cardinality par_f)));
+                ("equal", Check (Frame.equal reference par_f));
+              ]))
         domain_counts)
     storages
 
@@ -108,42 +76,13 @@ let run ?(quick = false) () =
          ~reps)
       specs
   in
-  {
-    cores;
-    morsel = Frame.default_morsel;
-    clamp_events = Pool.clamp_events () - clamp0;
-    rows;
-  }
-
-let row_json r =
-  Json.Obj
-    [
-      ("experiment", Json.str "join-scaling");
-      ("storage", Json.str (Frame.storage_name r.storage));
-      ("domains", Json.int r.domains);
-      ("clamped", Json.bool r.clamped);
-      ("shape", Json.str r.shape);
-      ("n", Json.int r.n);
-      ("reps", Json.int r.reps);
-      ("base_ms", Json.float r.base_ms);
-      ("par_ms", Json.float r.par_ms);
-      ("speedup", Json.float r.speedup);
-      ("rows_out", Json.int r.rows_out);
-      ("equal", Json.bool r.equal);
-    ]
-
-let bench_json t =
-  Json.Obj
-    [
-      ("experiment", Json.str "PAR");
-      ("cores", Json.int t.cores);
-      ("morsel", Json.int t.morsel);
-      ("clamp_events", Json.int t.clamp_events);
-      ("rows", Json.Arr (List.map row_json t.rows));
-    ]
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (bench_json t));
-  output_char oc '\n';
-  close_out oc
+  Bench_core.
+    {
+      name = "PAR";
+      meta =
+        [
+          ("morsel", Info (Json.int Frame.default_morsel));
+          ("clamp_events", Info (Json.int (Pool.clamp_events () - clamp0)));
+        ];
+      rows;
+    }

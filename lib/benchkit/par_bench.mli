@@ -20,36 +20,8 @@
     scaling from a clamped run.  [morsel] records the probe-morsel size
     the run used. *)
 
-type row = {
-  storage : Mj_relation.Frame.storage;
-  domains : int;  (** requested worker domains (the pool may clamp) *)
-  clamped : bool;
-      (** [domains > cores]: the pool capped the worker count, so this
-          cell's timings measure oversubscription, not scaling.
-          Consumers (the PAR speedup gate, [bench-diff]) skip timing
-          comparisons on clamped rows; the [equal] bit-identity check
-          is still enforced. *)
-  shape : string;
-  n : int;        (** tuples per relation *)
-  reps : int;
-  base_ms : float;  (** fastest 1-domain wall time, same storage *)
-  par_ms : float;   (** fastest wall time at [domains] *)
-  speedup : float;  (** [base_ms /. par_ms] *)
-  rows_out : int;
-  equal : bool;     (** bit-identical to the 1-domain heap reference *)
-}
-
-type t = {
-  cores : int;
-  morsel : int;
-  clamp_events : int;
-  rows : row list;
-}
-
-val run : ?quick:bool -> unit -> t
-(** [quick] (default [false]) trims sizes to CI-smoke scale. *)
-
-val bench_json : t -> Mj_obs.Json.t
-
-val write_file : string -> t -> unit
-(** Write {!bench_json} (one line) to a file, e.g. [BENCH_PAR.json]. *)
+val run : ?quick:bool -> unit -> Bench_core.leg
+(** [quick] (default [false]) trims sizes to CI-smoke scale.  A cell
+    with more domains than cores is [clamped]: the pool capped its
+    worker count, so its timings measure oversubscription and its
+    speedup is not checked; its [equal] check still gates. *)

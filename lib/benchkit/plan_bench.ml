@@ -9,39 +9,6 @@ module Exec = Mj_engine.Exec
 module Physical = Mj_engine.Physical
 module Planner = Mj_engine.Planner
 
-type row = {
-  workload : string;
-  rows_per_rel : int;
-  reps : int;
-  base_ms : float;
-  cost_ms : float;
-  speedup : float;
-  tau : int;
-  cost_algos : string;
-  base_comparisons : int;
-  cost_comparisons : int;
-  base_probes : int;
-  cost_probes : int;
-  equal : bool;
-}
-
-type t = { baseline : string; domains : int; rows : row list }
-
-let time reps f =
-  (* Same discipline as {!Frame_bench.time}: settle the heap, report
-     the median rep — robust to GC-pause outliers. *)
-  Gc.full_major ();
-  let samples = Array.make reps 0.0 in
-  let result = ref None in
-  for i = 0 to reps - 1 do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    samples.(i) <- (Unix.gettimeofday () -. t0) *. 1000.0;
-    result := Some r
-  done;
-  Array.sort compare samples;
-  (samples.(reps / 2), Option.get !result)
-
 let algos_of plan =
   String.concat "," (List.map Physical.algorithm_name (Physical.algorithms plan))
 
@@ -70,27 +37,30 @@ let bench_row ~baseline ~reps workload db strategy =
       base_stats,
       cost_stats )
   in
-  let base_ms, _ =
-    time reps (fun () -> Relation.cardinality (fst (Exec.execute db plan_base)))
+  let time plan =
+    fst
+      (Bench_core.best_of ~reps (fun () ->
+           Relation.cardinality (fst (Exec.execute db plan))))
   in
-  let cost_ms, _ =
-    time reps (fun () -> Relation.cardinality (fst (Exec.execute db plan_cost)))
-  in
-  {
-    workload;
-    rows_per_rel = max_base_card db;
-    reps;
-    base_ms;
-    cost_ms;
-    speedup = (if cost_ms > 0.0 then base_ms /. cost_ms else 0.0);
-    tau;
-    cost_algos = algos_of plan_cost;
-    base_comparisons = base_stats.Exec.comparisons;
-    cost_comparisons = cost_stats.Exec.comparisons;
-    base_probes = base_stats.Exec.hash_probes;
-    cost_probes = cost_stats.Exec.hash_probes;
-    equal;
-  }
+  let base_ms = time plan_base in
+  let cost_ms = time plan_cost in
+  Bench_core.(
+    row
+      [
+        ("workload", Key (Json.str workload));
+        ("rows_per_rel", Key (Json.int (max_base_card db)));
+        ("reps", Info (Json.int reps));
+        ("base_ms", Ms base_ms);
+        ("cost_ms", Ms cost_ms);
+        speedup base_ms cost_ms;
+        ("tau", Out (Json.int tau));
+        ("cost_algos", Out (Json.str (algos_of plan_cost)));
+        ("base_comparisons", Out (Json.int base_stats.Exec.comparisons));
+        ("cost_comparisons", Out (Json.int cost_stats.Exec.comparisons));
+        ("base_probes", Out (Json.int base_stats.Exec.hash_probes));
+        ("cost_probes", Out (Json.int cost_stats.Exec.hash_probes));
+        ("equal", Check equal);
+      ])
 
 let shape_of = function
   | "chain" -> Querygraph.chain
@@ -128,44 +98,16 @@ let run ?(baseline = Planner.Hash_all) ?domains ?(quick = false) () =
       db
       (Strategy.left_deep (Database.scheme_list db))
   in
-  {
-    baseline = Planner.policy_name baseline;
-    domains;
-    rows =
-      ex1
-      :: List.map gen
-           [ ("chain", "uniform"); ("chain", "skewed"); ("star", "uniform") ];
-  }
-
-let row_json r =
-  Json.Obj
-    [
-      ("workload", Json.str r.workload);
-      ("rows_per_rel", Json.int r.rows_per_rel);
-      ("reps", Json.int r.reps);
-      ("base_ms", Json.float r.base_ms);
-      ("cost_ms", Json.float r.cost_ms);
-      ("speedup", Json.float r.speedup);
-      ("tau", Json.int r.tau);
-      ("cost_algos", Json.str r.cost_algos);
-      ("base_comparisons", Json.int r.base_comparisons);
-      ("cost_comparisons", Json.int r.cost_comparisons);
-      ("base_probes", Json.int r.base_probes);
-      ("cost_probes", Json.int r.cost_probes);
-      ("equal", Json.bool r.equal);
-    ]
-
-let bench_json t =
-  Json.Obj
-    [
-      ("experiment", Json.str "PLAN");
-      ("baseline", Json.str t.baseline);
-      ("domains", Json.int t.domains);
-      ("rows", Json.Arr (List.map row_json t.rows));
-    ]
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (bench_json t));
-  output_char oc '\n';
-  close_out oc
+  Bench_core.
+    {
+      name = "PLAN";
+      meta =
+        [
+          ("baseline", Out (Json.str (Planner.policy_name baseline)));
+          ("domains", Info (Json.int domains));
+        ];
+      rows =
+        ex1
+        :: List.map gen
+             [ ("chain", "uniform"); ("chain", "skewed"); ("star", "uniform") ];
+    }

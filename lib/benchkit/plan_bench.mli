@@ -15,40 +15,18 @@
 
     so the cost-based chooser can only move wall-clock and operator
     counters, never the answer — which is precisely what the columns
-    show: median wall times, tuple-pair comparisons, and hash probes
+    show: fastest-rep wall times, tuple-pair comparisons, and hash probes
     under each lowering, plus the per-step algorithms the chooser
     picked. *)
 
-type row = {
-  workload : string;  (** e.g. ["chain5-skewed"] or ["ex1-optimum"] *)
-  rows_per_rel : int;
-  reps : int;
-  base_ms : float;  (** median rep wall time, baseline lowering *)
-  cost_ms : float;  (** median rep wall time, [Cost_based] lowering *)
-  speedup : float;  (** [base_ms /. cost_ms] *)
-  tau : int;  (** tuples generated — identical under both (certified) *)
-  cost_algos : string;
-      (** per-step algorithms of the cost-based plan, pre-order,
-          comma-separated (the baseline plan is one algorithm at every
-          step) *)
-  base_comparisons : int;
-  cost_comparisons : int;
-  base_probes : int;
-  cost_probes : int;
-  equal : bool;  (** equal results and equal τ *)
-}
-
-type t = { baseline : string; domains : int; rows : row list }
-
 val run :
-  ?baseline:Mj_engine.Planner.policy -> ?domains:int -> ?quick:bool -> unit -> t
+  ?baseline:Mj_engine.Planner.policy ->
+  ?domains:int ->
+  ?quick:bool ->
+  unit ->
+  Bench_core.leg
 (** [baseline] defaults to [Planner.Hash_all].  [quick] (default
     [false]) trims database sizes to CI-smoke scale.  [domains]
     defaults to {!Mj_pool.Pool.default_domains} and is recorded for the
     report; the rows themselves run sequentially so wall times stay
     clean. *)
-
-val bench_json : t -> Mj_obs.Json.t
-
-val write_file : string -> t -> unit
-(** Write {!bench_json} (one line) to a file, e.g. [BENCH_PLAN.json]. *)

@@ -15,9 +15,9 @@
    - the "plan-cache" row: the warm-over-cold gate.  Cold = a fresh
      daemon per shot (registry miss, plan-cache miss, cold index
      caches); warm = the same line repeated against one daemon
-     (registry, plan cache and index caches all hot).  Min-of-reps on
-     both sides; the row carries the ≥ 2.0× speedup floor that [bench
-     SERVE] turns into a non-zero exit. *)
+     (registry, plan cache and index caches all hot).  The two sides
+     race (Bench_core.race); the row carries the ≥ 2.0× speedup
+     floor. *)
 
 module Obs = Mj_obs.Obs
 module Json = Mj_obs.Json
@@ -26,32 +26,6 @@ module Planner = Mj_engine.Planner
 module Pool = Mj_pool.Pool
 module Serve = Mj_serve.Serve
 module Protocol = Mj_serve.Protocol
-
-type row = {
-  workload : string;  (* "mixed" or "plan-cache" *)
-  mix : string;  (* request mix summary, identity *)
-  clients : int;
-  requests : int;
-  queue_cap : int;
-  reps : int;
-  p50_ms : float option;
-  p95_ms : float option;
-  p99_ms : float option;
-  qps : float option;
-  ok : int;
-  overloaded : int;
-  errors : int;
-  cache_hits : int;
-  cache_misses : int;
-  cold_ms : float option;
-  warm_ms : float option;
-  speedup : float option;
-  speedup_floor : float option;
-  certified : bool;
-  clamped : bool;
-}
-
-type t = { cores : int; rows : row list }
 
 (* ------------------------------------------------------------------ *)
 (* Request specs and the cold oracle                                   *)
@@ -144,6 +118,33 @@ let count status responses =
 let assoc_counter name counters =
   match List.assoc_opt name counters with Some v -> v | None -> 0
 
+(* The fields every row shares: what was run, then the response and
+   plan-cache tallies (run-dependent under concurrency). *)
+let identity ~workload ~mix ~clients ~requests ~queue_cap ~reps =
+  Bench_core.
+    [
+      ("experiment", Key (Json.str "serve"));
+      ("workload", Key (Json.str workload));
+      ("mix", Key (Json.str mix));
+      ("clients", Key (Json.int clients));
+      ("requests", Key (Json.int requests));
+      ("queue_cap", Key (Json.int queue_cap));
+      ("reps", Info (Json.int reps));
+    ]
+
+let tallies srv ~ok ~overloaded ~errors =
+  let counters = Serve.counters srv in
+  Bench_core.
+    [
+      ("ok", Info (Json.int ok));
+      ("overloaded", Info (Json.int overloaded));
+      ("errors", Info (Json.int errors));
+      ( "cache_hits",
+        Info (Json.int (assoc_counter "serve.plan_cache_hit" counters)) );
+      ( "cache_misses",
+        Info (Json.int (assoc_counter "serve.plan_cache_miss" counters)) );
+    ]
+
 let mixed_row ~quick ~cores ~clients =
   let rows = if quick then 24 else 48 in
   let domain = if quick then 12 else 16 in
@@ -180,30 +181,21 @@ let mixed_row ~quick ~cores ~clients =
         && response_matches oracles.(i) resp)
       shots
   in
-  let counters = Serve.counters srv in
-  {
-    workload = "mixed";
-    mix = mix_name;
-    clients;
-    requests = clients * per_client;
-    queue_cap;
-    reps = 1;
-    p50_ms = Some summary.Obs.p50;
-    p95_ms = Some summary.Obs.p95;
-    p99_ms = Some summary.Obs.p99;
-    qps = Some (float_of_int (List.length shots) /. wall_s);
-    ok = count "ok" responses;
-    overloaded = count "overloaded" responses;
-    errors = count "error" responses;
-    cache_hits = assoc_counter "serve.plan_cache_hit" counters;
-    cache_misses = assoc_counter "serve.plan_cache_miss" counters;
-    cold_ms = None;
-    warm_ms = None;
-    speedup = None;
-    speedup_floor = None;
-    certified;
-    clamped = clients > cores;
-  }
+  Bench_core.(
+    row ~clamped:(clients > cores)
+      (identity ~workload:"mixed" ~mix:mix_name ~clients
+         ~requests:(clients * per_client) ~queue_cap ~reps:1
+      @ [
+          ("p50_ms", Ms summary.Obs.p50);
+          ("p95_ms", Ms summary.Obs.p95);
+          ("p99_ms", Ms summary.Obs.p99);
+          ( "qps",
+            Info (Json.float (float_of_int (List.length shots) /. wall_s)) );
+        ]
+      @ tallies srv ~ok:(count "ok" responses)
+          ~overloaded:(count "overloaded" responses)
+          ~errors:(count "error" responses)
+      @ [ ("certified", Check certified) ]))
 
 (* ------------------------------------------------------------------ *)
 (* The plan-cache warm-over-cold gate                                  *)
@@ -228,12 +220,7 @@ let floor_spec ~quick =
     plane = Seed;
   }
 
-let time_once f =
-  let s = Obs.monotonic_time () in
-  let r = f () in
-  ((Obs.monotonic_time () -. s) *. 1000., r)
-
-let plan_cache_row ~quick ~cores:_ =
+let plan_cache_row ~quick =
   let spec = floor_spec ~quick in
   let line = request_line spec in
   let reps = if quick then 3 else 5 in
@@ -243,25 +230,23 @@ let plan_cache_row ~quick ~cores:_ =
       ~cfg:(Engine.Config.make ~domains:1 ~obs:Obs.noop ())
       ()
   in
-  (* Cold: a fresh daemon per shot pays materialization, catalog,
-     lowering and index builds every time. *)
-  let cold_ms = ref infinity in
-  for _ = 1 to reps do
-    let srv = mk () in
-    let ms, _ = time_once (fun () -> Serve.handle_line srv line) in
-    if ms < !cold_ms then cold_ms := ms
-  done;
-  (* Warm: one daemon, primed once — registry, plan cache and index
-     caches all hot on the timed shots. *)
+  (* Cold: a fresh daemon per shot, built outside the timed window,
+     pays materialization, catalog, lowering and index builds every
+     time.  Warm: one daemon, primed once — registry, plan cache and
+     index caches all hot on the timed shots, every one of which is
+     certified. *)
+  let colds = Queue.of_seq (Seq.init reps (fun _ -> mk ())) in
   let srv = mk () in
   let _prime = Serve.handle_line srv line in
-  let warm_ms = ref infinity in
   let warm_responses = ref [] in
-  for _ = 1 to reps do
-    let ms, resp = time_once (fun () -> Serve.handle_line srv line) in
-    warm_responses := resp :: !warm_responses;
-    if ms < !warm_ms then warm_ms := ms
-  done;
+  let (cold_ms, _), (warm_ms, _) =
+    Bench_core.race ~reps
+      (fun () -> Serve.handle_line (Queue.pop colds) line)
+      (fun () ->
+        let resp = Serve.handle_line srv line in
+        warm_responses := resp :: !warm_responses;
+        resp)
+  in
   let oracle = oracle_of_spec spec in
   let cached_plan resp =
     match Json.of_string_opt resp with
@@ -273,34 +258,22 @@ let plan_cache_row ~quick ~cores:_ =
       (fun r -> response_matches oracle r && cached_plan r)
       !warm_responses
   in
-  let counters = Serve.counters srv in
-  {
-    workload = "plan-cache";
-    mix =
-      Printf.sprintf "%s policy=%s plane=%s"
-        (Protocol.workload_key spec.workload)
-        (Planner.policy_name spec.policy)
-        (Engine.plane_name spec.plane);
-    clients = 1;
-    requests = reps + 1;
-    queue_cap;
-    reps;
-    p50_ms = None;
-    p95_ms = None;
-    p99_ms = None;
-    qps = None;
-    ok = reps + 1;
-    overloaded = 0;
-    errors = 0;
-    cache_hits = assoc_counter "serve.plan_cache_hit" counters;
-    cache_misses = assoc_counter "serve.plan_cache_miss" counters;
-    cold_ms = Some !cold_ms;
-    warm_ms = Some !warm_ms;
-    speedup = Some (!cold_ms /. !warm_ms);
-    speedup_floor = Some 2.0;
-    certified;
-    clamped = false;
-  }
+  Bench_core.(
+    row ~floor:2.0
+      (identity ~workload:"plan-cache"
+         ~mix:
+           (Printf.sprintf "%s policy=%s plane=%s"
+              (Protocol.workload_key spec.workload)
+              (Planner.policy_name spec.policy)
+              (Engine.plane_name spec.plane))
+         ~clients:1 ~requests:(reps + 1) ~queue_cap ~reps
+      @ tallies srv ~ok:(reps + 1) ~overloaded:0 ~errors:0
+      @ [
+          ("cold_ms", Ms cold_ms);
+          ("warm_ms", Ms warm_ms);
+          speedup cold_ms warm_ms;
+          ("certified", Check certified);
+        ]))
 
 (* ------------------------------------------------------------------ *)
 
@@ -309,68 +282,6 @@ let run ?(quick = false) () =
   let client_grid = if quick then [ 1; 4 ] else [ 1; 2; 4 ] in
   let rows =
     List.map (fun clients -> mixed_row ~quick ~cores ~clients) client_grid
-    @ [ plan_cache_row ~quick ~cores ]
+    @ [ plan_cache_row ~quick ]
   in
-  { cores; rows }
-
-let floor_ok (r : row) =
-  match (r.speedup_floor, r.speedup) with
-  | Some floor, Some s -> s >= floor
-  | Some _, None -> false
-  | None, _ -> true
-
-let failures (t : t) =
-  List.filter (fun r -> (not r.certified) || not (floor_ok r)) t.rows
-
-let opt_float name v fields =
-  match v with Some x -> (name, Json.float x) :: fields | None -> fields
-
-let row_json (r : row) =
-  Json.Obj
-    ([
-       ("experiment", Json.str "serve");
-       ("workload", Json.str r.workload);
-       ("mix", Json.str r.mix);
-       ("clients", Json.int r.clients);
-       ("requests", Json.int r.requests);
-       ("queue_cap", Json.int r.queue_cap);
-       ("reps", Json.int r.reps);
-     ]
-    |> opt_float "p50_ms" r.p50_ms
-    |> opt_float "p95_ms" r.p95_ms
-    |> opt_float "p99_ms" r.p99_ms
-    |> opt_float "qps" r.qps
-    |> fun fields ->
-    fields
-    @ [
-        ("ok", Json.int r.ok);
-        ("overloaded", Json.int r.overloaded);
-        ("errors", Json.int r.errors);
-        ("cache_hits", Json.int r.cache_hits);
-        ("cache_misses", Json.int r.cache_misses);
-      ]
-    |> opt_float "cold_ms" r.cold_ms
-    |> opt_float "warm_ms" r.warm_ms
-    |> opt_float "speedup" r.speedup
-    |> opt_float "speedup_floor" r.speedup_floor
-    |> fun fields ->
-    fields
-    @ [
-        ("speedup_ok", Json.bool (floor_ok r));
-        ("certified", Json.bool r.certified);
-        ("clamped", Json.bool r.clamped);
-      ])
-
-let bench_json (t : t) =
-  Json.Obj
-    [
-      ("bench", Json.str "serve");
-      ("cores", Json.int t.cores);
-      ("rows", Json.Arr (List.map row_json t.rows));
-    ]
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (bench_json t));
-  output_char oc '\n';
-  close_out oc
+  { Bench_core.name = "SERVE"; meta = []; rows }

@@ -5,46 +5,6 @@ module Dbgen = Mj_workload.Dbgen
 module Planner = Mj_engine.Planner
 module Json = Mj_obs.Json
 
-type row = {
-  shape : string;
-  n : int;
-  domain : int;
-  skew : float;
-  reps : int;
-  binary_ms : float;
-  wcoj_ms : float;
-  speedup : float;
-  rows_out : int;
-  tau_binary : int;
-  tau_wcoj : int;
-  agm_bound : float option;
-  equal : bool;
-  speedup_floor : float option;
-}
-
-type t = { cores : int; rows : row list }
-
-(* Fastest rep with interleaved contenders (see Frame_bench.time): the
-   floored rows compare a ratio, so noise on a longer timescale than
-   one rep must land on both sides of it. *)
-let time2 reps f g =
-  Gc.compact ();
-  let fb = ref infinity and gb = ref infinity in
-  let fr = ref None and gr = ref None in
-  for _ = 1 to reps do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    fr := Some (f ());
-    let t1 = Unix.gettimeofday () in
-    if t1 -. t0 < !fb then fb := t1 -. t0;
-    Gc.full_major ();
-    let t2 = Unix.gettimeofday () in
-    gr := Some (g ());
-    let t3 = Unix.gettimeofday () in
-    if t3 -. t2 < !gb then gb := t3 -. t2
-  done;
-  ((!fb *. 1000.0, Option.get !fr), (!gb *. 1000.0, Option.get !gr))
-
 let shape_of = function
   | "triangle" -> Querygraph.cycle 3
   | "clique4" -> Querygraph.clique 4
@@ -86,33 +46,33 @@ let bench_row ?floor ~reps (shape, n, domain, skew) =
   let d = Database.schemes db in
   let order = Planner.elimination_order d in
   let (binary_ms, binary_f), (wcoj_ms, wcoj_f) =
-    time2 reps
+    Bench_core.race ~reps
       (fun () -> binary_join fdb d)
       (fun () -> Frame.Db.generic_join fdb ~order d)
   in
-  let agm_bound = Cost.Cache.agm (Cost.Cache.create db) d in
-  {
-    shape;
-    n;
-    domain;
-    skew;
-    reps;
-    binary_ms;
-    wcoj_ms;
-    speedup = (if wcoj_ms > 0.0 then binary_ms /. wcoj_ms else 0.0);
-    rows_out = Frame.cardinality wcoj_f;
-    tau_binary = binary_tau fdb d;
-    tau_wcoj = Frame.cardinality wcoj_f;
-    agm_bound;
-    equal = Frame.equal wcoj_f binary_f;
-    speedup_floor = floor;
-  }
-
-let floor_ok r =
-  match r.speedup_floor with None -> true | Some f -> r.speedup >= f
-
-let failures t =
-  List.filter (fun r -> not (floor_ok r && r.equal)) t.rows
+  let rows_out = Frame.cardinality wcoj_f in
+  Bench_core.(
+    row ?floor
+      ([
+         ("experiment", Key (Json.str "wcoj"));
+         ("shape", Key (Json.str shape));
+         ("n", Key (Json.int n));
+         ("domain", Key (Json.int domain));
+         ("skew", Key (Json.float skew));
+         ("reps", Info (Json.int reps));
+         ("binary_ms", Ms binary_ms);
+         ("wcoj_ms", Ms wcoj_ms);
+         speedup binary_ms wcoj_ms;
+         ("rows_out", Out (Json.int rows_out));
+         ("tau_binary", Out (Json.int (binary_tau fdb d)));
+         (* The generic join has no intermediates: its single τ entry
+            is the output, certified by [equal] below. *)
+         ("tau_wcoj", Out (Json.int rows_out));
+       ]
+      @ (match Cost.Cache.agm (Cost.Cache.create db) d with
+        | Some b -> [ ("agm_bound", Out (Json.float b)) ]
+        | None -> [])
+      @ [ ("equal", Check (Frame.equal wcoj_f binary_f)) ]))
 
 let run ?(quick = false) () =
   let rows =
@@ -128,47 +88,4 @@ let run ?(quick = false) () =
         bench_row ~reps:3 ("clique4", 10_000, 2_000, 0.5);
       ]
   in
-  { cores = Domain.recommended_domain_count (); rows }
-
-let row_json r =
-  Json.Obj
-    ([
-       ("experiment", Json.str "wcoj");
-       ("shape", Json.str r.shape);
-       ("n", Json.int r.n);
-       ("domain", Json.int r.domain);
-       ("skew", Json.float r.skew);
-       ("reps", Json.int r.reps);
-       ("binary_ms", Json.float r.binary_ms);
-       ("wcoj_ms", Json.float r.wcoj_ms);
-       ("speedup", Json.float r.speedup);
-       ("rows_out", Json.int r.rows_out);
-       ("tau_binary", Json.int r.tau_binary);
-       ("tau_wcoj", Json.int r.tau_wcoj);
-     ]
-    @ (match r.agm_bound with
-      | Some b -> [ ("agm_bound", Json.float b) ]
-      | None -> [])
-    @ [ ("equal", Json.bool r.equal) ]
-    @
-    match r.speedup_floor with
-    | Some f ->
-        [
-          ("speedup_floor", Json.float f);
-          ("speedup_ok", Json.bool (floor_ok r));
-        ]
-    | None -> [])
-
-let bench_json t =
-  Json.Obj
-    [
-      ("experiment", Json.str "WCOJ");
-      ("cores", Json.int t.cores);
-      ("rows", Json.Arr (List.map row_json t.rows));
-    ]
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (bench_json t));
-  output_char oc '\n';
-  close_out oc
+  { Bench_core.name = "WCOJ"; meta = []; rows }

@@ -18,41 +18,15 @@
     - [agm_bound] — the AGM output bound of the sub-database, the
       theoretical ceiling both τ figures are compared against;
     - [equal] — bit-identical result frames, certified every run;
-    - [speedup_floor] — rows carrying a floor gate the bench: a
-      violated floor (or a failed equality) is reported by {!failures}
-      and turns into a non-zero exit in [bench WCOJ]. *)
+    - [speedup_floor] — rows carrying a floor gate the bench, like
+      every check ({!Bench_core.failures}). *)
 
-type row = {
-  shape : string;  (** ["triangle"] or ["clique4"] *)
-  n : int;  (** tuples per relation *)
-  domain : int;  (** attribute domain size *)
-  skew : float;  (** zipf exponent of the data generator *)
-  reps : int;
-  binary_ms : float;
-  wcoj_ms : float;
-  speedup : float;  (** [binary_ms /. wcoj_ms] *)
-  rows_out : int;  (** result cardinality (triangles / 4-cliques) *)
-  tau_binary : int;  (** Σ intermediate+final rows of the binary fold *)
-  tau_wcoj : int;  (** = [rows_out]: the node's single τ entry *)
-  agm_bound : float option;  (** AGM output bound of the sub-database *)
-  equal : bool;  (** generic and binary frames bit-identical *)
-  speedup_floor : float option;
-}
-
-type t = { cores : int; rows : row list }
-
-val run : ?quick:bool -> unit -> t
+val run : ?quick:bool -> unit -> Bench_core.leg
 (** [quick] (default [false]) trims sizes to CI-smoke scale (triangle
     n=10⁴ with a 1.0× floor, 4-clique n=3·10³); the full grid adds
     triangle n=10⁵ with the 5.0× floor. *)
 
-val floor_ok : row -> bool
-
-val failures : t -> row list
-(** Rows violating their floor or the equality certificate — non-empty
-    means [bench WCOJ] exits non-zero. *)
-
-val bench_json : t -> Mj_obs.Json.t
-
-val write_file : string -> t -> unit
-(** Write {!bench_json} (one line) to a file, e.g. [BENCH_WCOJ.json]. *)
+val binary_tau :
+  Mj_relation.Frame.Db.t -> Mj_relation.Scheme.Set.t -> int
+(** Σ intermediate and final rows of the single-domain left-to-right
+    columnar fold over the sub-database: the binary contender's τ. *)

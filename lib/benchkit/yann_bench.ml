@@ -5,29 +5,6 @@ module Engine = Mj_engine.Engine
 module Json = Mj_obs.Json
 module Strategy = Multijoin.Strategy
 
-type row = {
-  shape : string;
-  n : int;  (** hub rows *)
-  fanout : int;  (** rows a heavy key explodes into *)
-  matching : int;  (** hub rows that survive the full join *)
-  reps : int;
-  binary_ms : float;
-  yann_ms : float;
-  speedup : float;
-  rows_out : int;
-  tau_binary : int;
-  tau_yann : int;
-  equal : bool;  (** yann result bit-identical to the binary fold's *)
-  cert_ok : bool;  (** {seed,frame} × {1,4} domains agree on result and τ *)
-  topk_k : int;
-  topk_ok : bool;  (** top-k = k-prefix of the sorted full output *)
-  topk_probes : int;
-  binary_probes : int;
-  speedup_floor : float option;
-}
-
-type t = { cores : int; rows : row list }
-
 let attr fmt = Printf.ksprintf Attr.make fmt
 
 (* The planted dangling-star population.  Hub rows fall into [k = 3]
@@ -145,43 +122,10 @@ let build_db shape ~n ~fanout ~matching =
   | "snowflake" -> snowflake_db ~n ~fanout ~matching
   | s -> invalid_arg ("Yann_bench: unknown shape " ^ s)
 
-(* Fastest rep with interleaved contenders (see Wcoj_bench.time2). *)
-let time2 reps f g =
-  Gc.compact ();
-  let fb = ref infinity and gb = ref infinity in
-  let fr = ref None and gr = ref None in
-  for _ = 1 to reps do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    fr := Some (f ());
-    let t1 = Unix.gettimeofday () in
-    if t1 -. t0 < !fb then fb := t1 -. t0;
-    Gc.full_major ();
-    let t2 = Unix.gettimeofday () in
-    gr := Some (g ());
-    let t3 = Unix.gettimeofday () in
-    if t3 -. t2 < !gb then gb := t3 -. t2
-  done;
-  ((!fb *. 1000.0, Option.get !fr), (!gb *. 1000.0, Option.get !gr))
-
 (* The binary contender: the engine's left-to-right columnar fold on a
    pre-encoded database — the same kernels the binary policies run, so
    the row measures algorithms, not encoding. *)
 let binary_join ?stats fdb d = Frame.Db.join_schemes ?stats ~domains:1 fdb d
-
-let binary_tau fdb d =
-  match Scheme.Set.elements d with
-  | [] -> 0
-  | s :: rest ->
-      let _, tau =
-        List.fold_left
-          (fun (acc, tau) s' ->
-            let j = Frame.natural_join ~domains:1 acc (Frame.Db.find fdb s') in
-            (j, tau + Frame.cardinality j))
-          (Frame.Db.find fdb s, 0)
-          rest
-      in
-      tau
 
 (* The Yannakakis contender, mirroring the engine's kernel sequence:
    semijoin sweeps leaf-to-root then root-to-leaf over the cost-chosen
@@ -240,7 +184,7 @@ let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
   in
   let bstats = Frame.fresh_stats () in
   let (binary_ms, binary_f), (yann_ms, (yann_f, tau_yann)) =
-    time2 reps
+    Bench_core.race ~reps
       (fun () -> binary_join ~stats:bstats fdb d)
       (fun () -> yann_join fdb rt)
   in
@@ -260,34 +204,30 @@ let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
   let topk_ok =
     List.equal Tuple.equal (Relation.tuples (Frame.to_relation tk)) want
   in
-  {
-    shape;
-    n;
-    fanout;
-    matching;
-    reps;
-    binary_ms;
-    yann_ms;
-    speedup = (if yann_ms > 0.0 then binary_ms /. yann_ms else 0.0);
-    rows_out = Frame.cardinality yann_f;
-    tau_binary = binary_tau fdb d;
-    tau_yann;
-    equal = Frame.equal yann_f binary_f;
-    cert_ok = certify db;
-    topk_k;
-    topk_ok;
-    topk_probes = tstats.Frame.probes;
-    binary_probes;
-    speedup_floor = floor;
-  }
-
-let floor_ok r =
-  match r.speedup_floor with None -> true | Some f -> r.speedup >= f
-
-let failures t =
-  List.filter
-    (fun r -> not (floor_ok r && r.equal && r.cert_ok && r.topk_ok))
-    t.rows
+  let topk_probes = tstats.Frame.probes in
+  Bench_core.(
+    row ?floor
+      ~checks:[ ("topk_probes < binary_probes", topk_probes < binary_probes) ]
+      [
+        ("experiment", Key (Json.str "yann"));
+        ("shape", Key (Json.str shape));
+        ("n", Key (Json.int n));
+        ("fanout", Key (Json.int fanout));
+        ("matching", Key (Json.int matching));
+        ("reps", Info (Json.int reps));
+        ("binary_ms", Ms binary_ms);
+        ("yann_ms", Ms yann_ms);
+        speedup binary_ms yann_ms;
+        ("rows_out", Out (Json.int (Frame.cardinality yann_f)));
+        ("tau_binary", Out (Json.int (Wcoj_bench.binary_tau fdb d)));
+        ("tau_yann", Out (Json.int tau_yann));
+        ("equal", Check (Frame.equal yann_f binary_f));
+        ("cert_ok", Check (certify db));
+        ("topk_k", Out (Json.int topk_k));
+        ("topk_ok", Check topk_ok);
+        ("topk_probes", Out (Json.int topk_probes));
+        ("binary_probes", Out (Json.int binary_probes));
+      ])
 
 let run ?(quick = false) () =
   let rows =
@@ -303,49 +243,4 @@ let run ?(quick = false) () =
         bench_row ~floor:1.0 ~reps:3 ("star", 10_000, 8, 200);
       ]
   in
-  { cores = Domain.recommended_domain_count (); rows }
-
-let row_json r =
-  Json.Obj
-    ([
-       ("experiment", Json.str "yann");
-       ("shape", Json.str r.shape);
-       ("n", Json.int r.n);
-       ("fanout", Json.int r.fanout);
-       ("matching", Json.int r.matching);
-       ("reps", Json.int r.reps);
-       ("binary_ms", Json.float r.binary_ms);
-       ("yann_ms", Json.float r.yann_ms);
-       ("speedup", Json.float r.speedup);
-       ("rows_out", Json.int r.rows_out);
-       ("tau_binary", Json.int r.tau_binary);
-       ("tau_yann", Json.int r.tau_yann);
-       ("equal", Json.bool r.equal);
-       ("cert_ok", Json.bool r.cert_ok);
-       ("topk_k", Json.int r.topk_k);
-       ("topk_ok", Json.bool r.topk_ok);
-       ("topk_probes", Json.int r.topk_probes);
-       ("binary_probes", Json.int r.binary_probes);
-     ]
-    @
-    match r.speedup_floor with
-    | Some f ->
-        [
-          ("speedup_floor", Json.float f);
-          ("speedup_ok", Json.bool (floor_ok r));
-        ]
-    | None -> [])
-
-let bench_json t =
-  Json.Obj
-    [
-      ("experiment", Json.str "YANN");
-      ("cores", Json.int t.cores);
-      ("rows", Json.Arr (List.map row_json t.rows));
-    ]
-
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (bench_json t));
-  output_char oc '\n';
-  close_out oc
+  { Bench_core.name = "YANN"; meta = []; rows }

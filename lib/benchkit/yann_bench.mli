@@ -25,46 +25,12 @@
     - [topk_ok] / [topk_probes] — {!Mj_relation.Frame.topk} streams
       exactly the [topk_k]-prefix of the sorted full output straight
       off the base frames, with the probe counter as the
-      output-sensitivity receipt against [binary_probes];
-    - [speedup_floor] — rows carrying a floor gate the bench: a
-      violated floor (or a failed equality/certification) is reported
-      by {!failures} and turns into a non-zero exit in [bench YANN]. *)
+      output-sensitivity receipt: a row fails unless [topk_probes <
+      binary_probes];
+    - [speedup_floor] — rows carrying a floor gate the bench, like
+      every check ({!Bench_core.failures}). *)
 
-type row = {
-  shape : string;  (** ["star"] or ["snowflake"] *)
-  n : int;  (** hub rows *)
-  fanout : int;  (** rows a heavy key explodes into *)
-  matching : int;  (** hub rows surviving the full join (= [rows_out]) *)
-  reps : int;
-  binary_ms : float;
-  yann_ms : float;
-  speedup : float;  (** [binary_ms /. yann_ms] *)
-  rows_out : int;
-  tau_binary : int;  (** Σ intermediate+final rows of the binary fold *)
-  tau_yann : int;  (** Σ join-phase rows after the full reduction *)
-  equal : bool;
-  cert_ok : bool;
-  topk_k : int;
-  topk_ok : bool;
-  topk_probes : int;
-  binary_probes : int;
-  speedup_floor : float option;
-}
-
-type t = { cores : int; rows : row list }
-
-val run : ?quick:bool -> unit -> t
+val run : ?quick:bool -> unit -> Bench_core.leg
 (** [quick] (default [false]) trims sizes to CI-smoke scale (n=10⁴,
     fan-out 8, 1.0× floor on the star row); the full grid runs star and
     snowflake at n=10⁵, fan-out 16, with the 3.0× floor. *)
-
-val floor_ok : row -> bool
-
-val failures : t -> row list
-(** Rows violating their floor or any certificate ([equal], [cert_ok],
-    [topk_ok]) — non-empty means [bench YANN] exits non-zero. *)
-
-val bench_json : t -> Mj_obs.Json.t
-
-val write_file : string -> t -> unit
-(** Write {!bench_json} (one line) to a file, e.g. [BENCH_YANN.json]. *)

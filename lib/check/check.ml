@@ -686,17 +686,33 @@ let faults db s =
   (* A killed worker domain must not change pool results: survivors
      plus the serial fallback still complete every task. *)
   Failpoint.reset ();
-  let tasks = Array.init 8 (fun i () -> (i * 31) + Cost.tau db s) in
-  let expected_tasks = Array.map (fun t -> t ()) tasks in
+  let multicore = Domain.recommended_domain_count () > 1 in
+  (* Task 0 holds the calling domain (for up to a second) until a
+     spawned worker has claimed a batch and tripped; otherwise the
+     caller can drain these tiny tasks before any worker starts and the
+     kill never fires. *)
+  let await_kill () =
+    let t0 = Obs.monotonic_time () in
+    while
+      multicore
+      && Failpoint.hits Failpoint.Pool_worker_kill = 0
+      && Obs.monotonic_time () -. t0 < 1.0
+    do
+      Domain.cpu_relax ()
+    done
+  in
+  let tasks =
+    Array.init 8 (fun i () ->
+        if i = 0 then await_kill ();
+        (i * 31) + Cost.tau db s)
+  in
+  let expected_tasks = Array.init 8 (fun i -> (i * 31) + tau) in
   Failpoint.enable Failpoint.Pool_worker_kill;
   let got = Pool.run ~domains:4 tasks in
   Failpoint.disable Failpoint.Pool_worker_kill;
   if got <> expected_tasks then
     fail "faults:pool_kill" "pool results changed under worker kill";
-  if
-    Domain.recommended_domain_count () > 1
-    && Failpoint.hits Failpoint.Pool_worker_kill = 0
-  then
+  if multicore && Failpoint.hits Failpoint.Pool_worker_kill = 0 then
     fail "faults:pool_kill"
       "worker-kill failpoint never fired on a multicore host";
   (* A poisoned τ-cache must detect its corrupt entries and bypass

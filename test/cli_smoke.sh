@@ -73,7 +73,7 @@ test "$(wc -l < "$TMP/tel.jsonl")" = 3
 # Bench regression gate: identical files pass, an injected regression
 # must trip the gate with a non-zero exit.
 cat > "$TMP/bench.json" <<BENCH
-{"rows": [
+{"key": ["shape", "n"], "rows": [
   {"shape": "chain", "n": 4, "seed_ms": 10.0, "frame_ms": 2.0},
   {"shape": "star", "n": 5, "seed_ms": 20.0, "frame_ms": 4.0}
 ]}

@@ -629,8 +629,14 @@ let test_telemetry_gc_fields () =
 (* ------------------------------------------------------------------ *)
 
 module Bench_diff = Mj_benchkit.Bench_diff
+module Bench_core = Mj_benchkit.Bench_core
 
-let bench_doc rows = Json.Obj [ ("rows", Json.Arr rows) ]
+let bench_doc rows =
+  Json.Obj
+    [
+      ("key", Json.Arr [ Json.str "shape"; Json.str "n" ]);
+      ("rows", Json.Arr rows);
+    ]
 
 let bench_row ?(extra = []) ~shape ~n ~seed_ms ~frame_ms () =
   Json.Obj
@@ -681,7 +687,43 @@ let test_bench_diff_row_matching () =
   Alcotest.(check int) "missing rows never fail the gate" 0
     (List.length r.Bench_diff.regressions);
   Alcotest.(check int) "only_old listed" 1 (List.length r.Bench_diff.only_old);
-  Alcotest.(check int) "only_new listed" 1 (List.length r.Bench_diff.only_new)
+  Alcotest.(check int) "only_new listed" 1 (List.length r.Bench_diff.only_new);
+  (* A field outside the key and not a timing (qps, a tally) varies run
+     to run: it must not split the match. *)
+  let with_qps q =
+    bench_doc
+      [
+        bench_row ~shape:"chain" ~n:4 ~seed_ms:1.0 ~frame_ms:1.0
+          ~extra:
+            [ ("qps", Json.float q); ("cache_hits", Json.int (int_of_float q)) ]
+          ();
+      ]
+  in
+  let r = Bench_diff.diff ~threshold:10.0 (with_qps 100.0) (with_qps 250.0) in
+  Alcotest.(check int) "qps does not split the row" 2
+    (List.length r.Bench_diff.compared);
+  Alcotest.(check int) "nothing unmatched" 0
+    (List.length r.Bench_diff.only_old + List.length r.Bench_diff.only_new);
+  (* A clamped row matches (not reported missing) but is never compared. *)
+  let clamped ms =
+    bench_doc
+      [
+        bench_row ~shape:"chain" ~n:4 ~seed_ms:ms ~frame_ms:ms
+          ~extra:[ ("clamped", Json.bool true) ]
+          ();
+      ]
+  in
+  let r = Bench_diff.diff ~threshold:10.0 (clamped 1.0) (clamped 50.0) in
+  Alcotest.(check int) "clamped row skipped" 0
+    (List.length r.Bench_diff.compared);
+  Alcotest.(check int) "clamped row still matched" 0
+    (List.length r.Bench_diff.only_old);
+  Alcotest.check_raises "a document without a key is rejected"
+    (Failure "bench-diff: no \"key\" array in bench file") (fun () ->
+      ignore
+        (Bench_diff.diff ~threshold:10.0
+           (Json.Obj [ ("rows", Json.Arr []) ])
+           old_doc))
 
 let test_bench_diff_inject () =
   let doc =
@@ -698,6 +740,63 @@ let test_bench_diff_inject () =
   let calm = Bench_diff.diff ~threshold:25.0 doc (Bench_diff.inflate ~pct:10.0 doc) in
   Alcotest.(check int) "sub-threshold inflation passes" 0
     (List.length calm.Bench_diff.regressions)
+
+let test_bench_core_failure_rule () =
+  let leg rows = { Bench_core.name = "T"; meta = []; rows } in
+  let row ?floor ?(checks = []) ~equal ~base ~ms () =
+    Bench_core.(
+      row ?floor ~checks
+        [
+          ("shape", Key (Json.str "chain"));
+          ("base_ms", Ms base);
+          ("new_ms", Ms ms);
+          speedup base ms;
+          ("equal", Check equal);
+        ])
+  in
+  Alcotest.(check int) "a passing leg has no failures" 0
+    (List.length
+       (Bench_core.failures
+          (leg [ row ~floor:2.0 ~equal:true ~base:10.0 ~ms:4.0 () ])));
+  Alcotest.(check int) "a failed written check trips" 1
+    (List.length
+       (Bench_core.failures (leg [ row ~equal:false ~base:1.0 ~ms:1.0 () ])));
+  Alcotest.(check int) "a failed unwritten check trips" 1
+    (List.length
+       (Bench_core.failures
+          (leg
+             [
+               row ~checks:[ ("tau = output", false) ] ~equal:true ~base:1.0
+                 ~ms:1.0 ();
+             ])));
+  Alcotest.(check int) "a missed floor trips" 1
+    (List.length
+       (Bench_core.failures
+          (leg [ row ~floor:2.0 ~equal:true ~base:3.0 ~ms:2.0 () ])));
+  (* The document: key names the identity fields, the floor's fields
+     follow speedup, and the deterministic projection drops timings. *)
+  let l = leg [ row ~floor:1.0 ~equal:true ~base:3.0 ~ms:2.0 () ] in
+  Alcotest.(check string) "document"
+    (Printf.sprintf
+       {|{"experiment":"T","cores":%d,"key":["shape"],"rows":[{"shape":"chain","base_ms":3,"new_ms":2,"speedup":1.5,"speedup_floor":1,"speedup_ok":true,"equal":true,"clamped":false}]}|}
+       (Domain.recommended_domain_count ()))
+    (Json.to_string (Bench_core.to_json l));
+  Alcotest.(check string) "deterministic projection"
+    {|{"experiment":"T","key":["shape"],"rows":[{"shape":"chain","equal":true}]}|}
+    (Json.to_string (Bench_core.deterministic_json l))
+
+let test_bench_core_race () =
+  let (f_ms, f_r), (g_ms, g_r) =
+    Bench_core.race ~reps:3 (fun () -> "first") (fun () -> 42)
+  in
+  Alcotest.(check string) "first contender's result" "first" f_r;
+  Alcotest.(check int) "second contender's result" 42 g_r;
+  Alcotest.(check bool) "timings are finite and non-negative" true
+    (Float.is_finite f_ms && Float.is_finite g_ms && f_ms >= 0.0
+   && g_ms >= 0.0);
+  let ms, r = Bench_core.best_of ~reps:2 (fun () -> 7) in
+  Alcotest.(check int) "best_of result" 7 r;
+  Alcotest.(check bool) "best_of timing" true (Float.is_finite ms && ms >= 0.0)
 
 let () =
   Alcotest.run "obs"
@@ -786,5 +885,9 @@ let () =
           Alcotest.test_case "threshold gate" `Quick test_bench_diff_gate;
           Alcotest.test_case "row matching" `Quick test_bench_diff_row_matching;
           Alcotest.test_case "inject self-check" `Quick test_bench_diff_inject;
+          Alcotest.test_case "core failure rule" `Quick
+            test_bench_core_failure_rule;
+          Alcotest.test_case "race returns both results" `Quick
+            test_bench_core_race;
         ] );
     ]
