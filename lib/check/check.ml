@@ -73,6 +73,26 @@ let pp_step_log fmt log =
        (fun fmt (d, c) -> Format.fprintf fmt "%a=%d" Scheme.Set.pp d c))
     log
 
+(* Certification on the native result, checked first in every matrix
+   cell: the serve daemon answers with [Engine.execute_digest], which on
+   the frame plane hashes code buffers and decodes nothing, so a lossy
+   kernel must show up in the served hash and row count themselves —
+   not only in a decode nobody reads.  [cfg] is the cell's config; the
+   digest run records no spans and warms no index the cell's own run
+   would then see. *)
+let check_digest where (cfg : Engine.Config.t) db s expected =
+  let cfg =
+    { cfg with obs = Obs.noop; index_cache = Mj_engine.Exec.index_cache () }
+  in
+  let got, stats = Engine.execute_digest cfg db (Engine.lower cfg db s) in
+  let want = Protocol.result_hash expected in
+  if not (Int64.equal got want) then
+    fail "digest:hash" "%s: served hash %s, reference %s" where
+      (Protocol.hash_hex got) (Protocol.hash_hex want);
+  if stats.Engine.result_rows <> Relation.cardinality expected then
+    fail "digest:rows" "%s: served %d rows, reference has %d" where
+      stats.Engine.result_rows (Relation.cardinality expected)
+
 let differential db s =
   guard @@ fun () ->
   let expected = Cost.eval db s in
@@ -114,6 +134,7 @@ let differential db s =
               let cfg =
                 Engine.Config.make ~plane ~domains ~policy ~obs ?storage ()
               in
+              check_digest where cfg db s expected;
               let r, stats = Engine.run cfg db s in
               if not (Relation.equal r expected) then
                 fail "differential:result"
@@ -225,6 +246,7 @@ let wcoj_differential db s =
                 Engine.Config.make ~plane ~domains ~policy:Planner.Wcoj ~obs
                   ?storage ()
               in
+              check_digest where cfg db s expected;
               let r, stats = Engine.run cfg db s in
               if not (Relation.equal r expected) then
                 fail "wcoj:result" "%s: %d rows, reference has %d (strategy %s)"
@@ -327,6 +349,7 @@ let yann_differential db s =
                 Engine.Config.make ~plane ~domains ~policy:Planner.Yannakakis
                   ~obs ?storage ()
               in
+              check_digest where cfg db s expected;
               let r, stats = Engine.run cfg db s in
               if not (Relation.equal r expected) then
                 fail "yann:result" "%s: %d rows, reference has %d (strategy %s)"

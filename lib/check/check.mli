@@ -1,10 +1,14 @@
 (** The checks a fuzz case must survive.
 
-    Four independent oracles over one materialized case, each rooted in
+    Independent oracles over one materialized case, each rooted in
     machine-checkable ground truth rather than golden outputs:
 
     - {!differential}: the engine matrix.  Both data planes × every
-      lowering policy × 1 and 4 worker domains must produce the
+      lowering policy × 1 and 4 worker domains must serve the
+      reference's wire hash ([Protocol.result_hash]) and row count
+      through [Engine.execute_digest] — what the serve daemon answers
+      with; on the frame plane it hashes code buffers and never decodes
+      — and produce the
       bit-identical result relation, the exact [Cost.tau] tuple count,
       the same per-step τ log, the same join-span skeleton across the
       whole matrix, and the same full scan/join skeleton across domain
@@ -17,14 +21,15 @@
       from the lowered plan itself through the exact-cardinality cache
       (for a cyclic case: exactly one step pricing at [|R_D|]), and
       planes × storages × domain counts must agree with {e each other}
-      on result, τ, steps and join spans.
+      on served hash and rows, result, τ, steps and join spans.
     - {!yann_differential}: the Yannakakis leg.  The [yann] policy
       lowers α-acyclic strategies to a semijoin program over a
       cost-chosen join tree, so its expected step log is derived from
       the plan via the Goodman–Shmueli property: after a full
       reduction, every join-phase intermediate over a subtree prefix
       is [π_{prefix}(R_D)] — each priced step ≤ |R_D|.  Planes ×
-      storages × domain counts must agree on result, τ, steps and
+      storages × domain counts must agree on served hash and rows,
+      result, τ, steps and
       scan/semijoin/join/topk span shapes, and on acyclic plans the
       ranked enumerator must stream exactly the k-prefix of the
       sorted full output for several k (cyclic strategies fall through
@@ -63,7 +68,7 @@
       the collided response's τ log.  Failpoint state is saved and
       restored around the pass.
 
-    All four return the first violated invariant as a {!failure}; the
+    Each returns the first violated invariant as a {!failure}; the
     fuzz driver shrinks whatever case produced it. *)
 
 open Mj_relation

@@ -102,19 +102,29 @@ let planted_case =
       regime = Gen.Skewed;
     }
 
+(* The yann reducer only runs on α-acyclic strategies; the random
+   graph above may be cyclic, so its mutation is planted into the same
+   case over a path. *)
+let planted_acyclic_case = Gen.normalize { planted_case with Gen.shape = Gen.Path }
+
 (* Plant one named mutation into the fixed case and require the whole
    detect → shrink → clean-re-run loop to work: the harness must catch
    it, the minimizer must bring the repro down to ≤ 4 relations while
    it still fails, and resetting the failpoint must make the shrunk
-   repro quiet again. *)
-let plant_and_verify spec =
+   repro quiet again.  [caught_by] names the check family (the prefix
+   of [failure.check]) that must be the one to catch it. *)
+let plant_and_verify ~caught_by d spec =
   Failpoint.reset ();
-  let d = planted_case in
   (match Failpoint.set_spec spec with
   | Ok () -> ()
   | Error msg -> failwith msg);
   match Check.run_case d with
   | Check.Pass -> Error (Printf.sprintf "planted %s mutation went undetected" spec)
+  | Check.Fail f when not (String.starts_with ~prefix:(caught_by ^ ":") f.check)
+    ->
+      Error
+        (Format.asprintf "planted %s was caught by %a, want the %s checks" spec
+           Check.pp_failure f caught_by)
   | Check.Fail f -> (
       let dm, fm = minimize d f in
       if dm.Gen.n > 4 then
@@ -154,13 +164,21 @@ let self_test () =
         (Format.asprintf "clean harness is not quiet on %a: %a" Gen.pp d
            Check.pp_failure f)
   | Check.Pass -> (
-      (* Two independent planted bugs, each through the full loop: the
-         frame-plane mutation (caught by the differential's τ log) and
-         the serve stale-plan cache collision (caught by the serve
-         leg's τ-log comparison). *)
-      match plant_and_verify "frame.lossy_join" with
-      | Error _ as e -> e
-      | Ok first -> (
-          match plant_and_verify "serve.cache_stale_plan" with
-          | Error _ as e -> e
-          | Ok second -> Ok (first ^ "; " ^ second)))
+      (* Three independent planted bugs, each through the full loop:
+         the lossy frame join and the lossy yann semijoin reducer (both
+         caught by the matrix's digest checks, on the hash the daemon
+         serves without decoding) and the serve stale-plan cache collision (caught by
+         the serve leg's τ-log comparison). *)
+      let rec all acc = function
+        | [] -> Ok (String.concat "; " (List.rev acc))
+        | (caught_by, case, spec) :: rest -> (
+            match plant_and_verify ~caught_by case spec with
+            | Error _ as e -> e
+            | Ok msg -> all (msg :: acc) rest)
+      in
+      all []
+        [
+          ("digest", d, "frame.lossy_join");
+          ("digest", planted_acyclic_case, "yann.lossy_semijoin");
+          ("serve", d, "serve.cache_stale_plan");
+        ])

@@ -57,9 +57,12 @@ val campaign :
 val self_test : unit -> (string, string) result
 (** Certify the harness can actually catch bugs: a clean fixed case
     must pass; then, for each planted mutation in turn —
-    [frame.lossy_join] (caught by the differential τ log) and
+    [frame.lossy_join] and [yann.lossy_semijoin] (the latter on an
+    acyclic twin of the case; both caught by the matrix's digest
+    checks, on the hash the daemon serves without decoding) and
     [serve.cache_stale_plan] (caught by the serve leg's τ-log
-    comparison against a cold run) — the same case must fail, the
-    failure must shrink to at most 4 relations, and the minimized
-    repro must still fail planted and pass clean.  Returns a
+    comparison against a cold run) — the case must fail under the
+    expected check family, the failure must shrink to at most 4
+    relations, and the minimized repro must still fail planted and
+    pass clean.  Returns a
     human-readable summary on success. *)

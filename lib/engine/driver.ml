@@ -29,6 +29,7 @@ module type PLANE = sig
   val note_step : ctx -> int -> unit
   val algo_label : Physical.algorithm -> string
   val to_relation : ctx -> Scheme.t -> item -> Relation.t
+  val digest : ctx -> Scheme.t -> item -> int64
 end
 
 type step_log = {
@@ -46,7 +47,7 @@ module Make (P : PLANE) = struct
      through its index instead of executing the scan.  A plane that has
      no base-relation indexes answers [None] from [index_join] and the
      step degrades to its ordinary join. *)
-  let execute ~obs ctx plan =
+  let walk ~obs ctx plan =
     let generated = ref 0 in
     let steps = ref [] in
     let rec run = function
@@ -203,7 +204,9 @@ module Make (P : PLANE) = struct
               end;
               (out_scheme, it))
     in
-    let out_scheme, item = Obs.span obs P.root_span (fun () -> run plan) in
-    let result = P.to_relation ctx out_scheme item in
-    (result, { tuples_generated = !generated; per_step = List.rev !steps })
+    let root = Obs.span obs P.root_span (fun () -> run plan) in
+    (root, { tuples_generated = !generated; per_step = List.rev !steps })
+
+  let certify ~obs ctx (scheme, item) =
+    Obs.span obs "serve.certify" (fun () -> P.digest ctx scheme item)
 end

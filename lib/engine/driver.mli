@@ -86,7 +86,15 @@ module type PLANE = sig
       counters such as the seed peak-materialization tracker). *)
 
   val algo_label : Physical.algorithm -> string
+
+  (** The finishers: what a caller makes of the root item once the
+      walk is done.  Both see the rows in the same order and must agree
+      with each other: [digest ctx s it = Relation.digest (to_relation
+      ctx s it)] — the wire hash is computed on the plane's native
+      result, never via a decode nobody reads. *)
+
   val to_relation : ctx -> Scheme.t -> item -> Relation.t
+  val digest : ctx -> Scheme.t -> item -> int64
 end
 
 type step_log = {
@@ -99,6 +107,18 @@ val scheme_key : Scheme.Set.t -> string
     explain renderer). *)
 
 module Make (P : PLANE) : sig
-  val execute :
-    obs:Mj_obs.Obs.sink -> P.ctx -> Physical.t -> Relation.t * step_log
+  val walk :
+    obs:Mj_obs.Obs.sink ->
+    P.ctx ->
+    Physical.t ->
+    (Scheme.t * P.item) * step_log
+  (** Execute the plan inside the plane's root span and return the
+      root item with its output scheme, undecoded — the caller applies
+      a finisher ({!PLANE.to_relation} or {!certify}). *)
+
+  val certify :
+    obs:Mj_obs.Obs.sink -> P.ctx -> Scheme.t * P.item -> int64
+  (** [P.digest] of a root, inside a ["serve.certify"] span: the pass
+      that certifies an answer, a named layer of every request the
+      serve daemon times. *)
 end

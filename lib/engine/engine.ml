@@ -127,66 +127,56 @@ type stats = {
   frame : Frame_engine.stats option;
 }
 
-module type BACKEND = sig
-  val plane : plane
+let of_seed (s : Exec.stats) =
+  {
+    plane = Seed;
+    tuples_generated = s.tuples_generated;
+    result_rows = s.result_rows;
+    per_step = s.per_step;
+    seed = Some s;
+    frame = None;
+  }
 
-  val execute : Config.t -> Database.t -> Physical.t -> Relation.t * stats
-end
-
-module Seed_backend = struct
-  let plane = Seed
-
-  let execute (cfg : Config.t) db plan =
-    let r, (s : Exec.stats) =
-      Exec.execute ~obs:cfg.obs ~cache:cfg.index_cache db plan
-    in
-    ( r,
-      {
-        plane;
-        tuples_generated = s.tuples_generated;
-        result_rows = Relation.cardinality r;
-        per_step = s.per_step;
-        seed = Some s;
-        frame = None;
-      } )
-end
-
-module Frame_backend = struct
-  let plane = Frame
-
-  let execute_warm ?fdb (cfg : Config.t) db plan =
-    let r, (s : Frame_engine.stats) =
-      Frame_engine.execute_plan ~obs:cfg.obs ~domains:cfg.domains
-        ?morsel:cfg.morsel ~storage:cfg.frame_storage ?fdb db plan
-    in
-    ( r,
-      {
-        plane;
-        tuples_generated = s.tuples_generated;
-        result_rows = s.result_rows;
-        per_step = s.per_step;
-        seed = None;
-        frame = Some s;
-      } )
-
-  let execute cfg db plan = execute_warm cfg db plan
-end
-
-let backend = function
-  | Seed -> (module Seed_backend : BACKEND)
-  | Frame -> (module Frame_backend : BACKEND)
+let of_frame (s : Frame_engine.stats) =
+  {
+    plane = Frame;
+    tuples_generated = s.tuples_generated;
+    result_rows = s.result_rows;
+    per_step = s.per_step;
+    seed = None;
+    frame = Some s;
+  }
 
 let lower (cfg : Config.t) db strategy =
   Planner.lower ~policy:cfg.algo_policy ~indexes:cfg.index_cache db strategy
 
+(* A warm frame dictionary only means something on the frame plane; the
+   seed plane ignores it (its warm state is the index cache the config
+   already carries). *)
 let execute_plan ?fdb (cfg : Config.t) db plan =
-  (* A warm frame dictionary only means something on the frame plane;
-     the seed plane ignores it (its warm state is the index cache the
-     config already carries). *)
-  match (cfg.plane, fdb) with
-  | Frame, Some _ -> Frame_backend.execute_warm ?fdb cfg db plan
-  | _ ->
-      let (module B) = backend cfg.plane in
-      B.execute cfg db plan
+  match cfg.plane with
+  | Seed ->
+      let r, s = Exec.execute ~obs:cfg.obs ~cache:cfg.index_cache db plan in
+      (r, of_seed s)
+  | Frame ->
+      let r, s =
+        Frame_engine.execute_plan ~obs:cfg.obs ~domains:cfg.domains
+          ?morsel:cfg.morsel ~storage:cfg.frame_storage ?fdb db plan
+      in
+      (r, of_frame s)
+
+let execute_digest ?fdb (cfg : Config.t) db plan =
+  match cfg.plane with
+  | Seed ->
+      let d, s =
+        Exec.execute_digest ~obs:cfg.obs ~cache:cfg.index_cache db plan
+      in
+      (d, of_seed s)
+  | Frame ->
+      let d, s =
+        Frame_engine.execute_digest ~obs:cfg.obs ~domains:cfg.domains
+          ?morsel:cfg.morsel ~storage:cfg.frame_storage ?fdb db plan
+      in
+      (d, of_frame s)
 
 let run ?fdb cfg db strategy = execute_plan ?fdb cfg db (lower cfg db strategy)

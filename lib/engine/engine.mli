@@ -15,16 +15,19 @@
             │                     Physical.t
             │                          │
             ▼                          ▼
-       backend plane  ───────►   Driver walker  ──►  Relation.t * stats
-       (Seed | Frame)            (spans, τ log)
+       backend plane  ───────►   Driver walker  ──►  root item, stats
+       (Seed | Frame)            (spans, τ log)          │
+                                                         ▼
+                                      to_relation (Relation.t) or
+                                      digest (int64, no decode)
     v}
 
     The two planes implement the same {!Driver.PLANE} signature —
     {!Exec} over seed tuple lists, {!Frame_engine} over columnar
-    frames — and this module picks between them behind the small
-    {!BACKEND} interface, so callers ([mjoin explain], [mjoin
-    optimize], [Theorems.verify] via {!Config.backend}, the bench
-    harness) never branch on the plane themselves.
+    frames — and {!execute_plan} / {!execute_digest} pick between
+    them, so callers ([mjoin explain], [mjoin optimize],
+    [Theorems.verify] via {!Config.backend}, the bench harness, the
+    serve daemon) never branch on the plane themselves.
 
     Determinism: a [Config.t] pins every execution-relevant choice
     (plane, worker domains, lowering policy, warm indexes).  Lowering
@@ -117,21 +120,6 @@ type stats = {
   frame : Frame_engine.stats option;  (** [Some] iff [plane = Frame] *)
 }
 
-(** What a data plane looks like from above: execute an annotated plan
-    under a config.  (The per-operator surface both planes implement is
-    {!Driver.PLANE}; this is the coarser interface the dispatcher
-    needs.) *)
-module type BACKEND = sig
-  val plane : plane
-
-  val execute : Config.t -> Database.t -> Physical.t -> Relation.t * stats
-end
-
-module Seed_backend : BACKEND
-module Frame_backend : BACKEND
-
-val backend : plane -> (module BACKEND)
-
 val lower : Config.t -> Database.t -> Strategy.t -> Physical.t
 (** {!Planner.lower} under the config's policy, with the config's
     index cache as the warm-index set. *)
@@ -145,6 +133,18 @@ val execute_plan :
     frame plane (seed executions keep their warm state in the config's
     index cache) and is never mutated, so one encoding can back
     concurrent executions. *)
+
+val execute_digest :
+  ?fdb:Mj_relation.Frame.Db.t ->
+  Config.t -> Database.t -> Physical.t -> int64 * stats
+(** {!execute_plan} for callers that only certify the answer: the same
+    walk, finished with [Relation.digest] of the result instead of the
+    result itself.  On the frame plane the digest runs on the root
+    frame's code buffers ([Frame.digest]) and [result_rows] is its
+    cardinality, so no [Relation.t] is decoded; the seed plane digests
+    its relation.  Equal to [Relation.digest] of {!execute_plan}'s
+    result, bit for bit.  The digest pass runs inside a
+    ["serve.certify"] span on the config's sink. *)
 
 val run :
   ?fdb:Mj_relation.Frame.Db.t ->

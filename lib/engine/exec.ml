@@ -11,6 +11,7 @@ type stats = {
   index_builds : int;
   index_hits : int;
   max_materialized : int;
+  result_rows : int;
   per_step : (Scheme.Set.t * int) list;
 }
 
@@ -345,17 +346,20 @@ module Seed_plane = struct
 
   let algo_label = Physical.algorithm_name
   let to_relation _ctx scheme tuples = Relation.make scheme tuples
+  let digest ctx scheme tuples = Relation.digest (to_relation ctx scheme tuples)
 end
 
 module Drive = Driver.Make (Seed_plane)
 
-let execute ?(obs = Obs.noop) ?(cache = index_cache ()) db plan =
+(* One walk, then a finisher that makes the answer of the root tuple
+   list and reports its row count. *)
+let run ~finish ~obs ~cache db plan =
   let c = fresh () in
-  let result, (log : Driver.step_log) =
-    Drive.execute ~obs { Seed_plane.c; cache; db } plan
-  in
+  let ctx = { Seed_plane.c; cache; db } in
+  let root, (log : Driver.step_log) = Drive.walk ~obs ctx plan in
+  let out, result_rows = finish ctx root in
   Obs.merge_registry obs c.reg;
-  ( result,
+  ( out,
     {
       tuples_scanned = Obs.value c.scanned;
       tuples_generated = Obs.value c.generated;
@@ -364,8 +368,21 @@ let execute ?(obs = Obs.noop) ?(cache = index_cache ()) db plan =
       index_builds = Obs.value c.built;
       index_hits = Obs.value c.hits;
       max_materialized = Obs.value c.peak;
+      result_rows;
       per_step = log.per_step;
     } )
+
+let execute ?(obs = Obs.noop) ?(cache = index_cache ()) db plan =
+  run ~obs ~cache db plan ~finish:(fun ctx (scheme, tuples) ->
+      let r = Seed_plane.to_relation ctx scheme tuples in
+      (r, Relation.cardinality r))
+
+(* The row count is the root list's length — the plane's own count, the
+   one every τ step uses — so a kernel that emitted a duplicate row
+   would report more rows than the answer has, not hide it. *)
+let execute_digest ?(obs = Obs.noop) ?(cache = index_cache ()) db plan =
+  run ~obs ~cache db plan ~finish:(fun ctx ((_, tuples) as root) ->
+      (Drive.certify ~obs ctx root, Seed_plane.cardinality tuples))
 
 type pipeline_stats = {
   emitted_per_stage : int list;

@@ -28,6 +28,7 @@ type stats = {
   index_builds : int;       (** base-relation indexes built this execution *)
   index_hits : int;         (** joins served by an already-built index *)
   max_materialized : int;   (** largest relation/hash-table/sort buffer held *)
+  result_rows : int;        (** rows of the result relation *)
   per_step : (Scheme.Set.t * int) list;
       (** output cardinality per join node, post-order — comparable to
           {!Multijoin.Cost.step_costs} *)
@@ -66,6 +67,17 @@ val execute :
     to an uninstrumented build.
     @raise Invalid_argument if a scanned scheme is missing from the
     database or a block size is below 1. *)
+
+val execute_digest :
+  ?obs:Mj_obs.Obs.sink ->
+  ?cache:index_cache ->
+  Database.t ->
+  Physical.t ->
+  int64 * stats
+(** {!execute}, finished with [Relation.digest] of the result (inside
+    a ["serve.certify"] span on [obs]) instead of the relation itself.
+    [result_rows] is the root's length, as the plane counts every
+    step. *)
 
 type pipeline_stats = {
   emitted_per_stage : int list;

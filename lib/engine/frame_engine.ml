@@ -105,12 +105,14 @@ module Frame_plane = struct
   let note_step _ctx _n = ()
   let algo_label _ = "frame-hash"
   let to_relation _ctx _scheme f = Frame.to_relation f
+  let digest _ctx _scheme f = Frame.digest f
 end
 
 module Drive = Driver.Make (Frame_plane)
 
-let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
-    ?fdb db plan =
+(* One walk, then a finisher on the root frame; the row count is the
+   frame's own, so neither finisher has to decode to report it. *)
+let run ~finish ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan =
   (* Adaptive cutover: a tiny database is executed single-domain
      whatever the configured worker count — the non-partitioned join
      path, no pool, no fan-out. *)
@@ -137,7 +139,10 @@ let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
       jprobe = Obs.histogram obs "join.probes";
     }
   in
-  let result, (log : Driver.step_log) = Drive.execute ~obs ctx plan in
+  let ((_, root) as walked), (log : Driver.step_log) =
+    Drive.walk ~obs ctx plan
+  in
+  let result = finish ctx walked in
   let dict_size = Frame.Dict.size (Frame.Db.dict ctx.fdb) in
   if Obs.enabled obs then begin
     Obs.add obs "exec.tuples_generated" log.tuples_generated;
@@ -150,7 +155,7 @@ let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
   ( result,
     {
       tuples_generated = log.tuples_generated;
-      result_rows = Relation.cardinality result;
+      result_rows = Frame.cardinality root;
       dict_size;
       probes = ctx.fstats.probes;
       probe_hits = ctx.fstats.probe_hits;
@@ -158,6 +163,14 @@ let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
       morsels = ctx.fstats.morsels;
       per_step = log.per_step;
     } )
+
+let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
+    ?fdb db plan =
+  run ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan
+    ~finish:(fun ctx (scheme, f) -> Frame_plane.to_relation ctx scheme f)
+
+let execute_digest ?(obs = Obs.noop) ?domains ?morsel ?storage ?fdb db plan =
+  run ~finish:(Drive.certify ~obs) ~obs ?domains ?morsel ?storage ?fdb db plan
 
 let execute ?obs ?domains ?par_threshold ?morsel ?storage db strategy =
   execute_plan ?obs ?domains ?par_threshold ?morsel ?storage db

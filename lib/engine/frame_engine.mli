@@ -7,7 +7,8 @@
     a compiled-key columnar hash join (morsel-driven over
     [Mj_pool.Pool] on large inputs), and the final frame is decoded
     back, so callers see the same [Relation.t] the materializing
-    {!Exec} engine produces.
+    {!Exec} engine produces — or, through {!execute_digest}, hashed on
+    its code buffers when the caller only certifies the answer.
 
     Observability matches [Exec]: every leaf opens a ["scan"] span and
     every step a ["join"] span carrying ["scheme"] and ["rows"]
@@ -67,3 +68,13 @@ val execute_plan :
     concurrent executions.  When present, [?storage] is ignored (the
     row store was chosen at encode time).
     @raise Invalid_argument if a scanned scheme is missing from [db]. *)
+
+val execute_digest :
+  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int ->
+  ?storage:Frame.storage -> ?fdb:Frame.Db.t ->
+  Database.t -> Physical.t -> int64 * stats
+(** {!execute_plan}, finished with [Frame.digest] of the root frame
+    (inside a ["serve.certify"] span on [obs]) instead of a decode: the
+    result hash is computed on code buffers and [result_rows] is the
+    frame's cardinality, so no [Relation.t] is ever built.  Equal to
+    [Relation.digest] of {!execute_plan}'s result. *)

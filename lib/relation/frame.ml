@@ -9,14 +9,27 @@ module Pool = Mj_pool.Pool
 module Obs = Mj_obs.Obs
 
 module Dict = struct
+  (* The dictionary's value order: [by_rank] lists the codes ascending
+     by [Value.compare], [rank] inverts it.  [covers] is the dictionary
+     size it was computed at; interning more values makes it stale. *)
+  type order = { covers : int; rank : int array; by_rank : int array }
+
   type t = {
     codes : (Value.t, int) Hashtbl.t;
     mutable values : Value.t array; (* decode table, dense prefix *)
     mutable size : int;
+    order : order option Atomic.t;
+    text : string array option Atomic.t; (* code -> Value.to_string *)
   }
 
   let create ?(hint = 256) () =
-    { codes = Hashtbl.create hint; values = Array.make 64 (Value.int 0); size = 0 }
+    {
+      codes = Hashtbl.create hint;
+      values = Array.make 64 (Value.int 0);
+      size = 0;
+      order = Atomic.make None;
+      text = Atomic.make None;
+    }
 
   let size d = d.size
 
@@ -41,6 +54,34 @@ module Dict = struct
     if c < 0 || c >= d.size then
       invalid_arg "Frame.Dict.value: code out of range";
     d.values.(c)
+
+  (* Computed on first use and kept for as long as no value is
+     interned, so a warm dictionary (the serve daemon's, frozen after
+     encode) sorts its values once, not once per query.  Concurrent
+     readers may race to fill the cache; each computes the same arrays
+     and the atomic publishes whole ones. *)
+  let order d =
+    match Atomic.get d.order with
+    | Some o when o.covers = d.size -> o
+    | _ ->
+        let n = d.size and values = d.values in
+        let by_rank = Array.init n Fun.id in
+        Array.stable_sort
+          (fun a b -> Value.compare values.(a) values.(b))
+          by_rank;
+        let rank = Array.make n 0 in
+        Array.iteri (fun r c -> rank.(c) <- r) by_rank;
+        let o = { covers = n; rank; by_rank } in
+        Atomic.set d.order (Some o);
+        o
+
+  let text d =
+    match Atomic.get d.text with
+    | Some t when Array.length t = d.size -> t
+    | _ ->
+        let t = Array.init d.size (fun c -> Value.to_string d.values.(c)) in
+        Atomic.set d.text (Some t);
+        t
 end
 
 (* ------------------------------------------------------------------ *)
@@ -296,91 +337,84 @@ let of_relation ?(storage = Heap) dict r =
   { scheme; attrs; width = w; rows; data = Store.of_heap storage (rows * w) data;
     dict }
 
+(* The value order of a frame's rows — the prelude shared by decode and
+   digest, so the two cannot disagree on row order.  Frame rows are
+   sorted by dictionary {e code}, not by [Value.compare]: remap every
+   cell to its value rank in the dictionary's (cached) order and, unless
+   interning happened to assign codes in value order, re-sort with the
+   comparison-free LSD counting sort.  Rank is injective, so rows stay
+   distinct and the row count is unchanged.  For same-scheme tuples
+   [Tuple.compare] is exactly lexicographic value order over the sorted
+   attribute columns, so the rows come out in [Tuple.compare] order.
+
+   Returns the dictionary's [by_rank] (rank -> code) and the rows as
+   row-major ranks in that order. *)
+let value_order f =
+  let o = Dict.order f.dict in
+  let ncells = f.rows * f.width in
+  let ranked = Array.make ncells 0 in
+  for c = 0 to ncells - 1 do
+    ranked.(c) <- o.rank.(Store.get f.data c)
+  done;
+  let _, sorted = canonicalize f.width f.rows ranked in
+  (o.by_rank, sorted)
+
 let to_relation f =
   (* Rows are distinct and uniformly over [f.scheme] by construction,
      so decode rides the trusted constructors: no per-binding duplicate
      probe, no per-tuple scheme check, one sorting pass for the set.
-
      That sorting pass compares whole tuples (attribute maps), so it is
      the expensive part — and it halves in cost when the input is
-     already in [Tuple.compare] order.  Frame rows are sorted by
-     dictionary {e code}, not by [Value.compare], so translate the
-     codes present in this frame to value-order ranks, remap the rows
-     and re-sort them with the comparison-free counting sort; for
-     same-scheme tuples [Tuple.compare] is exactly lexicographic value
-     order over the sorted attribute columns, so the emitted list is
-     already sorted. *)
+     already in [Tuple.compare] order, which [value_order] provides. *)
   let w = f.width in
   if f.rows = 0 then Relation.of_uniform_tuples f.scheme []
   else begin
-    let ncells = f.rows * w in
-    let max_code = ref 0 in
-    for c = 0 to ncells - 1 do
-      let v = Store.get f.data c in
-      if v > !max_code then max_code := v
+    let by_rank, ranks = value_order f in
+    let value cell = Dict.value f.dict by_rank.(ranks.(cell)) in
+    (* Consecutive sorted rows share leading column values, so each
+       tuple is the previous one with only the changed columns
+       rebound — unchanged map nodes are shared, not rebuilt. *)
+    let prev = Array.make w (Value.int 0) in
+    let cur = ref Tuple.empty in
+    let tuples = ref [] in
+    for r = 0 to f.rows - 1 do
+      let base = r * w in
+      if r = 0 then
+        cur :=
+          Tuple.of_columns f.attrs (fun j ->
+              let v = value (base + j) in
+              prev.(j) <- v;
+              v)
+      else
+        for j = 0 to w - 1 do
+          let v = value (base + j) in
+          if not (Value.equal v prev.(j)) then begin
+            cur := Tuple.set !cur f.attrs.(j) v;
+            prev.(j) <- v
+          end
+        done;
+      tuples := !cur :: !tuples
     done;
-    let rank = Array.make (!max_code + 1) (-1) in
-    for c = 0 to ncells - 1 do
-      rank.(Store.get f.data c) <- 0
-    done;
-    let present = ref [] in
-    for code = !max_code downto 0 do
-      if rank.(code) >= 0 then present := code :: !present
-    done;
-    let codes = Array.of_list !present in
-    Array.sort
-      (fun c1 c2 -> Value.compare (Dict.value f.dict c1) (Dict.value f.dict c2))
-      codes;
-    Array.iteri (fun r code -> rank.(code) <- r) codes;
-    (* When interning happened to assign codes in value order the rows
-       are already in tuple order; otherwise remap every cell
-       code -> rank and re-sort with the comparison-free LSD counting
-       sort.  Rank is injective, so rows stay distinct and the row
-       count is unchanged. *)
-    let monotone =
-      let rec go i =
-        i >= Array.length codes || (codes.(i - 1) < codes.(i) && go (i + 1))
-      in
-      go 1
-    in
-    let decode rowval =
-      (* Consecutive sorted rows share leading column values, so each
-         tuple is the previous one with only the changed columns
-         rebound — unchanged map nodes are shared, not rebuilt. *)
-      let prev = Array.make w (Value.int 0) in
-      let cur = ref Tuple.empty in
-      let tuples = ref [] in
-      for r = 0 to f.rows - 1 do
-        let base = r * w in
-        if r = 0 then
-          cur :=
-            Tuple.of_columns f.attrs (fun j ->
-                let v = rowval (base + j) in
-                prev.(j) <- v;
-                v)
-        else
-          for j = 0 to w - 1 do
-            let v = rowval (base + j) in
-            if not (Value.equal v prev.(j)) then begin
-              cur := Tuple.set !cur f.attrs.(j) v;
-              prev.(j) <- v
-            end
-          done;
-        tuples := !cur :: !tuples
-      done;
-      Relation.of_uniform_tuples f.scheme (List.rev !tuples)
-    in
-    if monotone then decode (fun cell -> Dict.value f.dict (Store.get f.data cell))
-    else begin
-      let ranked = Array.make ncells 0 in
-      for c = 0 to ncells - 1 do
-        ranked.(c) <- rank.(Store.get f.data c)
-      done;
-      let _, sorted = canonicalize w f.rows ranked in
-      let vals = Array.map (Dict.value f.dict) codes in
-      decode (fun cell -> vals.(sorted.(cell)))
-    end
+    Relation.of_uniform_tuples f.scheme (List.rev !tuples)
   end
+
+(* [Relation.digest (to_relation f)] without building the relation:
+   the same stream, fed from code buffers in [value_order], with each
+   value rendered once per dictionary. *)
+let digest f =
+  let s = Fnv.result f.scheme in
+  if f.rows > 0 then begin
+    let by_rank, ranks = value_order f in
+    let text = Dict.text f.dict in
+    for r = 0 to f.rows - 1 do
+      let base = r * f.width in
+      for j = 0 to f.width - 1 do
+        Fnv.cell_text s text.(by_rank.(ranks.(base + j)))
+      done;
+      Fnv.end_row s
+    done
+  end;
+  Fnv.digest s
 
 let equal f1 f2 =
   Attr.Set.equal f1.scheme f2.scheme
@@ -1059,14 +1093,7 @@ let topk ?stats ~order ~k frames =
       in
       if k <= 0 || List.exists (fun f -> f.rows = 0) frames then empty_result ()
       else begin
-        let dict = f0.dict in
-        let ncodes = Dict.size dict in
-        let by_value = Array.init ncodes Fun.id in
-        Array.sort
-          (fun a b -> Value.compare (Dict.value dict a) (Dict.value dict b))
-          by_value;
-        let rank = Array.make (max 1 ncodes) 0 in
-        Array.iteri (fun r c -> rank.(c) <- r) by_value;
+        let { Dict.rank; by_rank = by_value; _ } = Dict.order f0.dict in
         let remap f =
           let w = f.width in
           let buf = Array.make (max 1 (f.rows * w)) 0 in

@@ -97,6 +97,13 @@ val to_relation : t -> Relation.t
 (** Decode back to the seed representation.  Round-trip identity:
     [Relation.equal (to_relation (of_relation d r)) r]. *)
 
+val digest : t -> int64
+(** [Relation.digest (to_relation f)], computed on the code buffers
+    without decoding: the present codes are ranked by value once (the
+    prelude {!to_relation} shares, so decode order and digest order
+    cannot drift apart), each present value is rendered once, and the
+    FNV-1a stream runs over the rows in value order. *)
+
 val scheme : t -> Attr.Set.t
 val cardinality : t -> int
 (** The paper's τ: the number of rows. *)

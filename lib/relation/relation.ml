@@ -204,6 +204,19 @@ let compare r1 r2 =
   let c = Attr.Set.compare r1.scheme r2.scheme in
   if c <> 0 then c else Tuple_set.compare r1.tuples r2.tuples
 
+(* The result digest over the tuples in set order, which is
+   [Tuple.compare] order; [Tuple.iter] visits each tuple's bindings in
+   column order, so nothing is allocated per tuple or binding. *)
+let digest r =
+  let s = Fnv.result r.scheme in
+  let cell _ v = Fnv.cell_value s v in
+  Tuple_set.iter
+    (fun tu ->
+      Tuple.iter cell tu;
+      Fnv.end_row s)
+    r.tuples;
+  Fnv.digest s
+
 let pp fmt r =
   let attrs = Attr.Set.elements r.scheme in
   let header = List.map Attr.to_string attrs in

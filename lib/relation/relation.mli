@@ -101,6 +101,16 @@ val rename : t -> (Attr.t * Attr.t) list -> t
     @raise Invalid_argument if the renaming is not injective on the
     scheme. *)
 
+(** {1 Digest} *)
+
+val digest : t -> int64
+(** 64-bit FNV-1a over a fixed byte stream: the scheme string, then for
+    each tuple in {!iter} order (ascending {!Tuple.compare}) a newline
+    and its {!Tuple.to_string} rendering, e.g. ["AB\n(A=1, B=p)"].
+    Streams in one pass with no sort and no per-tuple allocation.  The
+    byte stream ({!Fnv}) is the contract: {!Frame.digest} reproduces
+    it on code buffers and the serve protocol puts it on the wire. *)
+
 (** {1 Comparison and printing} *)
 
 val equal : t -> t -> bool

@@ -32,6 +32,7 @@ let of_columns attrs get =
   !tu
 
 let bindings t = Attr.Map.bindings t
+let iter f t = Attr.Map.iter f t
 
 let scheme t =
   Attr.Map.fold (fun a _ acc -> Attr.Set.add a acc) t Attr.Set.empty

@@ -33,6 +33,10 @@ val of_columns : Attr.t array -> (int -> Value.t) -> t
 val bindings : t -> (Attr.t * Value.t) list
 (** Bindings in increasing attribute order. *)
 
+val iter : (Attr.t -> Value.t -> unit) -> t -> unit
+(** [iter f t] visits the bindings in increasing attribute order,
+    without building the {!bindings} list. *)
+
 val scheme : t -> Attr.Set.t
 (** The set of attributes the tuple is defined on. *)
 

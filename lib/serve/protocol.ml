@@ -201,23 +201,5 @@ let steps_json per_step =
 (* ------------------------------------------------------------------ *)
 (* Result digests                                                      *)
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  !h
-
-let result_hash r =
-  let tuples =
-    Relation.tuples r |> List.sort Tuple.compare |> List.map Tuple.to_string
-  in
-  let h = fnv_string fnv_offset (Scheme.to_string (Relation.scheme r)) in
-  List.fold_left (fun h t -> fnv_string (fnv_string h "\n") t) h tuples
-
+let result_hash = Relation.digest
 let hash_hex h = Printf.sprintf "%016Lx" h

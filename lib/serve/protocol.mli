@@ -23,8 +23,8 @@
     ["code"] fields — the per-request failure channel; the daemon
     itself never dies on a bad request) or ["overloaded"] (admission
     control shed the request).  A query response certifies its answer
-    compactly: ["rows"], ["tau"], ["hash"] (an order-independent
-    64-bit FNV-1a digest of the result relation) and ["steps"] (the
+    compactly: ["rows"], ["tau"], ["hash"] (a 64-bit FNV-1a digest
+    of the result relation, see {!result_hash}) and ["steps"] (the
     per-step τ log) — everything a client needs to compare against a
     cold [Engine.run] of the same request, bit for bit. *)
 
@@ -109,8 +109,13 @@ val steps_json : (Scheme.Set.t * int) list -> Mj_obs.Json.t
 (** {1 Result digests} *)
 
 val result_hash : Relation.t -> int64
-(** Order-independent FNV-1a digest over the sorted tuple renderings
-    and the scheme — equal iff the relations are equal, cheap enough
-    to compute on every response. *)
+(** [Relation.digest]: 64-bit FNV-1a over the scheme string followed by
+    ["\n"] and the {!Tuple.to_string} rendering of each tuple in
+    ascending {!Tuple.compare} order.  That byte stream is the wire
+    contract: every plane and every release must hash it bit for bit,
+    and the daemon computes it on the native result ([Frame.digest] on
+    the frame plane, no decode).  Equal relations always hash equal;
+    the converse holds only up to 64-bit collisions, so a matching
+    hash is strong evidence, not a proof, that two answers agree. *)
 
 val hash_hex : int64 -> string

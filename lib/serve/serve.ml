@@ -237,11 +237,14 @@ let submit_query t ?id ?obs ?plane ?strategy ?policy ~key ~db () =
         | Engine.Frame -> Some (frame_db t entry)
         | Engine.Seed -> None
       in
-      let result, stats = Engine.execute_plan ?fdb cfg_req entry.db plan in
+      (* Certify on the native result: the digest runs on the plane's
+         root item — frame code buffers on the frame plane, which then
+         decodes nothing — and [ms] below covers it. *)
+      let digest, stats = Engine.execute_digest ?fdb cfg_req entry.db plan in
       let ms = (Obs.monotonic_time () -. start) *. 1000. in
-      (result, stats, strat_s, cached <> None, ms)
+      (digest, stats, strat_s, cached <> None, ms)
     with
-    | result, stats, strat_s, hit, ms ->
+    | digest, stats, strat_s, hit, ms ->
         (match t.cfg.Engine.Config.telemetry with
         | None -> ()
         | Some path ->
@@ -264,8 +267,7 @@ let submit_query t ?id ?obs ?plane ?strategy ?policy ~key ~db () =
           [
             ("rows", Json.int stats.Engine.result_rows);
             ("tau", Json.int stats.Engine.tuples_generated);
-            ( "hash",
-              Json.str (Protocol.hash_hex (Protocol.result_hash result)) );
+            ("hash", Json.str (Protocol.hash_hex digest));
             ("steps", Protocol.steps_json stats.Engine.per_step);
             ("cached_plan", Json.bool hit);
             ("plane", Json.str (Engine.plane_name plane));

@@ -95,8 +95,13 @@ val submit_query :
     only forced on a registry miss.  [strategy] defaults to
     {!Protocol.default_strategy}, [policy]/[plane] to the config's.
     [obs] (default: the config's sink) receives the request span —
-    pass each concurrent caller its own child sink.  Returns the
-    response line (status [ok], [error] or [overloaded]). *)
+    pass each concurrent caller its own child sink.  The answer is
+    certified on the native result ([Engine.execute_digest], inside a
+    [serve.certify] child span of [serve.request]): the frame plane
+    hashes its code buffers and never decodes a [Relation.t].  The
+    response's [ms] and the telemetry [duration_ms] cover execution
+    {e and} certification.  Returns the response line (status [ok],
+    [error] or [overloaded]). *)
 
 val handle_line : t -> ?obs:Obs.sink -> string -> string
 (** Parse and execute one request line; never raises — malformed input

@@ -169,6 +169,16 @@ test "$(wc -l < "$TMP/serve-tel.jsonl")" = 2
 grep -q '"cmd":"serve"' "$TMP/serve-tel.jsonl"
 grep -q '"plan_cache":"hit"' "$TMP/serve-tel.jsonl"
 "$MJOIN" stats --from "$TMP/serve-tel.jsonl" | grep -q 'telemetry.cmd.serve'
+# Wire compatibility: the result hash is computed on each plane's
+# native result (frame code buffers, no decode), and must equal the
+# pinned hex the daemon has always served for this workload.
+GOLDEN=93ed89284983ef4b
+for plane in seed frame; do
+  echo '{"id":1,"op":"query","shape":"chain","n":4,"rows":40,"domain":12,"seed":7,"plane":"'$plane'"}' \
+    | "$MJOIN" serve 2> /dev/null | grep -o '"hash":"[0-9a-f]*"' > "$TMP/hash-$plane"
+done
+test "$(cat "$TMP/hash-seed")" = "$(cat "$TMP/hash-frame")"
+test "$(cat "$TMP/hash-frame")" = "\"hash\":\"$GOLDEN\""
 # Error paths answer structured per-request errors; the daemon itself
 # exits 0 on EOF.
 echo '{not json' | "$MJOIN" serve 2> /dev/null \

@@ -336,6 +336,92 @@ let test_morsel_boundaries () =
         [ 1; 3; 7; 8; 9; 16; 17 ])
     Frame.all_storages
 
+(* ------------------------------------------------------------------ *)
+(* Digest                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A small mixed Int/Str value pool, so relations share values and the
+   dictionary sees both kinds. *)
+let digest_values =
+  List.map Value.int [ -7; 0; 3; 12; 100 ]
+  @ List.map Value.str [ ""; "a"; "b, c"; "zz"; String.make 90 'q' ]
+
+(* A relation over a non-empty subset of {A, B, C} (width 1 included;
+   empty states included) with values from [digest_values], plus how
+   the dictionary was prepared: 0 fresh, 1 every pool value pre-interned
+   in reverse value order (codes then descend as values ascend, so
+   decode and digest take the non-monotone re-sort path), 2 interned in
+   pool order (Ints first, then strings out of value order). *)
+let gen_digest_case =
+  let open QCheck2.Gen in
+  let* bits = int_range 1 7 in
+  let attrs =
+    List.filteri (fun i _ -> bits land (1 lsl i) <> 0) [ "A"; "B"; "C" ]
+    |> List.map Attr.make
+  in
+  let gen_tuple =
+    let* vals = list_repeat (List.length attrs) (oneofl digest_values) in
+    return (Tuple.of_list (List.combine attrs vals))
+  in
+  let* tuples = list_size (int_range 0 10) gen_tuple in
+  let* dict_mode = int_range 0 2 in
+  return (Relation.make (Attr.Set.of_list attrs) tuples, dict_mode)
+
+let prepared_dict mode =
+  let d = Frame.Dict.create () in
+  (match mode with
+  | 1 ->
+      List.iter
+        (fun v -> ignore (Frame.Dict.intern d v))
+        (List.rev (List.sort Value.compare digest_values))
+  | 2 -> List.iter (fun v -> ignore (Frame.Dict.intern d v)) digest_values
+  | _ -> ());
+  d
+
+let digest_agrees =
+  qtest "Frame.digest equals Relation.digest on both storages" ~count:300
+    gen_digest_case (fun (r, mode) ->
+      let dict = prepared_dict mode in
+      List.for_all
+        (fun storage ->
+          let f = Frame.of_relation ~storage dict r in
+          Int64.equal (Frame.digest f) (Relation.digest r)
+          && Relation.equal (Frame.to_relation f) r)
+        Frame.all_storages)
+
+let digest_of_join_agrees =
+  qtest "Frame.digest of a join equals the seed join's digest" gen_db_pick
+    (fun (db, pick) ->
+      let r1, r2 = pick_two db pick in
+      let dict = Frame.Dict.create () in
+      let f1 = Frame.of_relation dict r1 and f2 = Frame.of_relation dict r2 in
+      Int64.equal
+        (Frame.digest (Frame.natural_join f1 f2))
+        (Relation.digest (Relation.natural_join r1 r2)))
+
+(* The engine's digest finisher: same hash and row count as the decoded
+   result of the same plan, on both planes. *)
+let execute_digest_agrees =
+  qtest "execute_digest agrees with execute_plan on both planes" ~count:60
+    gen_db (fun db ->
+      let plan =
+        Mj_engine.Physical.of_strategy
+          (Strategy.left_deep (Database.scheme_list db))
+      in
+      let frame_r, frame_st = Mj_engine.Frame_engine.execute_plan db plan in
+      let frame_d, frame_dst = Mj_engine.Frame_engine.execute_digest db plan in
+      let seed_r, seed_st = Mj_engine.Exec.execute db plan in
+      let seed_d, seed_dst = Mj_engine.Exec.execute_digest db plan in
+      Int64.equal frame_d (Relation.digest frame_r)
+      && Int64.equal seed_d (Relation.digest seed_r)
+      && Int64.equal frame_d seed_d
+      && frame_dst.Mj_engine.Frame_engine.result_rows
+         = Relation.cardinality frame_r
+      && frame_st.Mj_engine.Frame_engine.result_rows
+         = Relation.cardinality frame_r
+      && seed_dst.Mj_engine.Exec.result_rows = Relation.cardinality seed_r
+      && seed_st.Mj_engine.Exec.result_rows = Relation.cardinality seed_r)
+
 let engines_agree =
   qtest "Frame_engine agrees with Exec on left-deep plans" ~count:60 gen_db
     (fun db ->
@@ -384,4 +470,6 @@ let () =
           Alcotest.test_case "morsel boundaries" `Quick test_morsel_boundaries;
           engines_agree;
         ] );
+      ( "digest",
+        [ digest_agrees; digest_of_join_agrees; execute_digest_agrees ] );
     ]

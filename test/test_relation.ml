@@ -547,6 +547,100 @@ let prop_reduce_preserves_join =
       Relation.equal (Database.join_all db) (Database.join_all reduced))
 
 (* ------------------------------------------------------------------ *)
+(* Result digest                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference oracle: the serve protocol's original result hash,
+   kept verbatim.  [Relation.digest] must reproduce its byte stream —
+   the wire contract — without the sort, the [Format] rendering or the
+   per-tuple strings. *)
+module Reference = struct
+  let fnv_offset = 0xcbf29ce484222325L
+  let fnv_prime = 0x100000001b3L
+
+  let fnv_string h s =
+    let h = ref h in
+    String.iter
+      (fun c ->
+        h := Int64.logxor !h (Int64.of_int (Char.code c));
+        h := Int64.mul !h fnv_prime)
+      s;
+    !h
+
+  let result_hash r =
+    let tuples =
+      Relation.tuples r |> List.sort Tuple.compare |> List.map Tuple.to_string
+    in
+    let h = fnv_string fnv_offset (Scheme.to_string (Relation.scheme r)) in
+    List.fold_left (fun h t -> fnv_string (fnv_string h "\n") t) h tuples
+end
+
+(* Values the digest must render exactly like [Value.to_string]:
+   negative and extreme ints, and strings that are long or carry the
+   stream's own separators. *)
+let gen_value =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map Value.int (int_range (-3) 3);
+      map Value.int int;
+      oneofl [ Value.int min_int; Value.int max_int ];
+      map Value.str (string_size ~gen:printable (int_range 0 6));
+      map Value.str (string_size ~gen:printable (int_range 70 120));
+      oneofl (List.map Value.str [ ""; ", "; "\n"; "a=b"; "(x)"; "\xe2\x88\x85" ]);
+    ]
+
+(* Non-empty schemes over single-letter and multi-letter attributes
+   (the scheme string switches to comma separators for the latter);
+   up to 12 tuples, so empty and single-tuple states show up often. *)
+let gen_digest_relation =
+  let open QCheck2.Gen in
+  let pool = [ "A"; "B"; "C"; "key"; "x1" ] in
+  let* bits = int_range 1 ((1 lsl List.length pool) - 1) in
+  let attrs =
+    List.filteri (fun idx _ -> bits land (1 lsl idx) <> 0) pool
+    |> List.map Attr.make
+  in
+  let gen_tuple =
+    let* vals = list_repeat (List.length attrs) gen_value in
+    return (Tuple.of_list (List.combine attrs vals))
+  in
+  let* tuples = list_size (int_range 0 12) gen_tuple in
+  return (Relation.make (Attr.Set.of_list attrs) tuples)
+
+let prop_digest_matches_reference =
+  qtest "digest matches the reference hash" ~count:500 gen_digest_relation
+    (fun r -> Int64.equal (Relation.digest r) (Reference.result_hash r))
+
+let test_digest_fixed () =
+  let check name r =
+    Alcotest.(check int64) name (Reference.result_hash r) (Relation.digest r)
+  in
+  check "example 1" r1_ex1;
+  check "empty state hashes its scheme alone"
+    (Relation.empty (Attr.Set.of_string "AB"));
+  check "width 1" (Relation.of_rows "A" [ [ i min_int ]; [ i 0 ]; [ s "z" ] ]);
+  Alcotest.(check bool)
+    "tuple order is part of the stream, not the insertion order" true
+    (Int64.equal
+       (Relation.digest (Relation.of_rows "A" [ [ i 2 ]; [ i 1 ] ]))
+       (Relation.digest (Relation.of_rows "A" [ [ i 1 ]; [ i 2 ] ])))
+
+(* The stream checks every row's width against its scheme, so a row
+   that does not match fails loudly instead of hashing garbage. *)
+let test_digest_row_width () =
+  let stream () = Fnv.result (Attr.Set.of_string "AB") in
+  Alcotest.check_raises "row wider than the scheme"
+    (Invalid_argument "Fnv.cell: row wider than the scheme") (fun () ->
+      let st = stream () in
+      List.iter (Fnv.cell_value st) [ i 1; i 2; i 3 ]);
+  Alcotest.check_raises "row narrower than the scheme"
+    (Invalid_argument "Fnv.end_row: row narrower than the scheme") (fun () ->
+      let st = stream () in
+      Fnv.cell_value st (i 1);
+      Fnv.end_row st)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mj_relation"
@@ -661,5 +755,12 @@ let () =
             test_globally_consistent;
           Alcotest.test_case "dangling tuples" `Quick test_dangling_tuples;
           prop_reduce_preserves_join;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "fixed states" `Quick test_digest_fixed;
+          Alcotest.test_case "row width is checked" `Quick
+            test_digest_row_width;
+          prop_digest_matches_reference;
         ] );
     ]

@@ -478,6 +478,83 @@ let test_ping_and_stats () =
   | None -> Alcotest.fail "unparseable stats response"
 
 (* ------------------------------------------------------------------ *)
+(* Wire compatibility                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The result hash is a wire contract: clients compare it across
+   daemons and releases.  This is the hex the daemon served for this
+   workload before hashing moved onto the native result (frame code
+   buffers, streamed digest); every plane and policy must still serve
+   it, through the full parse → execute → certify → serialize path. *)
+let golden_workload =
+  {
+    Protocol.default_workload with
+    shape = "chain";
+    n = 4;
+    rows = 40;
+    domain = 12;
+    seed = 7;
+  }
+
+let golden_hash = "93ed89284983ef4b"
+
+let test_golden_hash () =
+  List.iter
+    (fun plane ->
+      List.iter
+        (fun policy ->
+          let srv = mk_serve () in
+          let line =
+            Serve.handle_line srv
+              (request_line ~id:1 { workload = golden_workload; policy; plane })
+          in
+          let where =
+            Printf.sprintf "%s/%s" (Engine.plane_name plane)
+              (Planner.policy_name policy)
+          in
+          Alcotest.(check string) (where ^ " status") "ok" (status line);
+          Alcotest.(check (option string))
+            (where ^ " hash") (Some golden_hash)
+            (Option.bind (Json.of_string_opt line) (str_field "hash")))
+        [ Planner.Hash_all; Planner.Yannakakis ])
+    [ Engine.Seed; Engine.Frame ]
+
+(* Certification is a named layer of the request: a [serve.certify]
+   span directly under [serve.request], after the plane's execute
+   root. *)
+let test_certify_span () =
+  List.iter
+    (fun plane ->
+      let obs = Obs.make () in
+      let srv =
+        Serve.create ~cfg:(Engine.Config.make ~domains:1 ~obs ()) ()
+      in
+      let line =
+        Serve.handle_line srv
+          (request_line
+             { workload = golden_workload; policy = Planner.Hash_all; plane })
+      in
+      Alcotest.(check string) "status" "ok" (status line);
+      match
+        List.filter (fun (sp : Obs.span_tree) -> sp.name = "serve.request")
+          (Obs.trace obs)
+      with
+      | [ request ] ->
+          Alcotest.(check (list string))
+            (Engine.plane_name plane ^ " request children")
+            [
+              (match plane with
+              | Engine.Seed -> "execute"
+              | Engine.Frame -> "execute-frame");
+              "serve.certify";
+            ]
+            (List.map (fun (sp : Obs.span_tree) -> sp.name) request.children)
+      | spans ->
+          Alcotest.failf "want one serve.request span, got %d"
+            (List.length spans))
+    [ Engine.Seed; Engine.Frame ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "serve"
@@ -506,6 +583,12 @@ let () =
             test_queue_cap_zero_sheds_everything;
         ] );
       ("drain", [ drain_law ]);
+      ( "wire",
+        [
+          Alcotest.test_case "golden hash on both planes" `Quick
+            test_golden_hash;
+          Alcotest.test_case "certify span" `Quick test_certify_span;
+        ] );
       ( "errors",
         [
           Alcotest.test_case "malformed request" `Quick test_malformed_request;
