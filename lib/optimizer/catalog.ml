@@ -7,16 +7,33 @@ type entry = {
 
 type t = entry Scheme.Map.t
 
+(* One pass over the tuples with a hash set per column: [Tuple.iter]
+   visits a tuple's values in increasing attribute order, which is the
+   column order of [Attr.Set.elements]. *)
+let distincts r =
+  let attrs = Attr.Set.elements (Relation.scheme r) in
+  let size = min 1024 (Relation.cardinality r) in
+  let seen = Array.of_list (List.map (fun _ -> Hashtbl.create size) attrs) in
+  let col = ref 0 in
+  let put _ v =
+    Hashtbl.replace seen.(!col) v ();
+    incr col
+  in
+  Relation.iter
+    (fun tu ->
+      col := 0;
+      Tuple.iter put tu)
+    r;
+  List.fold_left
+    (fun (m, j) a -> (Attr.Map.add a (Hashtbl.length seen.(j)) m, j + 1))
+    (Attr.Map.empty, 0) attrs
+  |> fst
+
 let of_database db =
   List.fold_left
     (fun acc r ->
       let scheme = Relation.scheme r in
-      let distincts =
-        Attr.Set.fold
-          (fun a m ->
-            Attr.Map.add a (List.length (Relation.distinct_values r a)) m)
-          scheme Attr.Map.empty
-      in
+      let distincts = distincts r in
       Scheme.Map.add scheme { card = Relation.cardinality r; distincts } acc)
     Scheme.Map.empty (Database.relations db)
 

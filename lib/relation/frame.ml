@@ -322,15 +322,14 @@ let of_relation ?(storage = Heap) dict r =
   let w = Array.length attrs in
   let n = Relation.cardinality r in
   let data = Array.make (max 1 (n * w)) 0 in
-  let i = ref 0 in
-  Relation.iter
-    (fun tu ->
-      let base = !i * w in
-      (* Tuple.bindings is in increasing attribute order = attrs order. *)
-      List.iteri (fun j (_, v) -> data.(base + j) <- Dict.intern dict v)
-        (Tuple.bindings tu);
-      incr i)
-    r;
+  (* Tuple.iter visits the values in increasing attribute order = attrs
+     order, so the cells arrive row-major. *)
+  let cell = ref 0 in
+  let put _ v =
+    data.(!cell) <- Dict.intern dict v;
+    incr cell
+  in
+  Relation.iter (fun tu -> Tuple.iter put tu) r;
   (* Code order need not follow Value order, so re-sort into canonical
      form (the source set is already duplicate-free). *)
   let rows, data = canonicalize w n data in
@@ -360,42 +359,25 @@ let value_order f =
   (o.by_rank, sorted)
 
 let to_relation f =
-  (* Rows are distinct and uniformly over [f.scheme] by construction,
-     so decode rides the trusted constructors: no per-binding duplicate
-     probe, no per-tuple scheme check, one sorting pass for the set.
-     That sorting pass compares whole tuples (attribute maps), so it is
-     the expensive part — and it halves in cost when the input is
-     already in [Tuple.compare] order, which [value_order] provides. *)
-  let w = f.width in
-  if f.rows = 0 then Relation.of_uniform_tuples f.scheme []
+  (* Rows are distinct and over [f.scheme] by construction: each tuple
+     is one value array over a shared header, so [Relation.make]'s
+     scheme check is a pointer test per tuple, and the rows arrive in
+     [Tuple.compare] order ([value_order]), so its sort is one
+     ascending scan. *)
+  if f.rows = 0 then Relation.empty f.scheme
   else begin
+    let w = f.width in
     let by_rank, ranks = value_order f in
-    let value cell = Dict.value f.dict by_rank.(ranks.(cell)) in
-    (* Consecutive sorted rows share leading column values, so each
-       tuple is the previous one with only the changed columns
-       rebound — unchanged map nodes are shared, not rebuilt. *)
-    let prev = Array.make w (Value.int 0) in
-    let cur = ref Tuple.empty in
+    let header = Tuple.header f.scheme in
     let tuples = ref [] in
-    for r = 0 to f.rows - 1 do
+    for r = f.rows - 1 downto 0 do
       let base = r * w in
-      if r = 0 then
-        cur :=
-          Tuple.of_columns f.attrs (fun j ->
-              let v = value (base + j) in
-              prev.(j) <- v;
-              v)
-      else
-        for j = 0 to w - 1 do
-          let v = value (base + j) in
-          if not (Value.equal v prev.(j)) then begin
-            cur := Tuple.set !cur f.attrs.(j) v;
-            prev.(j) <- v
-          end
-        done;
-      tuples := !cur :: !tuples
+      tuples :=
+        Tuple.of_columns header (fun j ->
+            Dict.value f.dict by_rank.(ranks.(base + j)))
+        :: !tuples
     done;
-    Relation.of_uniform_tuples f.scheme (List.rev !tuples)
+    Relation.make f.scheme !tuples
   end
 
 (* [Relation.digest (to_relation f)] without building the relation:

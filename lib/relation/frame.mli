@@ -1,8 +1,9 @@
 (** Columnar relation frames: the dictionary-encoded data plane.
 
-    The seed data plane stores tuples as balanced [Value.t Attr.Map.t]
-    maps and relations as balanced tree sets, so every join probe pays
-    for map surgery and structural hashing of heap-allocated keys.  A
+    The seed data plane stores each tuple as an attribute header and a
+    boxed [Value.t] array and each relation as a sorted array of
+    tuples, so every join probe still allocates a merged tuple and
+    hashes a heap-allocated key.  A
     {e frame} is the flat, integer-coded twin of a {!Relation}: a
     per-database {!Dict} interns every [Value.t] to a dense int code,
     and a relation state becomes one row-major packed-code buffer plus

@@ -1,9 +1,10 @@
 (** Relation states and the relational algebra over them.
 
     A relation state over a scheme [R] is a finite set of tuples over [R]
-    (Section 2).  All operations are purely functional; the underlying
-    representation is a balanced set of tuples, so every state is
-    automatically duplicate-free. *)
+    (Section 2).  All operations are purely functional.  A state holds
+    its tuples in strictly ascending {!Tuple.compare} order, so every
+    state is duplicate-free, membership is a binary search, and the set
+    operations are linear merges. *)
 
 type t
 (** A relation state: a scheme together with a finite set of tuples over
@@ -18,15 +19,10 @@ val empty : Attr.Set.t -> t
 
 val make : Attr.Set.t -> Tuple.t list -> t
 (** [make scheme tuples] builds a state.  Duplicate tuples are collapsed.
+    Every tuple's scheme is checked, then the tuples are sorted once;
+    input already in {!Tuple.compare} order costs one comparison per
+    tuple and no sort.
     @raise Invalid_argument if a tuple's scheme differs from [scheme]. *)
-
-val of_uniform_tuples : Attr.Set.t -> Tuple.t list -> t
-(** [make] for callers that construct every tuple over [scheme]
-    themselves (columnar decode): only the head tuple's scheme is
-    checked, and the set is built in one sorting pass rather than
-    per-tuple checked inserts.  Duplicates are still collapsed.
-    @raise Invalid_argument if the head tuple's scheme differs from
-    [scheme], or [scheme] is empty. *)
 
 val of_rows : string -> Value.t list list -> t
 (** [of_rows "AB" [[p; 0]; [q; 0]]] builds a state over the scheme written
@@ -37,7 +33,8 @@ val of_rows : string -> Value.t list list -> t
     width or the shorthand repeats an attribute. *)
 
 val add : Tuple.t -> t -> t
-(** [add tu r] inserts a tuple.
+(** [add tu r] inserts a tuple.  O(n): the state is copied.  Build
+    states with {!make} rather than by repeated [add].
     @raise Invalid_argument if [tu]'s scheme differs from [r]'s. *)
 
 (** {1 Observation} *)

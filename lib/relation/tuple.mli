@@ -17,18 +17,22 @@ val of_list : (Attr.t * Value.t) list -> t
 val of_string_list : (string * Value.t) list -> t
 (** [of_string_list] is {!of_list} with attribute names as strings. *)
 
-val of_distinct_bindings : (Attr.t * Value.t) list -> t
-(** [of_list] minus the duplicate-attribute probe: the caller
-    guarantees the attributes are distinct (a later binding for the
-    same attribute would silently win).  The fast path for decoding
-    columnar rows, where the scheme is an attribute {e set} by
-    construction. *)
+type header
+(** The attribute header of a scheme: its attributes in increasing
+    order, built once and shared by every tuple made from it. *)
 
-val of_columns : Attr.t array -> (int -> Value.t) -> t
-(** [of_columns attrs get] is
-    [of_distinct_bindings [(attrs.(0), get 0); ...]] without the
-    intermediate list — the same distinct-attributes contract, driven
-    by column index for row-major decode loops. *)
+val header : Attr.Set.t -> header
+
+val of_columns : header -> (int -> Value.t) -> t
+(** [of_columns h get] is the tuple over [h]'s scheme binding its
+    [j]-th attribute to [get j]; [get] is called for [j = 0, 1, ...] in
+    that order.  The tuple shares [h] instead of copying it, so rows
+    built from one header cost one value array each and compare
+    without re-comparing attributes. *)
+
+val is_over : header -> t -> bool
+(** [is_over h t] holds iff [t]'s scheme is exactly [h]'s.  Allocates
+    nothing; constant time when [t] was built from [h]. *)
 
 val bindings : t -> (Attr.t * Value.t) list
 (** Bindings in increasing attribute order. *)
@@ -47,7 +51,8 @@ val get : t -> Attr.t -> Value.t
 val get_opt : t -> Attr.t -> Value.t option
 
 val set : t -> Attr.t -> Value.t -> t
-(** [set t a v] binds [a] to [v], replacing any previous binding. *)
+(** [set t a v] binds [a] to [v], replacing any previous binding.  The
+    result is a copy: O(width). *)
 
 val restrict : t -> Attr.Set.t -> t
 (** [restrict t x] is the paper's [t[X]]: the restriction of the mapping to
@@ -62,10 +67,18 @@ val joinable : t -> t -> bool
 val merge : t -> t -> t
 (** [merge t1 t2] is the tuple over the union of the two schemes taking
     values from either argument.
-    @raise Invalid_argument if the tuples disagree on a common attribute. *)
+    @raise Invalid_argument if the tuples disagree on a common attribute
+    (naming the least such attribute). *)
 
 val compare : t -> t -> int
-(** Total order, comparing schemes first and then values attribute-wise. *)
+(** Total order: lexicographic over the (attribute, value) pairs in
+    increasing attribute order, an attribute compared before its value
+    ({!Attr.compare}, then {!Value.compare}), and a proper prefix
+    before its extensions.  Tuples over one scheme therefore compare
+    by their values column by column.  Relation states are stored,
+    iterated and digested in this order, and {!Frame.to_relation}
+    relies on it to decode without sorting: it is part of the result
+    digest's contract. *)
 
 val equal : t -> t -> bool
 

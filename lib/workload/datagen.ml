@@ -4,16 +4,16 @@ let check_args rows domain =
   if rows < 0 then invalid_arg "Datagen: negative row count";
   if domain < 1 then invalid_arg "Datagen: domain must be positive"
 
-let tuple_of scheme values =
-  Tuple.of_list (List.combine (Attr.Set.elements scheme) values)
-
+(* Every generator builds its rows from one header per relation;
+   [Tuple.of_columns] draws the cells of a row in column order, so the
+   draws are row-major. *)
 let uniform ~rng ~rows ~domain scheme =
   check_args rows domain;
-  let width = Attr.Set.cardinal scheme in
+  let header = Tuple.header scheme in
   let tuples =
     List.init rows (fun _ ->
-        tuple_of scheme
-          (List.init width (fun _ -> Value.int (Random.State.int rng domain))))
+        Tuple.of_columns header (fun _ ->
+            Value.int (Random.State.int rng domain)))
   in
   Relation.make scheme tuples
 
@@ -45,15 +45,15 @@ let zipf_sampler ~rng ~domain ~skew =
 let zipf ~rng ~rows ~domain ~skew scheme =
   check_args rows domain;
   let sample = zipf_sampler ~rng ~domain ~skew in
-  let width = Attr.Set.cardinal scheme in
+  let header = Tuple.header scheme in
   let tuples =
     List.init rows (fun _ ->
-        tuple_of scheme (List.init width (fun _ -> Value.int (sample ()))))
+        Tuple.of_columns header (fun _ -> Value.int (sample ())))
   in
   Relation.make scheme tuples
 
-let shuffled_sample ~rng ~take pool =
-  let arr = Array.of_list pool in
+(* The first [take] values of a Fisher-Yates shuffle of [arr]. *)
+let shuffled_sample ~rng ~take arr =
   let n = Array.length arr in
   for k = n - 1 downto 1 do
     let j = Random.State.int rng (k + 1) in
@@ -61,7 +61,7 @@ let shuffled_sample ~rng ~take pool =
     arr.(k) <- arr.(j);
     arr.(j) <- tmp
   done;
-  Array.to_list (Array.sub arr 0 take)
+  Array.sub arr 0 take
 
 let injective ~rng ~rows ~domain scheme =
   check_args rows domain;
@@ -74,13 +74,15 @@ let injective ~rng ~rows ~domain scheme =
        non-zero values per column, so each column stays injective and
        every database built this way has the spine in its global join. *)
     let columns =
-      List.init width (fun _ ->
-          0 :: shuffled_sample ~rng ~take:(rows - 1) (List.init (domain - 1) (fun v -> v + 1)))
+      Array.init width (fun _ ->
+          Array.append [| 0 |]
+            (shuffled_sample ~rng ~take:(rows - 1)
+               (Array.init (domain - 1) (fun v -> v + 1))))
     in
+    let header = Tuple.header scheme in
     let tuples =
       List.init rows (fun r ->
-          tuple_of scheme
-            (List.map (fun col -> Value.int (List.nth col r)) columns))
+          Tuple.of_columns header (fun c -> Value.int columns.(c).(r)))
     in
     Relation.make scheme tuples
   end
@@ -89,26 +91,20 @@ let correlated ~rng ~rows ~domain ~noise scheme =
   check_args rows domain;
   if noise < 0.0 || noise > 1.0 then
     invalid_arg "Datagen.correlated: noise outside [0, 1]";
+  let header = Tuple.header scheme in
   let tuples =
     List.init rows (fun _ ->
         let base = Random.State.int rng domain in
-        let attrs = Attr.Set.elements scheme in
-        tuple_of scheme
-          (List.mapi
-             (fun idx _ ->
-               let v =
-                 if idx = 0 || Random.State.float rng 1.0 >= noise then base
-                 else Random.State.int rng domain
-               in
-               Value.int v)
-             attrs))
+        Tuple.of_columns header (fun idx ->
+            let v =
+              if idx = 0 || Random.State.float rng 1.0 >= noise then base
+              else Random.State.int rng domain
+            in
+            Value.int v))
   in
   Relation.make scheme tuples
 
 let with_spine gen ~rng ~rows ~domain scheme =
   let r = gen ~rng ~rows ~domain scheme in
-  let spine =
-    tuple_of scheme
-      (List.init (Attr.Set.cardinal scheme) (fun _ -> Value.int 0))
-  in
+  let spine = Tuple.of_columns (Tuple.header scheme) (fun _ -> Value.int 0) in
   Relation.add spine r

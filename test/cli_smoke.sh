@@ -179,6 +179,15 @@ for plane in seed frame; do
 done
 test "$(cat "$TMP/hash-seed")" = "$(cat "$TMP/hash-frame")"
 test "$(cat "$TMP/hash-frame")" = "\"hash\":\"$GOLDEN\""
+# The same contract on generated superkey data large enough that the
+# generator, the seed plane's sorted states and the decode all matter.
+GOLDEN=0b66406c2ecd28c0
+for plane in seed frame; do
+  echo '{"id":1,"op":"query","shape":"chain","n":4,"rows":3000,"domain":4000,"regime":"superkey","seed":5,"plane":"'$plane'"}' \
+    | "$MJOIN" serve 2> /dev/null | grep -o '"hash":"[0-9a-f]*"' > "$TMP/hash-$plane"
+done
+test "$(cat "$TMP/hash-seed")" = "$(cat "$TMP/hash-frame")"
+test "$(cat "$TMP/hash-frame")" = "\"hash\":\"$GOLDEN\""
 # Error paths answer structured per-request errors; the daemon itself
 # exits 0 on EOF.
 echo '{not json' | "$MJOIN" serve 2> /dev/null \

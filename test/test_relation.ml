@@ -641,6 +641,547 @@ let test_digest_row_width () =
       Fnv.end_row st)
 
 (* ------------------------------------------------------------------ *)
+(* Reference model                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The attribute-map tuples and tree-set states the seed plane was built
+   on before it went flat, kept verbatim as the model the flat
+   representation must agree with: the same order, the same answers,
+   the same digests and the same error messages. *)
+module Model = struct
+  [@@@warning "-32"]
+
+  module Tuple = struct
+    type t = Value.t Attr.Map.t
+
+    let empty = Attr.Map.empty
+
+    let of_list bindings =
+      List.fold_left
+        (fun acc (a, v) ->
+          if Attr.Map.mem a acc then
+            invalid_arg
+              (Printf.sprintf "Tuple.of_list: attribute %s bound twice"
+                 (Attr.to_string a))
+          else Attr.Map.add a v acc)
+        Attr.Map.empty bindings
+
+    let of_string_list bindings =
+      of_list (List.map (fun (name, v) -> (Attr.make name, v)) bindings)
+
+    (* Trusted fast path for columnar decode: the caller guarantees the
+       attributes are distinct, so the per-binding membership probe of
+       [of_list] is skipped. *)
+    let of_distinct_bindings bindings =
+      List.fold_left (fun acc (a, v) -> Attr.Map.add a v acc) Attr.Map.empty
+        bindings
+
+    (* Same contract, driven by column index — lets a columnar decode loop
+       build each tuple without materialising a bindings list per row. *)
+    let of_columns attrs get =
+      let tu = ref Attr.Map.empty in
+      for j = Array.length attrs - 1 downto 0 do
+        tu := Attr.Map.add (Array.unsafe_get attrs j) (get j) !tu
+      done;
+      !tu
+
+    let bindings t = Attr.Map.bindings t
+    let iter f t = Attr.Map.iter f t
+
+    let scheme t =
+      Attr.Map.fold (fun a _ acc -> Attr.Set.add a acc) t Attr.Set.empty
+
+    let get t a = Attr.Map.find a t
+    let get_opt t a = Attr.Map.find_opt a t
+    let set t a v = Attr.Map.add a v t
+
+    let restrict t x = Attr.Map.filter (fun a _ -> Attr.Set.mem a x) t
+
+    let joinable t1 t2 =
+      Attr.Map.for_all
+        (fun a v1 ->
+          match Attr.Map.find_opt a t2 with
+          | None -> true
+          | Some v2 -> Value.equal v1 v2)
+        t1
+
+    let merge t1 t2 =
+      Attr.Map.union
+        (fun a v1 v2 ->
+          if Value.equal v1 v2 then Some v1
+          else
+            invalid_arg
+              (Printf.sprintf "Tuple.merge: conflicting values for %s"
+                 (Attr.to_string a)))
+        t1 t2
+
+    let compare t1 t2 = Attr.Map.compare Value.compare t1 t2
+    let equal t1 t2 = compare t1 t2 = 0
+
+    let pp fmt t =
+      let pp_binding fmt (a, v) =
+        Format.fprintf fmt "%a=%a" Attr.pp a Value.pp v
+      in
+      Format.fprintf fmt "(%a)"
+        (Format.pp_print_list
+           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
+           pp_binding)
+        (bindings t)
+
+    let to_string t = Format.asprintf "%a" pp t
+  end
+
+  module Relation = struct
+    module Tuple_set = Stdlib.Set.Make (Tuple)
+    module Vset = Stdlib.Set.Make (Value)
+
+    type t = {
+      scheme : Attr.Set.t;
+      tuples : Tuple_set.t;
+    }
+
+    let empty scheme =
+      if Attr.Set.is_empty scheme then
+        invalid_arg "Relation.empty: a relation scheme must be non-empty";
+      { scheme; tuples = Tuple_set.empty }
+
+    let check_tuple scheme tu =
+      if not (Attr.Set.equal (Tuple.scheme tu) scheme) then
+        invalid_arg
+          (Printf.sprintf "Relation: tuple %s is not over scheme %s"
+             (Tuple.to_string tu)
+             (Attr.Set.to_string scheme))
+
+    let add tu r =
+      check_tuple r.scheme tu;
+      { r with tuples = Tuple_set.add tu r.tuples }
+
+    let make scheme tuples = List.fold_left (fun r tu -> add tu r) (empty scheme) tuples
+
+    (* Trusted fast path for columnar decode: every tuple is over [scheme]
+       by construction (only the head is checked), so the set is built in
+       one [Tuple_set.of_list] pass — a single sort, which the decode
+       feeds in already-ascending order, halving its comparison cost —
+       instead of per-tuple checked inserts. *)
+    let of_uniform_tuples scheme tuples =
+      let r = empty scheme in
+      match tuples with
+      | [] -> r
+      | tu :: _ ->
+          check_tuple scheme tu;
+          { r with tuples = Tuple_set.of_list tuples }
+
+    let of_rows shorthand rows =
+      let attrs =
+        List.init (String.length shorthand) (fun i ->
+            Attr.make (String.make 1 shorthand.[i]))
+      in
+      let distinct = List.sort_uniq Attr.compare attrs in
+      if List.length distinct <> List.length attrs then
+        invalid_arg "Relation.of_rows: scheme shorthand repeats an attribute";
+      let scheme = Attr.Set.of_list attrs in
+      let row_to_tuple row =
+        if List.length row <> List.length attrs then
+          invalid_arg "Relation.of_rows: row width differs from scheme width";
+        Tuple.of_list (List.combine attrs row)
+      in
+      make scheme (List.map row_to_tuple rows)
+
+    let scheme r = r.scheme
+    let cardinality r = Tuple_set.cardinal r.tuples
+    let is_empty r = Tuple_set.is_empty r.tuples
+    let mem tu r = Tuple_set.mem tu r.tuples
+    let tuples r = Tuple_set.elements r.tuples
+    let fold f r acc = Tuple_set.fold f r.tuples acc
+    let iter f r = Tuple_set.iter f r.tuples
+    let for_all p r = Tuple_set.for_all p r.tuples
+    let exists p r = Tuple_set.exists p r.tuples
+
+    let distinct_values r a =
+      if not (Attr.Set.mem a r.scheme) then
+        invalid_arg
+          (Printf.sprintf "Relation.distinct_values: %s not in scheme %s"
+             (Attr.to_string a)
+             (Attr.Set.to_string r.scheme));
+      Vset.elements (fold (fun tu acc -> Vset.add (Tuple.get tu a) acc) r Vset.empty)
+
+    (* A hash-join keyed on the restriction of each tuple to the common
+       attributes.  The extractor is compiled once per join: the common
+       attributes are listed once and each probe reads the values directly,
+       so no per-probe map restriction is built.  The resulting value list
+       (in increasing attribute order) is safe for structural hashing (Map
+       internals are not). *)
+    let key_extractor common =
+      let attrs = Attr.Set.elements common in
+      fun tu -> List.map (fun a -> Tuple.get tu a) attrs
+
+    let natural_join r1 r2 =
+      let common = Attr.Set.inter r1.scheme r2.scheme in
+      let out_scheme = Attr.Set.union r1.scheme r2.scheme in
+      if Attr.Set.is_empty common then
+        (* Cartesian product: every pair matches, so the hash index would be
+           a single degenerate bucket — pair the tuples directly instead. *)
+        let out =
+          fold
+            (fun tu acc ->
+              fold
+                (fun tu' acc -> Tuple_set.add (Tuple.merge tu tu') acc)
+                r2 acc)
+            r1 Tuple_set.empty
+        in
+        { scheme = out_scheme; tuples = out }
+      else begin
+        (* Index the smaller operand to bound the hash table size. *)
+        let small, large =
+          if cardinality r1 <= cardinality r2 then (r1, r2) else (r2, r1)
+        in
+        let key = key_extractor common in
+        let index = Hashtbl.create (max 16 (cardinality small)) in
+        iter (fun tu -> Hashtbl.add index (key tu) tu) small;
+        let out =
+          fold
+            (fun tu acc ->
+              let matches = Hashtbl.find_all index (key tu) in
+              List.fold_left
+                (fun acc tu' -> Tuple_set.add (Tuple.merge tu tu') acc)
+                acc matches)
+            large Tuple_set.empty
+        in
+        { scheme = out_scheme; tuples = out }
+      end
+
+    let product r1 r2 =
+      if not (Attr.Set.disjoint r1.scheme r2.scheme) then
+        invalid_arg "Relation.product: schemes overlap; use natural_join";
+      natural_join r1 r2
+
+    let project r x =
+      if Attr.Set.is_empty x then
+        invalid_arg "Relation.project: projection onto the empty scheme";
+      if not (Attr.Set.subset x r.scheme) then
+        invalid_arg
+          (Printf.sprintf "Relation.project: %s is not a subset of %s"
+             (Attr.Set.to_string x)
+             (Attr.Set.to_string r.scheme));
+      let out =
+        fold (fun tu acc -> Tuple_set.add (Tuple.restrict tu x) acc) r
+          Tuple_set.empty
+      in
+      { scheme = x; tuples = out }
+
+    let select r p = { r with tuples = Tuple_set.filter p r.tuples }
+
+    let semijoin r1 r2 =
+      let common = Attr.Set.inter r1.scheme r2.scheme in
+      if Attr.Set.is_empty common then
+        (* With no common attributes every tuple joins iff r2 is non-empty. *)
+        if is_empty r2 then { r1 with tuples = Tuple_set.empty } else r1
+      else begin
+        let key = key_extractor common in
+        let keys = Hashtbl.create (max 16 (cardinality r2)) in
+        iter (fun tu -> Hashtbl.replace keys (key tu) ()) r2;
+        select r1 (fun tu -> Hashtbl.mem keys (key tu))
+      end
+
+    let antijoin r1 r2 =
+      let kept = semijoin r1 r2 in
+      { r1 with tuples = Tuple_set.diff r1.tuples kept.tuples }
+
+    let check_same_scheme op r1 r2 =
+      if not (Attr.Set.equal r1.scheme r2.scheme) then
+        invalid_arg
+          (Printf.sprintf "Relation.%s: schemes %s and %s differ" op
+             (Attr.Set.to_string r1.scheme)
+             (Attr.Set.to_string r2.scheme))
+
+    let union r1 r2 =
+      check_same_scheme "union" r1 r2;
+      { r1 with tuples = Tuple_set.union r1.tuples r2.tuples }
+
+    let inter r1 r2 =
+      check_same_scheme "inter" r1 r2;
+      { r1 with tuples = Tuple_set.inter r1.tuples r2.tuples }
+
+    let diff r1 r2 =
+      check_same_scheme "diff" r1 r2;
+      { r1 with tuples = Tuple_set.diff r1.tuples r2.tuples }
+
+    let rename r mapping =
+      (* Pre-build the mapping as a map so each attribute costs one lookup
+         instead of a linear scan of the list (earlier entries win, matching
+         the historical List.find_opt behaviour). *)
+      let map =
+        List.fold_left
+          (fun acc (src, dst) ->
+            if Attr.Map.mem src acc then acc else Attr.Map.add src dst acc)
+          Attr.Map.empty mapping
+      in
+      let rename_attr a =
+        match Attr.Map.find_opt a map with Some dst -> dst | None -> a
+      in
+      let out_scheme = Attr.Set.map rename_attr r.scheme in
+      if Attr.Set.cardinal out_scheme <> Attr.Set.cardinal r.scheme then
+        invalid_arg "Relation.rename: renaming is not injective on the scheme";
+      let rename_tuple tu =
+        Tuple.of_list
+          (List.map (fun (a, v) -> (rename_attr a, v)) (Tuple.bindings tu))
+      in
+      let out =
+        fold (fun tu acc -> Tuple_set.add (rename_tuple tu) acc) r Tuple_set.empty
+      in
+      { scheme = out_scheme; tuples = out }
+
+    let equal r1 r2 =
+      Attr.Set.equal r1.scheme r2.scheme && Tuple_set.equal r1.tuples r2.tuples
+
+    let compare r1 r2 =
+      let c = Attr.Set.compare r1.scheme r2.scheme in
+      if c <> 0 then c else Tuple_set.compare r1.tuples r2.tuples
+
+    (* The result digest over the tuples in set order, which is
+       [Tuple.compare] order; [Tuple.iter] visits each tuple's bindings in
+       column order, so nothing is allocated per tuple or binding. *)
+    let digest r =
+      let s = Fnv.result r.scheme in
+      let cell _ v = Fnv.cell_value s v in
+      Tuple_set.iter
+        (fun tu ->
+          Tuple.iter cell tu;
+          Fnv.end_row s)
+        r.tuples;
+      Fnv.digest s
+
+    let pp fmt r =
+      let attrs = Attr.Set.elements r.scheme in
+      let header = List.map Attr.to_string attrs in
+      let rows =
+        List.map
+          (fun tu -> List.map (fun a -> Value.to_string (Tuple.get tu a)) attrs)
+          (tuples r)
+      in
+      let widths =
+        List.mapi
+          (fun i h ->
+            List.fold_left
+              (fun w row -> max w (String.length (List.nth row i)))
+              (String.length h) rows)
+          header
+      in
+      let pad s w = s ^ String.make (w - String.length s) ' ' in
+      let pp_row row =
+        Format.fprintf fmt "| %s |@,"
+          (String.concat " | " (List.map2 pad row widths))
+      in
+      let rule =
+        "+" ^ String.concat "+" (List.map (fun w -> String.make (w + 2) '-') widths)
+        ^ "+"
+      in
+      Format.pp_open_vbox fmt 0;
+      Format.fprintf fmt "%s@," rule;
+      pp_row header;
+      Format.fprintf fmt "%s@," rule;
+      List.iter pp_row rows;
+      Format.fprintf fmt "%s" rule;
+      Format.pp_close_box fmt ()
+
+    let pp_brief fmt r =
+      Format.fprintf fmt "%a(%d)" Attr.Set.pp r.scheme (cardinality r)
+
+    let to_string r = Format.asprintf "%a" pp r
+  end
+end
+
+(* Mixed single- and multi-letter attributes, so attribute order is
+   string order and not character order; small int and string domains,
+   so duplicates, joins and ties are common. *)
+let model_pool = List.map Attr.make [ "A"; "B"; "C"; "key"; "x1" ]
+
+let gen_model_value =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map Value.int (int_range (-1) 2);
+      map Value.str (oneofl [ ""; "a"; "ab"; "b" ]);
+    ]
+
+let gen_subset =
+  let open QCheck2.Gen in
+  let* bits = int_range 1 ((1 lsl List.length model_pool) - 1) in
+  return (List.filteri (fun idx _ -> bits land (1 lsl idx) <> 0) model_pool)
+
+let gen_bindings_over attrs =
+  let open QCheck2.Gen in
+  let* vals = list_repeat (List.length attrs) gen_model_value in
+  shuffle_l (List.combine attrs vals)
+
+(* A pair of binding lists, the second related to the first in one of
+   the ways the order must get right: unrelated, a proper prefix, an
+   extension, the same scheme with other values, or equal. *)
+let gen_binding_pair =
+  let open QCheck2.Gen in
+  let* attrs = gen_subset in
+  let* b1 = gen_bindings_over attrs in
+  let sorted = List.sort (fun (a, _) (b, _) -> Attr.compare a b) b1 in
+  let* b2 =
+    oneof
+      [
+        (gen_subset >>= gen_bindings_over);
+        (let* k = int_range 0 (List.length sorted - 1) in
+         return (List.filteri (fun idx _ -> idx < k) sorted));
+        (let extra = List.filter (fun a -> not (List.mem a attrs)) model_pool in
+         let* more = gen_bindings_over extra in
+         let* k = int_range 0 (List.length more) in
+         shuffle_l (b1 @ List.filteri (fun idx _ -> idx < k) more));
+        gen_bindings_over attrs;
+        shuffle_l b1;
+      ]
+  in
+  return (b1, b2)
+
+let sign c = Int.compare c 0
+
+let prop_tuple_order_matches_model =
+  qtest "tuple order matches the model" ~count:2000 gen_binding_pair
+    (fun (b1, b2) ->
+      let flat = Tuple.compare (Tuple.of_list b1) (Tuple.of_list b2) in
+      let model =
+        Model.Tuple.compare (Model.Tuple.of_list b1) (Model.Tuple.of_list b2)
+      in
+      sign flat = sign model)
+
+(* Two states over random schemes — the same scheme half the time, so
+   the set operations do not always refuse — given as scheme and
+   binding lists, from which both representations are built. *)
+let gen_state_over attrs =
+  let open QCheck2.Gen in
+  list_size (int_range 0 8) (gen_bindings_over attrs)
+
+let gen_state_pair =
+  let open QCheck2.Gen in
+  let* s1 = gen_subset in
+  let* s2 = oneof [ return s1; gen_subset ] in
+  let* rows1 = gen_state_over s1 and* rows2 = gen_state_over s2 in
+  let* x = gen_subset in
+  let* a = oneofl model_pool and* b = oneofl model_pool in
+  return ((s1, rows1), (s2, rows2), x, [ (a, b) ])
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let same_bindings b1 b2 =
+  List.equal (fun (a, v) (a', v') -> Attr.equal a a' && Value.equal v v') b1 b2
+
+(* A flat state and a model state agree when their schemes are equal
+   and they list the same tuples in the same order. *)
+let same_state r m =
+  Attr.Set.equal (Relation.scheme r) (Model.Relation.scheme m)
+  && List.equal same_bindings
+       (List.map Tuple.bindings (Relation.tuples r))
+       (List.map Model.Tuple.bindings (Model.Relation.tuples m))
+
+let agree name same flat model =
+  match (outcome flat, outcome model) with
+  | Ok r, Ok m -> same r m || QCheck2.Test.fail_reportf "%s: results differ" name
+  | Error e, Error e' ->
+      e = e' || QCheck2.Test.fail_reportf "%s: %S vs %S" name e e'
+  | Ok _, Error e -> QCheck2.Test.fail_reportf "%s: only the model raised %S" name e
+  | Error e, Ok _ -> QCheck2.Test.fail_reportf "%s: only the flat state raised %S" name e
+
+let prop_relation_matches_model =
+  qtest "relation algebra matches the model" ~count:1000 gen_state_pair
+    (fun ((s1, rows1), (s2, rows2), x, mapping) ->
+      let set = Attr.Set.of_list in
+      let make (s, rows) = Relation.make (set s) (List.map Tuple.of_list rows) in
+      let mmake (s, rows) =
+        Model.Relation.make (set s) (List.map Model.Tuple.of_list rows)
+      in
+      let r1 = make (s1, rows1) and r2 = make (s2, rows2) in
+      let m1 = mmake (s1, rows1) and m2 = mmake (s2, rows2) in
+      let state name f g = agree name same_state f g in
+      let value name eq f g = agree name eq f g in
+      (* Keep a tuple when its first binding is an even int or a string. *)
+      let keep bindings =
+        match bindings with
+        | (_, Value.Int n) :: _ -> n mod 2 = 0
+        | _ -> true
+      in
+      let probes = List.map Tuple.of_list rows2
+      and mprobes = List.map Model.Tuple.of_list rows2 in
+      state "make" (fun () -> r1) (fun () -> m1)
+      && List.for_all2
+           (fun tu mtu ->
+             state "add" (fun () -> Relation.add tu r1)
+               (fun () -> Model.Relation.add mtu m1)
+             && value "mem" Bool.equal
+                  (fun () -> Relation.mem tu r1)
+                  (fun () -> Model.Relation.mem mtu m1))
+           probes mprobes
+      && state "union" (fun () -> Relation.union r1 r2)
+           (fun () -> Model.Relation.union m1 m2)
+      && state "inter" (fun () -> Relation.inter r1 r2)
+           (fun () -> Model.Relation.inter m1 m2)
+      && state "diff" (fun () -> Relation.diff r1 r2)
+           (fun () -> Model.Relation.diff m1 m2)
+      && state "project"
+           (fun () -> Relation.project r1 (set x))
+           (fun () -> Model.Relation.project m1 (set x))
+      && state "select"
+           (fun () -> Relation.select r1 (fun tu -> keep (Tuple.bindings tu)))
+           (fun () ->
+             Model.Relation.select m1 (fun tu -> keep (Model.Tuple.bindings tu)))
+      && state "natural_join"
+           (fun () -> Relation.natural_join r1 r2)
+           (fun () -> Model.Relation.natural_join m1 m2)
+      && state "semijoin"
+           (fun () -> Relation.semijoin r1 r2)
+           (fun () -> Model.Relation.semijoin m1 m2)
+      && state "antijoin"
+           (fun () -> Relation.antijoin r1 r2)
+           (fun () -> Model.Relation.antijoin m1 m2)
+      && state "rename"
+           (fun () -> Relation.rename r1 mapping)
+           (fun () -> Model.Relation.rename m1 mapping)
+      && List.for_all
+           (fun a ->
+             value "distinct_values" (List.equal Value.equal)
+               (fun () -> Relation.distinct_values r1 a)
+               (fun () -> Model.Relation.distinct_values m1 a))
+           model_pool
+      && value "compare" Int.equal
+           (fun () -> sign (Relation.compare r1 r2))
+           (fun () -> sign (Model.Relation.compare m1 m2))
+      && value "equal" Bool.equal
+           (fun () -> Relation.equal r1 r2)
+           (fun () -> Model.Relation.equal m1 m2)
+      && value "digest" Int64.equal
+           (fun () -> Relation.digest r1)
+           (fun () -> Model.Relation.digest m1))
+
+(* The error messages callers and logs see are part of the interface:
+   the first re-bound attribute in list order, the conflicting
+   attribute, and the offending tuple and scheme. *)
+let test_error_messages () =
+  let a = attr "A" and b = attr "B" in
+  Alcotest.check_raises "first re-binding in list order"
+    (Invalid_argument "Tuple.of_list: attribute A bound twice") (fun () ->
+      ignore (Tuple.of_list [ (b, i 1); (a, i 1); (a, i 2); (b, i 2) ]));
+  Alcotest.check_raises "merge conflict"
+    (Invalid_argument "Tuple.merge: conflicting values for B") (fun () ->
+      ignore (Tuple.merge (tu [ ("A", i 1); ("B", s "x") ]) (tu [ ("B", s "y") ])));
+  let scheme = Attr.Set.of_string "AB" in
+  Alcotest.check_raises "make: scheme mismatch"
+    (Invalid_argument "Relation: tuple (A=1) is not over scheme AB") (fun () ->
+      ignore (Relation.make scheme [ tu [ ("A", i 1); ("B", i 2) ]; tu [ ("A", i 1) ] ]));
+  Alcotest.check_raises "make: wider tuple"
+    (Invalid_argument "Relation: tuple (A=1, B=2, C=3) is not over scheme AB")
+    (fun () ->
+      ignore
+        (Relation.make scheme [ tu [ ("A", i 1); ("B", i 2); ("C", i 3) ] ]));
+  Alcotest.check_raises "add: scheme mismatch"
+    (Invalid_argument "Relation: tuple (A=1, C=2) is not over scheme AB")
+    (fun () ->
+      ignore (Relation.add (tu [ ("A", i 1); ("C", i 2) ]) (Relation.empty scheme)))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mj_relation"
@@ -762,5 +1303,11 @@ let () =
           Alcotest.test_case "row width is checked" `Quick
             test_digest_row_width;
           prop_digest_matches_reference;
+        ] );
+      ( "model",
+        [
+          prop_tuple_order_matches_model;
+          prop_relation_matches_model;
+          Alcotest.test_case "error messages" `Quick test_error_messages;
         ] );
     ]

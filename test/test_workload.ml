@@ -245,6 +245,64 @@ let prop_yannakakis_vs_optimum =
       | None -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Generated-data goldens                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The digest of every relation the serve protocol materializes for one
+   workload per regime.  The generators are a pure function of the
+   workload, so these pin both the RNG draw order and the data layout
+   (a change to either shows up as a different digest). *)
+let materialize_goldens =
+  let w shape n domain regime seed =
+    { Mj_serve.Protocol.shape; n; rows = 200; domain; regime; seed }
+  in
+  [
+    ( w "chain" 4 30 "uniform" 11,
+      [
+        ("c0,c1", 177, "680c5a0c97062f25");
+        ("c1,c2", 186, "7c51209e70355b38");
+        ("c2,c3", 180, "03403ead71d4806b");
+        ("c3,c4", 179, "219a074b4580b34e");
+      ] );
+    ( w "cycle" 3 40 "skewed" 12,
+      [
+        ("c0,c1", 112, "742b7c8efd14ff81");
+        ("c0,c2", 123, "8519cc55cf0d1e82");
+        ("c1,c2", 117, "1982d2e717a049c5");
+      ] );
+    ( w "star" 4 400 "superkey" 13,
+      [
+        ("s1,s2,s3", 200, "a44b812683c1e13d");
+        ("s1,t1", 200, "88ab7ee1f11b8dcc");
+        ("s2,t2", 200, "d231f2bb5ac47fb9");
+        ("s3,t3", 200, "cb689311362e0a0d");
+      ] );
+    ( w "snowflake" 5 25 "consistent" 14,
+      [
+        ("d1,d1_1,u1", 196, "65e60d64e89c90c0");
+        ("d1,d2", 175, "24530caa2fb3b1c6");
+        ("d1_1,w1_1", 172, "9b3ddf997c38e560");
+        ("d2,d2_1,u2", 201, "5f5eeaf965a5aa84");
+        ("d2_1,w2_1", 172, "29c0185ca8dd4c2f");
+      ] );
+  ]
+
+let test_materialize_goldens () =
+  List.iter
+    (fun (w, want) ->
+      let key = Mj_serve.Protocol.workload_key w in
+      let got =
+        List.map
+          (fun r ->
+            ( Attr.Set.to_string (Relation.scheme r),
+              Relation.cardinality r,
+              Printf.sprintf "%016Lx" (Relation.digest r) ))
+          (Database.relations (Mj_serve.Protocol.materialize w))
+      in
+      Alcotest.(check (list (triple string int string))) key want got)
+    materialize_goldens
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mj_workload"
@@ -261,6 +319,8 @@ let () =
             test_injective_too_many_rows;
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
           Alcotest.test_case "with_spine" `Quick test_with_spine;
+          Alcotest.test_case "materialize goldens" `Quick
+            test_materialize_goldens;
         ] );
       ( "dbgen",
         [
