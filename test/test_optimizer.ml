@@ -368,6 +368,377 @@ let test_search_space_table () =
   | _ -> Alcotest.fail "expected two rows"
 
 (* ------------------------------------------------------------------ *)
+(* Tie-break goldens                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The DP variants agree on costs, but which of several equal-cost plans
+   wins depends on each algorithm's split order and on the rule that a
+   plan is replaced only by a strictly cheaper one.  These goldens pin
+   the winning plan itself, for every variant, under an oracle that
+   makes most plans tie and under a scrambled one. *)
+
+let tie_heavy s = 10 * Scheme.Set.cardinal s
+
+let scrambled s =
+  let key =
+    String.concat "|" (List.map Scheme.to_string (Scheme.Set.elements s))
+  in
+  let h =
+    String.fold_left (fun h c -> ((h * 31) + Char.code c) land 0xffffff) 7 key
+  in
+  1 + (h mod 997)
+
+let show_plan = function
+  | None -> "none"
+  | Some (r : Optimal.result) ->
+      Printf.sprintf "%s %d" (Strategy.to_string r.strategy) r.cost
+
+let subspaces =
+  Enumerate.
+    [
+      ("all", All); ("linear", Linear); ("cp-free", Cp_free);
+      ("linear-cp-free", Linear_cp_free);
+    ]
+
+(* [makespan] is off for unconnected schemes: the makespan DP's law
+   against the enumeration covers those. *)
+let dp_variants ?(makespan = true) oracle d =
+  [
+    ("dpsize", Dpsize.plan ~allow_cp:false ~oracle d);
+    ("dpsize+cp", Dpsize.plan ~allow_cp:true ~oracle d);
+    ("dpsub", Dpsub.plan ~allow_cp:false ~oracle d);
+    ("dpsub+cp", Dpsub.plan ~allow_cp:true ~oracle d);
+    ("dpccp", Dpccp.plan ~oracle d);
+    ("selinger never", Selinger.plan ~cp:`Never ~oracle d);
+    ("selinger when-needed", Selinger.plan ~cp:`When_needed ~oracle d);
+    ("selinger always", Selinger.plan ~cp:`Always ~oracle d);
+  ]
+  @ List.map
+      (fun (name, subspace) ->
+        ("optimal " ^ name, Optimal.optimum_with_oracle ~subspace ~oracle d))
+      subspaces
+  @ (if makespan then
+       List.map
+         (fun (name, subspace) ->
+           ( "makespan " ^ name,
+             Mj_engine.Parallel.optimum_makespan ~subspace ~oracle d ))
+         subspaces
+     else [])
+  |> List.map (fun (name, r) -> name ^ ": " ^ show_plan r)
+
+let golden_schemes =
+  [
+    ("chain6", Querygraph.chain 6, true);
+    ("star5", Querygraph.star 5, true);
+    ("cycle5", Querygraph.cycle 5, true);
+    ("clique4", Querygraph.clique 4, true);
+    ("three-components", Hypergraph.of_strings [ "AB"; "BC"; "CD"; "EF"; "GH" ], false);
+  ]
+
+let golden_oracles = [ ("tie-heavy", tie_heavy); ("scrambled", scrambled) ]
+
+let setops_families =
+  [
+    ("same5", Setops.of_ints (List.map (fun n -> (n, [ 1; 2; 3 ])) [ "A"; "B"; "C"; "D"; "E" ]));
+    ( "shifted5",
+      Setops.of_ints
+        (List.mapi (fun i n -> (n, [ i; i + 1; i + 2 ])) [ "A"; "B"; "C"; "D"; "E" ]) );
+  ]
+
+let setops_variants family =
+  List.map
+    (fun (name, op) ->
+      let tree, cost = Setops.optimum op family in
+      Format.asprintf "%s: %a %d" name Setops.pp_tree tree cost)
+    [ ("inter", Setops.Inter); ("union", Setops.Union) ]
+
+(* The OBS bench's search-effort table: pairs, entries, pruned and
+   estimate calls of each bottom-up DP under a uniform synthetic
+   catalog. *)
+let counter_table d =
+  let oracle =
+    Estimate.of_catalog
+      (Catalog.synthetic
+         (List.map (fun s -> (s, 64, [])) (Scheme.Set.elements d)))
+  in
+  List.map
+    (fun (name, run) ->
+      let obs = Mj_obs.Obs.make () in
+      ignore (run ~obs ~oracle d);
+      let v c =
+        Option.value ~default:0
+          (List.assoc_opt ("opt." ^ c) (Mj_obs.Obs.counters obs))
+      in
+      Printf.sprintf "%s %d %d %d %d" name (v "pairs_inspected")
+        (v "dp_entries") (v "plans_pruned") (v "estimate_calls"))
+    [
+      ("dpsize", fun ~obs ~oracle d -> Dpsize.plan ~obs ~oracle d);
+      ("dpsub", fun ~obs ~oracle d -> Dpsub.plan ~obs ~oracle d);
+      ("dpccp", fun ~obs ~oracle d -> Dpccp.plan ~obs ~oracle d);
+      ("selinger", fun ~obs ~oracle d -> Selinger.plan ~obs ~cp:`Never ~oracle d);
+    ]
+
+let counter_queries =
+  [
+    ("chain10", Querygraph.chain 10);
+    ("star10", Querygraph.star 10);
+    ("clique8", Querygraph.clique 8);
+  ]
+
+let dp_goldens =
+  [
+    ( "chain6", "tie-heavy",
+    [
+      "dpsize: ((c0,c1 * c1,c2) * ((c2,c3 * c3,c4) * (c4,c5 * c5,c6))) 160";
+      "dpsize+cp: ((c0,c1 * c1,c2) * ((c2,c3 * c3,c4) * (c4,c5 * c5,c6))) 160";
+      "dpsub: (((c0,c1 * c1,c2) * (c2,c3 * c3,c4)) * (c4,c5 * c5,c6)) 160";
+      "dpsub+cp: (((c0,c1 * c5,c6) * (c3,c4 * c4,c5)) * (c1,c2 * c2,c3)) 160";
+      "dpccp: ((c0,c1 * c1,c2) * ((c2,c3 * c3,c4) * (c4,c5 * c5,c6))) 160";
+      "selinger never: (((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) * c5,c6) 200";
+      "selinger when-needed: (((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) * c5,c6) 200";
+      "selinger always: (((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) * c5,c6) 200";
+      "optimal all: ((c0,c1 * c1,c2) * ((c2,c3 * c3,c4) * (c4,c5 * c5,c6))) 160";
+      "optimal linear: (((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) * c5,c6) 200";
+      "optimal cp-free: ((c0,c1 * c1,c2) * ((c2,c3 * c3,c4) * (c4,c5 * c5,c6))) 160";
+      "optimal linear-cp-free: (((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) * c5,c6) 200";
+      "makespan all: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * (c4,c5 * c5,c6))) 110";
+      "makespan linear: (((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) * c5,c6) 200";
+      "makespan cp-free: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * (c4,c5 * c5,c6))) 110";
+      "makespan linear-cp-free: (((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) * c5,c6) 200";
+    ] );
+    ( "chain6", "scrambled",
+    [
+      "dpsize: ((c4,c5 * c5,c6) * (c0,c1 * (c3,c4 * (c1,c2 * c2,c3)))) 1481";
+      "dpsize+cp: ((c0,c1 * c4,c5) * (c5,c6 * (c2,c3 * (c1,c2 * c3,c4)))) 1166";
+      "dpsub: ((c0,c1 * ((c1,c2 * c2,c3) * c3,c4)) * (c4,c5 * c5,c6)) 1481";
+      "dpsub+cp: ((c0,c1 * c5,c6) * (((c1,c2 * c3,c4) * c2,c3) * c4,c5)) 1166";
+      "dpccp: ((c0,c1 * ((c1,c2 * c2,c3) * c3,c4)) * (c4,c5 * c5,c6)) 1481";
+      "selinger never: (((((c1,c2 * c2,c3) * c3,c4) * c4,c5) * c5,c6) * c0,c1) 1759";
+      "selinger when-needed: (((((c1,c2 * c4,c5) * c5,c6) * c0,c1) * c2,c3) * c3,c4) 1367";
+      "selinger always: (((((c1,c2 * c4,c5) * c5,c6) * c0,c1) * c2,c3) * c3,c4) 1367";
+      "optimal all: ((c0,c1 * c4,c5) * (((c1,c2 * c3,c4) * c2,c3) * c5,c6)) 1166";
+      "optimal linear: (((((c1,c2 * c4,c5) * c5,c6) * c0,c1) * c2,c3) * c3,c4) 1367";
+      "optimal cp-free: ((c0,c1 * ((c1,c2 * c2,c3) * c3,c4)) * (c4,c5 * c5,c6)) 1481";
+      "optimal linear-cp-free: (((((c1,c2 * c2,c3) * c3,c4) * c4,c5) * c5,c6) * c0,c1) 1759";
+      "makespan all: ((c0,c1 * c4,c5) * (((c1,c2 * c3,c4) * c2,c3) * c5,c6)) 858";
+      "makespan linear: (((((c1,c2 * c4,c5) * c5,c6) * c0,c1) * c2,c3) * c3,c4) 1367";
+      "makespan cp-free: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * (c4,c5 * c5,c6))) 1389";
+      "makespan linear-cp-free: (((((c1,c2 * c2,c3) * c3,c4) * c4,c5) * c5,c6) * c0,c1) 1759";
+    ] );
+    ( "star5", "tie-heavy",
+    [
+      "dpsize: (s4,t4 * (s3,t3 * (s2,t2 * (s1,s2,s3,s4 * s1,t1)))) 140";
+      "dpsize+cp: ((s1,s2,s3,s4 * s1,t1) * (s4,t4 * (s2,t2 * s3,t3))) 120";
+      "dpsub: ((((s1,s2,s3,s4 * s4,t4) * s3,t3) * s2,t2) * s1,t1) 140";
+      "dpsub+cp: (((s1,s2,s3,s4 * s4,t4) * s3,t3) * (s1,t1 * s2,t2)) 120";
+      "dpccp: ((((s1,s2,s3,s4 * s4,t4) * s3,t3) * s2,t2) * s1,t1) 140";
+      "selinger never: ((((s1,s2,s3,s4 * s1,t1) * s2,t2) * s3,t3) * s4,t4) 140";
+      "selinger when-needed: ((((s1,s2,s3,s4 * s1,t1) * s2,t2) * s3,t3) * s4,t4) 140";
+      "selinger always: ((((s1,s2,s3,s4 * s1,t1) * s2,t2) * s3,t3) * s4,t4) 140";
+      "optimal all: ((s1,s2,s3,s4 * s1,t1) * (s2,t2 * (s3,t3 * s4,t4))) 120";
+      "optimal linear: ((((s1,s2,s3,s4 * s1,t1) * s2,t2) * s3,t3) * s4,t4) 140";
+      "optimal cp-free: ((((s1,s2,s3,s4 * s1,t1) * s2,t2) * s3,t3) * s4,t4) 140";
+      "optimal linear-cp-free: ((((s1,s2,s3,s4 * s1,t1) * s2,t2) * s3,t3) * s4,t4) 140";
+      "makespan all: ((s1,s2,s3,s4 * s1,t1) * (s2,t2 * (s3,t3 * s4,t4))) 100";
+      "makespan linear: ((((s1,s2,s3,s4 * s1,t1) * s2,t2) * s3,t3) * s4,t4) 140";
+      "makespan cp-free: ((((s1,s2,s3,s4 * s1,t1) * s2,t2) * s3,t3) * s4,t4) 140";
+      "makespan linear-cp-free: ((((s1,s2,s3,s4 * s1,t1) * s2,t2) * s3,t3) * s4,t4) 140";
+    ] );
+    ( "star5", "scrambled",
+    [
+      "dpsize: (s3,t3 * (s4,t4 * (s1,t1 * (s1,s2,s3,s4 * s2,t2)))) 1279";
+      "dpsize+cp: ((s3,t3 * s4,t4) * (s1,t1 * (s1,s2,s3,s4 * s2,t2))) 941";
+      "dpsub: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+      "dpsub+cp: (((s1,s2,s3,s4 * s2,t2) * s1,t1) * (s3,t3 * s4,t4)) 941";
+      "dpccp: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+      "selinger never: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+      "selinger when-needed: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+      "selinger always: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+      "optimal all: (((s1,s2,s3,s4 * s2,t2) * s1,t1) * (s3,t3 * s4,t4)) 941";
+      "optimal linear: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+      "optimal cp-free: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+      "optimal linear-cp-free: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+      "makespan all: (((s1,s2,s3,s4 * s2,t2) * s1,t1) * (s3,t3 * s4,t4)) 843";
+      "makespan linear: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+      "makespan cp-free: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+      "makespan linear-cp-free: ((((s1,s2,s3,s4 * s2,t2) * s1,t1) * s4,t4) * s3,t3) 1279";
+    ] );
+    ( "cycle5", "tie-heavy",
+    [
+      "dpsize: ((c0,c1 * c0,c4) * (c3,c4 * (c1,c2 * c2,c3))) 120";
+      "dpsize+cp: ((c0,c1 * c0,c4) * (c3,c4 * (c1,c2 * c2,c3))) 120";
+      "dpsub: (((c0,c1 * c0,c4) * c3,c4) * (c1,c2 * c2,c3)) 120";
+      "dpsub+cp: (((c0,c1 * c3,c4) * c2,c3) * (c0,c4 * c1,c2)) 120";
+      "dpccp: (((c0,c1 * c1,c2) * c0,c4) * (c2,c3 * c3,c4)) 120";
+      "selinger never: ((((c0,c1 * c0,c4) * c1,c2) * c2,c3) * c3,c4) 140";
+      "selinger when-needed: ((((c0,c1 * c0,c4) * c1,c2) * c2,c3) * c3,c4) 140";
+      "selinger always: ((((c0,c1 * c0,c4) * c1,c2) * c2,c3) * c3,c4) 140";
+      "optimal all: ((c0,c1 * c0,c4) * (c1,c2 * (c2,c3 * c3,c4))) 120";
+      "optimal linear: ((((c0,c1 * c0,c4) * c1,c2) * c2,c3) * c3,c4) 140";
+      "optimal cp-free: ((c0,c1 * c0,c4) * (c1,c2 * (c2,c3 * c3,c4))) 120";
+      "optimal linear-cp-free: ((((c0,c1 * c0,c4) * c1,c2) * c2,c3) * c3,c4) 140";
+      "makespan all: ((c0,c1 * c0,c4) * (c1,c2 * (c2,c3 * c3,c4))) 100";
+      "makespan linear: ((((c0,c1 * c0,c4) * c1,c2) * c2,c3) * c3,c4) 140";
+      "makespan cp-free: ((c0,c1 * c0,c4) * (c1,c2 * (c2,c3 * c3,c4))) 100";
+      "makespan linear-cp-free: ((((c0,c1 * c0,c4) * c1,c2) * c2,c3) * c3,c4) 140";
+    ] );
+    ( "cycle5", "scrambled",
+    [
+      "dpsize: (c0,c1 * (c0,c4 * (c3,c4 * (c1,c2 * c2,c3)))) 807";
+      "dpsize+cp: (c2,c3 * (c0,c4 * (c0,c1 * (c1,c2 * c3,c4)))) 564";
+      "dpsub: (c0,c1 * (c0,c4 * ((c1,c2 * c2,c3) * c3,c4))) 807";
+      "dpsub+cp: (((c0,c1 * (c1,c2 * c3,c4)) * c0,c4) * c2,c3) 564";
+      "dpccp: (c0,c1 * (c0,c4 * ((c1,c2 * c2,c3) * c3,c4))) 807";
+      "selinger never: ((((c1,c2 * c2,c3) * c3,c4) * c0,c4) * c0,c1) 807";
+      "selinger when-needed: ((((c1,c2 * c3,c4) * c0,c1) * c0,c4) * c2,c3) 564";
+      "selinger always: ((((c1,c2 * c3,c4) * c0,c1) * c0,c4) * c2,c3) 564";
+      "optimal all: (((c0,c1 * (c1,c2 * c3,c4)) * c0,c4) * c2,c3) 564";
+      "optimal linear: ((((c1,c2 * c3,c4) * c0,c1) * c0,c4) * c2,c3) 564";
+      "optimal cp-free: (c0,c1 * (c0,c4 * ((c1,c2 * c2,c3) * c3,c4))) 807";
+      "optimal linear-cp-free: ((((c1,c2 * c2,c3) * c3,c4) * c0,c4) * c0,c1) 807";
+      "makespan all: (((c0,c1 * (c1,c2 * c3,c4)) * c0,c4) * c2,c3) 564";
+      "makespan linear: ((((c1,c2 * c3,c4) * c0,c1) * c0,c4) * c2,c3) 564";
+      "makespan cp-free: ((c0,c1 * (c1,c2 * c2,c3)) * (c0,c4 * c3,c4)) 609";
+      "makespan linear-cp-free: ((((c1,c2 * c2,c3) * c3,c4) * c0,c4) * c0,c1) 807";
+    ] );
+    ( "clique4", "tie-heavy",
+    [
+      "dpsize: ((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * (e0_2,e1_2,e2_3,v2 * e0_3,e1_3,e2_3,v3)) 80";
+      "dpsize+cp: ((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * (e0_2,e1_2,e2_3,v2 * e0_3,e1_3,e2_3,v3)) 80";
+      "dpsub: ((e0_1,e0_2,e0_3,v0 * e0_3,e1_3,e2_3,v3) * (e0_1,e1_2,e1_3,v1 * e0_2,e1_2,e2_3,v2)) 80";
+      "dpsub+cp: ((e0_1,e0_2,e0_3,v0 * e0_3,e1_3,e2_3,v3) * (e0_1,e1_2,e1_3,v1 * e0_2,e1_2,e2_3,v2)) 80";
+      "dpccp: ((e0_1,e0_2,e0_3,v0 * e0_3,e1_3,e2_3,v3) * (e0_1,e1_2,e1_3,v1 * e0_2,e1_2,e2_3,v2)) 80";
+      "selinger never: (((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) 90";
+      "selinger when-needed: (((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) 90";
+      "selinger always: (((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) 90";
+      "optimal all: ((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * (e0_2,e1_2,e2_3,v2 * e0_3,e1_3,e2_3,v3)) 80";
+      "optimal linear: (((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) 90";
+      "optimal cp-free: ((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * (e0_2,e1_2,e2_3,v2 * e0_3,e1_3,e2_3,v3)) 80";
+      "optimal linear-cp-free: (((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) 90";
+      "makespan all: ((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * (e0_2,e1_2,e2_3,v2 * e0_3,e1_3,e2_3,v3)) 60";
+      "makespan linear: (((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) 90";
+      "makespan cp-free: ((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * (e0_2,e1_2,e2_3,v2 * e0_3,e1_3,e2_3,v3)) 60";
+      "makespan linear-cp-free: (((e0_1,e0_2,e0_3,v0 * e0_1,e1_2,e1_3,v1) * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) 90";
+    ] );
+    ( "clique4", "scrambled",
+    [
+      "dpsize: (e0_1,e1_2,e1_3,v1 * (e0_3,e1_3,e2_3,v3 * (e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2))) 405";
+      "dpsize+cp: (e0_1,e1_2,e1_3,v1 * (e0_3,e1_3,e2_3,v3 * (e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2))) 405";
+      "dpsub: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "dpsub+cp: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "dpccp: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "selinger never: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "selinger when-needed: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "selinger always: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "optimal all: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "optimal linear: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "optimal cp-free: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "optimal linear-cp-free: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "makespan all: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "makespan linear: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "makespan cp-free: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+      "makespan linear-cp-free: (((e0_1,e0_2,e0_3,v0 * e0_2,e1_2,e2_3,v2) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1) 405";
+    ] );
+    ( "three-components", "tie-heavy",
+    [
+      "dpsize: none";
+      "dpsize+cp: ((AB * BC) * (GH * (CD * EF))) 120";
+      "dpsub: none";
+      "dpsub+cp: (((AB * GH) * EF) * (BC * CD)) 120";
+      "dpccp: none";
+      "selinger never: none";
+      "selinger when-needed: ((((AB * EF) * GH) * BC) * CD) 140";
+      "selinger always: ((((AB * BC) * CD) * EF) * GH) 140";
+      "optimal all: ((AB * BC) * (CD * (EF * GH))) 120";
+      "optimal linear: ((((AB * BC) * CD) * EF) * GH) 140";
+      "optimal cp-free: ((AB * (BC * CD)) * (EF * GH)) 120";
+      "optimal linear-cp-free: ((((AB * BC) * CD) * EF) * GH) 140";
+    ] );
+    ( "three-components", "scrambled",
+    [
+      "dpsize: none";
+      "dpsize+cp: (EF * ((BC * CD) * (AB * GH))) 1084";
+      "dpsub: none";
+      "dpsub+cp: (((AB * GH) * (BC * CD)) * EF) 1084";
+      "dpccp: none";
+      "selinger never: none";
+      "selinger when-needed: ((((AB * GH) * CD) * EF) * BC) 1722";
+      "selinger always: ((((BC * CD) * AB) * EF) * GH) 1098";
+      "optimal all: (((AB * GH) * (BC * CD)) * EF) 1084";
+      "optimal linear: ((((BC * CD) * AB) * EF) * GH) 1098";
+      "optimal cp-free: (((AB * (BC * CD)) * EF) * GH) 1098";
+      "optimal linear-cp-free: ((((BC * CD) * AB) * EF) * GH) 1098";
+    ] );
+  ]
+
+let setops_goldens =
+  [
+    ( "same5",
+    [
+      "inter: ((((A . E) . D) . C) . B) 12";
+      "union: ((((A . E) . D) . C) . B) 12";
+    ] );
+    ( "shifted5",
+    [
+      "inter: ((((A . E) . D) . C) . B) 0";
+      "union: (((A . B) . C) . (D . E)) 20";
+    ] );
+  ]
+
+let counter_goldens =
+  [
+    ( "chain10",
+    [
+      "dpsize 495 45 120 45";
+      "dpsub 28501 45 120 45";
+      "dpccp 165 45 120 45";
+      "selinger 3584 45 45 45";
+    ] );
+    ( "star10",
+    [
+      "dpsize 2340 511 1793 511";
+      "dpsub 28501 511 1793 511";
+      "dpccp 2304 511 1793 511";
+      "selinger 2815 511 1802 511";
+    ] );
+    ( "clique8",
+    [
+      "dpsize 3025 247 2778 247";
+      "dpsub 3025 247 2778 247";
+      "dpccp 3025 247 2778 247";
+      "selinger 1016 247 769 247";
+    ] );
+  ]
+
+let test_dp_goldens () =
+  List.iter
+    (fun (sname, oname, expected) ->
+      let _, d, makespan =
+        List.find (fun (n, _, _) -> n = sname) golden_schemes
+      in
+      let oracle = List.assoc oname golden_oracles in
+      Alcotest.(check (list string))
+        (sname ^ " / " ^ oname) expected
+        (dp_variants ~makespan oracle d))
+    dp_goldens
+
+let test_setops_goldens () =
+  List.iter
+    (fun (fname, expected) ->
+      Alcotest.(check (list string))
+        fname expected
+        (setops_variants (List.assoc fname setops_families)))
+    setops_goldens
+
+let test_counter_goldens () =
+  List.iter
+    (fun (qname, expected) ->
+      Alcotest.(check (list string))
+        qname expected
+        (counter_table (List.assoc qname counter_queries)))
+    counter_goldens
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mj_optimizer"
@@ -415,5 +786,13 @@ let () =
           Alcotest.test_case "dpsize/dpsub inspect more" `Quick
             test_dpsize_inspects_more_than_ccp;
           Alcotest.test_case "table" `Quick test_search_space_table;
+        ] );
+      ( "tie-break-goldens",
+        [
+          Alcotest.test_case "every DP variant's winning plan" `Quick
+            test_dp_goldens;
+          Alcotest.test_case "setops winning tree" `Quick test_setops_goldens;
+          Alcotest.test_case "search-effort counter table" `Quick
+            test_counter_goldens;
         ] );
     ]
