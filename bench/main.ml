@@ -42,11 +42,19 @@ let section id title =
   Printf.printf "\n%s\n[%s] %s\n%s\n" (String.make 74 '=') id title
     (String.make 74 '=')
 
-let check name ok = Printf.printf "  %-58s %s\n" name (if ok then "OK" else "FAIL")
+(* Failed paper-experiment checks; any failure makes the run exit 1
+   once every requested experiment has printed. *)
+let failures = ref 0
+
+let verdict ok =
+  if not ok then incr failures;
+  if ok then "OK" else "FAIL"
+
+let check name ok = Printf.printf "  %-58s %s\n" name (verdict ok)
 
 let expect name ~expected ~actual =
   Printf.printf "  %-46s expected %-8d got %-8d %s\n" name expected actual
-    (if expected = actual then "OK" else "FAIL")
+    (verdict (expected = actual))
 
 (* ------------------------------------------------------------------ *)
 (* EX1: Example 1 (Section 3)                                           *)
@@ -1296,7 +1304,11 @@ let () =
     config := Some (Mj_cli.make_config flags);
     List.iter
       (fun id -> List.assoc id experiments ())
-      (if ids = [] then List.map fst experiments else ids)
+      (if ids = [] then List.map fst experiments else ids);
+    if !failures > 0 then begin
+      Printf.eprintf "%d check(s) failed\n" !failures;
+      exit 1
+    end
   in
   exit
     (Cmd.eval

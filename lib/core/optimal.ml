@@ -1,18 +1,13 @@
 open Mj_relation
 open Mj_hypergraph
 
-type result = {
+type result = Subset_dp.result = {
   strategy : Strategy.t;
   cost : int;
 }
 
-let better a b =
-  match a, b with
-  | None, x | x, None -> x
-  | Some r1, Some r2 -> if r1.cost <= r2.cost then a else b
-
 (* ------------------------------------------------------------------ *)
-(* Mask-level partition iterators                                       *)
+(* Split orders: mask-level partition iterators                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Each iterator emits the same (left, right) pairs, in the same order,
@@ -42,175 +37,93 @@ let iter_linear_connected_partitions u m f =
       if Bitdb.is_connected u rest then f rest b)
 
 (* ------------------------------------------------------------------ *)
-(* Subset DP on masks                                                   *)
+(* Subspaces over the core                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Generic subset DP, memoized on the sub-database's mask.  [partitions]
-   yields the allowed root steps of a sub-database; a singleton is
-   always a (free) leaf. *)
-let subset_dp ~univ ~card ~partitions mask =
-  let memo = Hashtbl.create 64 in
-  let rec best m =
-    match Hashtbl.find_opt memo m with
-    | Some r -> r
-    | None ->
-        let r =
-          if m = 0 then invalid_arg "Optimal: empty sub-database"
-          else if m land (m - 1) = 0 then
-            Some
-              {
-                strategy = Strategy.leaf (Bitdb.scheme univ (Bitdb.bit_index m));
-                cost = 0;
-              }
-          else begin
-            let here = card m in
-            (* Track the cheapest (first-on-tie, like the historical
-               fold) child pair and build the join node once at the end
-               — Strategy.join unions scheme sets, far too expensive to
-               run per candidate partition. *)
-            let best_cost = ref max_int and best_pair = ref None in
-            partitions univ m (fun m1 m2 ->
-                match best m1, best m2 with
-                | Some r1, Some r2 ->
-                    let c = r1.cost + r2.cost + here in
-                    if c < !best_cost then begin
-                      best_cost := c;
-                      best_pair := Some (r1, r2)
-                    end
-                | _ -> ());
-            match !best_pair with
-            | None -> None
-            | Some (r1, r2) ->
-                Some
-                  {
-                    strategy = Strategy.join r1.strategy r2.strategy;
-                    cost = !best_cost;
-                  }
-          end
-        in
-        Hashtbl.add memo m r;
-        r
-  in
-  best mask
-
-(* Avoid-CP optimum for an arbitrary (possibly unconnected) mask:
+(* Avoid-CP optimum for an arbitrary (possibly unconnected) mask: the
    optimum connected strategy per component, then the best Cartesian
-   combination tree over complete components.  We run a second DP whose
-   "units" are the components. *)
-let optimum_cp_free ~univ ~card mask =
-  let comps = Bitdb.components univ mask in
-  let comp_best =
-    List.map
-      (fun c -> subset_dp ~univ ~card ~partitions:iter_connected_partitions c)
-      comps
+   combination tree over complete components — a second table whose
+   units are the components, each a leaf costing its own optimum. *)
+let optimum_cp_free ~obs ~combine ~card dp u mask =
+  let comps = Array.of_list (Bitdb.components u mask) in
+  Array.iter (Subset_dp.solve dp ~splits:(iter_connected_partitions u)) comps;
+  match Array.map (Subset_dp.result dp u) comps with
+  | [| r |] -> r
+  | base when Array.exists Option.is_none base -> None
+  | base ->
+      let base = Array.map Option.get base in
+      let union_of cmask =
+        let acc = ref 0 in
+        Array.iteri
+          (fun i c -> if cmask land (1 lsl i) <> 0 then acc := !acc lor c)
+          comps;
+        !acc
+      in
+      let top =
+        Subset_dp.create ~combine
+          ~leaf_cost:(fun i -> base.(i).cost)
+          ~units:(Array.length comps)
+          (fun cmask -> card (union_of cmask))
+      in
+      let full = (1 lsl Array.length comps) - 1 in
+      Subset_dp.solve top ~splits:Subset_dp.iter_anchored_splits full;
+      Subset_dp.finish top obs;
+      Option.map
+        (fun strategy -> { strategy; cost = Option.get (Subset_dp.cost top full) })
+        (Subset_dp.build top
+           ~leaf:(fun i -> base.(i).strategy)
+           ~node:Strategy.join full)
+
+let optimum_masked ~obs ~combine ~subspace ~card u mask =
+  let dp = Subset_dp.create ~combine ~units:(Bitdb.size u) card in
+  let connected splits =
+    Subset_dp.solve dp ~splits:(splits u) mask;
+    Subset_dp.result dp u mask
   in
-  if List.exists Option.is_none comp_best then None
-  else begin
-    let comp_best =
-      List.map (function Some r -> r | None -> assert false) comp_best
-    in
-    match comps, comp_best with
-    | [ _ ], [ r ] -> Some r
-    | _ ->
-        (* DP over subsets of components.  A subset is encoded by its
-           bitmask; cost of a combination node is the oracle on the union
-           of its components' schemes. *)
-        let comps = Array.of_list comps in
-        let base = Array.of_list comp_best in
-        let m = Array.length comps in
-        let union_of cmask =
-          let acc = ref 0 in
-          for i = 0 to m - 1 do
-            if cmask land (1 lsl i) <> 0 then acc := !acc lor comps.(i)
-          done;
-          !acc
-        in
-        let memo = Hashtbl.create 64 in
-        let rec best cmask =
-          match Hashtbl.find_opt memo cmask with
-          | Some r -> r
-          | None ->
-              let r =
-                let bits = List.filter (fun i -> cmask land (1 lsl i) <> 0)
-                    (List.init m Fun.id)
-                in
-                match bits with
-                | [ i ] -> base.(i)
-                | _ ->
-                    let here = card (union_of cmask) in
-                    (* Split the mask anchored on its lowest bit. *)
-                    let anchor = List.hd bits in
-                    let others = List.tl bits in
-                    let rec splits = function
-                      | [] -> [ (1 lsl anchor, 0) ]
-                      | i :: rest ->
-                          List.concat_map
-                            (fun (l, r) ->
-                              [ (l lor (1 lsl i), r); (l, r lor (1 lsl i)) ])
-                            (splits rest)
-                    in
-                    List.fold_left
-                      (fun acc (l, r) ->
-                        if r = 0 then acc
-                        else
-                          let rl = best l and rr = best r in
-                          better acc
-                            (Some
-                               {
-                                 strategy = Strategy.join rl.strategy rr.strategy;
-                                 cost = rl.cost + rr.cost + here;
-                               }))
-                      None (splits others)
-                    |> Option.get
-              in
-              Hashtbl.add memo cmask r;
-              r
-        in
-        Some (best ((1 lsl m) - 1))
-  end
+  let r =
+    match subspace with
+    | Enumerate.All -> connected iter_all_partitions
+    | Enumerate.Linear -> connected iter_linear_partitions
+    | Enumerate.Cp_free -> optimum_cp_free ~obs ~combine ~card dp u mask
+    | Enumerate.Linear_cp_free -> connected iter_linear_connected_partitions
+  in
+  Subset_dp.finish dp obs;
+  r
 
 (* Rare case: the linear-cp-free subspace of an unconnected scheme may be
    empty (when a non-first component has two or more relations); fall
-   back to enumeration at the Scheme.Set level. *)
-let linear_cp_free_fallback ~oracle d =
-  match Enumerate.linear_cp_free d with
-  | [] -> None
-  | strategies ->
-      List.fold_left
-        (fun acc s ->
-          better acc (Some { strategy = s; cost = Cost.tau_oracle oracle s }))
-        None strategies
+   back to enumeration at the Scheme.Set level, first cheapest wins. *)
+let linear_cp_free_fallback ~combine ~oracle d =
+  List.fold_left
+    (fun acc s ->
+      let c = Subset_dp.strategy_cost combine oracle s in
+      match acc with
+      | Some r when r.cost <= c -> acc
+      | _ -> Some { strategy = s; cost = c })
+    None (Enumerate.linear_cp_free d)
 
-let optimum_masked ~subspace ~univ ~card mask =
-  match subspace with
-  | Enumerate.All -> subset_dp ~univ ~card ~partitions:iter_all_partitions mask
-  | Enumerate.Linear ->
-      subset_dp ~univ ~card ~partitions:iter_linear_partitions mask
-  | Enumerate.Cp_free -> optimum_cp_free ~univ ~card mask
-  | Enumerate.Linear_cp_free ->
-      subset_dp ~univ ~card ~partitions:iter_linear_connected_partitions mask
-
-let optimum_with_oracle ?(subspace = Enumerate.All) ~oracle d =
+let optimize ?(obs = Mj_obs.Obs.noop) ~combine ~subspace ~oracle ~card d univ =
   if Scheme.Set.is_empty d then invalid_arg "Optimal: empty database scheme";
+  let full = Bitdb.full univ in
   match subspace with
-  | Enumerate.Linear_cp_free when not (Hypergraph.connected d) ->
-      linear_cp_free_fallback ~oracle d
-  | _ ->
-      let univ = Bitdb.make d in
-      let card m = oracle (Bitdb.set_of_mask univ m) in
-      optimum_masked ~subspace ~univ ~card (Bitdb.full univ)
+  | Enumerate.Linear_cp_free when not (Bitdb.is_connected univ full) ->
+      linear_cp_free_fallback ~combine ~oracle d
+  | _ -> optimum_masked ~obs ~combine ~subspace ~card univ full
+
+let optimum_by ?obs ~combine ?(subspace = Enumerate.All) ~oracle d =
+  let univ = Bitdb.make d in
+  optimize ?obs ~combine ~subspace ~oracle
+    ~card:(fun m -> oracle (Bitdb.set_of_mask univ m))
+    d univ
+
+let optimum_with_oracle ?subspace ~oracle d =
+  optimum_by ~combine:Subset_dp.Sum ?subspace ~oracle d
 
 let optimum_cached ?(subspace = Enumerate.All) cache =
-  let d = Database.schemes (Cost.Cache.database cache) in
-  if Scheme.Set.is_empty d then invalid_arg "Optimal: empty database scheme";
-  let univ = Cost.Cache.universe cache in
-  match subspace with
-  | Enumerate.Linear_cp_free when not (Bitdb.is_connected univ (Bitdb.full univ))
-    ->
-      linear_cp_free_fallback ~oracle:(Cost.Cache.card cache) d
-  | _ ->
-      optimum_masked ~subspace ~univ ~card:(Cost.Cache.card_mask cache)
-        (Bitdb.full univ)
+  optimize ~combine:Subset_dp.Sum ~subspace ~oracle:(Cost.Cache.card cache)
+    ~card:(Cost.Cache.card_mask cache)
+    (Database.schemes (Cost.Cache.database cache))
+    (Cost.Cache.universe cache)
 
 let optimum ?subspace db = optimum_cached ?subspace (Cost.Cache.create db)
 

@@ -13,7 +13,7 @@
 open Mj_relation
 open Mj_hypergraph
 
-type result = {
+type result = Subset_dp.result = {
   strategy : Strategy.t;
   cost : int;
 }
@@ -27,6 +27,18 @@ val optimum_with_oracle :
     the subspace (default [All]), or [None] when the subspace is empty
     (only possible for [Linear_cp_free] on unconnected schemes).  Ties
     are broken arbitrarily but deterministically. *)
+
+val optimum_by :
+  ?obs:Mj_obs.Obs.sink ->
+  combine:Subset_dp.combine ->
+  ?subspace:Enumerate.subspace ->
+  oracle:(Scheme.Set.t -> int) ->
+  Hypergraph.t ->
+  result option
+(** The same search under either combine rule: [Sum] is
+    {!optimum_with_oracle}, [Max] the makespan optimum of
+    [Mj_engine.Parallel].  [obs] receives the core's [opt.*]
+    search-effort counters. *)
 
 val optimum : ?subspace:Enumerate.subspace -> Database.t -> result option
 (** Exact τ-optimum against the materialized cardinalities of the

@@ -91,61 +91,24 @@ let optimum op family =
   let m = Array.length names in
   if m = 0 then invalid_arg "Setops.optimum: empty family";
   if m > 15 then invalid_arg "Setops.optimum: too many sets for subset DP";
-  let result_of_mask = Hashtbl.create 64 in
-  let result mask =
-    match Hashtbl.find_opt result_of_mask mask with
-    | Some s -> s
-    | None ->
-        let s = ref None in
-        for i = 0 to m - 1 do
-          if mask land (1 lsl i) <> 0 then
-            s := Some (match !s with
-              | None -> sets.(i)
-              | Some acc -> apply op acc sets.(i))
-        done;
-        let s = Option.get !s in
-        Hashtbl.add result_of_mask mask s;
-        s
+  let card mask =
+    let acc = ref None in
+    Array.iteri
+      (fun i s ->
+        if mask land (1 lsl i) <> 0 then
+          acc := Some (match !acc with None -> s | Some a -> apply op a s))
+      sets;
+    Vset.cardinal (Option.get !acc)
   in
-  let memo = Hashtbl.create 64 in
-  let rec best mask =
-    match Hashtbl.find_opt memo mask with
-    | Some r -> r
-    | None ->
-        let bits =
-          List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init m Fun.id)
-        in
-        let r =
-          match bits with
-          | [ i ] -> (Leaf names.(i), 0)
-          | _ ->
-              let here = Vset.cardinal (result mask) in
-              let anchor = List.hd bits in
-              let others = List.tl bits in
-              let rec splits = function
-                | [] -> [ (1 lsl anchor, 0) ]
-                | i :: rest ->
-                    List.concat_map
-                      (fun (l, r) ->
-                        [ (l lor (1 lsl i), r); (l, r lor (1 lsl i)) ])
-                      (splits rest)
-              in
-              List.fold_left
-                (fun acc (l, r) ->
-                  if r = 0 then acc
-                  else
-                    let tl, cl = best l and tr, cr = best r in
-                    let cost = cl + cr + here in
-                    match acc with
-                    | Some (_, c) when c <= cost -> acc
-                    | _ -> Some (Node (tl, tr), cost))
-                None (splits others)
-              |> Option.get
-        in
-        Hashtbl.add memo mask r;
-        r
-  in
-  best ((1 lsl m) - 1)
+  let dp = Subset_dp.create ~units:m card in
+  let full = (1 lsl m) - 1 in
+  Subset_dp.solve dp ~splits:Subset_dp.iter_anchored_splits full;
+  ( Option.get
+      (Subset_dp.build dp
+         ~leaf:(fun i -> Leaf names.(i))
+         ~node:(fun l r -> Node (l, r))
+         full),
+    Option.get (Subset_dp.cost dp full) )
 
 let optimum_linear op family =
   let names = List.map fst family in

@@ -1,97 +1,11 @@
-open Mj_hypergraph
 open Multijoin
 
-let rec makespan_oracle oracle = function
-  | Strategy.Leaf _ -> 0
-  | Strategy.Join n ->
-      max (makespan_oracle oracle n.left) (makespan_oracle oracle n.right)
-      + oracle n.schemes
-
+let makespan_oracle oracle s = Subset_dp.strategy_cost Max oracle s
 let makespan db s = makespan_oracle (Cost.cardinality_oracle db) s
 
-(* The subset DP below mirrors Optimal's mask rewrite: sub-databases are
-   Bitdb masks over the indexed universe, the memo is an int-keyed
-   table, and the best join node is built once per entry after the
-   partition scan (tracking only the best cost and child pair while
-   scanning).  Partition enumeration orders match the historical
-   Scheme.Set generators exactly, and a candidate replaces the incumbent
-   only when strictly cheaper, so tie-breaking is unchanged. *)
-
-let iter_all_partitions u m f = Bitdb.iter_binary_partitions u m f
-
-let iter_linear_partitions u m f =
-  (* Descending single schemes — the order of the historical
-     [Scheme.Set.fold]-and-prepend generator. *)
-  for i = Bitdb.size u - 1 downto 0 do
-    let b = 1 lsl i in
-    if m land b <> 0 then f (m lxor b) b
-  done
-
-let iter_cp_free_partitions u m f =
-  iter_all_partitions u m (fun d1 d2 ->
-      if Bitdb.is_connected u d1 && Bitdb.is_connected u d2 then f d1 d2)
-
-let iter_linear_cp_free_partitions u m f =
-  iter_linear_partitions u m (fun rest b ->
-      if Bitdb.is_connected u rest then f rest b)
-
-let optimum_makespan ?(obs = Mj_obs.Obs.noop) ?(subspace = Enumerate.All)
-    ~oracle d =
-  let module Obs = Mj_obs.Obs in
-  let partitions_c = Obs.counter obs "opt.partitions_inspected" in
-  let memo_hits_c = Obs.counter obs "opt.memo_hits" in
-  let entries_c = Obs.counter obs "opt.dp_entries" in
-  Obs.span obs "makespan-dp" @@ fun () ->
-  let u = Bitdb.make d in
-  let iter_partitions =
-    match subspace with
-    | Enumerate.All -> iter_all_partitions
-    | Enumerate.Linear -> iter_linear_partitions
-    | Enumerate.Cp_free -> iter_cp_free_partitions
-    | Enumerate.Linear_cp_free -> iter_linear_cp_free_partitions
-  in
-  (* Makespan is compositional per subtree (max of children + step), so
-     the same subset DP applies with the combining rule swapped. *)
-  let memo : (int, Optimal.result option) Hashtbl.t = Hashtbl.create 64 in
-  let rec best m =
-    match Hashtbl.find_opt memo m with
-    | Some r ->
-        Obs.incr memo_hits_c 1;
-        r
-    | None ->
-        Obs.incr entries_c 1;
-        let r =
-          if m = 0 then invalid_arg "Parallel: empty sub-database"
-          else if Bitdb.popcount m = 1 then
-            Some
-              {
-                Optimal.strategy = Strategy.leaf (Bitdb.scheme u (Bitdb.bit_index m));
-                cost = 0;
-              }
-          else begin
-            let here = oracle (Bitdb.set_of_mask u m) in
-            let best_cost = ref max_int in
-            let best_pair = ref None in
-            iter_partitions u m (fun m1 m2 ->
-                Obs.incr partitions_c 1;
-                match best m1, best m2 with
-                | Some r1, Some r2 ->
-                    let c = max r1.Optimal.cost r2.Optimal.cost + here in
-                    if c < !best_cost || Option.is_none !best_pair then begin
-                      best_cost := c;
-                      best_pair := Some (r1, r2)
-                    end
-                | _ -> ());
-            Option.map
-              (fun ((r1 : Optimal.result), (r2 : Optimal.result)) ->
-                {
-                  Optimal.strategy = Strategy.join r1.strategy r2.strategy;
-                  cost = !best_cost;
-                })
-              !best_pair
-          end
-        in
-        Hashtbl.add memo m r;
-        r
-  in
-  best (Bitdb.full u)
+(* Makespan is compositional per subtree (max of children + step), so
+   Optimal's subset DP applies unchanged — same split orders, component
+   DP and enumeration fallback — with the combine rule swapped. *)
+let optimum_makespan ?(obs = Mj_obs.Obs.noop) ?subspace ~oracle d =
+  Mj_obs.Obs.span obs "makespan-dp" @@ fun () ->
+  Optimal.optimum_by ~obs ~combine:Max ?subspace ~oracle d

@@ -30,7 +30,9 @@ val optimum_makespan :
   oracle:(Scheme.Set.t -> int) ->
   Hypergraph.t ->
   Optimal.result option
-(** Minimum-makespan strategy by subset DP ([Optimal.result.cost] holds
-    the makespan).  [obs] records a [makespan-dp] span plus the
-    [opt.partitions_inspected], [opt.memo_hits] and [opt.dp_entries]
+(** Minimum-makespan strategy in the subspace (default [All]) by
+    {!Optimal.optimum_by} under the [Max] rule ([Optimal.result.cost]
+    holds the makespan); [None] exactly when the subspace is empty.
+    [obs] records a [makespan-dp] span plus the [opt.pairs_inspected],
+    [opt.dp_entries], [opt.plans_pruned] and [opt.estimate_calls]
     search-effort counters. *)

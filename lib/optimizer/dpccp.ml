@@ -1,3 +1,4 @@
+open Mj_hypergraph
 open Multijoin
 
 (* Moerkotte–Neumann enumeration.  B_i is the mask of nodes with index
@@ -8,17 +9,16 @@ let subsets_of mask f =
   (* All non-empty submasks of [mask] (including [mask] itself). *)
   if mask <> 0 then begin
     f mask;
-    Qbase.iter_subsets mask f
+    Bitdb.iter_subsets mask f
   end
 
 let rec enumerate_csg_rec g s x emit =
-  let n = Qbase.neighborhood g s land lnot x in
+  let n = Bitdb.neighborhood g s land lnot x in
   subsets_of n (fun s' -> emit (s lor s'));
   subsets_of n (fun s' -> enumerate_csg_rec g (s lor s') (x lor n) emit)
 
 let enumerate_csg g emit =
-  let n = g.Qbase.n in
-  for i = n - 1 downto 0 do
+  for i = Bitdb.size g - 1 downto 0 do
     let v = 1 lsl i in
     emit v;
     let b_i = (1 lsl (i + 1)) - 1 in
@@ -29,9 +29,8 @@ let enumerate_cmp g s1 emit =
   let min_s1 = s1 land -s1 in
   let b_min = (min_s1 lsl 1) - 1 in
   let x = b_min lor s1 in
-  let n = Qbase.neighborhood g s1 land lnot x in
-  let g_n = g.Qbase.n in
-  for i = g_n - 1 downto 0 do
+  let n = Bitdb.neighborhood g s1 land lnot x in
+  for i = Bitdb.size g - 1 downto 0 do
     let v = 1 lsl i in
     if n land v <> 0 then begin
       emit v;
@@ -40,66 +39,23 @@ let enumerate_cmp g s1 emit =
     end
   done
 
-let csg_cmp_pairs d =
-  let g = Qbase.make d in
+let pairs_of g =
   let pairs = ref [] in
   enumerate_csg g (fun s1 ->
       enumerate_cmp g s1 (fun s2 -> pairs := (s1, s2) :: !pairs));
   List.rev !pairs
 
+let csg_cmp_pairs d = pairs_of (Bitdb.make d)
 let count_csg_cmp_pairs d = List.length (csg_cmp_pairs d)
 
-let plan ?(obs = Mj_obs.Obs.noop) ~oracle d =
-  let module Obs = Mj_obs.Obs in
-  let pairs_c = Obs.counter obs "opt.pairs_inspected" in
-  let entries_c = Obs.counter obs "opt.dp_entries" in
-  let pruned_c = Obs.counter obs "opt.plans_pruned" in
-  let estimates_c = Obs.counter obs "opt.estimate_calls" in
-  Obs.span obs "dpccp" @@ fun () ->
-  let g = Qbase.make d in
-  let n = g.Qbase.n in
-  if n > 22 then invalid_arg "Dpccp.plan: too many relations (max 22)";
-  let best : Optimal.result option array = Array.make (1 lsl n) None in
-  for i = 0 to n - 1 do
-    best.(1 lsl i) <-
-      Some { Optimal.strategy = Strategy.leaf g.Qbase.nodes.(i); cost = 0 }
-  done;
-  let pairs =
-    List.sort
-      (fun (a1, a2) (b1, b2) ->
-        Int.compare (Qbase.popcount (a1 lor a2)) (Qbase.popcount (b1 lor b2)))
-      (csg_cmp_pairs d)
-  in
-  (* Several pairs share a union subset; estimate each subset once. *)
-  let cost_memo = Hashtbl.create 256 in
-  let cost_of union =
-    match Hashtbl.find_opt cost_memo union with
-    | Some c -> c
-    | None ->
-        Obs.incr estimates_c 1;
-        let c = oracle (Qbase.schemes_of_mask g union) in
-        Hashtbl.add cost_memo union c;
-        c
-  in
-  List.iter
-    (fun (m1, m2) ->
-      Obs.incr pairs_c 1;
-      match best.(m1), best.(m2) with
-      | Some p1, Some p2 ->
-          let union = m1 lor m2 in
-          let here = cost_of union in
-          let cost = p1.Optimal.cost + p2.Optimal.cost + here in
-          (match best.(union) with
-          | Some b when b.Optimal.cost <= cost -> Obs.incr pruned_c 1
-          | _ ->
-              if best.(union) = None then Obs.incr entries_c 1;
-              best.(union) <-
-                Some
-                  {
-                    Optimal.strategy =
-                      Strategy.join p1.Optimal.strategy p2.Optimal.strategy;
-                    cost;
-                  })
-      | _ -> ())
-    pairs;
-  best.(Qbase.full g)
+(* Split order: the csg-cmp pairs, stably sorted by the size of their
+   union so both parts are final before the union is offered. *)
+let plan ?obs ~oracle d =
+  fst
+  @@ Subset_dp.drive ?obs ~span:"dpccp" ~oracle d
+  @@ fun u dp ->
+  List.stable_sort
+    (fun (a1, a2) (b1, b2) ->
+      Int.compare (Bitdb.popcount (a1 lor a2)) (Bitdb.popcount (b1 lor b2)))
+    (pairs_of u)
+  |> List.iter (fun (m1, m2) -> Subset_dp.offer dp ~usable:true m1 m2)

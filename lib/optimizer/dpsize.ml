@@ -1,37 +1,15 @@
+open Mj_hypergraph
 open Multijoin
-module Obs = Mj_obs.Obs
 
-(* Shared driver: runs the size-driven DP, returning the plan table and
-   the number of combinations inspected. *)
-let run ?(obs = Obs.noop) ?(allow_cp = false) ~oracle d =
-  let pairs_c = Obs.counter obs "opt.pairs_inspected" in
-  let entries_c = Obs.counter obs "opt.dp_entries" in
-  let pruned_c = Obs.counter obs "opt.plans_pruned" in
-  let estimates_c = Obs.counter obs "opt.estimate_calls" in
-  Obs.span obs "dpsize" @@ fun () ->
-  let g = Qbase.make d in
-  let n = g.Qbase.n in
-  if n > 22 then invalid_arg "subset DP: too many relations (max 22)";
-  let size = 1 lsl n in
-  let best : Optimal.result option array = Array.make size None in
+(* Size-driven split order: every plan of [s] relations combines a
+   plan of [s1 <= s / 2] relations with a disjoint plan of [s - s1],
+   each unordered pair once; [by_size] lists the masks given a plan, in
+   order of discovery. *)
+let run ?obs ?(allow_cp = false) ~oracle d =
+  Subset_dp.drive ?obs ~span:"dpsize" ~oracle d @@ fun u dp ->
+  let n = Bitdb.size u in
   let by_size = Array.make (n + 1) [] in
-  for i = 0 to n - 1 do
-    let mask = 1 lsl i in
-    best.(mask) <- Some { Optimal.strategy = Strategy.leaf g.Qbase.nodes.(i); cost = 0 };
-    by_size.(1) <- mask :: by_size.(1)
-  done;
-  let inspected = ref 0 in
-  (* Many pairs share a union subset; estimate each subset once. *)
-  let cost_memo = Hashtbl.create 256 in
-  let cost_of union =
-    match Hashtbl.find_opt cost_memo union with
-    | Some c -> c
-    | None ->
-        Obs.incr estimates_c 1;
-        let c = oracle (Qbase.schemes_of_mask g union) in
-        Hashtbl.add cost_memo union c;
-        c
-  in
+  by_size.(1) <- List.init n (fun i -> 1 lsl (n - 1 - i));
   for s = 2 to n do
     for s1 = 1 to s / 2 do
       let s2 = s - s1 in
@@ -41,38 +19,16 @@ let run ?(obs = Obs.noop) ?(allow_cp = false) ~oracle d =
             (fun m2 ->
               (* Each unordered pair once: when sizes tie, order masks. *)
               if m1 land m2 = 0 && (s1 < s2 || m1 < m2) then begin
-                incr inspected;
-                Obs.incr pairs_c 1;
-                if allow_cp || Qbase.linked g m1 m2 then begin
-                  match best.(m1), best.(m2) with
-                  | Some p1, Some p2 ->
-                      let union = m1 lor m2 in
-                      let here = cost_of union in
-                      let cost = p1.Optimal.cost + p2.Optimal.cost + here in
-                      let candidate =
-                        {
-                          Optimal.strategy =
-                            Strategy.join p1.Optimal.strategy p2.Optimal.strategy;
-                          cost;
-                        }
-                      in
-                      (match best.(union) with
-                      | Some b when b.Optimal.cost <= cost ->
-                          Obs.incr pruned_c 1
-                      | _ ->
-                          (if best.(union) = None then begin
-                             Obs.incr entries_c 1;
-                             by_size.(s) <- union :: by_size.(s)
-                           end);
-                          best.(union) <- Some candidate)
-                  | _ -> ()
-                end
+                let usable = allow_cp || Bitdb.linked u m1 m2 in
+                let union = m1 lor m2 in
+                if usable && not (Subset_dp.mem dp union) then
+                  by_size.(s) <- union :: by_size.(s);
+                Subset_dp.offer dp ~usable m1 m2
               end)
             by_size.(s2))
         by_size.(s1)
     done
-  done;
-  (best.(Qbase.full g), !inspected)
+  done
 
 let plan ?obs ?allow_cp ~oracle d = fst (run ?obs ?allow_cp ~oracle d)
 

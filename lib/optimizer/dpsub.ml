@@ -1,61 +1,15 @@
+open Mj_hypergraph
 open Multijoin
-module Obs = Mj_obs.Obs
 
-let run ?(obs = Obs.noop) ?(allow_cp = false) ~oracle d =
-  let pairs_c = Obs.counter obs "opt.pairs_inspected" in
-  let entries_c = Obs.counter obs "opt.dp_entries" in
-  let pruned_c = Obs.counter obs "opt.plans_pruned" in
-  let estimates_c = Obs.counter obs "opt.estimate_calls" in
-  Obs.span obs "dpsub" @@ fun () ->
-  let g = Qbase.make d in
-  let n = g.Qbase.n in
-  if n > 22 then invalid_arg "subset DP: too many relations (max 22)";
-  let size = 1 lsl n in
-  let best : Optimal.result option array = Array.make size None in
-  for i = 0 to n - 1 do
-    best.(1 lsl i) <-
-      Some { Optimal.strategy = Strategy.leaf g.Qbase.nodes.(i); cost = 0 }
-  done;
-  let inspected = ref 0 in
-  for mask = 1 to size - 1 do
-    if Qbase.popcount mask >= 2 then begin
-      let here =
-        lazy
-          (Obs.incr estimates_c 1;
-           oracle (Qbase.schemes_of_mask g mask))
-      in
-      (* Anchor the lowest bit in the left part so each unordered split is
-         inspected once. *)
-      let lowest = mask land -mask in
-      Qbase.iter_subsets mask (fun m1 ->
-          if m1 land lowest <> 0 then begin
-            let m2 = mask lxor m1 in
-            incr inspected;
-            Obs.incr pairs_c 1;
-            if allow_cp || Qbase.linked g m1 m2 then
-              match best.(m1), best.(m2) with
-              | Some p1, Some p2 ->
-                  let cost =
-                    p1.Optimal.cost + p2.Optimal.cost + Lazy.force here
-                  in
-                  (match best.(mask) with
-                  | Some b when b.Optimal.cost <= cost ->
-                      Obs.incr pruned_c 1
-                  | _ ->
-                      if best.(mask) = None then Obs.incr entries_c 1;
-                      best.(mask) <-
-                        Some
-                          {
-                            Optimal.strategy =
-                              Strategy.join p1.Optimal.strategy
-                                p2.Optimal.strategy;
-                            cost;
-                          })
-              | _ -> ()
-          end)
-    end
-  done;
-  (best.(Qbase.full g), !inspected)
+(* Subset-driven split order: masks in increasing numeric order (every
+   proper submask comes first), each split once with the lowest relation
+   anchored in the left part. *)
+let run ?obs ?(allow_cp = false) ~oracle d =
+  Subset_dp.drive ?obs ~span:"dpsub" ~oracle d @@ fun u dp ->
+  for mask = 1 to Bitdb.full u do
+    Subset_dp.iter_anchored_splits mask (fun m1 m2 ->
+        Subset_dp.offer dp ~usable:(allow_cp || Bitdb.linked u m1 m2) m1 m2)
+  done
 
 let plan ?obs ?allow_cp ~oracle d = fst (run ?obs ?allow_cp ~oracle d)
 let pairs_considered ?allow_cp d = snd (run ?allow_cp ~oracle:(fun _ -> 1) d)

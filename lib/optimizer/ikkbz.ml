@@ -1,3 +1,4 @@
+open Mj_hypergraph
 open Multijoin
 module Obs = Mj_obs.Obs
 
@@ -34,12 +35,12 @@ let rec settle_head merges_c = function
 let tree_structure g =
   (* Validate that the query graph is a tree and return, for root r,
      the children lists of a BFS orientation. *)
-  let n = g.Qbase.n in
+  let n = g.Bitdb.n in
   let edge_count = ref 0 in
   for i = 0 to n - 1 do
-    edge_count := !edge_count + Qbase.popcount g.Qbase.adj.(i)
+    edge_count := !edge_count + Bitdb.popcount g.Bitdb.adj.(i)
   done;
-  if !edge_count / 2 <> n - 1 || not (Qbase.is_connected g (Qbase.full g)) then
+  if !edge_count / 2 <> n - 1 || not (Bitdb.is_connected g (Bitdb.full g)) then
     invalid_arg "Ikkbz: query graph is not a tree";
   fun root ->
     let parent = Array.make n (-1) in
@@ -51,7 +52,7 @@ let tree_structure g =
     while not (Queue.is_empty queue) do
       let v = Queue.pop queue in
       for w = 0 to n - 1 do
-        if g.Qbase.adj.(v) land (1 lsl w) <> 0 && not visited.(w) then begin
+        if g.Bitdb.adj.(v) land (1 lsl w) <> 0 && not visited.(w) then begin
           visited.(w) <- true;
           parent.(w) <- v;
           children.(v) <- w :: children.(v);
@@ -65,9 +66,9 @@ let order ?(obs = Obs.noop) ~card ~selectivity d =
   let roots_c = Obs.counter obs "opt.roots_tried" in
   let merges_c = Obs.counter obs "opt.rank_merges" in
   Obs.span obs "ikkbz" @@ fun () ->
-  let g = Qbase.make d in
-  let n = g.Qbase.n in
-  if n = 1 then [ g.Qbase.nodes.(0) ]
+  let g = Bitdb.make d in
+  let n = g.Bitdb.n in
+  if n = 1 then [ g.Bitdb.nodes.(0) ]
   else begin
     let orient = tree_structure g in
     let best = ref None in
@@ -75,8 +76,8 @@ let order ?(obs = Obs.noop) ~card ~selectivity d =
       Obs.incr roots_c 1;
       let parent, children = orient root in
       let node_module i =
-        let sel = selectivity g.Qbase.nodes.(i) g.Qbase.nodes.(parent.(i)) in
-        let t = sel *. card g.Qbase.nodes.(i) in
+        let sel = selectivity g.Bitdb.nodes.(i) g.Bitdb.nodes.(parent.(i)) in
+        let t = sel *. card g.Bitdb.nodes.(i) in
         { seq = [ i ]; t; c = t }
       in
       let rec normalize v =
@@ -96,14 +97,14 @@ let order ?(obs = Obs.noop) ~card ~selectivity d =
               let t = acc_t *. m.t in
               go (acc_cost +. t) t rest
         in
-        go 0.0 (card g.Qbase.nodes.(root)) (List.tl order_ids)
+        go 0.0 (card g.Bitdb.nodes.(root)) (List.tl order_ids)
       in
       match !best with
       | Some (c, _) when c <= cost -> ()
       | _ -> best := Some (cost, order_ids)
     done;
     match !best with
-    | Some (_, ids) -> List.map (fun i -> g.Qbase.nodes.(i)) ids
+    | Some (_, ids) -> List.map (fun i -> g.Bitdb.nodes.(i)) ids
     | None -> assert false
   end
 
@@ -118,18 +119,18 @@ let order_on_spanning_tree ?(obs = Obs.noop) ~card ~selectivity d =
   let roots_c = Obs.counter obs "opt.roots_tried" in
   let merges_c = Obs.counter obs "opt.rank_merges" in
   Obs.span obs "ikkbz-spanning-tree" @@ fun () ->
-  let g = Qbase.make d in
-  let n = g.Qbase.n in
-  if not (Qbase.is_connected g (Qbase.full g)) then
+  let g = Bitdb.make d in
+  let n = g.Bitdb.n in
+  if not (Bitdb.is_connected g (Bitdb.full g)) then
     invalid_arg "Ikkbz.order_on_spanning_tree: query graph is unconnected";
-  if n = 1 then [ g.Qbase.nodes.(0) ]
+  if n = 1 then [ g.Bitdb.nodes.(0) ]
   else begin
     let edges = ref [] in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        if g.Qbase.adj.(i) land (1 lsl j) <> 0 then
+        if g.Bitdb.adj.(i) land (1 lsl j) <> 0 then
           edges :=
-            (selectivity g.Qbase.nodes.(i) g.Qbase.nodes.(j), i, j) :: !edges
+            (selectivity g.Bitdb.nodes.(i) g.Bitdb.nodes.(j), i, j) :: !edges
       done
     done;
     let edges =
@@ -176,8 +177,8 @@ let order_on_spanning_tree ?(obs = Obs.noop) ~card ~selectivity d =
       Obs.incr roots_c 1;
       let parent, children = orient root in
       let node_module i =
-        let sel = selectivity g.Qbase.nodes.(i) g.Qbase.nodes.(parent.(i)) in
-        let t = sel *. card g.Qbase.nodes.(i) in
+        let sel = selectivity g.Bitdb.nodes.(i) g.Bitdb.nodes.(parent.(i)) in
+        let t = sel *. card g.Bitdb.nodes.(i) in
         { seq = [ i ]; t; c = t }
       in
       let rec normalize v =
@@ -196,13 +197,13 @@ let order_on_spanning_tree ?(obs = Obs.noop) ~card ~selectivity d =
               let t = acc_t *. m.t in
               go (acc_cost +. t) t rest
         in
-        go 0.0 (card g.Qbase.nodes.(root)) (List.tl order_ids)
+        go 0.0 (card g.Bitdb.nodes.(root)) (List.tl order_ids)
       in
       match !best with
       | Some (c, _) when c <= cost -> ()
       | _ -> best := Some (cost, order_ids)
     done;
     match !best with
-    | Some (_, ids) -> List.map (fun i -> g.Qbase.nodes.(i)) ids
+    | Some (_, ids) -> List.map (fun i -> g.Bitdb.nodes.(i)) ids
     | None -> assert false
   end

@@ -1,81 +1,34 @@
+open Mj_hypergraph
 open Multijoin
 
 type cp_policy = [ `Never | `When_needed | `Always ]
 
-module Obs = Mj_obs.Obs
-
-let run ?(obs = Obs.noop) ?(cp = `When_needed) ~oracle d =
-  let pairs_c = Obs.counter obs "opt.pairs_inspected" in
-  let entries_c = Obs.counter obs "opt.dp_entries" in
-  let pruned_c = Obs.counter obs "opt.plans_pruned" in
-  let estimates_c = Obs.counter obs "opt.estimate_calls" in
-  Obs.span obs "selinger" @@ fun () ->
-  let g = Qbase.make d in
-  let n = g.Qbase.n in
-  if n > 22 then invalid_arg "subset DP: too many relations (max 22)";
-  let size = 1 lsl n in
-  let best : Optimal.result option array = Array.make size None in
-  for i = 0 to n - 1 do
-    best.(1 lsl i) <-
-      Some { Optimal.strategy = Strategy.leaf g.Qbase.nodes.(i); cost = 0 }
-  done;
-  (* Masks in increasing order have increasing-or-equal popcount prefixes
-     covered before they are needed: any proper submask is numerically
-     smaller. *)
-  for mask = 1 to size - 1 do
-    if Qbase.popcount mask >= 2 then begin
-      let here =
-        lazy
-          (Obs.incr estimates_c 1;
-           oracle (Qbase.schemes_of_mask g mask))
-      in
-      let candidates = ref [] in
+(* Split order: masks in increasing numeric order, each peeling one
+   relation (highest index first) off as the right-hand leaf; the policy
+   decides which peels may be Cartesian products. *)
+let plan ?obs ?(cp = `When_needed) ~oracle d =
+  fst
+  @@ Subset_dp.drive ?obs ~span:"selinger" ~oracle d
+  @@ fun u dp ->
+  let n = Bitdb.size u in
+  for mask = 1 to Bitdb.full u do
+    if Bitdb.popcount mask >= 2 then begin
+      let peels = ref [] in
       for i = 0 to n - 1 do
         let v = 1 lsl i in
-        if mask land v <> 0 then begin
-          let rest = mask lxor v in
-          if rest <> 0 then
-            let is_linked = Qbase.linked g rest v in
-            candidates := (v, rest, is_linked) :: !candidates
-        end
+        if mask land v <> 0 then peels := (mask lxor v, v) :: !peels
       done;
+      let peels = !peels in
+      let linked = List.filter (fun (rest, v) -> Bitdb.linked u rest v) peels in
       let usable =
         match cp with
-        | `Always -> !candidates
-        | `Never -> List.filter (fun (_, _, linked) -> linked) !candidates
-        | `When_needed ->
-            let linked_only =
-              List.filter (fun (_, _, linked) -> linked) !candidates
-            in
-            if linked_only <> [] then linked_only else !candidates
+        | `Always -> peels
+        | `Never -> linked
+        | `When_needed -> if linked <> [] then linked else peels
       in
-      List.iter
-        (fun (v, rest, _) ->
-          Obs.incr pairs_c 1;
-          match best.(rest) with
-          | None -> ()
-          | Some p ->
-              let leaf_index = Qbase.popcount (v - 1) in
-              let cost = p.Optimal.cost + Lazy.force here in
-              (match best.(mask) with
-              | Some b when b.Optimal.cost <= cost ->
-                  Obs.incr pruned_c 1
-              | _ ->
-                  if best.(mask) = None then Obs.incr entries_c 1;
-                  best.(mask) <-
-                    Some
-                      {
-                        Optimal.strategy =
-                          Strategy.join p.Optimal.strategy
-                            (Strategy.leaf g.Qbase.nodes.(leaf_index));
-                        cost;
-                      }))
-        usable
+      List.iter (fun (rest, v) -> Subset_dp.offer dp ~usable:true rest v) usable
     end
-  done;
-  best.(Qbase.full g)
-
-let plan ?obs ?cp ~oracle d = run ?obs ?cp ~oracle d
+  done
 
 let best_order ?cp ~oracle d =
   Option.map

@@ -114,9 +114,15 @@ let test_setops_guard () =
 let test_dp_guard () =
   let d = Mj_hypergraph.Querygraph.chain 23 in
   let oracle _ = 1 in
-  match Mj_optimizer.Dpsub.plan ~oracle d with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "subset DP must refuse 23 relations"
+  let refuses name plan =
+    Alcotest.check_raises name
+      (Invalid_argument "subset DP: too many relations (max 22)") (fun () ->
+        ignore (plan ()))
+  in
+  refuses "dpsize" (fun () -> Mj_optimizer.Dpsize.plan ~oracle d);
+  refuses "dpsub" (fun () -> Mj_optimizer.Dpsub.plan ~oracle d);
+  refuses "dpccp" (fun () -> Mj_optimizer.Dpccp.plan ~oracle d);
+  refuses "selinger" (fun () -> Mj_optimizer.Selinger.plan ~oracle d)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                             *)

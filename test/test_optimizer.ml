@@ -332,7 +332,7 @@ let test_ccp_clique () =
 let prop_ccp_pairs_unique_and_valid =
   qtest "csg-cmp pairs are disjoint, linked, connected" ~count:40
     (gen_graph ~max_n:6 ()) (fun d ->
-      let g = Qbase.make d in
+      let g = Bitdb.make d in
       let pairs = Dpccp.csg_cmp_pairs d in
       let canon (a, b) = if a < b then (a, b) else (b, a) in
       let canonical = List.map canon pairs in
@@ -340,9 +340,9 @@ let prop_ccp_pairs_unique_and_valid =
       && List.for_all
            (fun (m1, m2) ->
              m1 land m2 = 0
-             && Qbase.is_connected g m1
-             && Qbase.is_connected g m2
-             && Qbase.linked g m1 m2)
+             && Bitdb.is_connected g m1
+             && Bitdb.is_connected g m2
+             && Bitdb.linked g m1 m2)
            pairs)
 
 let test_dpsize_inspects_more_than_ccp () =
@@ -739,6 +739,60 @@ let test_counter_goldens () =
     counter_goldens
 
 (* ------------------------------------------------------------------ *)
+(* Makespan DP                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let test_makespan_three_components () =
+  (* Three unlinked relations: every strategy is CP-free (3 of them),
+     and so is every linear one; the makespan DP must find one. *)
+  let d = Hypergraph.of_strings [ "AB"; "CD"; "EF" ] in
+  List.iter
+    (fun subspace ->
+      let name = Format.asprintf "%a" Enumerate.pp_subspace subspace in
+      Alcotest.(check int)
+        (name ^ " enumeration") 3
+        (List.length (Enumerate.enumerate subspace d));
+      Alcotest.(check bool)
+        (name ^ " plan found") true
+        (Option.is_some
+           (Mj_engine.Parallel.optimum_makespan ~subspace ~oracle:tie_heavy d)))
+    Enumerate.[ Cp_free; Linear_cp_free ]
+
+(* Up to five two-attribute relations over seven attributes: connected
+   and unconnected schemes alike, with a seeded scrambled oracle. *)
+let gen_scheme_and_oracle =
+  let open QCheck2.Gen in
+  let attr = map (fun i -> Char.chr (Char.code 'A' + i)) (int_range 0 6) in
+  let scheme =
+    map2
+      (fun a b -> if a = b then String.make 1 a else Printf.sprintf "%c%c" a b)
+      attr attr
+  in
+  let* schemes = list_size (int_range 1 5) scheme in
+  let* seed = int_range 0 1000 in
+  return
+    ( Hypergraph.of_strings (List.sort_uniq String.compare schemes),
+      fun s -> scrambled s * (1 + (seed mod 7)) mod 101 )
+
+let prop_makespan_matches_enumeration =
+  qtest "makespan DP = min makespan over the enumeration, every subspace"
+    ~count:200 gen_scheme_and_oracle (fun (d, oracle) ->
+      List.for_all
+        (fun (_, subspace) ->
+          let enumerated =
+            List.map
+              (Mj_engine.Parallel.makespan_oracle oracle)
+              (Enumerate.enumerate subspace d)
+          in
+          match
+            Mj_engine.Parallel.optimum_makespan ~subspace ~oracle d, enumerated
+          with
+          | None, [] -> true
+          | Some r, _ :: _ -> r.cost = List.fold_left min max_int enumerated
+          | _ -> false)
+        subspaces)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mj_optimizer"
@@ -794,5 +848,11 @@ let () =
           Alcotest.test_case "setops winning tree" `Quick test_setops_goldens;
           Alcotest.test_case "search-effort counter table" `Quick
             test_counter_goldens;
+        ] );
+      ( "subset-dp",
+        [
+          Alcotest.test_case "makespan on three components" `Quick
+            test_makespan_three_components;
+          prop_makespan_matches_enumeration;
         ] );
     ]
