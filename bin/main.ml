@@ -72,7 +72,7 @@ let domain_arg =
 
 let regime_conv =
   let parse = function
-    | ("superkey" | "uniform" | "skewed" | "consistent") as r -> Ok r
+    | r when List.mem r Mj_workload.Dbgen.regimes -> Ok r
     | s -> Error (`Msg (Printf.sprintf "unknown regime %s" s))
   in
   Arg.conv (parse, Format.pp_print_string)
@@ -110,13 +110,6 @@ let emit_telemetry (cfg : Engine.Config.t) ~cmd ~query fields =
       in
       Mj_obs.Telemetry.append path record;
       Format.printf "telemetry: appended to %s@." path
-
-let make_db ~regime ~rng ~rows ~domain d =
-  match regime with
-  | "superkey" -> Mj_workload.Dbgen.superkey_db ~rng ~rows ~domain d
-  | "skewed" -> Mj_workload.Dbgen.skewed_db ~rng ~rows ~domain ~skew:1.2 d
-  | "consistent" -> Mj_workload.Dbgen.consistent_acyclic_db ~rng ~rows ~domain d
-  | _ -> Mj_workload.Dbgen.uniform_db ~rng ~rows ~domain d
 
 (* ------------------------------------------------------------------ *)
 (* examples                                                             *)
@@ -204,7 +197,7 @@ let run_verify scenario (shape_name, shape) n seed rows domain regime config =
         Format.printf "%s query of %d relations, %s data, seed %d@." shape_name
           n regime seed;
         ( Printf.sprintf "%s-%d/%s/seed%d" shape_name n regime seed,
-          make_db ~regime ~rng ~rows ~domain d )
+          Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d )
   in
   let obs = Obs.make () in
   let cfg = make_config ~obs config in
@@ -293,7 +286,7 @@ let run_optimize (shape_name, shape) n seed rows domain regime config
     trace_file =
   let rng = Random.State.make [| seed |] in
   let d = shape ~rng n in
-  let db = make_db ~regime ~rng ~rows ~domain d in
+  let db = Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d in
   Format.printf "%s query of %d relations, %s data: %a@.@." shape_name n regime
     Database.pp_brief db;
   let est = Estimate.of_catalog (Catalog.of_database db) in
@@ -601,7 +594,7 @@ let run_explain scenario (shape_name, shape) n seed rows domain regime
         let rng = Random.State.make [| seed |] in
         let d = shape ~rng n in
         ( Printf.sprintf "%s-%d (%s data, seed %d)" shape_name n regime seed,
-          make_db ~regime ~rng ~rows ~domain d )
+          Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d )
   in
   let d = Database.schemes db in
   let est_oracle = Estimate.of_catalog (Catalog.of_database db) in
@@ -872,7 +865,7 @@ let run_topk scenario (shape_name, shape) n seed rows domain regime k config
         let rng = Random.State.make [| seed |] in
         let d = shape ~rng n in
         ( Printf.sprintf "%s-%d (%s data, seed %d)" shape_name n regime seed,
-          make_db ~regime ~rng ~rows ~domain d )
+          Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d )
   in
   let d = Database.schemes db in
   let obs = Obs.make () in
@@ -1019,7 +1012,7 @@ let run_stats scenario (shape_name, shape) n seed rows domain regime repeat
             let d = shape ~rng n in
             ( Printf.sprintf "%s-%d (%s data, seed %d)" shape_name n regime
                 seed,
-              make_db ~regime ~rng ~rows ~domain d )
+              Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d )
       in
       let cfg = make_config ~obs config in
       let d = Database.schemes db in

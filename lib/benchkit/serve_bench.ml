@@ -52,9 +52,10 @@ let request_line s =
          ("plane", Json.str (Engine.plane_name s.plane));
        ])
 
-(* What a cold, single-shot Engine.run answers for a spec — the
+(* What a cold, single-shot lower-and-execute answers for a spec — the
    certification reference every served response must match bit for
-   bit. *)
+   bit.  The hash comes from [Engine.execute_digest], the daemon's own
+   path: it equals [Protocol.result_hash] of the decoded result. *)
 type oracle = { rows : int; tau : int; hash : string; steps : string }
 
 let oracle_of_spec s =
@@ -64,11 +65,13 @@ let oracle_of_spec s =
     Engine.Config.make ~plane:s.plane ~policy:s.policy ~domains:1
       ~obs:Obs.noop ()
   in
-  let result, stats = Engine.run cfg db strategy in
+  let digest, stats =
+    Engine.execute_digest cfg db (Engine.lower cfg db strategy)
+  in
   {
     rows = stats.Engine.result_rows;
     tau = stats.Engine.tuples_generated;
-    hash = Protocol.hash_hex (Protocol.result_hash result);
+    hash = Protocol.hash_hex digest;
     steps = Json.to_string (Protocol.steps_json stats.Engine.per_step);
   }
 

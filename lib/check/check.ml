@@ -884,6 +884,72 @@ let faults db s =
             collided))
 
 (* ------------------------------------------------------------------ *)
+(* Twin: the coded database against its relation-built twin.          *)
+(* ------------------------------------------------------------------ *)
+
+(* A generated database is born coded and builds seed states on demand;
+   its twin is built from those states and encodes its own dictionary,
+   the path CSV input and the scenarios take.  Every plane × lowering
+   policy × storage cell must lower both to the same plan and give the
+   same result, τ log, served digest and dictionary size. *)
+let twin db s =
+  guard @@ fun () ->
+  let twin = Database.of_relations (Database.relations db) in
+  List.iter
+    (fun plane ->
+      let storages =
+        match plane with
+        | Engine.Frame -> List.map Option.some Frame.all_storages
+        | Engine.Seed -> [ None ]
+      in
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun storage ->
+              let where =
+                Printf.sprintf "%s/%s%s" (Engine.plane_name plane)
+                  (Planner.policy_name policy)
+                  (match storage with
+                  | Some st -> "/" ^ Frame.storage_name st
+                  | None -> "")
+              in
+              (* One config per database: the cost arm reads the index
+                 cache, which a shared config's first run would warm. *)
+              let run db =
+                let cfg =
+                  Engine.Config.make ~plane ~domains:1 ~policy ~obs:Obs.noop
+                    ?storage ()
+                in
+                let plan = Engine.lower cfg db s in
+                let r, stats = Engine.execute_plan cfg db plan in
+                let digest, _ = Engine.execute_digest cfg db plan in
+                (Physical.to_string plan, r, stats, digest)
+              in
+              let plan, r, st, d = run db and plan', r', st', d' = run twin in
+              if plan <> plan' then
+                fail "twin:plan" "%s: coded %s, relation-built %s" where plan plan';
+              if not (Relation.equal r r') then
+                fail "twin:result" "%s: results differ (%d vs %d rows)" where
+                  (Relation.cardinality r) (Relation.cardinality r');
+              if not (step_log_equal st.Engine.per_step st'.Engine.per_step) then
+                fail "twin:steps" "%s: coded %a, relation-built %a" where
+                  pp_step_log st.Engine.per_step pp_step_log st'.Engine.per_step;
+              if not (Int64.equal d d') then
+                fail "twin:digest" "%s: coded %s, relation-built %s" where
+                  (Protocol.hash_hex d) (Protocol.hash_hex d');
+              match (st.Engine.frame, st'.Engine.frame) with
+              | Some f, Some f'
+                when f.Mj_engine.Frame_engine.dict_size
+                     <> f'.Mj_engine.Frame_engine.dict_size ->
+                  fail "twin:dict" "%s: coded %d values, relation-built %d"
+                    where f.Mj_engine.Frame_engine.dict_size
+                    f'.Mj_engine.Frame_engine.dict_size
+              | _ -> ())
+            storages)
+        [ Planner.Hash_all; Planner.Cost_based; Planner.Wcoj; Planner.Yannakakis ])
+    planes
+
+(* ------------------------------------------------------------------ *)
 (* One case through every applicable check.                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -893,6 +959,8 @@ let run_case ?(faults = true) d =
   let db, s = Gen.materialize d in
   let ( >>> ) o k = match o with Pass -> k () | Fail _ -> o in
   differential db s
+  >>> fun () ->
+  twin db s
   >>> fun () ->
   wcoj_differential db s
   >>> fun () ->

@@ -44,6 +44,13 @@
       [serve.cache_stale_plan] planted bug: a cross-strategy cache
       collision hands the probe the wrong plan, and its served τ log
       no longer matches its cold run.
+    - {!twin}: the case's generated database is born coded; its
+      relation-built twin ([Database.of_relations] over its states)
+      encodes its own dictionary, the path CSV input and the scenarios
+      take.  Across both planes × the hash, cost, wcoj and yann
+      policies × both frame storages, the two must lower to the same
+      plan and give the same result, τ log, served digest and
+      dictionary size.
     - {!metamorphic}: strategy rewrites that provably preserve the
       result or the cost — commuting every step leaves τ unchanged,
       {!Multijoin.Transform} surgeries and a left-deep rebuild leave
@@ -87,6 +94,7 @@ val differential : Database.t -> Strategy.t -> outcome
 val wcoj_differential : Database.t -> Strategy.t -> outcome
 val yann_differential : Database.t -> Strategy.t -> outcome
 val serve_differential : Database.t -> Strategy.t -> outcome
+val twin : Database.t -> Strategy.t -> outcome
 val metamorphic : Database.t -> Strategy.t -> outcome
 
 val theorems : Database.t -> outcome
@@ -97,7 +105,8 @@ val faults : Database.t -> Strategy.t -> outcome
 
 val run_case : ?faults:bool -> Gen.descriptor -> outcome
 (** Materialize the descriptor and run every applicable check:
-    differential (binary, wcoj, yann and serve legs) and metamorphic
+    differential (binary, wcoj, yann and serve legs), twin and
+    metamorphic
     always,
     theorem postconditions when
     the database has at most 5 relations, and the fault-injection pass

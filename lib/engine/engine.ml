@@ -147,13 +147,25 @@ let of_frame (s : Frame_engine.stats) =
     frame = Some s;
   }
 
+(* Adds the seed states [f] decoded from the database's coded form to
+   the ["db.seed_forced"] counter: 0 for a frame-plane query on a
+   generated database, which reads only the coded form. *)
+let counting_forced (cfg : Config.t) db f =
+  let before = Database.seed_forced db in
+  let x = f () in
+  if Obs.enabled cfg.obs then
+    Obs.add cfg.obs "db.seed_forced" (Database.seed_forced db - before);
+  x
+
 let lower (cfg : Config.t) db strategy =
+  counting_forced cfg db @@ fun () ->
   Planner.lower ~policy:cfg.algo_policy ~indexes:cfg.index_cache db strategy
 
 (* A warm frame dictionary only means something on the frame plane; the
    seed plane ignores it (its warm state is the index cache the config
    already carries). *)
 let execute_plan ?fdb (cfg : Config.t) db plan =
+  counting_forced cfg db @@ fun () ->
   match cfg.plane with
   | Seed ->
       let r, s = Exec.execute ~obs:cfg.obs ~cache:cfg.index_cache db plan in
@@ -166,6 +178,7 @@ let execute_plan ?fdb (cfg : Config.t) db plan =
       (r, of_frame s)
 
 let execute_digest ?fdb (cfg : Config.t) db plan =
+  counting_forced cfg db @@ fun () ->
   match cfg.plane with
   | Seed ->
       let d, s =

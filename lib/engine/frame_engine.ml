@@ -116,12 +116,7 @@ let run ~finish ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan =
   (* Adaptive cutover: a tiny database is executed single-domain
      whatever the configured worker count — the non-partitioned join
      path, no pool, no fan-out. *)
-  let base_rows =
-    List.fold_left
-      (fun acc r -> acc + Relation.cardinality r)
-      0 (Database.relations db)
-  in
-  let domains = if base_rows < tiny_rows then Some 1 else domains in
+  let domains = if Database.total_tuples db < tiny_rows then Some 1 else domains in
   let ctx =
     {
       (* A caller-supplied [fdb] (the serve daemon's per-database warm

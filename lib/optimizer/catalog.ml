@@ -7,35 +7,35 @@ type entry = {
 
 type t = entry Scheme.Map.t
 
-(* One pass over the tuples with a hash set per column: [Tuple.iter]
-   visits a tuple's values in increasing attribute order, which is the
-   column order of [Attr.Set.elements]. *)
-let distincts r =
-  let attrs = Attr.Set.elements (Relation.scheme r) in
-  let size = min 1024 (Relation.cardinality r) in
-  let seen = Array.of_list (List.map (fun _ -> Hashtbl.create size) attrs) in
-  let col = ref 0 in
-  let put _ v =
-    Hashtbl.replace seen.(!col) v ();
-    incr col
-  in
-  Relation.iter
-    (fun tu ->
-      col := 0;
-      Tuple.iter put tu)
-    r;
-  List.fold_left
-    (fun (m, j) a -> (Attr.Map.add a (Hashtbl.length seen.(j)) m, j + 1))
-    (Attr.Map.empty, 0) attrs
-  |> fst
-
+(* Distinct values per column, counted on the coded form: codes are
+   dense and biject with values, so one mark array over the dictionary
+   serves every column — each column stamps its own id, so the array is
+   never cleared. *)
 let of_database db =
-  List.fold_left
-    (fun acc r ->
-      let scheme = Relation.scheme r in
-      let distincts = distincts r in
-      Scheme.Map.add scheme { card = Relation.cardinality r; distincts } acc)
-    Scheme.Map.empty (Database.relations db)
+  let c = Database.coded db in
+  let mark = Array.make (Array.length c.Coded.values) (-1) in
+  let stamp = ref 0 in
+  Scheme.Map.mapi
+    (fun scheme (b : Coded.block) ->
+      let w = Attr.Set.cardinal scheme in
+      let distincts, _ =
+        Attr.Set.fold
+          (fun a (m, j) ->
+            let id = !stamp in
+            incr stamp;
+            let n = ref 0 in
+            for r = 0 to b.rows - 1 do
+              let v = Array.unsafe_get b.codes ((r * w) + j) in
+              if mark.(v) <> id then begin
+                mark.(v) <- id;
+                incr n
+              end
+            done;
+            (Attr.Map.add a !n m, j + 1))
+          scheme (Attr.Map.empty, 0)
+      in
+      { card = b.rows; distincts })
+    c.Coded.blocks
 
 let synthetic specs =
   List.fold_left
@@ -61,6 +61,10 @@ let synthetic specs =
       in
       Scheme.Map.add scheme { card; distincts = map } acc)
     Scheme.Map.empty specs
+
+let equal =
+  Scheme.Map.equal (fun e1 e2 ->
+      e1.card = e2.card && Attr.Map.equal Int.equal e1.distincts e2.distincts)
 
 let schemes cat = List.map fst (Scheme.Map.bindings cat)
 

@@ -10,7 +10,9 @@ open Mj_relation
 type t
 
 val of_database : Database.t -> t
-(** Exact statistics scanned from the states. *)
+(** Exact statistics counted on the coded form ({!Database.coded}):
+    row counts, and distinct codes per column with one mark array over
+    the dictionary.  Forces no seed state. *)
 
 val synthetic : (Scheme.t * int * (Attr.t * int) list) list -> t
 (** [synthetic [(scheme, card, [(attr, distinct); ...]); ...]].
@@ -19,6 +21,9 @@ val synthetic : (Scheme.t * int * (Attr.t * int) list) list -> t
     @raise Invalid_argument on duplicate schemes, a negative
     cardinality, or a distinct count below 1 for a non-empty
     relation. *)
+
+val equal : t -> t -> bool
+(** Same schemes, cardinalities and distinct counts. *)
 
 val schemes : t -> Scheme.t list
 

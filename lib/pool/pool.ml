@@ -24,8 +24,66 @@ let clamp_events () = Atomic.get clamped
 
 let core_cap () = max 1 (Domain.recommended_domain_count ())
 
+(* Helper domains, kept for the life of the process.  A run that needs
+   k spawned workers takes k idle helpers (spawning one only when none
+   is idle) and hands each a job; a helper runs it, goes back on the
+   idle stack and reports.  Spawning and joining a fresh domain per run
+   orphaned its minor heap and major-heap pools every time, so peak RSS
+   drifted up with the number of parallel runs.  A run never waits for
+   a busy helper, so a task that itself runs the pool cannot deadlock:
+   it takes other helpers, or spawns more. *)
+type helper = {
+  hm : Mutex.t;
+  hc : Condition.t;
+  mutable job : (unit -> unit) option;
+}
+
+let idle = ref []
+let idle_m = Mutex.create ()
+
+let park h =
+  Mutex.lock idle_m;
+  idle := h :: !idle;
+  Mutex.unlock idle_m
+
+let rec serve h =
+  Mutex.lock h.hm;
+  while h.job = None do
+    Condition.wait h.hc h.hm
+  done;
+  let job = Option.get h.job in
+  h.job <- None;
+  Mutex.unlock h.hm;
+  job ();
+  serve h
+
+(* Start [job] on an idle or new helper; [job] must not raise and must
+   park its helper (passed to it) before reporting completion. *)
+let hand_off job =
+  Mutex.lock idle_m;
+  let h =
+    match !idle with
+    | h :: rest ->
+        idle := rest;
+        Some h
+    | [] -> None
+  in
+  Mutex.unlock idle_m;
+  let h =
+    match h with
+    | Some h -> h
+    | None ->
+        let h = { hm = Mutex.create (); hc = Condition.create (); job = None } in
+        ignore (Domain.spawn (fun () -> serve h));
+        h
+  in
+  Mutex.lock h.hm;
+  h.job <- Some (fun () -> job h);
+  Condition.signal h.hc;
+  Mutex.unlock h.hm
+
 (* Internal driver: tasks receive the index of the worker running them
-   (0 = the calling domain, 1..d-1 = spawned domains) so [run_traced]
+   (0 = the calling domain, 1..d-1 = helper domains) so [run_traced]
    can tag trace lanes.  Results never depend on the worker index. *)
 let run_w ?domains ?(chunk = 1) (tasks : (worker:int -> 'a) array) =
   let n = Array.length tasks in
@@ -51,8 +109,8 @@ let run_w ?domains ?(chunk = 1) (tasks : (worker:int -> 'a) array) =
     let results = Array.make n None in
     let next = Atomic.make 0 in
     (* Work-stealing by shared counter: each slot is written by exactly
-       one worker, and [Domain.join] publishes those writes before the
-       merge below reads them.  Workers claim [chunk] consecutive tasks
+       one worker, and the completion handshake below publishes those
+       writes before the merge reads them.  Workers claim [chunk] consecutive tasks
        per fetch-and-add — one atomic operation amortized over a batch,
        which matters when the tasks are sub-millisecond morsels.
        Results are merged in task-index order, so the output is
@@ -76,20 +134,40 @@ let run_w ?domains ?(chunk = 1) (tasks : (worker:int -> 'a) array) =
       in
       loop ~first:true
     in
-    let spawned = Array.init (d - 1) (fun k -> Domain.spawn (worker ~id:(k + 1))) in
-    let self_exn = (try worker ~id:0 (); None with e -> Some e) in
-    let joined_exn =
-      Array.fold_left
-        (fun acc dom ->
-          match Domain.join dom with
-          | () -> acc
-          | exception Mj_failpoint.Failpoint.Injected _ ->
-              (* An injected worker kill degrades gracefully: the dead
-                 worker's claimed tasks are re-run serially below. *)
-              acc
-          | exception e -> ( match acc with None -> Some e | some -> some))
-        None spawned
+    (* Each helper's outcome, published under [m]: the helper's writes
+       to [results] happen before its [pending] decrement, which
+       happens before the caller reads [pending] = 0. *)
+    let m = Mutex.create () and c = Condition.create () in
+    let pending = ref (d - 1) and joined_exn = ref None in
+    let report outcome =
+      Mutex.lock m;
+      (match outcome with
+      | Ok () | Error (Mj_failpoint.Failpoint.Injected _) ->
+          (* An injected worker kill degrades gracefully: the dead
+             worker's claimed tasks are re-run serially below. *)
+          ()
+      | Error e -> if !joined_exn = None then joined_exn := Some e);
+      decr pending;
+      Condition.signal c;
+      Mutex.unlock m
     in
+    for k = 1 to d - 1 do
+      (* A domain the runtime cannot spawn is a worker short, not an
+         error: the other workers drain the shared counter. *)
+      try
+        hand_off (fun h ->
+            let outcome = try Ok (worker ~id:k ()) with e -> Error e in
+            park h;
+            report outcome)
+      with Failure _ -> report (Ok ())
+    done;
+    let self_exn = (try worker ~id:0 (); None with e -> Some e) in
+    Mutex.lock m;
+    while !pending > 0 do
+      Condition.wait c m
+    done;
+    let joined_exn = !joined_exn in
+    Mutex.unlock m;
     (match self_exn, joined_exn with
     | Some e, _ | None, Some e -> raise e
     | None, None -> ());

@@ -11,10 +11,14 @@
     state shared with other tasks).
 
     With [domains = 1] (or a single task) everything runs in the calling
-    domain and no domain is spawned.  If any task raises, the pool joins
-    all workers and re-raises one of the exceptions.
+    domain.  Otherwise the calling domain works alongside helper
+    domains that are spawned on first need and then kept, parked, for
+    the life of the process, so repeated runs reuse them instead of
+    spawning and joining domains each time.  A run waits for every
+    helper it used before returning; if any task raises, it re-raises
+    one of the exceptions.
 
-    Fault tolerance: a spawned worker killed by the
+    Fault tolerance: a helper worker killed by the
     [Mj_failpoint.Pool_worker_kill] failpoint (the injected stand-in
     for a crashed domain) is {e not} an error — the pool degrades
     gracefully by finishing every unclaimed or abandoned task in the

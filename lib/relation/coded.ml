@@ -1,0 +1,325 @@
+(* Coded databases: one value-ordered dictionary plus a canonical code
+   buffer per scheme.  See coded.mli for the contract. *)
+
+module Dict = struct
+  (* The dictionary's value order: [by_rank] lists the codes ascending
+     by [Value.compare], [rank] inverts it, [identity] says both are
+     the identity (codes already follow value order).  [covers] is the
+     dictionary size it was computed at; interning more values makes it
+     stale. *)
+  type order = {
+    covers : int;
+    rank : int array;
+    by_rank : int array;
+    identity : bool;
+  }
+
+  type t = {
+    (* value -> code; [None] until first needed on a dictionary built
+       by [of_sorted], which never interns on the query path *)
+    mutable codes : (Value.t, int) Hashtbl.t option;
+    mutable values : Value.t array; (* decode table, dense prefix *)
+    mutable size : int;
+    order : order option Atomic.t;
+    text : string array option Atomic.t; (* code -> Value.to_string *)
+  }
+
+  let create ?(hint = 256) () =
+    {
+      codes = Some (Hashtbl.create hint);
+      values = Array.make 64 (Value.int 0);
+      size = 0;
+      order = Atomic.make None;
+      text = Atomic.make None;
+    }
+
+  let identity_order n =
+    let id = Array.init n Fun.id in
+    { covers = n; rank = id; by_rank = id; identity = true }
+
+  let of_sorted values =
+    let n = Array.length values in
+    {
+      codes = None;
+      values;
+      size = n;
+      order = Atomic.make (Some (identity_order n));
+      text = Atomic.make None;
+    }
+
+  let size d = d.size
+
+  let table d =
+    match d.codes with
+    | Some t -> t
+    | None ->
+        let t = Hashtbl.create (max 16 d.size) in
+        for c = 0 to d.size - 1 do
+          Hashtbl.replace t d.values.(c) c
+        done;
+        d.codes <- Some t;
+        t
+
+  let intern d v =
+    let codes = table d in
+    match Hashtbl.find_opt codes v with
+    | Some c -> c
+    | None ->
+        let c = d.size in
+        (* Growing copies first, so a decode table shared with a coded
+           database is never written. *)
+        if c = Array.length d.values then begin
+          let bigger = Array.make (max 64 (2 * c)) (Value.int 0) in
+          Array.blit d.values 0 bigger 0 c;
+          d.values <- bigger
+        end;
+        d.values.(c) <- v;
+        Hashtbl.add codes v c;
+        d.size <- c + 1;
+        c
+
+  let code d v = Hashtbl.find_opt (table d) v
+
+  let value d c =
+    if c < 0 || c >= d.size then
+      invalid_arg "Frame.Dict.value: code out of range";
+    d.values.(c)
+
+  (* Computed on first use and kept for as long as no value is
+     interned, so a warm dictionary (the serve daemon's, frozen after
+     encode) sorts its values once, not once per query.  Concurrent
+     readers may race to fill the cache; each computes the same arrays
+     and the atomic publishes whole ones. *)
+  let order d =
+    match Atomic.get d.order with
+    | Some o when o.covers = d.size -> o
+    | _ ->
+        let n = d.size and values = d.values in
+        let by_rank = Array.init n Fun.id in
+        Array.stable_sort
+          (fun a b -> Value.compare values.(a) values.(b))
+          by_rank;
+        let rank = Array.make n 0 in
+        Array.iteri (fun r c -> rank.(c) <- r) by_rank;
+        let identity =
+          let rec go r = r = n || (by_rank.(r) = r && go (r + 1)) in
+          go 0
+        in
+        let o = { covers = n; rank; by_rank; identity } in
+        Atomic.set d.order (Some o);
+        o
+
+  let text d =
+    match Atomic.get d.text with
+    | Some t when Array.length t = d.size -> t
+    | _ ->
+        let t = Array.init d.size (fun c -> Value.to_string d.values.(c)) in
+        Atomic.set d.text (Some t);
+        t
+end
+
+(* ------------------------------------------------------------------ *)
+(* Canonical form                                                      *)
+
+let row_compare data w i j =
+  let bi = i * w and bj = j * w in
+  let rec go k =
+    if k = w then 0
+    else
+      let c = Stdlib.compare (data.(bi + k) : int) data.(bj + k) in
+      if c <> 0 then c else go (k + 1)
+  in
+  go 0
+
+(* True iff the first [nrows] rows are already strictly increasing —
+   the common case for relation states recoded in value order, and for
+   join outputs emitted in probe order over sorted inputs.  One
+   O(rows * w) scan that lets [canonicalize] skip the counting sort. *)
+let rows_sorted_distinct w nrows data =
+  let rec go i = i >= nrows || (row_compare data w (i - 1) i < 0 && go (i + 1)) in
+  go 1
+
+let canonicalize w nrows data =
+  if nrows = 0 then (0, [||])
+  else if rows_sorted_distinct w nrows data then
+    ( nrows,
+      if Array.length data = nrows * w then data else Array.sub data 0 (nrows * w) )
+  else begin
+    let maxc = Array.make (max 1 w) 0 in
+    for i = 0 to nrows - 1 do
+      let base = i * w in
+      for c = 0 to w - 1 do
+        if data.(base + c) > maxc.(c) then maxc.(c) <- data.(base + c)
+      done
+    done;
+    let count = Array.make (Array.fold_left max 0 maxc + 2) 0 in
+    let perm = Array.init nrows (fun i -> i) in
+    let tmp = Array.make nrows 0 in
+    for col = w - 1 downto 0 do
+      let m = maxc.(col) + 1 in
+      Array.fill count 0 (m + 1) 0;
+      for i = 0 to nrows - 1 do
+        let v = Array.unsafe_get data ((Array.unsafe_get perm i * w) + col) in
+        Array.unsafe_set count (v + 1) (Array.unsafe_get count (v + 1) + 1)
+      done;
+      for v = 1 to m do
+        Array.unsafe_set count v
+          (Array.unsafe_get count v + Array.unsafe_get count (v - 1))
+      done;
+      for i = 0 to nrows - 1 do
+        let p = Array.unsafe_get perm i in
+        let v = Array.unsafe_get data ((p * w) + col) in
+        Array.unsafe_set tmp (Array.unsafe_get count v) p;
+        Array.unsafe_set count v (Array.unsafe_get count v + 1)
+      done;
+      Array.blit tmp 0 perm 0 nrows
+    done;
+    let kept = ref 1 in
+    for k = 1 to nrows - 1 do
+      if row_compare data w perm.(k - 1) perm.(k) <> 0 then incr kept
+    done;
+    let out = Array.make (!kept * w) 0 in
+    let oi = ref 0 in
+    for k = 0 to nrows - 1 do
+      if k = 0 || row_compare data w perm.(k - 1) perm.(k) <> 0 then begin
+        Array.blit data (perm.(k) * w) out (!oi * w) w;
+        incr oi
+      end
+    done;
+    (!kept, out)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Coded databases                                                     *)
+
+type block = { rows : int; codes : int array }
+type t = { values : Value.t array; blocks : block Scheme.Map.t }
+
+let width = Attr.Set.cardinal
+
+(* Remap every cell through the monotone [code] (so canonical order is
+   kept or, for raw input, established by the sort that follows) and
+   canonicalize. *)
+let recode code blocks =
+  List.fold_left
+    (fun acc (s, b) ->
+      if Scheme.Map.mem s acc then invalid_arg "Coded: duplicate scheme";
+      let w = width s in
+      let ncells = b.rows * w in
+      let buf = Array.make ncells 0 in
+      for i = 0 to ncells - 1 do
+        Array.unsafe_set buf i (code (Array.unsafe_get b.codes i))
+      done;
+      let rows, codes = canonicalize w b.rows buf in
+      Scheme.Map.add s { rows; codes } acc)
+    Scheme.Map.empty blocks
+
+let of_ints blocks =
+  let maxv = ref (-1) and cells = ref 0 in
+  List.iter
+    (fun (s, b) ->
+      let ncells = b.rows * width s in
+      if b.rows < 0 || Array.length b.codes < ncells then
+        invalid_arg "Coded.of_ints: block shorter than its row count";
+      for i = 0 to ncells - 1 do
+        let v = b.codes.(i) in
+        if v < 0 then invalid_arg "Coded.of_ints: negative value";
+        if v > !maxv then maxv := v
+      done;
+      cells := !cells + ncells)
+    blocks;
+  (* The present values, ascending, and the dense code of each.  A
+     domain not much larger than the data is marked in one array;
+     a sparse one (an arbitrary [domain] can be huge) is sorted
+     instead, so no allocation depends on the domain. *)
+  let present, code =
+    if !maxv < (4 * !cells) + 1024 then begin
+      let mark = Array.make (!maxv + 1) (-1) in
+      List.iter
+        (fun (s, b) ->
+          for i = 0 to (b.rows * width s) - 1 do
+            mark.(b.codes.(i)) <- 0
+          done)
+        blocks;
+      let n = ref 0 in
+      Array.iteri
+        (fun v m ->
+          if m = 0 then begin
+            mark.(v) <- !n;
+            incr n
+          end)
+        mark;
+      let present = Array.make !n 0 in
+      Array.iteri (fun v c -> if c >= 0 then present.(c) <- v) mark;
+      (present, fun v -> Array.unsafe_get mark v)
+    end
+    else begin
+      let all =
+        Array.concat
+          (List.map (fun (s, b) -> Array.sub b.codes 0 (b.rows * width s)) blocks)
+      in
+      Array.sort Int.compare all;
+      let n = ref 0 in
+      Array.iteri
+        (fun i v ->
+          if i = 0 || v <> all.(!n - 1) then begin
+            all.(!n) <- v;
+            incr n
+          end)
+        all;
+      let present = Array.sub all 0 !n in
+      let index = Hashtbl.create (Array.length present) in
+      Array.iteri (fun c v -> Hashtbl.replace index v c) present;
+      (present, Hashtbl.find index)
+    end
+  in
+  { values = Array.map Value.int present; blocks = recode code blocks }
+
+let of_relations rels =
+  (* Intern in first-seen order, then rank the values once and recode
+     by rank: each relation's tuples are in [Tuple.compare] order, so
+     the ranked rows arrive sorted and canonicalize is one scan. *)
+  let dict = Dict.create () in
+  let raw =
+    List.map
+      (fun r ->
+        let s = Relation.scheme r in
+        let codes = Array.make (Relation.cardinality r * width s) 0 in
+        let cell = ref 0 in
+        Relation.iter
+          (Tuple.iter (fun _ v ->
+               codes.(!cell) <- Dict.intern dict v;
+               incr cell))
+          r;
+        (s, { rows = Relation.cardinality r; codes }))
+      rels
+  in
+  let o = Dict.order dict in
+  {
+    values = Array.map (fun c -> Dict.value dict c) o.by_rank;
+    blocks = recode (fun c -> Array.unsafe_get o.rank c) raw;
+  }
+
+let rows c s = (Scheme.Map.find s c.blocks).rows
+
+let decode c s =
+  let b = Scheme.Map.find s c.blocks in
+  if b.rows = 0 then Relation.empty s
+  else begin
+    (* Codes follow value order, so the rows are already in
+       [Tuple.compare] order and [Relation.make]'s sort is one scan;
+       every row shares one header, so its scheme check is a pointer
+       test. *)
+    let w = width s and header = Tuple.header s in
+    let tuples = ref [] in
+    for r = b.rows - 1 downto 0 do
+      let base = r * w in
+      tuples :=
+        Tuple.of_columns header (fun j -> c.values.(b.codes.(base + j)))
+        :: !tuples
+    done;
+    Relation.make s !tuples
+  end
+
+let restrict c d =
+  { c with blocks = Scheme.Map.filter (fun s _ -> Scheme.Set.mem s d) c.blocks }

@@ -8,81 +8,9 @@
 module Pool = Mj_pool.Pool
 module Obs = Mj_obs.Obs
 
-module Dict = struct
-  (* The dictionary's value order: [by_rank] lists the codes ascending
-     by [Value.compare], [rank] inverts it.  [covers] is the dictionary
-     size it was computed at; interning more values makes it stale. *)
-  type order = { covers : int; rank : int array; by_rank : int array }
+module Dict = Coded.Dict
 
-  type t = {
-    codes : (Value.t, int) Hashtbl.t;
-    mutable values : Value.t array; (* decode table, dense prefix *)
-    mutable size : int;
-    order : order option Atomic.t;
-    text : string array option Atomic.t; (* code -> Value.to_string *)
-  }
-
-  let create ?(hint = 256) () =
-    {
-      codes = Hashtbl.create hint;
-      values = Array.make 64 (Value.int 0);
-      size = 0;
-      order = Atomic.make None;
-      text = Atomic.make None;
-    }
-
-  let size d = d.size
-
-  let intern d v =
-    match Hashtbl.find_opt d.codes v with
-    | Some c -> c
-    | None ->
-        let c = d.size in
-        if c = Array.length d.values then begin
-          let bigger = Array.make (2 * c) (Value.int 0) in
-          Array.blit d.values 0 bigger 0 c;
-          d.values <- bigger
-        end;
-        d.values.(c) <- v;
-        Hashtbl.add d.codes v c;
-        d.size <- c + 1;
-        c
-
-  let code d v = Hashtbl.find_opt d.codes v
-
-  let value d c =
-    if c < 0 || c >= d.size then
-      invalid_arg "Frame.Dict.value: code out of range";
-    d.values.(c)
-
-  (* Computed on first use and kept for as long as no value is
-     interned, so a warm dictionary (the serve daemon's, frozen after
-     encode) sorts its values once, not once per query.  Concurrent
-     readers may race to fill the cache; each computes the same arrays
-     and the atomic publishes whole ones. *)
-  let order d =
-    match Atomic.get d.order with
-    | Some o when o.covers = d.size -> o
-    | _ ->
-        let n = d.size and values = d.values in
-        let by_rank = Array.init n Fun.id in
-        Array.stable_sort
-          (fun a b -> Value.compare values.(a) values.(b))
-          by_rank;
-        let rank = Array.make n 0 in
-        Array.iteri (fun r c -> rank.(c) <- r) by_rank;
-        let o = { covers = n; rank; by_rank } in
-        Atomic.set d.order (Some o);
-        o
-
-  let text d =
-    match Atomic.get d.text with
-    | Some t when Array.length t = d.size -> t
-    | _ ->
-        let t = Array.init d.size (fun c -> Value.to_string d.values.(c)) in
-        Atomic.set d.text (Some t);
-        t
-end
+let canonicalize = Coded.canonicalize
 
 (* ------------------------------------------------------------------ *)
 (* Row storage                                                         *)
@@ -176,79 +104,6 @@ let storage f = Store.storage f.data
 
 (* ------------------------------------------------------------------ *)
 (* Canonical form                                                      *)
-
-let row_compare data w i j =
-  let bi = i * w and bj = j * w in
-  let rec go k =
-    if k = w then 0
-    else
-      let c = Stdlib.compare (data.(bi + k) : int) data.(bj + k) in
-      if c <> 0 then c else go (k + 1)
-  in
-  go 0
-
-(* True iff the first [nrows] rows are already strictly increasing —
-   the common case for base relations, whose interning order tends to
-   follow the source set's sorted order.  One O(rows * w) scan that
-   lets [canonicalize] skip the whole counting sort. *)
-let rows_sorted_distinct w nrows data =
-  let rec go i = i >= nrows || (row_compare data w (i - 1) i < 0 && go (i + 1)) in
-  go 1
-
-(* Sort-unique [nrows] rows of width [w] held in a possibly larger
-   buffer; returns a freshly packed canonical (rows, data).  Codes are
-   dense dictionary indices, so the lexicographic sort is a stable LSD
-   counting sort per column — O(w * (rows + codes)), no comparator
-   calls.  Already-canonical input short-circuits to a trim. *)
-let canonicalize w nrows data =
-  if nrows = 0 then (0, [||])
-  else if rows_sorted_distinct w nrows data then
-    ( nrows,
-      if Array.length data = nrows * w then data else Array.sub data 0 (nrows * w) )
-  else begin
-    let maxc = Array.make (max 1 w) 0 in
-    for i = 0 to nrows - 1 do
-      let base = i * w in
-      for c = 0 to w - 1 do
-        if data.(base + c) > maxc.(c) then maxc.(c) <- data.(base + c)
-      done
-    done;
-    let count = Array.make (Array.fold_left max 0 maxc + 2) 0 in
-    let perm = Array.init nrows (fun i -> i) in
-    let tmp = Array.make nrows 0 in
-    for col = w - 1 downto 0 do
-      let m = maxc.(col) + 1 in
-      Array.fill count 0 (m + 1) 0;
-      for i = 0 to nrows - 1 do
-        let v = Array.unsafe_get data ((Array.unsafe_get perm i * w) + col) in
-        Array.unsafe_set count (v + 1) (Array.unsafe_get count (v + 1) + 1)
-      done;
-      for v = 1 to m do
-        Array.unsafe_set count v
-          (Array.unsafe_get count v + Array.unsafe_get count (v - 1))
-      done;
-      for i = 0 to nrows - 1 do
-        let p = Array.unsafe_get perm i in
-        let v = Array.unsafe_get data ((p * w) + col) in
-        Array.unsafe_set tmp (Array.unsafe_get count v) p;
-        Array.unsafe_set count v (Array.unsafe_get count v + 1)
-      done;
-      Array.blit tmp 0 perm 0 nrows
-    done;
-    let kept = ref 1 in
-    for k = 1 to nrows - 1 do
-      if row_compare data w perm.(k - 1) perm.(k) <> 0 then incr kept
-    done;
-    let out = Array.make (!kept * w) 0 in
-    let oi = ref 0 in
-    for k = 0 to nrows - 1 do
-      if k = 0 || row_compare data w perm.(k - 1) perm.(k) <> 0 then begin
-        Array.blit data (perm.(k) * w) out (!oi * w) w;
-        incr oi
-      end
-    done;
-    (!kept, out)
-  end
 
 (* Parallel canonicalization for large join outputs: partition rows by
    leading-column value range (equal rows share a leading code, so they
@@ -351,12 +206,20 @@ let of_relation ?(storage = Heap) dict r =
 let value_order f =
   let o = Dict.order f.dict in
   let ncells = f.rows * f.width in
-  let ranked = Array.make ncells 0 in
-  for c = 0 to ncells - 1 do
-    ranked.(c) <- o.rank.(Store.get f.data c)
-  done;
-  let _, sorted = canonicalize f.width f.rows ranked in
-  (o.by_rank, sorted)
+  if o.identity then
+    (* Code order is value order: the canonical rows already are. *)
+    ( o.by_rank,
+      match f.data with
+      | Store.H a -> a
+      | Store.B _ -> Array.init ncells (Store.get f.data) )
+  else begin
+    let ranked = Array.make ncells 0 in
+    for c = 0 to ncells - 1 do
+      ranked.(c) <- o.rank.(Store.get f.data c)
+    done;
+    let _, sorted = canonicalize f.width f.rows ranked in
+    (o.by_rank, sorted)
+  end
 
 let to_relation f =
   (* Rows are distinct and over [f.scheme] by construction: each tuple
@@ -1161,12 +1024,22 @@ module Db = struct
   type t = { ddict : Dict.t; dstorage : storage; frames : frame Scheme.Map.t }
 
   let of_database ?(storage = Heap) db =
-    let ddict = Dict.create () in
+    let c = Database.coded db in
+    let ddict = Dict.of_sorted c.values in
     let frames =
-      List.fold_left
-        (fun acc r ->
-          Scheme.Map.add (Relation.scheme r) (of_relation ~storage ddict r) acc)
-        Scheme.Map.empty (Database.relations db)
+      Scheme.Map.mapi
+        (fun scheme (b : Coded.block) ->
+          let attrs = Array.of_list (Attr.Set.elements scheme) in
+          let width = Array.length attrs in
+          {
+            scheme;
+            attrs;
+            width;
+            rows = b.rows;
+            data = Store.of_heap storage (b.rows * width) b.codes;
+            dict = ddict;
+          })
+        c.blocks
     in
     { ddict; dstorage = storage; frames }
 

@@ -31,27 +31,8 @@
 
 (** {1 Value dictionary} *)
 
-module Dict : sig
-  type t
-  (** A mutable interning table mapping every distinct [Value.t] seen so
-      far to a dense code [0 .. size-1], with the inverse decode array.
-      One dictionary is shared by all frames of a database, so codes are
-      comparable across relations and join keys never need to look at
-      the underlying values. *)
-
-  val create : ?hint:int -> unit -> t
-  val size : t -> int
-
-  val intern : t -> Value.t -> int
-  (** [intern d v] returns the code of [v], assigning the next dense
-      code on first sight. *)
-
-  val code : t -> Value.t -> int option
-  (** [code d v] is [v]'s code if it has been interned. *)
-
-  val value : t -> int -> Value.t
-  (** Decode.  @raise Invalid_argument if the code is out of range. *)
-end
+module Dict = Coded.Dict
+(** The per-database value dictionary ({!Coded.Dict}). *)
 
 (** {1 Row storage} *)
 
@@ -265,6 +246,11 @@ module Db : sig
       dictionary and one row-store backend. *)
 
   val of_database : ?storage:storage -> Database.t -> t
+  (** Wrap the database's coded form ({!Database.coded}): the dictionary
+      is its value array, with the value order known up front, and each
+      frame is its canonical code buffer — shared on [Heap], packed into
+      int32 on [Bigarray].  Forces no seed state. *)
+
   val dict : t -> Dict.t
 
   val storage : t -> storage

@@ -19,9 +19,9 @@ let default_workload =
 let shapes =
   [ "chain"; "star"; "cycle"; "clique"; "path"; "snowflake"; "random" ]
 
-let regimes = [ "uniform"; "skewed"; "superkey"; "consistent" ]
+let regimes = Mj_workload.Dbgen.regimes
 
-(* Mirrors the CLI's shape table and [make_db]: one [Random.State]
+(* Mirrors the CLI's shape table: one [Random.State]
    seeded by the workload seed drives both the (random) shape draw and
    the data fill, so the database is a pure function of the workload. *)
 let materialize w =
@@ -38,18 +38,8 @@ let materialize w =
         Mj_hypergraph.Querygraph.random ~extra_edge_prob:0.3 ~rng w.n
     | s -> invalid_arg (Printf.sprintf "unknown shape %s" s)
   in
-  match w.regime with
-  | "superkey" ->
-      Mj_workload.Dbgen.superkey_db ~rng ~rows:w.rows ~domain:w.domain graph
-  | "skewed" ->
-      Mj_workload.Dbgen.skewed_db ~rng ~rows:w.rows ~domain:w.domain
-        ~skew:1.2 graph
-  | "consistent" ->
-      Mj_workload.Dbgen.consistent_acyclic_db ~rng ~rows:w.rows
-        ~domain:w.domain graph
-  | "uniform" ->
-      Mj_workload.Dbgen.uniform_db ~rng ~rows:w.rows ~domain:w.domain graph
-  | s -> invalid_arg (Printf.sprintf "unknown regime %s" s)
+  Mj_workload.Dbgen.of_regime ~regime:w.regime ~rng ~rows:w.rows
+    ~domain:w.domain graph
 
 let default_strategy db = Strategy.left_deep (Database.scheme_list db)
 

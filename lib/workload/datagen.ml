@@ -1,21 +1,25 @@
 open Mj_relation
 
+type gen =
+  rng:Random.State.t -> rows:int -> domain:int -> Scheme.t -> Coded.block
+
 let check_args rows domain =
   if rows < 0 then invalid_arg "Datagen: negative row count";
   if domain < 1 then invalid_arg "Datagen: domain must be positive"
 
-(* Every generator builds its rows from one header per relation;
-   [Tuple.of_columns] draws the cells of a row in column order, so the
-   draws are row-major. *)
+(* [rows] rows over [scheme], the cells drawn by [draw] in row-major
+   order (column index = position in the sorted scheme). *)
+let fill ~rows scheme draw =
+  let w = Attr.Set.cardinal scheme in
+  let codes = Array.make (rows * w) 0 in
+  for i = 0 to (rows * w) - 1 do
+    codes.(i) <- draw (i mod w)
+  done;
+  { Coded.rows; codes }
+
 let uniform ~rng ~rows ~domain scheme =
   check_args rows domain;
-  let header = Tuple.header scheme in
-  let tuples =
-    List.init rows (fun _ ->
-        Tuple.of_columns header (fun _ ->
-            Value.int (Random.State.int rng domain)))
-  in
-  Relation.make scheme tuples
+  fill ~rows scheme (fun _ -> Random.State.int rng domain)
 
 (* Zipf sampling by inverse transform over the precomputed CDF. *)
 let zipf_sampler ~rng ~domain ~skew =
@@ -45,12 +49,7 @@ let zipf_sampler ~rng ~domain ~skew =
 let zipf ~rng ~rows ~domain ~skew scheme =
   check_args rows domain;
   let sample = zipf_sampler ~rng ~domain ~skew in
-  let header = Tuple.header scheme in
-  let tuples =
-    List.init rows (fun _ ->
-        Tuple.of_columns header (fun _ -> Value.int (sample ())))
-  in
-  Relation.make scheme tuples
+  fill ~rows scheme (fun _ -> sample ())
 
 (* The first [take] values of a Fisher-Yates shuffle of [arr]. *)
 let shuffled_sample ~rng ~take arr =
@@ -67,44 +66,40 @@ let injective ~rng ~rows ~domain scheme =
   check_args rows domain;
   if rows > domain then
     invalid_arg "Datagen.injective: more rows than domain values";
-  let width = Attr.Set.cardinal scheme in
-  if rows = 0 then Relation.empty scheme
+  if rows = 0 then { Coded.rows = 0; codes = [||] }
   else begin
     (* Row 0 is the all-zeros spine; the remaining rows draw distinct
        non-zero values per column, so each column stays injective and
        every database built this way has the spine in its global join. *)
     let columns =
-      Array.init width (fun _ ->
+      Array.init (Attr.Set.cardinal scheme) (fun _ ->
           Array.append [| 0 |]
             (shuffled_sample ~rng ~take:(rows - 1)
                (Array.init (domain - 1) (fun v -> v + 1))))
     in
-    let header = Tuple.header scheme in
-    let tuples =
-      List.init rows (fun r ->
-          Tuple.of_columns header (fun c -> Value.int columns.(c).(r)))
-    in
-    Relation.make scheme tuples
+    let w = Array.length columns in
+    { Coded.rows; codes = Array.init (rows * w) (fun i -> columns.(i mod w).(i / w)) }
   end
 
 let correlated ~rng ~rows ~domain ~noise scheme =
   check_args rows domain;
   if noise < 0.0 || noise > 1.0 then
     invalid_arg "Datagen.correlated: noise outside [0, 1]";
-  let header = Tuple.header scheme in
-  let tuples =
-    List.init rows (fun _ ->
-        let base = Random.State.int rng domain in
-        Tuple.of_columns header (fun idx ->
-            let v =
-              if idx = 0 || Random.State.float rng 1.0 >= noise then base
-              else Random.State.int rng domain
-            in
-            Value.int v))
-  in
-  Relation.make scheme tuples
+  (* Column 0 of each row draws the row's base value first. *)
+  let base = ref 0 in
+  fill ~rows scheme (fun idx ->
+      if idx = 0 then begin
+        base := Random.State.int rng domain;
+        !base
+      end
+      else if Random.State.float rng 1.0 >= noise then !base
+      else Random.State.int rng domain)
 
+(* The spine is appended unsorted; [Coded.of_ints] canonicalizes, and
+   drops it if the generator already drew it. *)
 let with_spine gen ~rng ~rows ~domain scheme =
-  let r = gen ~rng ~rows ~domain scheme in
-  let spine = Tuple.of_columns (Tuple.header scheme) (fun _ -> Value.int 0) in
-  Relation.add spine r
+  let b = gen ~rng ~rows ~domain scheme in
+  {
+    Coded.rows = b.Coded.rows + 1;
+    codes = Array.append b.codes (Array.make (Attr.Set.cardinal scheme) 0);
+  }

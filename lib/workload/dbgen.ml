@@ -1,8 +1,11 @@
 open Mj_relation
 open Mj_hypergraph
 
-let populate gen d =
-  Database.of_relations (List.map gen (Scheme.Set.elements d))
+(* Blocks are drawn in increasing scheme order, one relation after the
+   other, so the RNG sequence is a function of the scheme set alone. *)
+let populate (gen : Scheme.t -> Coded.block) d =
+  Database.of_coded
+    (Coded.of_ints (List.map (fun s -> (s, gen s)) (Scheme.Set.elements d)))
 
 let superkey_db ~rng ~rows ~domain d =
   populate (Datagen.injective ~rng ~rows ~domain) d
@@ -12,11 +15,10 @@ let uniform_db ~rng ~rows ~domain d =
 
 let skewed_db ~rng ~rows ~domain ~skew d =
   populate
-    (fun scheme ->
-      Datagen.with_spine
-        (fun ~rng ~rows ~domain scheme ->
-          Datagen.zipf ~rng ~rows ~domain ~skew scheme)
-        ~rng ~rows ~domain scheme)
+    (Datagen.with_spine
+       (fun ~rng ~rows ~domain scheme ->
+         Datagen.zipf ~rng ~rows ~domain ~skew scheme)
+       ~rng ~rows ~domain)
     d
 
 let consistent_acyclic_db ~rng ~rows ~domain d =
@@ -27,3 +29,13 @@ let consistent_acyclic_db ~rng ~rows ~domain d =
      schemes; the spine tuple survives because it is in every relation,
      so the reduced states stay non-empty and pairwise consistent. *)
   Consistency.semijoin_reduce db
+
+let regimes = [ "uniform"; "skewed"; "superkey"; "consistent" ]
+
+let of_regime ~regime ~rng ~rows ~domain d =
+  match regime with
+  | "superkey" -> superkey_db ~rng ~rows ~domain d
+  | "skewed" -> skewed_db ~rng ~rows ~domain ~skew:1.2 d
+  | "consistent" -> consistent_acyclic_db ~rng ~rows ~domain d
+  | "uniform" -> uniform_db ~rng ~rows ~domain d
+  | s -> invalid_arg (Printf.sprintf "unknown regime %s" s)

@@ -38,3 +38,22 @@ val consistent_acyclic_db :
     If the scheme is also γ-acyclic, the result satisfies the Section 5
     hypothesis for C4.
     @raise Invalid_argument if the scheme is not α-acyclic. *)
+
+val regimes : string list
+(** The regime names {!of_regime} accepts:
+    [["uniform"; "skewed"; "superkey"; "consistent"]]. *)
+
+val of_regime :
+  regime:string ->
+  rng:Random.State.t ->
+  rows:int ->
+  domain:int ->
+  Hypergraph.t ->
+  Database.t
+(** The one regime table behind the CLI and the serve protocol:
+    [superkey_db], [skewed_db] at skew 1.2, [consistent_acyclic_db] or
+    [uniform_db].  The first three databases are born coded
+    ({!Database.of_coded}) and build seed states only on demand; the
+    consistent regime reduces seed states, so its result has those
+    only.
+    @raise Invalid_argument on an unknown regime. *)

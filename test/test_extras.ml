@@ -308,7 +308,11 @@ let prop_csv_roundtrip_random =
           (List.init width (fun i -> Attr.make (Printf.sprintf "A%d" i)))
       in
       let r =
-        Mj_workload.Datagen.uniform ~rng ~rows:6 ~domain:5 scheme
+        Database.find
+          (Database.of_coded
+             (Coded.of_ints
+                [ (scheme, Mj_workload.Datagen.uniform ~rng ~rows:6 ~domain:5 scheme) ]))
+          scheme
       in
       Relation.equal r (Csv.parse_relation (Csv.to_csv r)))
 
@@ -846,7 +850,13 @@ let test_correlated_generator () =
   let rng = Random.State.make [| 12 |] in
   let scheme = Scheme.of_string "AB" in
   (* noise = 0: both columns identical. *)
-  let r0 = Mj_workload.Datagen.correlated ~rng ~rows:30 ~domain:8 ~noise:0.0 scheme in
+  let r0 =
+    Database.find
+      (Database.of_coded
+         (Coded.of_ints
+            [ (scheme, Mj_workload.Datagen.correlated ~rng ~rows:30 ~domain:8 ~noise:0.0 scheme) ]))
+      scheme
+  in
   Alcotest.(check bool) "fully correlated" true
     (Relation.for_all
        (fun tu ->

@@ -243,6 +243,28 @@ let prop_pool_deterministic =
       in
       Pool.init ~domains:1 16 task = Pool.init ~domains:4 16 task)
 
+(* The pool keeps its helper domains between runs: thousands of runs,
+   runs nested inside tasks (which must take other helpers, not wait
+   for their own) and a raising task all leave it answering correctly. *)
+let test_pool_helpers_reused () =
+  let squares n = Array.init n (fun i -> i * i) in
+  for _ = 1 to 2000 do
+    Alcotest.(check (array int)) "flat run" (squares 8)
+      (Pool.init ~domains:2 8 (fun i -> i * i))
+  done;
+  let nested =
+    Pool.init ~domains:2 6 (fun i ->
+        Array.fold_left ( + ) 0 (Pool.init ~domains:2 4 (fun j -> (i * 4) + j)))
+  in
+  Alcotest.(check (array int)) "nested runs"
+    (Array.init 6 (fun i -> (16 * i) + 6))
+    nested;
+  (match Pool.init ~domains:2 8 (fun i -> if i = 5 then failwith "task 5" else i) with
+  | exception Failure msg -> Alcotest.(check string) "task exception" "task 5" msg
+  | _ -> Alcotest.fail "a raising task must raise");
+  Alcotest.(check (array int)) "after a raise" (squares 8)
+    (Pool.init ~domains:2 8 (fun i -> i * i))
+
 let test_kernel_bench_deterministic () =
   let report domains =
     Json.to_string
@@ -323,6 +345,8 @@ let () =
       ( "pool-determinism",
         [
           prop_pool_deterministic;
+          Alcotest.test_case "helper domains reused" `Quick
+            test_pool_helpers_reused;
           Alcotest.test_case "kernel bench deterministic json" `Quick
             test_kernel_bench_deterministic;
           Alcotest.test_case "kernel bench rows agree" `Quick

@@ -128,15 +128,13 @@ let test_optimize_plan_valid () =
 
 let skewed_pair ~seed =
   let rng = Random.State.make [| seed; 131 |] in
-  let r1 =
-    Mj_workload.Datagen.zipf ~rng ~rows:40 ~domain:12 ~skew:1.4
-      (Scheme.of_string "AB")
+  let zipf s =
+    let scheme = Scheme.of_string s in
+    (scheme, Mj_workload.Datagen.zipf ~rng ~rows:40 ~domain:12 ~skew:1.4 scheme)
   in
-  let r2 =
-    Mj_workload.Datagen.zipf ~rng ~rows:40 ~domain:12 ~skew:1.4
-      (Scheme.of_string "BC")
-  in
-  Database.of_relations [ r1; r2 ]
+  let r1 = zipf "AB" in
+  let r2 = zipf "BC" in
+  Database.of_coded (Coded.of_ints [ r1; r2 ])
 
 let test_mcv_exact_with_full_k () =
   (* With k covering all values and one shared attribute, the MCV

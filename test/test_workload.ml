@@ -10,13 +10,17 @@ let qtest name ?(count = 100) gen prop =
 
 let scheme_ab = Scheme.of_string "AB"
 
+(* The relation state one generated block codes. *)
+let relation scheme b =
+  Database.find (Database.of_coded (Coded.of_ints [ (scheme, b) ])) scheme
+
 (* ------------------------------------------------------------------ *)
 (* Datagen                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_uniform_bounds () =
   let rng = Random.State.make [| 1 |] in
-  let r = Datagen.uniform ~rng ~rows:50 ~domain:4 scheme_ab in
+  let r = relation scheme_ab (Datagen.uniform ~rng ~rows:50 ~domain:4 scheme_ab) in
   Alcotest.(check bool) "at most 50" true (Relation.cardinality r <= 50);
   Relation.iter
     (fun tu ->
@@ -40,7 +44,7 @@ let test_uniform_invalid () =
 
 let test_injective_distinct_columns () =
   let rng = Random.State.make [| 2 |] in
-  let r = Datagen.injective ~rng ~rows:6 ~domain:10 scheme_ab in
+  let r = relation scheme_ab (Datagen.injective ~rng ~rows:6 ~domain:10 scheme_ab) in
   Alcotest.(check int) "exactly 6 rows" 6 (Relation.cardinality r);
   Attr.Set.iter
     (fun a ->
@@ -50,7 +54,7 @@ let test_injective_distinct_columns () =
 
 let test_injective_contains_spine () =
   let rng = Random.State.make [| 3 |] in
-  let r = Datagen.injective ~rng ~rows:4 ~domain:9 scheme_ab in
+  let r = relation scheme_ab (Datagen.injective ~rng ~rows:4 ~domain:9 scheme_ab) in
   let spine =
     Tuple.of_list
       (List.map (fun a -> (a, Value.int 0)) (Attr.Set.elements scheme_ab))
@@ -68,7 +72,7 @@ let test_zipf_skew () =
      marginal. *)
   let rng = Random.State.make [| 5 |] in
   let scheme = Scheme.of_string "A" in
-  let r = Datagen.zipf ~rng ~rows:2000 ~domain:50 ~skew:1.5 scheme in
+  let r = relation scheme (Datagen.zipf ~rng ~rows:2000 ~domain:50 ~skew:1.5 scheme) in
   let zero_count =
     ref 0
   in
@@ -77,7 +81,9 @@ let test_zipf_skew () =
      relations would dedup; draw using the generator repeatedly. *)
   let rng = Random.State.make [| 5 |] in
   for _ = 1 to 2000 do
-    let single = Datagen.zipf ~rng ~rows:1 ~domain:50 ~skew:1.5 scheme in
+    let single =
+      relation scheme (Datagen.zipf ~rng ~rows:1 ~domain:50 ~skew:1.5 scheme)
+    in
     Relation.iter
       (fun tu ->
         if Value.equal (Tuple.get tu (Attr.make "A")) (Value.int 0) then
@@ -89,7 +95,10 @@ let test_zipf_skew () =
 
 let test_with_spine () =
   let rng = Random.State.make [| 6 |] in
-  let r = Datagen.with_spine Datagen.uniform ~rng ~rows:5 ~domain:3 scheme_ab in
+  let r =
+    relation scheme_ab
+      (Datagen.with_spine Datagen.uniform ~rng ~rows:5 ~domain:3 scheme_ab)
+  in
   let spine =
     Tuple.of_list
       (List.map (fun a -> (a, Value.int 0)) (Attr.Set.elements scheme_ab))
@@ -302,6 +311,291 @@ let test_materialize_goldens () =
       Alcotest.(check (list (triple string int string))) key want got)
     materialize_goldens
 
+(* The oneshot-large benchmark's data size: rows=6000, one workload per
+   oneshot kind (the two cycle kinds share the skewed data, so the
+   second pins a superkey path instead).  Pinned from the tuple-building
+   generators; each relation must give the same digest through the seed
+   state it decodes and through the frame the coded form wraps, and the
+   dictionary must hold exactly the values present. *)
+let oneshot_goldens =
+  let w shape n regime seed =
+    let rows = 6000 in
+    {
+      Mj_serve.Protocol.shape;
+      n;
+      rows;
+      domain = (if regime = "skewed" then rows / 8 else rows);
+      regime;
+      seed;
+    }
+  in
+  [
+    ( w "chain" 4 "uniform" 0,
+      5999,
+      [
+        ("c0,c1", 6001, "e01ae7c82950e1f1");
+        ("c1,c2", 6001, "c950de9496f7bbb2");
+        ("c2,c3", 6000, "c2a88d59dd264e61");
+        ("c3,c4", 6001, "e9c1a1a4bab9a24f");
+      ] );
+    ( w "star" 4 "uniform" 2,
+      5998,
+      [
+        ("s1,s2,s3", 6001, "6adeda0f83fb1881");
+        ("s1,t1", 6000, "7f0f364549cb98c3");
+        ("s2,t2", 6001, "494d4cd4cc58e77e");
+        ("s3,t3", 6001, "89b5145cf00a9d49");
+      ] );
+    ( w "cycle" 3 "skewed" 3,
+      743,
+      [
+        ("c0,c1", 2862, "b4e482aef9cc5609");
+        ("c0,c2", 2873, "c0d2bad36be32abb");
+        ("c1,c2", 2839, "2185f3a75125646e");
+      ] );
+    ( w "snowflake" 5 "uniform" 1,
+      6000,
+      [
+        ("d1,d1_1,u1", 6001, "d0ae7c7ac2f82ea0");
+        ("d1,d2", 6000, "4713906102e68cce");
+        ("d1_1,w1_1", 6001, "f3b18935c272e8ce");
+        ("d2,d2_1,u2", 6001, "cd7e6c0e144e9275");
+        ("d2_1,w2_1", 5999, "f15ea0e44307954c");
+      ] );
+    ( w "path" 4 "superkey" 3,
+      6000,
+      [
+        ("c0,c1,p0", 6000, "b2d85411318944d2");
+        ("c1,c2,p1", 6000, "a664413ad17097ed");
+        ("c2,c3,p2", 6000, "a9068b6e0744a06c");
+        ("c3,c4,p3", 6000, "e1757b24d718e1c3");
+      ] );
+  ]
+
+let hex = Printf.sprintf "%016Lx"
+
+let test_oneshot_goldens () =
+  List.iter
+    (fun (w, dict_size, want) ->
+      let key = Mj_serve.Protocol.workload_key w in
+      let db = Mj_serve.Protocol.materialize w in
+      let fdb = Frame.Db.of_database db in
+      let via_frames =
+        List.map
+          (fun s ->
+            let f = Frame.Db.find fdb s in
+            (Attr.Set.to_string s, Frame.cardinality f, hex (Frame.digest f)))
+          (Database.scheme_list db)
+      in
+      Alcotest.(check (list (triple string int string)))
+        (key ^ " (frames)") want via_frames;
+      Alcotest.(check int) (key ^ " dict") dict_size
+        (Frame.Dict.size (Frame.Db.dict fdb));
+      Alcotest.(check int) (key ^ " frames force nothing") 0
+        (Database.seed_forced db);
+      let via_seeds =
+        List.map
+          (fun r ->
+            ( Attr.Set.to_string (Relation.scheme r),
+              Relation.cardinality r,
+              hex (Relation.digest r) ))
+          (Database.relations db)
+      in
+      Alcotest.(check (list (triple string int string)))
+        (key ^ " (seed states)") want via_seeds)
+    oneshot_goldens
+
+(* ------------------------------------------------------------------ *)
+(* Coded databases against their relation-built twins                   *)
+(* ------------------------------------------------------------------ *)
+
+let workload_gen =
+  QCheck2.Gen.(
+    let* shape =
+      oneofl [ "chain"; "star"; "cycle"; "clique"; "path"; "snowflake"; "random" ]
+    in
+    let* regime = oneofl Dbgen.regimes in
+    let* n = int_range 2 5 in
+    let* rows = oneof [ pure 0; int_range 0 30 ] in
+    let* domain = oneof [ pure 1; int_range 1 30 ] in
+    let* seed = int_range 0 10_000 in
+    let n = if shape = "cycle" || shape = "clique" then max 3 n else n in
+    pure { Mj_serve.Protocol.shape; n; rows; domain; regime; seed })
+
+let print_workload = Mj_serve.Protocol.workload_key
+
+(* The generator may refuse a workload: injective columns need
+   rows <= domain, and the consistent regime needs an alpha-acyclic
+   scheme (the same graph the uniform regime draws from the seed). *)
+let refused (w : Mj_serve.Protocol.workload) =
+  (w.regime = "superkey" && w.rows > w.domain)
+  || w.regime = "consistent"
+     && not
+          (Gyo.is_alpha_acyclic
+             (Database.schemes
+                (Mj_serve.Protocol.materialize { w with regime = "uniform" })))
+
+let same_form db twin =
+  let fdb = Frame.Db.of_database db and ftwin = Frame.Db.of_database twin in
+  let cat = Mj_optimizer.Catalog.of_database db in
+  List.for_all
+    (fun s ->
+      Int64.equal
+        (Frame.digest (Frame.Db.find fdb s))
+        (Frame.digest (Frame.Db.find ftwin s))
+      && Int64.equal
+           (Frame.digest (Frame.Db.find fdb s))
+           (Relation.digest (Database.find twin s))
+      && Database.cardinality db s = Relation.cardinality (Database.find twin s)
+      && Attr.Set.for_all
+           (fun a ->
+             Mj_optimizer.Catalog.distinct cat s a
+             = List.length (Relation.distinct_values (Database.find twin s) a))
+           s)
+    (Database.scheme_list db)
+  && Mj_optimizer.Catalog.equal cat (Mj_optimizer.Catalog.of_database twin)
+  && Frame.Dict.size (Frame.Db.dict fdb) = Frame.Dict.size (Frame.Db.dict ftwin)
+  && Database.equal db twin
+
+let prop_coded_twin =
+  QCheck2.Test.make ~count:200 ~print:print_workload
+    ~name:"coded database = its relation-built twin (digests, catalog, dict)"
+    workload_gen (fun w ->
+      match Mj_serve.Protocol.materialize w with
+      | exception Invalid_argument _ -> refused w
+      | db ->
+          (not (refused w))
+          &&
+          let twin = Database.of_relations (Database.relations db) in
+          Database.seed_forced twin = 0
+          && (w.regime = "consistent" || Database.seed_forced db = Database.size db)
+          && same_form db twin)
+  |> QCheck_alcotest.to_alcotest
+
+(* A domain far wider than the data takes the sorting path: nothing is
+   sized by the domain, and the dictionary still holds exactly the values
+   present, in order. *)
+let test_wide_domain () =
+  let w =
+    { Mj_serve.Protocol.shape = "chain"; n = 3; rows = 40; domain = 1 lsl 29;
+      regime = "uniform"; seed = 3 }
+  in
+  let db = Mj_serve.Protocol.materialize w in
+  let twin = Database.of_relations (Database.relations db) in
+  Alcotest.(check bool) "same as the twin" true (same_form db twin);
+  let c = Database.coded db in
+  let values = Array.to_list c.Coded.values in
+  Alcotest.(check bool) "ascending" true
+    (List.sort_uniq Value.compare values = values);
+  Alcotest.(check bool) "wide values kept" true
+    (List.exists (fun v -> Value.compare v (Value.int (1 lsl 20)) > 0) values)
+
+(* ------------------------------------------------------------------ *)
+(* Laziness: who forces the seed states                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Engine = Mj_engine.Engine
+module Planner = Mj_engine.Planner
+module Obs = Mj_obs.Obs
+
+let lazy_workloads =
+  let w shape n regime =
+    { Mj_serve.Protocol.shape; n; rows = 300; domain = 300; regime; seed = 5 }
+  in
+  [
+    w "chain" 4 "uniform"; w "star" 4 "uniform"; w "cycle" 3 "skewed";
+    w "snowflake" 5 "uniform"; w "path" 4 "superkey";
+  ]
+
+let config ~plane ~policy obs =
+  { (Engine.Config.make ~plane ~policy ~domains:2 ~obs ()) with telemetry = None }
+
+(* The frame-plane pipeline mjbench runs — materialize, encode, lower,
+   execute (and the daemon's digest finisher) — never decodes a seed
+   state, and says so on its sink. *)
+let test_frame_pipeline_forces_nothing () =
+  List.iter
+    (fun w ->
+      List.iter
+        (fun policy ->
+          let obs = Obs.make () in
+          let cfg = config ~plane:Engine.Frame ~policy obs in
+          let db = Mj_serve.Protocol.materialize w in
+          let fdb = Frame.Db.of_database db in
+          let plan = Engine.lower cfg db (Mj_serve.Protocol.default_strategy db) in
+          ignore (Engine.execute_plan ~fdb cfg db plan);
+          ignore (Engine.execute_digest cfg db plan);
+          let where =
+            Mj_serve.Protocol.workload_key w ^ " " ^ Planner.policy_name policy
+          in
+          Alcotest.(check int) (where ^ ": forced") 0 (Database.seed_forced db);
+          Alcotest.(check (option int))
+            (where ^ ": counter") (Some 0)
+            (List.assoc_opt "db.seed_forced" (Obs.counters obs)))
+        Planner.[ Hash_all; Cost_based; Yannakakis; Wcoj ])
+    lazy_workloads
+
+let test_seed_plane_forces_once () =
+  List.iter
+    (fun w ->
+      let obs = Obs.make () in
+      let cfg = config ~plane:Engine.Seed ~policy:Planner.Hash_all obs in
+      let db = Mj_serve.Protocol.materialize w in
+      let strategy = Mj_serve.Protocol.default_strategy db in
+      let r1, _ = Engine.run cfg db strategy in
+      let r2, _ = Engine.run cfg db strategy in
+      let where = Mj_serve.Protocol.workload_key w in
+      Alcotest.(check bool) (where ^ ": same answer") true (Relation.equal r1 r2);
+      Alcotest.(check int) (where ^ ": each once") (Database.size db)
+        (Database.seed_forced db);
+      Alcotest.(check (option int))
+        (where ^ ": counter") (Some (Database.size db))
+        (List.assoc_opt "db.seed_forced" (Obs.counters obs)))
+    lazy_workloads
+
+(* Several pool domains force the same database at once: every racer
+   returns the one published state, and each relation counts once. *)
+let test_concurrent_forcing () =
+  let w = List.hd lazy_workloads in
+  let reference = Database.relations (Mj_serve.Protocol.materialize w) in
+  for _ = 1 to 5 do
+    let db = Mj_serve.Protocol.materialize w in
+    let got =
+      Mj_pool.Pool.run ~domains:4
+        (Array.init 8 (fun _ () -> Database.relations db))
+    in
+    Array.iter
+      (fun rs ->
+        Alcotest.(check bool) "equal states" true
+          (List.for_all2 Relation.equal reference rs);
+        Alcotest.(check bool) "one published copy" true
+          (List.for_all2 ( == ) got.(0) rs))
+      got;
+    Alcotest.(check int) "each relation once" (Database.size db)
+      (Database.seed_forced db)
+  done
+
+(* Row counts force nothing; a restricted view keeps the coded form and
+   shares its states with the parent; replace forces the rest. *)
+let test_derived_forms () =
+  let w = List.hd lazy_workloads in
+  let db = Mj_serve.Protocol.materialize w in
+  let total = Database.total_tuples db in
+  Alcotest.(check int) "total_tuples forces nothing" 0 (Database.seed_forced db);
+  let d = Database.schemes db in
+  let sub = Database.restrict db (Scheme.Set.singleton (Scheme.Set.min_elt d)) in
+  ignore (Frame.Db.of_database sub);
+  Alcotest.(check int) "restrict keeps the coded form" 0 (Database.seed_forced db);
+  ignore (Database.relations sub);
+  Alcotest.(check int) "forcing through the view counts once" 1
+    (Database.seed_forced db);
+  ignore (Database.find db (Scheme.Set.min_elt d));
+  Alcotest.(check int) "the view shares the state" 1 (Database.seed_forced db);
+  let swapped = Database.replace db (Database.find db (Scheme.Set.min_elt d)) in
+  Alcotest.(check bool) "replace forces the rest" true
+    (Database.seed_forced db = Database.size db && Database.equal swapped db);
+  Alcotest.(check int) "same total" total (Database.total_tuples swapped)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -321,6 +615,19 @@ let () =
           Alcotest.test_case "with_spine" `Quick test_with_spine;
           Alcotest.test_case "materialize goldens" `Quick
             test_materialize_goldens;
+          Alcotest.test_case "oneshot-scale goldens" `Quick
+            test_oneshot_goldens;
+        ] );
+      ( "coded",
+        [
+          prop_coded_twin;
+          Alcotest.test_case "wide domain" `Quick test_wide_domain;
+          Alcotest.test_case "frame pipeline forces no seed state" `Quick
+            test_frame_pipeline_forces_nothing;
+          Alcotest.test_case "seed plane forces each relation once" `Quick
+            test_seed_plane_forces_once;
+          Alcotest.test_case "concurrent forcing" `Quick test_concurrent_forcing;
+          Alcotest.test_case "derived forms" `Quick test_derived_forms;
         ] );
       ( "dbgen",
         [
