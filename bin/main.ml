@@ -670,12 +670,13 @@ let run_explain scenario (shape_name, shape) n seed rows domain regime
         Format.printf
           "@.summary: %d join steps [frame], tau=%d (est %d), result=%d \
            rows, max q-error=%.2f, dict=%d values, probes=%d (%d hits), \
-           partitions=%d@."
+           partitions=%d, sorted=%d rows@."
           !join_steps fs.Mj_engine.Frame_engine.tuples_generated tau'
           fs.Mj_engine.Frame_engine.result_rows !max_q
           fs.Mj_engine.Frame_engine.dict_size fs.Mj_engine.Frame_engine.probes
           fs.Mj_engine.Frame_engine.probe_hits
           fs.Mj_engine.Frame_engine.partitions
+          fs.Mj_engine.Frame_engine.sorted_rows
     | None, None -> assert false
   in
   Format.printf "Scenario %s@.plan: %s@.lowered (%s, %s plane): %s@.@." name
@@ -1257,9 +1258,10 @@ let fuzz_cmd =
       value & flag
       & info [ "self-test" ]
           ~doc:
-            "Certify the harness catches bugs: plant the frame-plane lossy \
-             join mutation, require detection, and require shrinking to at \
-             most 4 relations.")
+            "Certify the harness catches bugs: plant each mutation (the \
+             frame-plane lossy join, the lossy yann semijoin, the skipped \
+             root sort and the stale serve plan), require detection, and \
+             require shrinking to at most 4 relations.")
   in
   Cmd.v
     (Cmd.info "fuzz"

@@ -164,11 +164,12 @@ let self_test () =
         (Format.asprintf "clean harness is not quiet on %a: %a" Gen.pp d
            Check.pp_failure f)
   | Check.Pass -> (
-      (* Three independent planted bugs, each through the full loop:
-         the lossy frame join and the lossy yann semijoin reducer (both
-         caught by the matrix's digest checks, on the hash the daemon
-         serves without decoding) and the serve stale-plan cache collision (caught by
-         the serve leg's τ-log comparison). *)
+      (* Four independent planted bugs, each through the full loop:
+         the lossy frame join, the lossy yann semijoin reducer and the
+         skipped root sort (all caught by the matrix's digest checks,
+         on the hash the daemon serves without decoding) and the serve
+         stale-plan cache collision (caught by the serve leg's τ-log
+         comparison). *)
       let rec all acc = function
         | [] -> Ok (String.concat "; " (List.rev acc))
         | (caught_by, case, spec) :: rest -> (
@@ -180,5 +181,6 @@ let self_test () =
         [
           ("digest", d, "frame.lossy_join");
           ("digest", planted_acyclic_case, "yann.lossy_semijoin");
+          ("digest", d, "frame.skip_root_sort");
           ("serve", d, "serve.cache_stale_plan");
         ])

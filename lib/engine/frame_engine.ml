@@ -9,6 +9,7 @@ type stats = {
   probe_hits : int;
   partitions : int;
   morsels : int;
+  sorted_rows : int;
   per_step : (Scheme.Set.t * int) list;
 }
 
@@ -104,8 +105,12 @@ module Frame_plane = struct
   let cardinality = Frame.cardinality
   let note_step _ctx _n = ()
   let algo_label _ = "frame-hash"
-  let to_relation _ctx _scheme f = Frame.to_relation f
-  let digest _ctx _scheme f = Frame.digest f
+  (* Join outputs are left unsorted; the finishers establish the root's
+     order themselves, so the sort lands in [ctx.fstats]. *)
+  let to_relation ctx _scheme f =
+    Frame.to_relation (Frame.sort ~stats:ctx.fstats f)
+
+  let digest ctx _scheme f = Frame.digest (Frame.sort ~stats:ctx.fstats f)
 end
 
 module Drive = Driver.Make (Frame_plane)
@@ -145,7 +150,8 @@ let run ~finish ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan =
     Obs.add obs "frame.partitions" ctx.fstats.partitions;
     Obs.add obs "frame.morsels" ctx.fstats.morsels;
     Obs.add obs "frame.probes" ctx.fstats.probes;
-    Obs.add obs "frame.probe_hits" ctx.fstats.probe_hits
+    Obs.add obs "frame.probe_hits" ctx.fstats.probe_hits;
+    Obs.add obs "frame.sorted_rows" ctx.fstats.sorted_rows
   end;
   ( result,
     {
@@ -156,6 +162,7 @@ let run ~finish ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan =
       probe_hits = ctx.fstats.probe_hits;
       partitions = ctx.fstats.partitions;
       morsels = ctx.fstats.morsels;
+      sorted_rows = ctx.fstats.sorted_rows;
       per_step = log.per_step;
     } )
 

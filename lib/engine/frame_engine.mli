@@ -14,8 +14,8 @@
     every step a ["join"] span carrying ["scheme"] and ["rows"]
     attributes (so [mjoin explain]'s tree renderer works unchanged),
     and the frame-specific counters [frame.dict_size],
-    [frame.partitions], [frame.morsels], [frame.probes] and
-    [frame.probe_hits] are added to the sink. *)
+    [frame.partitions], [frame.morsels], [frame.probes],
+    [frame.probe_hits] and [frame.sorted_rows] are added to the sink. *)
 
 open Mj_relation
 open Multijoin
@@ -28,6 +28,10 @@ type stats = {
   probe_hits : int;
   partitions : int;        (** index build-partitions opened by parallel joins *)
   morsels : int;           (** probe morsels claimed by parallel joins *)
+  sorted_rows : int;
+      (** rows that went through a sort ({!Mj_relation.Frame.stats}):
+          the finisher's root sort plus any trie, generic-join or top-k
+          sort; join steps sort nothing *)
   per_step : (Scheme.Set.t * int) list;  (** post-order, like [Cost.step_costs] *)
 }
 

@@ -6,6 +6,7 @@ type t =
   | Yann_lossy_semijoin
   | Serve_worker_stall
   | Serve_stale_plan
+  | Frame_skip_root_sort
 
 exception Injected of string
 
@@ -18,6 +19,7 @@ let all =
     Yann_lossy_semijoin;
     Serve_worker_stall;
     Serve_stale_plan;
+    Frame_skip_root_sort;
   ]
 
 let name = function
@@ -28,6 +30,7 @@ let name = function
   | Yann_lossy_semijoin -> "yann.lossy_semijoin"
   | Serve_worker_stall -> "serve.worker_stall"
   | Serve_stale_plan -> "serve.cache_stale_plan"
+  | Frame_skip_root_sort -> "frame.skip_root_sort"
 
 let of_name s =
   let s = String.lowercase_ascii (String.trim s) in
@@ -41,6 +44,7 @@ let index = function
   | Yann_lossy_semijoin -> 4
   | Serve_worker_stall -> 5
   | Serve_stale_plan -> 6
+  | Frame_skip_root_sort -> 7
 
 (* One atomic bitmask of active points, one atomic hit counter per
    point: consultation from pool workers running on other domains is

@@ -50,6 +50,11 @@ type t =
           key, so a repeated query shape can be answered with a plan
           lowered for a {e different} strategy — the planted serve bug
           the self-test must detect via its τ step log *)
+  | Frame_skip_root_sort
+      (** the frame plane's finishers skip the sort of the root frame
+          ([Frame.sort] marks it sorted as emitted), so decode and
+          digest read the join's emission order — the planted defect
+          that shows the digest check sees a missing sort *)
 
 exception Injected of string
 (** Raised by {!trip}; carries the failpoint name. *)
@@ -59,7 +64,8 @@ val all : t list
 val name : t -> string
 (** ["pool.worker_kill"], ["cost.cache_poison"], ["estimate.oversize"],
     ["frame.lossy_join"], ["yann.lossy_semijoin"],
-    ["serve.worker_stall"], ["serve.cache_stale_plan"]. *)
+    ["serve.worker_stall"], ["serve.cache_stale_plan"],
+    ["frame.skip_root_sort"]. *)
 
 val of_name : string -> t option
 

@@ -121,72 +121,168 @@ end
 (* ------------------------------------------------------------------ *)
 (* Canonical form                                                      *)
 
+(* Lexicographic comparison of rows [i] and [j]: a plain loop, so the
+   dedupe scans below allocate nothing per row. *)
 let row_compare data w i j =
   let bi = i * w and bj = j * w in
-  let rec go k =
-    if k = w then 0
-    else
-      let c = Stdlib.compare (data.(bi + k) : int) data.(bj + k) in
-      if c <> 0 then c else go (k + 1)
-  in
-  go 0
+  let k = ref 0 and c = ref 0 in
+  while !c = 0 && !k < w do
+    let a : int = data.(bi + !k) and b : int = data.(bj + !k) in
+    c := if a < b then -1 else if a > b then 1 else 0;
+    incr k
+  done;
+  !c
 
 (* True iff the first [nrows] rows are already strictly increasing —
-   the common case for relation states recoded in value order, and for
-   join outputs emitted in probe order over sorted inputs.  One
-   O(rows * w) scan that lets [canonicalize] skip the counting sort. *)
-let rows_sorted_distinct w nrows data =
-  let rec go i = i >= nrows || (row_compare data w (i - 1) i < 0 && go (i + 1)) in
-  go 1
+   the common case for relation states recoded in value order.  One
+   O(rows * w) scan that lets [canonicalize] skip the sort. *)
+let sorted_distinct w nrows data =
+  let i = ref 1 in
+  while !i < nrows && row_compare data w (!i - 1) !i < 0 do
+    incr i
+  done;
+  !i >= nrows
 
-let canonicalize w nrows data =
+(* Bits needed to write [n] (0 for 0). *)
+let bits n =
+  let b = ref 0 in
+  while n lsr !b > 0 do
+    incr b
+  done;
+  !b
+
+(* The largest code in each column.  Its bounds-checked reads vouch
+   for the unchecked ones of the sorts below. *)
+let column_max w nrows data =
+  let maxc = Array.make w 0 in
+  for i = 0 to nrows - 1 do
+    let base = i * w in
+    for c = 0 to w - 1 do
+      let v = data.(base + c) in
+      if v > Array.unsafe_get maxc c then Array.unsafe_set maxc c v
+    done
+  done;
+  maxc
+
+(* Rows that fit one int: pack each row into a key (column 0 most
+   significant, [widths.(c)] bits per column), so key order is row
+   order; LSD-radix-sort the keys [digit] bits at a time; drop adjacent
+   duplicates; unpack.  The digit is sized from the data — at most 11
+   bits, and no wider than the row count or the key need — so a handful
+   of rows never pays for a 2^11-bucket histogram. *)
+let sort_packed w nrows data widths total =
+  let keys = Array.make nrows 0 in
+  for i = 0 to nrows - 1 do
+    let base = i * w and k = ref 0 in
+    for c = 0 to w - 1 do
+      k := (!k lsl Array.unsafe_get widths c) lor Array.unsafe_get data (base + c)
+    done;
+    Array.unsafe_set keys i !k
+  done;
+  let digit = max 1 (min 11 (min (bits nrows) total)) in
+  let buckets = 1 lsl digit and mask = (1 lsl digit) - 1 in
+  let count = Array.make buckets 0 in
+  let src = ref keys and dst = ref (Array.make nrows 0) in
+  let shift = ref 0 in
+  while !shift < total do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill count 0 buckets 0;
+    for i = 0 to nrows - 1 do
+      let b = (Array.unsafe_get s i lsr sh) land mask in
+      Array.unsafe_set count b (Array.unsafe_get count b + 1)
+    done;
+    let acc = ref 0 in
+    for b = 0 to buckets - 1 do
+      let n = Array.unsafe_get count b in
+      Array.unsafe_set count b !acc;
+      acc := !acc + n
+    done;
+    for i = 0 to nrows - 1 do
+      let k = Array.unsafe_get s i in
+      let b = (k lsr sh) land mask in
+      let p = Array.unsafe_get count b in
+      Array.unsafe_set d p k;
+      Array.unsafe_set count b (p + 1)
+    done;
+    src := d;
+    dst := s;
+    shift := sh + digit
+  done;
+  let sorted = !src in
+  let kept = ref 1 in
+  for i = 1 to nrows - 1 do
+    let k = Array.unsafe_get sorted i in
+    if k <> Array.unsafe_get sorted (!kept - 1) then begin
+      Array.unsafe_set sorted !kept k;
+      incr kept
+    end
+  done;
+  let out = Array.make (!kept * w) 0 in
+  for i = 0 to !kept - 1 do
+    let k = ref (Array.unsafe_get sorted i) in
+    for c = w - 1 downto 0 do
+      let b = Array.unsafe_get widths c in
+      Array.unsafe_set out ((i * w) + c) (!k land ((1 lsl b) - 1));
+      k := !k lsr b
+    done
+  done;
+  (!kept, out)
+
+(* Rows wider than one int: a stable LSD counting sort per column over
+   a row permutation, then one dedupe scan. *)
+let sort_columns w nrows data maxc =
+  let count = Array.make (Array.fold_left max 0 maxc + 2) 0 in
+  let perm = Array.init nrows (fun i -> i) in
+  let tmp = Array.make nrows 0 in
+  for col = w - 1 downto 0 do
+    let m = maxc.(col) + 1 in
+    Array.fill count 0 (m + 1) 0;
+    for i = 0 to nrows - 1 do
+      let v = Array.unsafe_get data ((Array.unsafe_get perm i * w) + col) in
+      Array.unsafe_set count (v + 1) (Array.unsafe_get count (v + 1) + 1)
+    done;
+    for v = 1 to m do
+      Array.unsafe_set count v
+        (Array.unsafe_get count v + Array.unsafe_get count (v - 1))
+    done;
+    for i = 0 to nrows - 1 do
+      let p = Array.unsafe_get perm i in
+      let v = Array.unsafe_get data ((p * w) + col) in
+      Array.unsafe_set tmp (Array.unsafe_get count v) p;
+      Array.unsafe_set count v (Array.unsafe_get count v + 1)
+    done;
+    Array.blit tmp 0 perm 0 nrows
+  done;
+  let kept = ref 1 in
+  for k = 1 to nrows - 1 do
+    if row_compare data w perm.(k - 1) perm.(k) <> 0 then incr kept
+  done;
+  let out = Array.make (!kept * w) 0 in
+  let oi = ref 0 in
+  for k = 0 to nrows - 1 do
+    if k = 0 || row_compare data w perm.(k - 1) perm.(k) <> 0 then begin
+      Array.blit data (perm.(k) * w) out (!oi * w) w;
+      incr oi
+    end
+  done;
+  (!kept, out)
+
+(* Widest packed key: OCaml ints hold 63 bits, and keys stay
+   non-negative. *)
+let max_key_bits = 62
+
+let canonicalize ?(on_sort = ignore) w nrows data =
   if nrows = 0 then (0, [||])
-  else if rows_sorted_distinct w nrows data then
+  else if sorted_distinct w nrows data then
     ( nrows,
       if Array.length data = nrows * w then data else Array.sub data 0 (nrows * w) )
   else begin
-    let maxc = Array.make (max 1 w) 0 in
-    for i = 0 to nrows - 1 do
-      let base = i * w in
-      for c = 0 to w - 1 do
-        if data.(base + c) > maxc.(c) then maxc.(c) <- data.(base + c)
-      done
-    done;
-    let count = Array.make (Array.fold_left max 0 maxc + 2) 0 in
-    let perm = Array.init nrows (fun i -> i) in
-    let tmp = Array.make nrows 0 in
-    for col = w - 1 downto 0 do
-      let m = maxc.(col) + 1 in
-      Array.fill count 0 (m + 1) 0;
-      for i = 0 to nrows - 1 do
-        let v = Array.unsafe_get data ((Array.unsafe_get perm i * w) + col) in
-        Array.unsafe_set count (v + 1) (Array.unsafe_get count (v + 1) + 1)
-      done;
-      for v = 1 to m do
-        Array.unsafe_set count v
-          (Array.unsafe_get count v + Array.unsafe_get count (v - 1))
-      done;
-      for i = 0 to nrows - 1 do
-        let p = Array.unsafe_get perm i in
-        let v = Array.unsafe_get data ((p * w) + col) in
-        Array.unsafe_set tmp (Array.unsafe_get count v) p;
-        Array.unsafe_set count v (Array.unsafe_get count v + 1)
-      done;
-      Array.blit tmp 0 perm 0 nrows
-    done;
-    let kept = ref 1 in
-    for k = 1 to nrows - 1 do
-      if row_compare data w perm.(k - 1) perm.(k) <> 0 then incr kept
-    done;
-    let out = Array.make (!kept * w) 0 in
-    let oi = ref 0 in
-    for k = 0 to nrows - 1 do
-      if k = 0 || row_compare data w perm.(k - 1) perm.(k) <> 0 then begin
-        Array.blit data (perm.(k) * w) out (!oi * w) w;
-        incr oi
-      end
-    done;
-    (!kept, out)
+    on_sort nrows;
+    let maxc = column_max w nrows data in
+    let widths = Array.map bits maxc in
+    let total = Array.fold_left ( + ) 0 widths in
+    if total <= max_key_bits then sort_packed w nrows data widths total
+    else sort_columns w nrows data maxc
   end
 
 (* ------------------------------------------------------------------ *)

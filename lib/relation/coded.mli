@@ -8,8 +8,8 @@
     order, so decoding needs no sort and a frame built on it can be
     decoded and digested without ranking the dictionary.
 
-    The dictionary ({!Dict}) and the counting sort ({!canonicalize})
-    live here, below {!Database} and {!Frame}, so both can use them. *)
+    The dictionary ({!Dict}) and the sort ({!canonicalize}) live
+    here, below {!Database} and {!Frame}, so both can use them. *)
 
 (** {1 Value dictionary} *)
 
@@ -62,14 +62,27 @@ end
 
 (** {1 Canonical form} *)
 
-val canonicalize : int -> int -> int array -> int * int array
+val canonicalize :
+  ?on_sort:(int -> unit) -> int -> int -> int array -> int * int array
 (** [canonicalize w nrows data] sort-uniques the first [nrows] rows of
     width [w] held in a possibly larger buffer, returning the kept row
-    count and a packed canonical buffer.  The sort is a stable LSD
-    counting sort per column — O(w * (rows + max code)), no comparator
-    calls — so the codes must be small non-negative ints.
-    Already-canonical input short-circuits to a trim (the input buffer
-    itself when no trim is needed). *)
+    count and a packed canonical buffer.  The codes must be
+    non-negative ints.  Already-canonical input short-circuits to a
+    trim (the input buffer itself when no trim is needed) after one
+    allocation-free O(rows * w) scan.  Anything else is sorted, after
+    [on_sort nrows] (how the frame plane counts the rows it sorts).
+    The sort calls no comparator:
+    - {b packed path.}  When the per-column code widths (the bits of
+      each column's largest code) add up to 62 bits or fewer, each row
+      is packed into one int key, column 0 most significant, so key
+      order is row order.  The keys are LSD-radix-sorted, adjacent
+      duplicates dropped, and the survivors unpacked.  The radix digit
+      is sized from the data: at most 11 bits, at most the bits of
+      [nrows] and at most the total key width, so a handful of rows
+      never pays for a 2{^11}-bucket histogram.  Time O(passes *
+      (rows + 2{^digit})) with passes = ⌈key bits / digit⌉.
+    - {b fallback.}  Wider rows keep a stable LSD counting sort per
+      column over a row permutation, O(w * (rows + max code)). *)
 
 (** {1 Coded databases} *)
 

@@ -1,16 +1,14 @@
 (* Columnar relation frames.  See frame.mli for the representation
    contract: one shared dictionary per database, row-major packed int
-   codes, rows kept canonical (sorted lexicographically by code,
-   duplicate-free).  Row storage is pluggable: boxed [int array] on the
-   OCaml heap, or an off-heap int32 [Bigarray] that the GC never
-   scans. *)
+   codes, rows always duplicate-free and sorted lexicographically by
+   code only where the [sorted] flag says so.  Row storage is
+   pluggable: boxed [int array] on the OCaml heap, or an off-heap int32
+   [Bigarray] that the GC never scans. *)
 
 module Pool = Mj_pool.Pool
 module Obs = Mj_obs.Obs
 
 module Dict = Coded.Dict
-
-let canonicalize = Coded.canonicalize
 
 (* ------------------------------------------------------------------ *)
 (* Row storage                                                         *)
@@ -83,7 +81,8 @@ type t = {
   attrs : Attr.t array; (* sorted; attrs.(j) labels column j *)
   width : int;
   rows : int;
-  data : Store.t; (* row-major, rows * width ints, canonical *)
+  data : Store.t; (* row-major, rows * width ints, duplicate-free *)
+  sorted : bool; (* rows ascend lexicographically by code *)
   dict : Dict.t;
 }
 
@@ -92,28 +91,21 @@ type stats = {
   mutable probe_hits : int;
   mutable partitions : int;
   mutable morsels : int;
+  mutable sorted_rows : int;
 }
 
-let fresh_stats () = { probes = 0; probe_hits = 0; partitions = 0; morsels = 0 }
+let fresh_stats () =
+  { probes = 0; probe_hits = 0; partitions = 0; morsels = 0; sorted_rows = 0 }
 
 let scheme f = f.scheme
 let cardinality f = f.rows
 let is_empty f = f.rows = 0
 let dict f = f.dict
 let storage f = Store.storage f.data
+let sorted f = f.sorted
 
 (* ------------------------------------------------------------------ *)
-(* Canonical form                                                      *)
-
-(* Parallel canonicalization for large join outputs: partition rows by
-   leading-column value range (equal rows share a leading code, so they
-   land in one partition and local dedup is global dedup; the ranges
-   are value-ordered, so locally sorted partitions concatenate into a
-   globally sorted whole), sort-unique each partition on its own
-   domain, and concatenate in partition order.  The partition of a row
-   depends only on its leading code, so the result is bit-identical to
-   the serial sort at any domain count. *)
-let par_sort_rows = 1 lsl 15
+(* Canonical order                                                     *)
 
 let pow2_at_least n =
   let p = ref 1 in
@@ -122,51 +114,47 @@ let pow2_at_least n =
   done;
   !p
 
-let canonicalize_par ~domains w nrows data =
-  if domains <= 1 || nrows < par_sort_rows || w = 0 then canonicalize w nrows data
+(* Sort-unique [nrows] rows of width [w].  Rows that pass the
+   already-sorted scan are only trimmed; the rest go through the sort
+   and are counted in [stats.sorted_rows]. *)
+let sort_rows ?stats w nrows data =
+  match stats with
+  | None -> Coded.canonicalize w nrows data
+  | Some st ->
+      Coded.canonicalize
+        ~on_sort:(fun n -> st.sorted_rows <- st.sorted_rows + n)
+        w nrows data
+
+(* The rows as one exact-length heap buffer: the frame's own on [Heap],
+   a copy on [Bigarray].  Never written. *)
+let heap_rows f =
+  let n = f.rows * f.width in
+  match f.data with
+  | Store.H a when Array.length a = n -> a
+  | _ -> Array.init n (Store.get f.data)
+
+(* The one place order is established: a sorted frame is returned as
+   it is, an unsorted one is sorted once into a fresh frame.  Rows are
+   already distinct, so the count cannot change. *)
+let in_order ?stats f =
+  if f.sorted then f
   else begin
-    let parts = min 256 (pow2_at_least (4 * domains)) in
-    let maxc0 = ref 0 in
-    for i = 0 to nrows - 1 do
-      let v = Array.unsafe_get data (i * w) in
-      if v > !maxc0 then maxc0 := v
-    done;
-    let div = !maxc0 + 1 in
-    let counts = Array.make parts 0 in
-    for i = 0 to nrows - 1 do
-      let p = Array.unsafe_get data (i * w) * parts / div in
-      Array.unsafe_set counts p (Array.unsafe_get counts p + 1)
-    done;
-    let results =
-      Pool.run ~domains
-        (Array.init parts (fun p () ->
-             let cnt = counts.(p) in
-             if cnt = 0 then (0, [||])
-             else begin
-               (* Gather-by-scan: every task reads the shared buffer but
-                  writes only its own local copy — no synchronization,
-                  and the gather order (row order) is deterministic. *)
-               let local = Array.make (cnt * w) 0 in
-               let li = ref 0 in
-               for i = 0 to nrows - 1 do
-                 if Array.unsafe_get data (i * w) * parts / div = p then begin
-                   Array.blit data (i * w) local (!li * w) w;
-                   incr li
-                 end
-               done;
-               canonicalize w cnt local
-             end))
-    in
-    let kept = Array.fold_left (fun acc (k, _) -> acc + k) 0 results in
-    let out = Array.make (kept * w) 0 in
-    let off = ref 0 in
-    Array.iter
-      (fun (k, part) ->
-        Array.blit part 0 out !off (k * w);
-        off := !off + (k * w))
-      results;
-    (kept, out)
+    let rows, data = sort_rows ?stats f.width f.rows (heap_rows f) in
+    assert (rows = f.rows);
+    { f with data = Store.of_heap (Store.storage f.data) (rows * f.width) data;
+      sorted = true }
   end
+
+let sort ?stats f =
+  if (not f.sorted)
+     && Mj_failpoint.Failpoint.fire Mj_failpoint.Failpoint.Frame_skip_root_sort
+  then
+    (* The planted mutation for [mjoin fuzz --self-test]: claim the
+       order without establishing it, so decode and digest read the
+       rows as emitted.  Never active outside an explicit failpoint
+       activation. *)
+    { f with sorted = true }
+  else in_order ?stats f
 
 (* ------------------------------------------------------------------ *)
 (* Conversion                                                          *)
@@ -187,16 +175,17 @@ let of_relation ?(storage = Heap) dict r =
   Relation.iter (fun tu -> Tuple.iter put tu) r;
   (* Code order need not follow Value order, so re-sort into canonical
      form (the source set is already duplicate-free). *)
-  let rows, data = canonicalize w n data in
+  let rows, data = sort_rows w n data in
   { scheme; attrs; width = w; rows; data = Store.of_heap storage (rows * w) data;
-    dict }
+    sorted = true; dict }
 
 (* The value order of a frame's rows — the prelude shared by decode and
-   digest, so the two cannot disagree on row order.  Frame rows are
-   sorted by dictionary {e code}, not by [Value.compare]: remap every
-   cell to its value rank in the dictionary's (cached) order and, unless
-   interning happened to assign codes in value order, re-sort with the
-   comparison-free LSD counting sort.  Rank is injective, so rows stay
+   digest, so the two cannot disagree on row order.  When interning
+   assigned codes in value order, code order is value order and the
+   rows only need to be in order ([in_order]: nothing to do on a sorted
+   frame).  Otherwise remap every cell to its value rank in the
+   dictionary's (cached) order and sort that copy — one sort whether or
+   not the frame was sorted by code.  Rank is injective, so rows stay
    distinct and the row count is unchanged.  For same-scheme tuples
    [Tuple.compare] is exactly lexicographic value order over the sorted
    attribute columns, so the rows come out in [Tuple.compare] order.
@@ -205,19 +194,14 @@ let of_relation ?(storage = Heap) dict r =
    row-major ranks in that order. *)
 let value_order f =
   let o = Dict.order f.dict in
-  let ncells = f.rows * f.width in
-  if o.identity then
-    (* Code order is value order: the canonical rows already are. *)
-    ( o.by_rank,
-      match f.data with
-      | Store.H a -> a
-      | Store.B _ -> Array.init ncells (Store.get f.data) )
+  if o.identity then (o.by_rank, heap_rows (in_order f))
   else begin
+    let ncells = f.rows * f.width in
     let ranked = Array.make ncells 0 in
     for c = 0 to ncells - 1 do
       ranked.(c) <- o.rank.(Store.get f.data c)
     done;
-    let _, sorted = canonicalize f.width f.rows ranked in
+    let _, sorted = sort_rows f.width f.rows ranked in
     (o.by_rank, sorted)
   end
 
@@ -264,7 +248,7 @@ let digest f =
 let equal f1 f2 =
   Attr.Set.equal f1.scheme f2.scheme
   && f1.rows = f2.rows
-  && Store.equal (f1.rows * f1.width) f1.data f2.data
+  && Store.equal (f1.rows * f1.width) (in_order f1).data (in_order f2).data
 
 (* ------------------------------------------------------------------ *)
 (* Compiled join specs                                                 *)
@@ -432,8 +416,7 @@ let claim_chunk ntasks domains = max 1 (ntasks / (domains * 64))
    range, and since a row lands in exactly one bucket, [head] and
    [next] entries are each written by exactly one task — no locks, and
    every task scans rows in ascending order, so the chains (and hence
-   the emitted row order) are identical at any domain count.  The
-   final canonical sort makes the frame bit-identical regardless. *)
+   the emitted row order) are identical at any domain count. *)
 let morsel_join ~obs ~domains ~morsel ~stats spec f1 f2 =
   let swap = f1.rows > f2.rows in
   let bf, bpos, pf, ppos =
@@ -572,15 +555,16 @@ let natural_join ?(obs = Mj_obs.Obs.noop) ?domains
       (b.blen / w, b.bdata)
     end
   in
-  let rows, data =
-    canonicalize_par ~domains:(if parallel then d else 1) w nraw raw
-  in
+  (* Each output row is the merge of one distinct (f1, f2) row pair
+     and determines both, so distinct inputs give distinct rows: the
+     emitted rows are the result, left in emission order. *)
   {
     scheme = spec.out_scheme;
     attrs = spec.out_attrs;
     width = w;
-    rows;
-    data = Store.of_heap (Store.storage f1.data) (rows * w) data;
+    rows = nraw;
+    data = Store.of_heap (Store.storage f1.data) (nraw * w) raw;
+    sorted = nraw <= 1;
     dict = f1.dict;
   }
 
@@ -626,7 +610,8 @@ let semijoin ?stats f1 f2 =
         incr kept
       end
     done;
-    (* A subsequence of canonical rows is canonical. *)
+    (* A subsequence of distinct rows is distinct, and of sorted rows
+       sorted: the flag carries over. *)
     { f1 with rows = !kept;
       data = Store.of_heap (Store.storage f1.data) (!kept * w) out }
   end
@@ -649,22 +634,24 @@ let project f x =
       data.(dst + j) <- Store.get f.data (src + pos.(j))
     done
   done;
-  let rows, data = canonicalize w f.rows data in
+  let rows, data = sort_rows w f.rows data in
   { scheme = x; attrs; width = w; rows;
-    data = Store.of_heap (Store.storage f.data) (rows * w) data; dict = f.dict }
+    data = Store.of_heap (Store.storage f.data) (rows * w) data; sorted = true;
+    dict = f.dict }
 
 (* ------------------------------------------------------------------ *)
 (* Trie iterators and the generic (worst-case-optimal) join            *)
 
-(* A frame *is* a trie: canonical rows are sorted lexicographically by
+(* A sorted frame *is* a trie: its rows are sorted lexicographically by
    code, so the rows sharing a fixed prefix of column values form one
    contiguous run and each deeper column refines the run.  A trie
    iterator is therefore three small int stacks over the packed rows —
-   no nodes, no pointers.  The only preparation cost is column order:
-   the generic join binds attributes in one global elimination order,
-   and a relation whose induced column order differs from its natural
-   (sorted-attribute) order needs its rows re-sorted once per order —
-   one LSD counting sort, after which iteration is allocation-free. *)
+   no nodes, no pointers.  The only preparation cost is order: the
+   generic join binds attributes in one global elimination order, and
+   a relation whose induced column order differs from its natural
+   (sorted-attribute) order, or that is not sorted at all, needs its
+   rows sorted once — one sort, after which iteration is
+   allocation-free. *)
 module Trie = struct
   type nonrec t = {
     tattrs : Attr.t array; (* columns, in elimination-induced order *)
@@ -677,7 +664,7 @@ module Trie = struct
     tpos : int array; (* per depth: start row of the current key's run *)
   }
 
-  let of_frame ~order f =
+  let of_frame ?stats ~order f =
     if not (List.for_all (fun a -> List.mem a order) (Array.to_list f.attrs))
     then
       invalid_arg "Frame.Trie.of_frame: order does not cover the scheme";
@@ -694,25 +681,22 @@ module Trie = struct
       go 0
     in
     let tdata =
-      match (identity, f.data) with
-      | true, Store.H a when Array.length a = f.rows * w -> a
-      | _ ->
-          let buf = Array.make (max 1 (f.rows * w)) 0 in
-          for i = 0 to f.rows - 1 do
-            let src = i * w and dst = i * w in
-            for j = 0 to w - 1 do
-              buf.(dst + j) <- Store.get f.data (src + perm.(j))
-            done
-          done;
-          if identity then buf
-          else begin
-            (* Permuted rows of a canonical frame are distinct but no
-               longer sorted; one counting sort restores the trie
-               invariant. *)
-            let rows, sorted = canonicalize w f.rows buf in
-            assert (rows = f.rows);
-            sorted
-          end
+      if identity then heap_rows (in_order ?stats f)
+      else begin
+        (* Permuted rows are distinct but, sorted frame or not, in no
+           useful order; one sort of the permuted copy makes the
+           trie. *)
+        let buf = Array.make (f.rows * w) 0 in
+        for i = 0 to f.rows - 1 do
+          let base = i * w in
+          for j = 0 to w - 1 do
+            buf.(base + j) <- Store.get f.data (base + perm.(j))
+          done
+        done;
+        let rows, sorted = sort_rows ?stats w f.rows buf in
+        assert (rows = f.rows);
+        sorted
+      end
     in
     {
       tattrs;
@@ -828,7 +812,9 @@ let generic_join ?stats ~order frames =
       then
         invalid_arg
           "Frame.generic_join: order is not a permutation of the attributes";
-      let tries = Array.of_list (List.map (Trie.of_frame ~order) frames) in
+      let tries =
+        Array.of_list (List.map (Trie.of_frame ~stats ~order) frames)
+      in
       (* Iterators participating at each level: the relations whose
          scheme carries that attribute, in frame-list order. *)
       let iters_at =
@@ -880,15 +866,16 @@ let generic_join ?stats ~order frames =
       if nlv > 0 then go 0;
       (* Assignments are enumerated in elimination-order lexicographic
          sequence; when that differs from the sorted-attribute column
-         order one final counting sort restores canonical form (rows
-         are already distinct either way). *)
-      let rows, data = canonicalize w (b.blen / w) b.bdata in
+         order one final sort restores canonical form (rows are already
+         distinct either way). *)
+      let rows, data = sort_rows ~stats w (b.blen / w) b.bdata in
       {
         scheme = out_scheme;
         attrs = out_attrs;
         width = w;
         rows;
         data = Store.of_heap (Store.storage f0.data) (rows * w) data;
+        sorted = true;
         dict = f0.dict;
       }
 
@@ -897,7 +884,7 @@ let generic_join ?stats ~order frames =
    first-seen order, so code order says nothing about value order.  The
    fix is the decode path's rank trick run forwards: sort the
    dictionary's codes once by their values, remap every input frame
-   into rank space (a bijection, so canonical rows stay distinct), and
+   into rank space (a bijection, so rows stay distinct), and
    run the same DFS there — level keys now ascend in value order, hence
    emissions stream out in exactly [Tuple.compare] order and the first
    [k] of them are the top-k.  The DFS stops dead once the budget is
@@ -933,6 +920,7 @@ let topk ?stats ~order ~k frames =
           width = nlv;
           rows = 0;
           data = Store.empty (Store.storage f0.data);
+          sorted = true;
           dict = f0.dict;
         }
       in
@@ -945,11 +933,12 @@ let topk ?stats ~order ~k frames =
           for i = 0 to (f.rows * w) - 1 do
             buf.(i) <- rank.(Store.get f.data i)
           done;
-          let rows, data = canonicalize w f.rows buf in
-          { f with rows; data = Store.of_heap Heap (rows * w) data }
+          let rows, data = sort_rows ~stats w f.rows buf in
+          { f with rows; data = Store.of_heap Heap (rows * w) data; sorted = true }
         in
         let tries =
-          Array.of_list (List.map (fun f -> Trie.of_frame ~order (remap f)) frames)
+          Array.of_list
+            (List.map (fun f -> Trie.of_frame ~stats ~order (remap f)) frames)
         in
         let iters_at =
           Array.map
@@ -1002,15 +991,16 @@ let topk ?stats ~order ~k frames =
         in
         if nlv > 0 then go 0;
         (* The k emitted rows are value-lexicographically least; one
-           counting sort in code space restores the frame's canonical
+           sort in code space restores the frame's canonical
            (code-sorted) row order. *)
-        let rows, data = canonicalize w (b.blen / w) b.bdata in
+        let rows, data = sort_rows ~stats w (b.blen / w) b.bdata in
         {
           scheme = out_scheme;
           attrs = out_attrs;
           width = w;
           rows;
           data = Store.of_heap (Store.storage f0.data) (rows * w) data;
+          sorted = true;
           dict = f0.dict;
         }
       end
@@ -1037,6 +1027,7 @@ module Db = struct
             width;
             rows = b.rows;
             data = Store.of_heap storage (b.rows * width) b.codes;
+            sorted = true;
             dict = ddict;
           })
         c.blocks

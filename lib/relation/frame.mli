@@ -14,15 +14,23 @@
     [int array]; [Bigarray] moves them into an off-heap int32 bigarray
     the GC never scans, so multi-million-row frames stop inflating
     major-heap scan time.  The two backends are observationally
-    identical — every operation yields the same canonical rows, and
+    identical — every operation yields the same rows in the same order, and
     {!equal} compares content across backends.
 
-    Frames are kept {e canonical}: rows are sorted lexicographically by
-    code and duplicate-free.  Canonical form makes {!equal} a content
-    comparison and makes the morsel-driven parallel join deterministic
-    at any [MJ_DOMAINS] — however probe morsels were interleaved over
-    workers, the merge in morsel-index order plus the final sort-unique
-    pass yields bit-identical data.
+    Rows are always {e distinct}; canonical {e order} (rows sorted
+    lexicographically by code) is a flag each frame carries and is
+    established only where something reads it.  {!of_relation},
+    {!project}, {!generic_join}, {!topk} and {!Db.of_database} produce
+    sorted frames; {!natural_join} leaves its emitted rows unsorted
+    (the join of distinct inputs is already distinct) and {!semijoin}
+    inherits its left input's flag.  The readers of order — decode and
+    digest ({!to_relation}, {!digest}), {!equal} and the tries behind
+    {!generic_join} and {!topk} — sort an unsorted frame on demand, and
+    the engine's finishers sort the root explicitly with {!sort}.  So
+    the τ-counting joins of a plan never sort, and a result is sorted
+    once, by whoever reads its order.  The morsel-driven parallel join
+    merges per-morsel buffers in morsel-index order, so its emitted
+    rows are bit-identical at any [MJ_DOMAINS] as well.
 
     The public algebra mirrors {!Relation}; [to_relation (of_relation
     dict r) = r] for every state, and each operation agrees with its
@@ -56,14 +64,19 @@ val all_storages : storage list
 
 type t
 (** A columnar relation state: sorted attribute header, row-major packed
-    codes in canonical (sorted, duplicate-free) row order, and the
-    dictionary the codes refer to. *)
+    codes of duplicate-free rows, a flag saying whether those rows are
+    in canonical (code-lexicographic) order, and the dictionary the
+    codes refer to. *)
 
 type stats = {
   mutable probes : int;      (** hash-table probes during joins *)
   mutable probe_hits : int;  (** probes that produced ≥ 1 output row *)
   mutable partitions : int;  (** index build-partitions opened by parallel joins *)
   mutable morsels : int;     (** probe morsels claimed by parallel joins *)
+  mutable sorted_rows : int;
+      (** rows that went through a sort — not through the
+          already-sorted scan — in {!sort}, the tries, {!generic_join}
+          and {!topk} *)
 }
 (** Counters threaded through the join kernels ([mj_relation] cannot
     depend on the engines; engines fold these into observability
@@ -96,8 +109,20 @@ val dict : t -> Dict.t
 val storage : t -> storage
 (** The backend holding this frame's rows. *)
 
+val sorted : t -> bool
+(** The rows are in canonical order.  [false] only on {!natural_join}
+    outputs (and semijoins of them) that nothing has sorted yet. *)
+
+val sort : ?stats:stats -> t -> t
+(** [sort f] is [f] with its rows in canonical order: [f] itself when
+    it is already sorted, else one sort into a fresh frame, its rows
+    added to [stats.sorted_rows] (unless they pass the already-sorted
+    scan).  Under the [frame.skip_root_sort] failpoint an unsorted
+    frame is only {e marked} sorted — the planted defect of [mjoin fuzz
+    --self-test]. *)
+
 val equal : t -> t -> bool
-(** Content equality of canonical frames (scheme + packed rows),
+(** Content equality (scheme + rows, sorted on demand),
     storage-agnostic: a [Heap] frame equals its [Bigarray] twin.  Only
     meaningful for frames sharing one dictionary. *)
 
@@ -122,10 +147,11 @@ val natural_join :
     larger side is probed in fixed-size morsels (default {!
     default_morsel} rows, override with [morsel]) pulled from the
     pool's work queue, each filling a private output buffer; buffers
-    merge in morsel-index order and the canonical sort-unique pass —
-    itself parallelized by leading-code range for large outputs — makes
-    the result bit-identical at any [domains].  The output inherits
-    [f1]'s {!storage}.  With an active [obs] sink the parallel path
+    merge in morsel-index order, so the emitted rows are bit-identical
+    at any [domains].  The result is those rows, {e unsorted}: every
+    output row merges one distinct input pair, so it is distinct
+    without a pass, and order is left to the readers of order
+    ({!sort}).  The output inherits [f1]'s {!storage}.  With an active [obs] sink the parallel path
     records one [build-part] child span per index range and one
     [morsel] child span per probe morsel (via
     [Mj_pool.Pool.run_traced]), each tagged with the worker lane that
@@ -144,7 +170,7 @@ val project : t -> Attr.Set.t -> t
 
 (** Linear trie iterators over a frame's packed rows.
 
-    A canonical frame {e is} a trie: rows are sorted lexicographically
+    A sorted frame {e is} a trie: rows are sorted lexicographically
     by code, so the rows sharing a fixed prefix of column values form
     one contiguous run, and each deeper column refines the run.  The
     iterator is three small int stacks over the packed buffer — opening
@@ -154,10 +180,11 @@ val project : t -> Attr.Set.t -> t
 
     Iterators bind columns in the order induced by a global attribute
     [order] (the generic join's elimination order).  When the induced
-    order differs from the frame's natural sorted-attribute order the
-    rows are re-sorted once by {!Trie.of_frame} (one LSD counting
-    sort); when it coincides, the frame's own buffer is iterated in
-    place. *)
+    order differs from the frame's natural sorted-attribute order, or
+    the frame is unsorted, the rows are sorted once by {!Trie.of_frame}
+    (the permuted copy, when there is one, is the only copy sorted);
+    when it coincides on a sorted frame, the frame's own buffer is
+    iterated in place. *)
 module Trie : sig
   type frame := t
 
@@ -165,10 +192,11 @@ module Trie : sig
   (** Mutable iterator state: current depth plus per-depth
       [(lo, hi, pos)] run bounds. *)
 
-  val of_frame : order:Attr.t list -> frame -> t
+  val of_frame : ?stats:stats -> order:Attr.t list -> frame -> t
   (** Build an iterator for [f] binding columns in the order its
       attributes appear in [order].  The iterator starts at the root
-      (no column bound).
+      (no column bound).  A sort, if one is needed, counts in
+      [stats.sorted_rows].
       @raise Invalid_argument if [order] does not cover the scheme. *)
 
   val arity : t -> int
@@ -209,8 +237,8 @@ val generic_join : ?stats:stats -> order:Attr.t list -> t list -> t
     below the running maximum key up to it — so the work at a level is
     bounded by the {e smallest} participating run, not by any
     intermediate join.  Matching assignments stream codes directly into
-    a packed output buffer; one final canonical sort-unique pass yields
-    the same frame [natural_join] would produce, in time bounded by the
+    a packed output buffer; one final sort yields the same rows
+    [natural_join] would produce, sorted, in time bounded by the
     AGM fractional-cover bound of the sub-database (up to log factors).
     [stats.probes] counts leapfrog seeks and [stats.probe_hits] counts
     aligned keys.  The output inherits the first frame's {!storage}.
@@ -223,7 +251,8 @@ val topk : ?stats:stats -> order:Attr.t list -> k:int -> t list -> t
     (by {!Tuple.compare} over the output scheme) of the natural join of
     [frames], computed without materializing the join: the dictionary's
     codes are ranked by value once, the frames are remapped into rank
-    space (one counting sort each), and the leapfrog DFS of
+    space (one sort each, so unsorted inputs cost nothing extra), and
+    the leapfrog DFS of
     {!generic_join} runs there with an emission budget — level keys
     then ascend in {e value} order, so the first [k] emissions are the
     answer and the DFS stops dead.  [order] must be the sorted
@@ -276,7 +305,8 @@ module Db : sig
     ?domains:int -> ?stats:stats -> t -> Scheme.Set.t -> int
   (** [cardinality_oracle fdb d] is τ of the join of the sub-database
       [d], counted through the columnar path — the drop-in backend for
-      [Cost.Cache]. *)
+      [Cost.Cache].  Its joins leave their rows unsorted and nothing
+      reads their order, so it never sorts. *)
 
   val generic_join :
     ?stats:stats -> t -> order:Attr.t list -> Scheme.Set.t -> frame

@@ -435,6 +435,165 @@ let engines_agree =
       && frame_st.Mj_engine.Frame_engine.result_rows
          = Relation.cardinality frame_r)
 
+(* ------------------------------------------------------------------ *)
+(* The sort kernel                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A raw block and how it was drawn: [w] columns of [nrows] rows,
+   filled from [seed] in one of six modes — 0 random codes of per-column
+   widths 0–12 bits, 1 one row repeated (all duplicates), 2 random
+   codes with every other column zero, 3 and 4 per-column widths adding
+   up to exactly 62 (packed path) and 63 (per-column fallback) bits over
+   7 or 8 columns, 5 two 31-bit columns (62 bits of large codes).
+   Outside mode 1, row 0 carries every column's largest code, so the
+   widths are exact.  The buffer has a garbage tail past [nrows * w]. *)
+let gen_block =
+  let open QCheck2.Gen in
+  let* mode = int_range 0 5 in
+  let* w =
+    match mode with
+    | 3 | 4 -> int_range 7 8
+    | 5 -> pure 2
+    | _ -> int_range 1 8
+  in
+  let* nrows =
+    oneof [ pure 0; pure 1; int_range 2 40; int_range 0 5000 ]
+  in
+  let* seed = int_range 0 1_000_000 in
+  return (mode, w, nrows, seed)
+
+let block_data (mode, w, nrows, seed) =
+  let rng = Random.State.make [| seed |] in
+  (* exact bit widths adding up to [total] over [w] columns *)
+  let spread total =
+    Array.init w (fun c -> (total / w) + if c < total mod w then 1 else 0)
+  in
+  let widths =
+    match mode with
+    | 3 -> spread 62
+    | 4 -> spread 63
+    | 5 -> [| 31; 31 |]
+    | 2 -> Array.init w (fun c -> if c mod 2 = 1 then 0 else Random.State.int rng 13)
+    | _ -> Array.init w (fun _ -> Random.State.int rng 13)
+  in
+  let top c = (1 lsl widths.(c)) - 1 in
+  let draw c =
+    ((Random.State.bits rng lsl 30) lor Random.State.bits rng) land top c
+  in
+  let one = Array.init w draw in
+  let data = Array.make ((nrows * w) + 3) 7 in
+  for i = 0 to nrows - 1 do
+    for c = 0 to w - 1 do
+      data.((i * w) + c) <-
+        (if mode = 1 then one.(c) else if i = 0 then top c else draw c)
+    done
+  done;
+  data
+
+let rows_of w n data =
+  List.init n (fun i -> List.init w (fun c -> data.((i * w) + c)))
+
+let print_block (mode, w, nrows, seed) =
+  Printf.sprintf "mode=%d w=%d nrows=%d seed=%d" mode w nrows seed
+
+let canonicalize_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print:print_block
+       ~name:"Coded.canonicalize equals List.sort_uniq"
+       gen_block (fun ((_, w, nrows, _) as b) ->
+         let data = block_data b in
+         let want = List.sort_uniq compare (rows_of w nrows data) in
+         let before = Array.copy data in
+         let sorted = ref 0 in
+         let kept, out =
+           Coded.canonicalize ~on_sort:(fun n -> sorted := !sorted + n) w nrows data
+         in
+         kept = List.length want
+         && Array.length out = kept * w
+         && rows_of w kept out = want
+         && data = before
+         (* only input that is not already canonical is sorted *)
+         && !sorted = if rows_of w nrows data = want then 0 else nrows))
+
+(* ------------------------------------------------------------------ *)
+(* Order on demand                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A chain of 3–4 relations, joined left to right on the parallel path
+   ([par_threshold = 1], so even tiny joins take the morsel kernel,
+   which fuzz-sized cases never reach), with the frames encoded either
+   over the database's value-ordered dictionary (Db.of_database) or a
+   first-seen interning one (of_relation: a non-identity order). *)
+let gen_chain =
+  let open QCheck2.Gen in
+  let* n = int_range 3 4 in
+  let* regime = int_range 0 1 in
+  let* seed = int_range 0 100_000 in
+  let* coded = bool in
+  let* morsel = oneofl [ 1; 3 ] in
+  let* domains = oneofl [ 1; 2; 4 ] in
+  let* pick = int_range 0 1_000_000 in
+  let rng = Random.State.make [| seed; n; regime |] in
+  let d = Querygraph.chain n in
+  let db =
+    if regime = 0 then Dbgen.uniform_db ~rng ~rows:12 ~domain:4 d
+    else Dbgen.skewed_db ~rng ~rows:12 ~domain:5 ~skew:1.5 d
+  in
+  return (db, coded, morsel, domains, pick)
+
+let print_chain (db, coded, morsel, domains, pick) =
+  Format.asprintf "%a coded=%b morsel=%d domains=%d pick=%d" Database.pp_brief db
+    coded morsel domains pick
+
+let unsorted_join_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~print:print_chain
+       ~name:"unsorted join outputs read like the seed join"
+       gen_chain (fun (db, coded, morsel, domains, pick) ->
+         let rels = Database.relations db in
+         let frames =
+           if coded then
+             let fdb = Frame.Db.of_database db in
+             List.map (fun r -> Frame.Db.find fdb (Relation.scheme r)) rels
+           else
+             let dict = Frame.Dict.create () in
+             List.map (Frame.of_relation dict) rels
+         in
+         let join = function
+           | [] -> assert false
+           | f :: rest ->
+               List.fold_left
+                 (fun acc f ->
+                   Frame.natural_join ~domains ~par_threshold:1 ~morsel acc f)
+                 f rest
+         in
+         let j = join frames and r = Database.join_all db in
+         let f0 = List.hd frames and r0 = List.hd rels in
+         let dict = Frame.dict f0 in
+         let x =
+           Attr.Set.of_list
+             (pick_subset pick (Attr.Set.elements (Relation.scheme r)))
+         in
+         let k = pick mod 7 in
+         let order = Attr.Set.elements (Relation.scheme r) in
+         let seed_eq f r' = Relation.equal (Frame.to_relation f) r' in
+         (Frame.cardinality j <= 1 || not (Frame.sorted j))
+         && seed_eq j r
+         && Int64.equal (Frame.digest j) (Relation.digest r)
+         && Frame.equal j (Frame.of_relation dict r)
+         && Frame.equal j (Frame.sort j)
+         && Frame.sorted (Frame.sort j)
+         && seed_eq (Frame.project j x) (Relation.project r x)
+         && seed_eq (Frame.semijoin j f0) (Relation.semijoin r r0)
+         && seed_eq (Frame.semijoin f0 j) (Relation.semijoin r0 r)
+         && seed_eq
+              (Frame.generic_join ~order:(List.rev order) [ j; f0 ])
+              (Relation.natural_join r r0)
+         && seed_eq (Frame.generic_join ~order [ f0; j ]) r
+         && List.equal Tuple.equal
+              (Relation.tuples (Frame.to_relation (Frame.topk ~order ~k [ j; f0 ])))
+              (List.filteri (fun i _ -> i < k) (Relation.tuples r))))
+
 let () =
   Alcotest.run "frame"
     [
@@ -472,4 +631,5 @@ let () =
         ] );
       ( "digest",
         [ digest_agrees; digest_of_join_agrees; execute_digest_agrees ] );
+      ("order", [ canonicalize_law; unsorted_join_law ]);
     ]

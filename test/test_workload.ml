@@ -496,6 +496,7 @@ let test_wide_domain () =
 
 module Engine = Mj_engine.Engine
 module Planner = Mj_engine.Planner
+module Frame_engine = Mj_engine.Frame_engine
 module Obs = Mj_obs.Obs
 
 let lazy_workloads =
@@ -575,6 +576,47 @@ let test_concurrent_forcing () =
       (Database.seed_forced db)
   done
 
+(* Order on demand, as a work count: the oneshot-large chain-4 cost
+   frame query (rows=6000, two domains) leaves every join output
+   unsorted, so the only rows that go through a sort are the result's,
+   sorted once by the decode finisher and once by the digest finisher
+   of a separate run — and sorting them is what the counter, the sink
+   and the stats all say. *)
+let test_only_the_root_sorts () =
+  let w =
+    {
+      Mj_serve.Protocol.shape = "chain";
+      n = 4;
+      rows = 6000;
+      domain = 6000;
+      regime = "uniform";
+      seed = 0;
+    }
+  in
+  let db = Mj_serve.Protocol.materialize w in
+  let fdb = Frame.Db.of_database db in
+  let frame_stats finish =
+    let obs = Obs.make () in
+    let cfg = config ~plane:Engine.Frame ~policy:Planner.Cost_based obs in
+    let plan = Engine.lower cfg db (Mj_serve.Protocol.default_strategy db) in
+    let fs = Option.get (finish cfg plan).Engine.frame in
+    Alcotest.(check (option int))
+      "sink counter" (Some fs.Frame_engine.sorted_rows)
+      (List.assoc_opt "frame.sorted_rows" (Obs.counters obs));
+    fs
+  in
+  let decoded =
+    frame_stats (fun cfg plan -> snd (Engine.execute_plan ~fdb cfg db plan))
+  in
+  let digested =
+    frame_stats (fun cfg plan -> snd (Engine.execute_digest ~fdb cfg db plan))
+  in
+  Alcotest.(check int) "result rows" 6210 decoded.Frame_engine.result_rows;
+  Alcotest.(check int) "decode sorts the result rows"
+    decoded.Frame_engine.result_rows decoded.Frame_engine.sorted_rows;
+  Alcotest.(check int) "digest sorts the result rows"
+    digested.Frame_engine.result_rows digested.Frame_engine.sorted_rows
+
 (* Row counts force nothing; a restricted view keeps the coded form and
    shares its states with the parent; replace forces the rest. *)
 let test_derived_forms () =
@@ -628,6 +670,8 @@ let () =
             test_seed_plane_forces_once;
           Alcotest.test_case "concurrent forcing" `Quick test_concurrent_forcing;
           Alcotest.test_case "derived forms" `Quick test_derived_forms;
+          Alcotest.test_case "only the root sorts" `Quick
+            test_only_the_root_sorts;
         ] );
       ( "dbgen",
         [
