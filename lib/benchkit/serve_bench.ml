@@ -17,7 +17,8 @@
      caches); warm = the same line repeated against one daemon
      (registry, plan cache and index caches all hot).  The two sides
      race (Bench_core.race); the row carries the ≥ 2.0× speedup
-     floor. *)
+     floor, and [warm_minor_words], the minor words of one more warm
+     shot. *)
 
 module Obs = Mj_obs.Obs
 module Json = Mj_obs.Json
@@ -250,6 +251,11 @@ let plan_cache_row ~quick =
         warm_responses := resp :: !warm_responses;
         resp)
   in
+  (* One more warm shot, outside the race, counted in minor words: an
+     exact, repeatable measure of the warm path's allocation. *)
+  let before = Gc.minor_words () in
+  let counted = Serve.handle_line srv line in
+  let warm_minor_words = Gc.minor_words () -. before in
   let oracle = oracle_of_spec spec in
   let cached_plan resp =
     match Json.of_string_opt resp with
@@ -259,7 +265,7 @@ let plan_cache_row ~quick =
   let certified =
     List.for_all
       (fun r -> response_matches oracle r && cached_plan r)
-      !warm_responses
+      (counted :: !warm_responses)
   in
   Bench_core.(
     row ~floor:2.0
@@ -269,11 +275,12 @@ let plan_cache_row ~quick =
               (Protocol.workload_key spec.workload)
               (Planner.policy_name spec.policy)
               (Engine.plane_name spec.plane))
-         ~clients:1 ~requests:(reps + 1) ~queue_cap ~reps
-      @ tallies srv ~ok:(reps + 1) ~overloaded:0 ~errors:0
+         ~clients:1 ~requests:(reps + 2) ~queue_cap ~reps
+      @ tallies srv ~ok:(reps + 2) ~overloaded:0 ~errors:0
       @ [
           ("cold_ms", Ms cold_ms);
           ("warm_ms", Ms warm_ms);
+          ("warm_minor_words", Out (Json.int (int_of_float warm_minor_words)));
           speedup cold_ms warm_ms;
           ("certified", Check certified);
         ]))

@@ -52,24 +52,21 @@ let fresh () =
 
 let note_materialized c n = Obs.record_max c.peak n
 
-(* The join-key extractor is compiled once per join: the common
-   attributes are listed once, so each probe reads the values directly
-   instead of re-deriving a restricted map and its binding list. *)
-let key_extractor common =
-  let attrs = Attr.Set.elements common in
-  fun tu -> List.map (fun a -> Tuple.get tu a) attrs
-
 (* The join algorithms, each consuming and producing tuple lists (the
-   materializing engine keeps children as lists). *)
+   materializing engine keeps children as lists).  Each join compiles
+   its merge ([Tuple.merger]) and its key ([Tuple.key_extractor]) once,
+   so a generated tuple costs a probe and a copy, and all of one join's
+   output rows share one header. *)
 
 let nested_loop c left right =
+  let merge = Tuple.merger () in
   let acc = ref [] in
   List.iter
     (fun t1 ->
       List.iter
         (fun t2 ->
           Obs.incr c.compared 1;
-          if Tuple.joinable t1 t2 then acc := Tuple.merge t1 t2 :: !acc)
+          if Tuple.joinable t1 t2 then acc := merge t1 t2 :: !acc)
         right)
     left;
   List.rev !acc
@@ -85,6 +82,7 @@ let take k l =
 
 let block_nested_loop c block left right =
   if block < 1 then invalid_arg "Exec: block size below 1";
+  let merge = Tuple.merger () in
   let acc = ref [] in
   let rec blocks = function
     | [] -> ()
@@ -96,7 +94,7 @@ let block_nested_loop c block left right =
             List.iter
               (fun t1 ->
                 Obs.incr c.compared 1;
-                if Tuple.joinable t1 t2 then acc := Tuple.merge t1 t2 :: !acc)
+                if Tuple.joinable t1 t2 then acc := merge t1 t2 :: !acc)
               chunk)
           right;
         blocks rest
@@ -106,7 +104,7 @@ let block_nested_loop c block left right =
 
 let hash_join c common left right =
   (* Build on the right, probe with the left. *)
-  let key = key_extractor common in
+  let key = Tuple.key_extractor common and merge = Tuple.merger () in
   let table = Hashtbl.create (max 16 (List.length right)) in
   List.iter (fun t2 -> Hashtbl.add table (key t2) t2) right;
   note_materialized c (List.length right);
@@ -115,13 +113,13 @@ let hash_join c common left right =
     (fun t1 ->
       Obs.incr c.probed 1;
       List.iter
-        (fun t2 -> acc := Tuple.merge t1 t2 :: !acc)
+        (fun t2 -> acc := merge t1 t2 :: !acc)
         (Hashtbl.find_all table (key t1)))
     left;
   List.rev !acc
 
 let sort_merge c common left right =
-  let key = key_extractor common in
+  let key = Tuple.key_extractor common and merge = Tuple.merger () in
   let keyed side = List.map (fun t -> (key t, t)) side in
   let sort side = List.sort (fun (k1, _) (k2, _) -> compare k1 k2) (keyed side) in
   let ls = sort left and rs = sort right in
@@ -139,25 +137,25 @@ let sort_merge c common left right =
     in
     go [] rows
   in
-  let rec merge ls rs =
+  let rec walk ls rs =
     match ls, rs with
     | [], _ | _, [] -> ()
     | (k1, _) :: ltl, (k2, _) :: rtl ->
         Obs.incr c.compared 1;
-        if k1 < k2 then merge ltl rs
-        else if k1 > k2 then merge ls rtl
+        if k1 < k2 then walk ltl rs
+        else if k1 > k2 then walk ls rtl
         else begin
           let lgroup, lrest = key_run k1 ls in
           let rgroup, rrest = key_run k1 rs in
           Obs.incr c.compared (List.length lgroup * List.length rgroup);
           List.iter
             (fun t1 ->
-              List.iter (fun t2 -> acc := Tuple.merge t1 t2 :: !acc) rgroup)
+              List.iter (fun t2 -> acc := merge t1 t2 :: !acc) rgroup)
             lgroup;
-          merge lrest rrest
+          walk lrest rrest
         end
   in
-  merge ls rs;
+  walk ls rs;
   List.rev !acc
 
 let base_relation db s =
@@ -180,7 +178,7 @@ let base_index c cache db s common =
       table
   | None ->
       let r = base_relation db s in
-      let key = key_extractor common in
+      let key = Tuple.key_extractor common in
       let table = Hashtbl.create (max 16 (Relation.cardinality r)) in
       Relation.iter (fun t -> Hashtbl.add table (key t) t) r;
       Obs.incr c.built 1;
@@ -191,13 +189,13 @@ let base_index c cache db s common =
 
 let index_join c cache db left common inner_scheme =
   let table = base_index c cache db inner_scheme common in
-  let key = key_extractor common in
+  let key = Tuple.key_extractor common and merge = Tuple.merger () in
   let acc = ref [] in
   List.iter
     (fun t1 ->
       Obs.incr c.probed 1;
       List.iter
-        (fun t2 -> acc := Tuple.merge t1 t2 :: !acc)
+        (fun t2 -> acc := merge t1 t2 :: !acc)
         (Hashtbl.find_all table (key t1)))
     left;
   List.rev !acc
@@ -325,7 +323,7 @@ module Seed_plane = struct
     backtrack ctx rels order
 
   let semijoin ctx ~common left right =
-    let key = key_extractor common in
+    let key = Tuple.key_extractor common in
     let table = Hashtbl.create (max 16 (List.length right)) in
     List.iter (fun t -> Hashtbl.replace table (key t) ()) right;
     note_materialized ctx.c (List.length right);
@@ -421,7 +419,8 @@ let execute_pipelined ?(obs = Obs.noop) db strategy =
             Obs.span obs "pipeline-stage" (fun () ->
                 let r = base s in
                 let common = Attr.Set.inter acc_scheme s in
-                let key = key_extractor common in
+                let key = Tuple.key_extractor common in
+                let merge = Tuple.merger () in
                 let table = Hashtbl.create (max 16 (Relation.cardinality r)) in
                 Relation.iter (fun t -> Hashtbl.add table (key t) t) r;
                 peak := max !peak (Relation.cardinality r);
@@ -436,8 +435,7 @@ let execute_pipelined ?(obs = Obs.noop) db strategy =
                   Seq.concat_map
                     (fun t1 ->
                       List.to_seq
-                        (List.map (Tuple.merge t1)
-                           (Hashtbl.find_all table (key t1))))
+                        (List.map (merge t1) (Hashtbl.find_all table (key t1))))
                     seq
                 in
                 counts := emitted :: !counts;

@@ -403,18 +403,20 @@ let decode c s =
   if b.rows = 0 then Relation.empty s
   else begin
     (* Codes follow value order, so the rows are already in
-       [Tuple.compare] order and [Relation.make]'s sort is one scan;
-       every row shares one header, so its scheme check is a pointer
-       test. *)
+       [Tuple.compare] order and [Relation.of_array]'s sort is one
+       scan; every row shares one header, so its scheme check is a
+       pointer test. *)
     let w = width s and header = Tuple.header s in
-    let tuples = ref [] in
-    for r = b.rows - 1 downto 0 do
+    let tuples = Array.make b.rows Tuple.empty in
+    for r = 0 to b.rows - 1 do
       let base = r * w in
-      tuples :=
-        Tuple.of_columns header (fun j -> c.values.(b.codes.(base + j)))
-        :: !tuples
+      let vals = Array.make w c.values.(b.codes.(base)) in
+      for j = 1 to w - 1 do
+        vals.(j) <- c.values.(b.codes.(base + j))
+      done;
+      tuples.(r) <- Tuple.of_values header vals
     done;
-    Relation.make s !tuples
+    Relation.of_array s tuples
   end
 
 let restrict c d =

@@ -72,8 +72,11 @@ module Store = struct
     match (s1, s2) with
     | H a1, H a2 when Array.length a1 = len && Array.length a2 = len -> a1 = a2
     | _ ->
-        let rec go i = i = len || (get s1 i = get s2 i && go (i + 1)) in
-        go 0
+        let i = ref 0 in
+        while !i < len && get s1 !i = get s2 !i do
+          incr i
+        done;
+        !i = len
 end
 
 type t = {
@@ -207,7 +210,7 @@ let value_order f =
 
 let to_relation f =
   (* Rows are distinct and over [f.scheme] by construction: each tuple
-     is one value array over a shared header, so [Relation.make]'s
+     is one value array over a shared header, so [Relation.of_array]'s
      scheme check is a pointer test per tuple, and the rows arrive in
      [Tuple.compare] order ([value_order]), so its sort is one
      ascending scan. *)
@@ -215,16 +218,18 @@ let to_relation f =
   else begin
     let w = f.width in
     let by_rank, ranks = value_order f in
+    let value cell = Dict.value f.dict by_rank.(ranks.(cell)) in
     let header = Tuple.header f.scheme in
-    let tuples = ref [] in
-    for r = f.rows - 1 downto 0 do
+    let tuples = Array.make f.rows Tuple.empty in
+    for r = 0 to f.rows - 1 do
       let base = r * w in
-      tuples :=
-        Tuple.of_columns header (fun j ->
-            Dict.value f.dict by_rank.(ranks.(base + j)))
-        :: !tuples
+      let vals = Array.make w (value base) in
+      for j = 1 to w - 1 do
+        vals.(j) <- value (base + j)
+      done;
+      tuples.(r) <- Tuple.of_values header vals
     done;
-    Relation.make f.scheme !tuples
+    Relation.of_array f.scheme tuples
   end
 
 (* [Relation.digest (to_relation f)] without building the relation:
@@ -301,13 +306,15 @@ let key_hash data base pos =
 
 let keys_match d1 b1 p1 d2 b2 p2 =
   let k = Array.length p1 in
-  let rec go i =
-    i = k
-    || Store.get d1 (b1 + Array.unsafe_get p1 i)
-       = Store.get d2 (b2 + Array.unsafe_get p2 i)
-       && go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while
+    !i < k
+    && Store.get d1 (b1 + Array.unsafe_get p1 !i)
+       = Store.get d2 (b2 + Array.unsafe_get p2 !i)
+  do
+    incr i
+  done;
+  !i = k
 
 (* ------------------------------------------------------------------ *)
 (* Output row buffer                                                   *)
@@ -764,10 +771,10 @@ end
    only moves forward, so the loop is linear in the runs' length. *)
 let leapfrog_align ~stats its =
   let k = Array.length its in
-  let rec go () =
+  let alive = ref true and agree = ref false in
+  while !alive && not !agree do
     let max_key = ref min_int in
-    let agree = ref true in
-    let alive = ref true in
+    agree := true;
     for i = 0 to k - 1 do
       let it = its.(i) in
       if Trie.at_end it then alive := false
@@ -777,17 +784,13 @@ let leapfrog_align ~stats its =
         if v > !max_key then max_key := v
       end
     done;
-    if not !alive then false
-    else if !agree then true
-    else begin
+    if !alive && not !agree then
       for i = 0 to k - 1 do
         stats.probes <- stats.probes + 1;
         Trie.seek its.(i) !max_key
-      done;
-      go ()
-    end
-  in
-  go ()
+      done
+  done;
+  !alive
 
 let generic_join ?stats ~order frames =
   match frames with

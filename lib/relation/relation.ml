@@ -44,13 +44,23 @@ let canonical arr =
       done;
       if !m = n then arr else Array.sub arr 0 !m
 
-(* One checked pass over the tuples (a header comparison each, which
-   allocates nothing), then one sort. *)
-let make scheme tuples =
+(* One checked pass over the tuples, then one sort.  A tuple whose
+   header is physically the last one verified passes with a pointer
+   test, so the rows of a decode or of one join cost no attribute
+   comparison at all. *)
+let of_array scheme arr =
   let r = empty scheme in
-  let header = Tuple.header scheme in
-  List.iter (check_tuple scheme header) tuples;
-  { r with tuples = canonical (Array.of_list tuples) }
+  let verified = ref (Tuple.header scheme) in
+  for k = 0 to Array.length arr - 1 do
+    let tu = arr.(k) in
+    if Tuple.header_of tu != !verified then begin
+      check_tuple scheme !verified tu;
+      verified := Tuple.header_of tu
+    end
+  done;
+  { r with tuples = canonical arr }
+
+let make scheme tuples = of_array scheme (Array.of_list tuples)
 
 let of_rows shorthand rows =
   let attrs =
@@ -117,23 +127,18 @@ let distinct_values r a =
   List.sort_uniq Value.compare (List.map (fun tu -> Tuple.get tu a) (tuples r))
 
 (* A hash-join keyed on the restriction of each tuple to the common
-   attributes.  The extractor is compiled once per join: the common
-   attributes are listed once and each probe reads the values directly,
-   so no per-probe restricted tuple is built.  The key is the value list
-   in increasing attribute order. *)
-let key_extractor common =
-  let attrs = Attr.Set.elements common in
-  fun tu -> List.map (fun a -> Tuple.get tu a) attrs
-
+   attributes ([Tuple.key_extractor]); the merge is compiled once per
+   join, so every output tuple shares one header. *)
 let natural_join r1 r2 =
   let common = Attr.Set.inter r1.scheme r2.scheme in
   let out_scheme = Attr.Set.union r1.scheme r2.scheme in
+  let merge = Tuple.merger () in
   if Attr.Set.is_empty common then
     (* Cartesian product: every pair matches, so the hash index would be
        a single degenerate bucket — pair the tuples directly instead. *)
     let out =
       fold
-        (fun tu acc -> fold (fun tu' acc -> Tuple.merge tu tu' :: acc) r2 acc)
+        (fun tu acc -> fold (fun tu' acc -> merge tu tu' :: acc) r2 acc)
         r1 []
     in
     { scheme = out_scheme; tuples = canonical (Array.of_list out) }
@@ -142,14 +147,14 @@ let natural_join r1 r2 =
     let small, large =
       if cardinality r1 <= cardinality r2 then (r1, r2) else (r2, r1)
     in
-    let key = key_extractor common in
+    let key = Tuple.key_extractor common in
     let index = Hashtbl.create (max 16 (cardinality small)) in
     iter (fun tu -> Hashtbl.add index (key tu) tu) small;
     let out =
       fold
         (fun tu acc ->
           let matches = Hashtbl.find_all index (key tu) in
-          List.fold_left (fun acc tu' -> Tuple.merge tu tu' :: acc) acc matches)
+          List.fold_left (fun acc tu' -> merge tu tu' :: acc) acc matches)
         large []
     in
     { scheme = out_scheme; tuples = canonical (Array.of_list out) }
@@ -181,7 +186,7 @@ let joins_with r1 r2 =
     let any = not (is_empty r2) in
     fun _ -> any
   else begin
-    let key = key_extractor common in
+    let key = Tuple.key_extractor common in
     let keys = Hashtbl.create (max 16 (cardinality r2)) in
     iter (fun tu -> Hashtbl.replace keys (key tu) ()) r2;
     fun tu -> Hashtbl.mem keys (key tu)

@@ -2,15 +2,22 @@
    at the same positions.  Headers are never mutated, so tuples built
    from one [header] share it physically — which lets [compare] skip
    the attribute comparisons and [is_over] answer with one pointer
-   test. *)
+   test.
+
+   The per-tuple primitives below are plain loops: without flambda a
+   local recursive closure is allocated on every call, and these run
+   once per generated tuple or comparison. *)
 type t = { attrs : Attr.t array; vals : Value.t array }
 type header = Attr.t array
 
 let empty = { attrs = [||]; vals = [||] }
 let header scheme = Array.of_list (Attr.Set.elements scheme)
+let header_of t = t.attrs
 
-let of_columns header get =
-  { attrs = header; vals = Array.init (Array.length header) get }
+let of_values header vals =
+  if Array.length vals <> Array.length header then
+    invalid_arg "Tuple.of_values: value count differs from header width";
+  { attrs = header; vals }
 
 (* The error names the first binding, in list order, whose attribute
    is already bound. *)
@@ -35,10 +42,20 @@ let of_list bindings =
 let of_string_list bindings =
   of_list (List.map (fun (name, v) -> (Attr.make name, v)) bindings)
 
-let is_over header t =
-  t.attrs == header
-  || Array.length t.attrs = Array.length header
-     && Array.for_all2 Attr.equal t.attrs header
+(* Physically one header, or two headers over the same attributes. *)
+let same_header h1 h2 =
+  h1 == h2
+  ||
+  let n = Array.length h1 in
+  n = Array.length h2
+  &&
+  let k = ref 0 in
+  while !k < n && Attr.equal h1.(!k) h2.(!k) do
+    incr k
+  done;
+  !k = n
+
+let is_over header t = same_header t.attrs header
 
 let bindings t =
   List.init (Array.length t.attrs) (fun k -> (t.attrs.(k), t.vals.(k)))
@@ -50,28 +67,27 @@ let iter f t =
 
 let scheme t = Attr.Set.of_list (Array.to_list t.attrs)
 
-(* The position of [a] in the header, or [-(p + 1)] where [p] is the
+(* The position of [a] in [attrs], or [-(p + 1)] where [p] is the
    position it would be inserted at. *)
-let locate t a =
-  let rec go lo hi =
-    if lo >= hi then -(lo + 1)
-    else
-      let mid = (lo + hi) lsr 1 in
-      let c = Attr.compare a t.attrs.(mid) in
-      if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
-  in
-  go 0 (Array.length t.attrs)
+let locate attrs a =
+  let lo = ref 0 and hi = ref (Array.length attrs) and found = ref (-1) in
+  while !found < 0 && !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = Attr.compare a attrs.(mid) in
+    if c = 0 then found := mid else if c < 0 then hi := mid else lo := mid + 1
+  done;
+  if !found >= 0 then !found else -(!lo + 1)
 
 let get t a =
-  let k = locate t a in
+  let k = locate t.attrs a in
   if k < 0 then raise Not_found else t.vals.(k)
 
 let get_opt t a =
-  let k = locate t a in
+  let k = locate t.attrs a in
   if k < 0 then None else Some t.vals.(k)
 
 let set t a v =
-  let k = locate t a in
+  let k = locate t.attrs a in
   if k >= 0 then begin
     let vals = Array.copy t.vals in
     vals.(k) <- v;
@@ -106,63 +122,120 @@ let restrict t x =
   end
 
 let joinable t1 t2 =
-  let n1 = Array.length t1.attrs and n2 = Array.length t2.attrs in
-  let rec go i j =
-    i >= n1 || j >= n2
-    ||
-    let c = Attr.compare t1.attrs.(i) t2.attrs.(j) in
-    if c < 0 then go (i + 1) j
-    else if c > 0 then go i (j + 1)
-    else Value.equal t1.vals.(i) t2.vals.(j) && go (i + 1) (j + 1)
-  in
-  go 0 0
+  let a1 = t1.attrs and a2 = t2.attrs in
+  let n1 = Array.length a1 and n2 = Array.length a2 in
+  let i = ref 0 and j = ref 0 and agree = ref true in
+  while !agree && !i < n1 && !j < n2 do
+    let c = Attr.compare a1.(!i) a2.(!j) in
+    if c < 0 then incr i
+    else if c > 0 then incr j
+    else begin
+      agree := Value.equal t1.vals.(!i) t2.vals.(!j);
+      incr i;
+      incr j
+    end
+  done;
+  !agree
 
-(* Two walks over the headers: the first checks every common attribute
-   and sizes the union, the second fills it.  When one scheme contains
-   the other, the larger tuple already is the merge. *)
-let merge t1 t2 =
-  let n1 = Array.length t1.attrs and n2 = Array.length t2.attrs in
-  let rec size i j m =
-    if i >= n1 then m + n2 - j
-    else if j >= n2 then m + n1 - i
-    else
-      let c = Attr.compare t1.attrs.(i) t2.attrs.(j) in
-      if c < 0 then size (i + 1) j (m + 1)
-      else if c > 0 then size i (j + 1) (m + 1)
-      else if Value.equal t1.vals.(i) t2.vals.(j) then
-        size (i + 1) (j + 1) (m + 1)
-      else
-        invalid_arg
-          (Printf.sprintf "Tuple.merge: conflicting values for %s"
-             (Attr.to_string t1.attrs.(i)))
+(* A merge compiled for one pair of input headers: the output header
+   and, per output column, where its value comes from.  [out] is [h1]
+   when [h2]'s attributes are all in [h1], else [h2] when [h1]'s are
+   all in [h2] — the larger tuple then already is the merge — and
+   otherwise one fresh header that every merged tuple shares. *)
+type plan = {
+  h1 : header;
+  h2 : header;
+  out : header;
+  src : int array; (* column k reads t1's src.(k), or t2's -(src.(k) + 1) *)
+  c1 : int array; (* the common attributes' columns in t1, ascending *)
+  c2 : int array; (* ... and in t2 *)
+}
+
+let compile h1 h2 =
+  let out = header (Attr.Set.of_list (Array.to_list h1 @ Array.to_list h2)) in
+  let source a =
+    let k = locate h1 a in
+    if k >= 0 then k else -locate h2 a - 1
   in
-  let m = size 0 0 0 in
-  if m = n1 then t1
-  else if m = n2 then t2
+  let common = List.filter (fun a -> locate h2 a >= 0) (Array.to_list h1) in
+  let m = Array.length out in
+  {
+    h1;
+    h2;
+    out =
+      (if m = Array.length h1 then h1
+       else if m = Array.length h2 then h2
+       else out);
+    src = Array.map source out;
+    c1 = Array.of_list (List.map (locate h1) common);
+    c2 = Array.of_list (List.map (locate h2) common);
+  }
+
+let conflict a =
+  invalid_arg
+    (Printf.sprintf "Tuple.merge: conflicting values for %s" (Attr.to_string a))
+
+let source p t1 t2 k =
+  let s = p.src.(k) in
+  if s >= 0 then t1.vals.(s) else t2.vals.(-s - 1)
+
+(* Checks the common columns in increasing attribute order, so a
+   conflict names the least disagreeing attribute; a fresh result costs
+   its value array and record, nothing else. *)
+let apply p t1 t2 =
+  let c1 = p.c1 and c2 = p.c2 in
+  for k = 0 to Array.length c1 - 1 do
+    let i = c1.(k) in
+    if not (Value.equal t1.vals.(i) t2.vals.(c2.(k))) then conflict t1.attrs.(i)
+  done;
+  if p.out == p.h1 then t1
+  else if p.out == p.h2 then t2
   else begin
-    let attrs = Array.make m t1.attrs.(0) and vals = Array.make m t1.vals.(0) in
-    let rec fill i j k =
-      if k < m then
-        let take1 =
-          j >= n2 || (i < n1 && Attr.compare t1.attrs.(i) t2.attrs.(j) <= 0)
-        in
-        if take1 then begin
-          attrs.(k) <- t1.attrs.(i);
-          vals.(k) <- t1.vals.(i);
-          let j =
-            if j < n2 && Attr.equal t1.attrs.(i) t2.attrs.(j) then j + 1 else j
-          in
-          fill (i + 1) j (k + 1)
-        end
-        else begin
-          attrs.(k) <- t2.attrs.(j);
-          vals.(k) <- t2.vals.(j);
-          fill i (j + 1) (k + 1)
-        end
-    in
-    fill 0 0 0;
-    { attrs; vals }
+    (* Neither scheme contains the other, so the output has columns. *)
+    let m = Array.length p.src in
+    let vals = Array.make m (source p t1 t2 0) in
+    for k = 1 to m - 1 do
+      vals.(k) <- source p t1 t2 k
+    done;
+    { attrs = p.out; vals }
   end
+
+let merge t1 t2 = apply (compile t1.attrs t2.attrs) t1 t2
+
+let merger () =
+  let plan = ref None in
+  fun t1 t2 ->
+    match !plan with
+    | Some p when same_header p.h1 t1.attrs && same_header p.h2 t2.attrs ->
+        apply p t1 t2
+    | _ ->
+        let p = compile t1.attrs t2.attrs in
+        plan := Some p;
+        apply p t1 t2
+
+let key_extractor common =
+  let attrs = Array.of_list (Attr.Set.elements common) in
+  let columns = ref None in
+  fun t ->
+    let pos =
+      match !columns with
+      | Some (h, pos) when same_header h t.attrs -> pos
+      | _ ->
+          let pos =
+            Array.map
+              (fun a ->
+                let k = locate t.attrs a in
+                if k < 0 then raise Not_found else k)
+              attrs
+          in
+          columns := Some (t.attrs, pos);
+          pos
+    in
+    let key = ref [] in
+    for k = Array.length pos - 1 downto 0 do
+      key := t.vals.(pos.(k)) :: !key
+    done;
+    !key
 
 (* Lexicographic over the (attribute, value) pairs, a proper prefix
    first.  State order, decode order and the result digest all rest on
@@ -171,16 +244,13 @@ let compare t1 t2 =
   let n1 = Array.length t1.vals and n2 = Array.length t2.vals in
   let n = if n1 < n2 then n1 else n2 in
   let shared = t1.attrs == t2.attrs in
-  let rec go k =
-    if k = n then Int.compare n1 n2
-    else
-      let c = if shared then 0 else Attr.compare t1.attrs.(k) t2.attrs.(k) in
-      if c <> 0 then c
-      else
-        let c = Value.compare t1.vals.(k) t2.vals.(k) in
-        if c <> 0 then c else go (k + 1)
-  in
-  go 0
+  let k = ref 0 and c = ref 0 in
+  while !c = 0 && !k < n do
+    let a = if shared then 0 else Attr.compare t1.attrs.(!k) t2.attrs.(!k) in
+    c := if a <> 0 then a else Value.compare t1.vals.(!k) t2.vals.(!k);
+    incr k
+  done;
+  if !c <> 0 then !c else Int.compare n1 n2
 
 let equal t1 t2 = compare t1 t2 = 0
 

@@ -23,12 +23,18 @@ type header
 
 val header : Attr.Set.t -> header
 
-val of_columns : header -> (int -> Value.t) -> t
-(** [of_columns h get] is the tuple over [h]'s scheme binding its
-    [j]-th attribute to [get j]; [get] is called for [j = 0, 1, ...] in
-    that order.  The tuple shares [h] instead of copying it, so rows
-    built from one header cost one value array each and compare
-    without re-comparing attributes. *)
+val of_values : header -> Value.t array -> t
+(** [of_values h vals] is the tuple over [h]'s scheme binding its
+    [j]-th attribute to [vals.(j)].  The tuple takes [vals] over (the
+    caller must not mutate it afterwards) and shares [h] instead of
+    copying it, so rows built from one header cost one value array each
+    and compare without re-comparing attributes.
+    @raise Invalid_argument if [vals] and [h] differ in width. *)
+
+val header_of : t -> header
+(** The tuple's own header: physically the one it was built from, so
+    two tuples built from one header, or emitted by one {!merger},
+    answer the same array. *)
 
 val is_over : header -> t -> bool
 (** [is_over h t] holds iff [t]'s scheme is exactly [h]'s.  Allocates
@@ -62,13 +68,43 @@ val restrict : t -> Attr.Set.t -> t
 val joinable : t -> t -> bool
 (** [joinable t1 t2] holds iff [t1] and [t2] agree on every attribute common
     to their schemes — the condition for them to contribute a tuple to a
-    natural join. *)
+    natural join.  A loop over the two headers: allocates nothing. *)
 
 val merge : t -> t -> t
 (** [merge t1 t2] is the tuple over the union of the two schemes taking
-    values from either argument.
+    values from either argument: {!merger} compiled for this one pair.
+    When one scheme contains the other the result is that argument
+    itself, physically — [t1] when the schemes are equal.
     @raise Invalid_argument if the tuples disagree on a common attribute
     (naming the least such attribute). *)
+
+val merger : unit -> (t -> t -> t)
+(** [merger ()] is {!merge} compiled once per pair of input headers, for
+    a join that merges many tuple pairs.  The first call records the
+    output header and each output column's source.  Later pairs over
+    the same two schemes reuse that record, whether their headers are
+    the same arrays or, as {!of_list} builds them, equal ones; a pair
+    over other schemes compiles afresh.  A call then checks the common
+    columns and, unless one scheme contains the other, allocates
+    exactly the result: one value array and one record.
+
+    Every tuple one merger emits from pairs over the same schemes
+    shares one header physically, so a join's output rows compare with
+    {!compare}'s shared-header shortcut and pass [Relation.make]'s
+    scheme check with a pointer test.  Results, including the physical
+    return of an argument and the conflict error, are exactly those of
+    {!merge}.  The compiled state lives in the returned closure: use one
+    merger per join, never one shared across domains. *)
+
+val key_extractor : Attr.Set.t -> (t -> Value.t list)
+(** [key_extractor common] is the join key of a tuple: the values of
+    the attributes of [common] in increasing attribute order.  The
+    attributes' column positions are found once per header (physically
+    or attribute for attribute) and reused, so a probe reads the values
+    directly; the key list is the only allocation.  Like {!merger}, the
+    state lives in the returned closure.
+    @raise Not_found if an attribute of [common] is not in the tuple's
+    scheme. *)
 
 val compare : t -> t -> int
 (** Total order: lexicographic over the (attribute, value) pairs in
@@ -78,7 +114,8 @@ val compare : t -> t -> int
     by their values column by column.  Relation states are stored,
     iterated and digested in this order, and {!Frame.to_relation}
     relies on it to decode without sorting: it is part of the result
-    digest's contract. *)
+    digest's contract.  A loop that allocates nothing; tuples sharing
+    one header physically skip the attribute comparisons. *)
 
 val equal : t -> t -> bool
 

@@ -186,6 +186,26 @@ let prop_mixed_algorithms =
       Relation.equal result (Database.join_all db)
       && stats.Exec.tuples_generated = Cost.tau db s)
 
+(* Each join compiles its merge once, so all rows of one seed join
+   share one header — even over example 1's [of_rows] states, whose
+   tuples each carry their own — under every kernel. *)
+let test_join_rows_share_a_header () =
+  let s = Strategy.of_string "((AB * BC) * DE) * FG" in
+  let one_header name r =
+    match Relation.tuples r with
+    | [] -> Alcotest.fail (name ^ ": empty result")
+    | t :: rest ->
+        let h = Tuple.header_of t in
+        Alcotest.(check bool) name true
+          (List.for_all (fun t' -> Tuple.header_of t' == h) rest)
+  in
+  List.iter
+    (fun (name, algo) ->
+      let plan = Physical.of_strategy ~algo:(fun _ _ -> algo) s in
+      one_header name (fst (Exec.execute ex1 plan)))
+    algorithms;
+  one_header "pipelined" (fst (Exec.execute_pipelined ex1 s))
+
 (* ------------------------------------------------------------------ *)
 (* Index reuse                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -353,6 +373,8 @@ let () =
           Alcotest.test_case "block size validated" `Quick
             test_block_size_validated;
           Alcotest.test_case "missing scheme" `Quick test_missing_scheme;
+          Alcotest.test_case "join rows share a header" `Quick
+            test_join_rows_share_a_header;
           prop_engine_matches_algebra;
           prop_mixed_algorithms;
         ] );

@@ -1182,6 +1182,192 @@ let test_error_messages () =
       ignore (Relation.add (tu [ ("A", i 1); ("C", i 2) ]) (Relation.empty scheme)))
 
 (* ------------------------------------------------------------------ *)
+(* Compiled kernels                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The binding-list reference for the compiled merge and key: a merge
+   walk over two sorted binding lists that names the least conflicting
+   attribute, and the key as the common attributes' values in order. *)
+let rec reference_merge b1 b2 =
+  match (b1, b2) with
+  | [], b | b, [] -> b
+  | (a1, v1) :: r1, (a2, v2) :: r2 ->
+      let c = Attr.compare a1 a2 in
+      if c < 0 then (a1, v1) :: reference_merge r1 b2
+      else if c > 0 then (a2, v2) :: reference_merge b1 r2
+      else if Value.equal v1 v2 then (a1, v1) :: reference_merge r1 r2
+      else
+        invalid_arg
+          (Printf.sprintf "Tuple.merge: conflicting values for %s"
+             (Attr.to_string a1))
+
+let reference_key common b =
+  List.filter_map
+    (fun (a, v) -> if Attr.Set.mem a common then Some v else None)
+    b
+
+(* A scheme is a bit mask over [model_pool], which is in attribute
+   order; 0 is the empty scheme. *)
+let mask_attrs m = List.filteri (fun k _ -> m land (1 lsl k) <> 0) model_pool
+let mask_scheme m = Attr.Set.of_list (mask_attrs m)
+
+(* One step of a kernel case: the two sides' schemes, whether each
+   side is built over its scheme's shared header or by [Tuple.of_list]
+   (a header of its own), and the values of the whole pool per side —
+   the second side copies the first's half the time, so common
+   attributes agree often enough to merge. *)
+let gen_kernel_case =
+  let open QCheck2.Gen in
+  let gen_mask = frequency [ (1, return 0); (6, int_range 1 31) ] in
+  let gen_pair =
+    let* m1 = gen_mask in
+    let* m2 =
+      oneof
+        [
+          gen_mask;
+          map (fun r -> m1 land r) gen_mask;
+          map (fun r -> m1 lor r) gen_mask;
+          return m1;
+        ]
+    in
+    return (m1, m2)
+  in
+  let gen_vals = array_repeat 5 gen_model_value in
+  let* p = gen_pair and* p' = gen_pair in
+  list_size (int_range 1 12)
+    (let* m1, m2 = frequency [ (3, return p); (1, return p') ] in
+     let* shared1 = bool and* shared2 = bool in
+     let* v1 = gen_vals and* v2 = gen_vals and* agree = bool in
+     return (m1, m2, shared1, shared2, v1, if agree then v1 else v2))
+
+(* One merger and one key extractor per common scheme run over the
+   whole list, so the headers they see change in its middle. *)
+let prop_compiled_kernels =
+  qtest "compiled merge and key match a binding-list reference" ~count:500
+    gen_kernel_case (fun steps ->
+      let headers = Array.init 32 (fun m -> Tuple.header (mask_scheme m)) in
+      let build m shared vals =
+        let b =
+          List.filteri (fun k _ -> m land (1 lsl k) <> 0)
+            (List.combine model_pool (Array.to_list vals))
+        in
+        ( b,
+          if shared then
+            Tuple.of_values headers.(m) (Array.of_list (List.map snd b))
+          else Tuple.of_list b )
+      in
+      let merge = Tuple.merger () in
+      let keys = Hashtbl.create 4 in
+      let key common =
+        match Hashtbl.find_opt keys common with
+        | Some k -> k
+        | None ->
+            let k = Tuple.key_extractor (mask_scheme common) in
+            Hashtbl.add keys common k;
+            k
+      in
+      let last = ref (-1, -1) and out_header = ref None in
+      List.for_all
+        (fun (m1, m2, shared1, shared2, v1, v2) ->
+          let b1, t1 = build m1 shared1 v1 and b2, t2 = build m2 shared2 v2 in
+          if !last <> (m1, m2) then out_header := None;
+          last := (m1, m2);
+          let common = m1 land m2 in
+          let key_ok =
+            List.equal Value.equal (key common t1)
+              (reference_key (mask_scheme common) b1)
+            && List.equal Value.equal (key common t2)
+                 (reference_key (mask_scheme common) b2)
+          in
+          let merged =
+            match
+              ( outcome (fun () -> merge t1 t2),
+                outcome (fun () -> reference_merge b1 b2) )
+            with
+            | Ok r, Ok b ->
+                let physical =
+                  if m2 land m1 = m2 then r == t1
+                  else if m1 land m2 = m1 then r == t2
+                  else
+                    match !out_header with
+                    | None ->
+                        out_header := Some (Tuple.header_of r);
+                        true
+                    | Some h -> Tuple.header_of r == h
+                in
+                same_bindings (Tuple.bindings r) b
+                && same_bindings (Tuple.bindings (Tuple.merge t1 t2)) b
+                && physical
+            | Error e, Error e' ->
+                e = e' && outcome (fun () -> Tuple.merge t1 t2) = Error e
+            | _ -> false
+          in
+          key_ok && merged
+          || QCheck2.Test.fail_reportf "schemes %d and %d: key %b, merge %b" m1
+               m2 key_ok merged)
+        steps)
+
+(* The named cases of the law above. *)
+let test_compiled_merge_cases () =
+  let merge = Tuple.merger () in
+  let ab = tu [ ("A", i 1); ("B", i 2) ] and b = tu [ ("B", i 2) ] in
+  Alcotest.(check bool) "empty with empty is the first" true
+    (merge Tuple.empty Tuple.empty == Tuple.empty);
+  Alcotest.(check bool) "a subset returns the superset" true (merge b ab == ab);
+  Alcotest.(check bool) "a superset returns itself" true (merge ab b == ab);
+  Alcotest.(check bool) "empty returns the other" true
+    (merge Tuple.empty ab == ab);
+  Alcotest.check_raises "conflict, after a reuse"
+    (Invalid_argument "Tuple.merge: conflicting values for B") (fun () ->
+      ignore (merge ab (tu [ ("B", i 3); ("C", i 4) ]));
+      ignore (merge ab (tu [ ("B", i 3); ("C", i 5) ])));
+  let r =
+    Relation.natural_join
+      (Relation.of_rows "AB" [ [ i 1; i 2 ]; [ i 2; i 2 ]; [ i 3; i 4 ] ])
+      (Relation.of_rows "BC" [ [ i 2; i 5 ]; [ i 2; i 6 ]; [ i 4; i 7 ] ])
+  in
+  let h = Tuple.header_of (List.hd (Relation.tuples r)) in
+  Alcotest.(check bool) "a join's rows share one header" true
+    (Relation.for_all (fun t -> Tuple.header_of t == h) r)
+
+(* Minor words per warm call of [f] over [n] calls, less the measuring
+   loop's own: the first call, which compiles, is not counted. *)
+let words_per_call f =
+  f ();
+  let n = 1000 in
+  let loop g =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      g ()
+    done;
+    Gc.minor_words () -. before
+  in
+  let idle = loop (fun () -> ()) in
+  (loop f -. idle) /. float_of_int n
+
+(* The per-tuple primitives allocate nothing, and a compiled merge only
+   its result: one record (3 words) and one value array (width + 1). *)
+let test_kernel_allocation () =
+  let abc = Tuple.header (Attr.Set.of_string "ABC") in
+  let ab = Tuple.header (Attr.Set.of_string "AB") in
+  let bc = Tuple.header (Attr.Set.of_string "BC") in
+  let t1 = Tuple.of_values abc [| i 1; i 2; i 3 |] in
+  let t2 = Tuple.of_values abc [| i 1; i 2; i 4 |] in
+  let u = Tuple.of_values ab [| i 1; i 2 |] in
+  let v = Tuple.of_values bc [| i 2; i 5 |] in
+  let words name expected f =
+    Alcotest.(check (float 0.)) name expected (words_per_call f)
+  in
+  words "compare, shared header" 0. (fun () -> ignore (Tuple.compare t1 t2));
+  words "compare, other headers" 0. (fun () -> ignore (Tuple.compare u v));
+  words "joinable" 0. (fun () -> ignore (Tuple.joinable u v));
+  let merge = Tuple.merger () in
+  words "merge: the result only" 7. (fun () -> ignore (merge u v));
+  words "merge into a superset" 0. (fun () -> ignore (merge t1 u));
+  let key = Tuple.key_extractor (Attr.Set.of_string "AC") in
+  words "key: the list only" 6. (fun () -> ignore (key t1))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mj_relation"
@@ -1309,5 +1495,12 @@ let () =
           prop_tuple_order_matches_model;
           prop_relation_matches_model;
           Alcotest.test_case "error messages" `Quick test_error_messages;
+        ] );
+      ( "kernels",
+        [
+          prop_compiled_kernels;
+          Alcotest.test_case "compiled merge cases" `Quick
+            test_compiled_merge_cases;
+          Alcotest.test_case "allocation" `Quick test_kernel_allocation;
         ] );
     ]

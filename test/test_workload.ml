@@ -617,6 +617,76 @@ let test_only_the_root_sorts () =
   Alcotest.(check int) "digest sorts the result rows"
     digested.Frame_engine.result_rows digested.Frame_engine.sorted_rows
 
+(* Allocation as exact counts.  A frame hash join allocates a fixed
+   handful of words whatever its size: probing, chain walks
+   ([keys_match]) and output rows allocate nothing per row.  The first
+   join of the skewed cycle-3 database, at 400 and at 6000 rows
+   (3,392 and 235,686 output rows), allocates the same. *)
+let test_frame_join_allocation () =
+  let join_words rows =
+    let w =
+      {
+        Mj_serve.Protocol.shape = "cycle";
+        n = 3;
+        rows;
+        domain = rows;
+        regime = "skewed";
+        seed = 0;
+      }
+    in
+    let db = Mj_serve.Protocol.materialize w in
+    let fdb = Frame.Db.of_database db in
+    let s1, s2 =
+      match Scheme.Set.elements (Database.schemes db) with
+      | s1 :: s2 :: _ -> (s1, s2)
+      | _ -> assert false
+    in
+    let f1 = Frame.Db.find fdb s1 and f2 = Frame.Db.find fdb s2 in
+    let before = Gc.minor_words () in
+    let j = Frame.natural_join ~domains:1 f1 f2 in
+    let words = Gc.minor_words () -. before in
+    (Frame.cardinality j, words)
+  in
+  let small_rows, small = join_words 400 in
+  let large_rows, large = join_words 6000 in
+  Alcotest.(check (pair int int)) "output rows" (3392, 235686)
+    (small_rows, large_rows);
+  Alcotest.(check (float 0.)) "same words at both sizes" small large
+
+(* The minor words of one warm seed-plane query, pinned like
+   [frame.sorted_rows] above: chain-4 under the hash policy at 400
+   rows, seed 0, one domain (the serve-hot seed kind), after a first
+   run has warmed the index cache.  τ is 1,140; each joined tuple costs
+   its value array, its record and its list cell. *)
+let test_seed_query_allocation () =
+  let w =
+    {
+      Mj_serve.Protocol.shape = "chain";
+      n = 4;
+      rows = 400;
+      domain = 400;
+      regime = "uniform";
+      seed = 0;
+    }
+  in
+  let db = Mj_serve.Protocol.materialize w in
+  let cfg =
+    {
+      (Engine.Config.make ~plane:Engine.Seed ~policy:Planner.Hash_all ~domains:1
+         ~obs:Obs.noop ())
+      with
+      telemetry = None;
+    }
+  in
+  let plan = Engine.lower cfg db (Mj_serve.Protocol.default_strategy db) in
+  let warm, _ = Engine.execute_digest cfg db plan in
+  let before = Gc.minor_words () in
+  let digest, stats = Engine.execute_digest cfg db plan in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int64) "same digest" warm digest;
+  Alcotest.(check int) "tau" 1140 stats.Engine.tuples_generated;
+  Alcotest.(check (float 0.)) "minor words" 55684. words
+
 (* Row counts force nothing; a restricted view keeps the coded form and
    shares its states with the parent; replace forces the rest. *)
 let test_derived_forms () =
@@ -672,6 +742,12 @@ let () =
           Alcotest.test_case "derived forms" `Quick test_derived_forms;
           Alcotest.test_case "only the root sorts" `Quick
             test_only_the_root_sorts;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "frame join" `Quick test_frame_join_allocation;
+          Alcotest.test_case "warm seed query" `Quick
+            test_seed_query_allocation;
         ] );
       ( "dbgen",
         [
