@@ -1260,8 +1260,9 @@ let fuzz_cmd =
           ~doc:
             "Certify the harness catches bugs: plant each mutation (the \
              frame-plane lossy join, the lossy yann semijoin, the skipped \
-             root sort and the stale serve plan), require detection, and \
-             require shrinking to at most 4 relations.")
+             root sort, the stale serve plan and the off-by-one product \
+             rule of the τ cache), require detection, and require \
+             shrinking to at most 4 relations.")
   in
   Cmd.v
     (Cmd.info "fuzz"

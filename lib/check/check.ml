@@ -1,6 +1,7 @@
 open Mj_relation
 open Multijoin
 module Hypergraph = Mj_hypergraph.Hypergraph
+module Bitdb = Mj_hypergraph.Bitdb
 module Jointree = Mj_hypergraph.Jointree
 module Obs = Mj_obs.Obs
 module Json = Mj_obs.Json
@@ -687,6 +688,31 @@ let theorems db =
     fail "theorems:brute_force"
       "exhaustive enumeration min τ=%d, DP min_all=%d" brute
       rep.Theorems.min_all;
+  (* Theorem 1's decision on the linear DP table against the
+     enumeration of every optimal linear strategy it replaces. *)
+  let by_dp = Optimal.linear_optima_cp_free cache in
+  let by_enumeration =
+    List.for_all
+      (fun (r : Optimal.result) -> not (Strategy.uses_cartesian r.strategy))
+      (Optimal.all_optima_cached ~subspace:Enumerate.Linear cache)
+  in
+  if by_dp <> by_enumeration || by_dp <> rep.Theorems.theorem1_conclusion then
+    fail "theorems:theorem1"
+      "linear DP says %b, enumeration says %b, report says %b" by_dp
+      by_enumeration rep.Theorems.theorem1_conclusion;
+  (* Every cached cardinality, the product-priced unconnected ones
+     included, against the materialized join of its sub-database. *)
+  let u = Cost.Cache.universe cache in
+  for m = 1 to Bitdb.full u do
+    let d = Bitdb.set_of_mask u m in
+    let cached = Cost.Cache.card cache d in
+    let joined =
+      Relation.cardinality (Database.join_all (Database.restrict db d))
+    in
+    if cached <> joined then
+      fail "theorems:cache_exact" "cache says |%a| = %d, the join has %d rows"
+        Scheme.Set.pp d cached joined
+  done;
   if not (Theorems.lemma5_consistent db) then
     fail "theorems:lemma5" "monotone refinement inconsistent with Lemma 5"
 

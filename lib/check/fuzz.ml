@@ -107,6 +107,14 @@ let planted_case =
    case over a path. *)
 let planted_acyclic_case = Gen.normalize { planted_case with Gen.shape = Gen.Path }
 
+(* Most checks read the τ cache only on the masks a strategy's steps
+   produce, and the product rule only prices unconnected ones; over a
+   chain whose random strategy takes no Cartesian product step, the
+   theorem checks, which read every mask, are the ones to catch a wrong
+   product. *)
+let planted_cp_free_case =
+  Gen.normalize { planted_case with Gen.seed = 8; shape = Gen.Chain }
+
 (* Plant one named mutation into the fixed case and require the whole
    detect → shrink → clean-re-run loop to work: the harness must catch
    it, the minimizer must bring the repro down to ≤ 4 relations while
@@ -164,12 +172,13 @@ let self_test () =
         (Format.asprintf "clean harness is not quiet on %a: %a" Gen.pp d
            Check.pp_failure f)
   | Check.Pass -> (
-      (* Four independent planted bugs, each through the full loop:
+      (* Five independent planted bugs, each through the full loop:
          the lossy frame join, the lossy yann semijoin reducer and the
          skipped root sort (all caught by the matrix's digest checks,
-         on the hash the daemon serves without decoding) and the serve
+         on the hash the daemon serves without decoding), the serve
          stale-plan cache collision (caught by the serve leg's τ-log
-         comparison). *)
+         comparison) and the τ cache's off-by-one product rule
+         (caught by the theorem checks' exact cache comparison). *)
       let rec all acc = function
         | [] -> Ok (String.concat "; " (List.rev acc))
         | (caught_by, case, spec) :: rest -> (
@@ -183,4 +192,5 @@ let self_test () =
           ("digest", planted_acyclic_case, "yann.lossy_semijoin");
           ("digest", d, "frame.skip_root_sort");
           ("serve", d, "serve.cache_stale_plan");
+          ("theorems", planted_cp_free_case, "cost.cp_product");
         ])

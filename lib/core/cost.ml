@@ -95,7 +95,8 @@ module Cache = struct
         c.fdb <- Some fdb;
         fdb
 
-  let compute c mask =
+  (* A connected sub-database is counted by the backend. *)
+  let count c mask =
     let schemes = Bitdb.set_of_mask c.univ mask in
     match c.backend with
     | Seed ->
@@ -116,7 +117,7 @@ module Cache = struct
     in
     Hashtbl.replace c.table mask poisoned
 
-  let card_mask c mask =
+  let rec card_mask c mask =
     match Hashtbl.find_opt c.table mask with
     | Some n when n >= 0 ->
         Obs.incr c.hits 1;
@@ -132,6 +133,20 @@ module Cache = struct
         let n = compute c mask in
         store c mask n;
         n
+
+  (* The components of an unconnected mask share no attribute, so their
+     join is their Cartesian product: its size is the product of theirs,
+     each read through the cache, stopping at the first empty one. *)
+  and compute c mask =
+    match Bitdb.components c.univ mask with
+    | _ :: _ :: _ as comps ->
+        let n = product c comps in
+        if Mj_failpoint.Failpoint.fire Cost_cp_product then n + 1 else n
+    | _ -> count c mask
+
+  and product c = function
+    | [] -> 1
+    | m :: rest -> ( match card_mask c m with 0 -> 0 | n -> n * product c rest)
 
   let card c schemes =
     match Bitdb.mask_of_set c.univ schemes with

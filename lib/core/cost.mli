@@ -38,7 +38,16 @@ val tau_oracle : (Scheme.Set.t -> int) -> Strategy.t -> int
     theorem validators of a single database at once, so the same
     sub-database join is never materialized twice across them.  Cache
     traffic is observable: pass an {!Mj_obs.Obs.sink} and the counters
-    [cost.cache_hits] / [cost.cache_misses] record the savings. *)
+    [cost.cache_hits] / [cost.cache_misses] record the savings.
+
+    Only connected sub-databases are counted by the backend.  An
+    unconnected one is priced by the product rule: its components share
+    no attribute, so its join is their Cartesian product and its size
+    the product of theirs.  Each component is read through
+    {!card_mask}, in {!Mj_hypergraph.Bitdb.components} order, stopping
+    at the first empty one, and the product is stored like any other
+    entry.  A miss on an unconnected mask therefore also counts one hit
+    or miss per component read. *)
 module Cache : sig
   type t
 
@@ -68,7 +77,8 @@ module Cache : sig
 
   val card_mask : t -> int -> int
   (** Exact cardinality of the joined sub-database denoted by a mask,
-      materializing it on first request. *)
+      computed on first request: counted by the backend when connected,
+      the product of its components' cardinalities otherwise. *)
 
   val card : t -> Scheme.Set.t -> int
   (** [Scheme.Set] edge of the same cache.

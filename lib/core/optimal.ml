@@ -132,6 +132,40 @@ let optimum_exn ?subspace db =
   | Some r -> r
   | None -> invalid_arg "Optimal.optimum_exn: empty strategy subspace"
 
+(* Theorem 1's conclusion on the linear table.  A linear strategy of m
+   (|m| >= 2) is a linear strategy of m - b joined with the relation b,
+   and it is optimal iff the split is tight, L(m - b) = L(m) - card(m),
+   and its part is optimal for m - b: τ is additive and card(m) is the
+   same for every split of m.  So some optimal linear strategy of m
+   uses a Cartesian product iff some tight split is unlinked or has a
+   part for which the same holds; each mask is decided once. *)
+let linear_optima_cp_free cache =
+  let u = Cost.Cache.universe cache in
+  let card = Cost.Cache.card_mask cache in
+  let dp = Subset_dp.create ~units:(Bitdb.size u) card in
+  let full = Bitdb.full u in
+  Subset_dp.solve dp ~splits:(iter_linear_partitions u) full;
+  let best m = Option.get (Subset_dp.cost dp m) in
+  let decided = Hashtbl.create 64 in
+  let rec some_uses_cp m =
+    m land (m - 1) <> 0
+    &&
+    match Hashtbl.find_opt decided m with
+    | Some b -> b
+    | None ->
+        let rest_cost = best m - card m in
+        let found = ref false in
+        iter_linear_partitions u m (fun rest b ->
+            if
+              (not !found)
+              && best rest = rest_cost
+              && ((not (Bitdb.linked u rest b)) || some_uses_cp rest)
+            then found := true);
+        Hashtbl.add decided m !found;
+        !found
+  in
+  not (some_uses_cp full)
+
 (* Stream the subspace instead of materializing it: a single fold tracks
    the best cost and the ties seen so far, in enumeration order. *)
 let all_optima_with_oracle ~subspace ~oracle d =

@@ -53,10 +53,21 @@ val optimum_cached : ?subspace:Enumerate.subspace -> Cost.Cache.t -> result opti
 val optimum_exn : ?subspace:Enumerate.subspace -> Database.t -> result
 (** @raise Invalid_argument when the subspace is empty. *)
 
+val linear_optima_cp_free : Cost.Cache.t -> bool
+(** Does every τ-optimal linear strategy of the cache's database avoid
+    Cartesian products?  Theorem 1's conclusion, decided on the linear
+    DP table without enumerating a strategy: some optimal linear
+    strategy of a sub-database uses a product iff one of its tight
+    linear splits (one whose part's optimum plus the sub-database's
+    cardinality is its optimum) is unlinked or has a part for which the
+    same holds.  Equal to [List.for_all (not uses_cartesian)] over
+    {!all_optima_cached}[ ~subspace:Linear]. *)
+
 val all_optima : ?subspace:Enumerate.subspace -> Database.t -> result list
 (** {e Every} cheapest strategy of the subspace (by streaming the
-    enumeration — small databases only).  Used by Theorem 1's validator,
-    which quantifies over all optimal linear strategies. *)
+    enumeration — small databases only).  The reference enumerator the
+    DP decisions, such as {!linear_optima_cp_free}, are tested
+    against. *)
 
 val all_optima_cached :
   ?subspace:Enumerate.subspace -> Cost.Cache.t -> result list

@@ -35,11 +35,13 @@ let classify hypotheses conclusion =
 let verify ?obs ?backend db =
   let d = Database.schemes db in
   let connected = Hypergraph.connected d in
-  let nonempty_result = not (Relation.is_empty (Database.join_all db)) in
-  (* One shared τ-oracle cache backs the condition checkers, all four
-     optimum DPs and the Theorem 1 enumeration: every sub-database join
-     is materialized at most once for the whole report. *)
+  (* One shared τ-oracle cache backs R_D ≠ ∅, the condition checkers,
+     all four optimum DPs and Theorem 1's decision: every connected
+     sub-database is counted at most once for the whole report. *)
   let cache = Cost.Cache.create ?obs ?backend db in
+  let nonempty_result =
+    Cost.Cache.card_mask cache (Bitdb.full (Cost.Cache.universe cache)) > 0
+  in
   let conditions = Conditions.summarize_cached cache in
   let cost_of subspace =
     Option.map
@@ -52,11 +54,7 @@ let verify ?obs ?backend db =
   let min_linear_cp_free = cost_of Enumerate.Linear_cp_free in
   (* Theorem 1's conclusion quantifies over every optimal linear
      strategy. *)
-  let theorem1_conclusion =
-    List.for_all
-      (fun (r : Optimal.result) -> not (Strategy.uses_cartesian r.strategy))
-      (Optimal.all_optima_cached ~subspace:Enumerate.Linear cache)
-  in
+  let theorem1_conclusion = Optimal.linear_optima_cp_free cache in
   let theorem2_conclusion = min_cp_free = min_all in
   let theorem3_conclusion = min_linear_cp_free = Some min_all in
   let base_hyps =

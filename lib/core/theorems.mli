@@ -40,10 +40,11 @@ type report = {
 }
 
 val verify : ?obs:Mj_obs.Obs.sink -> ?backend:Cost.Cache.backend -> Database.t -> report
-(** Full verification by exhaustive enumeration and DP; exponential in
-    [|D|], for databases of up to ~8 relations.  One shared
-    {!Cost.Cache} backs the condition checkers, the four optimum DPs
-    and the Theorem 1 enumeration; pass [obs] to record its
+(** Full verification by DP over sub-databases, with no strategy
+    enumerated; exponential in [|D|], for databases of up to ~8
+    relations.  One shared {!Cost.Cache} backs [R_D ≠ ∅], the condition
+    checkers, the four optimum DPs and Theorem 1's decision
+    ({!Optimal.linear_optima_cp_free}); pass [obs] to record its
     [cost.cache_hits] / [cost.cache_misses] counters.  [backend] selects
     the data plane the cache counts through (default: seed [Relation]s,
     or columnar frames under [MJ_DATA_PLANE=frame]); both produce

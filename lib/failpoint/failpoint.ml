@@ -7,6 +7,7 @@ type t =
   | Serve_worker_stall
   | Serve_stale_plan
   | Frame_skip_root_sort
+  | Cost_cp_product
 
 exception Injected of string
 
@@ -20,6 +21,7 @@ let all =
     Serve_worker_stall;
     Serve_stale_plan;
     Frame_skip_root_sort;
+    Cost_cp_product;
   ]
 
 let name = function
@@ -31,6 +33,7 @@ let name = function
   | Serve_worker_stall -> "serve.worker_stall"
   | Serve_stale_plan -> "serve.cache_stale_plan"
   | Frame_skip_root_sort -> "frame.skip_root_sort"
+  | Cost_cp_product -> "cost.cp_product"
 
 let of_name s =
   let s = String.lowercase_ascii (String.trim s) in
@@ -45,6 +48,7 @@ let index = function
   | Serve_worker_stall -> 5
   | Serve_stale_plan -> 6
   | Frame_skip_root_sort -> 7
+  | Cost_cp_product -> 8
 
 (* One atomic bitmask of active points, one atomic hit counter per
    point: consultation from pool workers running on other domains is

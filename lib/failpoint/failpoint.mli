@@ -55,6 +55,11 @@ type t =
           ([Frame.sort] marks it sorted as emitted), so decode and
           digest read the join's emission order — the planted defect
           that shows the digest check sees a missing sort *)
+  | Cost_cp_product
+      (** [Cost.Cache] prices every unconnected sub-database at the
+          product of its components' cardinalities plus one — the
+          planted defect that shows the theorem checks see a wrong
+          product rule *)
 
 exception Injected of string
 (** Raised by {!trip}; carries the failpoint name. *)
@@ -65,7 +70,7 @@ val name : t -> string
 (** ["pool.worker_kill"], ["cost.cache_poison"], ["estimate.oversize"],
     ["frame.lossy_join"], ["yann.lossy_semijoin"],
     ["serve.worker_stall"], ["serve.cache_stale_plan"],
-    ["frame.skip_root_sort"]. *)
+    ["frame.skip_root_sort"], ["cost.cp_product"]. *)
 
 val of_name : string -> t option
 

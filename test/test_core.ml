@@ -612,6 +612,104 @@ let test_example_reports_never_refuted () =
       Alcotest.(check bool) (name ^ " never refuted") true (never_refuted r))
     Scenarios.all
 
+(* Theorem 1's DP decision and the cache's product rule, against the
+   enumeration and the materialized joins they replace.  The databases
+   reach 7 relations; a third drop one scheme of a larger graph, which
+   often leaves D unconnected, and some have an empty relation. *)
+let gen_theorem_db =
+  let open QCheck2.Gen in
+  let* n = int_range 2 7 in
+  let* kind = int_range 0 2 in
+  let* regime = int_range 0 2 in
+  let* empty = int_range 0 5 in
+  let* seed = int_range 0 100_000 in
+  let rng = Random.State.make [| seed; n; 13 |] in
+  let d =
+    match kind with
+    | 0 -> Querygraph.random ~extra_edge_prob:0.3 ~rng n
+    | 1 ->
+        let d = Querygraph.random ~extra_edge_prob:0.1 ~rng (n + 1) in
+        Scheme.Set.remove
+          (List.nth (Scheme.Set.elements d) (Random.State.int rng (n + 1)))
+          d
+    | _ ->
+        let d = Querygraph.chain (n + 1) in
+        Scheme.Set.remove
+          (List.nth (Scheme.Set.elements d) (1 + Random.State.int rng n))
+          d
+  in
+  let rows = 3 + Random.State.int rng 2 in
+  let db =
+    match regime with
+    | 0 -> Dbgen.superkey_db ~rng ~rows ~domain:(rows + 4) d
+    | 1 -> Dbgen.uniform_db ~rng ~rows ~domain:3 d
+    | _ -> Dbgen.skewed_db ~rng ~rows ~domain:4 ~skew:1.2 d
+  in
+  return
+    (if empty = 0 then
+       Database.replace db (Relation.empty (Scheme.Set.min_elt d))
+     else db)
+
+let theorem1_by_enumeration cache =
+  List.for_all
+    (fun (r : Optimal.result) -> not (Strategy.uses_cartesian r.strategy))
+    (Optimal.all_optima_cached ~subspace:Enumerate.Linear cache)
+
+let prop_theorem1_dp_matches_enumeration =
+  qtest "theorem 1: the linear DP decides as the enumeration" ~count:60
+    gen_theorem_db (fun db ->
+      let cache = Cost.Cache.create db in
+      Optimal.linear_optima_cp_free cache = theorem1_by_enumeration cache)
+
+let test_theorem1_dp_example3 () =
+  (* Three optimal linear strategies, one of them with a CP. *)
+  let cache = Cost.Cache.create Scenarios.example3 in
+  Alcotest.(check int) "three optima" 3
+    (List.length (Optimal.all_optima_cached ~subspace:Enumerate.Linear cache));
+  Alcotest.(check bool) "enumeration" false (theorem1_by_enumeration cache);
+  Alcotest.(check bool) "DP" false (Optimal.linear_optima_cp_free cache)
+
+let cache_matches_joins db =
+  let u = Bitdb.make (Database.schemes db) in
+  List.for_all
+    (fun backend ->
+      let cache = Cost.Cache.create ~backend db in
+      let ok = ref true in
+      for m = 1 to Bitdb.full u do
+        let joined =
+          Database.join_all (Database.restrict db (Bitdb.set_of_mask u m))
+        in
+        if Cost.Cache.card_mask cache m <> Relation.cardinality joined then
+          ok := false
+      done;
+      !ok)
+    Cost.Cache.[ Seed; Frame ]
+
+let prop_cache_matches_joins =
+  qtest "cache: every mask's cardinality is its materialized join" ~count:40
+    gen_theorem_db cache_matches_joins
+
+let test_cache_product_rule () =
+  (* D = {AB, BC, DE} is unconnected; emptying DE empties every mask
+     that holds it, and the product stops there. *)
+  let db =
+    Database.of_rows
+      [
+        ("AB", [ [ Value.Int 1; Value.Int 2 ]; [ Value.Int 3; Value.Int 4 ] ]);
+        ("BC", [ [ Value.Int 2; Value.Int 5 ]; [ Value.Int 2; Value.Int 6 ] ]);
+        ("DE", [ [ Value.Int 7; Value.Int 8 ]; [ Value.Int 9; Value.Int 8 ] ]);
+      ]
+  in
+  Alcotest.(check bool) "unconnected" false
+    (Hypergraph.connected (Database.schemes db));
+  Alcotest.(check bool) "unconnected D" true (cache_matches_joins db);
+  let de = Scheme.of_string "DE" in
+  let emptied = Database.replace db (Relation.empty de) in
+  Alcotest.(check bool) "a zero-row relation" true (cache_matches_joins emptied);
+  let cache = Cost.Cache.create db in
+  Alcotest.(check int) "R_D is the product" 4
+    (Cost.Cache.card_mask cache (Bitdb.full (Cost.Cache.universe cache)))
+
 (* ------------------------------------------------------------------ *)
 (* Monotone strategies                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -821,6 +919,12 @@ let () =
             test_example_reports_never_refuted;
           prop_theorems_never_refuted_random;
           prop_theorems_hold_on_superkey_dbs;
+          Alcotest.test_case "theorem 1 DP on example 3" `Quick
+            test_theorem1_dp_example3;
+          prop_theorem1_dp_matches_enumeration;
+          Alcotest.test_case "cache product rule" `Quick
+            test_cache_product_rule;
+          prop_cache_matches_joins;
         ] );
       ( "monotone",
         [

@@ -536,6 +536,30 @@ let test_frame_pipeline_forces_nothing () =
         Planner.[ Hash_all; Cost_based; Yannakakis; Wcoj ])
     lazy_workloads
 
+(* Theorem verification on frames reads R_D ≠ ∅ from its cache and
+   counts every sub-database through the frame plane, so a generated
+   database keeps its coded form, in every regime, connected or not. *)
+let test_verify_on_frames_forces_nothing () =
+  let middle = Attr.Set.of_list [ Attr.make "c2"; Attr.make "c3" ] in
+  List.iter
+    (fun (regime, d) ->
+      let make () =
+        Dbgen.of_regime ~regime ~rng:(Random.State.make [| 3 |]) ~rows:6
+          ~domain:6 d
+      in
+      let db = make () in
+      let r = Theorems.verify ~backend:Cost.Cache.Frame db in
+      Alcotest.(check int) (regime ^ ": forced") 0 (Database.seed_forced db);
+      Alcotest.(check bool) (regime ^ ": seed agrees") true
+        (r = Theorems.verify ~backend:Cost.Cache.Seed (make ())))
+    [
+      ( "uniform",
+        Querygraph.random ~extra_edge_prob:0.3 ~rng:(Random.State.make [| 5 |]) 5 );
+      ("skewed", Querygraph.chain 6);
+      (* A chain without its middle relation: D is unconnected. *)
+      ("superkey", Scheme.Set.remove middle (Querygraph.chain 5));
+    ]
+
 let test_seed_plane_forces_once () =
   List.iter
     (fun w ->
@@ -738,6 +762,8 @@ let () =
             test_frame_pipeline_forces_nothing;
           Alcotest.test_case "seed plane forces each relation once" `Quick
             test_seed_plane_forces_once;
+          Alcotest.test_case "verify on frames forces no seed state" `Quick
+            test_verify_on_frames_forces_nothing;
           Alcotest.test_case "concurrent forcing" `Quick test_concurrent_forcing;
           Alcotest.test_case "derived forms" `Quick test_derived_forms;
           Alcotest.test_case "only the root sorts" `Quick
