@@ -1168,8 +1168,8 @@ let frame =
 
 let par =
   leg "PAR"
-    "Morsel-driven join scaling: 1/2/4/8 domains, heap vs bigarray storage \
-     (bit-identical results certified)"
+    "Morsel-driven join scaling: 1/2/4/8 domains (bit-identical results \
+     certified)"
     (fun () -> Par_bench.run ~quick:!quick ())
 
 let wcoj =

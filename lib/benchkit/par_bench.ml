@@ -14,54 +14,50 @@ let micro_db shape n =
   let rng = Random.State.make [| n; 1990; Hashtbl.hash shape |] in
   Dbgen.uniform_db ~rng ~rows:n ~domain:(max 2 n) (shape_of shape 3)
 
-(* One (shape, n) workload swept over the full storage × domain grid.
-   The reference result is the 1-domain heap join; every cell certifies
-   bit-identical frames against it (Frame.equal is storage-agnostic),
-   so one grid both measures scaling and proves the morsel scheduler
-   deterministic across backends and worker counts. *)
-let sweep ~cores ~storages ~domain_counts ~reps (shape, n) =
+(* One (shape, n) workload swept over the domain counts.  The
+   reference result is a 1-domain join on its own encoding; every cell
+   certifies a bit-identical frame against it, so one grid both
+   measures scaling and proves the morsel scheduler deterministic
+   across worker counts. *)
+let sweep ~cores ~domain_counts ~reps (shape, n) =
   let db = micro_db shape n in
   let reference =
     Frame.Db.join_all ~domains:1 (Frame.Db.of_database db)
   in
-  List.concat_map
-    (fun storage ->
-      let fdb = Frame.Db.of_database ~storage db in
-      let base_ms, base_f =
-        Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains:1 fdb)
+  let fdb = Frame.Db.of_database db in
+  let base_ms, base_f =
+    Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains:1 fdb)
+  in
+  List.map
+    (fun domains ->
+      let par_ms, par_f =
+        if domains = 1 then (base_ms, base_f)
+        else
+          Bench_core.best_of ~reps (fun () ->
+              Frame.Db.join_all ~domains ~par_threshold:1 fdb)
       in
-      List.map
-        (fun domains ->
-          let par_ms, par_f =
-            if domains = 1 then (base_ms, base_f)
-            else
-              Bench_core.best_of ~reps (fun () ->
-                  Frame.Db.join_all ~domains ~par_threshold:1 fdb)
-          in
-          (* More domains than cores: the pool clamps the worker count,
-             so this cell's timings measure oversubscription noise, not
-             scaling.  The speedup check and bench-diff skip its
-             timings; bit-identity is still enforced. *)
-          let clamped = domains > cores in
-          let positive = clamped || (par_ms > 0.0 && base_ms > 0.0) in
-          Bench_core.(
-            row ~clamped
-              ~checks:[ ("speedup > 0 unless clamped", positive) ]
-              [
-                ("experiment", Key (Json.str "join-scaling"));
-                ("storage", Key (Json.str (Frame.storage_name storage)));
-                ("domains", Key (Json.int domains));
-                ("shape", Key (Json.str shape));
-                ("n", Key (Json.int n));
-                ("reps", Info (Json.int reps));
-                ("base_ms", Ms base_ms);
-                ("par_ms", Ms par_ms);
-                speedup base_ms par_ms;
-                ("rows_out", Out (Json.int (Frame.cardinality par_f)));
-                ("equal", Check (Frame.equal reference par_f));
-              ]))
-        domain_counts)
-    storages
+      (* More domains than cores: the pool clamps the worker count, so
+         this cell's timings measure oversubscription noise, not
+         scaling.  The speedup check and bench-diff skip its timings;
+         bit-identity is still enforced. *)
+      let clamped = domains > cores in
+      let positive = clamped || (par_ms > 0.0 && base_ms > 0.0) in
+      Bench_core.(
+        row ~clamped
+          ~checks:[ ("speedup > 0 unless clamped", positive) ]
+          [
+            ("experiment", Key (Json.str "join-scaling"));
+            ("domains", Key (Json.int domains));
+            ("shape", Key (Json.str shape));
+            ("n", Key (Json.int n));
+            ("reps", Info (Json.int reps));
+            ("base_ms", Ms base_ms);
+            ("par_ms", Ms par_ms);
+            speedup base_ms par_ms;
+            ("rows_out", Out (Json.int (Frame.cardinality par_f)));
+            ("equal", Check (Frame.equal reference par_f));
+          ]))
+    domain_counts
 
 let run ?(quick = false) () =
   let clamp0 = Pool.clamp_events () in
@@ -72,8 +68,7 @@ let run ?(quick = false) () =
   let cores = Domain.recommended_domain_count () in
   let rows =
     List.concat_map
-      (sweep ~cores ~storages:Frame.all_storages ~domain_counts:[ 1; 2; 4; 8 ]
-         ~reps)
+      (sweep ~cores ~domain_counts:[ 1; 2; 4; 8 ] ~reps)
       specs
   in
   Bench_core.

@@ -1,17 +1,15 @@
-(** The PAR benchmark: morsel-join scaling over storage × domains.
+(** The PAR benchmark: morsel-join scaling over worker domains.
 
     One workload per (shape, n) — a generated uniform database joined
-    with the morsel scheduler forced on — swept over the full grid of
-    {!Mj_relation.Frame.storage} backends and worker domain counts
-    (1/2/4/8).  Per cell:
+    with the morsel scheduler forced on — swept over worker domain
+    counts (1/2/4/8).  Per cell:
 
-    - [base_ms] — the 1-domain join on the same storage backend (the
-      scaling denominator);
+    - [base_ms] — the 1-domain join (the scaling denominator);
     - [par_ms] — the join at the cell's domain count;
     - [speedup] — [base_ms /. par_ms], the parallel scaling;
-    - [equal] — bit-identical against the 1-domain {e heap} reference,
-      so the grid certifies the determinism contract across backends
-      and worker counts, not just within one.
+    - [equal] — bit-identical against a 1-domain reference join, so
+      the grid certifies the determinism contract across worker
+      counts.
 
     The report carries [cores] ([Domain.recommended_domain_count]) and
     [clamp_events] (the {!Mj_pool.Pool.clamp_events} delta across the

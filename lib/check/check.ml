@@ -108,33 +108,16 @@ let differential db s =
   let cell_skeletons = Hashtbl.create 16 in
   List.iter
     (fun plane ->
-      (* The storage axis only exists on the frame plane: the seed plane
-         has no frames, so one cell covers it. *)
-      let storages =
-        match plane with
-        | Engine.Seed -> [ None ]
-        | Engine.Frame -> List.map Option.some Frame.all_storages
-      in
       List.iter
         (fun policy ->
           List.iter
-            (fun storage ->
-            List.iter
             (fun domains ->
-              let storage_label =
-                match storage with
-                | None -> ""
-                | Some st -> "/" ^ Frame.storage_name st
-              in
               let where =
-                Printf.sprintf "%s%s/%s/%d-domain" (Engine.plane_name plane)
-                  storage_label
+                Printf.sprintf "%s/%s/%d-domain" (Engine.plane_name plane)
                   (Planner.policy_name policy) domains
               in
               let obs = Obs.make () in
-              let cfg =
-                Engine.Config.make ~plane ~domains ~policy ~obs ?storage ()
-              in
+              let cfg = Engine.Config.make ~plane ~domains ~policy ~obs () in
               check_digest where cfg db s expected;
               let r, stats = Engine.run cfg db s in
               if not (Relation.equal r expected) then
@@ -160,8 +143,7 @@ let differential db s =
                       where (List.length joins) ref_where
                       (List.length ref_joins));
               let cell =
-                ( Engine.plane_name plane ^ storage_label,
-                  Planner.policy_name policy )
+                (Engine.plane_name plane, Planner.policy_name policy)
               in
               match Hashtbl.find_opt cell_skeletons cell with
               | None -> Hashtbl.add cell_skeletons cell (where, sk)
@@ -169,10 +151,9 @@ let differential db s =
                   if sk <> ref_sk then
                     fail "differential:spans"
                       "%s: scan/join shape differs from %s within the same \
-                       plane × policy × storage cell"
+                       plane × policy cell"
                       where ref_where)
             domain_counts)
-            storages)
         policies)
     planes
 
@@ -184,8 +165,8 @@ let differential db s =
    destroyed, not checked.  Instead the wcoj cells get their own
    expected τ/step log, derived from the lowered plan itself through the
    exact-cardinality cache, and the span-shape invariant is scoped to
-   the wcoj cells (which must agree with each other across planes,
-   storages and domain counts). *)
+   the wcoj cells (which must agree with each other across planes and
+   domain counts). *)
 let wcoj_steps cache plan =
   let rec go acc = function
     | Physical.Scan _ -> acc
@@ -218,69 +199,54 @@ let wcoj_differential db s =
         fail "wcoj:tau_shape" "generic join τ=%d ≠ |R_D|=%d" tau result_card
   | _ -> ());
   (* Join spans must agree across the whole wcoj matrix; the full
-     scan/join shape only within one plane × storage cell — the acyclic
+     scan/join shape only within one plane — the acyclic
      arm is the cost-based chooser, whose index-nested-loop fast path
      skips inner scans on the seed plane but not the frame plane. *)
   let reference_joins = ref None in
   let cell_skeletons = Hashtbl.create 8 in
   List.iter
     (fun plane ->
-      let storages =
-        match plane with
-        | Engine.Seed -> [ None ]
-        | Engine.Frame -> List.map Option.some Frame.all_storages
-      in
       List.iter
-        (fun storage ->
-          List.iter
-            (fun domains ->
-              let cell =
-                Engine.plane_name plane
-                ^
-                match storage with
-                | None -> ""
-                | Some st -> "/" ^ Frame.storage_name st
-              in
-              let where = Printf.sprintf "%s/wcoj/%d-domain" cell domains in
-              let obs = Obs.make () in
-              let cfg =
-                Engine.Config.make ~plane ~domains ~policy:Planner.Wcoj ~obs
-                  ?storage ()
-              in
-              check_digest where cfg db s expected;
-              let r, stats = Engine.run cfg db s in
-              if not (Relation.equal r expected) then
-                fail "wcoj:result" "%s: %d rows, reference has %d (strategy %s)"
-                  where
-                  (Relation.cardinality r)
-                  (Relation.cardinality expected)
-                  (Strategy.to_string s);
-              if stats.Engine.tuples_generated <> tau then
-                fail "wcoj:tau" "%s: reported τ=%d, plan prices %d" where
-                  stats.Engine.tuples_generated tau;
-              if not (step_log_equal stats.Engine.per_step steps) then
-                fail "wcoj:steps" "%s: per-step log %a ≠ %a" where pp_step_log
-                  stats.Engine.per_step pp_step_log steps;
-              let sk = skeleton obs in
-              let joins = List.filter (fun (n, _) -> n = "join") sk in
-              (match !reference_joins with
-              | None -> reference_joins := Some (where, joins)
-              | Some (ref_where, ref_joins) ->
-                  if joins <> ref_joins then
-                    fail "wcoj:spans"
-                      "%s: %d join spans with a different shape than %s's %d"
-                      where (List.length joins) ref_where
-                      (List.length ref_joins));
-              match Hashtbl.find_opt cell_skeletons cell with
-              | None -> Hashtbl.add cell_skeletons cell (where, sk)
-              | Some (ref_where, ref_sk) ->
-                  if sk <> ref_sk then
-                    fail "wcoj:spans"
-                      "%s: scan/join shape differs from %s within the same \
-                       plane × storage cell"
-                      where ref_where)
-            domain_counts)
-        storages)
+        (fun domains ->
+          let cell = Engine.plane_name plane in
+          let where = Printf.sprintf "%s/wcoj/%d-domain" cell domains in
+          let obs = Obs.make () in
+          let cfg =
+            Engine.Config.make ~plane ~domains ~policy:Planner.Wcoj ~obs ()
+          in
+          check_digest where cfg db s expected;
+          let r, stats = Engine.run cfg db s in
+          if not (Relation.equal r expected) then
+            fail "wcoj:result" "%s: %d rows, reference has %d (strategy %s)"
+              where
+              (Relation.cardinality r)
+              (Relation.cardinality expected)
+              (Strategy.to_string s);
+          if stats.Engine.tuples_generated <> tau then
+            fail "wcoj:tau" "%s: reported τ=%d, plan prices %d" where
+              stats.Engine.tuples_generated tau;
+          if not (step_log_equal stats.Engine.per_step steps) then
+            fail "wcoj:steps" "%s: per-step log %a ≠ %a" where pp_step_log
+              stats.Engine.per_step pp_step_log steps;
+          let sk = skeleton obs in
+          let joins = List.filter (fun (n, _) -> n = "join") sk in
+          (match !reference_joins with
+          | None -> reference_joins := Some (where, joins)
+          | Some (ref_where, ref_joins) ->
+              if joins <> ref_joins then
+                fail "wcoj:spans"
+                  "%s: %d join spans with a different shape than %s's %d"
+                  where (List.length joins) ref_where
+                  (List.length ref_joins));
+          match Hashtbl.find_opt cell_skeletons cell with
+          | None -> Hashtbl.add cell_skeletons cell (where, sk)
+          | Some (ref_where, ref_sk) ->
+              if sk <> ref_sk then
+                fail "wcoj:spans"
+                  "%s: scan/join shape differs from %s within the same \
+                   plane"
+                  where ref_where)
+        domain_counts)
     planes
 
 (* The Yannakakis leg of the matrix.  Like the wcoj leg, the [yann]
@@ -328,65 +294,51 @@ let yann_differential db s =
   let span_names = [ "scan"; "join"; "semijoin"; "topk" ] in
   List.iter
     (fun plane ->
-      let storages =
-        match plane with
-        | Engine.Seed -> [ None ]
-        | Engine.Frame -> List.map Option.some Frame.all_storages
-      in
       List.iter
-        (fun storage ->
-          List.iter
-            (fun domains ->
-              let cell =
-                Engine.plane_name plane
-                ^
-                match storage with
-                | None -> ""
-                | Some st -> "/" ^ Frame.storage_name st
-              in
-              let where = Printf.sprintf "%s/yann/%d-domain" cell domains in
-              let obs = Obs.make () in
-              let cfg =
-                Engine.Config.make ~plane ~domains ~policy:Planner.Yannakakis
-                  ~obs ?storage ()
-              in
-              check_digest where cfg db s expected;
-              let r, stats = Engine.run cfg db s in
-              if not (Relation.equal r expected) then
-                fail "yann:result" "%s: %d rows, reference has %d (strategy %s)"
-                  where
-                  (Relation.cardinality r)
-                  (Relation.cardinality expected)
-                  (Strategy.to_string s);
-              if stats.Engine.tuples_generated <> tau then
-                fail "yann:tau" "%s: reported τ=%d, plan prices %d" where
-                  stats.Engine.tuples_generated tau;
-              if not (step_log_equal stats.Engine.per_step steps) then
-                fail "yann:steps" "%s: per-step log %a ≠ %a" where pp_step_log
-                  stats.Engine.per_step pp_step_log steps;
-              let sk = skeleton ~names:span_names obs in
-              let joins = List.filter (fun (n, _) -> n = "join") sk in
-              (match !reference_joins with
-              | None -> reference_joins := Some (where, joins)
-              | Some (ref_where, ref_joins) ->
-                  if joins <> ref_joins then
-                    fail "yann:spans"
-                      "%s: %d join spans with a different shape than %s's %d"
-                      where (List.length joins) ref_where
-                      (List.length ref_joins));
-              match Hashtbl.find_opt cell_skeletons cell with
-              | None -> Hashtbl.add cell_skeletons cell (where, sk)
-              | Some (ref_where, ref_sk) ->
-                  if sk <> ref_sk then
-                    fail "yann:spans"
-                      "%s: scan/semijoin/join shape differs from %s within \
-                       the same plane × storage cell"
-                      where ref_where)
-            domain_counts)
-        storages)
+        (fun domains ->
+          let cell = Engine.plane_name plane in
+          let where = Printf.sprintf "%s/yann/%d-domain" cell domains in
+          let obs = Obs.make () in
+          let cfg =
+            Engine.Config.make ~plane ~domains ~policy:Planner.Yannakakis ~obs
+              ()
+          in
+          check_digest where cfg db s expected;
+          let r, stats = Engine.run cfg db s in
+          if not (Relation.equal r expected) then
+            fail "yann:result" "%s: %d rows, reference has %d (strategy %s)"
+              where
+              (Relation.cardinality r)
+              (Relation.cardinality expected)
+              (Strategy.to_string s);
+          if stats.Engine.tuples_generated <> tau then
+            fail "yann:tau" "%s: reported τ=%d, plan prices %d" where
+              stats.Engine.tuples_generated tau;
+          if not (step_log_equal stats.Engine.per_step steps) then
+            fail "yann:steps" "%s: per-step log %a ≠ %a" where pp_step_log
+              stats.Engine.per_step pp_step_log steps;
+          let sk = skeleton ~names:span_names obs in
+          let joins = List.filter (fun (n, _) -> n = "join") sk in
+          (match !reference_joins with
+          | None -> reference_joins := Some (where, joins)
+          | Some (ref_where, ref_joins) ->
+              if joins <> ref_joins then
+                fail "yann:spans"
+                  "%s: %d join spans with a different shape than %s's %d"
+                  where (List.length joins) ref_where
+                  (List.length ref_joins));
+          match Hashtbl.find_opt cell_skeletons cell with
+          | None -> Hashtbl.add cell_skeletons cell (where, sk)
+          | Some (ref_where, ref_sk) ->
+              if sk <> ref_sk then
+                fail "yann:spans"
+                  "%s: scan/semijoin/join shape differs from %s within \
+                   the same plane"
+                  where ref_where)
+        domain_counts)
     planes;
   (* Ranked enumeration: top-k must be the k-prefix of the sorted full
-     output, on every plane and storage, with τ = the rows streamed. *)
+     output, on every plane, with τ = the rows streamed. *)
   match plan with
   | Physical.Semijoin_program rt ->
       let full = Relation.tuples expected in
@@ -397,38 +349,30 @@ let yann_differential db s =
       in
       List.iter
         (fun plane ->
-          let storages =
-            match plane with
-            | Engine.Seed -> [ None ]
-            | Engine.Frame -> List.map Option.some Frame.all_storages
-          in
           List.iter
-            (fun storage ->
-              List.iter
-                (fun k ->
-                  let where =
-                    Printf.sprintf "%s/topk k=%d" (Engine.plane_name plane) k
-                  in
-                  let cfg =
-                    Engine.Config.make ~plane ~domains:1
-                      ~policy:Planner.Yannakakis ?storage ()
-                  in
-                  let r, stats =
-                    Engine.execute_plan cfg db
-                      (Physical.Ranked_enumerate (rt, k))
-                  in
-                  let want = prefix k in
-                  if
-                    not
-                      (List.equal Tuple.equal (Relation.tuples r) want)
-                  then
-                    fail "yann:topk" "%s: %d rows ≠ the sorted %d-prefix"
-                      where (Relation.cardinality r) (List.length want);
-                  if stats.Engine.tuples_generated <> List.length want then
-                    fail "yann:topk_tau" "%s: τ=%d ≠ %d rows streamed" where
-                      stats.Engine.tuples_generated (List.length want))
-                ks)
-            storages)
+            (fun k ->
+              let where =
+                Printf.sprintf "%s/topk k=%d" (Engine.plane_name plane) k
+              in
+              let cfg =
+                Engine.Config.make ~plane ~domains:1
+                  ~policy:Planner.Yannakakis ()
+              in
+              let r, stats =
+                Engine.execute_plan cfg db
+                  (Physical.Ranked_enumerate (rt, k))
+              in
+              let want = prefix k in
+              if
+                not
+                  (List.equal Tuple.equal (Relation.tuples r) want)
+              then
+                fail "yann:topk" "%s: %d rows ≠ the sorted %d-prefix"
+                  where (Relation.cardinality r) (List.length want);
+              if stats.Engine.tuples_generated <> List.length want then
+                fail "yann:topk_tau" "%s: τ=%d ≠ %d rows streamed" where
+                  stats.Engine.tuples_generated (List.length want))
+            ks)
         planes
   | _ -> ()
 
@@ -808,22 +752,20 @@ let faults db s =
      generators, but raw caller databases may produce τ = 0, where a
      lossy join has nothing to drop. *)
   Failpoint.reset ();
-  if tau > 0 then
-    List.iter
-      (fun storage ->
-        Failpoint.enable Failpoint.Frame_lossy_join;
-        let cfg =
-          Engine.Config.make ~plane:Engine.Frame ~domains:1
-            ~policy:Planner.Hash_all ~storage ()
-        in
-        let _, st = Engine.run cfg db s in
-        Failpoint.disable Failpoint.Frame_lossy_join;
-        if st.Engine.tuples_generated = tau then
-          fail "faults:lossy_join"
-            "planted frame-plane mutation went undetected on %s storage (τ \
-             log unchanged at %d)"
-            (Frame.storage_name storage) tau)
-      Frame.all_storages;
+  if tau > 0 then begin
+    Failpoint.enable Failpoint.Frame_lossy_join;
+    let cfg =
+      Engine.Config.make ~plane:Engine.Frame ~domains:1
+        ~policy:Planner.Hash_all ()
+    in
+    let _, st = Engine.run cfg db s in
+    Failpoint.disable Failpoint.Frame_lossy_join;
+    if st.Engine.tuples_generated = tau then
+      fail "faults:lossy_join"
+        "planted frame-plane mutation went undetected (τ log unchanged at \
+         %d)"
+        tau
+  end;
   (* Its acyclic-path twin: a lossy semijoin reducer must be visible in
      the yann cells — as a changed result or a changed τ log — whenever
      the strategy actually takes the semijoin-program path and the full
@@ -833,26 +775,22 @@ let faults db s =
   let expected = Cost.eval db s in
   (match Planner.lower ~policy:Planner.Yannakakis db s with
   | Physical.Semijoin_program _ when not (Relation.is_empty expected) ->
-      List.iter
-        (fun storage ->
-          Failpoint.enable Failpoint.Yann_lossy_semijoin;
-          let cfg =
-            Engine.Config.make ~plane:Engine.Frame ~domains:1
-              ~policy:Planner.Yannakakis ~storage ()
-          in
-          let r, st = Engine.run cfg db s in
-          Failpoint.disable Failpoint.Yann_lossy_semijoin;
-          if Failpoint.hits Failpoint.Yann_lossy_semijoin = 0 then
-            fail "faults:lossy_semijoin"
-              "yann.lossy_semijoin never fired on a semijoin-program plan";
-          if Relation.equal r expected then
-            fail "faults:lossy_semijoin"
-              "planted lossy semijoin went undetected on %s storage (result \
-               unchanged at %d rows, τ=%d)"
-              (Frame.storage_name storage)
-              (Relation.cardinality expected)
-              st.Engine.tuples_generated)
-        Frame.all_storages
+      Failpoint.enable Failpoint.Yann_lossy_semijoin;
+      let cfg =
+        Engine.Config.make ~plane:Engine.Frame ~domains:1
+          ~policy:Planner.Yannakakis ()
+      in
+      let r, st = Engine.run cfg db s in
+      Failpoint.disable Failpoint.Yann_lossy_semijoin;
+      if Failpoint.hits Failpoint.Yann_lossy_semijoin = 0 then
+        fail "faults:lossy_semijoin"
+          "yann.lossy_semijoin never fired on a semijoin-program plan";
+      if Relation.equal r expected then
+        fail "faults:lossy_semijoin"
+          "planted lossy semijoin went undetected (result unchanged at %d \
+           rows, τ=%d)"
+          (Relation.cardinality expected)
+          st.Engine.tuples_generated
   | _ -> ());
   (* Serve: a stalled worker must degrade to a structured timeout
      error, never a crash or a wrong answer. *)
@@ -916,62 +854,50 @@ let faults db s =
 (* A generated database is born coded and builds seed states on demand;
    its twin is built from those states and encodes its own dictionary,
    the path CSV input and the scenarios take.  Every plane × lowering
-   policy × storage cell must lower both to the same plan and give the
+   policy cell must lower both to the same plan and give the
    same result, τ log, served digest and dictionary size. *)
 let twin db s =
   guard @@ fun () ->
   let twin = Database.of_relations (Database.relations db) in
   List.iter
     (fun plane ->
-      let storages =
-        match plane with
-        | Engine.Frame -> List.map Option.some Frame.all_storages
-        | Engine.Seed -> [ None ]
-      in
       List.iter
         (fun policy ->
-          List.iter
-            (fun storage ->
-              let where =
-                Printf.sprintf "%s/%s%s" (Engine.plane_name plane)
-                  (Planner.policy_name policy)
-                  (match storage with
-                  | Some st -> "/" ^ Frame.storage_name st
-                  | None -> "")
-              in
-              (* One config per database: the cost arm reads the index
-                 cache, which a shared config's first run would warm. *)
-              let run db =
-                let cfg =
-                  Engine.Config.make ~plane ~domains:1 ~policy ~obs:Obs.noop
-                    ?storage ()
-                in
-                let plan = Engine.lower cfg db s in
-                let r, stats = Engine.execute_plan cfg db plan in
-                let digest, _ = Engine.execute_digest cfg db plan in
-                (Physical.to_string plan, r, stats, digest)
-              in
-              let plan, r, st, d = run db and plan', r', st', d' = run twin in
-              if plan <> plan' then
-                fail "twin:plan" "%s: coded %s, relation-built %s" where plan plan';
-              if not (Relation.equal r r') then
-                fail "twin:result" "%s: results differ (%d vs %d rows)" where
-                  (Relation.cardinality r) (Relation.cardinality r');
-              if not (step_log_equal st.Engine.per_step st'.Engine.per_step) then
-                fail "twin:steps" "%s: coded %a, relation-built %a" where
-                  pp_step_log st.Engine.per_step pp_step_log st'.Engine.per_step;
-              if not (Int64.equal d d') then
-                fail "twin:digest" "%s: coded %s, relation-built %s" where
-                  (Protocol.hash_hex d) (Protocol.hash_hex d');
-              match (st.Engine.frame, st'.Engine.frame) with
-              | Some f, Some f'
-                when f.Mj_engine.Frame_engine.dict_size
-                     <> f'.Mj_engine.Frame_engine.dict_size ->
-                  fail "twin:dict" "%s: coded %d values, relation-built %d"
-                    where f.Mj_engine.Frame_engine.dict_size
-                    f'.Mj_engine.Frame_engine.dict_size
-              | _ -> ())
-            storages)
+          let where =
+            Printf.sprintf "%s/%s" (Engine.plane_name plane)
+              (Planner.policy_name policy)
+          in
+          (* One config per database: the cost arm reads the index
+             cache, which a shared config's first run would warm. *)
+          let run db =
+            let cfg =
+              Engine.Config.make ~plane ~domains:1 ~policy ~obs:Obs.noop ()
+            in
+            let plan = Engine.lower cfg db s in
+            let r, stats = Engine.execute_plan cfg db plan in
+            let digest, _ = Engine.execute_digest cfg db plan in
+            (Physical.to_string plan, r, stats, digest)
+          in
+          let plan, r, st, d = run db and plan', r', st', d' = run twin in
+          if plan <> plan' then
+            fail "twin:plan" "%s: coded %s, relation-built %s" where plan plan';
+          if not (Relation.equal r r') then
+            fail "twin:result" "%s: results differ (%d vs %d rows)" where
+              (Relation.cardinality r) (Relation.cardinality r');
+          if not (step_log_equal st.Engine.per_step st'.Engine.per_step) then
+            fail "twin:steps" "%s: coded %a, relation-built %a" where
+              pp_step_log st.Engine.per_step pp_step_log st'.Engine.per_step;
+          if not (Int64.equal d d') then
+            fail "twin:digest" "%s: coded %s, relation-built %s" where
+              (Protocol.hash_hex d) (Protocol.hash_hex d');
+          match (st.Engine.frame, st'.Engine.frame) with
+          | Some f, Some f'
+            when f.Mj_engine.Frame_engine.dict_size
+                 <> f'.Mj_engine.Frame_engine.dict_size ->
+              fail "twin:dict" "%s: coded %d values, relation-built %d" where
+                f.Mj_engine.Frame_engine.dict_size
+                f'.Mj_engine.Frame_engine.dict_size
+          | _ -> ())
         [ Planner.Hash_all; Planner.Cost_based; Planner.Wcoj; Planner.Yannakakis ])
     planes
 

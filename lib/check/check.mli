@@ -20,7 +20,7 @@
       every binary cell; its expected per-step log is therefore derived
       from the lowered plan itself through the exact-cardinality cache
       (for a cyclic case: exactly one step pricing at [|R_D|]), and
-      planes × storages × domain counts must agree with {e each other}
+      planes × domain counts must agree with {e each other}
       on served hash and rows, result, τ, steps and join spans.
     - {!yann_differential}: the Yannakakis leg.  The [yann] policy
       lowers α-acyclic strategies to a semijoin program over a
@@ -28,8 +28,8 @@
       the plan via the Goodman–Shmueli property: after a full
       reduction, every join-phase intermediate over a subtree prefix
       is [π_{prefix}(R_D)] — each priced step ≤ |R_D|.  Planes ×
-      storages × domain counts must agree on served hash and rows,
-      result, τ, steps and
+      domain counts must agree on served hash and rows, result, τ,
+      steps and
       scan/semijoin/join/topk span shapes, and on acyclic plans the
       ranked enumerator must stream exactly the k-prefix of the
       sorted full output for several k (cyclic strategies fall through
@@ -48,7 +48,7 @@
       relation-built twin ([Database.of_relations] over its states)
       encodes its own dictionary, the path CSV input and the scenarios
       take.  Across both planes × the hash, cost, wcoj and yann
-      policies × both frame storages, the two must lower to the same
+      policies, the two must lower to the same
       plan and give the same result, τ log, served digest and
       dictionary size.
     - {!metamorphic}: strategy rewrites that provably preserve the

@@ -1,4 +1,3 @@
-open Mj_relation
 open Cmdliner
 module Engine = Mj_engine.Engine
 module Planner = Mj_engine.Planner
@@ -70,28 +69,6 @@ let telemetry_arg =
            deltas) to $(docv) as JSONL.  Default: $(b,MJ_TELEMETRY), else \
            off.")
 
-let storage_conv =
-  let parse s =
-    match Frame.storage_of_string s with
-    | Some st -> Ok st
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown storage %s (expected heap or bigarray)" s))
-  in
-  Arg.conv
-    (parse, fun fmt st -> Format.pp_print_string fmt (Frame.storage_name st))
-
-let storage_arg =
-  Arg.(
-    value
-    & opt (some storage_conv) None
-    & info [ "storage" ] ~docv:"STORE"
-        ~doc:
-          "Frame-plane row store: 'heap' (boxed int arrays) or 'bigarray' \
-           (off-heap int32 columns the GC never scans).  Default: \
-           $(b,MJ_FRAME_STORAGE), else heap.")
-
 let morsel_arg =
   Arg.(
     value
@@ -106,23 +83,21 @@ type flags = {
   domains : int option;
   policy : Planner.policy option;
   telemetry : string option;
-  storage : Frame.storage option;
   morsel : int option;
 }
 
 let engine_term =
   Term.(
     const (fun plane domains policy ->
-        { plane; domains; policy; telemetry = None; storage = None;
-          morsel = None })
+        { plane; domains; policy; telemetry = None; morsel = None })
     $ engine_arg $ domains_arg $ policy_arg)
 
 let config_term =
   Term.(
-    const (fun f telemetry storage morsel -> { f with telemetry; storage; morsel })
-    $ engine_term $ telemetry_arg $ storage_arg $ morsel_arg)
+    const (fun f telemetry morsel -> { f with telemetry; morsel })
+    $ engine_term $ telemetry_arg $ morsel_arg)
 
 let make_config ?obs f =
   Engine.Config.make ?plane:f.plane ?domains:f.domains ?policy:f.policy ?obs
-    ?telemetry:f.telemetry ?storage:f.storage ?morsel:f.morsel ()
+    ?telemetry:f.telemetry ?morsel:f.morsel ()
 

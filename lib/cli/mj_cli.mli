@@ -1,26 +1,24 @@
 (** The engine-configuration flags shared by [mjoin] and the bench
-    harness: [--engine], [--domains], [--policy], [--telemetry],
-    [--storage] and [--morsel] ([mjoin]); the bench takes the first
-    three.  Every flag is optional; the precedence
-    is CLI flag > environment variable > built-in default, implemented
-    by [Engine.Config.make] over the one-time env read of
-    [Engine.Config.of_env]. *)
+    harness: [--engine], [--domains], [--policy], [--telemetry] and
+    [--morsel] ([mjoin]); the bench takes the first three.  Every flag
+    is optional; the precedence is CLI flag > environment variable >
+    built-in default, implemented by [Engine.Config.make] over the
+    one-time env read of [Engine.Config.of_env]. *)
 
 type flags = {
   plane : Mj_engine.Engine.plane option;
   domains : int option;
   policy : Mj_engine.Planner.policy option;
   telemetry : string option;
-  storage : Mj_relation.Frame.storage option;
   morsel : int option;
 }
 
 val config_term : flags Cmdliner.Term.t
-(** All six flags. *)
+(** All five flags. *)
 
 val engine_term : flags Cmdliner.Term.t
 (** Only [--engine], [--domains] and [--policy], for a program that
-    reads no telemetry, storage or morsel setting; those fields are
+    reads no telemetry or morsel setting; those fields are
     [None]. *)
 
 val make_config :

@@ -84,20 +84,6 @@ let verify ?obs ?backend db =
     theorem3_conclusion;
   }
 
-let verify_many ?obs ?domains ?backend dbs =
-  (* Each database gets its own cache; reports merge in input order, so
-     the output is independent of the domain count.  With tracing on,
-     every database's verification records into its own child sink —
-     the merged trace shows one "verify" lane entry per worker. *)
-  Array.to_list
-    (Mj_pool.Pool.run_traced ?obs ?domains
-       (Array.of_list
-          (List.map
-             (fun db child ->
-               Mj_obs.Obs.span child "verify" (fun () ->
-                   verify ~obs:child ?backend db))
-             dbs)))
-
 let lemma5_consistent db =
   let nonempty = not (Relation.is_empty (Database.join_all db)) in
   let summary = Conditions.summarize db in

@@ -50,15 +50,6 @@ val verify : ?obs:Mj_obs.Obs.sink -> ?backend:Cost.Cache.backend -> Database.t -
     or columnar frames under [MJ_DATA_PLANE=frame]); both produce
     identical reports. *)
 
-val verify_many :
-  ?obs:Mj_obs.Obs.sink ->
-  ?domains:int -> ?backend:Cost.Cache.backend -> Database.t list -> report list
-(** [verify] over a batch, fanned out on a {!Mj_pool.Pool} of domains
-    (default {!Mj_pool.Pool.default_domains}).  Reports are returned in
-    input order regardless of the domain count.  With an active [obs]
-    sink each database verifies inside its own [verify] child span
-    ({!Mj_pool.Pool.run_traced}), tagged with the worker lane. *)
-
 val lemma5_consistent : Database.t -> bool
 (** Lemma 5 sanity: if [R_D ≠ ∅] and C3 holds then C1 holds.  Returns
     [false] only on a counterexample to the lemma. *)

@@ -25,17 +25,17 @@ module Config = struct
     algo_policy : Planner.policy;
     index_cache : Exec.index_cache;
     telemetry : string option;
-    frame_storage : Frame.storage;
+    frame_storage : Frame.storage; (* read by nothing; see engine.mli *)
     morsel : int option;
   }
 
   (* The single point of environment reads in the whole library tree:
-     MJ_DATA_PLANE, MJ_DOMAINS, MJ_ALGO_POLICY, MJ_TELEMETRY,
-     MJ_FRAME_STORAGE and MJ_MORSEL are read once per process, here,
-     and the resolved values are pushed down to the two modules that
-     used to read the environment themselves (the pool's default
-     worker count and [Cost.Cache]'s default backend), so every legacy
-     caller keeps its env-driven behavior without a second read. *)
+     MJ_DATA_PLANE, MJ_DOMAINS, MJ_ALGO_POLICY, MJ_TELEMETRY and
+     MJ_MORSEL are read once per process, here, and the resolved values
+     are pushed down to the two modules that used to read the
+     environment themselves (the pool's default worker count and
+     [Cost.Cache]'s default backend), so every legacy caller keeps its
+     env-driven behavior without a second read. *)
   let env =
     lazy
       (let plane =
@@ -63,12 +63,6 @@ module Config = struct
          | Some s when String.trim s <> "" -> Some (String.trim s)
          | _ -> None
        in
-       let frame_storage =
-         match Sys.getenv_opt "MJ_FRAME_STORAGE" with
-         | Some s ->
-             Option.value (Frame.storage_of_string s) ~default:Frame.Heap
-         | None -> Frame.Heap
-       in
        let morsel =
          match Sys.getenv_opt "MJ_MORSEL" with
          | Some s -> (
@@ -83,12 +77,10 @@ module Config = struct
        | None -> ());
        Cost.Cache.set_env_backend (backend_of_plane plane);
        (match domains with Some d -> Pool.set_env_domains d | None -> ());
-       (plane, domains, policy, telemetry, frame_storage, morsel))
+       (plane, domains, policy, telemetry, morsel))
 
   let of_env ?(obs = Obs.noop) () =
-    let plane, domains, policy, telemetry, frame_storage, morsel =
-      Lazy.force env
-    in
+    let plane, domains, policy, telemetry, morsel = Lazy.force env in
     {
       plane;
       domains =
@@ -97,11 +89,11 @@ module Config = struct
       algo_policy = policy;
       index_cache = Exec.index_cache ();
       telemetry;
-      frame_storage;
+      frame_storage = Frame.Heap;
       morsel;
     }
 
-  let make ?plane ?domains ?policy ?obs ?telemetry ?storage ?morsel () =
+  let make ?plane ?domains ?policy ?obs ?telemetry ?morsel () =
     let base = of_env ?obs () in
     {
       base with
@@ -110,7 +102,6 @@ module Config = struct
       algo_policy = Option.value policy ~default:base.algo_policy;
       telemetry =
         (match telemetry with Some _ -> telemetry | None -> base.telemetry);
-      frame_storage = Option.value storage ~default:base.frame_storage;
       morsel =
         (match morsel with Some m -> Some (max 1 m) | None -> base.morsel);
     }
@@ -173,7 +164,7 @@ let execute_plan ?fdb (cfg : Config.t) db plan =
   | Frame ->
       let r, s =
         Frame_engine.execute_plan ~obs:cfg.obs ~domains:cfg.domains
-          ?morsel:cfg.morsel ~storage:cfg.frame_storage ?fdb db plan
+          ?morsel:cfg.morsel ?fdb db plan
       in
       (r, of_frame s)
 
@@ -188,7 +179,7 @@ let execute_digest ?fdb (cfg : Config.t) db plan =
   | Frame ->
       let d, s =
         Frame_engine.execute_digest ~obs:cfg.obs ~domains:cfg.domains
-          ?morsel:cfg.morsel ~storage:cfg.frame_storage ?fdb db plan
+          ?morsel:cfg.morsel ?fdb db plan
       in
       (d, of_frame s)
 

@@ -63,9 +63,9 @@ module Config : sig
         (** JSONL sidecar path for per-query telemetry records
             ([MJ_TELEMETRY] / [--telemetry]); [None] disables *)
     frame_storage : Mj_relation.Frame.storage;
-        (** row-store backend for frame-plane executions
-            ([MJ_FRAME_STORAGE] / [--storage]): on-heap [int array]s or
-            off-heap int32 bigarrays *)
+        (** read by nothing: frames have one row store.  Kept only so
+            that config literals outside [lib/] that set it still
+            compile; {!of_env} sets it to [Heap]. *)
     morsel : int option;
         (** probe-morsel rows for the frame plane's parallel join
             ([MJ_MORSEL] / [--morsel]); [None] means
@@ -78,8 +78,7 @@ module Config : sig
       plane), [MJ_DOMAINS] (worker count, clamped ≥ 1),
       [MJ_ALGO_POLICY] (["hash"], ["cost"], ["wcoj"] or ["yann"]),
       [MJ_TELEMETRY] (a
-      JSONL sidecar path for per-query telemetry), [MJ_FRAME_STORAGE]
-      (["heap"] or ["bigarray"] row stores for the frame plane),
+      JSONL sidecar path for per-query telemetry),
       [MJ_MORSEL] (probe-morsel rows for the parallel join), and
       [MJ_FAILPOINTS] (a comma-separated list of fault-injection
       points forwarded to [Mj_failpoint.Failpoint.set_spec]).  The
@@ -97,7 +96,6 @@ module Config : sig
     ?policy:Planner.policy ->
     ?obs:Mj_obs.Obs.sink ->
     ?telemetry:string ->
-    ?storage:Mj_relation.Frame.storage ->
     ?morsel:int ->
     unit ->
     t

@@ -117,7 +117,7 @@ module Drive = Driver.Make (Frame_plane)
 
 (* One walk, then a finisher on the root frame; the row count is the
    frame's own, so neither finisher has to decode to report it. *)
-let run ~finish ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan =
+let run ~finish ~obs ?domains ?par_threshold ?morsel ?fdb db plan =
   (* Adaptive cutover: a tiny database is executed single-domain
      whatever the configured worker count — the non-partitioned join
      path, no pool, no fan-out. *)
@@ -130,7 +130,7 @@ let run ~finish ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan =
       Frame_plane.fdb =
         (match fdb with
         | Some fdb -> fdb
-        | None -> Frame.Db.of_database ?storage db);
+        | None -> Frame.Db.of_database db);
       fstats = Frame.fresh_stats ();
       domains;
       par_threshold;
@@ -166,14 +166,14 @@ let run ~finish ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan =
       per_step = log.per_step;
     } )
 
-let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?storage
-    ?fdb db plan =
-  run ~obs ?domains ?par_threshold ?morsel ?storage ?fdb db plan
+let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?fdb db
+    plan =
+  run ~obs ?domains ?par_threshold ?morsel ?fdb db plan
     ~finish:(fun ctx (scheme, f) -> Frame_plane.to_relation ctx scheme f)
 
-let execute_digest ?(obs = Obs.noop) ?domains ?morsel ?storage ?fdb db plan =
-  run ~finish:(Drive.certify ~obs) ~obs ?domains ?morsel ?storage ?fdb db plan
+let execute_digest ?(obs = Obs.noop) ?domains ?morsel ?fdb db plan =
+  run ~finish:(Drive.certify ~obs) ~obs ?domains ?morsel ?fdb db plan
 
-let execute ?obs ?domains ?par_threshold ?morsel ?storage db strategy =
-  execute_plan ?obs ?domains ?par_threshold ?morsel ?storage db
+let execute ?obs ?domains ?par_threshold ?morsel db strategy =
+  execute_plan ?obs ?domains ?par_threshold ?morsel db
     (Physical.of_strategy strategy)

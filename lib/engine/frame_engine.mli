@@ -2,8 +2,7 @@
 
     Evaluates a {!Multijoin.Strategy} bottom-up over
     {!Mj_relation.Frame} frames instead of seed {!Mj_relation.Relation}
-    states: the database is dictionary-encoded once (into the heap or
-    off-heap bigarray row store selected by [?storage]), every step is
+    states: the database is dictionary-encoded once, every step is
     a compiled-key columnar hash join (morsel-driven over
     [Mj_pool.Pool] on large inputs), and the final frame is decoded
     back, so callers see the same [Relation.t] the materializing
@@ -43,7 +42,7 @@ val tiny_rows : int
 
 val execute :
   ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?par_threshold:int ->
-  ?morsel:int -> ?storage:Frame.storage ->
+  ?morsel:int ->
   Database.t -> Strategy.t -> Relation.t * stats
 (** [execute db s] materializes every step of [s] columnar-side and
     returns the decoded result.  Agrees with [Exec.execute] on the
@@ -53,7 +52,7 @@ val execute :
 
 val execute_plan :
   ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?par_threshold:int ->
-  ?morsel:int -> ?storage:Frame.storage -> ?fdb:Frame.Db.t ->
+  ?morsel:int -> ?fdb:Frame.Db.t ->
   Database.t -> Physical.t -> Relation.t * stats
 (** Execute an annotated physical plan on the columnar plane.  The
     frame plane has exactly one join kernel, so the per-step algorithm
@@ -69,13 +68,11 @@ val execute_plan :
     the warm-state hook the serve daemon uses to amortize encoding
     across queries.  The caller guarantees it encodes exactly [db];
     execution never mutates it, so one encoding may be shared by
-    concurrent executions.  When present, [?storage] is ignored (the
-    row store was chosen at encode time).
+    concurrent executions.
     @raise Invalid_argument if a scanned scheme is missing from [db]. *)
 
 val execute_digest :
-  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int ->
-  ?storage:Frame.storage -> ?fdb:Frame.Db.t ->
+  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int -> ?fdb:Frame.Db.t ->
   Database.t -> Physical.t -> int64 * stats
 (** {!execute_plan}, finished with [Frame.digest] of the root frame
     (inside a ["serve.certify"] span on [obs]) instead of a decode: the

@@ -34,9 +34,6 @@ let constraint_masks u mask =
     attrs;
   List.rev !out
 
-let graph_like u mask =
-  List.for_all (fun m -> Bitdb.popcount m <= 2) (constraint_masks u mask)
-
 (* Minimum-weight fractional edge cover of the attribute universe of
    [mask]: minimize Σ xᵢ·wᵢ subject to Σ_{i ∋ a} xᵢ ≥ 1 for every
    attribute [a], 0 ≤ xᵢ ≤ 1.  Candidates are x ∈ {0, ½, 1}^k — by the

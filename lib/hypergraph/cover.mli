@@ -24,10 +24,6 @@ val constraint_masks : Bitdb.t -> int -> int list
     for each attribute of its universe, the incidence mask of the
     schemes (within [mask]) carrying it, first-occurrence order. *)
 
-val graph_like : Bitdb.t -> int -> bool
-(** Does every attribute of the sub-database occur in at most two of
-    its schemes?  When true, {!fractional_cover} is LP-exact. *)
-
 val fractional_cover :
   Bitdb.t -> int -> weight:(int -> float) -> (float array * float) option
 (** [fractional_cover u mask ~weight] minimizes [Σ xᵢ·weight i] over

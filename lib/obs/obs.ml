@@ -108,7 +108,6 @@ let reg_histogram reg name =
 let incr c n = c.value <- c.value + n
 let record_max c n = if n > c.value then c.value <- n
 let value c = c.value
-let counter_name c = c.cname
 
 let observe h v =
   h.hcount <- h.hcount + 1;
@@ -362,12 +361,6 @@ let merge_registry t reg =
 
 let counters = function Noop -> [] | Active a -> counter_list a.reg
 let histograms = function Noop -> [] | Active a -> histogram_list a.reg
-
-let histogram_summary t name =
-  match t with
-  | Noop -> None
-  | Active a ->
-      Option.map (fun h -> summary h) (Hashtbl.find_opt a.reg.htbl name)
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain child sinks                                               *)

@@ -55,7 +55,6 @@ val record_max : counter -> int -> unit
 (** Gauge-style update: keep the maximum value ever recorded. *)
 
 val value : counter -> int
-val counter_name : counter -> string
 val observe : histogram -> float -> unit
 
 val quantile : histogram -> float -> float
@@ -170,6 +169,3 @@ val merge_registry : sink -> registry -> unit
 
 val counters : sink -> (string * int) list
 val histograms : sink -> (string * histo_summary) list
-
-val histogram_summary : sink -> string -> histo_summary option
-(** The named sink histogram's summary, [None] if never registered. *)

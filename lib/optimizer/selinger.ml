@@ -29,8 +29,3 @@ let plan ?obs ?(cp = `When_needed) ~oracle d =
       List.iter (fun (rest, v) -> Subset_dp.offer dp ~usable:true rest v) usable
     end
   done
-
-let best_order ?cp ~oracle d =
-  Option.map
-    (fun (r : Optimal.result) -> Strategy.leaves r.Optimal.strategy)
-    (plan ?cp ~oracle d)

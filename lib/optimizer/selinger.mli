@@ -27,10 +27,3 @@ val plan :
     linear order.  [obs] records a [selinger] span and the
     [opt.pairs_inspected] / [opt.dp_entries] / [opt.plans_pruned] /
     [opt.estimate_calls] counters. *)
-
-val best_order :
-  ?cp:cp_policy ->
-  oracle:Estimate.oracle ->
-  Hypergraph.t ->
-  Mj_relation.Scheme.t list option
-(** The join order of {!plan}. *)

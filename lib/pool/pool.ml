@@ -227,9 +227,4 @@ let run_traced ?(obs = Mj_obs.Obs.noop) ?domains ?chunk tasks =
     results
   end
 
-let map_array ?domains f xs = run ?domains (Array.map (fun x () -> f x) xs)
-
-let map_list ?domains f xs =
-  Array.to_list (map_array ?domains f (Array.of_list xs))
-
 let init ?domains n f = run ?domains (Array.init n (fun i -> fun () -> f i))

@@ -80,9 +80,6 @@ val run_traced :
     exception propagates — a failing request must not erase the trace
     of its neighbours. *)
 
-val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [init n f] is [run [| fun () -> f 0; ...; fun () -> f (n-1) |]] —
     the seed-per-trial idiom. *)

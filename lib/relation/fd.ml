@@ -164,4 +164,3 @@ let holds_in r d =
     r;
   !ok
 
-let all_hold_in r fds = List.for_all (holds_in r) fds

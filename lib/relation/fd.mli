@@ -60,5 +60,3 @@ val holds_in : Relation.t -> fd -> bool
 (** [holds_in r d] checks that the state [r] satisfies [d].
     @raise Invalid_argument if [d] mentions attributes outside [r]'s
     scheme. *)
-
-val all_hold_in : Relation.t -> t -> bool

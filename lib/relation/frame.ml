@@ -1,90 +1,24 @@
 (* Columnar relation frames.  See frame.mli for the representation
    contract: one shared dictionary per database, row-major packed int
-   codes, rows always duplicate-free and sorted lexicographically by
-   code only where the [sorted] flag says so.  Row storage is
-   pluggable: boxed [int array] on the OCaml heap, or an off-heap int32
-   [Bigarray] that the GC never scans. *)
+   codes in one exact-length [int array], rows always duplicate-free and
+   sorted lexicographically by code only where the [sorted] flag says
+   so. *)
 
 module Pool = Mj_pool.Pool
 module Obs = Mj_obs.Obs
 
 module Dict = Coded.Dict
 
-(* ------------------------------------------------------------------ *)
-(* Row storage                                                         *)
-
-type storage = Heap | Bigarray
-
-let storage_name = function Heap -> "heap" | Bigarray -> "bigarray"
-
-let storage_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "heap" -> Some Heap
-  | "bigarray" | "big" -> Some Bigarray
-  | _ -> None
-
-let all_storages = [ Heap; Bigarray ]
-
-type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* The resident row store of a frame.  All transient computation (join
-   output buffers, sort scratch, partition tables) stays on heap [int
-   array]s whatever the storage — only the long-lived packed rows move
-   off-heap, which is where multi-million-row frames hurt the GC.  The
-   accessors are small enough for the classic (non-flambda) inliner, so
-   a read costs one tag check over the raw array load; the bigarray
-   read compiles to a direct sign-extended int32 load, no boxing. *)
-module Store = struct
-  type t = H of int array | B of i32
-
-  let storage = function H _ -> Heap | B _ -> Bigarray
-
-  let[@inline] get s i =
-    match s with
-    | H a -> Array.unsafe_get a i
-    | B b -> Int32.to_int (Bigarray.Array1.unsafe_get b i)
-
-  (* Pack the first [len] ints of a heap buffer into a store.  Codes
-     are dense dictionary indices, far below 2^31, so the int32
-     narrowing is lossless; guarded anyway to fail loudly rather than
-     corrupt. *)
-  let of_heap storage len (a : int array) =
-    match storage with
-    | Heap -> if Array.length a = len then H a else H (Array.sub a 0 len)
-    | Bigarray ->
-        let b =
-          Stdlib.Bigarray.Array1.create Stdlib.Bigarray.int32
-            Stdlib.Bigarray.c_layout len
-        in
-        for i = 0 to len - 1 do
-          let v = Array.unsafe_get a i in
-          if v > 0x3fffffff then
-            invalid_arg "Frame: dictionary code exceeds int32 storage";
-          Bigarray.Array1.unsafe_set b i (Int32.of_int v)
-        done;
-        B b
-
-  let empty storage = of_heap storage 0 [||]
-
-  (* Logical content equality over [len] ints — storage-agnostic, so a
-     heap frame and its bigarray twin compare equal. *)
-  let equal len s1 s2 =
-    match (s1, s2) with
-    | H a1, H a2 when Array.length a1 = len && Array.length a2 = len -> a1 = a2
-    | _ ->
-        let i = ref 0 in
-        while !i < len && get s1 !i = get s2 !i do
-          incr i
-        done;
-        !i = len
-end
+(* Read by nothing; kept only so existing [Engine.Config.t] literals
+   that name [Frame.Heap] still compile. *)
+type storage = Heap
 
 type t = {
   scheme : Attr.Set.t;
   attrs : Attr.t array; (* sorted; attrs.(j) labels column j *)
   width : int;
   rows : int;
-  data : Store.t; (* row-major, rows * width ints, duplicate-free *)
+  data : int array; (* row-major, exactly rows * width ints, duplicate-free *)
   sorted : bool; (* rows ascend lexicographically by code *)
   dict : Dict.t;
 }
@@ -104,7 +38,6 @@ let scheme f = f.scheme
 let cardinality f = f.rows
 let is_empty f = f.rows = 0
 let dict f = f.dict
-let storage f = Store.storage f.data
 let sorted f = f.sorted
 
 (* ------------------------------------------------------------------ *)
@@ -128,13 +61,10 @@ let sort_rows ?stats w nrows data =
         ~on_sort:(fun n -> st.sorted_rows <- st.sorted_rows + n)
         w nrows data
 
-(* The rows as one exact-length heap buffer: the frame's own on [Heap],
-   a copy on [Bigarray].  Never written. *)
-let heap_rows f =
-  let n = f.rows * f.width in
-  match f.data with
-  | Store.H a when Array.length a = n -> a
-  | _ -> Array.init n (Store.get f.data)
+(* The first [len] ints of a scratch buffer as an exact-length row
+   store: the buffer itself when it fits exactly, else a trimmed copy. *)
+let trim len (a : int array) =
+  if Array.length a = len then a else Array.sub a 0 len
 
 (* The one place order is established: a sorted frame is returned as
    it is, an unsorted one is sorted once into a fresh frame.  Rows are
@@ -142,10 +72,9 @@ let heap_rows f =
 let in_order ?stats f =
   if f.sorted then f
   else begin
-    let rows, data = sort_rows ?stats f.width f.rows (heap_rows f) in
+    let rows, data = sort_rows ?stats f.width f.rows f.data in
     assert (rows = f.rows);
-    { f with data = Store.of_heap (Store.storage f.data) (rows * f.width) data;
-      sorted = true }
+    { f with data = trim (rows * f.width) data; sorted = true }
   end
 
 let sort ?stats f =
@@ -162,7 +91,7 @@ let sort ?stats f =
 (* ------------------------------------------------------------------ *)
 (* Conversion                                                          *)
 
-let of_relation ?(storage = Heap) dict r =
+let of_relation dict r =
   let scheme = Relation.scheme r in
   let attrs = Array.of_list (Attr.Set.elements scheme) in
   let w = Array.length attrs in
@@ -179,8 +108,8 @@ let of_relation ?(storage = Heap) dict r =
   (* Code order need not follow Value order, so re-sort into canonical
      form (the source set is already duplicate-free). *)
   let rows, data = sort_rows w n data in
-  { scheme; attrs; width = w; rows; data = Store.of_heap storage (rows * w) data;
-    sorted = true; dict }
+  { scheme; attrs; width = w; rows; data = trim (rows * w) data; sorted = true;
+    dict }
 
 (* The value order of a frame's rows — the prelude shared by decode and
    digest, so the two cannot disagree on row order.  When interning
@@ -197,12 +126,12 @@ let of_relation ?(storage = Heap) dict r =
    row-major ranks in that order. *)
 let value_order f =
   let o = Dict.order f.dict in
-  if o.identity then (o.by_rank, heap_rows (in_order f))
+  if o.identity then (o.by_rank, (in_order f).data)
   else begin
     let ncells = f.rows * f.width in
     let ranked = Array.make ncells 0 in
     for c = 0 to ncells - 1 do
-      ranked.(c) <- o.rank.(Store.get f.data c)
+      ranked.(c) <- o.rank.(Array.unsafe_get f.data c)
     done;
     let _, sorted = sort_rows f.width f.rows ranked in
     (o.by_rank, sorted)
@@ -253,7 +182,7 @@ let digest f =
 let equal f1 f2 =
   Attr.Set.equal f1.scheme f2.scheme
   && f1.rows = f2.rows
-  && Store.equal (f1.rows * f1.width) (in_order f1).data (in_order f2).data
+  && (in_order f1).data = (in_order f2).data
 
 (* ------------------------------------------------------------------ *)
 (* Compiled join specs                                                 *)
@@ -294,23 +223,23 @@ let make_spec f1 f2 =
    are resolved by [keys_match] below, so the mix only has to spread.
    Unsafe accesses are bounded by the frame invariant: [base] is a row
    base in [data] and [pos] holds in-row column offsets. *)
-let key_hash data base pos =
+let key_hash (data : int array) base pos =
   (* FNV-1a 64-bit offset basis folded into OCaml's 63-bit int range. *)
   let h = ref 0x4bf29ce484222325 in
   for k = 0 to Array.length pos - 1 do
     h :=
-      (!h lxor Store.get data (base + Array.unsafe_get pos k))
+      (!h lxor Array.unsafe_get data (base + Array.unsafe_get pos k))
       * 0x100000001b3
   done;
   !h land max_int
 
-let keys_match d1 b1 p1 d2 b2 p2 =
+let keys_match (d1 : int array) b1 p1 (d2 : int array) b2 p2 =
   let k = Array.length p1 in
   let i = ref 0 in
   while
     !i < k
-    && Store.get d1 (b1 + Array.unsafe_get p1 !i)
-       = Store.get d2 (b2 + Array.unsafe_get p2 !i)
+    && Array.unsafe_get d1 (b1 + Array.unsafe_get p1 !i)
+       = Array.unsafe_get d2 (b2 + Array.unsafe_get p2 !i)
   do
     incr i
   done;
@@ -334,14 +263,14 @@ let buf_reserve b extra =
     b.bdata <- bigger
   end
 
-let emit_merged b spec data1 base1 data2 base2 =
+let emit_merged b spec (data1 : int array) base1 (data2 : int array) base2 =
   buf_reserve b spec.out_width;
   let d = b.bdata and o = b.blen in
   for j = 0 to spec.out_width - 1 do
     let c1 = Array.unsafe_get spec.from1 j in
     Array.unsafe_set d (o + j)
-      (if c1 >= 0 then Store.get data1 (base1 + c1)
-       else Store.get data2 (base2 + Array.unsafe_get spec.from2 j))
+      (if c1 >= 0 then Array.unsafe_get data1 (base1 + c1)
+       else Array.unsafe_get data2 (base2 + Array.unsafe_get spec.from2 j))
   done;
   b.blen <- o + spec.out_width
 
@@ -570,7 +499,7 @@ let natural_join ?(obs = Mj_obs.Obs.noop) ?domains
     attrs = spec.out_attrs;
     width = w;
     rows = nraw;
-    data = Store.of_heap (Store.storage f1.data) (nraw * w) raw;
+    data = trim (nraw * w) raw;
     sorted = nraw <= 1;
     dict = f1.dict;
   }
@@ -582,7 +511,7 @@ let semijoin ?stats f1 f2 =
   let common = Attr.Set.elements (Attr.Set.inter f1.scheme f2.scheme) in
   if common = [] then
     if f2.rows = 0 then
-      { f1 with rows = 0; data = Store.empty (Store.storage f1.data) }
+      { f1 with rows = 0; data = [||] }
     else f1
   else begin
     let k1pos = Array.of_list (List.map (col_of f1) common) in
@@ -612,15 +541,14 @@ let semijoin ?stats f1 f2 =
         stats.probe_hits <- stats.probe_hits + 1;
         let dst = !kept * w in
         for c = 0 to w - 1 do
-          Array.unsafe_set out (dst + c) (Store.get f1.data (b1 + c))
+          Array.unsafe_set out (dst + c) (Array.unsafe_get f1.data (b1 + c))
         done;
         incr kept
       end
     done;
     (* A subsequence of distinct rows is distinct, and of sorted rows
        sorted: the flag carries over. *)
-    { f1 with rows = !kept;
-      data = Store.of_heap (Store.storage f1.data) (!kept * w) out }
+    { f1 with rows = !kept; data = trim (!kept * w) out }
   end
 
 let project f x =
@@ -638,13 +566,12 @@ let project f x =
   for i = 0 to f.rows - 1 do
     let src = i * f.width and dst = i * w in
     for j = 0 to w - 1 do
-      data.(dst + j) <- Store.get f.data (src + pos.(j))
+      data.(dst + j) <- Array.unsafe_get f.data (src + pos.(j))
     done
   done;
   let rows, data = sort_rows w f.rows data in
-  { scheme = x; attrs; width = w; rows;
-    data = Store.of_heap (Store.storage f.data) (rows * w) data; sorted = true;
-    dict = f.dict }
+  { scheme = x; attrs; width = w; rows; data = trim (rows * w) data;
+    sorted = true; dict = f.dict }
 
 (* ------------------------------------------------------------------ *)
 (* Trie iterators and the generic (worst-case-optimal) join            *)
@@ -688,7 +615,7 @@ module Trie = struct
       go 0
     in
     let tdata =
-      if identity then heap_rows (in_order ?stats f)
+      if identity then (in_order ?stats f).data
       else begin
         (* Permuted rows are distinct but, sorted frame or not, in no
            useful order; one sort of the permuted copy makes the
@@ -697,7 +624,7 @@ module Trie = struct
         for i = 0 to f.rows - 1 do
           let base = i * w in
           for j = 0 to w - 1 do
-            buf.(base + j) <- Store.get f.data (base + perm.(j))
+            buf.(base + j) <- Array.unsafe_get f.data (base + perm.(j))
           done
         done;
         let rows, sorted = sort_rows ?stats w f.rows buf in
@@ -877,7 +804,7 @@ let generic_join ?stats ~order frames =
         attrs = out_attrs;
         width = w;
         rows;
-        data = Store.of_heap (Store.storage f0.data) (rows * w) data;
+        data = trim (rows * w) data;
         sorted = true;
         dict = f0.dict;
       }
@@ -922,7 +849,7 @@ let topk ?stats ~order ~k frames =
           attrs = out_attrs;
           width = nlv;
           rows = 0;
-          data = Store.empty (Store.storage f0.data);
+          data = [||];
           sorted = true;
           dict = f0.dict;
         }
@@ -934,10 +861,10 @@ let topk ?stats ~order ~k frames =
           let w = f.width in
           let buf = Array.make (max 1 (f.rows * w)) 0 in
           for i = 0 to (f.rows * w) - 1 do
-            buf.(i) <- rank.(Store.get f.data i)
+            buf.(i) <- rank.(Array.unsafe_get f.data i)
           done;
           let rows, data = sort_rows ~stats w f.rows buf in
-          { f with rows; data = Store.of_heap Heap (rows * w) data; sorted = true }
+          { f with rows; data = trim (rows * w) data; sorted = true }
         in
         let tries =
           Array.of_list
@@ -1002,7 +929,7 @@ let topk ?stats ~order ~k frames =
           attrs = out_attrs;
           width = w;
           rows;
-          data = Store.of_heap (Store.storage f0.data) (rows * w) data;
+          data = trim (rows * w) data;
           sorted = true;
           dict = f0.dict;
         }
@@ -1014,9 +941,9 @@ let topk ?stats ~order ~k frames =
 module Db = struct
   type frame = t
 
-  type t = { ddict : Dict.t; dstorage : storage; frames : frame Scheme.Map.t }
+  type t = { ddict : Dict.t; frames : frame Scheme.Map.t }
 
-  let of_database ?(storage = Heap) db =
+  let of_database db =
     let c = Database.coded db in
     let ddict = Dict.of_sorted c.values in
     let frames =
@@ -1029,16 +956,15 @@ module Db = struct
             attrs;
             width;
             rows = b.rows;
-            data = Store.of_heap storage (b.rows * width) b.codes;
+            data = trim (b.rows * width) b.codes;
             sorted = true;
             dict = ddict;
           })
         c.blocks
     in
-    { ddict; dstorage = storage; frames }
+    { ddict; frames }
 
   let dict fdb = fdb.ddict
-  let storage fdb = fdb.dstorage
   let find fdb s = Scheme.Map.find s fdb.frames
 
   let join_schemes ?obs ?domains ?par_threshold ?morsel ?stats fdb d =

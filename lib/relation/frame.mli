@@ -10,12 +10,9 @@
     a column-index header (the sorted scheme).  Equality, hashing and
     joins then work on packed int rows — no per-probe allocation.
 
-    Row storage is pluggable ({!storage}): [Heap] keeps rows in a boxed
-    [int array]; [Bigarray] moves them into an off-heap int32 bigarray
-    the GC never scans, so multi-million-row frames stop inflating
-    major-heap scan time.  The two backends are observationally
-    identical — every operation yields the same rows in the same order, and
-    {!equal} compares content across backends.
+    Rows live in one plain [int array] per frame, exactly [rows ×
+    width] codes long.  The paper prices a strategy by τ alone, and τ
+    does not depend on what holds the rows, so there is one row store.
 
     Rows are always {e distinct}; canonical {e order} (rows sorted
     lexicographically by code) is a flag each frame carries and is
@@ -44,21 +41,10 @@ module Dict = Coded.Dict
 
 (** {1 Row storage} *)
 
-type storage =
-  | Heap  (** boxed [int array] rows on the OCaml heap (default) *)
-  | Bigarray
-      (** off-heap int32 [Bigarray] rows, invisible to the GC; codes are
-          dense dictionary indices, so int32 narrowing is lossless *)
-
-val storage_name : storage -> string
-(** ["heap"] / ["bigarray"] — the [MJ_FRAME_STORAGE] spelling. *)
-
-val storage_of_string : string -> storage option
-(** Inverse of {!storage_name} (case-insensitive; ["big"] is accepted
-    for ["bigarray"]). *)
-
-val all_storages : storage list
-(** Both backends, for differential matrices: [[Heap; Bigarray]]. *)
+type storage = Heap
+(** Read by nothing.  Kept only so that [Engine.Config.t] literals
+    outside [lib/] that set [frame_storage = Frame.Heap] still compile;
+    frames have one row store, the heap [int array]. *)
 
 (** {1 Frames} *)
 
@@ -84,9 +70,8 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
-val of_relation : ?storage:storage -> Dict.t -> Relation.t -> t
-(** [of_relation dict r] encodes [r], interning its values in [dict].
-    [storage] (default [Heap]) picks the row-store backend. *)
+val of_relation : Dict.t -> Relation.t -> t
+(** [of_relation dict r] encodes [r], interning its values in [dict]. *)
 
 val to_relation : t -> Relation.t
 (** Decode back to the seed representation.  Round-trip identity:
@@ -106,9 +91,6 @@ val cardinality : t -> int
 val is_empty : t -> bool
 val dict : t -> Dict.t
 
-val storage : t -> storage
-(** The backend holding this frame's rows. *)
-
 val sorted : t -> bool
 (** The rows are in canonical order.  [false] only on {!natural_join}
     outputs (and semijoins of them) that nothing has sorted yet. *)
@@ -122,8 +104,7 @@ val sort : ?stats:stats -> t -> t
     --self-test]. *)
 
 val equal : t -> t -> bool
-(** Content equality (scheme + rows, sorted on demand),
-    storage-agnostic: a [Heap] frame equals its [Bigarray] twin.  Only
+(** Content equality (scheme + rows, sorted on demand).  Only
     meaningful for frames sharing one dictionary. *)
 
 (** {1 Algebra} *)
@@ -151,7 +132,7 @@ val natural_join :
     at any [domains].  The result is those rows, {e unsorted}: every
     output row merges one distinct input pair, so it is distinct
     without a pass, and order is left to the readers of order
-    ({!sort}).  The output inherits [f1]'s {!storage}.  With an active [obs] sink the parallel path
+    ({!sort}).  With an active [obs] sink the parallel path
     records one [build-part] child span per index range and one
     [morsel] child span per probe morsel (via
     [Mj_pool.Pool.run_traced]), each tagged with the worker lane that
@@ -241,7 +222,7 @@ val generic_join : ?stats:stats -> order:Attr.t list -> t list -> t
     [natural_join] would produce, sorted, in time bounded by the
     AGM fractional-cover bound of the sub-database (up to log factors).
     [stats.probes] counts leapfrog seeks and [stats.probe_hits] counts
-    aligned keys.  The output inherits the first frame's {!storage}.
+    aligned keys.
     @raise Invalid_argument if [frames] is empty, the frames use
     different dictionaries, or [order] is not a permutation of the
     union of the schemes. *)
@@ -272,18 +253,14 @@ module Db : sig
 
   type t
   (** All relations of one {!Database} encoded against one shared
-      dictionary and one row-store backend. *)
+      dictionary. *)
 
-  val of_database : ?storage:storage -> Database.t -> t
+  val of_database : Database.t -> t
   (** Wrap the database's coded form ({!Database.coded}): the dictionary
       is its value array, with the value order known up front, and each
-      frame is its canonical code buffer — shared on [Heap], packed into
-      int32 on [Bigarray].  Forces no seed state. *)
+      frame shares its canonical code buffer.  Forces no seed state. *)
 
   val dict : t -> Dict.t
-
-  val storage : t -> storage
-  (** The backend every frame of this database was encoded with. *)
 
   val find : t -> Scheme.t -> frame
   (** @raise Not_found if the scheme is absent. *)

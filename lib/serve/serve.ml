@@ -134,10 +134,7 @@ let frame_db t entry =
   match locked t (fun () -> entry.fdb) with
   | Some fdb -> fdb
   | None ->
-      let built =
-        Frame.Db.of_database ~storage:t.cfg.Engine.Config.frame_storage
-          entry.db
-      in
+      let built = Frame.Db.of_database entry.db in
       locked t (fun () ->
           match entry.fdb with
           | Some fdb -> fdb

@@ -51,7 +51,7 @@ val create :
 (** [queue_cap] (default 64, clamped ≥ 0 — 0 sheds every query),
     [timeout_ms] (default 10_000, clamped ≥ 1), [plan_cache_cap]
     (default 128).  The config supplies the default plane, lowering
-    policy, worker domains, frame storage and telemetry sidecar; its
+    policy, worker domains and telemetry sidecar; its
     sink receives the serve counters and per-request spans. *)
 
 val config : t -> Engine.Config.t

@@ -42,13 +42,11 @@ MJ_DATA_PLANE=frame "$MJOIN" explain --scenario ex1 | grep -q 'frame plane'
 MJ_DATA_PLANE=frame "$MJOIN" explain --scenario ex1 --engine seed \
   | grep -q 'seed plane'
 
-# Frame plane v2 knobs: row-store backend and morsel size, flag and
-# environment spellings.
-"$MJOIN" explain --scenario ex1 --engine frame --storage bigarray > /dev/null
-"$MJOIN" verify --scenario ex3 --engine frame --storage bigarray --morsel 512 \
+# Frame plane morsel size, flag and environment spellings.
+"$MJOIN" verify --scenario ex3 --engine frame --morsel 512 \
   | grep -q 'engine: frame plane'
-"$MJOIN" optimize --shape chain -n 4 --engine frame --storage heap > /dev/null
-MJ_FRAME_STORAGE=bigarray MJ_MORSEL=1024 "$MJOIN" explain --scenario ex1 \
+"$MJOIN" optimize --shape chain -n 4 --engine frame > /dev/null
+MJ_MORSEL=1024 "$MJOIN" explain --scenario ex1 \
   --engine frame | grep -q 'frame plane'
 
 # Profiling v2: quantile stats, Prometheus exposition, telemetry
@@ -135,7 +133,8 @@ if "$MJOIN" fuzz --replay /nonexistent.repro > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" examples nosuch > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" query "$TMP/db.txt" 'Q(x) :- nosuch(x,y).' > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" explain --scenario ex1 --engine columnar > /dev/null 2>&1; then exit 1; fi
-if "$MJOIN" explain --scenario ex1 --storage mmap > /dev/null 2>&1; then exit 1; fi
+# Frames have one row store; the old row-store flag is gone.
+if "$MJOIN" explain --scenario ex1 --storage heap > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" explain --scenario ex1 --policy greedy > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" verify --scenario ex3 --engine bogus > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" optimize --shape chain -n 4 --policy bogus > /dev/null 2>&1; then exit 1; fi

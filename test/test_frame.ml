@@ -218,75 +218,6 @@ let test_morsel_traced_chain () =
   Alcotest.(check int) "every morsel span carries a lane" parts laned
 
 (* ------------------------------------------------------------------ *)
-(* Storage backends                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let storage_round_trip =
-  qtest "bigarray frames round-trip every relation" gen_db (fun db ->
-      let dict = Frame.Dict.create () in
-      List.for_all
-        (fun r ->
-          let f = Frame.of_relation ~storage:Frame.Bigarray dict r in
-          Frame.storage f = Frame.Bigarray
-          && Frame.cardinality f = Relation.cardinality r
-          && Relation.equal (Frame.to_relation f) r)
-        (Database.relations db))
-
-let storage_algebra_agrees =
-  qtest "heap and bigarray agree on join/semijoin/project" gen_db_pick
-    (fun (db, pick) ->
-      let r1, r2 = pick_two db pick in
-      let dict = Frame.Dict.create () in
-      let h1 = Frame.of_relation dict r1 and h2 = Frame.of_relation dict r2 in
-      let b1 = Frame.of_relation ~storage:Frame.Bigarray dict r1
-      and b2 = Frame.of_relation ~storage:Frame.Bigarray dict r2 in
-      let x =
-        Attr.Set.of_list
-          (pick_subset pick (Attr.Set.elements (Relation.scheme r1)))
-      in
-      (* Frame.equal is storage-agnostic, so heap results compare
-         directly against their bigarray twins. *)
-      Frame.equal h1 b1
-      && Frame.equal (Frame.natural_join h1 h2) (Frame.natural_join b1 b2)
-      && Frame.equal (Frame.semijoin h1 h2) (Frame.semijoin b1 b2)
-      && Frame.equal (Frame.project h1 x) (Frame.project b1 x)
-      && Frame.storage (Frame.natural_join b1 b2) = Frame.Bigarray)
-
-let storage_oracle_agrees =
-  qtest "bigarray cardinality_oracle matches the seed tau" gen_db_pick
-    (fun (db, pick) ->
-      let fdb = Frame.Db.of_database ~storage:Frame.Bigarray db in
-      let sub =
-        Scheme.Set.of_list (pick_subset pick (Database.scheme_list db))
-      in
-      Frame.Db.storage fdb = Frame.Bigarray
-      && Frame.Db.cardinality_oracle fdb sub
-         = Relation.cardinality (Database.join_all (Database.restrict db sub)))
-
-let storage_morsel_deterministic =
-  qtest "bigarray morsel join is bit-identical at any domain count" ~count:60
-    gen_db (fun db ->
-      let heap = Frame.Db.join_all ~domains:1 (Frame.Db.of_database db) in
-      let fdb = Frame.Db.of_database ~storage:Frame.Bigarray db in
-      let one = Frame.Db.join_all ~domains:1 fdb in
-      Frame.equal heap one
-      && List.for_all
-           (fun (domains, morsel) ->
-             Frame.equal one
-               (Frame.Db.join_all ~domains ~par_threshold:1 ~morsel fdb))
-           [ (2, 2); (4, 3); (8, 2) ])
-
-let test_storage_names () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (Frame.storage_name s ^ " round-trips") true
-        (Frame.storage_of_string (Frame.storage_name s) = Some s))
-    Frame.all_storages;
-  Alcotest.(check bool) "bogus storage rejected" true
-    (Frame.storage_of_string "columnar" = None)
-
-(* ------------------------------------------------------------------ *)
 (* Morsel boundaries                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -302,11 +233,10 @@ let range_db n1 n2 =
   in
   (rel 0 n1, rel 0 n2)
 
-let join_rows ~storage ~domains ~morsel n1 n2 =
+let join_rows ~domains ~morsel n1 n2 =
   let r1, r2 = range_db n1 n2 in
   let dict = Frame.Dict.create () in
-  let f1 = Frame.of_relation ~storage dict r1
-  and f2 = Frame.of_relation ~storage dict r2 in
+  let f1 = Frame.of_relation dict r1 and f2 = Frame.of_relation dict r2 in
   let stats = Frame.fresh_stats () in
   let j =
     Frame.natural_join ~domains ~par_threshold:1 ~morsel ~stats f1 f2
@@ -314,27 +244,23 @@ let join_rows ~storage ~domains ~morsel n1 n2 =
   (Frame.cardinality j, stats)
 
 let test_morsel_boundaries () =
+  let name n = Printf.sprintf "n=%d" n in
+  (* empty probe side: the parallel path degenerates to zero morsels and
+     an empty (but well-formed) result *)
+  let rows, _ = join_rows ~domains:4 ~morsel:4 0 7 in
+  Alcotest.(check int) (name 0) 0 rows;
+  (* n < morsel, n = k*morsel - 1, k*morsel, k*morsel + 1: claimed morsel
+     counts differ, results must not *)
   List.iter
-    (fun storage ->
-      let name n = Printf.sprintf "%s n=%d" (Frame.storage_name storage) n in
-      (* empty probe side: the parallel path degenerates to zero
-         morsels and an empty (but well-formed) result *)
-      let rows, _ = join_rows ~storage ~domains:4 ~morsel:4 0 7 in
-      Alcotest.(check int) (name 0) 0 rows;
-      (* n < morsel, n = k*morsel - 1, k*morsel, k*morsel + 1: claimed
-         morsel counts differ, results must not *)
-      List.iter
-        (fun n ->
-          let rows, stats = join_rows ~storage ~domains:4 ~morsel:4 n (n + 3) in
-          Alcotest.(check int) (name n) n rows;
-          (* the probe side is the larger one: n + 3 rows in morsels
-             of 4 *)
-          Alcotest.(check int)
-            (name n ^ " morsel count")
-            ((n + 3 + 3) / 4)
-            stats.Frame.morsels)
-        [ 1; 3; 7; 8; 9; 16; 17 ])
-    Frame.all_storages
+    (fun n ->
+      let rows, stats = join_rows ~domains:4 ~morsel:4 n (n + 3) in
+      Alcotest.(check int) (name n) n rows;
+      (* the probe side is the larger one: n + 3 rows in morsels of 4 *)
+      Alcotest.(check int)
+        (name n ^ " morsel count")
+        ((n + 3 + 3) / 4)
+        stats.Frame.morsels)
+    [ 1; 3; 7; 8; 9; 16; 17 ]
 
 (* ------------------------------------------------------------------ *)
 (* Digest                                                               *)
@@ -379,15 +305,11 @@ let prepared_dict mode =
   d
 
 let digest_agrees =
-  qtest "Frame.digest equals Relation.digest on both storages" ~count:300
-    gen_digest_case (fun (r, mode) ->
-      let dict = prepared_dict mode in
-      List.for_all
-        (fun storage ->
-          let f = Frame.of_relation ~storage dict r in
-          Int64.equal (Frame.digest f) (Relation.digest r)
-          && Relation.equal (Frame.to_relation f) r)
-        Frame.all_storages)
+  qtest "Frame.digest equals Relation.digest" ~count:300 gen_digest_case
+    (fun (r, mode) ->
+      let f = Frame.of_relation (prepared_dict mode) r in
+      Int64.equal (Frame.digest f) (Relation.digest r)
+      && Relation.equal (Frame.to_relation f) r)
 
 let digest_of_join_agrees =
   qtest "Frame.digest of a join equals the seed join's digest" gen_db_pick
@@ -611,14 +533,6 @@ let () =
           join_all_agrees;
           oracle_agrees;
           cache_backends_agree;
-        ] );
-      ( "storage",
-        [
-          Alcotest.test_case "storage names" `Quick test_storage_names;
-          storage_round_trip;
-          storage_algebra_agrees;
-          storage_oracle_agrees;
-          storage_morsel_deterministic;
         ] );
       ( "parallel",
         [

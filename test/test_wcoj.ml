@@ -6,7 +6,7 @@
      exhaustive, seek is monotone and lands on the least key ≥ v);
    - the frame kernel and the seed reference backtracker against the
      binary join, on chain / star / cycle / clique / random databases,
-     across {seed, frame} × {heap, bigarray} × {1, 4} domains through
+     across {seed, frame} × {1, 4} domains through
      the full engine stack;
    - the AGM bound against actual output cardinalities (the bound is a
      bound), plus the Wcoj policy's lowering contract. *)
@@ -71,8 +71,6 @@ let some_order db pick =
   in
   rot r order
 
-let encode_db ?storage db = Frame.Db.of_database ?storage db
-
 (* ------------------------------------------------------------------ *)
 (* Trie iterator laws                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -116,7 +114,7 @@ let rows_of_frame_in_order f order =
 let trie_next_exhaustive =
   qtest "trie DFS enumerates exactly the permuted sorted rows"
     gen_db_pick (fun (db, pick) ->
-      let fdb = encode_db db in
+      let fdb = Frame.Db.of_database db in
       let order = some_order db pick in
       let rels = scheme_list db in
       let s = List.nth rels (pick mod List.length rels) in
@@ -127,7 +125,7 @@ let trie_next_exhaustive =
 let trie_seek_law =
   qtest "seek lands on the least key ≥ v and is monotone" gen_db_pick
     (fun (db, pick) ->
-      let fdb = encode_db db in
+      let fdb = Frame.Db.of_database db in
       let order = some_order db pick in
       let rels = scheme_list db in
       let s = List.nth rels (pick mod List.length rels) in
@@ -176,17 +174,14 @@ let trie_seek_law =
 (* ------------------------------------------------------------------ *)
 
 let frame_kernel_agrees =
-  qtest "Frame.generic_join ≡ Frame.Db.join_schemes (both storages)"
+  qtest "Frame.generic_join ≡ Frame.Db.join_schemes over rotated orders"
     gen_db_pick (fun (db, pick) ->
-      List.for_all
-        (fun storage ->
-          let fdb = encode_db ~storage db in
-          let order = some_order db pick in
-          let d = schemes_of db in
-          let g = Frame.Db.generic_join fdb ~order d in
-          let b = Frame.Db.join_schemes fdb d in
-          Frame.equal g b)
-        Frame.all_storages)
+      let fdb = Frame.Db.of_database db in
+      let order = some_order db pick in
+      let d = schemes_of db in
+      Frame.equal
+        (Frame.Db.generic_join fdb ~order d)
+        (Frame.Db.join_schemes fdb d))
 
 let seed_reference_agrees =
   qtest "seed-plane reference generic join ≡ Database.join_all" gen_db
@@ -199,7 +194,7 @@ let seed_reference_agrees =
       Relation.equal result (Database.join_all db))
 
 let engine_matrix_agrees =
-  qtest "wcoj policy ≡ hash policy across planes × storages × domains"
+  qtest "wcoj policy ≡ hash policy across planes × domains"
     ~count:60 gen_db (fun db ->
       let reference =
         let cfg = Engine.Config.make ~plane:Engine.Seed ~policy:Hash_all () in
@@ -207,19 +202,10 @@ let engine_matrix_agrees =
       in
       let strategy = Strategy.left_deep (scheme_list db) in
       List.for_all
-        (fun (plane, storage, domains) ->
-          let cfg =
-            Engine.Config.make ~plane ~storage ~domains ~policy:Wcoj ()
-          in
+        (fun (plane, domains) ->
+          let cfg = Engine.Config.make ~plane ~domains ~policy:Wcoj () in
           Relation.equal (fst (Engine.run cfg db strategy)) reference)
-        [
-          (Engine.Seed, Frame.Heap, 1);
-          (Engine.Seed, Frame.Heap, 4);
-          (Engine.Frame, Frame.Heap, 1);
-          (Engine.Frame, Frame.Heap, 4);
-          (Engine.Frame, Frame.Bigarray, 1);
-          (Engine.Frame, Frame.Bigarray, 4);
-        ])
+        [ (Engine.Seed, 1); (Engine.Seed, 4); (Engine.Frame, 1); (Engine.Frame, 4) ])
 
 let planes_same_tau =
   qtest "wcoj τ and per-step log agree across planes" ~count:60 gen_db

@@ -4,8 +4,8 @@
 
    - the engine matrix: the [yann] policy against the [Hash_all]
      reference on random acyclic databases (chain / star / path /
-     snowflake × data regimes), across {seed, frame} × {heap, bigarray}
-     × {1, 4} domains — bit-identical results, and within each plane
+     snowflake × data regimes), across {seed, frame} × {1, 4} domains —
+     bit-identical results, and within each plane
      identical τ and per-step logs across domain counts;
    - the Goodman–Shmueli projection laws: a full reduction leaves every
      relation equal to the projection of the full join onto its scheme,
@@ -68,27 +68,19 @@ let strategy_of db = Strategy.left_deep (scheme_list db)
 (* ------------------------------------------------------------------ *)
 
 let engine_matrix_agrees =
-  qtest "yann policy ≡ hash policy across planes × storages × domains"
+  qtest "yann policy ≡ hash policy across planes × domains"
     ~count:80 gen_db (fun db ->
       let reference =
         let cfg = Engine.Config.make ~plane:Engine.Seed ~policy:Hash_all () in
         fst (Engine.run cfg db (strategy_of db))
       in
       List.for_all
-        (fun (plane, storage, domains) ->
+        (fun (plane, domains) ->
           let cfg =
-            Engine.Config.make ~plane ~storage ~domains
-              ~policy:Planner.Yannakakis ()
+            Engine.Config.make ~plane ~domains ~policy:Planner.Yannakakis ()
           in
           Relation.equal (fst (Engine.run cfg db (strategy_of db))) reference)
-        [
-          (Engine.Seed, Frame.Heap, 1);
-          (Engine.Seed, Frame.Heap, 4);
-          (Engine.Frame, Frame.Heap, 1);
-          (Engine.Frame, Frame.Heap, 4);
-          (Engine.Frame, Frame.Bigarray, 1);
-          (Engine.Frame, Frame.Bigarray, 4);
-        ])
+        [ (Engine.Seed, 1); (Engine.Seed, 4); (Engine.Frame, 1); (Engine.Frame, 4) ])
 
 let domains_deterministic =
   qtest "yann τ and per-step log agree across planes and domain counts"
