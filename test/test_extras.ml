@@ -526,6 +526,136 @@ let prop_model_optimum_is_minimum =
           [ Costmodel.Cout_inclusive; Costmodel.Nested_loop_io 4;
             Costmodel.Hash_cpu ])
 
+(* Every model's winner and cost on four fixed connected databases, per
+   subspace.  The DP keeps the first of several equal-cost splits, so
+   these strings pin the split order as well as the optimum. *)
+let costmodel_golden_dbs =
+  let db name seed d =
+    let rng = Random.State.make [| 23; seed |] in
+    (name, Mj_workload.Dbgen.uniform_db ~rng ~rows:6 ~domain:3 d)
+  in
+  [
+    db "chain-5" 1 (Querygraph.chain 5);
+    db "cycle-5" 2 (Querygraph.cycle 5);
+    db "star-5" 3 (Querygraph.star 5);
+    db "random-5" 4
+      (Querygraph.random ~extra_edge_prob:0.3
+         ~rng:(Random.State.make [| 23; 5 |])
+         5);
+  ]
+
+let all_models =
+  [ Costmodel.Tuples; Costmodel.Cout_inclusive; Costmodel.Nested_loop_io 4;
+    Costmodel.Hash_cpu ]
+
+let all_subspaces =
+  [ Enumerate.All; Enumerate.Linear; Enumerate.Cp_free;
+    Enumerate.Linear_cp_free ]
+
+let costmodel_golden =
+  [
+      ( "chain-5",
+        [
+          "tuples all: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * c4,c5)) = 31";
+          "tuples linear: ((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) = 32";
+          "tuples cp-free: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * c4,c5)) = 31";
+          "tuples linear-cp-free: ((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) = 32";
+          "cout+in all: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * c4,c5)) = 69";
+          "cout+in linear: ((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) = 71";
+          "cout+in cp-free: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * c4,c5)) = 69";
+          "cout+in linear-cp-free: ((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) = 71";
+          "nl-io(4) all: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * c4,c5)) = 46";
+          "nl-io(4) linear: ((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) = 49";
+          "nl-io(4) cp-free: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * c4,c5)) = 46";
+          "nl-io(4) linear-cp-free: ((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) = 49";
+          "hash-cpu all: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * c4,c5)) = 69";
+          "hash-cpu linear: ((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) = 71";
+          "hash-cpu cp-free: ((c0,c1 * (c1,c2 * c2,c3)) * (c3,c4 * c4,c5)) = 69";
+          "hash-cpu linear-cp-free: ((((c0,c1 * c1,c2) * c2,c3) * c3,c4) * c4,c5) = 71";
+        ] );
+      ( "cycle-5",
+        [
+          "tuples all: ((c0,c1 * c1,c2) * (c0,c4 * (c2,c3 * c3,c4))) = 54";
+          "tuples linear: ((((c2,c3 * c3,c4) * c0,c4) * c0,c1) * c1,c2) = 68";
+          "tuples cp-free: ((c0,c1 * c1,c2) * (c0,c4 * (c2,c3 * c3,c4))) = 54";
+          "tuples linear-cp-free: ((((c2,c3 * c3,c4) * c0,c4) * c0,c1) * c1,c2) = 68";
+          "cout+in all: ((c0,c1 * c1,c2) * (c0,c4 * (c2,c3 * c3,c4))) = 114";
+          "cout+in linear: ((((c2,c3 * c3,c4) * c0,c4) * c0,c1) * c1,c2) = 142";
+          "cout+in cp-free: ((c0,c1 * c1,c2) * (c0,c4 * (c2,c3 * c3,c4))) = 114";
+          "cout+in linear-cp-free: ((((c2,c3 * c3,c4) * c0,c4) * c0,c1) * c1,c2) = 142";
+          "nl-io(4) all: ((c0,c1 * c1,c2) * (c0,c4 * (c2,c3 * c3,c4))) = 87";
+          "nl-io(4) linear: ((((c2,c3 * c3,c4) * c0,c4) * c0,c1) * c1,c2) = 110";
+          "nl-io(4) cp-free: ((c0,c1 * c1,c2) * (c0,c4 * (c2,c3 * c3,c4))) = 87";
+          "nl-io(4) linear-cp-free: ((((c2,c3 * c3,c4) * c0,c4) * c0,c1) * c1,c2) = 110";
+          "hash-cpu all: ((c0,c1 * c1,c2) * (c0,c4 * (c2,c3 * c3,c4))) = 114";
+          "hash-cpu linear: ((((c2,c3 * c3,c4) * c0,c4) * c0,c1) * c1,c2) = 142";
+          "hash-cpu cp-free: ((c0,c1 * c1,c2) * (c0,c4 * (c2,c3 * c3,c4))) = 114";
+          "hash-cpu linear-cp-free: ((((c2,c3 * c3,c4) * c0,c4) * c0,c1) * c1,c2) = 142";
+        ] );
+      ( "star-5",
+        [
+          "tuples all: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 92";
+          "tuples linear: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 92";
+          "tuples cp-free: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 92";
+          "tuples linear-cp-free: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 92";
+          "cout+in all: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 163";
+          "cout+in linear: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 163";
+          "cout+in cp-free: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 163";
+          "cout+in linear-cp-free: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 163";
+          "nl-io(4) all: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 127";
+          "nl-io(4) linear: ((((s3,t3 * s1,s2,s3,s4) * s1,t1) * s2,t2) * s4,t4) = 126";
+          "nl-io(4) cp-free: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 127";
+          "nl-io(4) linear-cp-free: ((((s3,t3 * s1,s2,s3,s4) * s1,t1) * s2,t2) * s4,t4) = 126";
+          "hash-cpu all: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 163";
+          "hash-cpu linear: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 163";
+          "hash-cpu cp-free: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 163";
+          "hash-cpu linear-cp-free: ((((s1,s2,s3,s4 * s3,t3) * s1,t1) * s2,t2) * s4,t4) = 163";
+        ] );
+      ( "random-5",
+        [
+          "tuples all: (((e0_1,e0_2,e0_3,e0_4,v0 * (e0_2,e2_3,e2_4,v2 * e0_4,e2_4,v4)) * e0_3,e2_3,v3) * e0_1,v1) = 42";
+          "tuples linear: ((((e0_1,e0_2,e0_3,e0_4,v0 * e0_4,e2_4,v4) * e0_2,e2_3,e2_4,v2) * e0_3,e2_3,v3) * e0_1,v1) = 42";
+          "tuples cp-free: (((e0_1,e0_2,e0_3,e0_4,v0 * (e0_2,e2_3,e2_4,v2 * e0_4,e2_4,v4)) * e0_3,e2_3,v3) * e0_1,v1) = 42";
+          "tuples linear-cp-free: ((((e0_1,e0_2,e0_3,e0_4,v0 * e0_4,e2_4,v4) * e0_2,e2_3,e2_4,v2) * e0_3,e2_3,v3) * e0_1,v1) = 42";
+          "cout+in all: (((e0_1,e0_2,e0_3,e0_4,v0 * (e0_2,e2_3,e2_4,v2 * e0_4,e2_4,v4)) * e0_3,e2_3,v3) * e0_1,v1) = 100";
+          "cout+in linear: ((((e0_1,e0_2,e0_3,e0_4,v0 * e0_4,e2_4,v4) * e0_2,e2_3,e2_4,v2) * e0_3,e2_3,v3) * e0_1,v1) = 100";
+          "cout+in cp-free: (((e0_1,e0_2,e0_3,e0_4,v0 * (e0_2,e2_3,e2_4,v2 * e0_4,e2_4,v4)) * e0_3,e2_3,v3) * e0_1,v1) = 100";
+          "cout+in linear-cp-free: ((((e0_1,e0_2,e0_3,e0_4,v0 * e0_4,e2_4,v4) * e0_2,e2_3,e2_4,v2) * e0_3,e2_3,v3) * e0_1,v1) = 100";
+          "nl-io(4) all: (((e0_1,e0_2,e0_3,e0_4,v0 * (e0_2,e2_3,e2_4,v2 * e0_4,e2_4,v4)) * e0_3,e2_3,v3) * e0_1,v1) = 70";
+          "nl-io(4) linear: ((((e0_1,e0_2,e0_3,e0_4,v0 * e0_4,e2_4,v4) * e0_2,e2_3,e2_4,v2) * e0_3,e2_3,v3) * e0_1,v1) = 72";
+          "nl-io(4) cp-free: (((e0_1,e0_2,e0_3,e0_4,v0 * (e0_2,e2_3,e2_4,v2 * e0_4,e2_4,v4)) * e0_3,e2_3,v3) * e0_1,v1) = 70";
+          "nl-io(4) linear-cp-free: ((((e0_1,e0_2,e0_3,e0_4,v0 * e0_4,e2_4,v4) * e0_2,e2_3,e2_4,v2) * e0_3,e2_3,v3) * e0_1,v1) = 72";
+          "hash-cpu all: (((e0_1,e0_2,e0_3,e0_4,v0 * (e0_2,e2_3,e2_4,v2 * e0_4,e2_4,v4)) * e0_3,e2_3,v3) * e0_1,v1) = 100";
+          "hash-cpu linear: ((((e0_1,e0_2,e0_3,e0_4,v0 * e0_4,e2_4,v4) * e0_2,e2_3,e2_4,v2) * e0_3,e2_3,v3) * e0_1,v1) = 100";
+          "hash-cpu cp-free: (((e0_1,e0_2,e0_3,e0_4,v0 * (e0_2,e2_3,e2_4,v2 * e0_4,e2_4,v4)) * e0_3,e2_3,v3) * e0_1,v1) = 100";
+          "hash-cpu linear-cp-free: ((((e0_1,e0_2,e0_3,e0_4,v0 * e0_4,e2_4,v4) * e0_2,e2_3,e2_4,v2) * e0_3,e2_3,v3) * e0_1,v1) = 100";
+        ] );
+  ]
+
+let test_costmodel_golden () =
+  List.iter
+    (fun (name, db) ->
+      let d = Database.schemes db in
+      let oracle = Cost.cardinality_oracle db in
+      let got =
+        List.concat_map
+          (fun model ->
+            List.map
+              (fun subspace ->
+                Format.asprintf "%s %a: %s" (Costmodel.name model)
+                  Enumerate.pp_subspace subspace
+                  (match Costmodel.optimum ~subspace ~model ~oracle d with
+                  | None -> "none"
+                  | Some r ->
+                      Printf.sprintf "%s = %d"
+                        (Strategy.to_string r.Optimal.strategy)
+                        r.Optimal.cost))
+              all_subspaces)
+          all_models
+      in
+      Alcotest.(check (list string)) name (List.assoc name costmodel_golden) got)
+    costmodel_golden_dbs
+
 (* ------------------------------------------------------------------ *)
 (* C4 under join-tree connectedness                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1013,6 +1143,7 @@ let () =
           Alcotest.test_case "bad page size" `Quick test_step_cost_bad_page;
           prop_tuples_model_matches_optimal;
           prop_model_optimum_is_minimum;
+          Alcotest.test_case "pinned winners" `Quick test_costmodel_golden;
         ] );
       ( "c4-join-tree",
         [
