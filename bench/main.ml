@@ -14,7 +14,6 @@ module Scenarios = Mj_workload.Scenarios
 module Dbgen = Mj_workload.Dbgen
 module Yannakakis = Mj_yannakakis.Yannakakis
 module Pool = Mj_pool.Pool
-module Kernel_bench = Mj_benchkit.Kernel_bench
 module Frame_bench = Mj_benchkit.Frame_bench
 module Plan_bench = Mj_benchkit.Plan_bench
 module Par_bench = Mj_benchkit.Par_bench
@@ -1143,7 +1142,7 @@ let obs_metrics () =
      = Some (Dpccp.count_csg_cmp_pairs d))
 
 (* ------------------------------------------------------------------ *)
-(* KERNEL FRAME PAR WCOJ SERVE PLAN: the gated head-to-head legs         *)
+(* FRAME PAR WCOJ SERVE PLAN: the gated head-to-head legs                *)
 (* ------------------------------------------------------------------ *)
 
 (* Each leg is a case list over Bench_core: the report prints the table
@@ -1153,12 +1152,6 @@ let leg id title run =
     fun () ->
       section id title;
       Bench_core.report (run ()) )
-
-let kernel =
-  leg "KERNEL"
-    "Bitmask subset kernel vs preserved legacy path (same oracle, equal \
-     results)"
-    (fun () -> Kernel_bench.run ~domains:(config_domains ()) ~quick:!quick ())
 
 let frame =
   leg "FRAME"
@@ -1269,7 +1262,7 @@ let experiments =
     ("SK", sk); ("SPACE", space); ("GAMMA", gamma); ("MONO", mono);
     ("SETOP", setop); ("YANN", yann); ("EST", est); ("RAND", rand);
     ("PIPE", pipe); ("LEM", lem); ("COST", cost_models); ("C4JT", c4jt); ("CASE", case); ("MAKESPAN", makespan); ("LOSS", loss);
-    ("OBS", obs_metrics); kernel; frame; par; wcoj; serve; plan;
+    ("OBS", obs_metrics); frame; par; wcoj; serve; plan;
     ("PERF", perf);
   ]
 

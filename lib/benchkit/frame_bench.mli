@@ -1,9 +1,9 @@
 (** The FRAME benchmark: seed data plane vs columnar frames, head to head.
 
-    The data-plane twin of {!Kernel_bench}.  Each row times one workload
-    through the seed [Relation]/[Exec]/[Cost.Cache Seed] path and
-    through the columnar {!Mj_relation.Frame} path, and certifies both
-    produce identical results:
+    Each row times one workload through the seed
+    [Relation]/[Exec]/[Cost.Cache Seed] path and through the columnar
+    {!Mj_relation.Frame} path, and certifies both produce identical
+    results:
 
     - ["join-micro"] — natural-join fold over a generated chain/star
       database of [n] tuples per relation, frames pinned to one domain;

@@ -10,10 +10,9 @@ type result = Subset_dp.result = {
 (* Split orders: mask-level partition iterators                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Each iterator emits the same (left, right) pairs, in the same order,
-   as the historical Scheme.Set enumeration — the DP breaks cost ties in
-   favour of the first partition seen, so the order is part of the
-   observable result. *)
+(* The DP breaks cost ties in favour of the first partition seen, so
+   each iterator's (left, right) order is part of the observable result;
+   test_kernel's order laws pin the Bitdb enumerations underneath. *)
 
 let iter_all_partitions u m f =
   if Bitdb.popcount m > 21 then
@@ -21,7 +20,7 @@ let iter_all_partitions u m f =
   Bitdb.iter_binary_partitions u m f
 
 (* One side must be a single relation; singletons are peeled in
-   decreasing scheme order (the historical Scheme.Set.fold + prepend). *)
+   decreasing scheme order. *)
 let iter_linear_partitions u m f =
   for i = Bitdb.size u - 1 downto 0 do
     let b = 1 lsl i in

@@ -35,9 +35,10 @@ val optimum_by :
   oracle:(Scheme.Set.t -> int) ->
   Hypergraph.t ->
   result option
-(** The same search under either combine rule: [Sum] is
+(** The same search under any combine rule: [Sum] is
     {!optimum_with_oracle}, [Max] the makespan optimum of
-    [Mj_engine.Parallel].  [obs] receives the core's [opt.*]
+    [Mj_engine.Parallel], [Priced] a detailed cost model's optimum
+    ([Mj_optimizer.Costmodel]).  [obs] receives the core's [opt.*]
     search-effort counters. *)
 
 val optimum : ?subspace:Enumerate.subspace -> Database.t -> result option

@@ -2,10 +2,10 @@ open Mj_hypergraph
 module Obs = Mj_obs.Obs
 module Tbl = Hashtbl.Make (Int)
 
-type combine = Sum | Max
-
-let combined combine c1 c2 =
-  match combine with Sum -> c1 + c2 | Max -> max c1 c2
+type combine =
+  | Sum
+  | Max
+  | Priced of (left:int -> right:int -> out:int -> int)
 
 type result = {
   strategy : Strategy.t;
@@ -66,14 +66,28 @@ let create ?combine ?leaf_cost ~units card =
 
 let cost_of dp m = (find dp m).cost
 
-(* A split of [m] (entry [e]) into [m1] and the rest, both parts with
-   plans of cost [c1] and [c2]. *)
-let price dp e m m1 c1 c2 =
+(* The memoized [card] of mask [m], whose entry is [e]. *)
+let[@inline] here dp e m =
   if e.here = unpriced then begin
     dp.estimates <- dp.estimates + 1;
     e.here <- dp.card m
   end;
-  let c = combined dp.combine c1 c2 + e.here in
+  e.here
+
+(* A split of [m] (entry [e]) into [m1] and the rest, both parts with
+   plans of cost [c1] and [c2]. *)
+let price dp e m m1 c1 c2 =
+  let out = here dp e m in
+  let c =
+    match dp.combine with
+    | Sum -> c1 + c2 + out
+    | Max -> max c1 c2 + out
+    | Priced step ->
+        let m2 = m lxor m1 in
+        c1 + c2
+        + step ~left:(here dp (find dp m1) m1) ~right:(here dp (find dp m2) m2)
+            ~out
+  in
   if c < e.cost then begin
     if e.cost = max_int then dp.entries <- dp.entries + 1;
     e.cost <- c;
@@ -166,8 +180,16 @@ let drive ?(obs = Obs.noop) ~span ~oracle d f =
 
 let rec strategy_cost combine card = function
   | Strategy.Leaf _ -> 0
-  | Strategy.Join n ->
-      combined combine
-        (strategy_cost combine card n.left)
-        (strategy_cost combine card n.right)
-      + card n.schemes
+  | Strategy.Join n -> (
+      let c1 = strategy_cost combine card n.left
+      and c2 = strategy_cost combine card n.right
+      and out = card n.schemes in
+      match combine with
+      | Sum -> c1 + c2 + out
+      | Max -> max c1 c2 + out
+      | Priced step ->
+          c1 + c2
+          + step
+              ~left:(card (Strategy.schemes n.left))
+              ~right:(card (Strategy.schemes n.right))
+              ~out)

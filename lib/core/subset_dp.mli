@@ -6,7 +6,9 @@
 
     [best(D') = card(D') + min over allowed splits (best(D1) ⊕ best(D2))]
 
-    with [⊕] the sum for τ and the max for the critical-path makespan.
+    with [⊕] the sum for τ and the max for the critical-path makespan;
+    a detailed cost model instead charges each split a price of the
+    three cardinalities it reads.
     This module owns everything that recurrence needs except the split
     order: the plan table, the leaves, the per-subset cardinality memo,
     the combine rule, the tie rule, the [opt.*] search-effort counters
@@ -23,6 +25,10 @@ open Mj_hypergraph
 type combine =
   | Sum  (** τ: total work *)
   | Max  (** makespan: the critical path *)
+  | Priced of (left:int -> right:int -> out:int -> int)
+      (** a per-split price: a split of [D'] into [D1] and [D2] costs
+          [best(D1) + best(D2) + price ~left:card(D1) ~right:card(D2)
+          ~out:card(D')] *)
 
 type result = {
   strategy : Strategy.t;
@@ -38,14 +44,16 @@ val create :
     only the masks reached, whose singletons are leaves of cost
     [leaf_cost i] (default [0]) for unit [i].  [card m] prices the
     sub-database [m]; it is called at most once per mask, on the first
-    split of [m] whose two parts both have plans.  [combine] defaults to
+    split of [m] whose two parts both have plans (under [Priced], or
+    when [m] is first a part of such a split).  [combine] defaults to
     [Sum]. *)
 
 val offer : t -> usable:bool -> int -> int -> unit
 (** [offer dp ~usable m1 m2] inspects the split of [m1 lor m2] into the
     left part [m1] and the right part [m2], counting one inspected pair.
     When [usable] and both parts have plans, the candidate costs
-    [combine (cost m1) (cost m2) + card (m1 lor m2)]; it replaces the
+    [combine (cost m1) (cost m2) + card (m1 lor m2)] (under [Priced],
+    the sum plus the split's price); it replaces the
     union's plan only when strictly cheaper, so the first of several
     equal-cost splits wins. *)
 

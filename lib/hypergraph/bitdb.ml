@@ -171,7 +171,7 @@ let iter_binary_partitions u mask f =
   (* Anchored on the lowest bit (the minimum scheme): the anchor always
      sits in the left half, so each unordered partition appears exactly
      once.  Pairs are produced in increasing order of the left half's
-     rest-submask, matching the historical Scheme.Set enumeration. *)
+     rest-submask. *)
   if popcount mask >= 2 then begin
     let anchor = lowest_bit mask in
     let rest = mask lxor anchor in

@@ -16,8 +16,8 @@
     The kernel is an internal representation: the [Scheme.Set] API of
     {!Hypergraph} remains the public boundary, with conversion at the
     edges ({!mask_of_set} / {!set_of_mask}).  Enumeration orders are
-    specified exactly so that mask-backed consumers are bit-identical to
-    the historical set-based implementations. *)
+    specified exactly: the subset DP keeps the first of several
+    equal-cost splits, so they are observable in its winners. *)
 
 open Mj_relation
 
@@ -82,12 +82,11 @@ val iter_connected_subsets : t -> int -> (int -> unit) -> unit
     order. *)
 
 val connected_subsets : t -> int -> int list
-(** Connected subsets of [within], in increasing mask order — the order
-    the historical [Scheme.Set] implementation produced. *)
+(** Connected subsets of [within], in increasing mask order. *)
 
 val iter_binary_partitions : t -> int -> (int -> int -> unit) -> unit
 (** Unordered binary partitions [(left, right)] of a mask, each listed
     once with the minimum scheme in [left], in increasing order of
-    [left]'s rest-submask — again the historical order. *)
+    [left]'s rest-submask. *)
 
 val binary_partitions : t -> int -> (int * int) list

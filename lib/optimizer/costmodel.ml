@@ -1,5 +1,3 @@
-open Mj_relation
-open Mj_hypergraph
 open Multijoin
 
 type t =
@@ -25,85 +23,10 @@ let step_cost model ~left ~right ~out =
       pages p left + (pages p left * pages p right) + out
   | Hash_cpu -> left + right + out
 
+let priced model = Subset_dp.Priced (step_cost model)
+
 let strategy_cost model oracle s =
-  List.fold_left
-    (fun acc (d1, d2) ->
-      let left = oracle d1 and right = oracle d2 in
-      let out = oracle (Scheme.Set.union d1 d2) in
-      acc + step_cost model ~left ~right ~out)
-    0 (Strategy.steps s)
+  Subset_dp.strategy_cost (priced model) oracle s
 
-(* Subset DP parameterized by the model.  Mirrors Multijoin.Optimal but
-   charges step costs that see both children's cardinalities. *)
-let key d = String.concat "|" (List.map Scheme.to_string (Scheme.Set.elements d))
-
-let better a b =
-  match a, b with
-  | None, x | x, None -> x
-  | Some (r1 : Optimal.result), Some r2 -> if r1.cost <= r2.cost then a else b
-
-let subset_dp ~model ~oracle ~partitions d =
-  let memo = Hashtbl.create 64 in
-  let rec best d' =
-    match Hashtbl.find_opt memo (key d') with
-    | Some r -> r
-    | None ->
-        let r =
-          match Scheme.Set.elements d' with
-          | [] -> invalid_arg "Costmodel: empty sub-database"
-          | [ s ] -> Some { Optimal.strategy = Strategy.leaf s; cost = 0 }
-          | _ ->
-              let out = oracle d' in
-              List.fold_left
-                (fun acc (d1, d2) ->
-                  match best d1, best d2 with
-                  | Some r1, Some r2 ->
-                      let here =
-                        step_cost model ~left:(oracle d1) ~right:(oracle d2)
-                          ~out
-                      in
-                      better acc
-                        (Some
-                           {
-                             Optimal.strategy =
-                               Strategy.join r1.Optimal.strategy
-                                 r2.Optimal.strategy;
-                             cost = r1.Optimal.cost + r2.Optimal.cost + here;
-                           })
-                  | _ -> acc)
-                None (partitions d')
-        in
-        Hashtbl.add memo (key d') r;
-        r
-  in
-  best d
-
-let optimum ?(subspace = Enumerate.All) ~model ~oracle d =
-  let partitions =
-    match subspace with
-    | Enumerate.All -> Hypergraph.binary_partitions
-    | Enumerate.Linear ->
-        fun d' ->
-          Scheme.Set.fold
-            (fun s acc -> (Scheme.Set.remove s d', Scheme.Set.singleton s) :: acc)
-            d' []
-    | Enumerate.Cp_free ->
-        fun d' ->
-          List.filter
-            (fun (d1, d2) -> Hypergraph.connected d1 && Hypergraph.connected d2)
-            (Hypergraph.binary_partitions d')
-    | Enumerate.Linear_cp_free ->
-        fun d' ->
-          Scheme.Set.fold
-            (fun s acc ->
-              let rest = Scheme.Set.remove s d' in
-              if Hypergraph.connected rest then
-                (rest, Scheme.Set.singleton s) :: acc
-              else acc)
-            d' []
-  in
-  (* The restricted-partition DPs are only exact for connected schemes
-     (as in Multijoin.Optimal); unconnected inputs fall back to the full
-     space for Cp_free and fail over to None when no partition chain
-     reaches the root. *)
-  subset_dp ~model ~oracle ~partitions d
+let optimum ?subspace ~model ~oracle d =
+  Optimal.optimum_by ~combine:(priced model) ?subspace ~oracle d

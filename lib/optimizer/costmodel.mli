@@ -14,7 +14,9 @@
     - [Hash_cpu]: build + probe + output, [L + R + out].
 
     Every model's step cost depends only on the three cardinalities, so
-    the same subset DP yields exact optima under each. *)
+    the same subset DP yields exact optima under each: {!optimum} runs
+    {!Multijoin.Optimal}'s split orders on the {!Multijoin.Subset_dp}
+    core with the model's {!step_cost} as the per-split price. *)
 
 open Mj_hypergraph
 open Multijoin
@@ -41,5 +43,7 @@ val optimum :
   oracle:Estimate.oracle ->
   Hypergraph.t ->
   Optimal.result option
-(** Exact optimum under the model, by the same subset DP as
-    {!Multijoin.Optimal} ([None] only for an empty subspace). *)
+(** Exact optimum under the model, by the same subset DP and the same
+    tie rule as {!Multijoin.Optimal.optimum_by}: under [Tuples] it is
+    {!Multijoin.Optimal.optimum_with_oracle}.  [None] only for an empty
+    subspace. *)

@@ -689,6 +689,23 @@ let prop_cache_matches_joins =
   qtest "cache: every mask's cardinality is its materialized join" ~count:40
     gen_theorem_db cache_matches_joins
 
+(* The shared τ cache's traffic on one verify: every hit is a
+   sub-database cardinality the conditions, the four optimum DPs and
+   Theorem 1's decision did not recount.  Exact counts, so a lost memo
+   (or a new recount) shows as a diff. *)
+let test_verify_cache_traffic () =
+  let rng = Random.State.make [| 1; 1990 |] in
+  let db = Dbgen.uniform_db ~rng ~rows:5 ~domain:3 (Querygraph.chain 5) in
+  let obs = Mj_obs.Obs.make () in
+  let (_ : Theorems.report) = Theorems.verify ~obs db in
+  let counters = Mj_obs.Obs.counters obs in
+  Alcotest.(check (list (pair string int)))
+    "cost.cache_hits / cost.cache_misses"
+    [ ("cost.cache_hits", 241); ("cost.cache_misses", 31) ]
+    (List.map
+       (fun name -> (name, Option.value ~default:0 (List.assoc_opt name counters)))
+       [ "cost.cache_hits"; "cost.cache_misses" ])
+
 let test_cache_product_rule () =
   (* D = {AB, BC, DE} is unconnected; emptying DE empties every mask
      that holds it, and the product stops there. *)
@@ -924,6 +941,8 @@ let () =
           prop_theorem1_dp_matches_enumeration;
           Alcotest.test_case "cache product rule" `Quick
             test_cache_product_rule;
+          Alcotest.test_case "verify cache traffic" `Quick
+            test_verify_cache_traffic;
           prop_cache_matches_joins;
         ] );
       ( "monotone",

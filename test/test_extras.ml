@@ -504,8 +504,6 @@ let prop_tuples_model_matches_optimal =
               (fun (r : Optimal.result) -> r.cost)
               (Optimal.optimum_with_oracle ~subspace ~oracle d)
           in
-          (* The Cp_free/Linear_cp_free DPs here require connected
-             schemes, which gen_search_instance guarantees. *)
           a = b)
         [ Enumerate.All; Enumerate.Linear; Enumerate.Cp_free;
           Enumerate.Linear_cp_free ])
@@ -655,6 +653,45 @@ let test_costmodel_golden () =
       in
       Alcotest.(check (list string)) name (List.assoc name costmodel_golden) got)
     costmodel_golden_dbs
+
+(* Unconnected schemes: a chain plus the two-relation component {XY, YZ},
+   and on half the cases an isolated W, so that there are two or three
+   components.  The Cp_free optimum must exist there (Enumerate.cp_free
+   is never empty) and be exact under every model. *)
+let gen_unconnected_db =
+  let open QCheck2.Gen in
+  let* n = int_range 2 4 in
+  let* seed = int_range 0 100_000 in
+  let* isolated = bool in
+  let rng = Random.State.make [| seed; n; 37 |] in
+  let extra = [ "XY"; "YZ" ] @ if isolated then [ "W" ] else [] in
+  let d = Scheme.Set.union (Querygraph.chain n) (Hypergraph.of_strings extra) in
+  return (Mj_workload.Dbgen.uniform_db ~rng ~rows:4 ~domain:3 d)
+
+let prop_costmodel_unconnected =
+  qtest "Costmodel optimum on unconnected schemes" ~count:40
+    gen_unconnected_db (fun db ->
+      let d = Database.schemes db in
+      let oracle = Cost.cardinality_oracle db in
+      let show =
+        Option.map (fun (r : Optimal.result) ->
+            (Strategy.to_string r.strategy, r.cost))
+      in
+      List.for_all
+        (fun subspace ->
+          show (Costmodel.optimum ~subspace ~model:Costmodel.Tuples ~oracle d)
+          = show (Optimal.optimum_with_oracle ~subspace ~oracle d))
+        all_subspaces
+      && List.for_all
+           (fun model ->
+             match Costmodel.optimum ~subspace:Enumerate.Cp_free ~model ~oracle d with
+             | None -> false
+             | Some best ->
+                 List.for_all
+                   (fun s -> best.cost <= Costmodel.strategy_cost model oracle s)
+                   (Enumerate.cp_free d))
+           [ Costmodel.Cout_inclusive; Costmodel.Nested_loop_io 4;
+             Costmodel.Hash_cpu ])
 
 (* ------------------------------------------------------------------ *)
 (* C4 under join-tree connectedness                                     *)
@@ -1144,6 +1181,7 @@ let () =
           prop_tuples_model_matches_optimal;
           prop_model_optimum_is_minimum;
           Alcotest.test_case "pinned winners" `Quick test_costmodel_golden;
+          prop_costmodel_unconnected;
         ] );
       ( "c4-join-tree",
         [

@@ -1,22 +1,18 @@
-(* Equivalence suite for the bitmask subset kernel.
+(* Laws for the bitmask subset kernel.
 
-   Every property pits a kernel-backed implementation against the
-   preserved seed implementation ({!Mj_benchkit.Legacy}: Scheme.Set BFS,
-   enumerate-then-filter, string-keyed memos) on chain / star / cycle /
-   clique / random query graphs.  The contracts under test are exact:
-   not just the same sets and optima, but the same enumeration orders —
-   the DP's tie-breaking makes order observable — plus the pool's
-   determinism rule (identical output at any domain count). *)
+   Every property pits a kernel-backed implementation against a
+   definition or a reference that does not use it: the paper's
+   connectivity vocabulary over attribute universes, inline mask
+   enumerations in the order the DP's tie rule makes observable, and
+   brute-force enumeration priced by [Cost.tau_oracle] for DP optima;
+   on chain / star / cycle / clique / random query graphs.  Plus the
+   pool's determinism rule (identical output at any domain count). *)
 
 open Mj_relation
 open Mj_hypergraph
 open Multijoin
 open Mj_optimizer
-module Legacy = Mj_benchkit.Legacy
-module Kernel_bench = Mj_benchkit.Kernel_bench
-module Bench_core = Mj_benchkit.Bench_core
 module Pool = Mj_pool.Pool
-module Json = Mj_obs.Json
 module Dbgen = Mj_workload.Dbgen
 
 let qtest name ?(count = 100) gen prop =
@@ -59,7 +55,7 @@ let gen_random_db =
   let d = Querygraph.random ~extra_edge_prob:0.3 ~rng n in
   return (Dbgen.uniform_db ~rng ~rows:4 ~domain:3 d)
 
-(* The synthetic statistics of the KERNEL bench rows. *)
+(* Synthetic per-relation statistics. *)
 let oracle_for d =
   Estimate.of_catalog
     (Catalog.synthetic
@@ -67,26 +63,42 @@ let oracle_for d =
           (fun i s -> (s, 32 + (17 * i mod 41), []))
           (Scheme.Set.elements d)))
 
-let set_list_equal l1 l2 =
-  List.length l1 = List.length l2 && List.for_all2 Scheme.Set.equal l1 l2
+(* ------------------------------------------------------------------ *)
+(* Connectivity vocabulary: kernel vs the paper's definitions            *)
+(* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Connectivity vocabulary: kernel vs Set BFS                           *)
-(* ------------------------------------------------------------------ *)
+let universe u m = Scheme.Set.universe (Bitdb.set_of_mask u m)
+
+let linked u m1 m2 = not (Attr.Set.disjoint (universe u m1) (universe u m2))
+
+(* Connected: no split into two nonempty parts with disjoint universes. *)
+let connected u m =
+  let ok = ref true in
+  Bitdb.iter_subsets m (fun s -> if not (linked u s (m lxor s)) then ok := false);
+  !ok
 
 let prop_connected =
-  qtest "Bitdb.is_connected agrees with the Set BFS on submasks" ~count:150
-    (gen_universe_mask 12) (fun (d, m) ->
+  qtest "Bitdb.is_connected agrees with the definition on submasks"
+    ~count:150 (gen_universe_mask 12) (fun (d, m) ->
       let u = Bitdb.make d in
-      Bitdb.is_connected u m = Legacy.connected (Bitdb.set_of_mask u m))
+      Bitdb.is_connected u m = connected u m)
 
 let prop_components =
-  qtest "Bitdb.components agrees with Set BFS peeling, in order" ~count:150
+  qtest "Bitdb.components agrees with the definition, in order" ~count:150
     (gen_universe_mask 12) (fun (d, m) ->
       let u = Bitdb.make d in
-      set_list_equal
-        (List.map (Bitdb.set_of_mask u) (Bitdb.components u m))
-        (Legacy.components (Bitdb.set_of_mask u m)))
+      let cs = Bitdb.components u m in
+      let rec pairwise = function
+        | [] -> true
+        | c :: rest ->
+            List.for_all (fun c' -> not (linked u c c')) rest && pairwise rest
+      in
+      List.for_all (fun c -> c <> 0 && connected u c) cs
+      && pairwise cs
+      && List.fold_left ( lor ) 0 cs = m
+      && List.fold_left ( + ) 0 (List.map Bitdb.popcount cs) = Bitdb.popcount m
+      && List.sort compare (List.map Bitdb.lowest_bit cs)
+         = List.map Bitdb.lowest_bit cs)
 
 let prop_linked =
   qtest "Bitdb.linked agrees with attribute-universe intersection"
@@ -98,35 +110,34 @@ let prop_linked =
       return (d, m1, m2))
     (fun (d, m1, m2) ->
       let u = Bitdb.make d in
-      Bitdb.linked u m1 m2
-      = Legacy.hyper_linked (Bitdb.set_of_mask u m1) (Bitdb.set_of_mask u m2))
+      Bitdb.linked u m1 m2 = linked u m1 m2)
 
+(* The DP keeps the first of several equal-cost splits, so these
+   enumeration orders are observable in its winners. *)
 let prop_connected_subsets =
-  qtest "Bitdb.connected_subsets = enumerate-then-filter, same order"
-    ~count:40 (gen_universe 10) (fun d ->
+  qtest "Bitdb.connected_subsets = ascending connected submasks" ~count:40
+    (gen_universe 10) (fun d ->
       let u = Bitdb.make d in
-      set_list_equal
-        (List.map (Bitdb.set_of_mask u) (Bitdb.connected_subsets u (Bitdb.full u)))
-        (Legacy.connected_subsets d))
+      let reference =
+        List.filter (Bitdb.is_connected u) (List.init (Bitdb.full u) succ)
+      in
+      Bitdb.connected_subsets u (Bitdb.full u) = reference)
 
 let prop_binary_partitions =
-  qtest "Bitdb.binary_partitions = anchored Set enumeration, same order"
+  qtest "Bitdb.binary_partitions = lowest relation on the left, ascending"
     ~count:40 (gen_universe 10) (fun d ->
       let u = Bitdb.make d in
-      let kp =
-        List.map
-          (fun (l, r) -> (Bitdb.set_of_mask u l, Bitdb.set_of_mask u r))
-          (Bitdb.binary_partitions u (Bitdb.full u))
+      let full = Bitdb.full u in
+      (* Left halves [1 lor (sub lsl 1)] for sub = 0 .. 2^(k-1) - 2. *)
+      let reference =
+        List.init ((1 lsl (Bitdb.size u - 1)) - 1) (fun sub ->
+            let left = 1 lor (sub lsl 1) in
+            (left, full lxor left))
       in
-      let lp = Legacy.binary_partitions d in
-      List.length kp = List.length lp
-      && List.for_all2
-           (fun (l1, r1) (l2, r2) ->
-             Scheme.Set.equal l1 l2 && Scheme.Set.equal r1 r2)
-           kp lp)
+      Bitdb.binary_partitions u full = reference)
 
 (* ------------------------------------------------------------------ *)
-(* DP optima: kernel vs string-memo seed DP                             *)
+(* DP optima: kernel vs brute-force enumeration                         *)
 (* ------------------------------------------------------------------ *)
 
 let subspaces =
@@ -135,22 +146,33 @@ let subspaces =
 
 let cost_of = function None -> -1 | Some r -> r.Optimal.cost
 
+(* The cheapest τ over the enumerated subspace, [-1] when it is empty. *)
+let enumerated_optimum subspace ~oracle d =
+  let best =
+    Enumerate.fold_strategies subspace d ~init:max_int ~f:(fun best s ->
+        min best (Cost.tau_oracle oracle s))
+  in
+  if best = max_int then -1 else best
+
 let prop_dp_synthetic =
-  qtest "optimum costs match the seed DP on every subspace (synthetic τ)"
-    ~count:60 (gen_universe 7) (fun d ->
+  qtest "optimum costs match the smallest enumerated τ on every subspace \
+         (synthetic τ)"
+    ~count:60 (gen_universe 6) (fun d ->
       let oracle = oracle_for d in
       List.for_all
         (fun subspace ->
-          cost_of (Legacy.optimum_with_oracle ~subspace ~oracle d)
+          enumerated_optimum subspace ~oracle d
           = cost_of (Optimal.optimum_with_oracle ~subspace ~oracle d))
         subspaces)
 
 let prop_dp_real =
-  qtest "optimum costs match the seed DP on every subspace (real db)"
+  qtest "optimum costs match the smallest enumerated τ on every subspace \
+         (real db)"
     ~count:40 gen_random_db (fun db ->
+      let oracle = Cost.cardinality_oracle db in
       List.for_all
         (fun subspace ->
-          cost_of (Legacy.optimum ~subspace db)
+          enumerated_optimum subspace ~oracle (Database.schemes db)
           = cost_of (Optimal.optimum ~subspace db))
         subspaces)
 
@@ -187,15 +209,6 @@ let prop_all_optima =
                (fun s1 s2 -> Strategy.to_string s1 = Strategy.to_string s2)
                reference streamed)
         subspaces)
-
-(* ------------------------------------------------------------------ *)
-(* Condition checkers: cached mask loops vs Set loops                   *)
-(* ------------------------------------------------------------------ *)
-
-let prop_summarize =
-  qtest "Conditions.summarize agrees with the Set-loop seed checker"
-    ~count:40 gen_random_db (fun db ->
-      Legacy.summarize db = Conditions.summarize db)
 
 (* ------------------------------------------------------------------ *)
 (* Relation satellite: empty-common natural join                        *)
@@ -265,44 +278,20 @@ let test_pool_helpers_reused () =
   Alcotest.(check (array int)) "after a raise" (squares 8)
     (Pool.init ~domains:2 8 (fun i -> i * i))
 
-let test_kernel_bench_deterministic () =
-  let report domains =
-    Json.to_string
-      (Bench_core.deterministic_json (Kernel_bench.run ~domains ~quick:true ()))
-  in
-  Alcotest.(check string)
-    "deterministic projection identical at 1 vs 3 domains" (report 1)
-    (report 3)
-
-let test_kernel_bench_rows_agree () =
-  let leg = Kernel_bench.run ~domains:1 ~quick:true () in
-  Alcotest.(check (list string))
-    "no failed check: legacy/kernel values agree on every row" []
-    (Bench_core.failures leg);
-  let hits =
-    Option.bind
-      (Json.member "tau_cache" (Bench_core.deterministic_json leg))
-      (Json.member "hits")
-  in
-  Alcotest.(check bool) "cache sees traffic" true
-    (match hits with Some (Json.Num h) -> h > 0.0 | _ -> false)
-
 (* ------------------------------------------------------------------ *)
 (* Pinned seed: one fixed database with hard-coded expectations, so a
-   coordinated drift of Legacy and the kernel (both wrong the same
-   way) still trips the suite.                                          *)
+   coordinated drift of the kernel and the references (both wrong the
+   same way) still trips the suite.                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_pinned_legacy_equivalence () =
+let test_pinned_seed () =
   let rng = Random.State.make [| 2026; 91 |] in
   let d = Querygraph.cycle 4 in
   let db = Mj_workload.Dbgen.uniform_db ~rng ~rows:5 ~domain:3 d in
   List.iter
     (fun subspace ->
-      let legacy = cost_of (Legacy.optimum ~subspace db) in
-      let kernel = cost_of (Optimal.optimum ~subspace db) in
-      Alcotest.(check int) "legacy = kernel" legacy kernel;
-      Alcotest.(check int) "pinned optimum" 6 kernel)
+      Alcotest.(check int) "pinned optimum" 6
+        (cost_of (Optimal.optimum ~subspace db)))
     subspaces;
   (match Optimal.optimum db with
   | None -> Alcotest.fail "pinned database has no optimum"
@@ -312,7 +301,6 @@ let test_pinned_legacy_equivalence () =
         (Strategy.to_string r.Optimal.strategy);
       Alcotest.(check int) "materialized τ" 6 (Cost.tau db r.Optimal.strategy));
   let s = Conditions.summarize db in
-  Alcotest.(check bool) "legacy summary" true (Legacy.summarize db = s);
   Alcotest.(check (list bool))
     "pinned summary (c1, c1', c2, c3, c4)"
     [ true; true; false; false; false ]
@@ -337,19 +325,13 @@ let () =
           prop_dp_synthetic;
           prop_dp_real;
           prop_all_optima;
-          Alcotest.test_case "pinned seed" `Quick
-            test_pinned_legacy_equivalence;
+          Alcotest.test_case "pinned seed" `Quick test_pinned_seed;
         ] );
-      ("conditions-equivalence", [ prop_summarize ]);
       ("relation-satellites", [ prop_join_disjoint ]);
       ( "pool-determinism",
         [
           prop_pool_deterministic;
           Alcotest.test_case "helper domains reused" `Quick
             test_pool_helpers_reused;
-          Alcotest.test_case "kernel bench deterministic json" `Quick
-            test_kernel_bench_deterministic;
-          Alcotest.test_case "kernel bench rows agree" `Quick
-            test_kernel_bench_rows_agree;
         ] );
     ]
