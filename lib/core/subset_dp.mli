@@ -44,8 +44,8 @@ val create :
     only the masks reached, whose singletons are leaves of cost
     [leaf_cost i] (default [0]) for unit [i].  [card m] prices the
     sub-database [m]; it is called at most once per mask, on the first
-    split of [m] whose two parts both have plans (under [Priced], or
-    when [m] is first a part of such a split).  [combine] defaults to
+    split of [m] whose two parts both have plans or, under [Priced], on
+    the first such split that has [m] as a part.  [combine] defaults to
     [Sum]. *)
 
 val offer : t -> usable:bool -> int -> int -> unit
