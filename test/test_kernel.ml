@@ -211,6 +211,73 @@ let prop_all_optima =
         subspaces)
 
 (* ------------------------------------------------------------------ *)
+(* Condition checkers: cached mask loops vs the paper's definitions     *)
+(* ------------------------------------------------------------------ *)
+
+(* C1–C4 re-derived from the definitions alone: connected and linked
+   over attribute universes, τ from the materialized join of each
+   sub-database (no Cost cache, no Bitdb.connected_subsets). *)
+let definitional_summary db =
+  let u = Bitdb.make (Database.schemes db) in
+  let conn =
+    List.filter (connected u) (List.init (Bitdb.full u) succ)
+  in
+  let cards = Hashtbl.create 64 in
+  let tau m =
+    match Hashtbl.find_opt cards m with
+    | Some c -> c
+    | None ->
+        let c =
+          Relation.cardinality
+            (Database.join_all (Database.restrict db (Bitdb.set_of_mask u m)))
+        in
+        Hashtbl.add cards m c;
+        c
+  in
+  let c1 = ref true and c1_strict = ref true in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun e1 ->
+          if e land e1 = 0 && linked u e e1 then
+            List.iter
+              (fun e2 ->
+                if e land e2 = 0 && e1 land e2 = 0 && not (linked u e e2)
+                then begin
+                  let t1 = tau (e lor e1) and t2 = tau (e lor e2) in
+                  if t1 > t2 then c1 := false;
+                  if t1 >= t2 then c1_strict := false
+                end)
+              conn)
+        conn)
+    conn;
+  let c2 = ref true and c3 = ref true and c4 = ref true in
+  List.iter
+    (fun p1 ->
+      List.iter
+        (fun p2 ->
+          if p1 land p2 = 0 && linked u p1 p2 then begin
+            let j = tau (p1 lor p2) and t1 = tau p1 and t2 = tau p2 in
+            if j > t1 && j > t2 then c2 := false;
+            if j > t1 || j > t2 then c3 := false;
+            if j < t1 || j < t2 then c4 := false
+          end)
+        conn)
+    conn;
+  {
+    Conditions.c1 = !c1;
+    c1_strict = !c1_strict;
+    c2 = !c2;
+    c3 = !c3;
+    c4 = !c4;
+  }
+
+let prop_summarize =
+  qtest "Conditions.summarize agrees with the definitions over universes"
+    ~count:40 gen_random_db (fun db ->
+      definitional_summary db = Conditions.summarize db)
+
+(* ------------------------------------------------------------------ *)
 (* Relation satellite: empty-common natural join                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -327,6 +394,7 @@ let () =
           prop_all_optima;
           Alcotest.test_case "pinned seed" `Quick test_pinned_seed;
         ] );
+      ("conditions-equivalence", [ prop_summarize ]);
       ("relation-satellites", [ prop_join_disjoint ]);
       ( "pool-determinism",
         [
