@@ -152,6 +152,47 @@ let prefix_joins_project =
           !ok)
 
 (* ------------------------------------------------------------------ *)
+(* The YANN paper table, pinned                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* bench YANN's Section 5 table: for each shape, the τ of Yannakakis's
+   order on the reduced database for seeds 1–15 ([|seed; 81|], rows 6,
+   domain 3), and how many of the 15 match the τ-optimum. *)
+let paper_table_pinned =
+  Alcotest.test_case "YANN paper table: tau per seed and optimal count"
+    `Quick (fun () ->
+      List.iter
+        (fun (name, shape, want_taus, want_optimal) ->
+          let cells =
+            List.init 15 (fun i ->
+                let rng = Random.State.make [| i + 1; 81 |] in
+                let db = Dbgen.uniform_db ~rng ~rows:6 ~domain:3 shape in
+                let reduced = Yannakakis.full_reduce db in
+                let tau = Yannakakis.tau_after_reduction db in
+                (tau, tau = (Optimal.optimum_exn reduced).Optimal.cost))
+          in
+          Alcotest.(check (list int)) (name ^ " tau") want_taus
+            (List.map fst cells);
+          Alcotest.(check int) (name ^ " optimal") want_optimal
+            (List.length (List.filter snd cells)))
+        [
+          ( "chain-4",
+            Querygraph.chain 4,
+            [ 30; 40; 56; 82; 24; 75; 61; 28; 45; 38; 70; 39; 20; 56; 36 ],
+            1 );
+          ( "chain-6",
+            Querygraph.chain 6,
+            [ 135; 161; 285; 374; 100; 144; 240; 170; 100; 115; 196; 107; 91;
+              219; 124 ],
+            0 );
+          ( "star-5",
+            Querygraph.star 5,
+            [ 60; 48; 104; 147; 116; 97; 148; 78; 94; 168; 83; 70; 106; 116;
+              160 ],
+            1 );
+        ])
+
+(* ------------------------------------------------------------------ *)
 (* Ranked enumeration: every k                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -238,6 +279,7 @@ let () =
       ("matrix", [ engine_matrix_agrees; domains_deterministic ]);
       ( "goodman-shmueli",
         [ full_reduction_projects; prefix_joins_project ] );
+      ("paper-table", [ paper_table_pinned ]);
       ("ranked", [ topk_all_k ]);
       ( "lowering",
         [ lowering_shape; cyclic_falls_through; lower_ranked_shape ] );
