@@ -1,17 +1,17 @@
 (* Acyclic databases, consistency, and the Section 5 discussion.
 
-   Generates a chain-shaped database, full-reduces it with the
-   Bernstein–Chiu semijoin program, evaluates it with Yannakakis's
-   algorithm, and compares the tau of Yannakakis's linear strategy with
-   the exact tau-optimum — the paper's open question, answered
-   empirically on this instance.
+   Generates a chain-shaped database, full-reduces it with semijoins,
+   evaluates it with Yannakakis's algorithm on the engine (a
+   [Semijoin_program] over GYO's ear tree), and compares the tau of
+   Yannakakis's linear strategy with the exact tau-optimum — the
+   paper's open question, answered empirically on this instance.
 
    Run with: dune exec examples/acyclic_pipeline.exe *)
 
 open Mj_relation
 open Mj_hypergraph
 open Multijoin
-open Mj_yannakakis
+open Mj_engine
 
 let () =
   let rng = Random.State.make [| 2024 |] in
@@ -30,8 +30,8 @@ let () =
     (fun (s, k) -> Format.printf "  %-6s %d@." (Scheme.to_string s) k)
     dangling;
 
-  (* Full reduction: two semijoin passes along a join tree. *)
-  let reduced = Yannakakis.full_reduce db in
+  (* Full reduction: semijoins until no relation shrinks. *)
+  let reduced = Consistency.semijoin_reduce db in
   Format.printf "After full reduction: %a@." Database.pp_brief reduced;
   Format.printf "pairwise consistent: %b, globally consistent: %b@."
     (Consistency.pairwise_consistent reduced)
@@ -39,25 +39,32 @@ let () =
   Format.printf "C4 holds on the reduced database: %b@.@."
     (Conditions.holds_c4 reduced);
 
-  (* Yannakakis evaluation agrees with the direct join. *)
-  let result = Yannakakis.evaluate db in
+  (* Yannakakis's algorithm over GYO's ear tree, run by the engine:
+     both semijoin sweeps, then the joins in reverse ear order.  τ
+     counts the join phase only. *)
+  let plan =
+    match Gyo.rooted_ear_tree d with
+    | None -> assert false
+    | Some rt -> Physical.Semijoin_program rt
+  in
+  let result, stats =
+    Engine.execute_plan (Engine.Config.make ~plane:Engine.Seed ()) db plan
+  in
   Format.printf "Yannakakis result = plain join: %b (%d tuples)@.@."
     (Relation.equal result (Database.join_all db))
     (Relation.cardinality result);
 
   (* The open question, on this instance: is Yannakakis's strategy
      tau-optimal after reduction? *)
-  (match Yannakakis.strategy d with
-  | None -> assert false
-  | Some s ->
-      Format.printf "Yannakakis's strategy: %a@." Strategy.pp s;
-      let yann_tau = Yannakakis.tau_after_reduction db in
-      let best = Optimal.optimum_exn reduced in
-      Format.printf "tau(Yannakakis, reduced db) = %d@." yann_tau;
-      Format.printf "tau-optimum of the reduced db = %d (%a)@." best.cost
-        Strategy.pp best.strategy;
-      Format.printf "monotone increasing (C4 at work): %b@."
-        (Monotone.is_monotone_increasing reduced s));
+  let s = Physical.strategy_of plan in
+  Format.printf "Yannakakis's strategy: %a@." Strategy.pp s;
+  let best = Optimal.optimum_exn reduced in
+  Format.printf "tau(Yannakakis, reduced db) = %d@."
+    stats.Engine.tuples_generated;
+  Format.printf "tau-optimum of the reduced db = %d (%a)@." best.cost
+    Strategy.pp best.strategy;
+  Format.printf "monotone increasing (C4 at work): %b@."
+    (Monotone.is_monotone_increasing reduced s);
 
   (* On consistent acyclic data every CP-free strategy is monotone
      increasing — the C4 phenomenon of Section 5. *)

@@ -1,7 +1,8 @@
 open Mj_relation
-open Mj_hypergraph
 module Planner = Mj_engine.Planner
 module Engine = Mj_engine.Engine
+module Frame_engine = Mj_engine.Frame_engine
+module Physical = Mj_engine.Physical
 module Json = Mj_obs.Json
 module Strategy = Multijoin.Strategy
 
@@ -127,29 +128,11 @@ let build_db shape ~n ~fanout ~matching =
    the row measures algorithms, not encoding. *)
 let binary_join ?stats fdb d = Frame.Db.join_schemes ?stats ~domains:1 fdb d
 
-(* The Yannakakis contender, mirroring the engine's kernel sequence:
-   semijoin sweeps leaf-to-root then root-to-leaf over the cost-chosen
-   rooted tree, then a left-deep join fold root-outward.  Returns the
-   result and the join-phase τ (semijoins contribute none). *)
-let yann_join ?stats fdb rt =
-  let order = Jointree.join_order rt in
-  let items = List.map (fun sch -> (sch, ref (Frame.Db.find fdb sch))) order in
-  let item_of sch = snd (List.find (fun (s', _) -> Scheme.equal sch s') items) in
-  let semi target source =
-    let t = item_of target and src = item_of source in
-    t := Frame.semijoin ?stats !t !src
-  in
-  List.iter (fun (ear, parent) -> semi parent ear) rt.Jointree.elims;
-  List.iter (fun (ear, parent) -> semi ear parent) (List.rev rt.Jointree.elims);
-  match order with
-  | [] -> invalid_arg "Yann_bench: empty join tree"
-  | root :: rest ->
-      List.fold_left
-        (fun (acc, tau) sch ->
-          let j = Frame.natural_join ?stats ~domains:1 acc !(item_of sch) in
-          (j, tau + Frame.cardinality j))
-        (!(item_of root), 0)
-        rest
+(* The Yannakakis contender: the engine's own semijoin program on the
+   columnar plane, over the same pre-encoded database.  τ is its
+   join phase (semijoins contribute none). *)
+let yann_join fdb db rt =
+  Frame_engine.execute_plan ~domains:1 ~fdb db (Physical.Semijoin_program rt)
 
 (* Cross-plane certification: both planes × both domain counts under
    the yann policy must report the bit-identical relation and τ. *)
@@ -183,11 +166,12 @@ let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
     | None -> invalid_arg ("Yann_bench: " ^ shape ^ " scheme is not acyclic")
   in
   let bstats = Frame.fresh_stats () in
-  let (binary_ms, binary_f), (yann_ms, (yann_f, tau_yann)) =
+  let (binary_ms, binary_f), (yann_ms, (yann_r, yann_stats)) =
     Bench_core.race ~reps
       (fun () -> binary_join ~stats:bstats fdb d)
-      (fun () -> yann_join fdb rt)
+      (fun () -> yann_join fdb db rt)
   in
+  let binary_r = Frame.to_relation binary_f in
   let binary_probes = bstats.Frame.probes in
   (* Ranked enumeration: the first [topk_k] tuples of the sorted full
      output, straight off the base frames — no reduction, no full
@@ -199,7 +183,7 @@ let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
   let want =
     List.filteri
       (fun i _ -> i < topk_k)
-      (Relation.tuples (Frame.to_relation binary_f))
+      (Relation.tuples binary_r)
   in
   let topk_ok =
     List.equal Tuple.equal (Relation.tuples (Frame.to_relation tk)) want
@@ -218,10 +202,10 @@ let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
         ("binary_ms", Ms binary_ms);
         ("yann_ms", Ms yann_ms);
         speedup binary_ms yann_ms;
-        ("rows_out", Out (Json.int (Frame.cardinality yann_f)));
+        ("rows_out", Out (Json.int (Relation.cardinality yann_r)));
         ("tau_binary", Out (Json.int (Wcoj_bench.binary_tau fdb d)));
-        ("tau_yann", Out (Json.int tau_yann));
-        ("equal", Check (Frame.equal yann_f binary_f));
+        ("tau_yann", Out (Json.int yann_stats.Frame_engine.tuples_generated));
+        ("equal", Check (Relation.equal yann_r binary_r));
         ("cert_ok", Check (certify db));
         ("topk_k", Out (Json.int topk_k));
         ("topk_ok", Check topk_ok);

@@ -15,11 +15,12 @@
     single-domain, interleaved reps, fastest rep kept; per row:
 
     - [binary_ms] / [yann_ms] — the columnar left-to-right fold vs the
-      semijoin sweeps + join fold over {!Mj_engine.Planner.yann_tree}'s
-      cost-chosen rooted tree;
+      engine's [Semijoin_program] over {!Mj_engine.Planner.yann_tree}'s
+      cost-chosen rooted tree, run by
+      {!Mj_engine.Frame_engine.execute_plan} — the path that ships;
     - [tau_binary] / [tau_yann] — the τ certificates (semijoins
       contribute none; [tau_yann] is the join phase only);
-    - [equal] — yann and binary result frames bit-identical;
+    - [equal] — yann and binary results equal;
     - [cert_ok] — the engine matrix {seed,frame} × {1,4} domains under
       the yann policy agrees on result and τ;
     - [topk_ok] / [topk_probes] — {!Mj_relation.Frame.topk} streams

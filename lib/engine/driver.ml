@@ -39,7 +39,41 @@ type step_log = {
 
 let scheme_key d = Format.asprintf "%a" Scheme.Set.pp d
 
+(* The attributes every "join" span opens with.  Defined outside the
+   functor, it needs no capture in the walker's closures. *)
+let join_attrs ~obs label node_schemes =
+  if Obs.enabled obs then begin
+    Obs.set_attr obs "algo" (Json.str label);
+    Obs.set_attr obs "scheme" (Json.str (scheme_key node_schemes))
+  end
+
 module Make (P : PLANE) = struct
+  (* The τ log of one walk. *)
+  type log = {
+    mutable generated : int;
+    mutable steps : (Scheme.Set.t * int) list;
+  }
+
+  (* Every τ-producing step ends here: its output cardinality joins
+     the τ sum and the per-step log, and becomes the span's [rows]. *)
+  let record ~obs ctx log node_schemes it =
+    let n = P.cardinality it in
+    log.generated <- log.generated + n;
+    log.steps <- (node_schemes, n) :: log.steps;
+    P.note_step ctx n;
+    if Obs.enabled obs then Obs.set_attr obs "rows" (Json.int n);
+    it
+
+  let scan ~obs ctx s =
+    Obs.span obs "scan" (fun () ->
+        let it = P.scan ctx s in
+        if Obs.enabled obs then begin
+          Obs.set_attr obs "scheme"
+            (Json.str (scheme_key (Scheme.Set.singleton s)));
+          Obs.set_attr obs "rows" (Json.int (P.cardinality it))
+        end;
+        it)
+
   (* The walker is the part both planes used to duplicate: the span
      shapes (a "scan" per leaf, a "join" per step, attributes [scheme],
      [rows] and [algo]), the per-step τ accounting, and the
@@ -48,46 +82,28 @@ module Make (P : PLANE) = struct
      no base-relation indexes answers [None] from [index_join] and the
      step degrades to its ordinary join. *)
   let walk ~obs ctx plan =
-    let generated = ref 0 in
-    let steps = ref [] in
+    let log = { generated = 0; steps = [] } in
     let rec run = function
-      | Physical.Scan s ->
-          Obs.span obs "scan" (fun () ->
-              let it = P.scan ctx s in
-              if Obs.enabled obs then begin
-                Obs.set_attr obs "scheme"
-                  (Json.str (scheme_key (Scheme.Set.singleton s)));
-                Obs.set_attr obs "rows" (Json.int (P.cardinality it))
-              end;
-              (s, it))
+      | Physical.Scan s -> (s, scan ~obs ctx s)
       | Physical.Join (algo, l, r) ->
           Obs.span obs "join" (fun () ->
               let node_schemes =
                 Scheme.Set.union (Physical.schemes l) (Physical.schemes r)
               in
-              if Obs.enabled obs then begin
-                Obs.set_attr obs "algo" (Json.str (P.algo_label algo));
-                Obs.set_attr obs "scheme" (Json.str (scheme_key node_schemes))
-              end;
-              let finish out_scheme it =
-                let n = P.cardinality it in
-                generated := !generated + n;
-                steps := (node_schemes, n) :: !steps;
-                P.note_step ctx n;
-                if Obs.enabled obs then Obs.set_attr obs "rows" (Json.int n);
-                (out_scheme, it)
-              in
+              join_attrs ~obs (P.algo_label algo) node_schemes;
               let ordinary ls left =
                 let rs, right = run r in
                 let common = Attr.Set.inter ls rs in
-                finish (Attr.Set.union ls rs) (P.join ctx algo ~common left right)
+                let it = P.join ctx algo ~common left right in
+                (Attr.Set.union ls rs, record ~obs ctx log node_schemes it)
               in
               let ls, left = run l in
               match (algo, r) with
               | Physical.Index_nested_loop, Physical.Scan inner -> (
                   let common = Attr.Set.inter ls inner in
                   match P.index_join ctx ~common ~outer:left ~inner with
-                  | Some it -> finish (Attr.Set.union ls inner) it
+                  | Some it ->
+                      (Attr.Set.union ls inner, record ~obs ctx log node_schemes it)
                   | None -> ordinary ls left)
               | _ -> ordinary ls left)
       | Physical.Generic_join (ss, order) ->
@@ -97,23 +113,14 @@ module Make (P : PLANE) = struct
              binary lowering would contribute one per internal step. *)
           Obs.span obs "join" (fun () ->
               let node_schemes = Scheme.Set.of_list ss in
-              let out_scheme =
-                List.fold_left Attr.Set.union Attr.Set.empty ss
-              in
-              if Obs.enabled obs then begin
-                Obs.set_attr obs "algo" (Json.str "wcoj");
-                Obs.set_attr obs "scheme" (Json.str (scheme_key node_schemes));
+              join_attrs ~obs "wcoj" node_schemes;
+              if Obs.enabled obs then
                 Obs.set_attr obs "order"
                   (Json.str
-                     (String.concat "," (List.map Attr.to_string order)))
-              end;
+                     (String.concat "," (List.map Attr.to_string order)));
               let it = P.generic_join ctx ~schemes:ss ~order in
-              let n = P.cardinality it in
-              generated := !generated + n;
-              steps := (node_schemes, n) :: !steps;
-              P.note_step ctx n;
-              if Obs.enabled obs then Obs.set_attr obs "rows" (Json.int n);
-              (out_scheme, it))
+              ( List.fold_left Attr.Set.union Attr.Set.empty ss,
+                record ~obs ctx log node_schemes it ))
       | Physical.Semijoin_program rt -> yannakakis rt None
       | Physical.Ranked_enumerate (rt, k) -> yannakakis rt (Some k)
     (* Yannakakis over a rooted join tree: scan every node, sweep
@@ -126,17 +133,7 @@ module Make (P : PLANE) = struct
        entry: the ≤ k rows it streamed out). *)
     and yannakakis (rt : Mj_hypergraph.Jointree.rooted) limit =
       let order = Mj_hypergraph.Jointree.join_order rt in
-      let scan_node s =
-        Obs.span obs "scan" (fun () ->
-            let it = P.scan ctx s in
-            if Obs.enabled obs then begin
-              Obs.set_attr obs "scheme"
-                (Json.str (scheme_key (Scheme.Set.singleton s)));
-              Obs.set_attr obs "rows" (Json.int (P.cardinality it))
-            end;
-            it)
-      in
-      let items = List.map (fun s -> (s, ref (scan_node s))) order in
+      let items = List.map (fun s -> (s, ref (scan ~obs ctx s))) order in
       let item_of s = snd (List.find (fun (s', _) -> Scheme.equal s s') items) in
       let semijoin_step dir target source =
         let t = item_of target and sc = item_of source in
@@ -162,20 +159,12 @@ module Make (P : PLANE) = struct
           let join_step (acc_set, acc_scheme, acc) s =
             Obs.span obs "join" (fun () ->
                 let node_schemes = Scheme.Set.add s acc_set in
-                if Obs.enabled obs then begin
-                  Obs.set_attr obs "algo"
-                    (Json.str (P.algo_label Physical.Hash_join));
-                  Obs.set_attr obs "scheme"
-                    (Json.str (scheme_key node_schemes))
-                end;
+                join_attrs ~obs (P.algo_label Physical.Hash_join) node_schemes;
                 let common = Attr.Set.inter acc_scheme s in
                 let it = P.join ctx Physical.Hash_join ~common acc !(item_of s) in
-                let n = P.cardinality it in
-                generated := !generated + n;
-                steps := (node_schemes, n) :: !steps;
-                P.note_step ctx n;
-                if Obs.enabled obs then Obs.set_attr obs "rows" (Json.int n);
-                (node_schemes, Attr.Set.union acc_scheme s, it))
+                ( node_schemes,
+                  Attr.Set.union acc_scheme s,
+                  record ~obs ctx log node_schemes it ))
           in
           let root = rt.Mj_hypergraph.Jointree.root in
           let _, _, it =
@@ -187,25 +176,20 @@ module Make (P : PLANE) = struct
       | Some k ->
           Obs.span obs "topk" (fun () ->
               let node_schemes = Scheme.Set.of_list order in
+              if Obs.enabled obs then begin
+                Obs.set_attr obs "scheme" (Json.str (scheme_key node_schemes));
+                Obs.set_attr obs "k" (Json.int k)
+              end;
               let it =
                 P.ranked ctx
                   ~order:(Attr.Set.elements out_scheme)
                   ~k
                   (List.map (fun (s, r) -> (s, !r)) items)
               in
-              let n = P.cardinality it in
-              generated := !generated + n;
-              steps := (node_schemes, n) :: !steps;
-              P.note_step ctx n;
-              if Obs.enabled obs then begin
-                Obs.set_attr obs "scheme" (Json.str (scheme_key node_schemes));
-                Obs.set_attr obs "k" (Json.int k);
-                Obs.set_attr obs "rows" (Json.int n)
-              end;
-              (out_scheme, it))
+              (out_scheme, record ~obs ctx log node_schemes it))
     in
     let root = Obs.span obs P.root_span (fun () -> run plan) in
-    (root, { tuples_generated = !generated; per_step = List.rev !steps })
+    (root, { tuples_generated = log.generated; per_step = List.rev log.steps })
 
   let certify ~obs ctx (scheme, item) =
     Obs.span obs "serve.certify" (fun () -> P.digest ctx scheme item)

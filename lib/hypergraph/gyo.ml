@@ -122,4 +122,13 @@ let ear_decomposition d =
   in
   peel d []
 
-let join_tree = ear_decomposition
+let rooted_ear_tree d =
+  match ear_decomposition d with
+  | None -> None
+  | Some elims ->
+      let survivors =
+        List.fold_left (fun acc (ear, _) -> Scheme.Set.remove ear acc) d elims
+      in
+      Option.map
+        (fun root -> { Jointree.root; elims })
+        (Scheme.Set.choose_opt survivors)

@@ -28,5 +28,10 @@ val ear_decomposition : Hypergraph.t -> (Scheme.t * Scheme.t) list option
     the edges of a join tree for [d].  Returns [None] if [d] is cyclic.
     For a singleton [d] the list is empty. *)
 
-val join_tree : Hypergraph.t -> (Scheme.t * Scheme.t) list option
-(** Synonym for {!ear_decomposition}: the edge list of one join tree. *)
+val rooted_ear_tree : Hypergraph.t -> Jointree.rooted option
+(** GYO's ear tree, rooted where the reduction ends: [root] is the last
+    surviving scheme and [elims] are the {!ear_decomposition} pairs in
+    removal order, so {!Jointree.join_order} is the root followed by the
+    ears in reverse removal order — Yannakakis's own join order.  Run it
+    as a [Physical.Semijoin_program].  [None] if [d] is cyclic or
+    empty. *)

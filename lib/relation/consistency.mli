@@ -18,9 +18,13 @@ val pairwise_consistent : Database.t -> bool
 
 val semijoin_reduce : Database.t -> Database.t
 (** The naive full reducer: repeatedly replace each state [R] by
-    [R ⋉ R'] for every other state [R'] until no state shrinks.  Always
-    terminates; for α-acyclic schemes the result is the full reduction
-    (every remaining tuple participates in the global join). *)
+    [R ⋉ R'] for every other state [R'] sharing an attribute with it,
+    until no state shrinks.  Always terminates; for {e connected}
+    α-acyclic schemes the result is the full reduction (every remaining
+    tuple participates in the global join).  Attribute-disjoint pairs
+    are skipped, so on an unconnected scheme an empty component leaves
+    the other components' tuples in place although the global join is
+    empty. *)
 
 val globally_consistent : Database.t -> bool
 (** Every state equals the projection of the global join onto its scheme

@@ -1,4 +1,5 @@
-(* Acyclicity cross-checks: Yannakakis against the definitional full
+(* Acyclicity cross-checks: Yannakakis's own order (the engine's
+   semijoin program over GYO's ear tree) against the definitional full
    join, GYO against brute-force join-tree search, and the lossless-
    join strategy classifier against the classic FD decomposition
    facts. *)
@@ -7,7 +8,8 @@ open Mj_relation
 open Mj_hypergraph
 open Multijoin
 open Mj_workload
-module Yannakakis = Mj_yannakakis.Yannakakis
+module Engine = Mj_engine.Engine
+module Physical = Mj_engine.Physical
 
 let qtest name ?(count = 100) gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
@@ -32,34 +34,29 @@ let acyclic_case =
 (* ------------------------------------------------------------------ *)
 
 let prop_evaluate_is_full_join =
-  qtest "Yannakakis.evaluate = join_all on acyclic databases" ~count:60
-    acyclic_case
+  qtest "ear-tree Semijoin_program equals join_all on acyclic databases"
+    ~count:60 acyclic_case
     (fun case ->
       let db = acyclic_db case in
-      Relation.equal (Yannakakis.evaluate db) (Database.join_all db))
+      match Gyo.rooted_ear_tree (Database.schemes db) with
+      | None -> false
+      | Some rt ->
+          List.for_all
+            (fun plane ->
+              let cfg = Engine.Config.make ~plane () in
+              let r, _ =
+                Engine.execute_plan cfg db (Physical.Semijoin_program rt)
+              in
+              Relation.equal r (Database.join_all db))
+            [ Engine.Seed; Engine.Frame ])
 
 let prop_reduce_then_join =
   qtest "semijoin program preserves the full join" ~count:60 acyclic_case
     (fun case ->
       let db = acyclic_db case in
       Relation.equal
-        (Database.join_all (Yannakakis.full_reduce db))
+        (Database.join_all (Consistency.semijoin_reduce db))
         (Database.join_all db))
-
-let prop_reduced_states_are_projections =
-  (* Goodman–Shmueli: after a full reduction of an acyclic database,
-     every state is exactly the projection of the full join onto its
-     scheme — no dangling tuples remain. *)
-  qtest "full reduction leaves exactly the projections of R_D" ~count:40
-    acyclic_case
-    (fun case ->
-      let db = acyclic_db case in
-      let reduced = Yannakakis.full_reduce db in
-      let full = Database.join_all db in
-      List.for_all
-        (fun r ->
-          Relation.equal r (Relation.project full (Relation.scheme r)))
-        (Database.relations reduced))
 
 (* ------------------------------------------------------------------ *)
 (* GYO = brute-force join-tree search                                   *)
@@ -85,9 +82,27 @@ let prop_gyo_tree_is_a_join_tree =
     ~count:80 scheme_case
     (fun case ->
       let d = random_scheme case in
-      match Gyo.join_tree d with
+      match Gyo.ear_decomposition d with
       | None -> not (Gyo.is_alpha_acyclic d) || Scheme.Set.cardinal d < 2
       | Some t -> Jointree.is_join_tree d t)
+
+let prop_rooted_ear_tree =
+  qtest "GYO's rooted ear tree: last survivor first, then ears reversed"
+    ~count:80 scheme_case
+    (fun case ->
+      let d = random_scheme case in
+      match (Gyo.ear_decomposition d, Gyo.rooted_ear_tree d) with
+      | None, None -> not (Gyo.is_alpha_acyclic d)
+      | Some ears, Some rt ->
+          let removed = List.map fst ears in
+          let survivors =
+            List.fold_left (fun acc e -> Scheme.Set.remove e acc) d removed
+          in
+          rt.Jointree.elims = ears
+          && Scheme.Set.equal survivors (Scheme.Set.singleton rt.Jointree.root)
+          && Jointree.join_order rt = rt.Jointree.root :: List.rev removed
+          && Jointree.is_join_tree d ears
+      | _ -> false)
 
 let prop_brute_force_trees_all_valid =
   qtest "every brute-force join tree passes the definitional check"
@@ -181,12 +196,12 @@ let () =
         [
           prop_evaluate_is_full_join;
           prop_reduce_then_join;
-          prop_reduced_states_are_projections;
         ] );
       ( "gyo",
         [
           prop_gyo_matches_brute_force;
           prop_gyo_tree_is_a_join_tree;
+          prop_rooted_ear_tree;
           prop_brute_force_trees_all_valid;
         ] );
       ( "lossless",

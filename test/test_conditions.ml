@@ -231,7 +231,7 @@ let prop_jt_c4_after_reduction =
     small_case
     (fun case ->
       let db = acyclic_small_db case in
-      let reduced = Mj_yannakakis.Yannakakis.full_reduce db in
+      let reduced = Consistency.semijoin_reduce db in
       Conditions_jt.holds_c4 reduced)
 
 let () =

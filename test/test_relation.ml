@@ -516,6 +516,28 @@ let test_semijoin_reduce () =
   Alcotest.(check bool) "now pairwise consistent" true
     (Consistency.pairwise_consistent reduced)
 
+(* The reducer never semijoins attribute-disjoint states, so on an
+   unconnected scheme an empty component empties the global join but
+   not the other components: the result is not the full reduction. *)
+let test_semijoin_reduce_unconnected () =
+  let db =
+    Database.of_rows
+      [ ("AB", [ [ i 1; i 0 ]; [ i 2; i 9 ] ]);
+        ("BC", [ [ i 0; i 5 ] ]);
+        ("DE", []) ]
+  in
+  let reduced = Consistency.semijoin_reduce db in
+  let card s =
+    Relation.cardinality (Database.find reduced (Scheme.of_string s))
+  in
+  Alcotest.(check bool) "global join empty" true
+    (Relation.is_empty (Database.join_all db));
+  Alcotest.(check int) "AB keeps B=0" 1 (card "AB");
+  Alcotest.(check int) "BC keeps its row" 1 (card "BC");
+  Alcotest.(check int) "DE stays empty" 0 (card "DE");
+  Alcotest.(check bool) "not globally consistent" false
+    (Consistency.globally_consistent reduced)
+
 let test_globally_consistent () =
   let db =
     Database.of_rows
@@ -1478,6 +1500,8 @@ let () =
         [
           Alcotest.test_case "consistent pair" `Quick test_consistent_pair;
           Alcotest.test_case "semijoin reduce" `Quick test_semijoin_reduce;
+          Alcotest.test_case "semijoin reduce, unconnected scheme" `Quick
+            test_semijoin_reduce_unconnected;
           Alcotest.test_case "globally consistent" `Quick
             test_globally_consistent;
           Alcotest.test_case "dangling tuples" `Quick test_dangling_tuples;

@@ -1,9 +1,12 @@
-(* Tests for the workload generators and the Yannakakis library. *)
+(* Tests for the workload generators and Yannakakis's own order (the
+   engine's semijoin program over GYO's ear tree). *)
 
 open Mj_relation
 open Mj_hypergraph
 open Multijoin
 open Mj_workload
+module Engine = Mj_engine.Engine
+module Physical = Mj_engine.Physical
 
 let qtest name ?(count = 100) gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
@@ -190,42 +193,43 @@ let acyclic_db ~seed n =
   let rng = Random.State.make [| seed; n; 61 |] in
   Dbgen.uniform_db ~rng ~rows:5 ~domain:3 (Querygraph.chain n)
 
-let test_full_reduce_preserves_join () =
+(* Yannakakis's own order: a semijoin program over GYO's ear tree. *)
+let ear_plan db =
+  match Gyo.rooted_ear_tree (Database.schemes db) with
+  | Some rt -> Physical.Semijoin_program rt
+  | None -> Alcotest.fail "expected an acyclic scheme"
+
+let run_ear_plan db =
+  Engine.execute_plan (Engine.Config.make ~plane:Engine.Seed ()) db
+    (ear_plan db)
+
+let test_reduce_preserves_join () =
   let db = acyclic_db ~seed:1 4 in
-  let reduced = Mj_yannakakis.Yannakakis.full_reduce db in
+  let reduced = Consistency.semijoin_reduce db in
   Alcotest.(check bool) "same global join" true
     (Relation.equal (Database.join_all db) (Database.join_all reduced))
 
-let test_full_reduce_consistent () =
+let test_reduce_consistent () =
   let db = acyclic_db ~seed:2 4 in
-  let reduced = Mj_yannakakis.Yannakakis.full_reduce db in
+  let reduced = Consistency.semijoin_reduce db in
   Alcotest.(check bool) "globally consistent" true
-    (Mj_relation.Consistency.globally_consistent reduced)
-
-let test_full_reduce_rejects_cyclic () =
-  let rng = Random.State.make [| 8 |] in
-  let db = Dbgen.uniform_db ~rng ~rows:3 ~domain:3 (Querygraph.cycle 4) in
-  match Mj_yannakakis.Yannakakis.full_reduce db with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "cyclic scheme must be rejected"
+    (Consistency.globally_consistent reduced)
 
 let test_evaluate_matches_join_all () =
   let db = acyclic_db ~seed:3 5 in
   Alcotest.(check bool) "evaluate = join_all" true
-    (Relation.equal (Mj_yannakakis.Yannakakis.evaluate db) (Database.join_all db))
+    (Relation.equal (fst (run_ear_plan db)) (Database.join_all db))
 
 let test_yannakakis_strategy_shape () =
-  let d = Querygraph.chain 5 in
-  match Mj_yannakakis.Yannakakis.strategy d with
-  | None -> Alcotest.fail "chain must have a strategy"
-  | Some s ->
-      Alcotest.(check bool) "linear" true (Strategy.is_linear s);
-      Alcotest.(check bool) "no CP" false (Strategy.uses_cartesian s);
-      Alcotest.(check int) "full size" 5 (Strategy.size s)
+  let db = acyclic_db ~seed:3 5 in
+  let s = Physical.strategy_of (ear_plan db) in
+  Alcotest.(check bool) "linear" true (Strategy.is_linear s);
+  Alcotest.(check bool) "no CP" false (Strategy.uses_cartesian s);
+  Alcotest.(check int) "full size" 5 (Strategy.size s)
 
 let test_yannakakis_strategy_cyclic () =
   Alcotest.(check bool) "none for cyclic" true
-    (Mj_yannakakis.Yannakakis.strategy (Querygraph.cycle 4) = None)
+    (Gyo.rooted_ear_tree (Querygraph.cycle 4) = None)
 
 let prop_yannakakis_monotone_after_reduction =
   qtest "after reduction, Yannakakis's steps are monotone increasing"
@@ -236,10 +240,9 @@ let prop_yannakakis_monotone_after_reduction =
       let db =
         Dbgen.uniform_db ~rng ~rows:5 ~domain:3 (Querygraph.chain n)
       in
-      let reduced = Mj_yannakakis.Yannakakis.full_reduce db in
-      match Mj_yannakakis.Yannakakis.strategy (Database.schemes db) with
-      | None -> false
-      | Some s -> Monotone.is_monotone_increasing reduced s)
+      let reduced = Consistency.semijoin_reduce db in
+      Monotone.is_monotone_increasing reduced
+        (Physical.strategy_of (ear_plan db)))
 
 let prop_yannakakis_vs_optimum =
   qtest "tau(Yannakakis) >= tau-optimum of the reduced database" ~count:30
@@ -247,8 +250,8 @@ let prop_yannakakis_vs_optimum =
     (fun (n, seed) ->
       let rng = Random.State.make [| seed; n; 63 |] in
       let db = Dbgen.uniform_db ~rng ~rows:5 ~domain:3 (Querygraph.chain n) in
-      let reduced = Mj_yannakakis.Yannakakis.full_reduce db in
-      let yann = Mj_yannakakis.Yannakakis.tau_after_reduction db in
+      let reduced = Consistency.semijoin_reduce db in
+      let yann = (snd (run_ear_plan db)).Engine.tuples_generated in
       match Optimal.optimum reduced with
       | Some best -> yann >= best.cost
       | None -> false)
@@ -494,7 +497,6 @@ let test_wide_domain () =
 (* Laziness: who forces the seed states                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Engine = Mj_engine.Engine
 module Planner = Mj_engine.Planner
 module Frame_engine = Mj_engine.Frame_engine
 module Obs = Mj_obs.Obs
@@ -792,11 +794,9 @@ let () =
       ( "yannakakis",
         [
           Alcotest.test_case "reduce preserves join" `Quick
-            test_full_reduce_preserves_join;
+            test_reduce_preserves_join;
           Alcotest.test_case "reduce gives consistency" `Quick
-            test_full_reduce_consistent;
-          Alcotest.test_case "reduce rejects cyclic" `Quick
-            test_full_reduce_rejects_cyclic;
+            test_reduce_consistent;
           Alcotest.test_case "evaluate = join_all" `Quick
             test_evaluate_matches_join_all;
           Alcotest.test_case "strategy shape" `Quick

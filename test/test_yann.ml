@@ -1,6 +1,6 @@
 (* The Yannakakis acyclic path: equivalence and law suite.
 
-   Four layers, mirroring the implementation:
+   Five layers, mirroring the implementation:
 
    - the engine matrix: the [yann] policy against the [Hash_all]
      reference on random acyclic databases (chain / star / path /
@@ -12,6 +12,8 @@
      and every root-containing prefix of the join tree's join order
      materializes exactly the projection of the full join onto the
      prefix's attributes (the instance-optimality witness);
+   - the Section 5 table of bench YANN, pinned: τ of Yannakakis's own
+     order (GYO's ear tree) and its optimal count;
    - ranked enumeration: [Ranked_enumerate (rt, k)] streams exactly the
      k-prefix of the sorted full output for {e every} k from 0 to
      |output|+2, on both planes, with τ = the rows streamed;
@@ -25,7 +27,6 @@ open Mj_hypergraph
 open Multijoin
 open Mj_engine
 module Dbgen = Mj_workload.Dbgen
-module Yannakakis = Mj_yannakakis.Yannakakis
 
 let qtest name ?(count = 100) gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
@@ -113,7 +114,7 @@ let full_reduction_projects =
   qtest "full reduction leaves each relation = π_scheme(full join)"
     ~count:80 gen_db (fun db ->
       let expected = Database.join_all db in
-      let reduced = Yannakakis.full_reduce db in
+      let reduced = Consistency.semijoin_reduce db in
       List.for_all
         (fun r ->
           Relation.equal r (Relation.project expected (Relation.scheme r)))
@@ -127,7 +128,7 @@ let prefix_joins_project =
       | None -> false (* every generated shape is acyclic *)
       | Some rt ->
           let expected = Database.join_all db in
-          let reduced = Yannakakis.full_reduce db in
+          let reduced = Consistency.semijoin_reduce db in
           let order = Jointree.join_order rt in
           (* Fold root-outward; after each step the accumulated join
              must equal the projection of the full join onto the
@@ -156,8 +157,9 @@ let prefix_joins_project =
 (* ------------------------------------------------------------------ *)
 
 (* bench YANN's Section 5 table: for each shape, the τ of Yannakakis's
-   order on the reduced database for seeds 1–15 ([|seed; 81|], rows 6,
-   domain 3), and how many of the 15 match the τ-optimum. *)
+   order — the engine's semijoin program over GYO's ear tree — for
+   seeds 1–15 ([|seed; 81|], rows 6, domain 3), and how many of the 15
+   match the τ-optimum of the reduced database. *)
 let paper_table_pinned =
   Alcotest.test_case "YANN paper table: tau per seed and optimal count"
     `Quick (fun () ->
@@ -167,8 +169,18 @@ let paper_table_pinned =
             List.init 15 (fun i ->
                 let rng = Random.State.make [| i + 1; 81 |] in
                 let db = Dbgen.uniform_db ~rng ~rows:6 ~domain:3 shape in
-                let reduced = Yannakakis.full_reduce db in
-                let tau = Yannakakis.tau_after_reduction db in
+                let reduced = Consistency.semijoin_reduce db in
+                let tau =
+                  match Gyo.rooted_ear_tree (Database.schemes db) with
+                  | None -> Alcotest.fail "chains and stars are acyclic"
+                  | Some rt ->
+                      let cfg = Engine.Config.make ~plane:Engine.Seed () in
+                      let _, stats =
+                        Engine.execute_plan cfg db
+                          (Physical.Semijoin_program rt)
+                      in
+                      stats.Engine.tuples_generated
+                in
                 (tau, tau = (Optimal.optimum_exn reduced).Optimal.cost))
           in
           Alcotest.(check (list int)) (name ^ " tau") want_taus
