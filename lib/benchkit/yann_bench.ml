@@ -128,12 +128,6 @@ let build_db shape ~n ~fanout ~matching =
    the row measures algorithms, not encoding. *)
 let binary_join ?stats fdb d = Frame.Db.join_schemes ?stats ~domains:1 fdb d
 
-(* The Yannakakis contender: the engine's own semijoin program on the
-   columnar plane, over the same pre-encoded database.  τ is its
-   join phase (semijoins contribute none). *)
-let yann_join fdb db rt =
-  Frame_engine.execute_plan ~domains:1 ~fdb db (Physical.Semijoin_program rt)
-
 (* Cross-plane certification: both planes × both domain counts under
    the yann policy must report the bit-identical relation and τ. *)
 let certify db =
@@ -169,7 +163,12 @@ let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
   let (binary_ms, binary_f), (yann_ms, (yann_r, yann_stats)) =
     Bench_core.race ~reps
       (fun () -> binary_join ~stats:bstats fdb d)
-      (fun () -> yann_join fdb db rt)
+      (fun () ->
+        (* The Yannakakis contender is the engine's own semijoin
+           program on the same pre-encoded database; τ is its join
+           phase. *)
+        Frame_engine.execute_plan ~domains:1 ~fdb db
+          (Physical.Semijoin_program rt))
   in
   let binary_r = Frame.to_relation binary_f in
   let binary_probes = bstats.Frame.probes in

@@ -103,7 +103,8 @@ module Make (P : PLANE) = struct
                   let common = Attr.Set.inter ls inner in
                   match P.index_join ctx ~common ~outer:left ~inner with
                   | Some it ->
-                      (Attr.Set.union ls inner, record ~obs ctx log node_schemes it)
+                      ( Attr.Set.union ls inner,
+                        record ~obs ctx log node_schemes it )
                   | None -> ordinary ls left)
               | _ -> ordinary ls left)
       | Physical.Generic_join (ss, order) ->

@@ -98,10 +98,14 @@ let prop_rooted_ear_tree =
           let survivors =
             List.fold_left (fun acc e -> Scheme.Set.remove e acc) d removed
           in
-          rt.Jointree.elims = ears
-          && Scheme.Set.equal survivors (Scheme.Set.singleton rt.Jointree.root)
-          && Jointree.join_order rt = rt.Jointree.root :: List.rev removed
-          && Jointree.is_join_tree d ears
+          let edge_equal (e, p) (e', p') =
+            Scheme.equal e e' && Scheme.equal p p'
+          in
+          List.equal edge_equal rt.Jointree.elims ears
+          && Scheme.Set.equal survivors
+               (Scheme.Set.singleton rt.Jointree.root)
+          && List.equal Scheme.equal (Jointree.join_order rt)
+               (rt.Jointree.root :: List.rev removed)
       | _ -> false)
 
 let prop_brute_force_trees_all_valid =

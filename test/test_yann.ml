@@ -1,6 +1,6 @@
 (* The Yannakakis acyclic path: equivalence and law suite.
 
-   Five layers, mirroring the implementation:
+   Six layers, mirroring the implementation:
 
    - the engine matrix: the [yann] policy against the [Hash_all]
      reference on random acyclic databases (chain / star / path /
@@ -17,6 +17,8 @@
    - ranked enumeration: [Ranked_enumerate (rt, k)] streams exactly the
      k-prefix of the sorted full output for {e every} k from 0 to
      |output|+2, on both planes, with τ = the rows streamed;
+   - the walker's span skeleton (names, nesting, attribute keys in
+     order) for semijoin, ranked, binary and generic-join plans;
    - the lowering contract: acyclic strategies lower to one
      [Semijoin_program] whose tree covers the scheme set, cyclic ones
      fall through to the wcoj arm, and [lower_ranked] refuses cyclic
@@ -237,6 +239,60 @@ let topk_all_k =
             [ Engine.Seed; Engine.Frame ])
 
 (* ------------------------------------------------------------------ *)
+(* Span skeleton                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The walker's span shapes are an interface ([mjoin explain], the
+   check harness and the telemetry read them): span names, nesting and
+   each span's attribute keys in order, pinned for the semijoin
+   program, ranked enumeration and a binary hash plan on both planes. *)
+let span_skeleton_pinned =
+  Alcotest.test_case "span names and attribute keys, in order" `Quick
+    (fun () ->
+      let rec skeleton (s : Mj_obs.Obs.span_tree) =
+        Printf.sprintf "%s(%s)%s" s.name
+          (String.concat "," (List.map fst s.attrs))
+          (match s.children with
+          | [] -> ""
+          | cs -> "[" ^ String.concat " " (List.map skeleton cs) ^ "]")
+      in
+      let rng = Random.State.make [| 3; 0x9a |] in
+      let db = Dbgen.uniform_db ~rng ~rows:6 ~domain:3 (Querygraph.star 3) in
+      let d = Database.schemes db in
+      let rt = Option.get (Gyo.rooted_ear_tree d) in
+      let scan = "scan(scheme,rows)" and semi = "semijoin(scheme,dir,rows)" in
+      let sweeps = [ scan; scan; scan; semi; semi; semi; semi ] in
+      let join = "join(algo,scheme,rows)" in
+      let cases =
+        [
+          ( Physical.Semijoin_program rt,
+            "[" ^ String.concat " " (sweeps @ [ join; join ]) ^ "]" );
+          ( Physical.Ranked_enumerate (rt, 2),
+            "[" ^ String.concat " " (sweeps @ [ "topk(scheme,k,rows)" ]) ^ "]"
+          );
+          ( Physical.of_strategy (strategy_of db),
+            Printf.sprintf "[%s[%s[%s %s] %s]]" join join scan scan scan );
+          ( Physical.Generic_join
+              ( Scheme.Set.elements d,
+                Attr.Set.elements (Scheme.Set.universe d) ),
+            "[join(algo,scheme,order,rows)]" );
+        ]
+      in
+      List.iter
+        (fun (plane, root) ->
+          List.iter
+            (fun (plan, want) ->
+              let obs = Mj_obs.Obs.make ~gc:false () in
+              let cfg = Engine.Config.make ~plane ~obs () in
+              ignore (Engine.execute_plan cfg db plan);
+              Alcotest.(check (list string))
+                (Physical.to_string plan)
+                [ root ^ "()" ^ want ]
+                (List.map skeleton (Mj_obs.Obs.trace obs)))
+            cases)
+        [ (Engine.Seed, "execute"); (Engine.Frame, "execute-frame") ])
+
+(* ------------------------------------------------------------------ *)
 (* Lowering contract                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -293,6 +349,7 @@ let () =
         [ full_reduction_projects; prefix_joins_project ] );
       ("paper-table", [ paper_table_pinned ]);
       ("ranked", [ topk_all_k ]);
+      ("spans", [ span_skeleton_pinned ]);
       ( "lowering",
         [ lowering_shape; cyclic_falls_through; lower_ranked_shape ] );
     ]
