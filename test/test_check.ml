@@ -1,5 +1,6 @@
 (* The check harness's own suite: descriptor serialization, shrinking,
-   the four check passes on fixed cases, repro round-trips, replay of
+   every check leg on fixed cases (alone, and each matrix leg under its
+   planted failpoint), repro round-trips, replay of
    the committed repro, and the planted-mutation self-test. *)
 
 module Failpoint = Mj_failpoint.Failpoint
@@ -105,6 +106,64 @@ let test_individual_passes () =
   expect "metamorphic" (Check.metamorphic db s);
   expect "theorems" (Check.theorems db);
   expect "faults" (Check.faults db s)
+
+(* Every exported leg, alone, on one acyclic and one cyclic case. *)
+let leg_cases =
+  [
+    ("acyclic", { Gen.default with Gen.seed = 12; shape = Gen.Star; n = 4; rows = 5 });
+    ("cyclic", { Gen.default with Gen.seed = 13; shape = Gen.Cycle; n = 4; domain = 2 });
+  ]
+
+let legs =
+  [
+    ("differential", Check.differential);
+    ("wcoj_differential", Check.wcoj_differential);
+    ("yann_differential", Check.yann_differential);
+    ("serve_differential", Check.serve_differential);
+    ("twin", Check.twin);
+    ("metamorphic", Check.metamorphic);
+    ("theorems", fun db _ -> Check.theorems db);
+    ("faults", Check.faults);
+  ]
+
+let test_each_leg_passes () =
+  List.iter
+    (fun (case, d) ->
+      let db, s = Gen.materialize d in
+      List.iter
+        (fun (leg, run) ->
+          match run db s with
+          | Check.Pass -> ()
+          | Check.Fail f ->
+              Alcotest.failf "%s on the %s case: %a" leg case Check.pp_failure f)
+        legs)
+    leg_cases
+
+(* Each engine-matrix leg must catch its planted frame-plane mutation by
+   itself, and in a frame cell: a matrix that dropped the frame plane
+   would pass here. *)
+let test_matrix_legs_catch_planted () =
+  let db, s = Gen.materialize (List.assoc "acyclic" leg_cases) in
+  List.iter
+    (fun (leg, run, point) ->
+      let outcome =
+        Fun.protect ~finally:Failpoint.reset (fun () ->
+            Failpoint.reset ();
+            Failpoint.enable point;
+            run db s)
+      in
+      match outcome with
+      | Check.Pass ->
+          Alcotest.failf "%s passed with %s planted" leg (Failpoint.name point)
+      | Check.Fail f ->
+          if not (String.starts_with ~prefix:"frame/" f.Check.detail) then
+            Alcotest.failf "%s failed outside a frame cell: %a" leg
+              Check.pp_failure f)
+    [
+      ("differential", Check.differential, Failpoint.Frame_lossy_join);
+      ("wcoj_differential", Check.wcoj_differential, Failpoint.Frame_lossy_join);
+      ("yann_differential", Check.yann_differential, Failpoint.Yann_lossy_semijoin);
+    ]
 
 let test_faults_restore_state () =
   Failpoint.reset ();
@@ -245,6 +304,9 @@ let () =
         [
           Alcotest.test_case "fixed cases pass" `Slow test_fixed_cases_pass;
           Alcotest.test_case "individual passes" `Quick test_individual_passes;
+          Alcotest.test_case "each leg alone" `Slow test_each_leg_passes;
+          Alcotest.test_case "matrix legs catch planted faults" `Quick
+            test_matrix_legs_catch_planted;
           Alcotest.test_case "fault pass restores state" `Quick
             test_faults_restore_state;
         ] );

@@ -393,6 +393,166 @@ let test_enumeration_matches_counts () =
     (Enumerate.count_linear_cp_free d)
     (List.length (Enumerate.linear_cp_free d))
 
+(* The emission order of every subspace, as literals.  The list
+   enumerations are the folds collected, so comparing them with the
+   folds proves nothing about the order; these pins do. *)
+let emission_order_cases =
+  [
+    ("chain-4", Querygraph.chain 4);
+    ("star-4", Querygraph.star 4);
+    ("AB,CD,EF", Hypergraph.of_strings [ "AB"; "CD"; "EF" ]);
+  ]
+
+let emission_order_subspaces =
+  Enumerate.[ All; Linear; Cp_free; Linear_cp_free ]
+
+let emission_order_pins =
+  [
+    ( "chain-4", "all",
+      [
+        "(c0,c1 * (c1,c2 * (c2,c3 * c3,c4)))";
+        "(c0,c1 * ((c1,c2 * c2,c3) * c3,c4))";
+        "(c0,c1 * ((c1,c2 * c3,c4) * c2,c3))";
+        "((c0,c1 * c1,c2) * (c2,c3 * c3,c4))";
+        "((c0,c1 * c2,c3) * (c1,c2 * c3,c4))";
+        "((c0,c1 * (c1,c2 * c2,c3)) * c3,c4)";
+        "(((c0,c1 * c1,c2) * c2,c3) * c3,c4)";
+        "(((c0,c1 * c2,c3) * c1,c2) * c3,c4)";
+        "((c0,c1 * c3,c4) * (c1,c2 * c2,c3))";
+        "((c0,c1 * (c1,c2 * c3,c4)) * c2,c3)";
+        "(((c0,c1 * c1,c2) * c3,c4) * c2,c3)";
+        "(((c0,c1 * c3,c4) * c1,c2) * c2,c3)";
+        "((c0,c1 * (c2,c3 * c3,c4)) * c1,c2)";
+        "(((c0,c1 * c2,c3) * c3,c4) * c1,c2)";
+        "(((c0,c1 * c3,c4) * c2,c3) * c1,c2)";
+      ] );
+    ( "chain-4", "linear",
+      [
+        "(((c0,c1 * c1,c2) * c2,c3) * c3,c4)";
+        "(((c0,c1 * c1,c2) * c3,c4) * c2,c3)";
+        "(((c0,c1 * c2,c3) * c1,c2) * c3,c4)";
+        "(((c0,c1 * c2,c3) * c3,c4) * c1,c2)";
+        "(((c0,c1 * c3,c4) * c1,c2) * c2,c3)";
+        "(((c0,c1 * c3,c4) * c2,c3) * c1,c2)";
+        "(((c1,c2 * c2,c3) * c0,c1) * c3,c4)";
+        "(((c1,c2 * c2,c3) * c3,c4) * c0,c1)";
+        "(((c1,c2 * c3,c4) * c0,c1) * c2,c3)";
+        "(((c1,c2 * c3,c4) * c2,c3) * c0,c1)";
+        "(((c2,c3 * c3,c4) * c0,c1) * c1,c2)";
+        "(((c2,c3 * c3,c4) * c1,c2) * c0,c1)";
+      ] );
+    ( "chain-4", "cp-free",
+      [
+        "(c0,c1 * (c1,c2 * (c2,c3 * c3,c4)))";
+        "(c0,c1 * ((c1,c2 * c2,c3) * c3,c4))";
+        "((c0,c1 * c1,c2) * (c2,c3 * c3,c4))";
+        "((c0,c1 * (c1,c2 * c2,c3)) * c3,c4)";
+        "(((c0,c1 * c1,c2) * c2,c3) * c3,c4)";
+      ] );
+    ( "chain-4", "linear-cp-free",
+      [
+        "(((c0,c1 * c1,c2) * c2,c3) * c3,c4)";
+        "(((c1,c2 * c2,c3) * c0,c1) * c3,c4)";
+        "(((c1,c2 * c2,c3) * c3,c4) * c0,c1)";
+        "(((c2,c3 * c3,c4) * c1,c2) * c0,c1)";
+      ] );
+    ( "star-4", "all",
+      [
+        "(s1,s2,s3 * (s1,t1 * (s2,t2 * s3,t3)))";
+        "(s1,s2,s3 * ((s1,t1 * s2,t2) * s3,t3))";
+        "(s1,s2,s3 * ((s1,t1 * s3,t3) * s2,t2))";
+        "((s1,s2,s3 * s1,t1) * (s2,t2 * s3,t3))";
+        "((s1,s2,s3 * s2,t2) * (s1,t1 * s3,t3))";
+        "((s1,s2,s3 * (s1,t1 * s2,t2)) * s3,t3)";
+        "(((s1,s2,s3 * s1,t1) * s2,t2) * s3,t3)";
+        "(((s1,s2,s3 * s2,t2) * s1,t1) * s3,t3)";
+        "((s1,s2,s3 * s3,t3) * (s1,t1 * s2,t2))";
+        "((s1,s2,s3 * (s1,t1 * s3,t3)) * s2,t2)";
+        "(((s1,s2,s3 * s1,t1) * s3,t3) * s2,t2)";
+        "(((s1,s2,s3 * s3,t3) * s1,t1) * s2,t2)";
+        "((s1,s2,s3 * (s2,t2 * s3,t3)) * s1,t1)";
+        "(((s1,s2,s3 * s2,t2) * s3,t3) * s1,t1)";
+        "(((s1,s2,s3 * s3,t3) * s2,t2) * s1,t1)";
+      ] );
+    ( "star-4", "linear",
+      [
+        "(((s1,s2,s3 * s1,t1) * s2,t2) * s3,t3)";
+        "(((s1,s2,s3 * s1,t1) * s3,t3) * s2,t2)";
+        "(((s1,s2,s3 * s2,t2) * s1,t1) * s3,t3)";
+        "(((s1,s2,s3 * s2,t2) * s3,t3) * s1,t1)";
+        "(((s1,s2,s3 * s3,t3) * s1,t1) * s2,t2)";
+        "(((s1,s2,s3 * s3,t3) * s2,t2) * s1,t1)";
+        "(((s1,t1 * s2,t2) * s1,s2,s3) * s3,t3)";
+        "(((s1,t1 * s2,t2) * s3,t3) * s1,s2,s3)";
+        "(((s1,t1 * s3,t3) * s1,s2,s3) * s2,t2)";
+        "(((s1,t1 * s3,t3) * s2,t2) * s1,s2,s3)";
+        "(((s2,t2 * s3,t3) * s1,s2,s3) * s1,t1)";
+        "(((s2,t2 * s3,t3) * s1,t1) * s1,s2,s3)";
+      ] );
+    ( "star-4", "cp-free",
+      [
+        "(((s1,s2,s3 * s1,t1) * s2,t2) * s3,t3)";
+        "(((s1,s2,s3 * s2,t2) * s1,t1) * s3,t3)";
+        "(((s1,s2,s3 * s1,t1) * s3,t3) * s2,t2)";
+        "(((s1,s2,s3 * s3,t3) * s1,t1) * s2,t2)";
+        "(((s1,s2,s3 * s2,t2) * s3,t3) * s1,t1)";
+        "(((s1,s2,s3 * s3,t3) * s2,t2) * s1,t1)";
+      ] );
+    ( "star-4", "linear-cp-free",
+      [
+        "(((s1,s2,s3 * s1,t1) * s2,t2) * s3,t3)";
+        "(((s1,s2,s3 * s1,t1) * s3,t3) * s2,t2)";
+        "(((s1,s2,s3 * s2,t2) * s1,t1) * s3,t3)";
+        "(((s1,s2,s3 * s2,t2) * s3,t3) * s1,t1)";
+        "(((s1,s2,s3 * s3,t3) * s1,t1) * s2,t2)";
+        "(((s1,s2,s3 * s3,t3) * s2,t2) * s1,t1)";
+      ] );
+    ( "AB,CD,EF", "all",
+      [
+        "(AB * (CD * EF))";
+        "((AB * CD) * EF)";
+        "((AB * EF) * CD)";
+      ] );
+    ( "AB,CD,EF", "linear",
+      [
+        "((AB * CD) * EF)";
+        "((AB * EF) * CD)";
+        "((CD * EF) * AB)";
+      ] );
+    ( "AB,CD,EF", "cp-free",
+      [
+        "((EF * AB) * CD)";
+        "((CD * AB) * EF)";
+        "(AB * (CD * EF))";
+      ] );
+    ( "AB,CD,EF", "linear-cp-free",
+      [
+        "((AB * CD) * EF)";
+        "((AB * EF) * CD)";
+        "((CD * EF) * AB)";
+      ] );
+  ]
+
+let test_emission_order () =
+  let listing enum =
+    List.concat_map
+      (fun (name, d) ->
+        List.map
+          (fun subspace ->
+            ( name,
+              Format.asprintf "%a" Enumerate.pp_subspace subspace,
+              List.map Strategy.to_string (enum subspace d) ))
+          emission_order_subspaces)
+      emission_order_cases
+  in
+  let folded subspace d =
+    List.rev
+      (Enumerate.fold_strategies subspace d ~init:[] ~f:(fun acc s -> s :: acc))
+  in
+  let check = Alcotest.(check (list (triple string string (list string)))) in
+  check "enumerate" emission_order_pins (listing Enumerate.enumerate);
+  check "fold_strategies" emission_order_pins (listing folded)
+
 let test_chain_cp_free_counts () =
   (* Chain of n: linear cp-free orders = 2^(n-2). *)
   Alcotest.(check int) "chain4 linear cp-free" 4
@@ -906,6 +1066,8 @@ let () =
             test_enumeration_matches_counts;
           Alcotest.test_case "chain cp-free counts" `Quick
             test_chain_cp_free_counts;
+          Alcotest.test_case "emission order pinned" `Quick
+            test_emission_order;
           Alcotest.test_case "clique cp-free = all" `Quick
             test_clique_cp_free_equals_all;
           Alcotest.test_case "no duplicates" `Quick test_all_strategies_distinct;

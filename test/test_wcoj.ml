@@ -220,6 +220,154 @@ let planes_same_tau =
       && s.Engine.per_step = f.Engine.per_step)
 
 (* ------------------------------------------------------------------ *)
+(* Kernel pins: rows and counters on fixed inputs                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [generic_join] and [topk] share one leapfrog DFS; these literals pin
+   what each entry returns and counts — row count, result digest,
+   leapfrog seeks, aligned keys and sorted rows — so neither entry's
+   work may move. *)
+let pin_of f (st : Frame.stats) =
+  ( Frame.cardinality f,
+    Printf.sprintf "%016Lx" (Frame.digest f),
+    st.Frame.probes,
+    st.Frame.probe_hits,
+    st.Frame.sorted_rows )
+
+let pinned = Alcotest.(list (pair string (pair int (pair string (pair int (pair int int))))))
+let flat (c, h, p, ph, s) = (c, (h, (p, (ph, s))))
+
+let pin_frames db =
+  let fdb = Frame.Db.of_database db in
+  let d = schemes_of db in
+  (List.map (Frame.Db.find fdb) (Scheme.Set.elements d), Planner.elimination_order d)
+
+(* The same relations over a dictionary interned in descending value
+   order, so [topk]'s rank-space remap really permutes and sorts. *)
+let reversed_frames db =
+  let dict = Frame.Dict.create () in
+  List.iter
+    (fun r ->
+      Attr.Set.iter
+        (fun a ->
+          List.iter
+            (fun v -> ignore (Frame.Dict.intern dict v))
+            (List.rev (Relation.distinct_values r a)))
+        (Relation.scheme r))
+    (Database.relations db);
+  List.map (Frame.of_relation dict) (Database.relations db)
+
+let run_pin entry =
+  let st = Frame.fresh_stats () in
+  let f = entry st in
+  flat (pin_of f st)
+
+let skewed_triangle () =
+  Dbgen.skewed_db ~rng:(Random.State.make [| 7 |]) ~rows:40 ~domain:8
+    ~skew:1.5 (Querygraph.cycle 3)
+
+let star_db () =
+  Dbgen.uniform_db ~rng:(Random.State.make [| 11 |]) ~rows:12 ~domain:4
+    (Querygraph.star 4)
+
+let kernel_pins =
+  Alcotest.test_case "generic_join and topk rows and counters are pinned"
+    `Quick (fun () ->
+      let tri, tri_order = pin_frames (skewed_triangle ()) in
+      let star = reversed_frames (star_db ()) in
+      let star_sorted =
+        Attr.Set.elements (Scheme.Set.universe (schemes_of (star_db ())))
+      in
+      let card =
+        Frame.cardinality (Frame.generic_join ~order:star_sorted star)
+      in
+      let gj frames order st = Frame.generic_join ~stats:st ~order frames in
+      let tk frames order k st = Frame.topk ~stats:st ~order ~k frames in
+      let got =
+        [
+          ("triangle generic_join", run_pin (gj tri tri_order));
+          ("star generic_join", run_pin (gj star (List.rev star_sorted)));
+          ("triangle topk k=4", run_pin (tk tri (List.sort Attr.compare tri_order) 4));
+        ]
+        @ List.map
+            (fun k ->
+              (Printf.sprintf "star topk k=%d" k, run_pin (tk star star_sorted k)))
+            [ 0; 1; 5; card; card + 3 ]
+      in
+      Alcotest.check pinned "pins"
+        [
+          ("triangle generic_join", (30, ("cf57d0805a434e85", (104, (49, 0)))));
+          ("star generic_join", (189, ("a3f6c8ccc826edad", (1408, (673, 229)))));
+          ("triangle topk k=4", (4, ("b1c62bc12b2707d7", (6, (6, 0)))));
+          ("star topk k=0", (0, ("a90aa90b82bab388", (0, (0, 0)))));
+          ("star topk k=1", (1, ("78c8f26275b13b74", (0, (6, 40)))));
+          ("star topk k=5", (5, ("563300d6603af237", (0, (11, 45)))));
+          ("star topk k=189", (189, ("a3f6c8ccc826edad", (38, (317, 229)))));
+          ("star topk k=192", (189, ("a3f6c8ccc826edad", (38, (317, 229)))));
+        ]
+        got)
+
+(* One empty input frame, the chain's last: [generic_join] still builds
+   every trie and leapfrogs the levels above it, [topk] returns before
+   any work. *)
+let kernel_empty_pins =
+  Alcotest.test_case "an empty input frame is pinned on both entries" `Quick
+    (fun () ->
+      let frames, order =
+        pin_frames
+          (Dbgen.uniform_db ~rng:(Random.State.make [| 5 |]) ~rows:12
+             ~domain:4 (Querygraph.chain 3))
+      in
+      let frames =
+        match List.rev frames with
+        | f :: rest ->
+            List.rev
+              (Frame.of_relation (Frame.dict f) (Relation.empty (Frame.scheme f))
+              :: rest)
+        | [] -> assert false
+      in
+      let sorted = List.sort Attr.compare order in
+      let got =
+        [
+          ("generic_join", run_pin (fun st -> Frame.generic_join ~stats:st ~order frames));
+          ("topk", run_pin (fun st -> Frame.topk ~stats:st ~order:sorted ~k:3 frames));
+        ]
+      in
+      Alcotest.check pinned "pins"
+        [
+          ("generic_join", (0, ("f3fe585164ddb3e3", (6, (4, 10)))));
+          ("topk", (0, ("f3fe585164ddb3e3", (0, (0, 0)))));
+        ]
+        got)
+
+let kernel_errors =
+  Alcotest.test_case "each entry's Invalid_argument messages" `Quick
+    (fun () ->
+      let frames, order = pin_frames (star_db ()) in
+      let other, _ = pin_frames (skewed_triangle ()) in
+      let mixed = List.hd frames :: other in
+      let msg f = match f () with _ -> "no exception" | exception Invalid_argument m -> m in
+      let cases entry =
+        [
+          msg (fun () -> entry ~order [] );
+          msg (fun () -> entry ~order:(Planner.elimination_order (Scheme.Set.of_list (List.map Frame.scheme mixed))) mixed);
+          msg (fun () -> entry ~order:(List.tl order) frames);
+        ]
+      in
+      Alcotest.(check (list string))
+        "messages"
+        [
+          "Frame.generic_join: no frames";
+          "Frame.generic_join: frames use different dictionaries";
+          "Frame.generic_join: order is not a permutation of the attributes";
+          "Frame.topk: no frames";
+          "Frame.topk: frames use different dictionaries";
+          "Frame.topk: order is not a permutation of the attributes";
+        ]
+        (cases (fun ~order fs -> Frame.generic_join ~order fs)
+        @ cases (fun ~order fs -> Frame.topk ~order ~k:2 fs)))
+
+(* ------------------------------------------------------------------ *)
 (* Planner lowering contract                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -333,7 +481,7 @@ let () =
       ("trie", [ trie_next_exhaustive; trie_seek_law ]);
       ( "kernel",
         [ frame_kernel_agrees; seed_reference_agrees; engine_matrix_agrees;
-          planes_same_tau ] );
+          planes_same_tau; kernel_pins; kernel_empty_pins; kernel_errors ] );
       ("planner", [ lowering_shape; elimination_order_is_permutation ]);
       ("agm", [ agm_bounds_output; agm_triangle_value; cover_feasible ]);
     ]
