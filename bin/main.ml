@@ -570,8 +570,6 @@ let query_cmd =
 (* explain                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let scheme_key d = Format.asprintf "%a" Scheme.Set.pp d
-
 let attr_str attrs key =
   match List.assoc_opt key attrs with Some (Json.Str s) -> Some s | _ -> None
 
@@ -639,7 +637,8 @@ let run_explain scenario (shape_name, shape) n seed rows domain regime
      attributes so the tree walk below can pair est with act. *)
   let est_tbl = Hashtbl.create 16 in
   List.iter
-    (fun d' -> Hashtbl.replace est_tbl (scheme_key d') (est_oracle d'))
+    (fun d' ->
+      Hashtbl.replace est_tbl (Mj_engine.Driver.scheme_key d') (est_oracle d'))
     (Strategy.subtree_schemes strategy);
   let obs = Obs.make () in
   let max_q = ref 1.0 and join_steps = ref 0 in

@@ -159,10 +159,15 @@ let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
     | Some rt -> rt
     | None -> invalid_arg ("Yann_bench: " ^ shape ^ " scheme is not acyclic")
   in
-  let bstats = Frame.fresh_stats () in
-  let (binary_ms, binary_f), (yann_ms, (yann_r, yann_stats)) =
+  (* Both contenders end in the engine's finisher — sort the root
+     frame, then decode — and count into fresh stats each rep, so
+     [binary_probes] is one join's probes. *)
+  let (binary_ms, (binary_r, bstats)), (yann_ms, (yann_r, yann_stats)) =
     Bench_core.race ~reps
-      (fun () -> binary_join ~stats:bstats fdb d)
+      (fun () ->
+        let stats = Frame.fresh_stats () in
+        let f = binary_join ~stats fdb d in
+        (Frame.to_relation (Frame.sort ~stats f), stats))
       (fun () ->
         (* The Yannakakis contender is the engine's own semijoin
            program on the same pre-encoded database; τ is its join
@@ -170,7 +175,6 @@ let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
         Frame_engine.execute_plan ~domains:1 ~fdb db
           (Physical.Semijoin_program rt))
   in
-  let binary_r = Frame.to_relation binary_f in
   let binary_probes = bstats.Frame.probes in
   (* Ranked enumeration: the first [topk_k] tuples of the sorted full
      output, straight off the base frames — no reduction, no full

@@ -94,16 +94,20 @@ let check_digest where (cfg : Engine.Config.t) db s expected =
     fail "digest:rows" "%s: served %d rows, reference has %d" where
       stats.Engine.result_rows (Relation.cardinality expected)
 
-let differential db s =
-  guard @@ fun () ->
-  let expected = Cost.eval db s in
-  let tau = Cost.tau db s in
-  let steps = Cost.step_costs db s in
-  (* Join spans must agree cell-for-cell across the whole matrix; the
-     full scan/join shape only across domain counts within one
-     plane × policy cell — the index-nested-loop fast path reaches
-     indexed base relations without executing (or tracing) the inner
-     scan, so scan counts legitimately differ between policies. *)
+let step_total steps = List.fold_left (fun acc (_, c) -> acc + c) 0 steps
+
+(* One leg of the engine matrix: every plane × [policies] × domain count
+   runs [s], serves the reference's digest, and must return [expected]
+   with the τ and per-step log of [steps].  Join spans must agree
+   cell-for-cell across the whole leg; the full [names] shape only
+   across domain counts within one plane × policy cell — the
+   index-nested-loop fast path reaches indexed base relations without
+   executing (or tracing) the inner scan, so scan counts legitimately
+   differ between policies, and between planes under the cost-based
+   arm.  Failures are named [leg ^ ":result"], [":tau"], [":steps"]
+   and [":spans"], located by a [plane/policy/N-domain] cell. *)
+let matrix ~leg ?(names = [ "scan"; "join" ]) ~policies ~expected ~steps db s =
+  let tau = step_total steps in
   let reference_joins = ref None in
   let cell_skeletons = Hashtbl.create 16 in
   List.iter
@@ -121,24 +125,24 @@ let differential db s =
               check_digest where cfg db s expected;
               let r, stats = Engine.run cfg db s in
               if not (Relation.equal r expected) then
-                fail "differential:result"
+                fail (leg ^ ":result")
                   "%s: %d rows, reference has %d (strategy %s)" where
                   (Relation.cardinality r)
                   (Relation.cardinality expected)
                   (Strategy.to_string s);
               if stats.Engine.tuples_generated <> tau then
-                fail "differential:tau" "%s: reported τ=%d, Cost.tau=%d" where
-                  stats.Engine.tuples_generated tau;
+                fail (leg ^ ":tau") "%s: reported τ=%d, reference prices %d"
+                  where stats.Engine.tuples_generated tau;
               if not (step_log_equal stats.Engine.per_step steps) then
-                fail "differential:steps" "%s: per-step log %a ≠ %a" where
+                fail (leg ^ ":steps") "%s: per-step log %a ≠ %a" where
                   pp_step_log stats.Engine.per_step pp_step_log steps;
-              let sk = skeleton obs in
+              let sk = skeleton ~names obs in
               let joins = List.filter (fun (n, _) -> n = "join") sk in
               (match !reference_joins with
               | None -> reference_joins := Some (where, joins)
               | Some (ref_where, ref_joins) ->
                   if joins <> ref_joins then
-                    fail "differential:spans"
+                    fail (leg ^ ":spans")
                       "%s: %d join spans with a different shape than %s's %d"
                       where (List.length joins) ref_where
                       (List.length ref_joins));
@@ -149,13 +153,20 @@ let differential db s =
               | None -> Hashtbl.add cell_skeletons cell (where, sk)
               | Some (ref_where, ref_sk) ->
                   if sk <> ref_sk then
-                    fail "differential:spans"
-                      "%s: scan/join shape differs from %s within the same \
-                       plane × policy cell"
-                      where ref_where)
+                    fail (leg ^ ":spans")
+                      "%s: %s shape differs from %s within the same plane × \
+                       policy cell"
+                      where
+                      (String.concat "/" names)
+                      ref_where)
             domain_counts)
         policies)
     planes
+
+let differential db s =
+  guard @@ fun () ->
+  matrix ~leg:"differential" ~policies ~expected:(Cost.eval db s)
+    ~steps:(Cost.step_costs db s) db s
 
 (* The worst-case-optimal leg of the matrix.  The [Wcoj] policy is kept
    out of [policies] deliberately: on a cyclic strategy it rewrites the
@@ -185,69 +196,19 @@ let wcoj_steps cache plan =
 let wcoj_differential db s =
   guard @@ fun () ->
   let expected = Cost.eval db s in
-  let cache = Cost.Cache.create db in
   let plan = Planner.lower ~policy:Planner.Wcoj db s in
-  let steps = wcoj_steps cache plan in
-  let tau = List.fold_left (fun acc (_, c) -> acc + c) 0 steps in
+  let steps = wcoj_steps (Cost.Cache.create db) plan in
   (* On a cyclic strategy the single n-ary step must price at the full
      result — the τ certificate that the generic join materializes no
      binary intermediate at all. *)
   (match plan with
   | Physical.Generic_join _ ->
+      let tau = step_total steps in
       let result_card = Relation.cardinality expected in
       if tau <> result_card then
         fail "wcoj:tau_shape" "generic join τ=%d ≠ |R_D|=%d" tau result_card
   | _ -> ());
-  (* Join spans must agree across the whole wcoj matrix; the full
-     scan/join shape only within one plane — the acyclic
-     arm is the cost-based chooser, whose index-nested-loop fast path
-     skips inner scans on the seed plane but not the frame plane. *)
-  let reference_joins = ref None in
-  let cell_skeletons = Hashtbl.create 8 in
-  List.iter
-    (fun plane ->
-      List.iter
-        (fun domains ->
-          let cell = Engine.plane_name plane in
-          let where = Printf.sprintf "%s/wcoj/%d-domain" cell domains in
-          let obs = Obs.make () in
-          let cfg =
-            Engine.Config.make ~plane ~domains ~policy:Planner.Wcoj ~obs ()
-          in
-          check_digest where cfg db s expected;
-          let r, stats = Engine.run cfg db s in
-          if not (Relation.equal r expected) then
-            fail "wcoj:result" "%s: %d rows, reference has %d (strategy %s)"
-              where
-              (Relation.cardinality r)
-              (Relation.cardinality expected)
-              (Strategy.to_string s);
-          if stats.Engine.tuples_generated <> tau then
-            fail "wcoj:tau" "%s: reported τ=%d, plan prices %d" where
-              stats.Engine.tuples_generated tau;
-          if not (step_log_equal stats.Engine.per_step steps) then
-            fail "wcoj:steps" "%s: per-step log %a ≠ %a" where pp_step_log
-              stats.Engine.per_step pp_step_log steps;
-          let sk = skeleton obs in
-          let joins = List.filter (fun (n, _) -> n = "join") sk in
-          (match !reference_joins with
-          | None -> reference_joins := Some (where, joins)
-          | Some (ref_where, ref_joins) ->
-              if joins <> ref_joins then
-                fail "wcoj:spans"
-                  "%s: %d join spans with a different shape than %s's %d"
-                  where (List.length joins) ref_where
-                  (List.length ref_joins));
-          match Hashtbl.find_opt cell_skeletons cell with
-          | None -> Hashtbl.add cell_skeletons cell (where, sk)
-          | Some (ref_where, ref_sk) ->
-              if sk <> ref_sk then
-                fail "wcoj:spans"
-                  "%s: scan/join shape differs from %s within the same \
-                   plane"
-                  where ref_where)
-        domain_counts)
-    planes
+  matrix ~leg:"wcoj" ~policies:[ Planner.Wcoj ] ~expected ~steps db s
 
 (* The Yannakakis leg of the matrix.  Like the wcoj leg, the [yann]
    policy's τ and span shapes legitimately differ from every binary
@@ -288,55 +249,9 @@ let yann_differential db s =
     | Physical.Semijoin_program rt -> yann_steps expected rt
     | _ -> wcoj_steps (Cost.Cache.create db) plan
   in
-  let tau = List.fold_left (fun acc (_, c) -> acc + c) 0 steps in
-  let reference_joins = ref None in
-  let cell_skeletons = Hashtbl.create 8 in
-  let span_names = [ "scan"; "join"; "semijoin"; "topk" ] in
-  List.iter
-    (fun plane ->
-      List.iter
-        (fun domains ->
-          let cell = Engine.plane_name plane in
-          let where = Printf.sprintf "%s/yann/%d-domain" cell domains in
-          let obs = Obs.make () in
-          let cfg =
-            Engine.Config.make ~plane ~domains ~policy:Planner.Yannakakis ~obs
-              ()
-          in
-          check_digest where cfg db s expected;
-          let r, stats = Engine.run cfg db s in
-          if not (Relation.equal r expected) then
-            fail "yann:result" "%s: %d rows, reference has %d (strategy %s)"
-              where
-              (Relation.cardinality r)
-              (Relation.cardinality expected)
-              (Strategy.to_string s);
-          if stats.Engine.tuples_generated <> tau then
-            fail "yann:tau" "%s: reported τ=%d, plan prices %d" where
-              stats.Engine.tuples_generated tau;
-          if not (step_log_equal stats.Engine.per_step steps) then
-            fail "yann:steps" "%s: per-step log %a ≠ %a" where pp_step_log
-              stats.Engine.per_step pp_step_log steps;
-          let sk = skeleton ~names:span_names obs in
-          let joins = List.filter (fun (n, _) -> n = "join") sk in
-          (match !reference_joins with
-          | None -> reference_joins := Some (where, joins)
-          | Some (ref_where, ref_joins) ->
-              if joins <> ref_joins then
-                fail "yann:spans"
-                  "%s: %d join spans with a different shape than %s's %d"
-                  where (List.length joins) ref_where
-                  (List.length ref_joins));
-          match Hashtbl.find_opt cell_skeletons cell with
-          | None -> Hashtbl.add cell_skeletons cell (where, sk)
-          | Some (ref_where, ref_sk) ->
-              if sk <> ref_sk then
-                fail "yann:spans"
-                  "%s: scan/semijoin/join shape differs from %s within \
-                   the same plane"
-                  where ref_where)
-        domain_counts)
-    planes;
+  matrix ~leg:"yann"
+    ~names:[ "scan"; "join"; "semijoin"; "topk" ]
+    ~policies:[ Planner.Yannakakis ] ~expected ~steps db s;
   (* Ranked enumeration: top-k must be the k-prefix of the sorted full
      output, on every plane, with τ = the rows streamed. *)
   match plan with
@@ -344,9 +259,7 @@ let yann_differential db s =
       let full = Relation.tuples expected in
       let card = List.length full in
       let ks = List.sort_uniq compare [ 1; (card + 1) / 2; card; card + 3 ] in
-      let prefix k =
-        List.filteri (fun i _ -> i < k) full
-      in
+      let prefix k = List.filteri (fun i _ -> i < k) full in
       List.iter
         (fun plane ->
           List.iter
@@ -363,10 +276,7 @@ let yann_differential db s =
                   (Physical.Ranked_enumerate (rt, k))
               in
               let want = prefix k in
-              if
-                not
-                  (List.equal Tuple.equal (Relation.tuples r) want)
-              then
+              if not (List.equal Tuple.equal (Relation.tuples r) want) then
                 fail "yann:topk" "%s: %d rows ≠ the sorted %d-prefix"
                   where (Relation.cardinality r) (List.length want);
               if stats.Engine.tuples_generated <> List.length want then
@@ -664,17 +574,9 @@ let theorems db =
 (* Faults: graceful degradation or loud failure, never corruption.    *)
 (* ------------------------------------------------------------------ *)
 
-let with_failpoints_saved f =
-  let saved = Failpoint.spec () in
-  Fun.protect
-    ~finally:(fun () ->
-      Failpoint.reset ();
-      match Failpoint.set_spec saved with Ok () -> () | Error _ -> ())
-    f
-
 let faults db s =
   guard @@ fun () ->
-  with_failpoints_saved @@ fun () ->
+  Failpoint.with_saved @@ fun () ->
   let tau = Cost.tau db s in
   (* A killed worker domain must not change pool results: survivors
      plus the serial fallback still complete every task. *)

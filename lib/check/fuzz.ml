@@ -33,16 +33,8 @@ let repro_of_string s =
           in
           go { descriptor; failpoints = ""; expect = Expect_fail } leftover)
 
-let with_failpoints_saved f =
-  let saved = Failpoint.spec () in
-  Fun.protect
-    ~finally:(fun () ->
-      Failpoint.reset ();
-      match Failpoint.set_spec saved with Ok () -> () | Error _ -> ())
-    f
-
 let replay r =
-  with_failpoints_saved @@ fun () ->
+  Failpoint.with_saved @@ fun () ->
   Failpoint.reset ();
   let planted =
     if r.failpoints = "" then Ok () else Failpoint.set_spec r.failpoints
@@ -163,7 +155,7 @@ let plant_and_verify ~caught_by d spec =
                      spec Check.pp_failure fm Gen.pp d Gen.pp dm)))
 
 let self_test () =
-  with_failpoints_saved @@ fun () ->
+  Failpoint.with_saved @@ fun () ->
   Failpoint.reset ();
   let d = planted_case in
   match Check.run_case d with

@@ -122,7 +122,6 @@ let violations_c4 ?limit db =
 
 let holds_c1 db = violations_c1 ~limit:1 db = []
 let holds_c1_strict db = violations_c1_strict ~limit:1 db = []
-let holds_c2 db = violations_c2 ~limit:1 db = []
 let holds_c3 db = violations_c3 ~limit:1 db = []
 let holds_c4 db = violations_c4 ~limit:1 db = []
 

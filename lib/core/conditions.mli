@@ -63,7 +63,6 @@ val violations_c4 : ?limit:int -> Database.t -> pair_witness list
 
 val holds_c1 : Database.t -> bool
 val holds_c1_strict : Database.t -> bool
-val holds_c2 : Database.t -> bool
 val holds_c3 : Database.t -> bool
 val holds_c4 : Database.t -> bool
 

@@ -61,7 +61,3 @@ let violations_c4 ?limit db =
   List.rev !acc
 
 let holds_c4 db = violations_c4 ~limit:1 db = []
-
-let pp_witness fmt w =
-  Format.fprintf fmt "E1=%a E2=%a: tau(E1⋈E2)=%d, tau(E1)=%d, tau(E2)=%d"
-    Scheme.Set.pp w.j1 Scheme.Set.pp w.j2 w.tau_join w.tau_1 w.tau_2

@@ -29,5 +29,3 @@ val violations_c4 : ?limit:int -> Database.t -> witness list
     than 8 relations. *)
 
 val holds_c4 : Database.t -> bool
-
-val pp_witness : Format.formatter -> witness -> unit

@@ -182,5 +182,4 @@ module Cache = struct
         invalid_arg "Cost.Cache: scheme not in the database"
 end
 
-let cached_oracle ?obs ?backend db = Cache.card (Cache.create ?obs ?backend db)
-let cardinality_oracle db = cached_oracle db
+let cardinality_oracle db = Cache.card (Cache.create db)

@@ -110,13 +110,8 @@ module Cache : sig
   val entries : t -> int
 end
 
-val cached_oracle :
-  ?obs:Mj_obs.Obs.sink -> ?backend:Cache.backend -> Database.t ->
-  Scheme.Set.t -> int
-(** A fresh {!Cache.t} exposed as a plain oracle function. *)
-
 val cardinality_oracle : Database.t -> Scheme.Set.t -> int
 (** The exact oracle: materializes the join of the sub-database.  Results
-    are memoized per returned closure (an alias of {!cached_oracle}), so
+    are memoized per returned closure (a fresh {!Cache.t}), so
     sharing one oracle across many strategies for the same database
     avoids recomputation. *)

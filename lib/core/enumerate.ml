@@ -16,125 +16,55 @@ let pp_subspace fmt = function
 let key d = String.concat "|" (List.map Scheme.to_string (Scheme.Set.elements d))
 
 (* ------------------------------------------------------------------ *)
-(* Full space                                                           *)
+(* Bushy spaces: one memoized split recursion                          *)
 (* ------------------------------------------------------------------ *)
 
-let all d =
-  if Scheme.Set.is_empty d then invalid_arg "Enumerate.all: empty scheme";
-  let memo = Hashtbl.create 64 in
-  let rec go d =
-    match Hashtbl.find_opt memo (key d) with
-    | Some r -> r
-    | None ->
-        let result =
-          match Scheme.Set.elements d with
-          | [ s ] -> [ Strategy.leaf s ]
-          | _ ->
-              List.concat_map
-                (fun (d1, d2) ->
-                  List.concat_map
-                    (fun s1 -> List.map (Strategy.join s1) (go d2))
-                    (go d1))
-                (Hypergraph.binary_partitions d)
-        in
-        Hashtbl.add memo (key d) result;
-        result
-  in
-  go d
+let nonempty name d =
+  if Scheme.Set.is_empty d then invalid_arg (name ^ ": empty scheme")
 
-(* Stream the full space: sub-database strategy lists are still memoized
-   and shared, but the top level — the bulk of the [(2k-3)!!] space — is
-   folded without ever being materialized.  Emission order is identical
-   to [all]. *)
-let fold_all d ~init ~f =
-  if Scheme.Set.is_empty d then invalid_arg "Enumerate.all: empty scheme";
-  match Scheme.Set.elements d with
-  | [ s ] -> f init (Strategy.leaf s)
-  | _ ->
-      let memo = Hashtbl.create 64 in
-      let rec go d =
-        match Hashtbl.find_opt memo (key d) with
-        | Some r -> r
-        | None ->
-            let result =
-              match Scheme.Set.elements d with
-              | [ s ] -> [ Strategy.leaf s ]
-              | _ ->
-                  List.concat_map
-                    (fun (d1, d2) ->
-                      List.concat_map
-                        (fun s1 -> List.map (Strategy.join s1) (go d2))
-                        (go d1))
-                    (Hypergraph.binary_partitions d)
-            in
-            Hashtbl.add memo (key d) result;
-            result
-      in
-      List.fold_left
-        (fun acc (d1, d2) ->
-          List.fold_left
-            (fun acc s1 ->
+(* A fold's strategies as a list, in emission order. *)
+let to_list fold = List.rev (fold ~init:[] ~f:(fun acc s -> s :: acc))
+
+(* Fold over every strategy for [d] built by binary splits, each
+   unordered split once in [Hypergraph.binary_partitions] order.  With
+   [connected], both halves of every step must be connected — for a
+   connected [d], exactly the steps that avoid Cartesian products.
+   Sub-database strategy lists are memoized in a table private to the
+   call; the top level is folded without being materialized. *)
+let fold_splits ~connected d ~init ~f =
+  let memo = Hashtbl.create 64 in
+  let rec fold : 'a. Hypergraph.t -> init:'a -> f:('a -> Strategy.t -> 'a) -> 'a =
+   fun d ~init ~f ->
+    match Scheme.Set.elements d with
+    | [ s ] -> f init (Strategy.leaf s)
+    | _ ->
+        List.fold_left
+          (fun acc (d1, d2) ->
+            if connected && not (Hypergraph.connected d1 && Hypergraph.connected d2)
+            then acc
+            else
               List.fold_left
-                (fun acc s2 -> f acc (Strategy.join s1 s2))
-                acc (go d2))
-            acc (go d1))
-        init
-        (Hypergraph.binary_partitions d)
-
-(* ------------------------------------------------------------------ *)
-(* Linear strategies                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let linear d =
-  if Scheme.Set.is_empty d then invalid_arg "Enumerate.linear: empty scheme";
-  (* Build orders recursively; the innermost pair is unordered, which we
-     canonicalize by requiring the first relation to precede the second. *)
-  let rec orders chosen remaining =
-    if Scheme.Set.is_empty remaining then [ List.rev chosen ]
-    else
-      let candidates = Scheme.Set.elements remaining in
-      let candidates =
-        match chosen with
-        | [ first ] ->
-            (* Second position: canonicalize the unordered bottom pair. *)
-            List.filter (fun s -> Scheme.compare first s < 0) candidates
-        | _ -> candidates
-      in
-      List.concat_map
-        (fun s -> orders (s :: chosen) (Scheme.Set.remove s remaining))
-        candidates
-  in
-  List.map Strategy.left_deep (orders [] d)
-
-(* ------------------------------------------------------------------ *)
-(* Strategies avoiding Cartesian products                               *)
-(* ------------------------------------------------------------------ *)
-
-(* CP-free strategies for a connected scheme: both halves of every step
-   must be connected (two connected halves of a connected whole are
-   automatically linked). *)
-let connected_strategies d =
-  let memo = Hashtbl.create 64 in
-  let rec go d =
-    match Hashtbl.find_opt memo (key d) with
+                (fun acc s1 ->
+                  List.fold_left
+                    (fun acc s2 -> f acc (Strategy.join s1 s2))
+                    acc (strategies d2))
+                acc (strategies d1))
+          init
+          (Hypergraph.binary_partitions d)
+  and strategies d =
+    let k = key d in
+    match Hashtbl.find_opt memo k with
     | Some r -> r
     | None ->
-        let result =
-          match Scheme.Set.elements d with
-          | [ s ] -> [ Strategy.leaf s ]
-          | _ ->
-              Hypergraph.binary_partitions d
-              |> List.filter (fun (d1, d2) ->
-                     Hypergraph.connected d1 && Hypergraph.connected d2)
-              |> List.concat_map (fun (d1, d2) ->
-                     List.concat_map
-                       (fun s1 -> List.map (Strategy.join s1) (go d2))
-                       (go d1))
-        in
-        Hashtbl.add memo (key d) result;
-        result
+        let r = to_list (fold d) in
+        Hashtbl.add memo k r;
+        r
   in
-  go d
+  fold d ~init ~f
+
+let fold_all d ~init ~f =
+  nonempty "Enumerate.all" d;
+  fold_splits ~connected:false d ~init ~f
 
 (* All binary combination trees over a list of already-built strategies
    (used to combine the components with Cartesian products). *)
@@ -162,40 +92,35 @@ let rec combination_trees = function
                      List.map (Strategy.join s1) (combination_trees r))
                    (combination_trees l)))
 
-let cp_free d =
-  if Scheme.Set.is_empty d then invalid_arg "Enumerate.cp_free: empty scheme";
-  let comps = Hypergraph.components d in
-  let per_component = List.map connected_strategies comps in
-  (* Cartesian product of the per-component choices, then every
-     combination tree over each choice. *)
-  let rec choices = function
-    | [] -> [ [] ]
-    | options :: rest ->
-        List.concat_map
-          (fun s -> List.map (fun tail -> s :: tail) (choices rest))
-          options
+(* CP-free: each component's connected strategies, then every
+   combination tree over each choice of one strategy per component
+   (the Cartesian product of the choices is streamed; the combination
+   trees of one choice are a small list for realistic component
+   counts). *)
+let fold_cp_free d ~init ~f =
+  nonempty "Enumerate.cp_free" d;
+  let per_component =
+    List.map
+      (fun c -> to_list (fold_splits ~connected:true c))
+      (Hypergraph.components d)
   in
-  List.concat_map combination_trees (choices per_component)
-
-let linear_cp_free d =
-  List.filter Strategy.avoids_cartesian (linear d)
-
-let enumerate = function
-  | All -> all
-  | Linear -> linear
-  | Cp_free -> cp_free
-  | Linear_cp_free -> linear_cp_free
+  let rec choices picked options acc =
+    match options with
+    | [] -> List.fold_left f acc (combination_trees (List.rev picked))
+    | opts :: rest ->
+        List.fold_left (fun acc s -> choices (s :: picked) rest acc) acc opts
+  in
+  choices [] per_component init
 
 (* ------------------------------------------------------------------ *)
-(* Streaming folds                                                      *)
+(* Linear strategies                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Each fold visits exactly the strategies of the corresponding list
-   enumeration, in the same order, without materializing the top-level
-   list.  [Optimal.all_optima] folds these to keep only the ties. *)
-
+(* Left-deep orders built front to back; the innermost pair is
+   unordered, canonicalized by requiring the first relation to precede
+   the second. *)
 let fold_linear d ~init ~f =
-  if Scheme.Set.is_empty d then invalid_arg "Enumerate.linear: empty scheme";
+  nonempty "Enumerate.linear" d;
   let rec orders chosen remaining acc =
     if Scheme.Set.is_empty remaining then
       f acc (Strategy.left_deep (List.rev chosen))
@@ -213,19 +138,9 @@ let fold_linear d ~init ~f =
   in
   orders [] d init
 
-let fold_cp_free d ~init ~f =
-  if Scheme.Set.is_empty d then invalid_arg "Enumerate.cp_free: empty scheme";
-  let comps = Hypergraph.components d in
-  let per_component = List.map connected_strategies comps in
-  (* Stream the Cartesian product of per-component choices; combination
-     trees are built per choice (a small list for realistic comp counts). *)
-  let rec choices picked options acc =
-    match options with
-    | [] -> List.fold_left f acc (combination_trees (List.rev picked))
-    | opts :: rest ->
-        List.fold_left (fun acc s -> choices (s :: picked) rest acc) acc opts
-  in
-  choices [] per_component init
+(* ------------------------------------------------------------------ *)
+(* Subspaces: the folds, and the folds collected                        *)
+(* ------------------------------------------------------------------ *)
 
 let fold_strategies subspace d ~init ~f =
   match subspace with
@@ -235,6 +150,13 @@ let fold_strategies subspace d ~init ~f =
   | Linear_cp_free ->
       fold_linear d ~init ~f:(fun acc s ->
           if Strategy.avoids_cartesian s then f acc s else acc)
+
+let enumerate subspace d = to_list (fold_strategies subspace d)
+
+let all = enumerate All
+let linear = enumerate Linear
+let cp_free = enumerate Cp_free
+let linear_cp_free = enumerate Linear_cp_free
 
 (* ------------------------------------------------------------------ *)
 (* Counting                                                             *)

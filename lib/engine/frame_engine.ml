@@ -49,6 +49,21 @@ module Frame_plane = struct
           (Printf.sprintf "Frame_engine: scheme %s not in the database"
              (Scheme.to_string s))
 
+  (* The planted mutations [frame.lossy_join] (the one
+     [mjoin fuzz --self-test] leans on) and [yann.lossy_semijoin]:
+     silently drop the last row of a non-empty join or semijoin output,
+     exactly the class of plane-local bug the differential legs exist
+     to catch.  Never active outside an explicit failpoint
+     activation. *)
+  let lossy point f =
+    if Frame.cardinality f > 0 && Mj_failpoint.Failpoint.fire point then begin
+      let r = Frame.to_relation f in
+      let n = Relation.cardinality r in
+      let keep = List.filteri (fun i _ -> i < n - 1) (Relation.tuples r) in
+      Frame.of_relation (Frame.dict f) (Relation.make (Relation.scheme r) keep)
+    end
+    else f
+
   let join ctx _algo ~common:_ f1 f2 =
     let probes_before = ctx.fstats.Frame.probes in
     let j =
@@ -59,41 +74,12 @@ module Frame_plane = struct
     if Obs.enabled ctx.obs then
       Obs.observe ctx.jprobe
         (float_of_int (ctx.fstats.Frame.probes - probes_before));
-    if
-      Frame.cardinality j > 0
-      && Mj_failpoint.Failpoint.fire Frame_lossy_join
-    then begin
-      (* The planted mutation for [mjoin fuzz --self-test]: silently
-         drop the last row of the join output, exactly the class of
-         plane-local bug the differential harness exists to catch.
-         Never active outside an explicit failpoint activation. *)
-      let r = Frame.to_relation j in
-      let n = Relation.cardinality r in
-      let keep = List.filteri (fun i _ -> i < n - 1) (Relation.tuples r) in
-      Frame.of_relation (Frame.dict j) (Relation.make (Relation.scheme r) keep)
-    end
-    else j
+    lossy Frame_lossy_join j
 
   let index_join _ctx ~common:_ ~outer:_ ~inner:_ = None
 
   let semijoin ctx ~common:_ f1 f2 =
-    let sj = Frame.semijoin ~stats:ctx.fstats f1 f2 in
-    if
-      Frame.cardinality sj > 0
-      && Mj_failpoint.Failpoint.fire Yann_lossy_semijoin
-    then begin
-      (* The acyclic-path twin of [frame.lossy_join]: silently drop the
-         last row of the semijoin output — a lossy reducer loses result
-         tuples downstream, exactly what the yann differential leg must
-         surface.  Never active outside an explicit failpoint
-         activation. *)
-      let r = Frame.to_relation sj in
-      let n = Relation.cardinality r in
-      let keep = List.filteri (fun i _ -> i < n - 1) (Relation.tuples r) in
-      Frame.of_relation (Frame.dict sj)
-        (Relation.make (Relation.scheme r) keep)
-    end
-    else sj
+    lossy Yann_lossy_semijoin (Frame.semijoin ~stats:ctx.fstats f1 f2)
 
   let ranked ctx ~order ~k items =
     Frame.topk ~stats:ctx.fstats ~order ~k (List.map snd items)

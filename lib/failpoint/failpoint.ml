@@ -107,6 +107,14 @@ let spec () =
   |> List.map name
   |> String.concat ","
 
+let with_saved f =
+  let saved = spec () in
+  Fun.protect
+    ~finally:(fun () ->
+      reset ();
+      match set_spec saved with Ok () -> () | Error _ -> ())
+    f
+
 let fire p =
   if active p then begin
     Atomic.incr hit_counts.(index p);

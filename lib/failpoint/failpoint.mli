@@ -94,6 +94,10 @@ val set_spec : string -> (unit, string) result
 val spec : unit -> string
 (** The active failpoints as a {!set_spec}-compatible string. *)
 
+val with_saved : (unit -> 'a) -> 'a
+(** [with_saved f] runs [f], then restores the failpoints that were
+    active before it, however [f] returns; hit counters are zeroed. *)
+
 (** {1 Consultation — the hooks the engine calls} *)
 
 val fire : t -> bool

@@ -113,14 +113,6 @@ let find_gamma_cycle d = find_cycle ~strict:false d
 let find_beta_cycle d = find_cycle ~strict:true d
 let is_gamma_acyclic d = find_gamma_cycle d = None
 
-let pp_cycle fmt c =
-  let pp_step fmt (s, a) =
-    Format.fprintf fmt "%a -%a->" Scheme.pp s Attr.pp a
-  in
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ")
-    pp_step fmt c
-
 (* Berge-acyclicity: the bipartite incidence graph between attributes and
    schemes has no cycle.  A cycle exists iff either two schemes share two
    or more attributes (a 4-cycle) or the shared-attribute structure

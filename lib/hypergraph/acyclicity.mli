@@ -46,5 +46,3 @@ val is_berge_acyclic : Hypergraph.t -> bool
     attributes and the intersection graph is a forest once multi-shared
     attributes are ruled out.  Berge-acyclic ⇒ γ-acyclic, strictly
     ([{AB, ABC}] is γ-acyclic but Berge-cyclic). *)
-
-val pp_cycle : Format.formatter -> cycle -> unit

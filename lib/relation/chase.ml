@@ -78,21 +78,3 @@ let is_lossless fds schemes =
   | [] -> invalid_arg "Chase.is_lossless: empty decomposition"
   | [ _ ] -> true
   | _ -> has_distinguished_row (chase fds (initial schemes))
-
-let pp_symbol fmt = function
-  | Distinguished -> Format.pp_print_string fmt "a"
-  | Var i -> Format.fprintf fmt "b%d" i
-
-let pp_tableau fmt tableau =
-  Format.pp_open_vbox fmt 0;
-  Array.iter
-    (fun row ->
-      let entries =
-        List.map
-          (fun (a, sym) ->
-            Format.asprintf "%a:%a" Attr.pp a pp_symbol sym)
-          (Attr.Map.bindings row)
-      in
-      Format.fprintf fmt "[%s]@," (String.concat " " entries))
-    tableau;
-  Format.pp_close_box fmt ()

@@ -36,5 +36,3 @@ val is_lossless : Fd.t -> Attr.Set.t list -> bool
 (** [is_lossless fds schemes]: does the decomposition [schemes] of their
     union have a lossless join under [fds]?  For a single scheme this is
     trivially [true]. *)
-
-val pp_tableau : Format.formatter -> tableau -> unit

@@ -719,115 +719,45 @@ let leapfrog_align ~stats its =
   done;
   !alive
 
-let generic_join ?stats ~order frames =
-  match frames with
-  | [] -> invalid_arg "Frame.generic_join: no frames"
-  | f0 :: rest ->
-      List.iter
-        (fun f ->
-          if f.dict != f0.dict then
-            invalid_arg "Frame.generic_join: frames use different dictionaries")
-        rest;
-      let stats = match stats with Some s -> s | None -> fresh_stats () in
-      let out_scheme =
-        List.fold_left
-          (fun acc f -> Attr.Set.union acc f.scheme)
-          Attr.Set.empty frames
-      in
-      let order_arr = Array.of_list order in
-      let nlv = Array.length order_arr in
-      if
-        nlv <> Attr.Set.cardinal out_scheme
-        || not (List.for_all (fun a -> Attr.Set.mem a out_scheme) order)
-      then
-        invalid_arg
-          "Frame.generic_join: order is not a permutation of the attributes";
-      let tries =
-        Array.of_list (List.map (Trie.of_frame ~stats ~order) frames)
-      in
-      (* Iterators participating at each level: the relations whose
-         scheme carries that attribute, in frame-list order. *)
-      let iters_at =
-        Array.map
-          (fun a ->
-            Array.of_list
-              (List.filter
-                 (fun t -> List.exists (Attr.equal a) (Trie.attrs t))
-                 (Array.to_list tries)))
-          order_arr
-      in
-      let out_attrs = Array.of_list (Attr.Set.elements out_scheme) in
-      let w = nlv in
-      let lvl_of_col =
-        Array.map
-          (fun a ->
-            let rec go i = if Attr.equal order_arr.(i) a then i else go (i + 1) in
-            go 0)
-          out_attrs
-      in
-      let vals = Array.make (max 1 nlv) 0 in
-      let b = buf_make (w * 64) in
-      let emit () =
-        buf_reserve b w;
-        let d = b.bdata and o = b.blen in
-        for j = 0 to w - 1 do
-          Array.unsafe_set d (o + j) vals.(Array.unsafe_get lvl_of_col j)
-        done;
-        b.blen <- o + w
-      in
-      (* Depth-first over the elimination order: at each level open the
-         participating iterators one column deeper, walk the leapfrog
-         intersection of their runs, and recurse under every common
-         key.  Codes flow straight from the packed rows into the output
-         buffer — no per-tuple allocation anywhere on the path. *)
-      let rec go lv =
-        let its = iters_at.(lv) in
-        Array.iter Trie.open_ its;
-        let ok = ref (leapfrog_align ~stats its) in
-        while !ok do
-          stats.probe_hits <- stats.probe_hits + 1;
-          vals.(lv) <- Trie.key its.(0);
-          if lv = nlv - 1 then emit () else go (lv + 1);
-          Trie.next its.(0);
-          ok := leapfrog_align ~stats its
-        done;
-        Array.iter Trie.up its
-      in
-      if nlv > 0 then go 0;
-      (* Assignments are enumerated in elimination-order lexicographic
-         sequence; when that differs from the sorted-attribute column
-         order one final sort restores canonical form (rows are already
-         distinct either way). *)
-      let rows, data = sort_rows ~stats w (b.blen / w) b.bdata in
-      {
-        scheme = out_scheme;
-        attrs = out_attrs;
-        width = w;
-        rows;
-        data = trim (rows * w) data;
-        sorted = true;
-        dict = f0.dict;
-      }
+(* [f] with every code replaced by its rank in value order, sorted.
+   The map is a bijection, so the rows stay distinct. *)
+let rank_space ~stats rank f =
+  let w = f.width in
+  let buf = Array.make (max 1 (f.rows * w)) 0 in
+  for i = 0 to (f.rows * w) - 1 do
+    buf.(i) <- rank.(Array.unsafe_get f.data i)
+  done;
+  let rows, data = sort_rows ~stats w f.rows buf in
+  { f with rows; data = trim (rows * w) data; sorted = true }
 
-(* Ranked (top-k) enumeration.  The leapfrog DFS above enumerates
-   assignments in lexicographic *code* order, but codes are interned in
-   first-seen order, so code order says nothing about value order.  The
-   fix is the decode path's rank trick run forwards: sort the
-   dictionary's codes once by their values, remap every input frame
-   into rank space (a bijection, so rows stay distinct), and
-   run the same DFS there — level keys now ascend in value order, hence
-   emissions stream out in exactly [Tuple.compare] order and the first
-   [k] of them are the top-k.  The DFS stops dead once the budget is
-   spent, so the work is bounded by the trie prefix the k results
-   touch, not by the size of the full join. *)
-let topk ?stats ~order ~k frames =
+(* The leapfrog DFS behind [generic_join] ([ranked = None]) and [topk]
+   ([ranked = Some k]); [name] prefixes the [Invalid_argument] messages.
+
+   Depth-first over the elimination order: at each level open the
+   participating iterators one column deeper, walk the leapfrog
+   intersection of their runs, and recurse under every common key.
+   Codes flow straight from the packed rows into the output buffer — no
+   per-tuple allocation anywhere on the path.  Assignments come out in
+   lexicographic code order along [order].
+
+   Ranked (top-k) enumeration: codes are interned in first-seen order,
+   so code order says nothing about value order.  The fix is the decode
+   path's rank trick run forwards: rank the dictionary's codes by value
+   once, run the DFS over the frames remapped into rank space, and map
+   each emitted rank back to its code.  Level keys then ascend in value
+   order, emissions stream out in exactly [Tuple.compare] order (for
+   [order] the sorted attributes), and the DFS stops dead once [k] rows
+   are out — the work is bounded by the trie prefix the [k] results
+   touch, not by the size of the full join.  [k ≤ 0] or an empty input
+   frame answers before any work. *)
+let leapfrog_join ~name ~ranked ?stats ~order frames =
   match frames with
-  | [] -> invalid_arg "Frame.topk: no frames"
-  | f0 :: rest ->
+  | [] -> invalid_arg (name ^ ": no frames")
+  | f0 :: rest -> (
       List.iter
         (fun f ->
           if f.dict != f0.dict then
-            invalid_arg "Frame.topk: frames use different dictionaries")
+            invalid_arg (name ^ ": frames use different dictionaries"))
         rest;
       let stats = match stats with Some s -> s | None -> fresh_stats () in
       let out_scheme =
@@ -836,104 +766,104 @@ let topk ?stats ~order ~k frames =
           Attr.Set.empty frames
       in
       let order_arr = Array.of_list order in
-      let nlv = Array.length order_arr in
+      let w = Array.length order_arr in
       if
-        nlv <> Attr.Set.cardinal out_scheme
+        w <> Attr.Set.cardinal out_scheme
         || not (List.for_all (fun a -> Attr.Set.mem a out_scheme) order)
-      then
-        invalid_arg "Frame.topk: order is not a permutation of the attributes";
+      then invalid_arg (name ^ ": order is not a permutation of the attributes");
       let out_attrs = Array.of_list (Attr.Set.elements out_scheme) in
-      let empty_result () =
-        {
-          scheme = out_scheme;
-          attrs = out_attrs;
-          width = nlv;
-          rows = 0;
-          data = [||];
-          sorted = true;
-          dict = f0.dict;
-        }
-      in
-      if k <= 0 || List.exists (fun f -> f.rows = 0) frames then empty_result ()
-      else begin
-        let { Dict.rank; by_rank = by_value; _ } = Dict.order f0.dict in
-        let remap f =
-          let w = f.width in
-          let buf = Array.make (max 1 (f.rows * w)) 0 in
-          for i = 0 to (f.rows * w) - 1 do
-            buf.(i) <- rank.(Array.unsafe_get f.data i)
-          done;
-          let rows, data = sort_rows ~stats w f.rows buf in
-          { f with rows; data = trim (rows * w) data; sorted = true }
-        in
-        let tries =
-          Array.of_list
-            (List.map (fun f -> Trie.of_frame ~stats ~order (remap f)) frames)
-        in
-        let iters_at =
-          Array.map
-            (fun a ->
-              Array.of_list
-                (List.filter
-                   (fun t -> List.exists (Attr.equal a) (Trie.attrs t))
-                   (Array.to_list tries)))
-            order_arr
-        in
-        let lvl_of_col =
-          Array.map
-            (fun a ->
-              let rec go i =
-                if Attr.equal order_arr.(i) a then i else go (i + 1)
-              in
-              go 0)
-            out_attrs
-        in
-        let w = nlv in
-        let vals = Array.make (max 1 nlv) 0 in
-        let b = buf_make (w * (min k 64 + 1)) in
-        let remaining = ref k in
-        let emit () =
-          buf_reserve b w;
-          let d = b.bdata and o = b.blen in
-          for j = 0 to w - 1 do
-            (* Back from rank space to codes as the row is emitted. *)
-            Array.unsafe_set d (o + j)
-              by_value.(vals.(Array.unsafe_get lvl_of_col j))
-          done;
-          b.blen <- o + w;
-          decr remaining
-        in
-        let rec go lv =
-          let its = iters_at.(lv) in
-          Array.iter Trie.open_ its;
-          let ok = ref (leapfrog_align ~stats its) in
-          while !ok && !remaining > 0 do
-            stats.probe_hits <- stats.probe_hits + 1;
-            vals.(lv) <- Trie.key its.(0);
-            if lv = nlv - 1 then emit () else go (lv + 1);
-            if !remaining > 0 then begin
-              Trie.next its.(0);
-              ok := leapfrog_align ~stats its
-            end
-            else ok := false
-          done;
-          Array.iter Trie.up its
-        in
-        if nlv > 0 then go 0;
-        (* The k emitted rows are value-lexicographically least; one
-           sort in code space restores the frame's canonical
-           (code-sorted) row order. *)
-        let rows, data = sort_rows ~stats w (b.blen / w) b.bdata in
+      let frame rows data =
         {
           scheme = out_scheme;
           attrs = out_attrs;
           width = w;
           rows;
-          data = trim (rows * w) data;
+          data;
           sorted = true;
           dict = f0.dict;
         }
-      end
+      in
+      match ranked with
+      | Some k when k <= 0 || List.exists (fun f -> f.rows = 0) frames ->
+          frame 0 [||]
+      | _ ->
+          let prepare, decode, budget =
+            match ranked with
+            | None -> (Fun.id, None, max_int)
+            | Some k ->
+                let { Dict.rank; by_rank; _ } = Dict.order f0.dict in
+                (rank_space ~stats rank, Some by_rank, k)
+          in
+          let tries =
+            Array.of_list
+              (List.map (fun f -> Trie.of_frame ~stats ~order (prepare f)) frames)
+          in
+          (* Iterators participating at each level: the relations whose
+             scheme carries that attribute, in frame-list order. *)
+          let iters_at =
+            Array.map
+              (fun a ->
+                Array.of_list
+                  (List.filter
+                     (fun t -> List.exists (Attr.equal a) (Trie.attrs t))
+                     (Array.to_list tries)))
+              order_arr
+          in
+          let lvl_of_col =
+            Array.map
+              (fun a ->
+                let rec go i =
+                  if Attr.equal order_arr.(i) a then i else go (i + 1)
+                in
+                go 0)
+              out_attrs
+          in
+          let vals = Array.make (max 1 w) 0 in
+          let b = buf_make (w * (min budget 64 + 1)) in
+          let remaining = ref budget in
+          let emit () =
+            buf_reserve b w;
+            let d = b.bdata and o = b.blen in
+            (match decode with
+            | None ->
+                for j = 0 to w - 1 do
+                  Array.unsafe_set d (o + j) vals.(Array.unsafe_get lvl_of_col j)
+                done
+            | Some by_rank ->
+                for j = 0 to w - 1 do
+                  Array.unsafe_set d (o + j)
+                    by_rank.(vals.(Array.unsafe_get lvl_of_col j))
+                done);
+            b.blen <- o + w;
+            decr remaining
+          in
+          let rec go lv =
+            let its = iters_at.(lv) in
+            Array.iter Trie.open_ its;
+            let ok = ref (leapfrog_align ~stats its) in
+            while !ok do
+              stats.probe_hits <- stats.probe_hits + 1;
+              vals.(lv) <- Trie.key its.(0);
+              if lv = w - 1 then emit () else go (lv + 1);
+              if !remaining > 0 then begin
+                Trie.next its.(0);
+                ok := leapfrog_align ~stats its
+              end
+              else ok := false
+            done;
+            Array.iter Trie.up its
+          in
+          if w > 0 then go 0;
+          (* Rows are already distinct; one sort in code space restores
+             canonical order when the emission order differs from it. *)
+          let rows, data = sort_rows ~stats w (b.blen / w) b.bdata in
+          frame rows (trim (rows * w) data))
+
+let generic_join ?stats ~order frames =
+  leapfrog_join ~name:"Frame.generic_join" ~ranked:None ?stats ~order frames
+
+let topk ?stats ~order ~k frames =
+  leapfrog_join ~name:"Frame.topk" ~ranked:(Some k) ?stats ~order frames
 
 (* ------------------------------------------------------------------ *)
 (* Databases of frames                                                 *)
