@@ -13,7 +13,10 @@
       the same per-step τ log, the same join-span skeleton across the
       whole matrix, and the same full scan/join skeleton across domain
       counts within each plane × policy cell (the index-nested-loop
-      fast path legitimately elides indexed inner scans).
+      fast path legitimately elides indexed inner scans).  The wcoj and
+      yann legs below run the same matrix loop over their one policy;
+      each supplies only its expected step log and its own extra
+      check.
     - {!wcoj_differential}: the worst-case-optimal leg, separately.
       The [Wcoj] policy collapses cyclic strategies into one n-ary
       generic join, so its τ and span shapes legitimately differ from

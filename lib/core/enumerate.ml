@@ -33,14 +33,17 @@ let to_list fold = List.rev (fold ~init:[] ~f:(fun acc s -> s :: acc))
    call; the top level is folded without being materialized. *)
 let fold_splits ~connected d ~init ~f =
   let memo = Hashtbl.create 64 in
-  let rec fold : 'a. Hypergraph.t -> init:'a -> f:('a -> Strategy.t -> 'a) -> 'a =
+  let rec fold :
+      'a. Hypergraph.t -> init:'a -> f:('a -> Strategy.t -> 'a) -> 'a =
    fun d ~init ~f ->
     match Scheme.Set.elements d with
     | [ s ] -> f init (Strategy.leaf s)
     | _ ->
         List.fold_left
           (fun acc (d1, d2) ->
-            if connected && not (Hypergraph.connected d1 && Hypergraph.connected d2)
+            if
+              connected
+              && not (Hypergraph.connected d1 && Hypergraph.connected d2)
             then acc
             else
               List.fold_left

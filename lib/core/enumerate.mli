@@ -8,7 +8,12 @@
     The four subspaces mirror the optimizers cited in Section 1: the
     full space, linear strategies (GAMMA), strategies avoiding Cartesian
     products (INGRES, Starburst), and linear strategies avoiding
-    Cartesian products (System R, Office-by-Example). *)
+    Cartesian products (System R, Office-by-Example).
+
+    Each subspace is one fold ({!fold_strategies}): one memoized split
+    recursion serves the full space and each component's connected
+    CP-free space, one left-deep order fold the linear spaces.  The
+    list functions are those folds collected, in the same order. *)
 
 open Mj_hypergraph
 
@@ -47,9 +52,10 @@ val fold_all : Hypergraph.t -> init:'a -> f:('a -> Strategy.t -> 'a) -> 'a
 
 val fold_strategies :
   subspace -> Hypergraph.t -> init:'a -> f:('a -> Strategy.t -> 'a) -> 'a
-(** Fold over a subspace, visiting exactly the strategies of
-    [enumerate subspace d] in the same order, without materializing the
-    top-level list (sub-database lists are still shared internally).
+(** Fold over a subspace without materializing the top-level list
+    (sub-database lists are memoized in a table private to the call).
+    [enumerate subspace d] is this fold collected, so the two visit the
+    same strategies in the same order.
     @raise Invalid_argument on an empty scheme. *)
 
 val count_all : int -> int

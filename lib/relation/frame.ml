@@ -770,7 +770,8 @@ let leapfrog_join ~name ~ranked ?stats ~order frames =
       if
         w <> Attr.Set.cardinal out_scheme
         || not (List.for_all (fun a -> Attr.Set.mem a out_scheme) order)
-      then invalid_arg (name ^ ": order is not a permutation of the attributes");
+      then
+        invalid_arg (name ^ ": order is not a permutation of the attributes");
       let out_attrs = Array.of_list (Attr.Set.elements out_scheme) in
       let frame rows data =
         {
@@ -796,7 +797,9 @@ let leapfrog_join ~name ~ranked ?stats ~order frames =
           in
           let tries =
             Array.of_list
-              (List.map (fun f -> Trie.of_frame ~stats ~order (prepare f)) frames)
+              (List.map
+                 (fun f -> Trie.of_frame ~stats ~order (prepare f))
+                 frames)
           in
           (* Iterators participating at each level: the relations whose
              scheme carries that attribute, in frame-list order. *)
@@ -827,7 +830,8 @@ let leapfrog_join ~name ~ranked ?stats ~order frames =
             (match decode with
             | None ->
                 for j = 0 to w - 1 do
-                  Array.unsafe_set d (o + j) vals.(Array.unsafe_get lvl_of_col j)
+                  Array.unsafe_set d (o + j)
+                    vals.(Array.unsafe_get lvl_of_col j)
                 done
             | Some by_rank ->
                 for j = 0 to w - 1 do

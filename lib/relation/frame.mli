@@ -222,7 +222,7 @@ val generic_join : ?stats:stats -> order:Attr.t list -> t list -> t
     [natural_join] would produce, sorted, in time bounded by the
     AGM fractional-cover bound of the sub-database (up to log factors).
     [stats.probes] counts leapfrog seeks and [stats.probe_hits] counts
-    aligned keys.
+    aligned keys.  {!topk} runs the same kernel.
     @raise Invalid_argument if [frames] is empty, the frames use
     different dictionaries, or [order] is not a permutation of the
     union of the schemes. *)
@@ -233,15 +233,16 @@ val topk : ?stats:stats -> order:Attr.t list -> k:int -> t list -> t
     [frames], computed without materializing the join: the dictionary's
     codes are ranked by value once, the frames are remapped into rank
     space (one sort each, so unsorted inputs cost nothing extra), and
-    the leapfrog DFS of
-    {!generic_join} runs there with an emission budget — level keys
+    {!generic_join}'s own leapfrog kernel runs there, decoding each
+    emitted rank back to its code, with an emission budget — level keys
     then ascend in {e value} order, so the first [k] emissions are the
     answer and the DFS stops dead.  [order] must be the sorted
     attributes of the union scheme for the ranking to equal
     [Tuple.compare]; with [k] at least the full output size the result
     equals [generic_join].  Work is bounded by the trie prefix the [k]
     results touch ([stats.probes] certifies output-sensitivity).
-    [k ≤ 0] yields the empty frame.
+    [k ≤ 0] or an empty input frame yields the empty frame before any
+    work (after the argument checks).
     @raise Invalid_argument if [frames] is empty, the frames use
     different dictionaries, or [order] is not a permutation of the
     union of the schemes. *)

@@ -110,8 +110,11 @@ let test_individual_passes () =
 (* Every exported leg, alone, on one acyclic and one cyclic case. *)
 let leg_cases =
   [
-    ("acyclic", { Gen.default with Gen.seed = 12; shape = Gen.Star; n = 4; rows = 5 });
-    ("cyclic", { Gen.default with Gen.seed = 13; shape = Gen.Cycle; n = 4; domain = 2 });
+    ( "acyclic",
+      { Gen.default with Gen.seed = 12; shape = Gen.Star; n = 4; rows = 5 } );
+    ( "cyclic",
+      { Gen.default with Gen.seed = 13; shape = Gen.Cycle; n = 4; domain = 2 }
+    );
   ]
 
 let legs =
@@ -135,7 +138,8 @@ let test_each_leg_passes () =
           match run db s with
           | Check.Pass -> ()
           | Check.Fail f ->
-              Alcotest.failf "%s on the %s case: %a" leg case Check.pp_failure f)
+              Alcotest.failf "%s on the %s case: %a" leg case
+                Check.pp_failure f)
         legs)
     leg_cases
 
@@ -161,8 +165,8 @@ let test_matrix_legs_catch_planted () =
               Check.pp_failure f)
     [
       ("differential", Check.differential, Failpoint.Frame_lossy_join);
-      ("wcoj_differential", Check.wcoj_differential, Failpoint.Frame_lossy_join);
-      ("yann_differential", Check.yann_differential, Failpoint.Yann_lossy_semijoin);
+      ("wcoj_differential", Check.wcoj_differential, Frame_lossy_join);
+      ("yann_differential", Check.yann_differential, Yann_lossy_semijoin);
     ]
 
 let test_faults_restore_state () =
