@@ -42,11 +42,14 @@ let policies =
     Planner.Forced Physical.Index_nested_loop;
   ]
 
-(* The structural fingerprint of a trace: every named span ("scan" and
-   "join" by default; the yann leg adds "semijoin" and "topk") in DFS
-   order with its scheme attribute.  Algorithm names and timings are
-   allowed to differ across the matrix; the shape is not. *)
-let skeleton ?(names = [ "scan"; "join" ]) obs =
+(* The structural fingerprint of a trace: every "scan", "join" and
+   "semijoin" span in DFS order with its scheme attribute.  Only a
+   semijoin program opens "semijoin" spans, so the binary and wcoj
+   legs' skeletons hold scans and joins alone.  Algorithm names and
+   timings are allowed to differ across the matrix; the shape is not. *)
+let skeleton_names = [ "scan"; "join"; "semijoin" ]
+
+let skeleton obs =
   let scheme_of attrs =
     match List.assoc_opt "scheme" attrs with
     | Some (Json.Str s) -> s
@@ -54,7 +57,7 @@ let skeleton ?(names = [ "scan"; "join" ]) obs =
   in
   let rec walk acc (sp : Obs.span_tree) =
     let acc =
-      if List.mem sp.Obs.name names then
+      if List.mem sp.Obs.name skeleton_names then
         (sp.Obs.name, scheme_of sp.Obs.attrs) :: acc
       else acc
     in
@@ -99,14 +102,14 @@ let step_total steps = List.fold_left (fun acc (_, c) -> acc + c) 0 steps
 (* One leg of the engine matrix: every plane × [policies] × domain count
    runs [s], serves the reference's digest, and must return [expected]
    with the τ and per-step log of [steps].  Join spans must agree
-   cell-for-cell across the whole leg; the full [names] shape only
+   cell-for-cell across the whole leg; the full skeleton only
    across domain counts within one plane × policy cell — the
    index-nested-loop fast path reaches indexed base relations without
    executing (or tracing) the inner scan, so scan counts legitimately
    differ between policies, and between planes under the cost-based
    arm.  Failures are named [leg ^ ":result"], [":tau"], [":steps"]
    and [":spans"], located by a [plane/policy/N-domain] cell. *)
-let matrix ~leg ?(names = [ "scan"; "join" ]) ~policies ~expected ~steps db s =
+let matrix ~leg ~policies ~expected ~steps db s =
   let tau = step_total steps in
   let reference_joins = ref None in
   let cell_skeletons = Hashtbl.create 16 in
@@ -136,7 +139,7 @@ let matrix ~leg ?(names = [ "scan"; "join" ]) ~policies ~expected ~steps db s =
               if not (step_log_equal stats.Engine.per_step steps) then
                 fail (leg ^ ":steps") "%s: per-step log %a ≠ %a" where
                   pp_step_log stats.Engine.per_step pp_step_log steps;
-              let sk = skeleton ~names obs in
+              let sk = skeleton obs in
               let joins = List.filter (fun (n, _) -> n = "join") sk in
               (match !reference_joins with
               | None -> reference_joins := Some (where, joins)
@@ -154,11 +157,9 @@ let matrix ~leg ?(names = [ "scan"; "join" ]) ~policies ~expected ~steps db s =
               | Some (ref_where, ref_sk) ->
                   if sk <> ref_sk then
                     fail (leg ^ ":spans")
-                      "%s: %s shape differs from %s within the same plane × \
-                       policy cell"
-                      where
-                      (String.concat "/" names)
-                      ref_where)
+                      "%s: span skeleton differs from %s within the same \
+                       plane × policy cell"
+                      where ref_where)
             domain_counts)
         policies)
     planes
@@ -249,9 +250,7 @@ let yann_differential db s =
     | Physical.Semijoin_program rt -> yann_steps expected rt
     | _ -> wcoj_steps (Cost.Cache.create db) plan
   in
-  matrix ~leg:"yann"
-    ~names:[ "scan"; "join"; "semijoin"; "topk" ]
-    ~policies:[ Planner.Yannakakis ] ~expected ~steps db s;
+  matrix ~leg:"yann" ~policies:[ Planner.Yannakakis ] ~expected ~steps db s;
   (* Ranked enumeration: top-k must be the k-prefix of the sorted full
      output, on every plane, with τ = the rows streamed. *)
   match plan with

@@ -151,7 +151,7 @@ let test_matrix_legs_catch_planted () =
   List.iter
     (fun (leg, run, point) ->
       let outcome =
-        Fun.protect ~finally:Failpoint.reset (fun () ->
+        Failpoint.with_saved (fun () ->
             Failpoint.reset ();
             Failpoint.enable point;
             run db s)

@@ -226,9 +226,7 @@ let planes_same_tau =
 (* [generic_join] and [topk] share one leapfrog DFS; these literals pin
    what each entry returns and counts — row count, result digest,
    leapfrog seeks, aligned keys and sorted rows — so neither entry's
-   work may move. *)
-(* One entry run on fresh stats: row count, result digest, leapfrog
-   seeks, aligned keys and sorted rows. *)
+   work may move.  [run_pin] runs one entry on fresh stats. *)
 let run_pin entry =
   let st = Frame.fresh_stats () in
   let f = entry st in
