@@ -14,7 +14,6 @@ module Scenarios = Mj_workload.Scenarios
 module Dbgen = Mj_workload.Dbgen
 module Pool = Mj_pool.Pool
 module Frame_bench = Mj_benchkit.Frame_bench
-module Plan_bench = Mj_benchkit.Plan_bench
 module Par_bench = Mj_benchkit.Par_bench
 module Wcoj_bench = Mj_benchkit.Wcoj_bench
 module Yann_bench = Mj_benchkit.Yann_bench
@@ -1151,7 +1150,7 @@ let obs_metrics () =
      = Some (Dpccp.count_csg_cmp_pairs d))
 
 (* ------------------------------------------------------------------ *)
-(* FRAME PAR WCOJ SERVE PLAN: the gated head-to-head legs                *)
+(* FRAME PAR WCOJ SERVE: the gated head-to-head legs                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Each leg is a case list over Bench_core: the report prints the table
@@ -1185,15 +1184,6 @@ let serve =
     "mjoin serve under concurrent mixed load (every response certified \
      against a cold Engine.run; plan-cache warm-over-cold gated)"
     (fun () -> Serve_bench.run ~quick:!quick ())
-
-let plan =
-  leg "PLAN"
-    "Baseline vs cost-based lowering of one strategy (equal results, equal \
-     tau certified)"
-    (fun () ->
-      let cfg = get_config () in
-      Plan_bench.run ~baseline:cfg.Engine.Config.algo_policy
-        ~domains:cfg.Engine.Config.domains ~quick:!quick ())
 
 (* ------------------------------------------------------------------ *)
 (* PERF: optimizer timings (bechamel)                                   *)
@@ -1271,7 +1261,7 @@ let experiments =
     ("SK", sk); ("SPACE", space); ("GAMMA", gamma); ("MONO", mono);
     ("SETOP", setop); ("YANN", yann); ("EST", est); ("RAND", rand);
     ("PIPE", pipe); ("LEM", lem); ("COST", cost_models); ("C4JT", c4jt); ("CASE", case); ("MAKESPAN", makespan); ("LOSS", loss);
-    ("OBS", obs_metrics); frame; par; wcoj; serve; plan;
+    ("OBS", obs_metrics); frame; par; wcoj; serve;
     ("PERF", perf);
   ]
 

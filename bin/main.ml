@@ -584,7 +584,7 @@ let q_error ~est ~actual =
   Float.max (e /. a) (a /. e)
 
 let run_explain scenario (shape_name, shape) n seed rows domain regime
-    strategy_text algo_name config trace_file =
+    strategy_text config trace_file =
   let name, db =
     match scenario with
     | Some (nm, db) -> (nm, db)
@@ -619,20 +619,6 @@ let run_explain scenario (shape_name, shape) n seed rows domain regime
             | Some r -> r.Optimal.strategy
             | None -> failwith "no plan found"))
   in
-  (* --algo is the most specific lowering directive: when given it
-     overrides --policy / MJ_ALGO_POLICY with a forced single-algorithm
-     policy ('hash' forces the historical hash-everywhere default). *)
-  let forced =
-    match algo_name with
-    | None -> None
-    | Some "hash" -> Some Planner.Hash_all
-    | Some "nl" -> Some (Planner.Forced Physical.Nested_loop)
-    | Some "bnl" ->
-        Some (Planner.Forced (Physical.Block_nested_loop Planner.block_size))
-    | Some "merge" -> Some (Planner.Forced Physical.Sort_merge)
-    | Some "inl" -> Some (Planner.Forced Physical.Index_nested_loop)
-    | Some a -> failwith (Printf.sprintf "unknown algorithm %s" a)
-  in
   (* Estimated cardinality of every plan subtree, keyed like the span
      attributes so the tree walk below can pair est with act. *)
   let est_tbl = Hashtbl.create 16 in
@@ -647,11 +633,7 @@ let run_explain scenario (shape_name, shape) n seed rows domain regime
      execute on the config's plane.  Both backends emit the same
      scan/join spans, so the tree walk below is engine-agnostic; only
      the summary tail differs, keyed on the plane-specific stats. *)
-  let cfg =
-    make_config ~obs
-      { config with
-        Mj_cli.policy = (match forced with None -> config.Mj_cli.policy | f -> f) }
-  in
+  let cfg = make_config ~obs config in
   let plan = Engine.lower cfg db strategy in
   let t0 = Obs.monotonic_time () in
   let stats = snd (Engine.execute_plan cfg db plan) in
@@ -824,16 +806,6 @@ let explain_cmd =
             "Execute this strategy (paper notation, e.g. '(AB * BC) * DE') \
              instead of the optimizer's plan.")
   in
-  let algo =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "algo" ]
-          ~doc:
-            "Force one join algorithm on every step: hash, nl, bnl, merge, \
-             inl.  Overrides --policy; when absent the configured policy \
-             lowers the plan.")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -842,10 +814,10 @@ let explain_cmd =
           and Q-error")
     Term.(
       const
-        (fun sc sh n seed rows domain regime st algo cfg tr ->
-          graceful (run_explain sc sh n seed rows domain regime st algo cfg) tr)
+        (fun sc sh n seed rows domain regime st cfg tr ->
+          graceful (run_explain sc sh n seed rows domain regime st cfg) tr)
       $ scenario $ shape_arg $ n_arg $ seed_arg $ rows_arg $ domain_arg
-      $ regime_arg $ strategy $ algo $ config_term $ trace_arg)
+      $ regime_arg $ strategy $ config_term $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* topk                                                                 *)

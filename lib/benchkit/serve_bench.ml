@@ -13,12 +13,11 @@
      the same request (rows, tau, hash, per-step τ log).
 
    - the "plan-cache" row: the warm-over-cold gate.  Cold = a fresh
-     daemon per shot (registry miss, plan-cache miss, cold index
-     caches); warm = the same line repeated against one daemon
-     (registry, plan cache and index caches all hot).  The two sides
-     race (Bench_core.race); the row carries the ≥ 2.0× speedup
-     floor, and [warm_minor_words], the minor words of one more warm
-     shot. *)
+     daemon per shot (registry miss, plan-cache miss); warm = the same
+     line repeated against one daemon (registry and plan cache hot).
+     The two sides race (Bench_core.race); the row carries the ≥ 2.0×
+     speedup floor, and [warm_minor_words], the minor words of one
+     more warm shot. *)
 
 module Obs = Mj_obs.Obs
 module Json = Mj_obs.Json
@@ -105,15 +104,13 @@ let mixed_specs ~rows ~domain =
     { Protocol.default_workload with shape; n; rows; domain; regime }
   in
   [
-    { workload = w "chain" 4 "uniform"; policy = Planner.Cost_based; plane = Seed };
     { workload = w "star" 4 "uniform"; policy = Planner.Hash_all; plane = Frame };
     { workload = w "snowflake" 4 "uniform"; policy = Planner.Yannakakis; plane = Seed };
     { workload = w "cycle" 3 "skewed"; policy = Planner.Wcoj; plane = Frame };
     { workload = w "chain" 4 "uniform"; policy = Planner.Hash_all; plane = Seed };
-    { workload = w "star" 4 "uniform"; policy = Planner.Cost_based; plane = Frame };
   ]
 
-let mix_name = "chain/star/snowflake/triangle x hash/cost/wcoj/yann x planes"
+let mix_name = "chain/star/snowflake/triangle x hash/wcoj/yann x planes"
 
 let count status responses =
   List.length
@@ -206,9 +203,9 @@ let mixed_row ~quick ~cores ~clients =
 
 (* The gate workload is chosen so the cold-only costs dominate: on a
    superkey chain the joins are injective (every intermediate stays at
-   [rows]), so execution with warm indexes is a flat probe pass, while
-   a cold shot also pays materialization, the catalog scan of the
-   cost-based lowering, and the per-relation index builds. *)
+   [rows]), so execution and certification are a flat pass that both
+   sides pay, while a cold shot also pays generating the database
+   (registry miss) and lowering the strategy (plan-cache miss). *)
 let floor_spec ~quick =
   {
     workload =
@@ -220,7 +217,7 @@ let floor_spec ~quick =
         domain = 256;
         regime = "superkey";
       };
-    policy = Planner.Cost_based;
+    policy = Planner.Hash_all;
     plane = Seed;
   }
 
@@ -235,10 +232,9 @@ let plan_cache_row ~quick =
       ()
   in
   (* Cold: a fresh daemon per shot, built outside the timed window,
-     pays materialization, catalog, lowering and index builds every
-     time.  Warm: one daemon, primed once — registry, plan cache and
-     index caches all hot on the timed shots, every one of which is
-     certified. *)
+     generates the database and lowers the strategy every time.  Warm:
+     one daemon, primed once — registry and plan cache hot on the timed
+     shots, every one of which is certified. *)
   let colds = Queue.of_seq (Seq.init reps (fun _ -> mk ())) in
   let srv = mk () in
   let _prime = Serve.handle_line srv line in

@@ -5,7 +5,7 @@
     through [Serve.handle_line] with a round-robin
     chain/star/snowflake/triangle mix across policies and planes, all
     sharing the daemon's warm state — per-database registries, frame
-    dictionaries, index-cache pools and the LRU plan cache.  Each row
+    dictionaries and the LRU plan cache.  Each row
     reports throughput ([qps]), the p50/p95/p99 latency quantiles from
     the [Mj_obs] log-bucket histogram, the response tallies, the plan
     cache hit/miss counts, and [certified]: whether {e every} response

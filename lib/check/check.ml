@@ -31,21 +31,10 @@ let guard f = try f () ; Pass with Failed x -> Fail x
 let planes = [ Engine.Seed; Engine.Frame ]
 let domain_counts = [ 1; 4 ]
 
-let policies =
-  [
-    Planner.Hash_all;
-    Planner.Cost_based;
-    Planner.Forced Physical.Nested_loop;
-    Planner.Forced (Physical.Block_nested_loop 3);
-    Planner.Forced Physical.Hash_join;
-    Planner.Forced Physical.Sort_merge;
-    Planner.Forced Physical.Index_nested_loop;
-  ]
-
 (* The structural fingerprint of a trace: every "scan", "join" and
    "semijoin" span in DFS order with its scheme attribute.  Only a
    semijoin program opens "semijoin" spans, so the binary and wcoj
-   legs' skeletons hold scans and joins alone.  Algorithm names and
+   legs' skeletons hold scans and joins alone.  Kernel labels and
    timings are allowed to differ across the matrix; the shape is not. *)
 let skeleton_names = [ "scan"; "join"; "semijoin" ]
 
@@ -82,12 +71,9 @@ let pp_step_log fmt log =
    the frame plane hashes code buffers and decodes nothing, so a lossy
    kernel must show up in the served hash and row count themselves —
    not only in a decode nobody reads.  [cfg] is the cell's config; the
-   digest run records no spans and warms no index the cell's own run
-   would then see. *)
+   digest run records no spans. *)
 let check_digest where (cfg : Engine.Config.t) db s expected =
-  let cfg =
-    { cfg with obs = Obs.noop; index_cache = Mj_engine.Exec.index_cache () }
-  in
+  let cfg = { cfg with obs = Obs.noop } in
   let got, stats = Engine.execute_digest cfg db (Engine.lower cfg db s) in
   let want = Protocol.result_hash expected in
   if not (Int64.equal got want) then
@@ -99,90 +85,66 @@ let check_digest where (cfg : Engine.Config.t) db s expected =
 
 let step_total steps = List.fold_left (fun acc (_, c) -> acc + c) 0 steps
 
-(* One leg of the engine matrix: every plane × [policies] × domain count
-   runs [s], serves the reference's digest, and must return [expected]
-   with the τ and per-step log of [steps].  Join spans must agree
-   cell-for-cell across the whole leg; the full skeleton only
-   across domain counts within one plane × policy cell — the
-   index-nested-loop fast path reaches indexed base relations without
-   executing (or tracing) the inner scan, so scan counts legitimately
-   differ between policies, and between planes under the cost-based
-   arm.  Failures are named [leg ^ ":result"], [":tau"], [":steps"]
-   and [":spans"], located by a [plane/policy/N-domain] cell. *)
-let matrix ~leg ~policies ~expected ~steps db s =
+(* One leg of the engine matrix: both planes × both domain counts run
+   [s] under [policy], serve the reference's digest, and must return
+   [expected] with the τ and per-step log of [steps] and one span
+   skeleton across the whole leg.  Failures are named [leg ^
+   ":result"], [":tau"], [":steps"] and [":spans"], located by a
+   [plane/policy/N-domain] cell. *)
+let matrix ~leg ~policy ~expected ~steps db s =
   let tau = step_total steps in
-  let reference_joins = ref None in
-  let cell_skeletons = Hashtbl.create 16 in
+  let reference = ref None in
   List.iter
     (fun plane ->
       List.iter
-        (fun policy ->
-          List.iter
-            (fun domains ->
-              let where =
-                Printf.sprintf "%s/%s/%d-domain" (Engine.plane_name plane)
-                  (Planner.policy_name policy) domains
-              in
-              let obs = Obs.make () in
-              let cfg = Engine.Config.make ~plane ~domains ~policy ~obs () in
-              check_digest where cfg db s expected;
-              let r, stats = Engine.run cfg db s in
-              if not (Relation.equal r expected) then
-                fail (leg ^ ":result")
-                  "%s: %d rows, reference has %d (strategy %s)" where
-                  (Relation.cardinality r)
-                  (Relation.cardinality expected)
-                  (Strategy.to_string s);
-              if stats.Engine.tuples_generated <> tau then
-                fail (leg ^ ":tau") "%s: reported τ=%d, reference prices %d"
-                  where stats.Engine.tuples_generated tau;
-              if not (step_log_equal stats.Engine.per_step steps) then
-                fail (leg ^ ":steps") "%s: per-step log %a ≠ %a" where
-                  pp_step_log stats.Engine.per_step pp_step_log steps;
-              let sk = skeleton obs in
-              let joins = List.filter (fun (n, _) -> n = "join") sk in
-              (match !reference_joins with
-              | None -> reference_joins := Some (where, joins)
-              | Some (ref_where, ref_joins) ->
-                  if joins <> ref_joins then
-                    fail (leg ^ ":spans")
-                      "%s: %d join spans with a different shape than %s's %d"
-                      where (List.length joins) ref_where
-                      (List.length ref_joins));
-              let cell =
-                (Engine.plane_name plane, Planner.policy_name policy)
-              in
-              match Hashtbl.find_opt cell_skeletons cell with
-              | None -> Hashtbl.add cell_skeletons cell (where, sk)
-              | Some (ref_where, ref_sk) ->
-                  if sk <> ref_sk then
-                    fail (leg ^ ":spans")
-                      "%s: span skeleton differs from %s within the same \
-                       plane × policy cell"
-                      where ref_where)
-            domain_counts)
-        policies)
+        (fun domains ->
+          let where =
+            Printf.sprintf "%s/%s/%d-domain" (Engine.plane_name plane)
+              (Planner.policy_name policy) domains
+          in
+          let obs = Obs.make () in
+          let cfg = Engine.Config.make ~plane ~domains ~policy ~obs () in
+          check_digest where cfg db s expected;
+          let r, stats = Engine.run cfg db s in
+          if not (Relation.equal r expected) then
+            fail (leg ^ ":result")
+              "%s: %d rows, reference has %d (strategy %s)" where
+              (Relation.cardinality r)
+              (Relation.cardinality expected)
+              (Strategy.to_string s);
+          if stats.Engine.tuples_generated <> tau then
+            fail (leg ^ ":tau") "%s: reported τ=%d, reference prices %d"
+              where stats.Engine.tuples_generated tau;
+          if not (step_log_equal stats.Engine.per_step steps) then
+            fail (leg ^ ":steps") "%s: per-step log %a ≠ %a" where
+              pp_step_log stats.Engine.per_step pp_step_log steps;
+          let sk = skeleton obs in
+          match !reference with
+          | None -> reference := Some (where, sk)
+          | Some (ref_where, ref_sk) ->
+              if sk <> ref_sk then
+                fail (leg ^ ":spans")
+                  "%s: %d scan/join/semijoin spans with a different shape \
+                   than %s's %d"
+                  where (List.length sk) ref_where (List.length ref_sk))
+        domain_counts)
     planes
 
 let differential db s =
   guard @@ fun () ->
-  matrix ~leg:"differential" ~policies ~expected:(Cost.eval db s)
+  matrix ~leg:"differential" ~policy:Planner.Hash_all ~expected:(Cost.eval db s)
     ~steps:(Cost.step_costs db s) db s
 
-(* The worst-case-optimal leg of the matrix.  The [Wcoj] policy is kept
-   out of [policies] deliberately: on a cyclic strategy it rewrites the
-   whole plan into one n-ary node, so its τ and span shapes legitimately
-   differ from every binary cell — the main differential's
-   "join spans agree cell-for-cell" invariant would be vacuously
-   destroyed, not checked.  Instead the wcoj cells get their own
-   expected τ/step log, derived from the lowered plan itself through the
-   exact-cardinality cache, and the span-shape invariant is scoped to
-   the wcoj cells (which must agree with each other across planes and
-   domain counts). *)
+(* The worst-case-optimal leg of the matrix.  On a cyclic strategy the
+   [Wcoj] policy rewrites the whole plan into one n-ary node, so its τ
+   and span shapes legitimately differ from the binary leg's.  The wcoj
+   cells get their own expected τ/step log, derived from the lowered
+   plan itself through the exact-cardinality cache, and must agree with
+   each other across planes and domain counts. *)
 let wcoj_steps cache plan =
   let rec go acc = function
     | Physical.Scan _ -> acc
-    | Physical.Join (_, l, r) ->
+    | Physical.Join (l, r) ->
         let acc = go (go acc l) r in
         let d = Scheme.Set.union (Physical.schemes l) (Physical.schemes r) in
         (d, Cost.Cache.card cache d) :: acc
@@ -209,7 +171,7 @@ let wcoj_differential db s =
       if tau <> result_card then
         fail "wcoj:tau_shape" "generic join τ=%d ≠ |R_D|=%d" tau result_card
   | _ -> ());
-  matrix ~leg:"wcoj" ~policies:[ Planner.Wcoj ] ~expected ~steps db s
+  matrix ~leg:"wcoj" ~policy:Planner.Wcoj ~expected ~steps db s
 
 (* The Yannakakis leg of the matrix.  Like the wcoj leg, the [yann]
    policy's τ and span shapes legitimately differ from every binary
@@ -241,16 +203,19 @@ let yann_steps expected rt =
       in
       List.rev steps
 
+(* The step log a [yann]-lowered plan must report: the join phase's
+   projections for a semijoin program, the exact cardinalities of its
+   nodes for the binary or wcoj plan a cyclic strategy falls back to. *)
+let yann_plan_steps db expected = function
+  | Physical.Semijoin_program rt -> yann_steps expected rt
+  | plan -> wcoj_steps (Cost.Cache.create db) plan
+
 let yann_differential db s =
   guard @@ fun () ->
   let expected = Cost.eval db s in
   let plan = Planner.lower ~policy:Planner.Yannakakis db s in
-  let steps =
-    match plan with
-    | Physical.Semijoin_program rt -> yann_steps expected rt
-    | _ -> wcoj_steps (Cost.Cache.create db) plan
-  in
-  matrix ~leg:"yann" ~policies:[ Planner.Yannakakis ] ~expected ~steps db s;
+  let steps = yann_plan_steps db expected plan in
+  matrix ~leg:"yann" ~policy:Planner.Yannakakis ~expected ~steps db s;
   (* Ranked enumeration: top-k must be the k-prefix of the sorted full
      output, on every plane, with τ = the rows streamed. *)
   match plan with
@@ -626,28 +591,34 @@ let faults db s =
     fail "faults:cache_poison"
       "integrity guard never engaged: %d poisoned stores, 0 bypasses"
       (Failpoint.hits Failpoint.Cache_poison);
-  (* Oversized estimates may change the plan, never the answer. *)
+  (* Oversized estimates may change the join tree, never the answer:
+     the result stays, and the τ log is the one the lowered plan
+     prices, whichever tree won. *)
   Failpoint.reset ();
-  let run_cost_based () =
+  let run_yann () =
     let cfg =
       Engine.Config.make ~plane:Engine.Seed ~domains:1
-        ~policy:Planner.Cost_based ()
+        ~policy:Planner.Yannakakis ()
     in
-    Engine.run cfg db s
+    let plan = Engine.lower cfg db s in
+    (plan, Engine.execute_plan cfg db plan)
   in
-  let baseline, _ = run_cost_based () in
+  let _, (baseline, _) = run_yann () in
   Failpoint.enable Failpoint.Estimate_oversize;
-  let skewed, skewed_stats = run_cost_based () in
+  let plan, (skewed, skewed_stats) = run_yann () in
   Failpoint.disable Failpoint.Estimate_oversize;
-  if Failpoint.hits Failpoint.Estimate_oversize = 0 then
-    fail "faults:estimate_oversize" "cost-based lowering never consulted \
-                                     the estimate oracle";
+  (match plan with
+  | Physical.Semijoin_program _
+    when Failpoint.hits Failpoint.Estimate_oversize = 0 ->
+      fail "faults:estimate_oversize"
+        "join-tree search never consulted the estimate oracle"
+  | _ -> ());
   if not (Relation.equal skewed baseline) then
     fail "faults:estimate_oversize" "oversized estimates changed the result";
-  if skewed_stats.Engine.tuples_generated <> tau then
-    fail "faults:estimate_oversize"
-      "oversized estimates changed τ: %d ≠ %d"
-      skewed_stats.Engine.tuples_generated tau;
+  let want = yann_plan_steps db baseline plan in
+  if not (step_log_equal skewed_stats.Engine.per_step want) then
+    fail "faults:estimate_oversize" "τ log %a ≠ the lowered plan's %a"
+      pp_step_log skewed_stats.Engine.per_step pp_step_log want;
   (* The planted frame-plane mutation must be visible in the τ log —
      this is the detector the self-test relies on.  R_D ≠ ∅ under the
      generators, but raw caller databases may produce τ = 0, where a
@@ -768,12 +739,10 @@ let twin db s =
             Printf.sprintf "%s/%s" (Engine.plane_name plane)
               (Planner.policy_name policy)
           in
-          (* One config per database: the cost arm reads the index
-             cache, which a shared config's first run would warm. *)
+          let cfg =
+            Engine.Config.make ~plane ~domains:1 ~policy ~obs:Obs.noop ()
+          in
           let run db =
-            let cfg =
-              Engine.Config.make ~plane ~domains:1 ~policy ~obs:Obs.noop ()
-            in
             let plan = Engine.lower cfg db s in
             let r, stats = Engine.execute_plan cfg db plan in
             let digest, _ = Engine.execute_digest cfg db plan in
@@ -799,7 +768,7 @@ let twin db s =
                 f.Mj_engine.Frame_engine.dict_size
                 f'.Mj_engine.Frame_engine.dict_size
           | _ -> ())
-        [ Planner.Hash_all; Planner.Cost_based; Planner.Wcoj; Planner.Yannakakis ])
+        [ Planner.Hash_all; Planner.Wcoj; Planner.Yannakakis ])
     planes
 
 (* ------------------------------------------------------------------ *)

@@ -3,20 +3,16 @@
     Independent oracles over one materialized case, each rooted in
     machine-checkable ground truth rather than golden outputs:
 
-    - {!differential}: the engine matrix.  Both data planes × every
-      lowering policy × 1 and 4 worker domains must serve the
-      reference's wire hash ([Protocol.result_hash]) and row count
-      through [Engine.execute_digest] — what the serve daemon answers
-      with; on the frame plane it hashes code buffers and never decodes
-      — and produce the
-      bit-identical result relation, the exact [Cost.tau] tuple count,
-      the same per-step τ log, the same join-span skeleton across the
-      whole matrix, and the same full scan/join skeleton across domain
-      counts within each plane × policy cell (the index-nested-loop
-      fast path legitimately elides indexed inner scans).  The wcoj and
-      yann legs below run the same matrix loop over their one policy;
-      each supplies only its expected step log and its own extra
-      check.
+    - {!differential}: the engine matrix.  Both data planes × 1 and 4
+      worker domains, under the binary [hash] lowering (4 cells), must
+      serve the reference's wire hash ([Protocol.result_hash]) and row
+      count through [Engine.execute_digest] — what the serve daemon
+      answers with; on the frame plane it hashes code buffers and never
+      decodes — and produce the bit-identical result relation, the
+      exact [Cost.tau] tuple count, the same per-step τ log and the
+      same scan/join span skeleton in every cell.  The wcoj and yann
+      legs below run the same matrix loop over their own policy; each
+      supplies only its expected step log and its own extra check.
     - {!wcoj_differential}: the worst-case-optimal leg, separately.
       The [Wcoj] policy collapses cyclic strategies into one n-ary
       generic join, so its τ and span shapes legitimately differ from
@@ -50,7 +46,7 @@
     - {!twin}: the case's generated database is born coded; its
       relation-built twin ([Database.of_relations] over its states)
       encodes its own dictionary, the path CSV input and the scenarios
-      take.  Across both planes × the hash, cost, wcoj and yann
+      take.  Across both planes × the hash, wcoj and yann
       policies, the two must lower to the same
       plan and give the same result, τ log, served digest and
       dictionary size.
@@ -68,7 +64,9 @@
     - {!faults}: fault injection through {!Mj_failpoint.Failpoint} —
       a killed pool worker must not change pool results, a poisoned
       τ-cache must detect and bypass its corrupt entries, oversized
-      estimates must not change execution results, and the planted
+      estimates may change the [yann] join tree but not the result,
+      and the τ log must be the one the lowered plan prices (on a
+      semijoin-program plan the failpoint must fire), and the planted
       frame-plane mutations must be {e visible} — [frame.lossy_join]
       in the τ log, [yann.lossy_semijoin] in the yann cells' result
       (this is what the self-test leans on).  The serve failpoints are

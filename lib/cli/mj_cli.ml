@@ -20,7 +20,7 @@ let policy_conv =
         Error
           (`Msg
             (Printf.sprintf
-               "unknown policy %s (expected hash, cost, wcoj or yann)" s))
+               "unknown policy %s (expected hash, wcoj or yann)" s))
   in
   Arg.conv
     (parse, fun fmt p -> Format.pp_print_string fmt (Planner.policy_name p))
@@ -51,12 +51,11 @@ let policy_arg =
     & info [ "policy" ]
         ~doc:
           "Plan-lowering policy: 'hash' (every join step a hash join), \
-           'cost' (catalog-driven per-step algorithm choice), 'wcoj' \
-           (worst-case-optimal generic join on cyclic queries, binary \
-           cost-based lowering on acyclic ones) or 'yann' (Yannakakis \
-           semijoin program over a cost-chosen join tree on acyclic \
-           queries, wcoj fallthrough on cyclic ones).  Default: \
-           $(b,MJ_ALGO_POLICY), else hash.")
+           'wcoj' (worst-case-optimal generic join on cyclic queries, \
+           hash joins on acyclic ones) or 'yann' (Yannakakis semijoin \
+           program over a cost-chosen join tree on acyclic queries, wcoj \
+           fallthrough on cyclic ones).  'cost' is accepted as an alias \
+           of 'hash'.  Default: $(b,MJ_ALGO_POLICY), else hash.")
 
 let telemetry_arg =
   Arg.(

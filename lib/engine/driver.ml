@@ -11,11 +11,7 @@ module type PLANE = sig
 
   val scan : ctx -> Scheme.t -> item
 
-  val join :
-    ctx -> Physical.algorithm -> common:Attr.Set.t -> item -> item -> item
-
-  val index_join :
-    ctx -> common:Attr.Set.t -> outer:item -> inner:Scheme.t -> item option
+  val join : ctx -> common:Attr.Set.t -> item -> item -> item
 
   val generic_join :
     ctx -> schemes:Scheme.t list -> order:Attr.t list -> item
@@ -27,7 +23,7 @@ module type PLANE = sig
 
   val cardinality : item -> int
   val note_step : ctx -> int -> unit
-  val algo_label : Physical.algorithm -> string
+  val join_label : string
   val to_relation : ctx -> Scheme.t -> item -> Relation.t
   val digest : ctx -> Scheme.t -> item -> int64
 end
@@ -74,39 +70,23 @@ module Make (P : PLANE) = struct
         end;
         it)
 
-  (* The walker is the part both planes used to duplicate: the span
-     shapes (a "scan" per leaf, a "join" per step, attributes [scheme],
-     [rows] and [algo]), the per-step τ accounting, and the
-     index-nested-loop fast path that reaches the inner base relation
-     through its index instead of executing the scan.  A plane that has
-     no base-relation indexes answers [None] from [index_join] and the
-     step degrades to its ordinary join. *)
+  (* One walker for both planes: the span shapes (a "scan" per leaf, a
+     "join" per step, attributes [scheme], [rows] and [algo]) and the
+     per-step τ accounting. *)
   let walk ~obs ctx plan =
     let log = { generated = 0; steps = [] } in
     let rec run = function
       | Physical.Scan s -> (s, scan ~obs ctx s)
-      | Physical.Join (algo, l, r) ->
+      | Physical.Join (l, r) ->
           Obs.span obs "join" (fun () ->
               let node_schemes =
                 Scheme.Set.union (Physical.schemes l) (Physical.schemes r)
               in
-              join_attrs ~obs (P.algo_label algo) node_schemes;
-              let ordinary ls left =
-                let rs, right = run r in
-                let common = Attr.Set.inter ls rs in
-                let it = P.join ctx algo ~common left right in
-                (Attr.Set.union ls rs, record ~obs ctx log node_schemes it)
-              in
+              join_attrs ~obs P.join_label node_schemes;
               let ls, left = run l in
-              match (algo, r) with
-              | Physical.Index_nested_loop, Physical.Scan inner -> (
-                  let common = Attr.Set.inter ls inner in
-                  match P.index_join ctx ~common ~outer:left ~inner with
-                  | Some it ->
-                      ( Attr.Set.union ls inner,
-                        record ~obs ctx log node_schemes it )
-                  | None -> ordinary ls left)
-              | _ -> ordinary ls left)
+              let rs, right = run r in
+              let it = P.join ctx ~common:(Attr.Set.inter ls rs) left right in
+              (Attr.Set.union ls rs, record ~obs ctx log node_schemes it))
       | Physical.Generic_join (ss, order) ->
           (* One n-ary step: the whole sub-hypergraph is joined in a
              single worst-case-optimal pass, so the node contributes
@@ -160,9 +140,9 @@ module Make (P : PLANE) = struct
           let join_step (acc_set, acc_scheme, acc) s =
             Obs.span obs "join" (fun () ->
                 let node_schemes = Scheme.Set.add s acc_set in
-                join_attrs ~obs (P.algo_label Physical.Hash_join) node_schemes;
+                join_attrs ~obs P.join_label node_schemes;
                 let common = Attr.Set.inter acc_scheme s in
-                let it = P.join ctx Physical.Hash_join ~common acc !(item_of s) in
+                let it = P.join ctx ~common acc !(item_of s) in
                 ( node_schemes,
                   Attr.Set.union acc_scheme s,
                   record ~obs ctx log node_schemes it ))

@@ -1,14 +1,12 @@
 (** The backend-agnostic plan walker.
 
-    Section 1's implementation argument — nested loops, existing
-    indices, pipelining — used to live twice: once in {!Exec} over seed
-    tuple lists and once in {!Frame_engine} over columnar frames, each
-    with its own copy of the span bookkeeping and the τ accounting.
-    This module keeps exactly one copy.  A data plane implements the
-    {!PLANE} signature (how to scan a base relation, how to run one join
-    step with a given algorithm, how to count rows); {!Make} supplies
-    the recursion over {!Physical.t}, the observability contract, and
-    the per-step τ log.
+    Both data planes — {!Exec} over seed tuple lists and
+    {!Frame_engine} over columnar frames — run plans through this one
+    walker, so the span bookkeeping and the τ accounting exist once.  A
+    data plane implements the {!PLANE} signature (how to scan a base
+    relation, how to run one binary join step, how to count rows);
+    {!Make} supplies the recursion over {!Physical.t}, the
+    observability contract, and the per-step τ log.
 
     The observability contract, shared by every plane so the
     [mjoin explain] tree renderer works against any backend: one
@@ -36,21 +34,12 @@ module type PLANE = sig
   (** Fetch a base relation.
       @raise Invalid_argument if the scheme is not in the database. *)
 
-  val join :
-    ctx -> Physical.algorithm -> common:Attr.Set.t -> item -> item -> item
-  (** One join step.  A plane with a single physical operator may treat
-      the algorithm annotation as advisory (the frame plane always runs
-      its columnar hash join); τ is algorithm-independent for
-      materializing execution, so results and step costs agree across
-      planes regardless. *)
-
-  val index_join :
-    ctx -> common:Attr.Set.t -> outer:item -> inner:Scheme.t -> item option
-  (** The [Index_nested_loop]-over-a-scan fast path: join [outer]
-      against the {e index} of the base relation [inner] without
-      executing the scan.  [None] means the plane keeps no
-      base-relation indexes and the driver falls back to executing the
-      scan and calling {!join}. *)
+  val join : ctx -> common:Attr.Set.t -> item -> item -> item
+  (** One binary join step, [left ⋈ right] on the [common] attributes:
+      the plane's one hash kernel (seed: build on [right], probe with
+      [left]; frame: the columnar hash join).  Materializing execution
+      makes τ kernel-independent, so results and step costs agree
+      across planes. *)
 
   val generic_join :
     ctx -> schemes:Scheme.t list -> order:Attr.t list -> item
@@ -85,7 +74,9 @@ module type PLANE = sig
   (** Called with each join step's output cardinality (for plane
       counters such as the seed peak-materialization tracker). *)
 
-  val algo_label : Physical.algorithm -> string
+  val join_label : string
+  (** The [algo] attribute of every binary ["join"] span (seed:
+      ["hash"], frame: ["frame-hash"]). *)
 
   (** The finishers: what a caller makes of the root item once the
       walk is done.  Both see the rows in the same order and must agree

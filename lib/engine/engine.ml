@@ -23,7 +23,7 @@ module Config = struct
     domains : int;
     obs : Obs.sink;
     algo_policy : Planner.policy;
-    index_cache : Exec.index_cache;
+    index_cache : Exec.index_cache; (* read by nothing; see engine.mli *)
     telemetry : string option;
     frame_storage : Frame.storage; (* read by nothing; see engine.mli *)
     morsel : int option;
@@ -150,16 +150,15 @@ let counting_forced (cfg : Config.t) db f =
 
 let lower (cfg : Config.t) db strategy =
   counting_forced cfg db @@ fun () ->
-  Planner.lower ~policy:cfg.algo_policy ~indexes:cfg.index_cache db strategy
+  Planner.lower ~policy:cfg.algo_policy db strategy
 
 (* A warm frame dictionary only means something on the frame plane; the
-   seed plane ignores it (its warm state is the index cache the config
-   already carries). *)
+   seed plane ignores it. *)
 let execute_plan ?fdb (cfg : Config.t) db plan =
   counting_forced cfg db @@ fun () ->
   match cfg.plane with
   | Seed ->
-      let r, s = Exec.execute ~obs:cfg.obs ~cache:cfg.index_cache db plan in
+      let r, s = Exec.execute ~obs:cfg.obs db plan in
       (r, of_seed s)
   | Frame ->
       let r, s =
@@ -172,9 +171,7 @@ let execute_digest ?fdb (cfg : Config.t) db plan =
   counting_forced cfg db @@ fun () ->
   match cfg.plane with
   | Seed ->
-      let d, s =
-        Exec.execute_digest ~obs:cfg.obs ~cache:cfg.index_cache db plan
-      in
+      let d, s = Exec.execute_digest ~obs:cfg.obs db plan in
       (d, of_seed s)
   | Frame ->
       let d, s =

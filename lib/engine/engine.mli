@@ -9,7 +9,7 @@
         flags / env                Strategy.t (logical join order)
             │                          │
             ▼                          ▼
-       Config.make  ──────────►   Planner.lower   (per-step algorithm)
+       Config.make  ──────────►   Planner.lower   (binary, wcoj or yann)
             │                          │
             │                          ▼
             │                     Physical.t
@@ -30,11 +30,10 @@
     serve daemon) never branch on the plane themselves.
 
     Determinism: a [Config.t] pins every execution-relevant choice
-    (plane, worker domains, lowering policy, warm indexes).  Lowering
-    is a pure function of (database, strategy, warm indexes); both
-    planes materialize every step, so result relations and τ are
-    identical across planes, policies and domain counts — the planner
-    equivalence suite certifies this. *)
+    (plane, worker domains, lowering policy).  Lowering is a pure
+    function of (database, strategy); both planes materialize every
+    step, so result relations and τ are identical across planes and
+    domain counts — the planner equivalence suite certifies this. *)
 
 open Mj_relation
 open Multijoin
@@ -57,8 +56,10 @@ module Config : sig
     obs : Mj_obs.Obs.sink;  (** tracing/metrics sink (noop by default) *)
     algo_policy : Planner.policy;  (** how strategies lower to plans *)
     index_cache : Exec.index_cache;
-        (** base-relation indexes shared by every execution under this
-            config — the "existing indices" the planner may assume *)
+        (** read by nothing: no kernel keeps an index between
+            executions.  Kept only so that config literals outside
+            [lib/] that set it still compile; {!of_env} sets a fresh
+            one. *)
     telemetry : string option;
         (** JSONL sidecar path for per-query telemetry records
             ([MJ_TELEMETRY] / [--telemetry]); [None] disables *)
@@ -76,7 +77,8 @@ module Config : sig
   (** The {e only} place in the library tree that reads the
       environment: [MJ_DATA_PLANE] (["frame"] selects the columnar
       plane), [MJ_DOMAINS] (worker count, clamped ≥ 1),
-      [MJ_ALGO_POLICY] (["hash"], ["cost"], ["wcoj"] or ["yann"]),
+      [MJ_ALGO_POLICY] (["hash"], ["wcoj"] or ["yann"]; ["cost"] is an
+      alias of ["hash"]),
       [MJ_TELEMETRY] (a
       JSONL sidecar path for per-query telemetry),
       [MJ_MORSEL] (probe-morsel rows for the parallel join), and
@@ -85,8 +87,7 @@ module Config : sig
       variables are read once per process (memoized) and the resolved
       values are registered with [Mj_pool.Pool.set_env_domains] and
       [Cost.Cache.set_env_backend], so legacy default-using callers
-      observe the same environment without re-reading it.  Each call
-      returns a fresh [index_cache].
+      observe the same environment without re-reading it.
       @raise Failure on an unknown [MJ_FAILPOINTS] name — a typo'd
       fault injection must fail loudly, not silently test nothing. *)
 
@@ -119,8 +120,7 @@ type stats = {
 }
 
 val lower : Config.t -> Database.t -> Strategy.t -> Physical.t
-(** {!Planner.lower} under the config's policy, with the config's
-    index cache as the warm-index set. *)
+(** {!Planner.lower} under the config's policy. *)
 
 val execute_plan :
   ?fdb:Mj_relation.Frame.Db.t ->
@@ -128,8 +128,7 @@ val execute_plan :
 (** Run an already-lowered plan on the config's plane.  [?fdb] is a
     pre-encoded frame copy of the database ([Frame.Db.of_database]) —
     the serve daemon's warm dictionary; it is consulted only on the
-    frame plane (seed executions keep their warm state in the config's
-    index cache) and is never mutated, so one encoding can back
+    frame plane and is never mutated, so one encoding can back
     concurrent executions. *)
 
 val execute_digest :

@@ -20,11 +20,8 @@ type stats = {
 let tiny_rows = 1024
 
 (* The columnar plane, plugged into the generic Driver walker:
-   intermediates are dictionary-encoded frames and every step runs the
-   one columnar hash kernel — the algorithm annotation is advisory
-   (τ and results are algorithm-independent for materializing
-   execution), and there are no base-relation indexes, so the INL fast
-   path falls back to the ordinary join. *)
+   intermediates are dictionary-encoded frames and every binary step
+   runs the one columnar hash kernel. *)
 module Frame_plane = struct
   let name = "frame"
   let root_span = "execute-frame"
@@ -64,7 +61,7 @@ module Frame_plane = struct
     end
     else f
 
-  let join ctx _algo ~common:_ f1 f2 =
+  let join ctx ~common:_ f1 f2 =
     let probes_before = ctx.fstats.Frame.probes in
     let j =
       Frame.natural_join ~obs:ctx.obs ?domains:ctx.domains
@@ -75,8 +72,6 @@ module Frame_plane = struct
       Obs.observe ctx.jprobe
         (float_of_int (ctx.fstats.Frame.probes - probes_before));
     lossy Frame_lossy_join j
-
-  let index_join _ctx ~common:_ ~outer:_ ~inner:_ = None
 
   let semijoin ctx ~common:_ f1 f2 =
     lossy Yann_lossy_semijoin (Frame.semijoin ~stats:ctx.fstats f1 f2)
@@ -90,7 +85,7 @@ module Frame_plane = struct
 
   let cardinality = Frame.cardinality
   let note_step _ctx _n = ()
-  let algo_label _ = "frame-hash"
+  let join_label = "frame-hash"
   (* Join outputs are left unsorted; the finishers establish the root's
      order themselves, so the sort lands in [ctx.fstats]. *)
   let to_relation ctx _scheme f =

@@ -54,14 +54,11 @@ val execute_plan :
   ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?par_threshold:int ->
   ?morsel:int -> ?fdb:Frame.Db.t ->
   Database.t -> Physical.t -> Relation.t * stats
-(** Execute an annotated physical plan on the columnar plane.  The
-    frame plane has exactly one join kernel, so the per-step algorithm
-    annotations are {e advisory}: every step runs the columnar hash
-    join (span attribute [algo = "frame-hash"]) whatever the plan says.
-    Results and [tuples_generated] still agree with [Exec.execute] on
-    the same plan — τ is a property of the join {e order}, not the
-    algorithm — which is what lets the planner equivalence suite force
-    any policy on either plane.
+(** Execute a physical plan on the columnar plane.  Every binary step
+    runs the columnar hash join (span attribute [algo = "frame-hash"]).
+    Results and [tuples_generated] agree with [Exec.execute] on the
+    same plan — τ is a property of the join {e order}, not the
+    kernel.
 
     [?fdb] supplies a pre-encoded copy of [db] (as built by
     [Frame.Db.of_database]) and skips the per-call dictionary encode —

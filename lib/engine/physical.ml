@@ -2,62 +2,37 @@ open Mj_relation
 open Mj_hypergraph
 open Multijoin
 
-type algorithm =
-  | Nested_loop
-  | Block_nested_loop of int
-  | Hash_join
-  | Sort_merge
-  | Index_nested_loop
-
 type t =
   | Scan of Scheme.t
-  | Join of algorithm * t * t
+  | Join of t * t
   | Generic_join of Scheme.t list * Attr.t list
   | Semijoin_program of Jointree.rooted
   | Ranked_enumerate of Jointree.rooted * int
 
-let rec of_strategy ?(algo = fun _ _ -> Hash_join) = function
+let rec of_strategy = function
   | Strategy.Leaf s -> Scan s
-  | Strategy.Join n ->
-      let left = of_strategy ~algo n.left in
-      let right = of_strategy ~algo n.right in
-      Join (algo (Strategy.schemes n.left) (Strategy.schemes n.right), left, right)
+  | Strategy.Join n -> Join (of_strategy n.left, of_strategy n.right)
 
 let rec strategy_of = function
   | Scan s -> Strategy.leaf s
-  | Join (_, l, r) -> Strategy.join (strategy_of l) (strategy_of r)
+  | Join (l, r) -> Strategy.join (strategy_of l) (strategy_of r)
   | Generic_join (ss, _) ->
       (* The node has no binary structure of its own; its strategy
          shadow is the left-deep chain over its relations — the τ
          comparisons in the planner read costs off this shadow. *)
       Strategy.left_deep ss
   | Semijoin_program rt | Ranked_enumerate (rt, _) ->
-      (* The join phase is a left-deep chain in root-outward order; the
-         semijoin sweeps generate no tuples under the paper's measure,
-         so the shadow prices exactly the plan's τ contribution. *)
+      (* The join phase is a left-deep chain in root-outward order over
+         the semijoin-reduced relations, so priced on the unreduced
+         database this shadow bounds the plan's τ from above (equal when
+         no tuple dangles). *)
       Strategy.left_deep (Jointree.join_order rt)
 
 let schemes p = Strategy.schemes (strategy_of p)
 
-let algorithms p =
-  let rec go acc = function
-    | Scan _ -> acc
-    | Join (a, l, r) -> go (go (a :: acc) l) r
-    | Generic_join _ | Semijoin_program _ | Ranked_enumerate _ -> acc
-  in
-  List.rev (go [] p)
-
-let algorithm_name = function
-  | Nested_loop -> "nl"
-  | Block_nested_loop b -> Printf.sprintf "bnl%d" b
-  | Hash_join -> "hash"
-  | Sort_merge -> "merge"
-  | Index_nested_loop -> "inl"
-
 let rec pp fmt = function
   | Scan s -> Scheme.pp fmt s
-  | Join (a, l, r) ->
-      Format.fprintf fmt "(%a %s %a)" pp l (algorithm_name a) pp r
+  | Join (l, r) -> Format.fprintf fmt "(%a hash %a)" pp l pp r
   | Generic_join (ss, order) ->
       Format.fprintf fmt "(wcoj";
       List.iter (fun s -> Format.fprintf fmt " %a" Scheme.pp s) ss;

@@ -2,30 +2,21 @@
 
     Section 1 motivates linear strategies by implementation concerns:
     they "can be programmed as nested loops, can take advantage of
-    existing indices, and can use pipelining".  This module gives those
-    words an executable meaning: a physical plan annotates each step of a
-    {!Multijoin.Strategy.t} with a join algorithm, and {!Exec} runs it.
+    existing indices, and can use pipelining".  This module gives the
+    strategy an executable form: a physical plan fixes how each step of
+    a {!Multijoin.Strategy.t} runs, and {!Exec} or {!Frame_engine} runs
+    it.
 
-    Algorithms:
+    A binary step ([Join]) is a hash join on each plane: the {e right}
+    child is built into a hash table on the common attributes and the
+    left child probes it.  τ counts the tuples a strategy generates, so
+    the per-step join algorithm could change the time a plan takes but
+    never its result, its τ or its step log; the planes keep one binary
+    kernel each.  No kernel takes a base relation's index from an
+    earlier execution, so Section 1's "existing indices" stay an
+    argument about linear strategies, not an operator.
 
-    - [Nested_loop]: tuple-at-a-time loop join; the inner input is
-      re-evaluated per outer tuple (pipelinable on the outer side);
-    - [Block_nested_loop]: the loop join with the outer side consumed in
-      blocks of a configurable size;
-    - [Hash_join]: classic build/probe — the {e right} child is built
-      into a hash table on the common attributes, the left is probed
-      pipelined;
-    - [Sort_merge]: both inputs materialized, sorted on the common
-      attributes and merged;
-    - [Index_nested_loop]: like [Hash_join], but when the inner (right)
-      child is a base-relation scan, the hash index is taken from — and
-      left in — the execution's index cache, so repeated executions (or
-      several joins against the same base relation) reuse "existing
-      indices" instead of rebuilding them (the Section 1 argument for
-      linear strategies).  On a non-scan inner it degrades to an
-      ordinary hash join.
-
-    Beyond the binary algorithms, a plan may contain one n-ary
+    Beyond the binary join, a plan may contain one n-ary
     [Generic_join] node: the worst-case-optimal join of a (typically
     cyclic) sub-hypergraph, evaluated attribute-by-attribute in a fixed
     elimination order with no binary intermediates — see
@@ -43,16 +34,11 @@ open Mj_relation
 open Mj_hypergraph
 open Multijoin
 
-type algorithm =
-  | Nested_loop
-  | Block_nested_loop of int  (** block size, ≥ 1 *)
-  | Hash_join
-  | Sort_merge
-  | Index_nested_loop
-
 type t =
   | Scan of Scheme.t
-  | Join of algorithm * t * t
+  | Join of t * t
+      (** A binary hash join: the right child builds, the left
+          probes. *)
   | Generic_join of Scheme.t list * Attr.t list
       (** [(relations, elimination order)]: the worst-case-optimal join
           of the listed base relations, binding attributes in the given
@@ -68,25 +54,23 @@ type t =
           tuples (by {!Mj_relation.Tuple.compare}) of the result,
           enumerated without materializing the full join. *)
 
-val of_strategy : ?algo:(Scheme.Set.t -> Scheme.Set.t -> algorithm) -> Strategy.t -> t
-(** Annotate every step; [algo] receives the children's scheme sets and
-    defaults to [Hash_join] everywhere. *)
+val of_strategy : Strategy.t -> t
+(** One [Join] per step of the strategy, one [Scan] per leaf. *)
 
 val strategy_of : t -> Strategy.t
-(** Forget the annotations.  A [Generic_join] has no binary structure to
+(** The strategy a plan executes.  A [Generic_join] has no binary structure to
     forget; it maps to the left-deep chain over its relations (the
     strategy shadow the planner's τ comparisons are made against), and a
     [Semijoin_program]/[Ranked_enumerate] to the left-deep chain over
-    its {!Jointree.join_order} — the exact join phase it executes.
+    its {!Jointree.join_order} — the order of its join phase, which runs
+    on the semijoin-reduced relations: [Cost.step_costs] of this
+    shadow on the unreduced database bounds the plan's step log from
+    above and differs from it wherever a tuple dangles.
     @raise Invalid_argument if the plan violates (S3). *)
 
 val schemes : t -> Scheme.Set.t
 
-val algorithms : t -> algorithm list
-(** Every join annotation in the plan, pre-order — what the planner
-    tests inspect to assert an algorithm was actually selected. *)
-
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
+(** Paper notation with each binary step printed as [(l hash r)]. *)
 
-val algorithm_name : algorithm -> string
+val to_string : t -> string

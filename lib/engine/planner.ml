@@ -4,137 +4,21 @@ open Multijoin
 module Catalog = Mj_optimizer.Catalog
 module Estimate = Mj_optimizer.Estimate
 
-type policy =
-  | Hash_all
-  | Cost_based
-  | Wcoj
-  | Yannakakis
-  | Forced of Physical.algorithm
+type policy = Hash_all | Wcoj | Yannakakis
 
 let policy_name = function
   | Hash_all -> "hash"
-  | Cost_based -> "cost"
   | Wcoj -> "wcoj"
   | Yannakakis -> "yann"
-  | Forced a -> "forced-" ^ Physical.algorithm_name a
 
+(* "cost" parses as an alias of [Hash_all], so that requests and
+   MJ_ALGO_POLICY settings that name it keep working. *)
 let policy_of_string s =
   match String.lowercase_ascii (String.trim s) with
-  | "hash" -> Some Hash_all
-  | "cost" -> Some Cost_based
+  | "hash" | "cost" -> Some Hash_all
   | "wcoj" -> Some Wcoj
   | "yann" -> Some Yannakakis
   | _ -> None
-
-let block_size = 64
-
-type env = {
-  catalog : Catalog.t;
-  oracle : Scheme.Set.t -> int;
-  has_index : Scheme.t -> Attr.Set.t -> bool;
-}
-
-(* Estimated distinct values of attribute [a] within the join of the
-   base relations [d]: the smallest per-relation distinct count among
-   the relations of [d] carrying [a] (a join can only lose values).
-   Falls back to [card] — key-like — when the catalog is silent. *)
-let distinct_in cat d a ~card =
-  let best =
-    Scheme.Set.fold
-      (fun s acc ->
-        if Attr.Set.mem a s then
-          match Catalog.distinct cat s a with
-          | v -> min acc v
-          | exception Not_found -> acc
-        else acc)
-      d max_int
-  in
-  if best = max_int then card else max 1 (min card best)
-
-(* Expected matches per distinct probe key on the build side: build
-   cardinality over the estimated number of distinct composite keys.
-   1.0 means key-like (each probe finds at most ~one group); large
-   values mean the skewed, duplicate-heavy regime the paper's Part II
-   examples are built from. *)
-let dup_factor cat right_schemes common cr =
-  if Attr.Set.is_empty common then 1.0
-  else
-    let keys =
-      Attr.Set.fold
-        (fun a acc ->
-          acc *. float_of_int (distinct_in cat right_schemes a ~card:cr))
-        common 1.0
-    in
-    let keys = Float.max 1.0 (Float.min (float_of_int cr) keys) in
-    float_of_int cr /. keys
-
-let log2 x = if x <= 2.0 then 1.0 else Float.log x /. Float.log 2.0
-
-(* Price one step per algorithm, in "tuples touched" units comparable
-   across algorithms, and take the first strict minimum of a fixed
-   candidate order — floats only feed a comparison between deterministic
-   formulas over integer inputs, so lowering is a pure function of the
-   (database, strategy, warm indexes) triple. *)
-let choose env left_schemes right_schemes right_leaf =
-  let cl = float_of_int (max 1 (env.oracle left_schemes)) in
-  let cr_int = max 1 (env.oracle right_schemes) in
-  let cr = float_of_int cr_int in
-  let common =
-    Attr.Set.inter
-      (Scheme.Set.universe left_schemes)
-      (Scheme.Set.universe right_schemes)
-  in
-  let cartesian = Attr.Set.is_empty common in
-  let dup = dup_factor env.catalog right_schemes common cr_int in
-  (* Loop joins pay their comparisons (this is an in-memory engine):
-     both test every tuple pair, and the nested loop additionally
-     re-traverses the inner input once per outer tuple where the
-     block variant re-traverses it once per block — so NL only wins
-     the degenerate one-row-outer steps and BNL the remaining
-     Cartesian ones. *)
-  let c_nl = 2.0 *. (cl *. cr) in
-  let c_bnl =
-    (cl *. cr) +. (Float.ceil (cl /. float_of_int block_size) *. cr) +. cl
-  in
-  (* On a Cartesian step the key-based algorithms degenerate (every
-     build key is equal, every probe walks the whole inner), so they
-     are priced out and the loop joins compete among themselves. *)
-  let c_hash =
-    if cartesian then 2.0 *. c_nl else cl +. cr +. (cl *. (dup -. 1.0))
-  in
-  let c_merge =
-    if cartesian then 2.0 *. c_nl
-    else (cl *. log2 cl) +. (cr *. log2 cr) +. cl +. cr
-  in
-  let c_inl =
-    match right_leaf with
-    | Some s when not cartesian ->
-        (* Probe-only when the base relation's index on these attributes
-           already exists; else pay one build of the inner.  The +0.5
-           models per-probe indirection, so a cold index never beats the
-           plain hash join it otherwise equals. *)
-        let build = if env.has_index s common then 0.0 else cr in
-        Some (cl +. build +. (cl *. (dup -. 1.0)) +. 0.5)
-    | _ -> None
-  in
-  let candidates =
-    (Physical.Hash_join, c_hash)
-    :: (Physical.Sort_merge, c_merge)
-    :: (match c_inl with
-       | Some c -> [ (Physical.Index_nested_loop, c) ]
-       | None -> [])
-    @ [
-        (Physical.Block_nested_loop block_size, c_bnl);
-        (Physical.Nested_loop, c_nl);
-      ]
-  in
-  match candidates with
-  | [] -> assert false
-  | (a0, c0) :: rest ->
-      fst
-        (List.fold_left
-           (fun (best, bc) (a, c) -> if c < bc then (a, c) else (best, bc))
-           (a0, c0) rest)
 
 (* Where the generic join earns its keep: a database scheme whose
    hypergraph is cyclic.  On α-acyclic schemes a semijoin-reduced binary
@@ -219,9 +103,10 @@ let yann_tree ?oracle db schemes =
           | Some o -> o
           | None -> Estimate.of_catalog catalog
         in
-        (* Same robustness contract as the cost-based arm: oversized
-           estimates may change which root/orientation wins — never the
-           result or τ-is-the-join-phase. *)
+        (* The oversize failpoint feeds the tree search estimates that
+           are wrong by three orders of magnitude: they may change which
+           root/orientation wins — never the result or
+           τ-is-the-join-phase. *)
         let oracle d =
           let v = oracle d in
           if Mj_failpoint.Failpoint.fire Estimate_oversize then
@@ -237,10 +122,9 @@ let yann_tree ?oracle db schemes =
         in
         Some (best_rooted_tree ~oracle schemes trees)
 
-let rec lower ?(policy = Hash_all) ?oracle ?indexes db strategy =
+let rec lower ?(policy = Hash_all) ?oracle db strategy =
   match policy with
   | Hash_all -> Physical.of_strategy strategy
-  | Forced a -> Physical.of_strategy ~algo:(fun _ _ -> a) strategy
   | Yannakakis -> (
       (* The asymptotically right algorithm for the α-acyclic regime:
          Yannakakis's semijoin program is instance-optimal there (total
@@ -256,7 +140,7 @@ let rec lower ?(policy = Hash_all) ?oracle ?indexes db strategy =
         else None
       with
       | Some rt -> Physical.Semijoin_program rt
-      | None -> lower ~policy:Wcoj ?oracle ?indexes db strategy)
+      | None -> lower ~policy:Wcoj ?oracle db strategy)
   | Wcoj ->
       (* Priced by the AGM bound, by dominance rather than per-plan
          arithmetic: the generic join's worst case over the whole
@@ -270,52 +154,13 @@ let rec lower ?(policy = Hash_all) ?oracle ?indexes db strategy =
          magnitude), so estimate-level pricing would mispick exactly on
          the workloads the node exists for; the bound itself is still
          surfaced — [Cost.Cache.agm], [mjoin explain] — as the
-         certificate of why.  Acyclic strategies fall back to the
-         cost-based arm: there binary plans are already optimal and the
-         chooser picks good per-step algorithms. *)
+         certificate of why.  Acyclic strategies keep their binary
+         plan: there binary plans are already optimal. *)
       let schemes = Strategy.schemes strategy in
       if is_cyclic schemes then
         Physical.Generic_join
           (Scheme.Set.elements schemes, elimination_order schemes)
-      else lower ~policy:Cost_based ?oracle ?indexes db strategy
-  | Cost_based ->
-      let catalog = Catalog.of_database db in
-      let oracle =
-        match oracle with
-        | Some o -> o
-        | None -> Estimate.of_catalog catalog
-      in
-      (* The oversize failpoint feeds the chooser estimates that are
-         wrong by three orders of magnitude.  A bad estimate may change
-         which algorithm wins a step — never the join result or τ, which
-         is the robustness contract the check harness asserts. *)
-      let oracle d =
-        let v = oracle d in
-        if Mj_failpoint.Failpoint.fire Estimate_oversize then
-          if v > max_int / 1000 then max_int else v * 1000
-        else v
-      in
-      let has_index =
-        match indexes with
-        | Some cache -> fun s on -> Exec.has_index cache s ~on
-        | None -> fun _ _ -> false
-      in
-      let env = { catalog; oracle; has_index } in
-      let rec go = function
-        | Strategy.Leaf s -> Physical.Scan s
-        | Strategy.Join n ->
-            let l = go n.left in
-            let r = go n.right in
-            let right_leaf =
-              match n.right with Strategy.Leaf s -> Some s | _ -> None
-            in
-            let algo =
-              choose env (Strategy.schemes n.left) (Strategy.schemes n.right)
-                right_leaf
-            in
-            Physical.Join (algo, l, r)
-      in
-      go strategy
+      else Physical.of_strategy strategy
 
 (* Ranked (top-k) lowering — the [mjoin topk] surface.  Only defined on
    α-acyclic queries (the ranked enumerator streams out of a reduced

@@ -1,65 +1,45 @@
 (** Lowering logical strategies to physical plans.
 
     A {!Multijoin.Strategy.t} fixes the join {e order} — the object the
-    paper's theorems rank by τ.  This module fixes the remaining degree
-    of freedom, the per-step {e algorithm}, turning a strategy into a
-    {!Physical.t} the engine can run.  The policy spectrum:
+    paper's theorems rank by τ.  This module decides which plan node
+    runs it.  Every binary step is a hash join: τ counts the tuples a
+    strategy generates, so a per-step algorithm could change the time
+    but never the result, τ or the step log.  The policies differ only
+    in when a strategy leaves the binary form:
 
-    - [Hash_all] — the historical default: every step a hash join
-      (what [Physical.of_strategy] did unconditionally before this
-      layer existed);
-    - [Forced a] — every step the given algorithm, for apples-to-apples
-      experiments and the planner equivalence suite;
-    - [Cost_based] — a System-R-flavoured chooser over
-      {!Mj_optimizer.Catalog} statistics: per step it estimates both
-      children via {!Mj_optimizer.Estimate.of_catalog} (or a caller
-      oracle), prices each algorithm in tuples touched — loop joins
-      pay their pairwise comparisons, with the block variant amortizing
-      inner re-traversals over blocks of 64; hash is linear plus a
-      duplicate penalty from the build side's distinct counts;
-      sort-merge n·log n; index-nested-loop is probe-only when the
-      execution cache already holds the inner base relation's index
-      (Section 1's "existing indices"); on Cartesian steps the
-      key-based algorithms are priced out — and keeps the cheapest.
+    - [Hash_all] — every step a binary hash join;
+    - [Wcoj] — a cyclic strategy becomes one n-ary generic join;
+    - [Yannakakis] — an α-acyclic strategy becomes a semijoin program
+      over a cost-chosen join tree, a cyclic one goes to the [Wcoj]
+      arm.
 
-    Determinism: candidates are priced by pure formulas over integer
-    estimates and compared in a fixed order with a strict minimum, so
-    lowering is a function of the (database, strategy, warm-index set)
-    triple — same inputs, same plan, on every run and every domain
-    count.  Changing the algorithm never changes the result relation or
-    τ (materializing execution generates the same tuples in any case);
-    only wall-clock and operator counters move.  The qcheck equivalence
-    suite certifies exactly that, on both data planes. *)
+    Determinism: lowering is a pure function of the (database,
+    strategy) pair — same inputs, same plan, on every run and every
+    domain count. *)
 
 open Mj_relation
 open Mj_hypergraph
 open Multijoin
 
 type policy =
-  | Hash_all  (** every step [Hash_join] — the pre-planner behavior *)
-  | Cost_based  (** catalog-driven per-step choice *)
+  | Hash_all  (** every step a binary hash join *)
   | Wcoj
       (** worst-case-optimal: cyclic strategies collapse into one
           {!Physical.Generic_join} node over the whole scheme set;
-          acyclic ones fall back to the [Cost_based] arm *)
+          acyclic ones keep their [Hash_all] plan *)
   | Yannakakis
       (** acyclic-first: α-acyclic strategies (two or more relations)
           lower to a {!Physical.Semijoin_program} over the cost-best
           rooted join tree; cyclic ones fall through to the [Wcoj] arm —
           every query routes to the algorithm whose worst case matches
           its structure *)
-  | Forced of Physical.algorithm  (** every step the given algorithm *)
 
 val policy_name : policy -> string
-(** ["hash"], ["cost"], ["wcoj"], ["yann"], or ["forced-<algo>"]. *)
+(** ["hash"], ["wcoj"] or ["yann"]. *)
 
 val policy_of_string : string -> policy option
-(** Parses the [--policy] flag values ["hash"], ["cost"], ["wcoj"] and
-    ["yann"] (case-insensitive); forced policies are built
-    programmatically (e.g. from [mjoin explain --algo]). *)
-
-val block_size : int
-(** Block size priced and emitted for [Block_nested_loop] (64). *)
+(** Parses the [--policy] flag values ["hash"], ["wcoj"] and ["yann"]
+    (case-insensitive).  ["cost"] parses as an alias of [Hash_all]. *)
 
 val is_cyclic : Scheme.Set.t -> bool
 (** Does the [Wcoj] policy emit a generic join for this scheme set?
@@ -96,25 +76,19 @@ val yann_tree :
 val lower :
   ?policy:policy ->
   ?oracle:(Scheme.Set.t -> int) ->
-  ?indexes:Exec.index_cache ->
   Database.t ->
   Strategy.t ->
   Physical.t
-(** [lower db s] annotates every step of [s].  [policy] defaults to
-    [Hash_all].  Under [Cost_based], [oracle] overrides the catalog
-    estimator (pass {!Multijoin.Cost.cardinality_oracle} for
-    true-cardinality lowering) and [indexes] — typically the
-    [Engine.Config]'s cache — marks which base-relation indexes are
-    already warm.  Under [Wcoj], a strategy whose scheme set
-    {!is_cyclic} lowers to a single {!Physical.Generic_join} over the
-    whole set (its join order is discarded — the node is n-ary) with
-    {!elimination_order}; otherwise the [Cost_based] arm applies
-    unchanged.  Under [Yannakakis], an α-acyclic strategy over at least
-    two relations lowers to [Physical.Semijoin_program (yann_tree …)]
-    and anything else falls through to the [Wcoj] arm.
-    @raise Not_found under [Cost_based] if the strategy mentions a
-    scheme outside [db] (the estimator has no statistics for it);
-    execution would reject such a plan anyway. *)
+(** [lower db s] turns [s] into a plan.  [policy] defaults to
+    [Hash_all], which is {!Physical.of_strategy}.  Under [Wcoj], a
+    strategy whose scheme set {!is_cyclic} lowers to a single
+    {!Physical.Generic_join} over the whole set (its join order is
+    discarded — the node is n-ary) with {!elimination_order}; otherwise
+    the [Hash_all] plan applies unchanged.  Under [Yannakakis], an
+    α-acyclic strategy over at least two relations lowers to
+    [Physical.Semijoin_program (yann_tree …)] and anything else falls
+    through to the [Wcoj] arm.  [oracle] overrides the catalog
+    estimator that {!yann_tree} prices join trees with. *)
 
 val lower_ranked :
   ?oracle:(Scheme.Set.t -> int) ->

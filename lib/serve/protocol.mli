@@ -11,7 +11,7 @@
     Requests:
     {v
     {"id":1,"op":"query","shape":"chain","n":4,"seed":7,"rows":40,
-     "domain":12,"regime":"uniform","policy":"cost","plane":"seed",
+     "domain":12,"regime":"uniform","policy":"hash","plane":"seed",
      "strategy":"(AB * BC) * CD"}
     {"id":2,"op":"stats"}
     {"id":3,"op":"invalidate"}

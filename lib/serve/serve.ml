@@ -5,20 +5,12 @@ module Json = Mj_obs.Json
 module Telemetry = Mj_obs.Telemetry
 module Engine = Mj_engine.Engine
 module Planner = Mj_engine.Planner
-module Exec = Mj_engine.Exec
 module Pool = Mj_pool.Pool
 module Failpoint = Mj_failpoint.Failpoint
 
 (* Per-database warm state.  The frame dictionary is built once, on
-   the first frame-plane query, and shared read-only afterwards.  Seed
-   index caches are NOT domain-safe (plain hashtables mutated by
-   execution), so the entry keeps a checkout pool: each in-flight
-   request borrows one cache exclusively and returns it warm. *)
-type db_entry = {
-  db : Database.t;
-  mutable fdb : Frame.Db.t option;
-  idle_caches : Exec.index_cache Queue.t;
-}
+   the first frame-plane query, and shared read-only afterwards. *)
+type db_entry = { db : Database.t; mutable fdb : Frame.Db.t option }
 
 type t = {
   cfg : Engine.Config.t;
@@ -120,13 +112,7 @@ let db_entry t ~key ~db =
           match Hashtbl.find_opt t.registry key with
           | Some e -> e
           | None ->
-              let e =
-                {
-                  db = materialized;
-                  fdb = None;
-                  idle_caches = Queue.create ();
-                }
-              in
+              let e = { db = materialized; fdb = None } in
               Hashtbl.add t.registry key e;
               e)
 
@@ -141,15 +127,6 @@ let frame_db t entry =
           | None ->
               entry.fdb <- Some built;
               built)
-
-let checkout_cache t entry =
-  locked t (fun () ->
-      match Queue.take_opt entry.idle_caches with
-      | Some c -> c
-      | None -> Exec.index_cache ())
-
-let checkin_cache t entry cache =
-  locked t (fun () -> Queue.push cache entry.idle_caches)
 
 (* ------------------------------------------------------------------ *)
 (* Query execution                                                     *)
@@ -209,17 +186,8 @@ let submit_query t ?id ?obs ?plane ?strategy ?policy ~key ~db () =
         | Some _ -> "serve.plan_cache_hit"
         | None -> "serve.plan_cache_miss")
         (fun () -> ());
-      let cache = checkout_cache t entry in
-      Fun.protect ~finally:(fun () -> checkin_cache t entry cache)
-      @@ fun () ->
       let cfg_req =
-        {
-          t.cfg with
-          Engine.Config.plane;
-          algo_policy = policy;
-          index_cache = cache;
-          obs;
-        }
+        { t.cfg with Engine.Config.plane; algo_policy = policy; obs }
       in
       let plan =
         match cached with

@@ -4,11 +4,9 @@
     format that keeps warm state alive across queries:
 
     - a {e database registry} keyed by {!Protocol.workload_key} —
-      materialized databases, their frame-plane dictionary encodings
-      ([Frame.Db.of_database], built once and shared read-only by
-      concurrent executions), and a checkout pool of seed-plane index
-      caches (an [Exec.index_cache] is not domain-safe, so each
-      in-flight request borrows one exclusively and returns it);
+      materialized databases and their frame-plane dictionary
+      encodings ([Frame.Db.of_database], built once and shared
+      read-only by concurrent executions);
     - a bounded LRU {e plan cache} ({!Plan_cache}) keyed on
       [(stats epoch, plane, policy, workload, strategy)] — hit/miss
       counters surface as the [Mj_obs] counters

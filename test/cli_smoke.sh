@@ -17,7 +17,7 @@ trap 'rm -rf "$TMP"' EXIT
 # Observability: EXPLAIN ANALYZE trees and JSONL trace export.
 "$MJOIN" explain --scenario university > /dev/null
 "$MJOIN" explain --scenario ex1 --strategy '(AB * BC) * (DE * FG)' \
-  --algo hash --trace "$TMP/explain.jsonl" > /dev/null
+  --policy hash --trace "$TMP/explain.jsonl" > /dev/null
 test -s "$TMP/explain.jsonl"
 "$MJOIN" explain --shape chain --size 5 --regime skewed > /dev/null
 "$MJOIN" optimize --shape star --size 6 --trace "$TMP/opt.jsonl" > /dev/null
@@ -25,16 +25,16 @@ test -s "$TMP/opt.jsonl"
 grep -q 'opt.pairs_inspected' "$TMP/opt.jsonl"
 
 # Unified engine flags (--engine / --domains / --policy) on every
-# executing subcommand, both planes, both lowering policies.
+# executing subcommand, both planes.  'cost' is an alias of 'hash'.
 "$MJOIN" explain --scenario ex1 --engine frame --policy cost > /dev/null
 "$MJOIN" explain --scenario ex1 --engine seed --policy cost --domains 2 \
-  | grep -q 'lowered (cost, seed plane)'
+  | grep -q 'lowered (hash, seed plane)'
 "$MJOIN" explain --shape chain -n 4 --regime skewed --engine frame \
   | grep -q 'frame plane'
 "$MJOIN" verify --scenario ex3 --engine frame --domains 2 \
   | grep -q 'engine: frame plane, 2 domains'
 "$MJOIN" optimize --shape star -n 5 --engine frame --policy cost \
-  | grep -q 'executed (frame plane, cost lowering)'
+  | grep -q 'executed (frame plane, hash lowering)'
 "$MJOIN" optimize --shape chain -n 4 --engine seed \
   | grep -q 'executed (seed plane, hash lowering)'
 MJ_DATA_PLANE=frame "$MJOIN" explain --scenario ex1 | grep -q 'frame plane'
@@ -138,6 +138,7 @@ if "$MJOIN" explain --scenario ex1 --storage heap > /dev/null 2>&1; then exit 1;
 if "$MJOIN" explain --scenario ex1 --policy greedy > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" verify --scenario ex3 --engine bogus > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" optimize --shape chain -n 4 --policy bogus > /dev/null 2>&1; then exit 1; fi
+if "$MJOIN" explain --scenario ex1 --algo hash > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" bench-diff "$TMP/db.txt" > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" bench-diff "$TMP/bench.json" > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" stats --from "$TMP/db.txt" > /dev/null 2>&1; then exit 1; fi

@@ -1,8 +1,8 @@
-(* Tests for the physical execution engine: every algorithm computes the
-   same relation as the algebra, the materializing engine's generated
-   tuple count equals the paper's tau, and pipelined execution of linear
-   strategies reproduces the step costs while bounding memory by the base
-   relations. *)
+(* Tests for the physical execution engine: the hash-join plan computes
+   the same relation as the algebra, the materializing engine's
+   generated tuple count equals the paper's tau, and pipelined execution
+   of linear strategies reproduces the step costs while bounding memory
+   by the base relations. *)
 
 open Mj_relation
 open Mj_hypergraph
@@ -13,15 +13,6 @@ module Dbgen = Mj_workload.Dbgen
 
 let qtest name ?(count = 100) gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
-
-let algorithms =
-  [
-    ("nested-loop", Physical.Nested_loop);
-    ("block-nested-loop", Physical.Block_nested_loop 3);
-    ("hash", Physical.Hash_join);
-    ("sort-merge", Physical.Sort_merge);
-    ("index-nested-loop", Physical.Index_nested_loop);
-  ]
 
 let gen_db_and_strategy =
   let open QCheck2.Gen in
@@ -43,24 +34,10 @@ let test_of_strategy_roundtrip () =
   Alcotest.(check bool) "strategy recovered" true
     (Strategy.equal (Physical.strategy_of p) s)
 
-let test_algo_chooser () =
-  let s = Strategy.of_string "(AB * BC) * CD" in
-  let p =
-    Physical.of_strategy
-      ~algo:(fun d1 _ ->
-        if Scheme.Set.cardinal d1 = 1 then Physical.Nested_loop
-        else Physical.Sort_merge)
-      s
-  in
-  Alcotest.(check string) "annotations placed"
-    "((AB nl BC) merge CD)" (Physical.to_string p)
-
 let test_plan_pp () =
   let p =
     Physical.Join
-      (Physical.Hash_join,
-       Physical.Scan (Scheme.of_string "AB"),
-       Physical.Scan (Scheme.of_string "BC"))
+      (Physical.Scan (Scheme.of_string "AB"), Physical.Scan (Scheme.of_string "BC"))
   in
   Alcotest.(check string) "printed" "(AB hash BC)" (Physical.to_string p)
 
@@ -70,28 +47,13 @@ let test_plan_pp () =
 
 let ex1 = Scenarios.example1
 
-let test_all_algorithms_agree () =
-  let s = List.assoc "S4" Scenarios.example1_strategies in
-  let expected = Database.join_all ex1 in
-  List.iter
-    (fun (name, algo) ->
-      let plan = Physical.of_strategy ~algo:(fun _ _ -> algo) s in
-      let result, _ = Exec.execute ex1 plan in
-      Alcotest.(check bool) (name ^ " computes the join") true
-        (Relation.equal result expected))
-    algorithms
-
 let test_generated_equals_tau_example1 () =
   List.iter
     (fun (sname, s) ->
-      List.iter
-        (fun (aname, algo) ->
-          let plan = Physical.of_strategy ~algo:(fun _ _ -> algo) s in
-          let _, stats = Exec.execute ex1 plan in
-          Alcotest.(check int)
-            (Printf.sprintf "%s under %s generates tau tuples" sname aname)
-            (Cost.tau ex1 s) stats.Exec.tuples_generated)
-        algorithms)
+      let _, stats = Exec.execute ex1 (Physical.of_strategy s) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s generates tau tuples" sname)
+        (Cost.tau ex1 s) stats.Exec.tuples_generated)
     Scenarios.example1_strategies
 
 let test_per_step_matches_step_costs () =
@@ -108,52 +70,10 @@ let test_scanned_counts_base_tuples () =
   let _, stats = Exec.execute ex1 plan in
   Alcotest.(check int) "4 + 4 scanned" 8 stats.Exec.tuples_scanned
 
-let test_nested_loop_comparisons () =
-  let s = Strategy.of_string "AB * BC" in
-  let plan = Physical.of_strategy ~algo:(fun _ _ -> Physical.Nested_loop) s in
-  let _, stats = Exec.execute ex1 plan in
-  Alcotest.(check int) "4 x 4 comparisons" 16 stats.Exec.comparisons
-
 let test_hash_probes () =
   let s = Strategy.of_string "AB * BC" in
-  let plan = Physical.of_strategy ~algo:(fun _ _ -> Physical.Hash_join) s in
-  let _, stats = Exec.execute ex1 plan in
+  let _, stats = Exec.execute ex1 (Physical.of_strategy s) in
   Alcotest.(check int) "one probe per left tuple" 4 stats.Exec.hash_probes
-
-let test_sort_merge_comparisons () =
-  (* AB ⋈ BC on example 1: both sides sort to keys [0;0;0;1], so the
-     merge does one key test per group boundary (2) and one test per
-     tuple pair of each matched group (3*3 + 1*1) — the same pair
-     counting as the loop joins. *)
-  let s = Strategy.of_string "AB * BC" in
-  let plan = Physical.of_strategy ~algo:(fun _ _ -> Physical.Sort_merge) s in
-  let _, stats = Exec.execute ex1 plan in
-  Alcotest.(check int) "2 key tests + 10 pair tests" 12 stats.Exec.comparisons
-
-let test_bnl_large_input () =
-  (* Regression: [take] used to recurse once per taken element, so a
-     block covering a few hundred thousand tuples overflowed the stack. *)
-  let rows = List.init 300_000 (fun k -> [ Value.int k; Value.int 0 ]) in
-  let db =
-    Database.of_rows
-      [ ("AB", rows); ("BC", [ [ Value.int 0; Value.int 7 ] ]) ]
-  in
-  let s = Strategy.of_string "AB * BC" in
-  let plan =
-    Physical.of_strategy ~algo:(fun _ _ -> Physical.Block_nested_loop 500_000) s
-  in
-  let result, stats = Exec.execute db plan in
-  Alcotest.(check int) "every row joins" 300_000 (Relation.cardinality result);
-  Alcotest.(check int) "one comparison per pair" 300_000 stats.Exec.comparisons
-
-let test_block_size_validated () =
-  let s = Strategy.of_string "AB * BC" in
-  let plan =
-    Physical.of_strategy ~algo:(fun _ _ -> Physical.Block_nested_loop 0) s
-  in
-  match Exec.execute ex1 plan with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "block size 0 must be rejected"
 
 let test_missing_scheme () =
   let plan = Physical.Scan (Scheme.of_string "XY") in
@@ -164,31 +84,13 @@ let test_missing_scheme () =
 let prop_engine_matches_algebra =
   qtest "every algorithm = algebra join, generated = tau" ~count:60
     gen_db_and_strategy (fun (db, s) ->
-      let expected = Database.join_all db in
-      let tau = Cost.tau db s in
-      List.for_all
-        (fun (_, algo) ->
-          let plan = Physical.of_strategy ~algo:(fun _ _ -> algo) s in
-          let result, stats = Exec.execute db plan in
-          Relation.equal result expected && stats.Exec.tuples_generated = tau)
-        algorithms)
-
-let prop_mixed_algorithms =
-  qtest "mixed per-step algorithms still agree" ~count:60 gen_db_and_strategy
-    (fun (db, s) ->
-      let pick d1 _ =
-        match Scheme.Set.cardinal d1 mod 3 with
-        | 0 -> Physical.Nested_loop
-        | 1 -> Physical.Hash_join
-        | _ -> Physical.Sort_merge
-      in
-      let result, stats = Exec.execute db (Physical.of_strategy ~algo:pick s) in
+      let result, stats = Exec.execute db (Physical.of_strategy s) in
       Relation.equal result (Database.join_all db)
       && stats.Exec.tuples_generated = Cost.tau db s)
 
 (* Each join compiles its merge once, so all rows of one seed join
    share one header — even over example 1's [of_rows] states, whose
-   tuples each carry their own — under every kernel. *)
+   tuples each carry their own — materialized or pipelined. *)
 let test_join_rows_share_a_header () =
   let s = Strategy.of_string "((AB * BC) * DE) * FG" in
   let one_header name r =
@@ -199,51 +101,8 @@ let test_join_rows_share_a_header () =
         Alcotest.(check bool) name true
           (List.for_all (fun t' -> Tuple.header_of t' == h) rest)
   in
-  List.iter
-    (fun (name, algo) ->
-      let plan = Physical.of_strategy ~algo:(fun _ _ -> algo) s in
-      one_header name (fst (Exec.execute ex1 plan)))
-    algorithms;
+  one_header "hash" (fst (Exec.execute ex1 (Physical.of_strategy s)));
   one_header "pipelined" (fst (Exec.execute_pipelined ex1 s))
-
-(* ------------------------------------------------------------------ *)
-(* Index reuse                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let inl_plan s =
-  Physical.of_strategy ~algo:(fun _ _ -> Physical.Index_nested_loop) s
-
-let test_index_builds_once_per_relation () =
-  let s = Strategy.of_string "((AB * BC) * DE) * FG" in
-  let _, stats = Exec.execute ex1 (inl_plan s) in
-  (* Every inner side of this left-deep plan is a base scan: three
-     indexes built, none reused within one run. *)
-  Alcotest.(check int) "three builds" 3 stats.Exec.index_builds;
-  Alcotest.(check int) "no hits yet" 0 stats.Exec.index_hits
-
-let test_index_cache_reused_across_runs () =
-  let s = Strategy.of_string "((AB * BC) * DE) * FG" in
-  let cache = Exec.index_cache () in
-  let r1, first = Exec.execute ~cache ex1 (inl_plan s) in
-  let r2, second = Exec.execute ~cache ex1 (inl_plan s) in
-  Alcotest.(check bool) "same result" true (Relation.equal r1 r2);
-  Alcotest.(check int) "first run builds" 3 first.Exec.index_builds;
-  Alcotest.(check int) "second run builds nothing" 0 second.Exec.index_builds;
-  Alcotest.(check int) "second run hits the cache" 3 second.Exec.index_hits;
-  (* The cached-index run never re-scans the inner relations. *)
-  Alcotest.(check int) "second run scans only the outer" 4
-    second.Exec.tuples_scanned
-
-let test_index_fallback_on_bushy () =
-  (* A bushy inner child is not a scan: the step degrades to hash join
-     and builds no persistent index. *)
-  let s = Strategy.of_string "AB * (BC * DE)" in
-  let cache = Exec.index_cache () in
-  let result, stats = Exec.execute ~cache ex1 (inl_plan s) in
-  Alcotest.(check bool) "correct result" true
-    (Relation.equal result (Cost.eval ex1 s));
-  (* Only BC * DE's inner (DE) is a scan; the root's inner is bushy. *)
-  Alcotest.(check int) "one persistent index" 1 stats.Exec.index_builds
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined execution                                                  *)
@@ -352,40 +211,20 @@ let () =
         [
           Alcotest.test_case "of_strategy roundtrip" `Quick
             test_of_strategy_roundtrip;
-          Alcotest.test_case "algorithm chooser" `Quick test_algo_chooser;
           Alcotest.test_case "pp" `Quick test_plan_pp;
         ] );
       ( "materializing",
         [
-          Alcotest.test_case "algorithms agree" `Quick test_all_algorithms_agree;
           Alcotest.test_case "generated = tau on example 1" `Quick
             test_generated_equals_tau_example1;
           Alcotest.test_case "per-step = step costs" `Quick
             test_per_step_matches_step_costs;
           Alcotest.test_case "scanned" `Quick test_scanned_counts_base_tuples;
-          Alcotest.test_case "nested-loop comparisons" `Quick
-            test_nested_loop_comparisons;
           Alcotest.test_case "hash probes" `Quick test_hash_probes;
-          Alcotest.test_case "sort-merge comparisons" `Quick
-            test_sort_merge_comparisons;
-          Alcotest.test_case "block-nested-loop large input" `Quick
-            test_bnl_large_input;
-          Alcotest.test_case "block size validated" `Quick
-            test_block_size_validated;
           Alcotest.test_case "missing scheme" `Quick test_missing_scheme;
           Alcotest.test_case "join rows share a header" `Quick
             test_join_rows_share_a_header;
           prop_engine_matches_algebra;
-          prop_mixed_algorithms;
-        ] );
-      ( "index-reuse",
-        [
-          Alcotest.test_case "builds once per relation" `Quick
-            test_index_builds_once_per_relation;
-          Alcotest.test_case "cache reused across runs" `Quick
-            test_index_cache_reused_across_runs;
-          Alcotest.test_case "fallback on bushy inner" `Quick
-            test_index_fallback_on_bushy;
         ] );
       ( "pipelined",
         [

@@ -194,10 +194,6 @@ let test_counters_match_stats () =
     (v "exec.comparisons");
   Alcotest.(check int) "hash probes" stats.Exec.hash_probes
     (v "exec.hash_probes");
-  Alcotest.(check int) "index builds" stats.Exec.index_builds
-    (v "exec.index_builds");
-  Alcotest.(check int) "index hits" stats.Exec.index_hits
-    (v "exec.index_hits");
   Alcotest.(check int) "max materialized" stats.Exec.max_materialized
     (v "exec.max_materialized");
   (* And the strategy's tau really is what the counter holds. *)

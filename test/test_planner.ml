@@ -1,12 +1,10 @@
 (* Equivalence suite for the planner and the unified engine core.
 
-   The contract under test is the one the Engine docs state: lowering
-   policy and data plane are execution details — for any strategy, every
-   policy (hash-everywhere, cost-based, every forced algorithm) on both
-   planes produces the identical result relation, generates exactly
-   Cost.tau tuples, and reproduces Cost.step_costs step by step.  The
-   cost-based chooser itself is pinned down on a hand-built database
-   where each of the five algorithms has a region it must win. *)
+   The contract under test is the one the Engine docs state: the data
+   plane is an execution detail — for any strategy, the binary lowering
+   on both planes produces the identical result relation, generates
+   exactly Cost.tau tuples, and reproduces Cost.step_costs step by
+   step. *)
 
 open Mj_relation
 open Mj_hypergraph
@@ -15,7 +13,6 @@ module Dbgen = Mj_workload.Dbgen
 module Engine = Mj_engine.Engine
 module Planner = Mj_engine.Planner
 module Physical = Mj_engine.Physical
-module Exec = Mj_engine.Exec
 
 let qtest name ?(count = 100) gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
@@ -50,120 +47,33 @@ let gen_case =
   let s = Enumerate.random_strategy ~rng d in
   return (db, s)
 
-let policies =
-  [
-    Planner.Hash_all;
-    Planner.Cost_based;
-    Planner.Forced Physical.Nested_loop;
-    Planner.Forced (Physical.Block_nested_loop 3);
-    Planner.Forced Physical.Hash_join;
-    Planner.Forced Physical.Sort_merge;
-    Planner.Forced Physical.Index_nested_loop;
-  ]
-
 let planes = [ Engine.Seed; Engine.Frame ]
 
 (* ------------------------------------------------------------------ *)
 (* The equivalence property                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Every policy × plane: same result, τ tuples generated, per-step
-   cardinalities identical to Cost.step_costs, strategy recoverable
-   from the lowered plan. *)
+(* The binary lowering on every plane: same result, τ tuples
+   generated, per-step cardinalities identical to Cost.step_costs,
+   strategy recoverable from the lowered plan. *)
 let equivalence (db, s) =
   let expected = Cost.eval db s in
   let tau = Cost.tau db s in
   let steps = List.map snd (Cost.step_costs db s) in
   List.for_all
-    (fun policy ->
-      List.for_all
-        (fun plane ->
-          let cfg = Engine.Config.make ~plane ~domains:2 ~policy () in
-          let plan = Engine.lower cfg db s in
-          let r, stats = Engine.execute_plan cfg db plan in
-          Strategy.equal (Physical.strategy_of plan) s
-          && Relation.equal r expected
-          && stats.Engine.plane = plane
-          && stats.Engine.tuples_generated = tau
-          && stats.Engine.result_rows = Relation.cardinality expected
-          && List.map snd stats.Engine.per_step = steps)
-        planes)
-    policies
-
-(* Lowering is a pure function of (database, strategy, warm indexes). *)
-let deterministic_lowering (db, s) =
-  let lower () = Planner.lower ~policy:Planner.Cost_based db s in
-  Physical.to_string (lower ()) = Physical.to_string (lower ())
-
-(* ------------------------------------------------------------------ *)
-(* The cost-based chooser: every algorithm has a winning region         *)
-(* ------------------------------------------------------------------ *)
-
-(* 400-row relations with 2-valued join columns make hash's duplicate
-   penalty enormous; a 1-row outer makes the plain nested loop cheapest
-   of the loop joins; disjoint schemes force loop joins outright; EF's
-   key-like E column plus a warmed index makes probe-only INL beat
-   rebuilding a hash table. *)
-let coverage_db () =
-  Database.of_relations
-    [
-      Relation.of_rows "A" [ [ Value.int 0 ] ];
-      Relation.of_rows "BC"
-        (List.init 400 (fun i -> [ Value.int (i mod 2); Value.int i ]));
-      Relation.of_rows "CD"
-        (List.init 400 (fun i -> [ Value.int i; Value.int (i mod 2) ]));
-      Relation.of_rows "DE"
-        (List.init 400 (fun i -> [ Value.int (i mod 2); Value.int i ]));
-      Relation.of_rows "EF"
-        (List.init 30 (fun i -> [ Value.int i; Value.int i ]));
-    ]
-
-let cost_algos ?indexes db src =
-  String.concat ","
-    (List.map Physical.algorithm_name
-       (Physical.algorithms
-          (Planner.lower ~policy:Planner.Cost_based ?indexes db
-             (Strategy.of_string src))))
-
-let test_algorithm_coverage () =
-  let db = coverage_db () in
-  Alcotest.(check string) "Cartesian step, 1-row outer: nested loop" "nl"
-    (cost_algos db "A * DE");
-  Alcotest.(check string) "Cartesian step, wide outer: block nested loop"
-    (Printf.sprintf "bnl%d" Planner.block_size)
-    (cost_algos db "BC * DE");
-  Alcotest.(check string) "key-like join column: hash" "hash"
-    (cost_algos db "BC * CD");
-  Alcotest.(check string)
-    "duplicate-heavy probe side: sort-merge beats hash's dup penalty"
-    "merge,hash"
-    (cost_algos db "(BC * CD) * DE");
-  let cache = Exec.index_cache () in
-  Alcotest.(check string) "cold index: INL not worth a probe surcharge"
-    "hash"
-    (cost_algos ~indexes:cache db "DE * EF");
-  Exec.prime_index cache db (Scheme.of_string "EF") ~on:(Scheme.of_string "E");
-  Alcotest.(check bool) "prime_index registers the index" true
-    (Exec.has_index cache (Scheme.of_string "EF") ~on:(Scheme.of_string "E"));
-  Alcotest.(check string) "warm index on the inner base relation: INL" "inl"
-    (cost_algos ~indexes:cache db "DE * EF")
-
-(* The warm-index plan really probes the cache: a second execution
-   through the same config counts an index hit and no build. *)
-let test_warm_index_execution () =
-  let db = coverage_db () in
-  let cfg = Engine.Config.make ~plane:Engine.Seed ~policy:Planner.Cost_based () in
-  Exec.prime_index cfg.Engine.Config.index_cache db (Scheme.of_string "EF")
-    ~on:(Scheme.of_string "E");
-  let s = Strategy.of_string "DE * EF" in
-  let plan = Engine.lower cfg db s in
-  Alcotest.(check string) "lowered to INL" "inl"
-    (String.concat "," (List.map Physical.algorithm_name (Physical.algorithms plan)));
-  let _, stats = Engine.execute_plan cfg db plan in
-  let seed = Option.get stats.Engine.seed in
-  Alcotest.(check int) "no index build (the cache was warm)" 0
-    seed.Exec.index_builds;
-  Alcotest.(check int) "one index hit" 1 seed.Exec.index_hits
+    (fun plane ->
+      let cfg =
+        Engine.Config.make ~plane ~domains:2 ~policy:Planner.Hash_all ()
+      in
+      let plan = Engine.lower cfg db s in
+      let r, stats = Engine.execute_plan cfg db plan in
+      Strategy.equal (Physical.strategy_of plan) s
+      && Relation.equal r expected
+      && stats.Engine.plane = plane
+      && stats.Engine.tuples_generated = tau
+      && stats.Engine.result_rows = Relation.cardinality expected
+      && List.map snd stats.Engine.per_step = steps)
+    planes
 
 (* ------------------------------------------------------------------ *)
 (* Config                                                               *)
@@ -172,12 +82,12 @@ let test_warm_index_execution () =
 let test_config_overrides () =
   let cfg =
     Engine.Config.make ~plane:Engine.Frame ~domains:3
-      ~policy:Planner.Cost_based ()
+      ~policy:Planner.Wcoj ()
   in
   Alcotest.(check string) "plane override" "frame"
     (Engine.plane_name cfg.Engine.Config.plane);
   Alcotest.(check int) "domains override" 3 cfg.Engine.Config.domains;
-  Alcotest.(check string) "policy override" "cost"
+  Alcotest.(check string) "policy override" "wcoj"
     (Planner.policy_name cfg.Engine.Config.algo_policy);
   Alcotest.(check bool) "backend follows the plane" true
     (Engine.Config.backend cfg = Cost.Cache.Frame);
@@ -197,12 +107,15 @@ let test_parsing () =
     (Engine.plane_of_string "columnar" = None);
   Alcotest.(check bool) "policy: hash" true
     (Planner.policy_of_string "hash" = Some Planner.Hash_all);
-  Alcotest.(check bool) "policy: cost" true
-    (Planner.policy_of_string " COST " = Some Planner.Cost_based);
+  Alcotest.(check bool) "policy: cost is an alias of hash" true
+    (Planner.policy_of_string " COST " = Some Planner.Hash_all);
+  Alcotest.(check string) "the alias prints as hash" "hash"
+    (Planner.policy_name (Option.get (Planner.policy_of_string "cost")));
   Alcotest.(check bool) "policy: junk rejected" true
     (Planner.policy_of_string "greedy" = None);
-  Alcotest.(check string) "forced policy name" "forced-bnl3"
-    (Planner.policy_name (Planner.Forced (Physical.Block_nested_loop 3)))
+  (* [main] set MJ_ALGO_POLICY=cost before the first environment read. *)
+  Alcotest.(check bool) "MJ_ALGO_POLICY=cost gives Hash_all" true
+    ((Engine.Config.of_env ()).Engine.Config.algo_policy = Planner.Hash_all)
 
 (* Frame executions are deterministic in the domain count through the
    full Config → lower → execute path. *)
@@ -221,21 +134,15 @@ let test_frame_domain_determinism () =
     s4.Engine.tuples_generated
 
 let () =
+  (* Config.of_env reads the environment once per process, so the
+     variable is set before any test runs. *)
+  Unix.putenv "MJ_ALGO_POLICY" "cost";
   Alcotest.run "planner"
     [
       ( "equivalence",
         [
           qtest "every policy x plane: same result, tau, and steps" ~count:40
             gen_case equivalence;
-          qtest "cost-based lowering is deterministic" ~count:60 gen_case
-            deterministic_lowering;
-        ] );
-      ( "chooser",
-        [
-          Alcotest.test_case "each algorithm wins its region" `Quick
-            test_algorithm_coverage;
-          Alcotest.test_case "warm-index INL probes without building" `Quick
-            test_warm_index_execution;
         ] );
       ( "config",
         [

@@ -127,7 +127,7 @@ let spec_of_rng rng =
   let rows = 4 + Random.State.int rng 8 in
   let domain = 3 + Random.State.int rng 4 in
   let seed = Random.State.int rng 1000 in
-  let policies = [| Planner.Hash_all; Planner.Cost_based |] in
+  let policies = [| Planner.Hash_all; Planner.Wcoj |] in
   let policy = policies.(Random.State.int rng (Array.length policies)) in
   let plane = if Random.State.bool rng then Engine.Seed else Engine.Frame in
   {
@@ -517,6 +517,32 @@ let test_golden_hash () =
             (where ^ " hash") (Some golden_hash)
             (Option.bind (Json.of_string_opt line) (str_field "hash")))
         [ Planner.Hash_all; Planner.Yannakakis ])
+    [ Engine.Seed; Engine.Frame ];
+  (* "cost" still parses, as an alias of "hash": the same hash, τ and
+     per-step log. *)
+  List.iter
+    (fun plane ->
+      let answer policy =
+        let line =
+          Serve.handle_line (mk_serve ())
+            (Printf.sprintf
+               {|{"op":"query","shape":"chain","n":4,"rows":40,"domain":12,"seed":7,"policy":"%s","plane":"%s"}|}
+               policy (Engine.plane_name plane))
+        in
+        match Json.of_string_opt line with
+        | Some j ->
+            List.map
+              (fun f -> Option.map Json.to_string (Json.member f j))
+              [ "hash"; "tau"; "steps" ]
+        | None -> Alcotest.fail "unparseable response"
+      in
+      let cost = answer "cost" in
+      let where = Engine.plane_name plane ^ "/cost" in
+      Alcotest.(check (option string))
+        (where ^ " hash") (Some (Printf.sprintf "%S" golden_hash))
+        (List.hd cost);
+      Alcotest.(check (list (option string)))
+        (where ^ " hash, tau and steps = hash's") (answer "hash") cost)
     [ Engine.Seed; Engine.Frame ]
 
 (* Certification is a named layer of the request: a [serve.certify]

@@ -394,7 +394,7 @@ let lowering_shape =
           (* The cost-based arm: binary joins only. *)
           let rec no_generic = function
             | Physical.Scan _ -> true
-            | Physical.Join (_, l, r) -> no_generic l && no_generic r
+            | Physical.Join (l, r) -> no_generic l && no_generic r
             | Physical.Generic_join _ | Physical.Semijoin_program _
             | Physical.Ranked_enumerate _ ->
                 false
