@@ -87,14 +87,15 @@ type flags = {
 
 let engine_term =
   Term.(
-    const (fun plane domains policy ->
-        { plane; domains; policy; telemetry = None; morsel = None })
-    $ engine_arg $ domains_arg $ policy_arg)
+    const (fun plane domains ->
+        { plane; domains; policy = None; telemetry = None; morsel = None })
+    $ engine_arg $ domains_arg)
 
 let config_term =
   Term.(
-    const (fun f telemetry morsel -> { f with telemetry; morsel })
-    $ engine_term $ telemetry_arg $ morsel_arg)
+    const (fun f policy telemetry morsel ->
+        { f with policy; telemetry; morsel })
+    $ engine_term $ policy_arg $ telemetry_arg $ morsel_arg)
 
 let make_config ?obs f =
   Engine.Config.make ?plane:f.plane ?domains:f.domains ?policy:f.policy ?obs

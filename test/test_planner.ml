@@ -112,10 +112,7 @@ let test_parsing () =
   Alcotest.(check string) "the alias prints as hash" "hash"
     (Planner.policy_name (Option.get (Planner.policy_of_string "cost")));
   Alcotest.(check bool) "policy: junk rejected" true
-    (Planner.policy_of_string "greedy" = None);
-  (* [main] set MJ_ALGO_POLICY=cost before the first environment read. *)
-  Alcotest.(check bool) "MJ_ALGO_POLICY=cost gives Hash_all" true
-    ((Engine.Config.of_env ()).Engine.Config.algo_policy = Planner.Hash_all)
+    (Planner.policy_of_string "greedy" = None)
 
 (* Frame executions are deterministic in the domain count through the
    full Config → lower → execute path. *)
@@ -134,9 +131,6 @@ let test_frame_domain_determinism () =
     s4.Engine.tuples_generated
 
 let () =
-  (* Config.of_env reads the environment once per process, so the
-     variable is set before any test runs. *)
-  Unix.putenv "MJ_ALGO_POLICY" "cost";
   Alcotest.run "planner"
     [
       ( "equivalence",
