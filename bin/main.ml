@@ -38,26 +38,22 @@ let scenario_conv =
   Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
 
 let shape_conv =
-  let parse = function
-    | "chain" -> Ok ("chain", fun ~rng:_ n -> Querygraph.chain n)
-    | "cycle" -> Ok ("cycle", fun ~rng:_ n -> Querygraph.cycle n)
-    | "star" -> Ok ("star", fun ~rng:_ n -> Querygraph.star n)
-    | "path" -> Ok ("path", fun ~rng:_ n -> Querygraph.path n)
-    | "snowflake" ->
-        Ok ("snowflake", fun ~rng:_ n -> Querygraph.snowflake ~fanout:2 n)
-    | "clique" -> Ok ("clique", fun ~rng:_ n -> Querygraph.clique n)
-    | "random" ->
-        Ok ("random", fun ~rng n -> Querygraph.random ~extra_edge_prob:0.3 ~rng n)
-    | s -> Error (`Msg (Printf.sprintf "unknown shape %s" s))
+  let parse s =
+    match List.assoc_opt s Mj_workload.Dbgen.shapes with
+    | Some shape -> Ok (s, shape)
+    | None -> Error (`Msg (Printf.sprintf "unknown shape %s" s))
   in
   Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
 
 let shape_arg =
   Arg.(
     value
-    & opt shape_conv ("chain", fun ~rng:_ n -> Querygraph.chain n)
+    & opt shape_conv ("chain", List.assoc "chain" Mj_workload.Dbgen.shapes)
     & info [ "shape" ]
-        ~doc:"Query shape: chain, cycle, star, path, snowflake, clique, random.")
+        ~doc:
+          ("Query shape: "
+          ^ String.concat ", " (List.map fst Mj_workload.Dbgen.shapes)
+          ^ "."))
 
 let n_arg =
   Arg.(value & opt int 5 & info [ "n"; "size" ] ~doc:"Number of relations.")
@@ -83,6 +79,20 @@ let regime_arg =
     & opt regime_conv "uniform"
     & info [ "regime" ]
         ~doc:"Data regime: superkey (C3 holds), uniform, skewed, consistent.")
+
+(* The database a command runs on: the named paper scenario, else the
+   one [--shape], [--size], [--regime] and [--seed] generate (one RNG
+   seeded by [seed] draws the shape, then the data, like
+   [Protocol.materialize]), labelled with the scenario's name or the
+   generating knobs. *)
+let database scenario (shape_name, shape) n seed rows domain regime =
+  match scenario with
+  | Some (name, db) -> (name, db)
+  | None ->
+      let rng = Random.State.make [| seed |] in
+      let d = shape ~rng n in
+      ( Printf.sprintf "%s-%d (%s data, seed %d)" shape_name n regime seed,
+        Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d )
 
 let config_term = Mj_cli.config_term
 let make_config = Mj_cli.make_config
@@ -185,19 +195,18 @@ let conditions_cmd =
 (* verify                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_verify scenario (shape_name, shape) n seed rows domain regime config =
-  let query, db =
+let run_verify scenario ((shape_name, _) as shape) n seed rows domain regime
+    config =
+  let name, db = database scenario shape n seed rows domain regime in
+  let query =
     match scenario with
-    | Some (name, db) ->
+    | Some _ ->
         Format.printf "Scenario %s@." name;
-        (name, db)
+        name
     | None ->
-        let rng = Random.State.make [| seed |] in
-        let d = shape ~rng n in
         Format.printf "%s query of %d relations, %s data, seed %d@." shape_name
           n regime seed;
-        ( Printf.sprintf "%s-%d/%s/seed%d" shape_name n regime seed,
-          Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d )
+        Printf.sprintf "%s-%d/%s/seed%d" shape_name n regime seed
   in
   let obs = Obs.make () in
   let cfg = make_config ~obs config in
@@ -282,11 +291,10 @@ let graceful f x =
       prerr_endline ("mjoin: " ^ msg);
       exit 1
 
-let run_optimize (shape_name, shape) n seed rows domain regime config
+let run_optimize ((shape_name, _) as shape) n seed rows domain regime config
     trace_file =
-  let rng = Random.State.make [| seed |] in
-  let d = shape ~rng n in
-  let db = Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d in
+  let _, db = database None shape n seed rows domain regime in
+  let d = Database.schemes db in
   Format.printf "%s query of %d relations, %s data: %a@.@." shape_name n regime
     Database.pp_brief db;
   let est = Estimate.of_catalog (Catalog.of_database db) in
@@ -329,7 +337,7 @@ let run_optimize (shape_name, shape) n seed rows domain regime config
   | Some r ->
       let plan = Engine.lower cfg db r.Optimal.strategy in
       let t0 = Obs.monotonic_time () in
-      let _result, stats = Engine.execute_plan cfg db plan in
+      let _digest, stats = Engine.execute_digest cfg db plan in
       let duration_ms = (Obs.monotonic_time () -. t0) *. 1e3 in
       Format.printf
         "@.  executed (%s plane, %s lowering): %s@.    %d result rows, tau %d@."
@@ -583,17 +591,9 @@ let q_error ~est ~actual =
   and a = Float.max 1.0 (float_of_int actual) in
   Float.max (e /. a) (a /. e)
 
-let run_explain scenario (shape_name, shape) n seed rows domain regime
+let run_explain scenario shape n seed rows domain regime
     strategy_text config trace_file =
-  let name, db =
-    match scenario with
-    | Some (nm, db) -> (nm, db)
-    | None ->
-        let rng = Random.State.make [| seed |] in
-        let d = shape ~rng n in
-        ( Printf.sprintf "%s-%d (%s data, seed %d)" shape_name n regime seed,
-          Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d )
-  in
+  let name, db = database scenario shape n seed rows domain regime in
   let d = Database.schemes db in
   let est_oracle = Estimate.of_catalog (Catalog.of_database db) in
   let strategy =
@@ -636,7 +636,7 @@ let run_explain scenario (shape_name, shape) n seed rows domain regime
   let cfg = make_config ~obs config in
   let plan = Engine.lower cfg db strategy in
   let t0 = Obs.monotonic_time () in
-  let stats = snd (Engine.execute_plan cfg db plan) in
+  let stats = snd (Engine.execute_digest cfg db plan) in
   let duration_ms = (Obs.monotonic_time () -. t0) *. 1e3 in
   let summary_tail tau' =
     match (stats.Engine.seed, stats.Engine.frame) with
@@ -761,7 +761,12 @@ let run_explain scenario (shape_name, shape) n seed rows domain regime
     | other -> Format.printf "%s%s  %8.3f ms@." indent other (sp.Obs.duration *. 1e3));
     List.iter (show (indent ^ "  ")) sp.Obs.children
   in
-  List.iter (show "") (Obs.trace obs);
+  (* The tree is the execution; the digest that finishes it in place of
+     a decode ([serve.certify]) is not shown. *)
+  List.iter
+    (fun (sp : Obs.span_tree) ->
+      if sp.Obs.name <> "serve.certify" then show "" sp)
+    (Obs.trace obs);
   let est_tau =
     List.fold_left
       (fun acc d' ->
@@ -828,17 +833,9 @@ let explain_cmd =
    join.  Only α-acyclic queries qualify ([Planner.lower_ranked]); a
    cyclic input is a loud error, not a silent fallback to a full
    evaluation. *)
-let run_topk scenario (shape_name, shape) n seed rows domain regime k config
+let run_topk scenario shape n seed rows domain regime k config
     trace_file =
-  let name, db =
-    match scenario with
-    | Some (nm, db) -> (nm, db)
-    | None ->
-        let rng = Random.State.make [| seed |] in
-        let d = shape ~rng n in
-        ( Printf.sprintf "%s-%d (%s data, seed %d)" shape_name n regime seed,
-          Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d )
-  in
+  let name, db = database scenario shape n seed rows domain regime in
   let d = Database.schemes db in
   let obs = Obs.make () in
   let cfg =
@@ -964,7 +961,7 @@ let stats_of_telemetry obs path =
     records;
   List.length records
 
-let run_stats scenario (shape_name, shape) n seed rows domain regime repeat
+let run_stats scenario shape n seed rows domain regime repeat
     prometheus from_file config =
   let obs = Obs.make () in
   match from_file with
@@ -976,16 +973,7 @@ let run_stats scenario (shape_name, shape) n seed rows domain regime repeat
         Export.render_metrics Format.std_formatter obs
       end
   | None ->
-      let name, db =
-        match scenario with
-        | Some (nm, db) -> (nm, db)
-        | None ->
-            let rng = Random.State.make [| seed |] in
-            let d = shape ~rng n in
-            ( Printf.sprintf "%s-%d (%s data, seed %d)" shape_name n regime
-                seed,
-              Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d )
-      in
+      let name, db = database scenario shape n seed rows domain regime in
       let cfg = make_config ~obs config in
       let d = Database.schemes db in
       let est_oracle = Estimate.of_catalog (Catalog.of_database db) in
@@ -1000,7 +988,7 @@ let run_stats scenario (shape_name, shape) n seed rows domain regime repeat
       let plan = Engine.lower cfg db strategy in
       let repeat = max 1 repeat in
       for _ = 1 to repeat do
-        ignore (Engine.execute_plan cfg db plan)
+        ignore (Engine.execute_digest cfg db plan)
       done;
       if prometheus then print_string (Export.prometheus_string obs)
       else begin
@@ -1231,9 +1219,11 @@ let fuzz_cmd =
           ~doc:
             "Certify the harness catches bugs: plant each mutation (the \
              frame-plane lossy join, the lossy yann semijoin, the skipped \
-             root sort, the stale serve plan and the off-by-one product \
-             rule of the τ cache), require detection, and require \
-             shrinking to at most 4 relations.")
+             root sort, the stale serve plan, the off-by-one product \
+             rule of the τ cache and the parallel join's lost morsel), \
+             require detection, and require shrinking to at most 4 \
+             relations.  The lost morsel is reported as skipped where \
+             the pool grants one worker.")
   in
   Cmd.v
     (Cmd.info "fuzz"

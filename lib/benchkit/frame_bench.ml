@@ -53,8 +53,9 @@ let join_micro_row dict_size (shape, n, reps) =
     (frame_ms, Frame.cardinality frame_f)
     equal
 
-(* Columnar join at one domain vs the pool's domain count with the
-   morsel scheduler forced on; speedup is the parallel scaling and
+(* Columnar join at one domain vs the pool's domain count: the full
+   row's joins span several morsels and take the pool, the quick row's
+   fit in one and run inline.  Speedup is the parallel scaling and
    equality is bit-identical frames (the determinism argument). *)
 let join_morsel_row ~domains (shape, n, reps) =
   let db = micro_db shape n in
@@ -64,7 +65,7 @@ let join_morsel_row ~domains (shape, n, reps) =
   in
   let par_ms, par_f =
     Bench_core.best_of ~reps (fun () ->
-        Frame.Db.join_all ~domains ~par_threshold:1 fdb)
+        Frame.Db.join_all ~domains fdb)
   in
   mk_row "join-morsel" shape n reps
     (one_ms, Frame.cardinality one_f)

@@ -9,9 +9,9 @@
       database of [n] tuples per relation, frames pinned to one domain;
       certifies [Relation.equal] of the decoded result.
     - ["join-morsel"] — the same columnar join at 1 domain vs the pool's
-      domain count with the morsel scheduler forced on; the speedup
-      column is the parallel scaling, and equality is bit-identical
-      frames.
+      domain count (the full row's joins span several morsels and take
+      the pool; the quick row's run inline); the speedup column is the
+      parallel scaling, and equality is bit-identical frames.
     - ["exec-engine"] — [Exec.execute] (hash plan) vs
       [Frame_engine.execute] on an optimized strategy; certifies equal
       result relations and equal τ.  At n ≥ 200 the row carries a

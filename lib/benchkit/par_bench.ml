@@ -33,13 +33,12 @@ let sweep ~cores ~domain_counts ~reps (shape, n) =
       let par_ms, par_f =
         if domains = 1 then (base_ms, base_f)
         else
-          Bench_core.best_of ~reps (fun () ->
-              Frame.Db.join_all ~domains ~par_threshold:1 fdb)
+          Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains fdb)
       in
-      (* More domains than cores: the pool clamps the worker count, so
-         this cell's timings measure oversubscription noise, not
-         scaling.  The speedup check and bench-diff skip its timings;
-         bit-identity is still enforced. *)
+      (* More domains than cores: the join runs with the pool's
+         effective worker count, so this cell repeats the cores-domain
+         cell and measures no scaling.  The speedup check and
+         bench-diff skip its timings; bit-identity is still enforced. *)
       let clamped = domains > cores in
       let positive = clamped || (par_ms > 0.0 && base_ms > 0.0) in
       Bench_core.(

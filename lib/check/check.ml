@@ -31,6 +31,12 @@ let guard f = try f () ; Pass with Failed x -> Fail x
 let planes = [ Engine.Seed; Engine.Frame ]
 let domain_counts = [ 1; 4 ]
 
+(* The multi-domain cells join in 3-row morsels, so fuzz-sized probe
+   sides span several morsels and take the frame plane's pool path
+   whenever the pool grants more than one worker.  On a 1-core host
+   the pool grants one and every cell runs inline. *)
+let cell_morsel domains = if domains > 1 then Some 3 else None
+
 (* The structural fingerprint of a trace: every "scan", "join" and
    "semijoin" span in DFS order with its scheme attribute.  Only a
    semijoin program opens "semijoin" spans, so the binary and wcoj
@@ -85,8 +91,9 @@ let check_digest where (cfg : Engine.Config.t) db s expected =
 
 let step_total steps = List.fold_left (fun acc (_, c) -> acc + c) 0 steps
 
-(* One leg of the engine matrix: both planes × both domain counts run
-   [s] under [policy], serve the reference's digest, and must return
+(* One leg of the engine matrix: both planes × both domain counts (the
+   multi-domain cells in {!cell_morsel}-row morsels) run [s] under
+   [policy], serve the reference's digest, and must return
    [expected] with the τ and per-step log of [steps] and one span
    skeleton across the whole leg.  Failures are named [leg ^
    ":result"], [":tau"], [":steps"] and [":spans"], located by a
@@ -103,7 +110,10 @@ let matrix ~leg ~policy ~expected ~steps db s =
               (Planner.policy_name policy) domains
           in
           let obs = Obs.make () in
-          let cfg = Engine.Config.make ~plane ~domains ~policy ~obs () in
+          let cfg =
+            Engine.Config.make ~plane ~domains ?morsel:(cell_morsel domains)
+              ~policy ~obs ()
+          in
           check_digest where cfg db s expected;
           let r, stats = Engine.run cfg db s in
           if not (Relation.equal r expected) then
@@ -545,7 +555,7 @@ let faults db s =
   (* A killed worker domain must not change pool results: survivors
      plus the serial fallback still complete every task. *)
   Failpoint.reset ();
-  let multicore = Domain.recommended_domain_count () > 1 in
+  let multicore = Pool.workers 4 > 1 in
   (* Task 0 holds the calling domain (for up to a second) until a
      spawned worker has claimed a batch and tripped; otherwise the
      caller can drain these tiny tasks before any worker starts and the

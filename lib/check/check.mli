@@ -4,7 +4,10 @@
     machine-checkable ground truth rather than golden outputs:
 
     - {!differential}: the engine matrix.  Both data planes × 1 and 4
-      worker domains, under the binary [hash] lowering (4 cells), must
+      worker domains, under the binary [hash] lowering (4 cells; the
+      4-domain cells join in 3-row morsels, so the frame plane's hash
+      join takes the pool path whenever the pool grants more than one
+      worker), must
       serve the reference's wire hash ([Protocol.result_hash]) and row
       count through [Engine.execute_digest] — what the serve daemon
       answers with; on the frame plane it hashes code buffers and never

@@ -57,12 +57,15 @@ val campaign :
 val self_test : unit -> (string, string) result
 (** Certify the harness can actually catch bugs: a clean fixed case
     must pass; then, for each planted mutation in turn —
-    [frame.lossy_join] and [yann.lossy_semijoin] (the latter on an
-    acyclic twin of the case; both caught by the matrix's digest
-    checks, on the hash the daemon serves without decoding) and
-    [serve.cache_stale_plan] (caught by the serve leg's τ-log
-    comparison against a cold run) — the case must fail under the
+    [frame.lossy_join], [yann.lossy_semijoin] (on an acyclic twin of
+    the case), [frame.skip_root_sort] and [frame.lost_morsel] (all
+    caught by the matrix's digest checks, on the hash the daemon serves
+    without decoding), [serve.cache_stale_plan] (caught by the serve
+    leg's τ-log comparison against a cold run) and [cost.cp_product]
+    (caught by the theorem checks) — the case must fail under the
     expected check family, the failure must shrink to at most 4
     relations, and the minimized repro must still fail planted and
-    pass clean.  Returns a
+    pass clean.  [frame.lost_morsel] lives on the hash join's pool
+    path: when [Mj_pool.Pool.workers 4 = 1] no join takes it, and the
+    summary reports that fault as skipped, not caught.  Returns a
     human-readable summary on success. *)

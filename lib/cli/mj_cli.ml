@@ -74,7 +74,8 @@ let morsel_arg =
     & opt (some int) None
     & info [ "morsel" ] ~docv:"ROWS"
         ~doc:
-          "Probe-morsel size (rows) for the frame plane's parallel join.  \
+          "Probe-morsel size (rows) for the frame plane's hash join, which \
+           runs in parallel only when its probe side spans two morsels.  \
            Default: $(b,MJ_MORSEL), else 16384.")
 
 type flags = {

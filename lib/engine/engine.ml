@@ -35,40 +35,34 @@ module Config = struct
      are pushed down to the two modules that used to read the
      environment themselves (the pool's default worker count and
      [Cost.Cache]'s default backend), so every legacy caller keeps its
-     env-driven behavior without a second read. *)
+     env-driven behavior without a second read.  An empty or blank
+     value means unset; any other value that does not parse fails
+     loudly, naming the variable, like MJ_FAILPOINTS. *)
   let env =
     lazy
-      (let plane =
-         match Sys.getenv_opt "MJ_DATA_PLANE" with
-         | Some s when String.lowercase_ascii (String.trim s) = "frame" ->
-             Frame
-         | _ -> Seed
-       in
-       let domains =
-         match Sys.getenv_opt "MJ_DOMAINS" with
-         | Some s -> (
-             try Some (max 1 (int_of_string (String.trim s)))
-             with _ -> Some 1)
+      (let var name ~expect parse =
+         match Sys.getenv_opt name with
          | None -> None
+         | Some s when String.trim s = "" -> None
+         | Some s -> (
+             match parse (String.trim s) with
+             | Some v -> Some v
+             | None ->
+                 failwith (Printf.sprintf "%s: %S is not %s" name s expect))
        in
+       let count s = Option.map (max 1) (int_of_string_opt s) in
+       let plane =
+         Option.value ~default:Seed
+           (var "MJ_DATA_PLANE" ~expect:"seed or frame" plane_of_string)
+       in
+       let domains = var "MJ_DOMAINS" ~expect:"an integer" count in
        let policy =
-         match Sys.getenv_opt "MJ_ALGO_POLICY" with
-         | Some s ->
-             Option.value (Planner.policy_of_string s)
-               ~default:Planner.Hash_all
-         | None -> Planner.Hash_all
+         Option.value ~default:Planner.Hash_all
+           (var "MJ_ALGO_POLICY" ~expect:"hash, wcoj or yann"
+              Planner.policy_of_string)
        in
-       let telemetry =
-         match Sys.getenv_opt "MJ_TELEMETRY" with
-         | Some s when String.trim s <> "" -> Some (String.trim s)
-         | _ -> None
-       in
-       let morsel =
-         match Sys.getenv_opt "MJ_MORSEL" with
-         | Some s -> (
-             try Some (max 1 (int_of_string (String.trim s))) with _ -> None)
-         | None -> None
-       in
+       let telemetry = var "MJ_TELEMETRY" ~expect:"a path" Option.some in
+       let morsel = var "MJ_MORSEL" ~expect:"an integer" count in
        (match Sys.getenv_opt "MJ_FAILPOINTS" with
        | Some s -> (
            match Mj_failpoint.Failpoint.set_spec s with

@@ -68,7 +68,7 @@ module Config : sig
             that config literals outside [lib/] that set it still
             compile; {!of_env} sets it to [Heap]. *)
     morsel : int option;
-        (** probe-morsel rows for the frame plane's parallel join
+        (** probe-morsel rows for the frame plane's hash join
             ([MJ_MORSEL] / [--morsel]); [None] means
             [Frame.default_morsel] *)
   }
@@ -81,15 +81,18 @@ module Config : sig
       alias of ["hash"]),
       [MJ_TELEMETRY] (a
       JSONL sidecar path for per-query telemetry),
-      [MJ_MORSEL] (probe-morsel rows for the parallel join), and
+      [MJ_MORSEL] (probe-morsel rows for the hash join), and
       [MJ_FAILPOINTS] (a comma-separated list of fault-injection
-      points forwarded to [Mj_failpoint.Failpoint.set_spec]).  The
-      variables are read once per process (memoized) and the resolved
-      values are registered with [Mj_pool.Pool.set_env_domains] and
+      points forwarded to [Mj_failpoint.Failpoint.set_spec]).  An
+      empty or blank variable counts as unset.  The variables are read
+      once per process (memoized) and the resolved values are
+      registered with [Mj_pool.Pool.set_env_domains] and
       [Cost.Cache.set_env_backend], so legacy default-using callers
       observe the same environment without re-reading it.
-      @raise Failure on an unknown [MJ_FAILPOINTS] name — a typo'd
-      fault injection must fail loudly, not silently test nothing. *)
+      @raise Failure naming the variable on an unknown [MJ_FAILPOINTS]
+      name, an unknown [MJ_DATA_PLANE] or [MJ_ALGO_POLICY], or a
+      non-numeric [MJ_DOMAINS] or [MJ_MORSEL] — a typo'd setting must
+      fail loudly, not silently run something else. *)
 
   val make :
     ?plane:plane ->

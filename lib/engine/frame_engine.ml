@@ -13,12 +13,6 @@ type stats = {
   per_step : (Scheme.Set.t * int) list;
 }
 
-(* Databases whose base relations hold fewer total rows than this run
-   single-domain: at that scale the parallel join's fan-out costs more
-   than the probes it spreads, and the pool would only add spawn/join
-   latency to a sub-millisecond plan. *)
-let tiny_rows = 1024
-
 (* The columnar plane, plugged into the generic Driver walker:
    intermediates are dictionary-encoded frames and every binary step
    runs the one columnar hash kernel. *)
@@ -32,7 +26,6 @@ module Frame_plane = struct
     fdb : Frame.Db.t;
     fstats : Frame.stats;
     domains : int option;
-    par_threshold : int option;
     morsel : int option;
     obs : Obs.sink;
     jprobe : Obs.histogram; (* hash probes per join step *)
@@ -64,8 +57,7 @@ module Frame_plane = struct
   let join ctx ~common:_ f1 f2 =
     let probes_before = ctx.fstats.Frame.probes in
     let j =
-      Frame.natural_join ~obs:ctx.obs ?domains:ctx.domains
-        ?par_threshold:ctx.par_threshold ?morsel:ctx.morsel
+      Frame.natural_join ~obs:ctx.obs ?domains:ctx.domains ?morsel:ctx.morsel
         ~stats:ctx.fstats f1 f2
     in
     if Obs.enabled ctx.obs then
@@ -98,11 +90,7 @@ module Drive = Driver.Make (Frame_plane)
 
 (* One walk, then a finisher on the root frame; the row count is the
    frame's own, so neither finisher has to decode to report it. *)
-let run ~finish ~obs ?domains ?par_threshold ?morsel ?fdb db plan =
-  (* Adaptive cutover: a tiny database is executed single-domain
-     whatever the configured worker count — the non-partitioned join
-     path, no pool, no fan-out. *)
-  let domains = if Database.total_tuples db < tiny_rows then Some 1 else domains in
+let run ~finish ~obs ?domains ?morsel ?fdb db plan =
   let ctx =
     {
       (* A caller-supplied [fdb] (the serve daemon's per-database warm
@@ -114,7 +102,6 @@ let run ~finish ~obs ?domains ?par_threshold ?morsel ?fdb db plan =
         | None -> Frame.Db.of_database db);
       fstats = Frame.fresh_stats ();
       domains;
-      par_threshold;
       morsel;
       obs;
       jprobe = Obs.histogram obs "join.probes";
@@ -147,14 +134,13 @@ let run ~finish ~obs ?domains ?par_threshold ?morsel ?fdb db plan =
       per_step = log.per_step;
     } )
 
-let execute_plan ?(obs = Obs.noop) ?domains ?par_threshold ?morsel ?fdb db
-    plan =
-  run ~obs ?domains ?par_threshold ?morsel ?fdb db plan
+let execute_plan ?(obs = Obs.noop) ?domains ?morsel ?fdb db plan =
+  run ~obs ?domains ?morsel ?fdb db plan
     ~finish:(fun ctx (scheme, f) -> Frame_plane.to_relation ctx scheme f)
 
 let execute_digest ?(obs = Obs.noop) ?domains ?morsel ?fdb db plan =
   run ~finish:(Drive.certify ~obs) ~obs ?domains ?morsel ?fdb db plan
 
-let execute ?obs ?domains ?par_threshold ?morsel db strategy =
-  execute_plan ?obs ?domains ?par_threshold ?morsel db
+let execute ?obs ?domains ?morsel db strategy =
+  execute_plan ?obs ?domains ?morsel db
     (Physical.of_strategy strategy)

@@ -3,9 +3,9 @@
     Evaluates a {!Multijoin.Strategy} bottom-up over
     {!Mj_relation.Frame} frames instead of seed {!Mj_relation.Relation}
     states: the database is dictionary-encoded once, every step is
-    a compiled-key columnar hash join (morsel-driven over
-    [Mj_pool.Pool] on large inputs), and the final frame is decoded
-    back, so callers see the same [Relation.t] the materializing
+    a compiled-key columnar hash join (on [Mj_pool.Pool] when its
+    probe side spans two morsels and the pool grants two workers; see
+    [Frame.natural_join]), and the final frame is decoded back, so callers see the same [Relation.t] the materializing
     {!Exec} engine produces — or, through {!execute_digest}, hashed on
     its code buffers when the caller only certifies the answer.
 
@@ -25,8 +25,8 @@ type stats = {
   dict_size : int;         (** distinct values interned for the database *)
   probes : int;
   probe_hits : int;
-  partitions : int;        (** index build-partitions opened by parallel joins *)
-  morsels : int;           (** probe morsels claimed by parallel joins *)
+  partitions : int;        (** index build parts the joins ran (1 per inline join) *)
+  morsels : int;           (** probe morsels the joins ran (1 per inline join) *)
   sorted_rows : int;
       (** rows that went through a sort ({!Mj_relation.Frame.stats}):
           the finisher's root sort plus any trie, generic-join or top-k
@@ -34,15 +34,8 @@ type stats = {
   per_step : (Scheme.Set.t * int) list;  (** post-order, like [Cost.step_costs] *)
 }
 
-val tiny_rows : int
-(** The adaptive cutover: databases whose base relations total fewer
-    rows than this (1024) execute single-domain on the non-partitioned
-    join path, whatever [?domains] says — at that scale parallel
-    fan-out only adds latency. *)
-
 val execute :
-  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?par_threshold:int ->
-  ?morsel:int ->
+  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int ->
   Database.t -> Strategy.t -> Relation.t * stats
 (** [execute db s] materializes every step of [s] columnar-side and
     returns the decoded result.  Agrees with [Exec.execute] on the
@@ -51,8 +44,7 @@ val execute :
     @raise Invalid_argument if a leaf scheme is missing from [db]. *)
 
 val execute_plan :
-  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?par_threshold:int ->
-  ?morsel:int -> ?fdb:Frame.Db.t ->
+  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int -> ?fdb:Frame.Db.t ->
   Database.t -> Physical.t -> Relation.t * stats
 (** Execute a physical plan on the columnar plane.  Every binary step
     runs the columnar hash join (span attribute [algo = "frame-hash"]).

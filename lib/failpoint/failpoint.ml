@@ -8,6 +8,7 @@ type t =
   | Serve_stale_plan
   | Frame_skip_root_sort
   | Cost_cp_product
+  | Frame_lost_morsel
 
 exception Injected of string
 
@@ -22,6 +23,7 @@ let all =
     Serve_stale_plan;
     Frame_skip_root_sort;
     Cost_cp_product;
+    Frame_lost_morsel;
   ]
 
 let name = function
@@ -34,6 +36,7 @@ let name = function
   | Serve_stale_plan -> "serve.cache_stale_plan"
   | Frame_skip_root_sort -> "frame.skip_root_sort"
   | Cost_cp_product -> "cost.cp_product"
+  | Frame_lost_morsel -> "frame.lost_morsel"
 
 let of_name s =
   let s = String.lowercase_ascii (String.trim s) in
@@ -49,6 +52,7 @@ let index = function
   | Serve_stale_plan -> 6
   | Frame_skip_root_sort -> 7
   | Cost_cp_product -> 8
+  | Frame_lost_morsel -> 9
 
 (* One atomic bitmask of active points, one atomic hit counter per
    point: consultation from pool workers running on other domains is

@@ -60,6 +60,10 @@ type t =
           product of its components' cardinalities plus one — the
           planted defect that shows the theorem checks see a wrong
           product rule *)
+  | Frame_lost_morsel
+      (** the frame plane's parallel hash join leaves the last probe
+          morsel's rows out of its merge — the planted defect that
+          shows the fuzzer's multi-domain cells reach the pool path *)
 
 exception Injected of string
 (** Raised by {!trip}; carries the failpoint name. *)
@@ -70,7 +74,8 @@ val name : t -> string
 (** ["pool.worker_kill"], ["cost.cache_poison"], ["estimate.oversize"],
     ["frame.lossy_join"], ["yann.lossy_semijoin"],
     ["serve.worker_stall"], ["serve.cache_stale_plan"],
-    ["frame.skip_root_sort"], ["cost.cp_product"]. *)
+    ["frame.skip_root_sort"], ["cost.cp_product"],
+    ["frame.lost_morsel"]. *)
 
 val of_name : string -> t option
 

@@ -22,7 +22,10 @@ let default_domains () =
 let clamped = Atomic.make 0
 let clamp_events () = Atomic.get clamped
 
-let core_cap () = max 1 (Domain.recommended_domain_count ())
+(* Read once: the runtime's recommendation does not change while the
+   process runs, and asking for it costs a system call. *)
+let cores = max 1 (Domain.recommended_domain_count ())
+let workers d = min (max 1 d) cores
 
 (* Helper domains, kept for the life of the process.  A run that needs
    k spawned workers takes k idle helpers (spawning one only when none
@@ -94,14 +97,8 @@ let run_w ?domains ?(chunk = 1) (tasks : (worker:int -> 'a) array) =
      the pool merges in task-index order at any worker count — but the
      clamp is counted, because a "4-domain" bench on a small machine is
      really measuring fewer workers. *)
-  let cap = core_cap () in
-  let d =
-    if d > cap then begin
-      if n > cap then Atomic.incr clamped;
-      cap
-    end
-    else d
-  in
+  if d > cores && n > cores then Atomic.incr clamped;
+  let d = workers d in
   let d = min d n in
   let chunk = max 1 chunk in
   if d <= 1 then Array.map (fun task -> task ~worker:0) tasks
@@ -193,7 +190,7 @@ let run_traced ?(obs = Mj_obs.Obs.noop) ?domains ?chunk tasks =
     let requested =
       match domains with Some d -> max 1 d | None -> default_domains ()
     in
-    if requested > core_cap () && Array.length tasks > core_cap () then
+    if requested > cores && Array.length tasks > cores then
       Mj_obs.Obs.add obs "pool.domains_clamped" 1;
     (* One child sink per TASK, not per worker: merging in task-index
        order then yields the same span tree at any domain count — only

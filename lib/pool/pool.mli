@@ -36,6 +36,13 @@ val default_domains : unit -> int
 (** The registered {!set_env_domains} value when one exists, else
     [Domain.recommended_domain_count] capped at 8. *)
 
+val workers : int -> int
+(** [workers d] is the number of workers a run asked for [d] domains
+    gets: [min (max 1 d) cores], where [cores] is
+    [Domain.recommended_domain_count], read once when the module
+    initializes.  Kernels size their work from this count, not from
+    the requested one. *)
+
 val clamp_events : unit -> int
 (** How many runs so far had their worker count silently cut down to
     [Domain.recommended_domain_count] — the tell that a "[N]-domain"

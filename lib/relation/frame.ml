@@ -275,36 +275,29 @@ let emit_merged b spec (data1 : int array) base1 (data2 : int array) base2 =
   b.blen <- o + spec.out_width
 
 (* ------------------------------------------------------------------ *)
-(* Join kernels over row-index selections                              *)
+(* The hash join                                                       *)
 
-let all_rows f = Array.init f.rows (fun i -> i)
+let default_morsel = 16_384
 
-(* Hash join of two whole frames.  The index is a chained-array hash
-   table — [head] maps a bucket to its first entry, [next] threads the
-   chain through entry slots — so building and probing allocate nothing
-   beyond two int arrays.  Builds on the smaller frame, probes the
-   larger; emitted rows keep the (f1, f2) orientation regardless of
-   build side. *)
-let hash_join_full ~stats spec f1 f2 b =
-  let swap = f1.rows > f2.rows in
-  let bf, bpos, pf, ppos =
-    if swap then (f2, spec.k2pos, f1, spec.k1pos)
-    else (f1, spec.k1pos, f2, spec.k2pos)
-  in
-  let nb = bf.rows in
-  let bmask = pow2_at_least (2 * max 1 nb) - 1 in
-  let head = Array.make (bmask + 1) (-1) in
-  let next = Array.make (max 1 nb) (-1) in
-  let bw = bf.width in
-  for k = 0 to nb - 1 do
-    let h = key_hash bf.data (k * bw) bpos land bmask in
-    Array.unsafe_set next k (Array.unsafe_get head h);
-    Array.unsafe_set head h k
-  done;
-  let np = pf.rows in
-  let pw = pf.width in
-  stats.probes <- stats.probes + np;
-  for q = 0 to np - 1 do
+(* Claim granularity for the pool's shared queue: one atomic op per
+   chunk of tasks.  Morsels are sized so a handful exist per worker —
+   claim singly then; only degenerate floods of tiny tasks batch up. *)
+let claim_chunk ntasks workers = max 1 (ntasks / (workers * 64))
+
+(* The index is a chained-array hash table: [head] maps a bucket to its
+   first entry, [next] threads the chain through entry slots, so
+   building and probing allocate nothing beyond two int arrays.  Build
+   rows are inserted in ascending order, so each chain lists its rows
+   in descending order whoever inserts them. *)
+let insert head next k h =
+  Array.unsafe_set next k (Array.unsafe_get head h);
+  Array.unsafe_set head h k
+
+(* Probe rows [lo, hi) of [pf] into [b]; emitted rows keep the (f1, f2)
+   orientation whichever side was built. *)
+let probe_range ~stats ~swap spec head next bmask bf bpos pf ppos b lo hi =
+  let bw = bf.width and pw = pf.width in
+  for q = lo to hi - 1 do
     let pb = q * pw in
     let hit = ref false in
     let k = ref (Array.unsafe_get head (key_hash pf.data pb ppos land bmask)) in
@@ -318,178 +311,144 @@ let hash_join_full ~stats spec f1 f2 b =
       k := Array.unsafe_get next !k
     done;
     if !hit then stats.probe_hits <- stats.probe_hits + 1
-  done
+  done;
+  stats.probes <- stats.probes + (hi - lo)
 
-let product_idx spec f1 idx1 f2 idx2 b =
-  Array.iter
-    (fun i ->
-      let b1 = i * f1.width in
-      Array.iter
-        (fun j -> emit_merged b spec f1.data b1 f2.data (j * f2.width))
-        idx2)
-    idx1
-
-(* ------------------------------------------------------------------ *)
-(* Morsel-driven parallel join                                         *)
-
-let default_par_threshold = 4096
-let default_morsel = 16_384
-
-(* Claim granularity for the pool's shared queue: one atomic op per
-   chunk of tasks.  Morsels are sized so a handful exist per worker —
-   claim singly then; only degenerate floods of tiny tasks batch up. *)
-let claim_chunk ntasks domains = max 1 (ntasks / (domains * 64))
-
-(* The morsel-driven replacement for the old radix fan-out.  One shared
-   read-only hash index over the build side, built in two deterministic
-   parallel phases; then probe-side morsels are pulled from the pool's
-   work queue by whichever worker is free, each filling a private
-   output buffer; buffers merge in morsel-index order.
-
-   Build phase A hashes build rows into a shared scratch array (morsel
-   tasks write disjoint slices).  Phase B threads the chained index:
-   the bucket space is split into contiguous ranges, one task per
-   range, and since a row lands in exactly one bucket, [head] and
-   [next] entries are each written by exactly one task — no locks, and
-   every task scans rows in ascending order, so the chains (and hence
-   the emitted row order) are identical at any domain count. *)
-let morsel_join ~obs ~domains ~morsel ~stats spec f1 f2 =
+(* Hash join: index the smaller frame, probe the larger in morsels of
+   [morsel] rows.  It runs on the pool iff the probe side spans at
+   least two morsels and the pool grants more than one worker;
+   otherwise the whole join is one inline build and one probe into one
+   buffer.  On the pool the build takes two deterministic phases —
+   (A) key hashes into a scratch array, one slice per task, then (B)
+   the chains threaded over disjoint bucket ranges, one task per range
+   scanning the rows in ascending order; a row lands in one bucket, so
+   each [head] and [next] entry has one writer and needs no lock — and
+   (C) the probe morsels are claimed off the shared queue, each into a
+   private buffer, and merged in morsel-index order.  The chains and
+   hence the emitted rows are the same on either path, at any worker
+   count. *)
+let hash_join ~obs ~domains ~morsel ~stats spec f1 f2 =
   let swap = f1.rows > f2.rows in
   let bf, bpos, pf, ppos =
     if swap then (f2, spec.k2pos, f1, spec.k1pos)
     else (f1, spec.k1pos, f2, spec.k2pos)
   in
   let nb = bf.rows and np = pf.rows in
-  let bw = bf.width and pw = pf.width in
-  let w = spec.out_width in
-  (* Phase A: build-side key hashes, one slice per morsel task. *)
-  let hashes = Array.make (max 1 nb) 0 in
-  let nh = (nb + morsel - 1) / morsel in
-  ignore
-    (Pool.run ~domains ~chunk:(claim_chunk nh domains)
-       (Array.init nh (fun t () ->
-            let lo = t * morsel in
-            let hi = min nb (lo + morsel) in
-            for k = lo to hi - 1 do
-              Array.unsafe_set hashes k (key_hash bf.data (k * bw) bpos)
-            done)));
-  (* Phase B: thread the shared chained index by disjoint bucket
-     ranges. *)
+  let bw = bf.width and w = spec.out_width in
   let bmask = pow2_at_least (2 * max 1 nb) - 1 in
   let head = Array.make (bmask + 1) (-1) in
   let next = Array.make (max 1 nb) (-1) in
-  let bparts = min (bmask + 1) (pow2_at_least (2 * domains)) in
-  let bspan = (bmask + 1) / bparts in
-  stats.partitions <- stats.partitions + bparts;
-  ignore
-    (Pool.run_traced ~obs ~domains
-       (Array.init bparts (fun p child ->
-            let lo = p * bspan and hi = ((p + 1) * bspan) - 1 in
-            let build () =
-              for k = 0 to nb - 1 do
-                let h = Array.unsafe_get hashes k land bmask in
-                if h >= lo && h <= hi then begin
-                  Array.unsafe_set next k (Array.unsafe_get head h);
-                  Array.unsafe_set head h k
-                end
-              done
-            in
-            if Obs.enabled child then
-              Obs.span child
-                ~attrs:
-                  [
-                    ("part", Mj_obs.Json.int p);
-                    ("buckets", Mj_obs.Json.int bspan);
-                  ]
-                "build-part" build
-            else build ())));
-  (* Phase C: probe morsels off the shared queue, private buffers. *)
+  let probe = probe_range ~swap spec head next bmask bf bpos pf ppos in
   let nmor = (np + morsel - 1) / morsel in
-  stats.morsels <- stats.morsels + nmor;
-  let parts =
-    Pool.run_traced ~obs ~domains ~chunk:(claim_chunk nmor domains)
-      (Array.init nmor (fun m child ->
-           let lo = m * morsel in
-           let hi = min np (lo + morsel) in
-           let st = fresh_stats () in
-           let pb = buf_make (w * (hi - lo + 16)) in
-           let probe () =
-             for q = lo to hi - 1 do
-               let pbase = q * pw in
-               let hit = ref false in
-               let k =
-                 ref
-                   (Array.unsafe_get head
-                      (key_hash pf.data pbase ppos land bmask))
-               in
-               while !k >= 0 do
-                 let bb = !k * bw in
-                 if keys_match pf.data pbase ppos bf.data bb bpos then begin
-                   hit := true;
-                   if swap then emit_merged pb spec pf.data pbase bf.data bb
-                   else emit_merged pb spec bf.data bb pf.data pbase
-                 end;
-                 k := Array.unsafe_get next !k
-               done;
-               if !hit then st.probe_hits <- st.probe_hits + 1
-             done;
-             st.probes <- st.probes + (hi - lo)
-           in
-           if Obs.enabled child then
-             Obs.span child
-               ~attrs:
-                 [
-                   ("morsel", Mj_obs.Json.int m);
-                   ("probe_rows", Mj_obs.Json.int (hi - lo));
-                 ]
-               "morsel"
-               (fun () ->
-                 probe ();
-                 Obs.set_attr child "rows" (Mj_obs.Json.int (pb.blen / w)))
-           else probe ();
-           (pb, st)))
-  in
-  (* Merge per-morsel buffers in morsel-index order. *)
-  let total =
-    Array.fold_left (fun acc ((pb : buf), _) -> acc + pb.blen) 0 parts
-  in
-  let out = Array.make (max 1 total) 0 in
-  let off = ref 0 in
-  Array.iter
-    (fun ((pb : buf), (st : stats)) ->
-      stats.probes <- stats.probes + st.probes;
-      stats.probe_hits <- stats.probe_hits + st.probe_hits;
-      Array.blit pb.bdata 0 out !off pb.blen;
-      off := !off + pb.blen)
-    parts;
-  (total / w, out)
+  let workers = min (Pool.workers domains) nmor in
+  if workers <= 1 then begin
+    for k = 0 to nb - 1 do
+      insert head next k (key_hash bf.data (k * bw) bpos land bmask)
+    done;
+    let b = buf_make (w * (np + 16)) in
+    probe ~stats b 0 np;
+    stats.partitions <- stats.partitions + 1;
+    stats.morsels <- stats.morsels + 1;
+    (b.blen / w, b.bdata)
+  end
+  else begin
+    let hashes = Array.make (max 1 nb) 0 in
+    let nh = (nb + morsel - 1) / morsel in
+    ignore
+      (Pool.run ~domains:workers ~chunk:(claim_chunk nh workers)
+         (Array.init nh (fun t () ->
+              for k = t * morsel to min nb ((t + 1) * morsel) - 1 do
+                Array.unsafe_set hashes k (key_hash bf.data (k * bw) bpos)
+              done)));
+    let bparts = min (bmask + 1) (pow2_at_least (2 * workers)) in
+    let bspan = (bmask + 1) / bparts in
+    stats.partitions <- stats.partitions + bparts;
+    ignore
+      (Pool.run_traced ~obs ~domains:workers
+         (Array.init bparts (fun p child ->
+              let lo = p * bspan and hi = ((p + 1) * bspan) - 1 in
+              let build () =
+                for k = 0 to nb - 1 do
+                  let h = Array.unsafe_get hashes k land bmask in
+                  if h >= lo && h <= hi then insert head next k h
+                done
+              in
+              if Obs.enabled child then
+                Obs.span child
+                  ~attrs:
+                    [
+                      ("part", Mj_obs.Json.int p);
+                      ("buckets", Mj_obs.Json.int bspan);
+                    ]
+                  "build-part" build
+              else build ())));
+    stats.morsels <- stats.morsels + nmor;
+    let parts =
+      Pool.run_traced ~obs ~domains:workers ~chunk:(claim_chunk nmor workers)
+        (Array.init nmor (fun m child ->
+             let lo = m * morsel in
+             let hi = min np (lo + morsel) in
+             let st = fresh_stats () in
+             let b = buf_make (w * (hi - lo + 16)) in
+             if Obs.enabled child then
+               Obs.span child
+                 ~attrs:
+                   [
+                     ("morsel", Mj_obs.Json.int m);
+                     ("probe_rows", Mj_obs.Json.int (hi - lo));
+                   ]
+                 "morsel"
+                 (fun () ->
+                   probe ~stats:st b lo hi;
+                   Obs.set_attr child "rows" (Mj_obs.Json.int (b.blen / w)))
+             else probe ~stats:st b lo hi;
+             (b, st)))
+    in
+    (* The planted [frame.lost_morsel] defect leaves the last morsel
+       out of the merge.  Never active outside an explicit failpoint
+       activation. *)
+    let parts =
+      if Mj_failpoint.Failpoint.fire Mj_failpoint.Failpoint.Frame_lost_morsel
+      then Array.sub parts 0 (nmor - 1)
+      else parts
+    in
+    let total =
+      Array.fold_left (fun acc ((b : buf), _) -> acc + b.blen) 0 parts
+    in
+    let out = Array.make (max 1 total) 0 in
+    let off = ref 0 in
+    Array.iter
+      (fun ((b : buf), (st : stats)) ->
+        stats.probes <- stats.probes + st.probes;
+        stats.probe_hits <- stats.probe_hits + st.probe_hits;
+        Array.blit b.bdata 0 out !off b.blen;
+        off := !off + b.blen)
+      parts;
+    (total / w, out)
+  end
 
-let natural_join ?(obs = Mj_obs.Obs.noop) ?domains
-    ?(par_threshold = default_par_threshold) ?(morsel = default_morsel) ?stats
-    f1 f2 =
+let natural_join ?(obs = Mj_obs.Obs.noop) ?domains ?(morsel = default_morsel)
+    ?stats f1 f2 =
   if f1.dict != f2.dict then
     invalid_arg "Frame.natural_join: frames use different dictionaries";
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   let spec = make_spec f1 f2 in
   let w = spec.out_width in
-  let morsel = max 1 morsel in
-  let d =
-    match domains with Some d -> max 1 d | None -> Pool.default_domains ()
+  let domains =
+    match domains with Some d -> d | None -> Pool.default_domains ()
   in
-  let parallel = d > 1 && min f1.rows f2.rows >= par_threshold in
   let nraw, raw =
     if Array.length spec.k1pos = 0 then begin
       (* Cartesian product: a hash index would be one degenerate bucket. *)
       let b = buf_make (w * (max f1.rows f2.rows + 16)) in
-      product_idx spec f1 (all_rows f1) f2 (all_rows f2) b;
+      for i = 0 to f1.rows - 1 do
+        for j = 0 to f2.rows - 1 do
+          emit_merged b spec f1.data (i * f1.width) f2.data (j * f2.width)
+        done
+      done;
       (b.blen / w, b.bdata)
     end
-    else if parallel then morsel_join ~obs ~domains:d ~morsel ~stats spec f1 f2
-    else begin
-      let b = buf_make (w * (max f1.rows f2.rows + 16)) in
-      hash_join_full ~stats spec f1 f2 b;
-      (b.blen / w, b.bdata)
-    end
+    else hash_join ~obs ~domains ~morsel:(max 1 morsel) ~stats spec f1 f2
   in
   (* Each output row is the merge of one distinct (f1, f2) row pair
      and determines both, so distinct inputs give distinct rows: the
@@ -901,7 +860,7 @@ module Db = struct
   let dict fdb = fdb.ddict
   let find fdb s = Scheme.Map.find s fdb.frames
 
-  let join_schemes ?obs ?domains ?par_threshold ?morsel ?stats fdb d =
+  let join_schemes ?obs ?domains ?morsel ?stats fdb d =
     match Scheme.Set.elements d with
     | [] -> invalid_arg "Frame.Db.join_schemes: empty sub-database"
     | s :: rest ->
@@ -909,12 +868,12 @@ module Db = struct
            Database.join_all. *)
         List.fold_left
           (fun acc s' ->
-            natural_join ?obs ?domains ?par_threshold ?morsel ?stats acc
+            natural_join ?obs ?domains ?morsel ?stats acc
               (find fdb s'))
           (find fdb s) rest
 
-  let join_all ?obs ?domains ?par_threshold ?morsel ?stats fdb =
-    join_schemes ?obs ?domains ?par_threshold ?morsel ?stats fdb
+  let join_all ?obs ?domains ?morsel ?stats fdb =
+    join_schemes ?obs ?domains ?morsel ?stats fdb
       (Scheme.Map.fold (fun s _ acc -> Scheme.Set.add s acc) fdb.frames
          Scheme.Set.empty)
 

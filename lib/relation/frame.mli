@@ -25,9 +25,9 @@
     {!generic_join} and {!topk} — sort an unsorted frame on demand, and
     the engine's finishers sort the root explicitly with {!sort}.  So
     the τ-counting joins of a plan never sort, and a result is sorted
-    once, by whoever reads its order.  The morsel-driven parallel join
-    merges per-morsel buffers in morsel-index order, so its emitted
-    rows are bit-identical at any [MJ_DOMAINS] as well.
+    once, by whoever reads its order.  The hash join emits the same
+    rows in the same order inline and on the pool, at any
+    [MJ_DOMAINS].
 
     The public algebra mirrors {!Relation}; [to_relation (of_relation
     dict r) = r] for every state, and each operation agrees with its
@@ -57,8 +57,8 @@ type t
 type stats = {
   mutable probes : int;      (** hash-table probes during joins *)
   mutable probe_hits : int;  (** probes that produced ≥ 1 output row *)
-  mutable partitions : int;  (** index build-partitions opened by parallel joins *)
-  mutable morsels : int;     (** probe morsels claimed by parallel joins *)
+  mutable partitions : int;  (** index build parts the joins ran (1 inline) *)
+  mutable morsels : int;     (** probe morsels the joins ran (1 inline) *)
   mutable sorted_rows : int;
       (** rows that went through a sort — not through the
           already-sorted scan — in {!sort}, the tries, {!generic_join}
@@ -110,33 +110,37 @@ val equal : t -> t -> bool
 (** {1 Algebra} *)
 
 val default_morsel : int
-(** Rows per probe morsel of the parallel join (16384). *)
+(** Rows per probe morsel of the hash join (16384). *)
 
 val natural_join :
-  ?obs:Mj_obs.Obs.sink ->
-  ?domains:int -> ?par_threshold:int -> ?morsel:int -> ?stats:stats ->
+  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int -> ?stats:stats ->
   t -> t -> t
 (** [natural_join f1 f2] is the columnar [R1 ⋈ R2].  The join key
     extractor is compiled once per join: common-column offsets are
     precomputed and multi-column keys are FNV-mixed into one int, so
-    probing allocates nothing.  When both sides have at least
-    [par_threshold] rows (default 4096) and more than one domain is
-    available, the join runs morsel-driven over [Mj_pool.Pool]: one
-    shared read-only hash index is built over the smaller side in two
-    deterministic parallel phases (key hashing over disjoint row
-    slices, then chain threading over disjoint bucket ranges), and the
-    larger side is probed in fixed-size morsels (default {!
-    default_morsel} rows, override with [morsel]) pulled from the
-    pool's work queue, each filling a private output buffer; buffers
-    merge in morsel-index order, so the emitted rows are bit-identical
-    at any [domains].  The result is those rows, {e unsorted}: every
-    output row merges one distinct input pair, so it is distinct
-    without a pass, and order is left to the readers of order
-    ({!sort}).  With an active [obs] sink the parallel path
-    records one [build-part] child span per index range and one
-    [morsel] child span per probe morsel (via
-    [Mj_pool.Pool.run_traced]), each tagged with the worker lane that
-    ran it — the per-domain timelines of a parallel join.
+    probing allocates nothing.  One hash-join kernel indexes the
+    smaller side and probes the larger in morsels of [morsel] rows
+    (default {!default_morsel}).  The rule for parallelism is the only
+    one: the join runs on [Mj_pool.Pool] iff the probe side spans at
+    least two morsels and the pool grants more than one worker
+    ([Mj_pool.Pool.workers domains], [domains] defaulting to
+    [Mj_pool.Pool.default_domains]).  Otherwise it builds inline and
+    probes every row into one buffer.  On the pool the shared
+    read-only index is built in two deterministic phases (key hashing
+    over disjoint row slices, then chain threading over disjoint
+    bucket ranges) and the morsels are pulled from the pool's work
+    queue, each filling a private buffer; buffers merge in
+    morsel-index order, so the emitted rows are bit-identical on
+    either path and at any [domains].  The result is those rows,
+    {e unsorted}: every output row merges one distinct input pair, so
+    it is distinct without a pass, and order is left to the readers of
+    order ({!sort}).  [stats.partitions] and [stats.morsels] count the
+    build parts and probe morsels the join ran: one each inline.
+    With an active [obs] sink the pool path records one [build-part]
+    child span per index range and one [morsel] child span per probe
+    morsel (via [Mj_pool.Pool.run_traced]), each tagged with the
+    worker lane that ran it — the per-domain timelines of a parallel
+    join; the inline path records none.
     @raise Invalid_argument if the frames use different dictionaries. *)
 
 val semijoin : ?stats:stats -> t -> t -> t
@@ -268,7 +272,7 @@ module Db : sig
 
   val join_schemes :
     ?obs:Mj_obs.Obs.sink ->
-    ?domains:int -> ?par_threshold:int -> ?morsel:int -> ?stats:stats ->
+    ?domains:int -> ?morsel:int -> ?stats:stats ->
     t -> Scheme.Set.t -> frame
   (** Join the named sub-database left-to-right over the sorted scheme
       list — the same order as {!Database.join_all}.
@@ -276,7 +280,7 @@ module Db : sig
 
   val join_all :
     ?obs:Mj_obs.Obs.sink ->
-    ?domains:int -> ?par_threshold:int -> ?morsel:int -> ?stats:stats ->
+    ?domains:int -> ?morsel:int -> ?stats:stats ->
     t -> frame
 
   val cardinality_oracle :

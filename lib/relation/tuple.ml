@@ -121,22 +121,6 @@ let restrict t x =
     { attrs; vals }
   end
 
-let joinable t1 t2 =
-  let a1 = t1.attrs and a2 = t2.attrs in
-  let n1 = Array.length a1 and n2 = Array.length a2 in
-  let i = ref 0 and j = ref 0 and agree = ref true in
-  while !agree && !i < n1 && !j < n2 do
-    let c = Attr.compare a1.(!i) a2.(!j) in
-    if c < 0 then incr i
-    else if c > 0 then incr j
-    else begin
-      agree := Value.equal t1.vals.(!i) t2.vals.(!j);
-      incr i;
-      incr j
-    end
-  done;
-  !agree
-
 (* A merge compiled for one pair of input headers: the output header
    and, per output column, where its value comes from.  [out] is [h1]
    when [h2]'s attributes are all in [h1], else [h2] when [h1]'s are

@@ -65,11 +65,6 @@ val restrict : t -> Attr.Set.t -> t
     the attributes in [x].  Attributes of [x] absent from [t]'s scheme are
     ignored. *)
 
-val joinable : t -> t -> bool
-(** [joinable t1 t2] holds iff [t1] and [t2] agree on every attribute common
-    to their schemes — the condition for them to contribute a tuple to a
-    natural join.  A loop over the two headers: allocates nothing. *)
-
 val merge : t -> t -> t
 (** [merge t1 t2] is the tuple over the union of the two schemes taking
     values from either argument: {!merger} compiled for this one pair.

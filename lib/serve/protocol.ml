@@ -16,30 +16,18 @@ type workload = {
 let default_workload =
   { shape = "chain"; n = 3; rows = 16; domain = 16; regime = "uniform"; seed = 0 }
 
-let shapes =
-  [ "chain"; "star"; "cycle"; "clique"; "path"; "snowflake"; "random" ]
-
-let regimes = Mj_workload.Dbgen.regimes
-
-(* Mirrors the CLI's shape table: one [Random.State]
-   seeded by the workload seed drives both the (random) shape draw and
-   the data fill, so the database is a pure function of the workload. *)
+(* The CLI's construction: one [Random.State] seeded by the workload
+   seed drives both the (random) shape draw and the data fill, so the
+   database is a pure function of the workload. *)
 let materialize w =
   let rng = Random.State.make [| w.seed |] in
-  let graph =
-    match w.shape with
-    | "chain" -> Mj_hypergraph.Querygraph.chain w.n
-    | "cycle" -> Mj_hypergraph.Querygraph.cycle w.n
-    | "star" -> Mj_hypergraph.Querygraph.star w.n
-    | "path" -> Mj_hypergraph.Querygraph.path w.n
-    | "snowflake" -> Mj_hypergraph.Querygraph.snowflake ~fanout:2 w.n
-    | "clique" -> Mj_hypergraph.Querygraph.clique w.n
-    | "random" ->
-        Mj_hypergraph.Querygraph.random ~extra_edge_prob:0.3 ~rng w.n
-    | s -> invalid_arg (Printf.sprintf "unknown shape %s" s)
+  let shape =
+    match List.assoc_opt w.shape Mj_workload.Dbgen.shapes with
+    | Some shape -> shape
+    | None -> invalid_arg (Printf.sprintf "unknown shape %s" w.shape)
   in
   Mj_workload.Dbgen.of_regime ~regime:w.regime ~rng ~rows:w.rows
-    ~domain:w.domain graph
+    ~domain:w.domain (shape ~rng w.n)
 
 let default_strategy db = Strategy.left_deep (Database.scheme_list db)
 
@@ -77,12 +65,12 @@ let str_field name default j =
 let parse_query j =
   let* shape = str_field "shape" default_workload.shape j in
   let* () =
-    if List.mem shape shapes then Ok ()
+    if List.mem_assoc shape Mj_workload.Dbgen.shapes then Ok ()
     else Error (Printf.sprintf "unknown shape %s" shape)
   in
   let* regime = str_field "regime" default_workload.regime j in
   let* () =
-    if List.mem regime regimes then Ok ()
+    if List.mem regime Mj_workload.Dbgen.regimes then Ok ()
     else Error (Printf.sprintf "unknown regime %s" regime)
   in
   let* n = int_field "n" default_workload.n j in

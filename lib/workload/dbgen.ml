@@ -32,6 +32,17 @@ let consistent_acyclic_db ~rng ~rows ~domain d =
 
 let regimes = [ "uniform"; "skewed"; "superkey"; "consistent" ]
 
+let shapes =
+  [
+    ("chain", fun ~rng:_ n -> Querygraph.chain n);
+    ("cycle", fun ~rng:_ n -> Querygraph.cycle n);
+    ("star", fun ~rng:_ n -> Querygraph.star n);
+    ("path", fun ~rng:_ n -> Querygraph.path n);
+    ("snowflake", fun ~rng:_ n -> Querygraph.snowflake ~fanout:2 n);
+    ("clique", fun ~rng:_ n -> Querygraph.clique n);
+    ("random", fun ~rng n -> Querygraph.random ~extra_edge_prob:0.3 ~rng n);
+  ]
+
 let of_regime ~regime ~rng ~rows ~domain d =
   match regime with
   | "superkey" -> superkey_db ~rng ~rows ~domain d

@@ -43,6 +43,12 @@ val regimes : string list
 (** The regime names {!of_regime} accepts:
     [["uniform"; "skewed"; "superkey"; "consistent"]]. *)
 
+val shapes : (string * (rng:Random.State.t -> int -> Hypergraph.t)) list
+(** The query shapes the CLI and the serve protocol accept, by name:
+    chain, cycle, star, path, snowflake (fanout 2), clique and random
+    (extra-edge probability 0.3, drawn from [rng]; the others draw
+    nothing).  [n] is the number of relations. *)
+
 val of_regime :
   regime:string ->
   rng:Random.State.t ->

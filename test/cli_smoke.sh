@@ -129,6 +129,15 @@ MJ_FAILPOINTS=estimate.oversize "$MJOIN" verify --scenario ex3 > /dev/null
 # Error paths must exit non-zero but not crash with a backtrace.
 if MJ_FAILPOINTS=bogus "$MJOIN" verify --scenario ex3 > /dev/null 2>&1; then exit 1; fi
 MJ_FAILPOINTS=bogus "$MJOIN" examples ex1 2>&1 | grep -q 'unknown failpoint'
+# So must an unknown plane or policy and a non-numeric worker or morsel
+# count; an empty or blank value means unset.
+for var in MJ_DATA_PLANE=columnar MJ_ALGO_POLICY=greedy MJ_DOMAINS=four \
+  MJ_MORSEL=big; do
+  if env "$var" "$MJOIN" verify --scenario ex3 > /dev/null 2>&1; then exit 1; fi
+  env "$var" "$MJOIN" examples ex1 2>&1 | grep -q "mjoin: ${var%%=*}: "
+done
+MJ_DATA_PLANE= MJ_ALGO_POLICY=' ' MJ_DOMAINS= MJ_MORSEL= \
+  "$MJOIN" verify --scenario ex3 | grep -q 'engine: seed plane'
 if "$MJOIN" fuzz --replay /nonexistent.repro > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" examples nosuch > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" query "$TMP/db.txt" 'Q(x) :- nosuch(x,y).' > /dev/null 2>&1; then exit 1; fi

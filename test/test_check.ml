@@ -251,9 +251,24 @@ let test_case_descriptor_deterministic () =
       = Fuzz.case_descriptor ~seed:3 ~max_n:5 i)
   done
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* The lost morsel lives on the pool path: caught where the pool grants
+   more than one worker, reported as skipped (never as caught) where it
+   grants one. *)
 let test_self_test () =
   match Fuzz.self_test () with
-  | Ok _ -> ()
+  | Ok msg ->
+      let pooled = Mj_pool.Pool.workers 4 > 1 in
+      Alcotest.(check bool) "lost morsel caught" pooled
+        (contains msg "planted frame.lost_morsel caught");
+      Alcotest.(check bool) "lost morsel skipped" (not pooled)
+        (contains msg "planted frame.lost_morsel skipped")
   | Error e -> Alcotest.failf "self-test failed: %s" e
 
 (* ------------------------------------------------------------------ *)

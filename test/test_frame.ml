@@ -173,12 +173,12 @@ let morsel_deterministic =
       List.for_all
         (fun (domains, morsel) ->
           Frame.equal one
-            (Frame.Db.join_all ~domains ~par_threshold:1 ~morsel fdb))
+            (Frame.Db.join_all ~domains ~morsel fdb))
         [ (2, 2); (4, 1); (4, 3); (8, 2); (3, 1000) ])
 
-(* The parallel join records one [build-part] span per index range and
-   one [morsel] span per probe morsel, every span tagged with the
-   worker lane that ran it. *)
+(* The pool path of the join records one [build-part] span per index
+   range and one [morsel] span per probe morsel, every span tagged with
+   the worker lane that ran it; the inline path records none. *)
 let count_morsel_spans obs =
   let parts = ref 0 and laned = ref 0 in
   let rec walk (s : Mj_obs.Obs.span_tree) =
@@ -197,24 +197,25 @@ let morsel_traced =
   qtest "tracing the morsel join records morsel lanes, same result"
     ~count:60 gen_db (fun db ->
       let fdb = Frame.Db.of_database db in
-      let plain = Frame.Db.join_all ~domains:4 ~par_threshold:1 ~morsel:2 fdb in
+      let plain = Frame.Db.join_all ~domains:4 ~morsel:2 fdb in
       let obs = Mj_obs.Obs.make ~gc:false () in
-      let traced =
-        Frame.Db.join_all ~obs ~domains:4 ~par_threshold:1 ~morsel:2 fdb
-      in
+      let traced = Frame.Db.join_all ~obs ~domains:4 ~morsel:2 fdb in
       let parts, laned = count_morsel_spans obs in
       Frame.equal plain traced && parts = laned)
 
 let test_morsel_traced_chain () =
-  (* A chain join always shares attributes step to step, so forcing the
-     morsel path must record at least one lane-tagged morsel span. *)
+  (* A chain join always shares attributes step to step, and 8-row
+     probe sides span four 2-row morsels, so the join takes the pool —
+     and records lane-tagged morsel spans — exactly when the pool grants
+     more than one worker. *)
   let rng = Random.State.make [| 42 |] in
   let db = Dbgen.uniform_db ~rng ~rows:8 ~domain:3 (Querygraph.chain 3) in
   let fdb = Frame.Db.of_database db in
   let obs = Mj_obs.Obs.make ~gc:false () in
-  ignore (Frame.Db.join_all ~obs ~domains:4 ~par_threshold:1 ~morsel:2 fdb);
+  ignore (Frame.Db.join_all ~obs ~domains:4 ~morsel:2 fdb);
   let parts, laned = count_morsel_spans obs in
-  Alcotest.(check bool) "morsel spans recorded" true (parts > 0);
+  Alcotest.(check bool) "morsel spans iff the pool grants workers"
+    (Mj_pool.Pool.workers 4 > 1) (parts > 0);
   Alcotest.(check int) "every morsel span carries a lane" parts laned
 
 (* ------------------------------------------------------------------ *)
@@ -238,9 +239,7 @@ let join_rows ~domains ~morsel n1 n2 =
   let dict = Frame.Dict.create () in
   let f1 = Frame.of_relation dict r1 and f2 = Frame.of_relation dict r2 in
   let stats = Frame.fresh_stats () in
-  let j =
-    Frame.natural_join ~domains ~par_threshold:1 ~morsel ~stats f1 f2
-  in
+  let j = Frame.natural_join ~domains ~morsel ~stats f1 f2 in
   (Frame.cardinality j, stats)
 
 let test_morsel_boundaries () =
@@ -255,10 +254,12 @@ let test_morsel_boundaries () =
     (fun n ->
       let rows, stats = join_rows ~domains:4 ~morsel:4 n (n + 3) in
       Alcotest.(check int) (name n) n rows;
-      (* the probe side is the larger one: n + 3 rows in morsels of 4 *)
+      (* the probe side is the larger one: n + 3 rows in morsels of 4,
+         run as such on the pool, as one inline *)
+      let nmor = (n + 3 + 3) / 4 in
       Alcotest.(check int)
         (name n ^ " morsel count")
-        ((n + 3 + 3) / 4)
+        (if nmor >= 2 && Mj_pool.Pool.workers 4 > 1 then nmor else 1)
         stats.Frame.morsels)
     [ 1; 3; 7; 8; 9; 16; 17 ]
 
@@ -441,9 +442,9 @@ let canonicalize_law =
 (* Order on demand                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A chain of 3–4 relations, joined left to right on the parallel path
-   ([par_threshold = 1], so even tiny joins take the morsel kernel,
-   which fuzz-sized cases never reach), with the frames encoded either
+(* A chain of 3–4 relations, joined left to right in morsels of 1 or 3
+   rows (so even tiny joins take the pool path when it grants more than
+   one worker), with the frames encoded either
    over the database's value-ordered dictionary (Db.of_database) or a
    first-seen interning one (of_relation: a non-identity order). *)
 let gen_chain =
@@ -486,7 +487,7 @@ let unsorted_join_law =
            | f :: rest ->
                List.fold_left
                  (fun acc f ->
-                   Frame.natural_join ~domains ~par_threshold:1 ~morsel acc f)
+                   Frame.natural_join ~domains ~morsel acc f)
                  f rest
          in
          let j = join frames and r = Database.join_all db in

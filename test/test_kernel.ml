@@ -345,6 +345,19 @@ let test_pool_helpers_reused () =
   Alcotest.(check (array int)) "after a raise" (squares 8)
     (Pool.init ~domains:2 8 (fun i -> i * i))
 
+(* A run gets the requested domains, at least one, capped at the core
+   count; a run of that many tasks on more requested domains than cores
+   is counted as a clamp. *)
+let test_pool_workers () =
+  let cores = Domain.recommended_domain_count () in
+  Alcotest.(check int) "at least one" 1 (Pool.workers 0);
+  Alcotest.(check int) "one" 1 (Pool.workers 1);
+  Alcotest.(check int) "within the cores" (min 2 cores) (Pool.workers 2);
+  Alcotest.(check int) "capped at the cores" cores (Pool.workers (cores + 3));
+  let before = Pool.clamp_events () in
+  ignore (Pool.init ~domains:(cores + 1) (cores + 1) Fun.id);
+  Alcotest.(check int) "clamp counted" (before + 1) (Pool.clamp_events ())
+
 (* ------------------------------------------------------------------ *)
 (* Pinned seed: one fixed database with hard-coded expectations, so a
    coordinated drift of the kernel and the references (both wrong the
@@ -401,5 +414,6 @@ let () =
           prop_pool_deterministic;
           Alcotest.test_case "helper domains reused" `Quick
             test_pool_helpers_reused;
+          Alcotest.test_case "effective worker count" `Quick test_pool_workers;
         ] );
     ]

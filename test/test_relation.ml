@@ -107,15 +107,6 @@ let test_tuple_restrict_superset () =
   Alcotest.(check int) "missing attrs ignored" 1
     (Attr.Set.cardinal (Tuple.scheme r))
 
-let test_tuple_joinable () =
-  let t1 = tu [ ("A", i 1); ("B", i 2) ] in
-  let t2 = tu [ ("B", i 2); ("C", i 3) ] in
-  let t3 = tu [ ("B", i 9); ("C", i 3) ] in
-  Alcotest.(check bool) "agree" true (Tuple.joinable t1 t2);
-  Alcotest.(check bool) "disagree" false (Tuple.joinable t1 t3);
-  Alcotest.(check bool) "disjoint schemes" true
-    (Tuple.joinable t1 (tu [ ("D", i 0) ]))
-
 let test_tuple_merge () =
   let t1 = tu [ ("A", i 1); ("B", i 2) ] in
   let t2 = tu [ ("B", i 2); ("C", i 3) ] in
@@ -718,14 +709,6 @@ module Model = struct
     let set t a v = Attr.Map.add a v t
 
     let restrict t x = Attr.Map.filter (fun a _ -> Attr.Set.mem a x) t
-
-    let joinable t1 t2 =
-      Attr.Map.for_all
-        (fun a v1 ->
-          match Attr.Map.find_opt a t2 with
-          | None -> true
-          | Some v2 -> Value.equal v1 v2)
-        t1
 
     let merge t1 t2 =
       Attr.Map.union
@@ -1382,7 +1365,6 @@ let test_kernel_allocation () =
   in
   words "compare, shared header" 0. (fun () -> ignore (Tuple.compare t1 t2));
   words "compare, other headers" 0. (fun () -> ignore (Tuple.compare u v));
-  words "joinable" 0. (fun () -> ignore (Tuple.joinable u v));
   let merge = Tuple.merger () in
   words "merge: the result only" 7. (fun () -> ignore (merge u v));
   words "merge into a superset" 0. (fun () -> ignore (merge t1 u));
@@ -1412,7 +1394,6 @@ let () =
           Alcotest.test_case "restrict" `Quick test_tuple_restrict;
           Alcotest.test_case "restrict superset" `Quick
             test_tuple_restrict_superset;
-          Alcotest.test_case "joinable" `Quick test_tuple_joinable;
           Alcotest.test_case "merge" `Quick test_tuple_merge;
           Alcotest.test_case "set/get" `Quick test_tuple_set_get;
         ] );
