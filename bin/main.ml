@@ -337,7 +337,7 @@ let run_optimize ((shape_name, _) as shape) n seed rows domain regime config
   | Some r ->
       let plan = Engine.lower cfg db r.Optimal.strategy in
       let t0 = Obs.monotonic_time () in
-      let _digest, stats = Engine.execute_digest cfg db plan in
+      let stats = Engine.execute_stats cfg db plan in
       let duration_ms = (Obs.monotonic_time () -. t0) *. 1e3 in
       Format.printf
         "@.  executed (%s plane, %s lowering): %s@.    %d result rows, tau %d@."
@@ -636,7 +636,7 @@ let run_explain scenario shape n seed rows domain regime
   let cfg = make_config ~obs config in
   let plan = Engine.lower cfg db strategy in
   let t0 = Obs.monotonic_time () in
-  let stats = snd (Engine.execute_digest cfg db plan) in
+  let stats = Engine.execute_stats cfg db plan in
   let duration_ms = (Obs.monotonic_time () -. t0) *. 1e3 in
   let summary_tail tau' =
     match (stats.Engine.seed, stats.Engine.frame) with
@@ -761,12 +761,7 @@ let run_explain scenario shape n seed rows domain regime
     | other -> Format.printf "%s%s  %8.3f ms@." indent other (sp.Obs.duration *. 1e3));
     List.iter (show (indent ^ "  ")) sp.Obs.children
   in
-  (* The tree is the execution; the digest that finishes it in place of
-     a decode ([serve.certify]) is not shown. *)
-  List.iter
-    (fun (sp : Obs.span_tree) ->
-      if sp.Obs.name <> "serve.certify" then show "" sp)
-    (Obs.trace obs);
+  List.iter (show "") (Obs.trace obs);
   let est_tau =
     List.fold_left
       (fun acc d' ->
@@ -988,7 +983,7 @@ let run_stats scenario shape n seed rows domain regime repeat
       let plan = Engine.lower cfg db strategy in
       let repeat = max 1 repeat in
       for _ = 1 to repeat do
-        ignore (Engine.execute_digest cfg db plan)
+        ignore (Engine.execute_stats cfg db plan)
       done;
       if prometheus then print_string (Export.prometheus_string obs)
       else begin

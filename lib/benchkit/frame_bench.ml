@@ -5,18 +5,13 @@ module Dbgen = Mj_workload.Dbgen
 module Pool = Mj_pool.Pool
 module Json = Mj_obs.Json
 
-let shape_of = function
-  | "chain" -> Querygraph.chain
-  | "cycle" -> Querygraph.cycle
-  | "star" -> Querygraph.star
-  | s -> invalid_arg ("Frame_bench: unknown shape " ^ s)
-
 (* One relation-per-key-ish database: [n] tuples per relation over a
    domain of [n] values keeps join outputs near [n] rows, so the micro
    rows measure join machinery rather than output explosion. *)
 let micro_db shape n =
   let rng = Random.State.make [| n; 1990; Hashtbl.hash shape |] in
-  Dbgen.uniform_db ~rng ~rows:n ~domain:(max 2 n) (shape_of shape 3)
+  Dbgen.uniform_db ~rng ~rows:n ~domain:(max 2 n)
+    (List.assoc shape Dbgen.shapes ~rng 3)
 
 let mk_row ?floor experiment shape n reps (seed_ms, seed_value)
     (frame_ms, frame_value) equal =
@@ -53,19 +48,20 @@ let join_micro_row dict_size (shape, n, reps) =
     (frame_ms, Frame.cardinality frame_f)
     equal
 
-(* Columnar join at one domain vs the pool's domain count: the full
-   row's joins span several morsels and take the pool, the quick row's
-   fit in one and run inline.  Speedup is the parallel scaling and
-   equality is bit-identical frames (the determinism argument). *)
-let join_morsel_row ~domains (shape, n, reps) =
+(* Columnar join at one domain vs the pool's domain count, in morsels
+   of [morsel] probe rows: the probe sides span several, so the joins
+   take the pool wherever it grants two workers.  Speedup is the
+   parallel scaling and equality is bit-identical frames (the
+   determinism argument). *)
+let join_morsel_row ~domains ~morsel (shape, n, reps) =
   let db = micro_db shape n in
   let fdb = Frame.Db.of_database db in
   let one_ms, one_f =
-    Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains:1 fdb)
+    Bench_core.best_of ~reps (fun () ->
+        Frame.Db.join_all ~domains:1 ~morsel fdb)
   in
   let par_ms, par_f =
-    Bench_core.best_of ~reps (fun () ->
-        Frame.Db.join_all ~domains fdb)
+    Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains ~morsel fdb)
   in
   mk_row "join-morsel" shape n reps
     (one_ms, Frame.cardinality one_f)
@@ -84,7 +80,7 @@ let exec_engine_row n =
   let (seed_ms, (seed_r, seed_stats)), (frame_ms, (frame_r, frame_stats)) =
     Bench_core.race ~reps
       (fun () -> Mj_engine.Exec.execute db plan)
-      (fun () -> Mj_engine.Frame_engine.execute db strategy)
+      (fun () -> Mj_engine.Frame_engine.execute_plan db plan)
   in
   let equal =
     Relation.equal seed_r frame_r
@@ -169,6 +165,8 @@ let run ?domains ?(quick = false) () =
   let morsel_specs =
     if quick then [ ("chain", 2_000, 3) ] else [ ("chain", 100_000, 3) ]
   in
+  (* Eight morsels at quick scale too, so the row takes the pool. *)
+  let morsel = if quick then 2_000 / 8 else Frame.default_morsel in
   let trials = if quick then 2 else 8 in
   let engine_n = if quick then 60 else 200 in
   (* Certification rows fan out over the pool (merged in task order);
@@ -186,13 +184,14 @@ let run ?domains ?(quick = false) () =
   let engine_rows = [ exec_engine_row engine_n ] in
   let dict_size = ref 0 in
   let micro_rows = List.map (join_micro_row dict_size) micro_specs in
-  let morsel_rows = List.map (join_morsel_row ~domains) morsel_specs in
+  let morsel_rows = List.map (join_morsel_row ~domains ~morsel) morsel_specs in
   Bench_core.
     {
       name = "FRAME";
       meta =
         [
           ("domains", Info (Json.int domains));
+          ("morsel", Info (Json.int morsel));
           ("dict_size", Out (Json.int !dict_size));
         ];
       rows = micro_rows @ morsel_rows @ engine_rows @ tau_rows;

@@ -9,12 +9,13 @@
       database of [n] tuples per relation, frames pinned to one domain;
       certifies [Relation.equal] of the decoded result.
     - ["join-morsel"] — the same columnar join at 1 domain vs the pool's
-      domain count (the full row's joins span several morsels and take
-      the pool; the quick row's run inline); the speedup column is the
+      domain count, with probe sides spanning several morsels (the
+      quick row uses 250-row morsels) so the joins take the pool
+      wherever it grants two workers; the speedup column is the
       parallel scaling, and equality is bit-identical frames.
-    - ["exec-engine"] — [Exec.execute] (hash plan) vs
-      [Frame_engine.execute] on an optimized strategy; certifies equal
-      result relations and equal τ.  At n ≥ 200 the row carries a
+    - ["exec-engine"] — [Exec.execute] vs [Frame_engine.execute_plan]
+      on one left-deep hash plan; certifies equal result relations and
+      equal τ.  At n ≥ 200 the row carries a
       [speedup_floor] of 1.0: the frame plane must not lose to the seed
       executor at small n.
     - ["tau-gamma"] — a GAMMA-style trial loop (exact optimum + linear
@@ -33,5 +34,6 @@ val run : ?domains:int -> ?quick:bool -> unit -> Bench_core.leg
     defaults to {!Mj_pool.Pool.default_domains}.  Rows carry [seed_ms],
     [frame_ms] (fastest rep; for ["join-morsel"] the 1-domain and
     pool-width frame joins), [seed_value]/[frame_value] and the
-    [equal] check; the document's [dict_size] counts the interned
-    values of the largest join-micro database. *)
+    [equal] check; the document's [morsel] is the join-morsel row's
+    probe-morsel size and its [dict_size] counts the interned values of
+    the largest join-micro database. *)

@@ -1,39 +1,35 @@
 open Mj_relation
-open Mj_hypergraph
 module Dbgen = Mj_workload.Dbgen
 module Pool = Mj_pool.Pool
 module Json = Mj_obs.Json
 
-let shape_of = function
-  | "chain" -> Querygraph.chain
-  | "cycle" -> Querygraph.cycle
-  | "star" -> Querygraph.star
-  | s -> invalid_arg ("Par_bench: unknown shape " ^ s)
-
 let micro_db shape n =
   let rng = Random.State.make [| n; 1990; Hashtbl.hash shape |] in
-  Dbgen.uniform_db ~rng ~rows:n ~domain:(max 2 n) (shape_of shape 3)
+  Dbgen.uniform_db ~rng ~rows:n ~domain:(max 2 n)
+    (List.assoc shape Dbgen.shapes ~rng 3)
 
 (* One (shape, n) workload swept over the domain counts.  The
    reference result is a 1-domain join on its own encoding; every cell
    certifies a bit-identical frame against it, so one grid both
    measures scaling and proves the morsel scheduler deterministic
    across worker counts. *)
-let sweep ~cores ~domain_counts ~reps (shape, n) =
+let sweep ~cores ~morsel ~domain_counts ~reps (shape, n) =
   let db = micro_db shape n in
   let reference =
     Frame.Db.join_all ~domains:1 (Frame.Db.of_database db)
   in
   let fdb = Frame.Db.of_database db in
   let base_ms, base_f =
-    Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains:1 fdb)
+    Bench_core.best_of ~reps (fun () ->
+        Frame.Db.join_all ~domains:1 ~morsel fdb)
   in
   List.map
     (fun domains ->
       let par_ms, par_f =
         if domains = 1 then (base_ms, base_f)
         else
-          Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains fdb)
+          Bench_core.best_of ~reps (fun () ->
+              Frame.Db.join_all ~domains ~morsel fdb)
       in
       (* More domains than cores: the join runs with the pool's
          effective worker count, so this cell repeats the cores-domain
@@ -64,10 +60,14 @@ let run ?(quick = false) () =
     if quick then [ ("chain", 2_000) ] else [ ("chain", 100_000); ("star", 100_000) ]
   in
   let reps = if quick then 3 else 5 in
+  (* The quick leg's 2,000-row probe sides would fit in one default
+     morsel and run inline; eight morsels put its multi-domain cells on
+     the pool, the path they certify. *)
+  let morsel = if quick then 2_000 / 8 else Frame.default_morsel in
   let cores = Domain.recommended_domain_count () in
   let rows =
     List.concat_map
-      (sweep ~cores ~domain_counts:[ 1; 2; 4; 8 ] ~reps)
+      (sweep ~cores ~morsel ~domain_counts:[ 1; 2; 4; 8 ] ~reps)
       specs
   in
   Bench_core.
@@ -75,7 +75,7 @@ let run ?(quick = false) () =
       name = "PAR";
       meta =
         [
-          ("morsel", Info (Json.int Frame.default_morsel));
+          ("morsel", Info (Json.int morsel));
           ("clamp_events", Info (Json.int (Pool.clamp_events () - clamp0)));
         ];
       rows;

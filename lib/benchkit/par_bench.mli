@@ -1,8 +1,9 @@
 (** The PAR benchmark: morsel-join scaling over worker domains.
 
     One workload per (shape, n) — a generated uniform database whose
-    joins span several probe morsels in the full leg, so they take the
-    pool whenever it grants two workers — swept over requested domain
+    joins span several probe morsels (the quick leg shrinks the morsel
+    to 250 rows for its 2,000-row chain), so they take the pool
+    whenever it grants two workers — swept over requested domain
     counts (1/2/4/8).  Per cell:
 
     - [base_ms] — the 1-domain join (the scaling denominator);

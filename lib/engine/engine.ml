@@ -174,4 +174,13 @@ let execute_digest ?fdb (cfg : Config.t) db plan =
       in
       (d, of_frame s)
 
+let execute_stats (cfg : Config.t) db plan =
+  counting_forced cfg db @@ fun () ->
+  match cfg.plane with
+  | Seed -> of_seed (Exec.execute_stats ~obs:cfg.obs db plan)
+  | Frame ->
+      of_frame
+        (Frame_engine.execute_stats ~obs:cfg.obs ~domains:cfg.domains
+           ?morsel:cfg.morsel db plan)
+
 let run ?fdb cfg db strategy = execute_plan ?fdb cfg db (lower cfg db strategy)

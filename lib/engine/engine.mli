@@ -146,6 +146,11 @@ val execute_digest :
     result, bit for bit.  The digest pass runs inside a
     ["serve.certify"] span on the config's sink. *)
 
+val execute_stats : Config.t -> Database.t -> Physical.t -> stats
+(** {!execute_plan}'s stats alone, for callers that only report them
+    ([mjoin optimize], [explain], [stats]): the same walk, finished
+    without decoding, digesting or opening a span. *)
+
 val run :
   ?fdb:Mj_relation.Frame.Db.t ->
   Config.t -> Database.t -> Strategy.t -> Relation.t * stats

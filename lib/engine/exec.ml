@@ -234,6 +234,11 @@ let execute_digest ?(obs = Obs.noop) db plan =
   run ~obs db plan ~finish:(fun ctx ((_, tuples) as root) ->
       (Drive.certify ~obs ctx root, Seed_plane.cardinality tuples))
 
+let execute_stats ?(obs = Obs.noop) db plan =
+  snd
+    (run ~obs db plan ~finish:(fun _ (_, tuples) ->
+         ((), Seed_plane.cardinality tuples)))
+
 type pipeline_stats = {
   emitted_per_stage : int list;
   peak_buffer : int;

@@ -64,6 +64,12 @@ val execute_digest :
     [result_rows] is the root's length, as the plane counts every
     step. *)
 
+val execute_stats :
+  ?obs:Mj_obs.Obs.sink -> Database.t -> Physical.t -> stats
+(** {!execute}'s stats alone, for callers that only report them: the
+    walk, with [result_rows] the root's length; no relation is built
+    and no digest taken. *)
+
 type pipeline_stats = {
   emitted_per_stage : int list;
       (** tuples flowing out of each spine position (the τ step costs) *)

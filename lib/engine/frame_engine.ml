@@ -141,6 +141,7 @@ let execute_plan ?(obs = Obs.noop) ?domains ?morsel ?fdb db plan =
 let execute_digest ?(obs = Obs.noop) ?domains ?morsel ?fdb db plan =
   run ~finish:(Drive.certify ~obs) ~obs ?domains ?morsel ?fdb db plan
 
-let execute ?obs ?domains ?morsel db strategy =
-  execute_plan ?obs ?domains ?morsel db
-    (Physical.of_strategy strategy)
+let execute_stats ?(obs = Obs.noop) ?domains ?morsel db plan =
+  snd
+    (run ~obs ?domains ?morsel db plan ~finish:(fun ctx (_, f) ->
+         ignore (Frame.sort ~stats:ctx.Frame_plane.fstats f)))

@@ -1,6 +1,6 @@
-(** The columnar strategy executor.
+(** The columnar plan executor.
 
-    Evaluates a {!Multijoin.Strategy} bottom-up over
+    Evaluates a {!Physical} plan bottom-up over
     {!Mj_relation.Frame} frames instead of seed {!Mj_relation.Relation}
     states: the database is dictionary-encoded once, every step is
     a compiled-key columnar hash join (on [Mj_pool.Pool] when its
@@ -17,7 +17,6 @@
     [frame.probe_hits] and [frame.sorted_rows] are added to the sink. *)
 
 open Mj_relation
-open Multijoin
 
 type stats = {
   tuples_generated : int;  (** the paper's τ: sum of step output rows *)
@@ -33,15 +32,6 @@ type stats = {
           sort; join steps sort nothing *)
   per_step : (Scheme.Set.t * int) list;  (** post-order, like [Cost.step_costs] *)
 }
-
-val execute :
-  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int ->
-  Database.t -> Strategy.t -> Relation.t * stats
-(** [execute db s] materializes every step of [s] columnar-side and
-    returns the decoded result.  Agrees with [Exec.execute] on the
-    result relation and with [Cost.tau db s] on [tuples_generated]
-    (certified by the qcheck suite and [bench FRAME]).
-    @raise Invalid_argument if a leaf scheme is missing from [db]. *)
 
 val execute_plan :
   ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int -> ?fdb:Frame.Db.t ->
@@ -68,3 +58,9 @@ val execute_digest :
     result hash is computed on code buffers and [result_rows] is the
     frame's cardinality, so no [Relation.t] is ever built.  Equal to
     [Relation.digest] of {!execute_plan}'s result. *)
+
+val execute_stats :
+  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int ->
+  Database.t -> Physical.t -> stats
+(** {!execute_plan}'s stats alone: the root frame is sorted, as every
+    finisher does, but neither decoded nor digested. *)

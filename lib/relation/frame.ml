@@ -289,13 +289,15 @@ let claim_chunk ntasks workers = max 1 (ntasks / (workers * 64))
    building and probing allocate nothing beyond two int arrays.  Build
    rows are inserted in ascending order, so each chain lists its rows
    in descending order whoever inserts them. *)
-let insert head next k h =
+let[@inline] insert head next k h =
   Array.unsafe_set next k (Array.unsafe_get head h);
   Array.unsafe_set head h k
 
 (* Probe rows [lo, hi) of [pf] into [b]; emitted rows keep the (f1, f2)
-   orientation whichever side was built. *)
-let probe_range ~stats ~swap spec head next bmask bf bpos pf ppos b lo hi =
+   orientation whichever side was built.  Inlined at both call sites,
+   so the inline join's loop compiles into [hash_join] itself. *)
+let[@inline] probe_range ~stats ~swap spec head next bmask bf bpos pf ppos b
+    lo hi =
   let bw = bf.width and pw = pf.width in
   for q = lo to hi - 1 do
     let pb = q * pw in
@@ -336,17 +338,18 @@ let hash_join ~obs ~domains ~morsel ~stats spec f1 f2 =
   let nb = bf.rows and np = pf.rows in
   let bw = bf.width and w = spec.out_width in
   let bmask = pow2_at_least (2 * max 1 nb) - 1 in
-  let head = Array.make (bmask + 1) (-1) in
-  let next = Array.make (max 1 nb) (-1) in
-  let probe = probe_range ~swap spec head next bmask bf bpos pf ppos in
+  (* The index is allocated where it is built: on the pool path, after
+     phase A's scratch pass. *)
+  let index () = (Array.make (bmask + 1) (-1), Array.make (max 1 nb) (-1)) in
   let nmor = (np + morsel - 1) / morsel in
   let workers = min (Pool.workers domains) nmor in
   if workers <= 1 then begin
+    let head, next = index () in
     for k = 0 to nb - 1 do
       insert head next k (key_hash bf.data (k * bw) bpos land bmask)
     done;
     let b = buf_make (w * (np + 16)) in
-    probe ~stats b 0 np;
+    probe_range ~stats ~swap spec head next bmask bf bpos pf ppos b 0 np;
     stats.partitions <- stats.partitions + 1;
     stats.morsels <- stats.morsels + 1;
     (b.blen / w, b.bdata)
@@ -360,6 +363,7 @@ let hash_join ~obs ~domains ~morsel ~stats spec f1 f2 =
               for k = t * morsel to min nb ((t + 1) * morsel) - 1 do
                 Array.unsafe_set hashes k (key_hash bf.data (k * bw) bpos)
               done)));
+    let head, next = index () in
     let bparts = min (bmask + 1) (pow2_at_least (2 * workers)) in
     let bspan = (bmask + 1) / bparts in
     stats.partitions <- stats.partitions + bparts;
@@ -390,6 +394,10 @@ let hash_join ~obs ~domains ~morsel ~stats spec f1 f2 =
              let hi = min np (lo + morsel) in
              let st = fresh_stats () in
              let b = buf_make (w * (hi - lo + 16)) in
+             let probe () =
+               probe_range ~stats:st ~swap spec head next bmask bf bpos pf
+                 ppos b lo hi
+             in
              if Obs.enabled child then
                Obs.span child
                  ~attrs:
@@ -399,9 +407,9 @@ let hash_join ~obs ~domains ~morsel ~stats spec f1 f2 =
                    ]
                  "morsel"
                  (fun () ->
-                   probe ~stats:st b lo hi;
+                   probe ();
                    Obs.set_attr child "rows" (Mj_obs.Json.int (b.blen / w)))
-             else probe ~stats:st b lo hi;
+             else probe ();
              (b, st)))
     in
     (* The planted [frame.lost_morsel] defect leaves the last morsel

@@ -351,7 +351,7 @@ let engines_agree =
       let strategy = Strategy.left_deep (Database.scheme_list db) in
       let plan = Mj_engine.Physical.of_strategy strategy in
       let seed_r, seed_st = Mj_engine.Exec.execute db plan in
-      let frame_r, frame_st = Mj_engine.Frame_engine.execute db strategy in
+      let frame_r, frame_st = Mj_engine.Frame_engine.execute_plan db plan in
       Relation.equal seed_r frame_r
       && seed_st.Mj_engine.Exec.tuples_generated
          = frame_st.Mj_engine.Frame_engine.tuples_generated
