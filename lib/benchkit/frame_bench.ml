@@ -169,18 +169,17 @@ let run ?domains ?(quick = false) () =
   let morsel = if quick then 2_000 / 8 else Frame.default_morsel in
   let trials = if quick then 2 else 8 in
   let engine_n = if quick then 60 else 200 in
-  (* Certification rows fan out over the pool (merged in task order);
-     the timing-sensitive join rows run sequentially afterwards so their
-     wall clocks are not polluted by sibling rows. *)
-  let tau_tasks =
-    Array.of_list
-      (List.map (fun r () -> tau_gamma_row r trials)
-         [ "uniform"; "skewed"; "superkey" ]
-      @ List.map (fun r () -> tau_thm_row r trials) [ "uniform"; "skewed" ])
+  (* Every row is timed alone: a row that shares the cores with its
+     siblings while it is timed reads their load, not its own cost.
+     The τ rows and the floored engine row measure first, before the
+     100k-row micro workloads grow the major heap under every later
+     timing. *)
+  let tau_rows =
+    List.map
+      (fun r -> tau_gamma_row r trials)
+      [ "uniform"; "skewed"; "superkey" ]
+    @ List.map (fun r -> tau_thm_row r trials) [ "uniform"; "skewed" ]
   in
-  let tau_rows = Array.to_list (Pool.run ~domains tau_tasks) in
-  (* The floored engine row measures first, before the 100k-row micro
-     workloads grow the major heap under every later timing. *)
   let engine_rows = [ exec_engine_row engine_n ] in
   let dict_size = ref 0 in
   let micro_rows = List.map (join_micro_row dict_size) micro_specs in

@@ -25,9 +25,9 @@
     - ["tau-thm"] — [Theorems.verify] per seeded database under both
       backends; certifies identical reports.
 
-    Certification rows fan out over a {!Mj_pool.Pool} and merge in row
-    order; the timing-sensitive join rows run sequentially so wall
-    times are not polluted by sibling rows. *)
+    Every row is timed alone, one after another, so no row's wall time
+    carries a sibling's load; only the ["join-morsel"] row's own joins
+    use the pool. *)
 
 val run : ?domains:int -> ?quick:bool -> unit -> Bench_core.leg
 (** [quick] (default [false]) trims sizes to CI-smoke scale.  [domains]

@@ -59,7 +59,7 @@ module Cache = struct
     table : (int, int) Hashtbl.t;
     agm_table : (int, float option) Hashtbl.t;
     backend : backend;
-    mutable fdb : Mj_relation.Frame.Db.t option; (* built on first miss *)
+    mutable counter : Frame.Db.counter option; (* built on first miss *)
     hits : Obs.counter;
     misses : Obs.counter;
     bypasses : Obs.counter;
@@ -77,7 +77,7 @@ module Cache = struct
       table = Hashtbl.create 256;
       agm_table = Hashtbl.create 64;
       backend;
-      fdb = None;
+      counter = None;
       hits = Obs.counter obs "cost.cache_hits";
       misses = Obs.counter obs "cost.cache_misses";
       bypasses = Obs.counter obs "cost.cache_bypass";
@@ -87,22 +87,24 @@ module Cache = struct
   let universe c = c.univ
   let backend c = c.backend
 
-  let frame_db c =
-    match c.fdb with
-    | Some fdb -> fdb
+  let counter c =
+    match c.counter with
+    | Some k -> k
     | None ->
-        let fdb = Frame.Db.of_database c.db in
-        c.fdb <- Some fdb;
-        fdb
+        let k = Frame.Db.counter (Frame.Db.of_database c.db) in
+        c.counter <- Some k;
+        k
 
-  (* A connected sub-database is counted by the backend. *)
+  (* A connected sub-database is counted by the backend.  The frame
+     counter indexes schemes in [Scheme.compare] order, as [Bitdb]
+     does, so the mask passes through unchanged. *)
   let count c mask =
-    let schemes = Bitdb.set_of_mask c.univ mask in
     match c.backend with
     | Seed ->
         Relation.cardinality
-          (Database.join_all (Database.restrict c.db schemes))
-    | Frame -> Frame.Db.cardinality_oracle (frame_db c) schemes
+          (Database.join_all
+             (Database.restrict c.db (Bitdb.set_of_mask c.univ mask)))
+    | Frame -> Frame.Db.count (counter c) mask
 
   (* Storage is guarded: a cardinality is never negative, so a negative
      entry can only be corruption.  The [Cache_poison] failpoint
@@ -146,7 +148,10 @@ module Cache = struct
 
   and product c = function
     | [] -> 1
-    | m :: rest -> ( match card_mask c m with 0 -> 0 | n -> n * product c rest)
+    | m :: rest -> (
+        match card_mask c m with
+        | 0 -> 0
+        | n -> Frame.Db.saturating_mul n (product c rest))
 
   let card c schemes =
     match Bitdb.mask_of_set c.univ schemes with

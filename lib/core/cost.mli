@@ -45,7 +45,8 @@ val tau_oracle : (Scheme.Set.t -> int) -> Strategy.t -> int
     no attribute, so its join is their Cartesian product and its size
     the product of theirs.  Each component is read through
     {!card_mask}, in {!Mj_hypergraph.Bitdb.components} order, stopping
-    at the first empty one, and the product is stored like any other
+    at the first empty one, and the product (saturating at [max_int],
+    {!Mj_relation.Frame.Db.saturating_mul}) is stored like any other
     entry.  A miss on an unconnected mask therefore also counts one hit
     or miss per component read. *)
 module Cache : sig
@@ -64,9 +65,12 @@ module Cache : sig
 
   val create : ?obs:Mj_obs.Obs.sink -> ?backend:backend -> Database.t -> t
   (** Both backends produce identical cardinalities (certified by
-      [bench FRAME] and the qcheck equivalence suite); [Frame] encodes
-      the database once on the first miss and joins flat int rows
-      thereafter. *)
+      [bench FRAME], the qcheck equivalence suite and the fuzzer's
+      theorem checks); [Frame] encodes the database and builds a
+      {!Mj_relation.Frame.Db.counter} once, on the first miss, and
+      counts each connected mask with {!Mj_relation.Frame.Db.count}:
+      α-acyclic masks without joining, cyclic cores by a linked join
+      order. *)
 
   val database : t -> Database.t
   val backend : t -> backend

@@ -9,6 +9,7 @@ type t =
   | Frame_skip_root_sort
   | Cost_cp_product
   | Frame_lost_morsel
+  | Cost_count_message
 
 exception Injected of string
 
@@ -24,6 +25,7 @@ let all =
     Frame_skip_root_sort;
     Cost_cp_product;
     Frame_lost_morsel;
+    Cost_count_message;
   ]
 
 let name = function
@@ -37,6 +39,7 @@ let name = function
   | Frame_skip_root_sort -> "frame.skip_root_sort"
   | Cost_cp_product -> "cost.cp_product"
   | Frame_lost_morsel -> "frame.lost_morsel"
+  | Cost_count_message -> "cost.count_message"
 
 let of_name s =
   let s = String.lowercase_ascii (String.trim s) in
@@ -53,6 +56,7 @@ let index = function
   | Frame_skip_root_sort -> 7
   | Cost_cp_product -> 8
   | Frame_lost_morsel -> 9
+  | Cost_count_message -> 10
 
 (* One atomic bitmask of active points, one atomic hit counter per
    point: consultation from pool workers running on other domains is

@@ -64,6 +64,12 @@ type t =
       (** the frame plane's parallel hash join leaves the last probe
           morsel's rows out of its merge — the planted defect that
           shows the fuzzer's multi-domain cells reach the pool path *)
+  | Cost_count_message
+      (** the frame counting pass behind [Cost.Cache]'s [Frame] backend
+          loses the first ear's message of every count, so the parent
+          keeps its weights without that child's factor — the planted
+          defect that shows the theorem checks compare the frame
+          backend's counts with the join *)
 
 exception Injected of string
 (** Raised by {!trip}; carries the failpoint name. *)
@@ -75,7 +81,7 @@ val name : t -> string
     ["frame.lossy_join"], ["yann.lossy_semijoin"],
     ["serve.worker_stall"], ["serve.cache_stale_plan"],
     ["frame.skip_root_sort"], ["cost.cp_product"],
-    ["frame.lost_morsel"]. *)
+    ["frame.lost_morsel"], ["cost.count_message"]. *)
 
 val of_name : string -> t option
 

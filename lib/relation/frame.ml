@@ -885,8 +885,258 @@ module Db = struct
       (Scheme.Map.fold (fun s _ acc -> Scheme.Set.add s acc) fdb.frames
          Scheme.Set.empty)
 
-  let cardinality_oracle ?domains ?stats fdb d =
-    cardinality (join_schemes ?domains ?stats fdb d)
+  (* ---------------------------------------------------------------- *)
+  (* Counting a sub-database without joining it                       *)
+
+  (* Counts are non-negative and saturate at [max_int]. *)
+  let saturating_add a b =
+    let s = a + b in
+    if s < 0 then max_int else s
+
+  let saturating_mul a b =
+    if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
+
+  (* Everything a count needs that depends on the database alone, built
+     once: scheme [i] is the i-th scheme in [Scheme.compare] order, its
+     linking attributes (those of the database's attributes that two or
+     more schemes carry) are a bitset of [words] ints at [bits.(i *
+     words)], and [kpos.(i * k + j)] holds scheme [i]'s columns shared
+     with scheme [j], in attribute order, so [kpos.(i * k + j)] and
+     [kpos.(j * k + i)] line up as one key.  The rest is scratch a mask
+     overwrites: per-scheme row weights, the message's hash index
+     ([head]/[next] chains over the ear's rows, [sum] per key group)
+     sized to the largest relation, and one bitset. *)
+  type counter = {
+    cframes : frame array;
+    k : int;
+    words : int;
+    bits : int array;
+    kpos : int array array;
+    weight : int array array;
+    head : int array;
+    next : int array;
+    sum : int array;
+    scratch : int array;
+  }
+
+  let counter fdb =
+    let cframes =
+      Array.of_list (List.map snd (Scheme.Map.bindings fdb.frames))
+    in
+    let k = Array.length cframes in
+    if k > Sys.int_size - 1 then
+      invalid_arg "Frame.Db.counter: more relations than a mask holds";
+    let occurs =
+      Array.fold_left
+        (fun m f ->
+          Array.fold_left
+            (fun m a ->
+              Attr.Map.update a
+                (fun n -> Some (1 + Option.value n ~default:0))
+                m)
+            m f.attrs)
+        Attr.Map.empty cframes
+    in
+    (* Bit [b] of a bitset is the [b]-th linking attribute. *)
+    let linking, nlinking =
+      Attr.Map.fold
+        (fun a n (m, b) ->
+          if n >= 2 then (Attr.Map.add a b m, b + 1) else (m, b))
+        occurs (Attr.Map.empty, 0)
+    in
+    let words = max 1 ((nlinking + Sys.int_size - 1) / Sys.int_size) in
+    let bits = Array.make (k * words) 0 in
+    Array.iteri
+      (fun i f ->
+        Array.iter
+          (fun a ->
+            match Attr.Map.find_opt a linking with
+            | Some b ->
+                let w = (i * words) + (b / Sys.int_size) in
+                bits.(w) <- bits.(w) lor (1 lsl (b mod Sys.int_size))
+            | None -> ())
+          f.attrs)
+      cframes;
+    let kpos =
+      Array.init (k * k) (fun ij ->
+          let fi = cframes.(ij / k) and fj = cframes.(ij mod k) in
+          Array.of_list
+            (List.map (col_of fi)
+               (Attr.Set.elements (Attr.Set.inter fi.scheme fj.scheme))))
+    in
+    let largest = Array.fold_left (fun m f -> max m f.rows) 1 cframes in
+    {
+      cframes;
+      k;
+      words;
+      bits;
+      kpos;
+      weight = Array.map (fun f -> Array.make (max 1 f.rows) 0) cframes;
+      head = Array.make (pow2_at_least (2 * largest)) (-1);
+      next = Array.make largest (-1);
+      sum = Array.make largest 0;
+      scratch = Array.make words 0;
+    }
+
+  (* Scheme [e] is an ear of [live] when every linking attribute it
+     shares with another live scheme lies in one live scheme [p]; the
+     first such [p] is returned, or [-1]. *)
+  let parent c live e =
+    let words = c.words in
+    for w = 0 to words - 1 do
+      let others = ref 0 in
+      for j = 0 to c.k - 1 do
+        if j <> e && live land (1 lsl j) <> 0 then
+          others := !others lor c.bits.((j * words) + w)
+      done;
+      c.scratch.(w) <- c.bits.((e * words) + w) land !others
+    done;
+    let rec find p =
+      if p >= c.k then -1
+      else if p = e || live land (1 lsl p) = 0 then find (p + 1)
+      else begin
+        let covered = ref true in
+        for w = 0 to words - 1 do
+          if c.scratch.(w) land lnot c.bits.((p * words) + w) <> 0 then
+            covered := false
+        done;
+        if !covered then p else find (p + 1)
+      end
+    in
+    find 0
+
+  (* The first ear [e] of [live] and its parent [p], as [e * k + p],
+     or [-1] when every live scheme is stuck (a cyclic core). *)
+  let rec ear c live e =
+    if e >= c.k then -1
+    else if live land (1 lsl e) <> 0 then
+      match parent c live e with -1 -> ear c live (e + 1) | p -> (e * c.k) + p
+    else ear c live (e + 1)
+
+  (* Ear [e] sends [p] its message: [e]'s rows grouped by the key they
+     share with [p], each group's weight summed, and [p]'s row weights
+     multiplied by their group's sum (0 when no group matches).  A row
+     of a scheme that has received no message weighs 1.  Returns
+     whether some row of [p] keeps a non-zero weight. *)
+  let send c ~weighted e p =
+    let fe = c.cframes.(e) and fp = c.cframes.(p) in
+    let ke = c.kpos.((e * c.k) + p) and kp = c.kpos.((p * c.k) + e) in
+    let we = c.weight.(e) and wp = c.weight.(p) in
+    let e_weighted = weighted land (1 lsl e) <> 0
+    and p_weighted = weighted land (1 lsl p) <> 0 in
+    let head = c.head and next = c.next and sum = c.sum in
+    let bmask = pow2_at_least (2 * fe.rows) - 1 in
+    Array.fill head 0 (bmask + 1) (-1);
+    for r = 0 to fe.rows - 1 do
+      let x = if e_weighted then Array.unsafe_get we r else 1 in
+      if x > 0 then begin
+        let b = r * fe.width in
+        let h = key_hash fe.data b ke land bmask in
+        let g = ref (Array.unsafe_get head h) in
+        while
+          !g >= 0 && not (keys_match fe.data (!g * fe.width) ke fe.data b ke)
+        do
+          g := Array.unsafe_get next !g
+        done;
+        if !g >= 0 then
+          Array.unsafe_set sum !g (saturating_add (Array.unsafe_get sum !g) x)
+        else begin
+          Array.unsafe_set sum r x;
+          insert head next r h
+        end
+      end
+    done;
+    let alive = ref false in
+    for q = 0 to fp.rows - 1 do
+      let y = if p_weighted then Array.unsafe_get wp q else 1 in
+      let y =
+        if y = 0 then 0
+        else begin
+          let b = q * fp.width in
+          let h = key_hash fp.data b kp land bmask in
+          let g = ref (Array.unsafe_get head h) in
+          while
+            !g >= 0
+            && not (keys_match fp.data b kp fe.data (!g * fe.width) ke)
+          do
+            g := Array.unsafe_get next !g
+          done;
+          if !g >= 0 then saturating_mul y (Array.unsafe_get sum !g) else 0
+        end
+      in
+      Array.unsafe_set wp q y;
+      if y > 0 then alive := true
+    done;
+    !alive
+
+  let rec lowest_index m i =
+    if m land (1 lsl i) <> 0 then i else lowest_index m (i + 1)
+
+  (* A mask with no ear left: join its schemes with [natural_join],
+     each step linked to the schemes joined so far when one is. *)
+  let join_count c mask =
+    let words = c.words and joined = c.scratch in
+    let first = lowest_index mask 0 in
+    Array.blit c.bits (first * words) joined 0 words;
+    let linked j =
+      let rec go w =
+        w < words
+        && (c.bits.((j * words) + w) land joined.(w) <> 0 || go (w + 1))
+      in
+      go 0
+    in
+    let rec pick rest j =
+      if j >= c.k then lowest_index rest 0
+      else if rest land (1 lsl j) <> 0 && linked j then j
+      else pick rest (j + 1)
+    in
+    let rec go acc rest =
+      if rest = 0 then acc.rows
+      else begin
+        let j = pick rest 0 in
+        for w = 0 to words - 1 do
+          joined.(w) <- joined.(w) lor c.bits.((j * words) + w)
+        done;
+        go (natural_join acc c.cframes.(j)) (rest land lnot (1 lsl j))
+      end
+    in
+    go c.cframes.(first) (mask land lnot (1 lsl first))
+
+  let count c mask =
+    if mask <= 0 || mask lsr c.k <> 0 then
+      invalid_arg "Frame.Db.count: mask outside the database";
+    let rec reduce live weighted first =
+      if live land (live - 1) = 0 then begin
+        let r = lowest_index live 0 in
+        if weighted land live = 0 then c.cframes.(r).rows
+        else begin
+          let w = c.weight.(r) and n = ref 0 in
+          for q = 0 to c.cframes.(r).rows - 1 do
+            n := saturating_add !n (Array.unsafe_get w q)
+          done;
+          !n
+        end
+      end
+      else
+        match ear c live 0 with
+        | -1 -> join_count c mask
+        | ep ->
+            let e = ep / c.k and p = ep mod c.k in
+            let live = live land lnot (1 lsl e) in
+            if first
+               && Mj_failpoint.Failpoint.fire
+                    Mj_failpoint.Failpoint.Cost_count_message
+            then
+              (* The planted [cost.count_message] defect: the first
+                 ear's message is lost, so its parent never receives
+                 that child's factor.  Never active outside an
+                 explicit failpoint activation. *)
+              reduce live weighted false
+            else if send c ~weighted e p then
+              reduce live (weighted lor (1 lsl p)) false
+            else 0
+    in
+    reduce mask 0 true
 
   let generic_join ?stats fdb ~order d =
     match Scheme.Set.elements d with

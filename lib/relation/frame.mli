@@ -275,7 +275,8 @@ module Db : sig
     ?domains:int -> ?morsel:int -> ?stats:stats ->
     t -> Scheme.Set.t -> frame
   (** Join the named sub-database left-to-right over the sorted scheme
-      list — the same order as {!Database.join_all}.
+      list — the same order as {!Database.join_all}.  The reference
+      join of the tests and benches; {!count} never calls it.
       @raise Invalid_argument on the empty set. *)
 
   val join_all :
@@ -283,12 +284,39 @@ module Db : sig
     ?domains:int -> ?morsel:int -> ?stats:stats ->
     t -> frame
 
-  val cardinality_oracle :
-    ?domains:int -> ?stats:stats -> t -> Scheme.Set.t -> int
-  (** [cardinality_oracle fdb d] is τ of the join of the sub-database
-      [d], counted through the columnar path — the drop-in backend for
-      [Cost.Cache].  Its joins leave their rows unsorted and nothing
-      reads their order, so it never sorts. *)
+  type counter
+  (** The per-database context of {!count}: each scheme's linking
+      attributes as a bitset (any number of attributes), the key
+      columns of every linked pair, and scratch row weights and hash
+      chains sized to the largest relation.  Built once per database;
+      a count reuses it and allocates no lists.  Not safe to share
+      between domains. *)
+
+  val counter : t -> counter
+  (** @raise Invalid_argument for more relations than an [int] mask
+      holds. *)
+
+  val count : counter -> int -> int
+  (** [count c mask] is the number of rows of the join of the
+      sub-database whose schemes are the set bits of [mask] (bit [i]
+      is the [i]-th scheme in [Scheme.compare] order, the indexing of
+      [Mj_hypergraph.Bitdb]), counted without materializing it.  GYO
+      ear elimination runs on the linking-attribute bitsets; each
+      eliminated ear sends its parent a message — its rows grouped by
+      the key they share, each group's weight summed — and the parent
+      multiplies it into its row weights (Yannakakis in the counting
+      semiring), so an α-acyclic mask costs one pass over its code
+      buffers with no intermediate rows and no Cartesian-product
+      steps.  A mask with no ear left (a cyclic core) is joined with
+      {!Mj_relation.Frame.natural_join} in a connected order, each
+      step linked to its prefix, and its rows counted.  A parent left
+      with no weighted row ends the count at 0.  Counts saturate at
+      [max_int].
+      @raise Invalid_argument if [mask] is [0] or names a scheme
+      outside the database. *)
+
+  val saturating_mul : int -> int -> int
+  (** [a × b] on non-negative counts, [max_int] when it overflows. *)
 
   val generic_join :
     ?stats:stats -> t -> order:Attr.t list -> Scheme.Set.t -> frame

@@ -260,7 +260,7 @@ let contains s sub =
 
 (* The lost morsel lives on the pool path: caught where the pool grants
    more than one worker, reported as skipped (never as caught) where it
-   grants one. *)
+   grants one.  The frame counter's lost message is caught everywhere. *)
 let test_self_test () =
   match Fuzz.self_test () with
   | Ok msg ->
@@ -268,7 +268,9 @@ let test_self_test () =
       Alcotest.(check bool) "lost morsel caught" pooled
         (contains msg "planted frame.lost_morsel caught");
       Alcotest.(check bool) "lost morsel skipped" (not pooled)
-        (contains msg "planted frame.lost_morsel skipped")
+        (contains msg "planted frame.lost_morsel skipped");
+      Alcotest.(check bool) "lost count message caught" true
+        (contains msg "planted cost.count_message caught")
   | Error e -> Alcotest.failf "self-test failed: %s" e
 
 (* ------------------------------------------------------------------ *)

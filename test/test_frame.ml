@@ -144,15 +144,113 @@ let join_all_agrees =
         (Frame.to_relation (Frame.Db.join_all fdb))
         (Database.join_all db))
 
-let oracle_agrees =
-  qtest "cardinality_oracle matches the seed tau on every sub-database"
-    gen_db_pick (fun (db, pick) ->
-      let fdb = Frame.Db.of_database db in
-      let sub =
-        Scheme.Set.of_list (pick_subset pick (Database.scheme_list db))
-      in
-      Frame.Db.cardinality_oracle fdb sub
-      = Relation.cardinality (Database.join_all (Database.restrict db sub)))
+(* A database of 1–6 distinct schemes drawn from the subsets of
+   {A, …, E}, so α-acyclic and cyclic hypergraphs both arise.  Each
+   relation has 0–6 rows over a 3-value domain: dangling rows and
+   empty relations are common. *)
+let gen_hyper_db =
+  let open QCheck2.Gen in
+  let* k = int_range 1 6 in
+  let* masks = list_repeat k (int_range 1 31) in
+  let relation m =
+    let attrs =
+      [ "A"; "B"; "C"; "D"; "E" ]
+      |> List.filteri (fun i _ -> m land (1 lsl i) <> 0)
+      |> List.map Attr.make
+    in
+    let+ rows =
+      list_size (int_range 0 6)
+        (list_repeat (List.length attrs) (int_range 0 2))
+    in
+    Relation.make (Attr.Set.of_list attrs)
+      (List.map
+         (fun vs -> Tuple.of_list (List.combine attrs (List.map Value.int vs)))
+         rows)
+  in
+  let+ rels = flatten_l (List.map relation (List.sort_uniq compare masks)) in
+  Database.of_relations rels
+
+(* [Db.count] on every non-empty mask, the unconnected ones included,
+   against the row count of the seed join. *)
+let count_matches_join db =
+  let c = Frame.Db.counter (Frame.Db.of_database db) in
+  let u = Bitdb.make (Database.schemes db) in
+  List.for_all
+    (fun m ->
+      Frame.Db.count c m
+      = Relation.cardinality
+          (Database.join_all (Database.restrict db (Bitdb.set_of_mask u m))))
+    (List.init (Bitdb.full u) (fun m -> m + 1))
+
+let count_agrees =
+  qtest "Db.count equals the join's row count on every mask" gen_hyper_db
+    count_matches_join
+
+(* 120 linking attributes, two words of bitset per scheme: a triangle
+   of 80-attribute schemes over the groups a, b and c, plus an ear on
+   c.  Every attribute of a group carries the same value in a row, so
+   the groups join like single attributes. *)
+let test_count_wide_universe () =
+  let group g = List.init 40 (fun i -> Attr.make (Printf.sprintf "%s%d" g i)) in
+  let rng = Random.State.make [| 62 |] in
+  let relation groups =
+    let attrs = List.concat_map group groups in
+    Relation.make (Attr.Set.of_list attrs)
+      (List.init 12 (fun _ ->
+           let vals = List.map (fun _ -> Random.State.int rng 3) groups in
+           Tuple.of_list
+             (List.concat
+                (List.map2
+                   (fun g v -> List.map (fun a -> (a, Value.int v)) (group g))
+                   groups vals))))
+  in
+  let db =
+    Database.of_relations
+      [ relation [ "a"; "b" ]; relation [ "b"; "c" ]; relation [ "c"; "a" ];
+        relation [ "c"; "d" ] ]
+  in
+  Alcotest.(check int) "universe" 160
+    (Attr.Set.cardinal (Database.universe db));
+  Alcotest.(check bool) "every mask counts the join" true
+    (count_matches_join db)
+
+(* A star of [k] relations [{H, Xi}] with [n] rows each, all on one hub
+   value: its join has n^k rows. *)
+let star_db ~hub k n =
+  let h = Attr.make hub in
+  Database.of_relations
+    (List.init k (fun i ->
+         let x = Attr.make (Printf.sprintf "%s%d" hub i) in
+         Relation.make (Attr.Set.of_list [ h; x ])
+           (List.init n (fun v ->
+                Tuple.of_list [ (h, Value.int 0); (x, Value.int v) ]))))
+
+let test_count_saturates () =
+  let full_count db =
+    let c = Frame.Db.counter (Frame.Db.of_database db) in
+    Frame.Db.count c ((1 lsl Database.size db) - 1)
+  in
+  Alcotest.(check int) "exact below max_int" 1_000_000_000_000_000_000
+    (full_count (star_db ~hub:"H" 6 1000));
+  Alcotest.(check int) "10^21 rows saturate" max_int
+    (full_count (star_db ~hub:"H" 7 1000));
+  (* Two unconnected stars of 10^12 rows each: the product rule's
+     multiply saturates too. *)
+  let two =
+    Database.of_relations
+      (Database.relations (star_db ~hub:"G" 4 1000)
+      @ Database.relations (star_db ~hub:"H" 4 1000))
+  in
+  let cache = Cost.Cache.create ~backend:Cost.Cache.Frame two in
+  let full = Bitdb.full (Cost.Cache.universe cache) in
+  Alcotest.(check int) "one star" 1_000_000_000_000
+    (Cost.Cache.card_mask cache 0b1111);
+  Alcotest.(check int) "product saturates" max_int
+    (Cost.Cache.card_mask cache full);
+  Alcotest.(check int) "saturating_mul" max_int
+    (Frame.Db.saturating_mul (max_int / 2) 3);
+  Alcotest.(check int) "saturating_mul exact" (max_int - 1)
+    (Frame.Db.saturating_mul ((max_int - 1) / 2) 2)
 
 let cache_backends_agree =
   qtest "Cost.Cache backends agree on the complete tau table" ~count:40
@@ -532,8 +630,14 @@ let () =
           semijoin_agrees;
           project_agrees;
           join_all_agrees;
-          oracle_agrees;
+          count_agrees;
           cache_backends_agree;
+        ] );
+      ( "count",
+        [
+          Alcotest.test_case "wider than 62 attributes" `Quick
+            test_count_wide_universe;
+          Alcotest.test_case "saturates at max_int" `Quick test_count_saturates;
         ] );
       ( "parallel",
         [
