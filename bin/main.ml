@@ -1215,7 +1215,8 @@ let fuzz_cmd =
             "Certify the harness catches bugs: plant each mutation (the \
              frame-plane lossy join, the lossy yann semijoin, the skipped \
              root sort, the stale serve plan, the off-by-one product \
-             rule of the τ cache and the parallel join's lost morsel), \
+             rule of the τ cache, the frame counter's lost message and \
+             unsummed merge, and the parallel join's lost morsel), \
              require detection, and require shrinking to at most 4 \
              relations.  The lost morsel is reported as skipped where \
              the pool grants one worker.")

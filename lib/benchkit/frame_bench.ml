@@ -52,16 +52,15 @@ let join_micro_row dict_size (shape, n, reps) =
    of [morsel] probe rows: the probe sides span several, so the joins
    take the pool wherever it grants two workers.  Speedup is the
    parallel scaling and equality is bit-identical frames (the
-   determinism argument). *)
+   determinism argument).  The two sides' reps interleave
+   ([Bench_core.race]), so host noise lands on both. *)
 let join_morsel_row ~domains ~morsel (shape, n, reps) =
   let db = micro_db shape n in
   let fdb = Frame.Db.of_database db in
-  let one_ms, one_f =
-    Bench_core.best_of ~reps (fun () ->
-        Frame.Db.join_all ~domains:1 ~morsel fdb)
-  in
-  let par_ms, par_f =
-    Bench_core.best_of ~reps (fun () -> Frame.Db.join_all ~domains ~morsel fdb)
+  let (one_ms, one_f), (par_ms, par_f) =
+    Bench_core.race ~reps
+      (fun () -> Frame.Db.join_all ~domains:1 ~morsel fdb)
+      (fun () -> Frame.Db.join_all ~domains ~morsel fdb)
   in
   mk_row "join-morsel" shape n reps
     (one_ms, Frame.cardinality one_f)
@@ -103,10 +102,10 @@ let regime_gen = function
   | "superkey" -> fun ~rng d -> Dbgen.superkey_db ~rng ~rows:6 ~domain:10 d
   | r -> invalid_arg ("Frame_bench: unknown regime " ^ r)
 
-let trial_dbs regime trials =
+let trial_dbs ?(graph = Querygraph.chain 6) regime trials =
   List.init trials (fun i ->
       let rng = Random.State.make [| i + 1; 7; Hashtbl.hash regime |] in
-      regime_gen regime ~rng (Querygraph.chain 6))
+      regime_gen regime ~rng graph)
 
 (* The GAMMA inner loop under one cache backend: both DP optima plus the
    complete τ table (every non-empty sub-database cardinality), so
@@ -138,8 +137,8 @@ let tau_gamma_row regime trials =
     (frame_ms, List.fold_left ( + ) 0 frame_trace)
     (seed_trace = frame_trace)
 
-let tau_thm_row regime trials =
-  let dbs = trial_dbs regime trials in
+let tau_thm_row ?(experiment = "tau-thm") ?graph regime trials =
+  let dbs = trial_dbs ?graph regime trials in
   let verify_all backend () =
     List.map (fun db -> Theorems.verify ~backend db) dbs
   in
@@ -148,7 +147,7 @@ let tau_thm_row regime trials =
   let sum rs =
     List.fold_left (fun acc (r : Theorems.report) -> acc + r.min_all) 0 rs
   in
-  mk_row "tau-thm" regime trials 1
+  mk_row experiment regime trials 1
     (seed_ms, sum seed_reports)
     (frame_ms, sum frame_reports)
     (seed_reports = frame_reports)
@@ -173,12 +172,17 @@ let run ?domains ?(quick = false) () =
      siblings while it is timed reads their load, not its own cost.
      The τ rows and the floored engine row measure first, before the
      100k-row micro workloads grow the major heap under every later
-     timing. *)
+     timing.  The chain rows count acyclic masks only; the 4-clique's
+     six relations hold cyclic cores, which the frame counter merges. *)
   let tau_rows =
     List.map
       (fun r -> tau_gamma_row r trials)
       [ "uniform"; "skewed"; "superkey" ]
     @ List.map (fun r -> tau_thm_row r trials) [ "uniform"; "skewed" ]
+    @ [
+        tau_thm_row ~experiment:"tau-thm-clique" ~graph:(Querygraph.clique 4)
+          "uniform" trials;
+      ]
   in
   let engine_rows = [ exec_engine_row engine_n ] in
   let dict_size = ref 0 in

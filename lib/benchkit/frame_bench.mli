@@ -23,7 +23,10 @@
       and once by a [Cost.Cache Frame]; certifies bit-identical τ tables
       (every sub-database cardinality) and identical optimum costs.
     - ["tau-thm"] — [Theorems.verify] per seeded database under both
-      backends; certifies identical reports.
+      backends; certifies identical reports.  Chain-6 databases, like
+      ["tau-gamma"]: every mask is α-acyclic.
+    - ["tau-thm-clique"] — the same over the 4-clique's six relations,
+      whose cyclic masks the frame counter merges.
 
     Every row is timed alone, one after another, so no row's wall time
     carries a sibling's load; only the ["join-morsel"] row's own joins

@@ -99,6 +99,12 @@ let planted_case =
    case over a path. *)
 let planted_acyclic_case = Gen.normalize { planted_case with Gen.shape = Gen.Path }
 
+(* A merge runs only on a cyclic core, and the random graph above
+   stops shrinking once fewer relations leave it acyclic; over a cycle
+   every smaller cycle is cyclic too. *)
+let planted_cyclic_case =
+  Gen.normalize { planted_case with Gen.shape = Gen.Cycle }
+
 (* Most checks read the τ cache only on the masks a strategy's steps
    produce, and the product rule only prices unconnected ones; over a
    chain whose random strategy takes no Cartesian product step, the
@@ -174,16 +180,18 @@ let self_test () =
         (Format.asprintf "clean harness is not quiet on %a: %a" Gen.pp d
            Check.pp_failure f)
   | Check.Pass -> (
-      (* Seven independent planted bugs, each through the full loop:
+      (* Eight independent planted bugs, each through the full loop:
          the lossy frame join, the lossy yann semijoin reducer, the
          skipped root sort and the parallel join's lost morsel (all
          caught by the matrix's digest checks, on the hash the daemon
          serves without decoding), the serve stale-plan cache
          collision (caught by the serve leg's τ-log comparison), the τ
-         cache's off-by-one product rule and the frame counter's lost
-         message (both caught by the theorem checks' exact cache
-         comparison).  The lost morsel sits on the pool path, which a
-         1-core host never takes: there it is reported as skipped. *)
+         cache's off-by-one product rule, and the frame counter's lost
+         message and unsummed merge (all three caught by the theorem
+         checks' exact cache comparison; the merge on a cycle, where
+         cyclic cores survive shrinking).  The lost morsel sits on the
+         pool path, which a 1-core host never takes: there it is
+         reported as skipped. *)
       let rec all acc = function
         | [] -> Ok (String.concat "; " (List.rev acc))
         | (caught_by, case, spec) :: rest -> (
@@ -206,5 +214,6 @@ let self_test () =
            ([ "serve" ], d, "serve.cache_stale_plan");
            ([ "theorems" ], planted_cp_free_case, "cost.cp_product");
            (count_readers, d, "cost.count_message");
+           (count_readers, planted_cyclic_case, "cost.count_merge");
          ]
         @ if pooled then [ ([ "digest" ], d, "frame.lost_morsel") ] else []))

@@ -69,8 +69,9 @@ module Cache : sig
       theorem checks); [Frame] encodes the database and builds a
       {!Mj_relation.Frame.Db.counter} once, on the first miss, and
       counts each connected mask with {!Mj_relation.Frame.Db.count}:
-      α-acyclic masks without joining, cyclic cores by a linked join
-      order. *)
+      α-acyclic masks without joining, cyclic cores by merging linked
+      pairs into projected, weighted bags.  No [Frame] miss
+      materializes the mask's join. *)
 
   val database : t -> Database.t
   val backend : t -> backend

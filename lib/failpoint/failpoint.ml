@@ -10,6 +10,7 @@ type t =
   | Cost_cp_product
   | Frame_lost_morsel
   | Cost_count_message
+  | Cost_count_merge
 
 exception Injected of string
 
@@ -26,6 +27,7 @@ let all =
     Cost_cp_product;
     Frame_lost_morsel;
     Cost_count_message;
+    Cost_count_merge;
   ]
 
 let name = function
@@ -40,6 +42,7 @@ let name = function
   | Cost_cp_product -> "cost.cp_product"
   | Frame_lost_morsel -> "frame.lost_morsel"
   | Cost_count_message -> "cost.count_message"
+  | Cost_count_merge -> "cost.count_merge"
 
 let of_name s =
   let s = String.lowercase_ascii (String.trim s) in
@@ -57,6 +60,7 @@ let index = function
   | Cost_cp_product -> 8
   | Frame_lost_morsel -> 9
   | Cost_count_message -> 10
+  | Cost_count_merge -> 11
 
 (* One atomic bitmask of active points, one atomic hit counter per
    point: consultation from pool workers running on other domains is

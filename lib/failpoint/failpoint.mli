@@ -70,6 +70,11 @@ type t =
           keeps its weights without that child's factor — the planted
           defect that shows the theorem checks compare the frame
           backend's counts with the join *)
+  | Cost_count_merge
+      (** the same counting pass keeps the first weight of each merged
+          row group when it merges two schemes of a cyclic core,
+          instead of their sum — the planted defect that shows the
+          theorem checks reach the merge of a cyclic mask *)
 
 exception Injected of string
 (** Raised by {!trip}; carries the failpoint name. *)
@@ -81,7 +86,7 @@ val name : t -> string
     ["frame.lossy_join"], ["yann.lossy_semijoin"],
     ["serve.worker_stall"], ["serve.cache_stale_plan"],
     ["frame.skip_root_sort"], ["cost.cp_product"],
-    ["frame.lost_morsel"], ["cost.count_message"]. *)
+    ["frame.lost_morsel"], ["cost.count_message"], ["cost.count_merge"]. *)
 
 val of_name : string -> t option
 

@@ -896,28 +896,76 @@ module Db = struct
   let saturating_mul a b =
     if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
 
-  (* Everything a count needs that depends on the database alone, built
-     once: scheme [i] is the i-th scheme in [Scheme.compare] order, its
-     linking attributes (those of the database's attributes that two or
-     more schemes carry) are a bitset of [words] ints at [bits.(i *
-     words)], and [kpos.(i * k + j)] holds scheme [i]'s columns shared
-     with scheme [j], in attribute order, so [kpos.(i * k + j)] and
-     [kpos.(j * k + i)] line up as one key.  The rest is scratch a mask
-     overwrites: per-scheme row weights, the message's hash index
-     ([head]/[next] chains over the ear's rows, [sum] per key group)
-     sized to the largest relation, and one bitset. *)
+  (* Everything a count needs.  Scheme [i] is the i-th scheme in
+     [Scheme.compare] order.  Its linking attributes (those of the
+     database's attributes that two or more schemes carry) are a bitset
+     of [words] ints at [bits.(i * words)], bit [b] the [b]-th linking
+     attribute in attribute order.  A count works on one slot per
+     scheme: its rows, their weights and the column of each linking
+     attribute, with [kpos.(i * k + j)] slot [i]'s columns shared with
+     slot [j] in attribute order, so [kpos.(i * k + j)] and [kpos.(j *
+     k + i)] line up as one key.  A merge replaces a slot, its bitset
+     and its keys; [merged] flags those slots, and the next count
+     restores them from [oslots], [obits] and [okpos].  The rest is
+     scratch: the message's hash index ([head]/[next] chains over the
+     ear's rows, [sum] per key group), grown when a merged slot
+     outgrows it, and one bitset. *)
+  type slot = {
+    sdata : int array;
+    swidth : int;
+    srows : int;
+    sweight : int array; (* written by the messages the slot receives *)
+    scol : int array; (* column of linking attribute [b], or -1 *)
+  }
+
   type counter = {
-    cframes : frame array;
     k : int;
     words : int;
+    slots : slot array;
+    oslots : slot array;
     bits : int array;
+    obits : int array;
     kpos : int array array;
-    weight : int array array;
-    head : int array;
-    next : int array;
-    sum : int array;
+    okpos : int array array;
+    mutable merged : int;
+    mutable head : int array;
+    mutable next : int array;
+    mutable sum : int array;
     scratch : int array;
   }
+
+  (* [f acc b] over the set bits [b] of the [words]-word bitset whose
+     [w]-th word is [word w], in ascending order. *)
+  let fold_bits words word f acc =
+    let acc = ref acc in
+    for w = 0 to words - 1 do
+      let x = word w in
+      if x <> 0 then
+        for b = 0 to Sys.int_size - 1 do
+          if x land (1 lsl b) <> 0 then acc := f !acc ((w * Sys.int_size) + b)
+        done
+    done;
+    !acc
+
+  (* The key columns slots [x] and [y] share, as [kpos.(x * k + y)] and
+     [kpos.(y * k + x)]. *)
+  let set_key c x y =
+    let words = c.words in
+    let shared w =
+      c.bits.((x * words) + w) land c.bits.((y * words) + w)
+    in
+    let n = fold_bits words shared (fun n _ -> n + 1) 0 in
+    let kx = Array.make n 0 and ky = Array.make n 0 in
+    let cx = c.slots.(x).scol and cy = c.slots.(y).scol in
+    ignore
+      (fold_bits words shared
+         (fun t b ->
+           kx.(t) <- cx.(b);
+           ky.(t) <- cy.(b);
+           t + 1)
+         0);
+    c.kpos.((x * c.k) + y) <- kx;
+    c.kpos.((y * c.k) + x) <- ky
 
   let counter fdb =
     let cframes =
@@ -937,7 +985,6 @@ module Db = struct
             m f.attrs)
         Attr.Map.empty cframes
     in
-    (* Bit [b] of a bitset is the [b]-th linking attribute. *)
     let linking, nlinking =
       Attr.Map.fold
         (fun a n (m, b) ->
@@ -946,50 +993,93 @@ module Db = struct
     in
     let words = max 1 ((nlinking + Sys.int_size - 1) / Sys.int_size) in
     let bits = Array.make (k * words) 0 in
-    Array.iteri
-      (fun i f ->
-        Array.iter
-          (fun a ->
-            match Attr.Map.find_opt a linking with
-            | Some b ->
-                let w = (i * words) + (b / Sys.int_size) in
-                bits.(w) <- bits.(w) lor (1 lsl (b mod Sys.int_size))
-            | None -> ())
-          f.attrs)
-      cframes;
-    let kpos =
-      Array.init (k * k) (fun ij ->
-          let fi = cframes.(ij / k) and fj = cframes.(ij mod k) in
-          Array.of_list
-            (List.map (col_of fi)
-               (Attr.Set.elements (Attr.Set.inter fi.scheme fj.scheme))))
+    let slots =
+      Array.mapi
+        (fun i f ->
+          let scol = Array.make nlinking (-1) in
+          Array.iteri
+            (fun col a ->
+              match Attr.Map.find_opt a linking with
+              | Some b ->
+                  scol.(b) <- col;
+                  let w = (i * words) + (b / Sys.int_size) in
+                  bits.(w) <- bits.(w) lor (1 lsl (b mod Sys.int_size))
+              | None -> ())
+            f.attrs;
+          {
+            sdata = f.data;
+            swidth = f.width;
+            srows = f.rows;
+            sweight = Array.make (max 1 f.rows) 0;
+            scol;
+          })
+        cframes
     in
     let largest = Array.fold_left (fun m f -> max m f.rows) 1 cframes in
-    {
-      cframes;
-      k;
-      words;
-      bits;
-      kpos;
-      weight = Array.map (fun f -> Array.make (max 1 f.rows) 0) cframes;
-      head = Array.make (pow2_at_least (2 * largest)) (-1);
-      next = Array.make largest (-1);
-      sum = Array.make largest 0;
-      scratch = Array.make words 0;
-    }
+    let c =
+      {
+        k;
+        words;
+        slots;
+        oslots = Array.copy slots;
+        bits;
+        obits = Array.copy bits;
+        kpos = Array.make (k * k) [||];
+        okpos = Array.make (k * k) [||];
+        merged = 0;
+        head = Array.make (pow2_at_least (2 * largest)) (-1);
+        next = Array.make largest (-1);
+        sum = Array.make largest 0;
+        scratch = Array.make words 0;
+      }
+    in
+    for x = 0 to k - 1 do
+      for y = x + 1 to k - 1 do
+        set_key c x y
+      done
+    done;
+    Array.blit c.kpos 0 c.okpos 0 (k * k);
+    c
+
+  (* Put every slot a merge replaced back to its scheme. *)
+  let restore c =
+    let k = c.k and words = c.words in
+    for i = 0 to k - 1 do
+      if c.merged land (1 lsl i) <> 0 then begin
+        c.slots.(i) <- c.oslots.(i);
+        Array.blit c.obits (i * words) c.bits (i * words) words;
+        for x = 0 to k - 1 do
+          c.kpos.((i * k) + x) <- c.okpos.((i * k) + x);
+          c.kpos.((x * k) + i) <- c.okpos.((x * k) + i)
+        done
+      end
+    done;
+    c.merged <- 0
+
+  (* Room in the message index for an ear of [n] rows. *)
+  let reserve c n =
+    if n > Array.length c.next then begin
+      c.head <- Array.make (pow2_at_least (2 * n)) (-1);
+      c.next <- Array.make n (-1);
+      c.sum <- Array.make n 0
+    end
+
+  (* Word [w] of the union of the bitsets of the slots in [set]. *)
+  let[@inline] union_word c set w =
+    let u = ref 0 in
+    for j = 0 to c.k - 1 do
+      if set land (1 lsl j) <> 0 then u := !u lor c.bits.((j * c.words) + w)
+    done;
+    !u
 
   (* Scheme [e] is an ear of [live] when every linking attribute it
      shares with another live scheme lies in one live scheme [p]; the
      first such [p] is returned, or [-1]. *)
   let parent c live e =
     let words = c.words in
+    let others = live land lnot (1 lsl e) in
     for w = 0 to words - 1 do
-      let others = ref 0 in
-      for j = 0 to c.k - 1 do
-        if j <> e && live land (1 lsl j) <> 0 then
-          others := !others lor c.bits.((j * words) + w)
-      done;
-      c.scratch.(w) <- c.bits.((e * words) + w) land !others
+      c.scratch.(w) <- c.bits.((e * words) + w) land union_word c others w
     done;
     let rec find p =
       if p >= c.k then -1
@@ -1016,26 +1106,25 @@ module Db = struct
   (* Ear [e] sends [p] its message: [e]'s rows grouped by the key they
      share with [p], each group's weight summed, and [p]'s row weights
      multiplied by their group's sum (0 when no group matches).  A row
-     of a scheme that has received no message weighs 1.  Returns
-     whether some row of [p] keeps a non-zero weight. *)
+     of a slot that has received no message weighs 1.  Returns whether
+     some row of [p] keeps a non-zero weight. *)
   let send c ~weighted e p =
-    let fe = c.cframes.(e) and fp = c.cframes.(p) in
+    let se = c.slots.(e) and sp = c.slots.(p) in
+    let de = se.sdata and we = se.sweight and width = se.swidth in
     let ke = c.kpos.((e * c.k) + p) and kp = c.kpos.((p * c.k) + e) in
-    let we = c.weight.(e) and wp = c.weight.(p) in
     let e_weighted = weighted land (1 lsl e) <> 0
     and p_weighted = weighted land (1 lsl p) <> 0 in
+    reserve c se.srows;
     let head = c.head and next = c.next and sum = c.sum in
-    let bmask = pow2_at_least (2 * fe.rows) - 1 in
+    let bmask = pow2_at_least (2 * se.srows) - 1 in
     Array.fill head 0 (bmask + 1) (-1);
-    for r = 0 to fe.rows - 1 do
+    for r = 0 to se.srows - 1 do
       let x = if e_weighted then Array.unsafe_get we r else 1 in
       if x > 0 then begin
-        let b = r * fe.width in
-        let h = key_hash fe.data b ke land bmask in
+        let b = r * width in
+        let h = key_hash de b ke land bmask in
         let g = ref (Array.unsafe_get head h) in
-        while
-          !g >= 0 && not (keys_match fe.data (!g * fe.width) ke fe.data b ke)
-        do
+        while !g >= 0 && not (keys_match de (!g * width) ke de b ke) do
           g := Array.unsafe_get next !g
         done;
         if !g >= 0 then
@@ -1046,19 +1135,17 @@ module Db = struct
         end
       end
     done;
+    let dp = sp.sdata and wp = sp.sweight in
     let alive = ref false in
-    for q = 0 to fp.rows - 1 do
+    for q = 0 to sp.srows - 1 do
       let y = if p_weighted then Array.unsafe_get wp q else 1 in
       let y =
         if y = 0 then 0
         else begin
-          let b = q * fp.width in
-          let h = key_hash fp.data b kp land bmask in
+          let b = q * sp.swidth in
+          let h = key_hash dp b kp land bmask in
           let g = ref (Array.unsafe_get head h) in
-          while
-            !g >= 0
-            && not (keys_match fp.data b kp fe.data (!g * fe.width) ke)
-          do
+          while !g >= 0 && not (keys_match dp b kp de (!g * width) ke) do
             g := Array.unsafe_get next !g
           done;
           if !g >= 0 then saturating_mul y (Array.unsafe_get sum !g) else 0
@@ -1072,54 +1159,187 @@ module Db = struct
   let rec lowest_index m i =
     if m land (1 lsl i) <> 0 then i else lowest_index m (i + 1)
 
-  (* A mask with no ear left: join its schemes with [natural_join],
-     each step linked to the schemes joined so far when one is. *)
-  let join_count c mask =
-    let words = c.words and joined = c.scratch in
-    let first = lowest_index mask 0 in
-    Array.blit c.bits (first * words) joined 0 words;
+  (* The merge partner of [i] in a stuck [live]: the live slot linked
+     to it with the fewest rows, the lowest on a tie.  One exists: a
+     slot linked to no other live slot is an ear. *)
+  let partner c live i =
+    let words = c.words in
     let linked j =
       let rec go w =
         w < words
-        && (c.bits.((j * words) + w) land joined.(w) <> 0 || go (w + 1))
+        && (c.bits.((i * words) + w) land c.bits.((j * words) + w) <> 0
+           || go (w + 1))
       in
       go 0
     in
-    let rec pick rest j =
-      if j >= c.k then lowest_index rest 0
-      else if rest land (1 lsl j) <> 0 && linked j then j
-      else pick rest (j + 1)
+    let best = ref (-1) in
+    for j = 0 to c.k - 1 do
+      if j <> i && live land (1 lsl j) <> 0 && linked j
+         && (!best < 0 || c.slots.(j).srows < c.slots.(!best).srows)
+      then best := j
+    done;
+    !best
+
+  let grown a n fill =
+    let b = Array.make (max n (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* Slots [i] and [j] of [live] become one: joined on their shared
+     key, each output row weighing the product of its two rows'
+     weights, projected onto the linking attributes some other live
+     slot carries, and rows that project alike summed into one.  The
+     merged bag replaces slot [i] (its bitset and its keys with the
+     other live slots too).  Returns whether it has a row. *)
+  let merge c ~live ~weighted i j =
+    let k = c.k and words = c.words in
+    let si = c.slots.(i) and sj = c.slots.(j) in
+    let keep = c.scratch
+    and others = live land lnot ((1 lsl i) lor (1 lsl j)) in
+    for w = 0 to words - 1 do
+      keep.(w) <-
+        (c.bits.((i * words) + w) lor c.bits.((j * words) + w))
+        land union_word c others w
+    done;
+    let keep_word w = keep.(w) in
+    let width = fold_bits words keep_word (fun n _ -> n + 1) 0 in
+    (* Output column [t] reads column [from.(t)] of [i] when it is
+       non-negative, else column [-from.(t) - 1] of [j]. *)
+    let from = Array.make width 0 in
+    ignore
+      (fold_bits words keep_word
+         (fun t b ->
+           from.(t) <-
+             (if si.scol.(b) >= 0 then si.scol.(b) else -sj.scol.(b) - 1);
+           t + 1)
+         0);
+    let ki = c.kpos.((i * k) + j) and kj = c.kpos.((j * k) + i) in
+    let di = si.sdata and dj = sj.sdata in
+    let wi = si.swidth and wj = sj.swidth in
+    let i_weighted = weighted land (1 lsl i) <> 0
+    and j_weighted = weighted land (1 lsl j) <> 0 in
+    let wti = si.sweight and wtj = sj.sweight in
+    (* [j]'s rows of non-zero weight, indexed on the key. *)
+    reserve c sj.srows;
+    let head = c.head and next = c.next in
+    let bmask = pow2_at_least (2 * sj.srows) - 1 in
+    Array.fill head 0 (bmask + 1) (-1);
+    for r = 0 to sj.srows - 1 do
+      if (not j_weighted) || Array.unsafe_get wtj r > 0 then
+        insert head next r (key_hash dj (r * wj) kj land bmask)
+    done;
+    (* The merged rows, [n] of them, in [out] with their summed weights
+       in [ow] and a hash index of their own ([ghead]/[gnext]), grown
+       as rows arrive. *)
+    (* Off only under the planted [cost.count_merge] defect, which keeps
+       a group's first weight instead of the sum.  Never active outside
+       an explicit failpoint activation. *)
+    let sums =
+      not
+        (Mj_failpoint.Failpoint.fire Mj_failpoint.Failpoint.Cost_count_merge)
     in
-    let rec go acc rest =
-      if rest = 0 then acc.rows
-      else begin
-        let j = pick rest 0 in
-        for w = 0 to words - 1 do
-          joined.(w) <- joined.(w) lor c.bits.((j * words) + w)
-        done;
-        go (natural_join acc c.cframes.(j)) (rest land lnot (1 lsl j))
+    let ident = Array.init width Fun.id in
+    let cap = max si.srows sj.srows in
+    let out = ref (Array.make (max 1 (cap * width)) 0)
+    and ow = ref (Array.make cap 0)
+    and gnext = ref (Array.make cap (-1))
+    and ghead = ref (Array.make (pow2_at_least (2 * cap)) (-1))
+    and n = ref 0 in
+    let rehash () =
+      let gmask = (2 * Array.length !ghead) - 1 in
+      ghead := Array.make (gmask + 1) (-1);
+      for g = 0 to !n - 1 do
+        insert !ghead !gnext g (key_hash !out (g * width) ident land gmask)
+      done
+    in
+    for q = 0 to si.srows - 1 do
+      let y = if i_weighted then Array.unsafe_get wti q else 1 in
+      if y > 0 then begin
+        let bq = q * wi in
+        let r = ref (Array.unsafe_get head (key_hash di bq ki land bmask)) in
+        while !r >= 0 do
+          let br = !r * wj in
+          if keys_match di bq ki dj br kj then begin
+            let x =
+              if j_weighted then saturating_mul y (Array.unsafe_get wtj !r)
+              else y
+            in
+            let o = !n * width in
+            if o + width > Array.length !out then
+              out := grown !out (o + width) 0;
+            let d = !out in
+            for t = 0 to width - 1 do
+              let s = Array.unsafe_get from t in
+              Array.unsafe_set d (o + t)
+                (if s >= 0 then Array.unsafe_get di (bq + s)
+                 else Array.unsafe_get dj (br - s - 1))
+            done;
+            let gmask = Array.length !ghead - 1 in
+            let h = key_hash d o ident land gmask in
+            let g = ref (Array.unsafe_get !ghead h) in
+            while !g >= 0 && not (keys_match d (!g * width) ident d o ident) do
+              g := Array.unsafe_get !gnext !g
+            done;
+            if !g >= 0 then begin
+              if sums then
+                Array.unsafe_set !ow !g
+                  (saturating_add (Array.unsafe_get !ow !g) x)
+            end
+            else begin
+              if !n >= Array.length !ow then begin
+                ow := grown !ow (!n + 1) 0;
+                gnext := grown !gnext (!n + 1) (-1)
+              end;
+              Array.unsafe_set !ow !n x;
+              insert !ghead !gnext !n h;
+              incr n;
+              if 2 * !n > Array.length !ghead then rehash ()
+            end
+          end;
+          r := Array.unsafe_get next !r
+        done
       end
-    in
-    go c.cframes.(first) (mask land lnot (1 lsl first))
+    done;
+    !n > 0
+    && begin
+         let scol = Array.make (Array.length si.scol) (-1) in
+         ignore (fold_bits words keep_word (fun t b -> scol.(b) <- t; t + 1) 0);
+         c.slots.(i) <-
+           { sdata = !out; swidth = width; srows = !n; sweight = !ow; scol };
+         Array.blit keep 0 c.bits (i * words) words;
+         c.merged <- c.merged lor (1 lsl i);
+         for x = 0 to k - 1 do
+           if others land (1 lsl x) <> 0 then set_key c i x
+         done;
+         true
+       end
 
   let count c mask =
     if mask <= 0 || mask lsr c.k <> 0 then
       invalid_arg "Frame.Db.count: mask outside the database";
+    if c.merged <> 0 then restore c;
     let rec reduce live weighted first =
       if live land (live - 1) = 0 then begin
-        let r = lowest_index live 0 in
-        if weighted land live = 0 then c.cframes.(r).rows
+        let s = c.slots.(lowest_index live 0) in
+        if weighted land live = 0 then s.srows
         else begin
-          let w = c.weight.(r) and n = ref 0 in
-          for q = 0 to c.cframes.(r).rows - 1 do
-            n := saturating_add !n (Array.unsafe_get w q)
+          let n = ref 0 in
+          for q = 0 to s.srows - 1 do
+            n := saturating_add !n (Array.unsafe_get s.sweight q)
           done;
           !n
         end
       end
       else
         match ear c live 0 with
-        | -1 -> join_count c mask
+        | -1 ->
+            (* A cyclic core: merge two of its slots, then look for
+               ears again. *)
+            let i = lowest_index live 0 in
+            let j = partner c live i in
+            if merge c ~live ~weighted i j then
+              reduce (live land lnot (1 lsl j)) (weighted lor (1 lsl i)) first
+            else 0
         | ep ->
             let e = ep / c.k and p = ep mod c.k in
             let live = live land lnot (1 lsl e) in

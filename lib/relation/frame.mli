@@ -289,8 +289,9 @@ module Db : sig
       attributes as a bitset (any number of attributes), the key
       columns of every linked pair, and scratch row weights and hash
       chains sized to the largest relation.  Built once per database;
-      a count reuses it and allocates no lists.  Not safe to share
-      between domains. *)
+      a count reuses it and allocates no lists.  A merge (below)
+      replaces one scheme's slot for the rest of its count; the next
+      count restores it.  Not safe to share between domains. *)
 
   val counter : t -> counter
   (** @raise Invalid_argument for more relations than an [int] mask
@@ -307,11 +308,16 @@ module Db : sig
       multiplies it into its row weights (Yannakakis in the counting
       semiring), so an α-acyclic mask costs one pass over its code
       buffers with no intermediate rows and no Cartesian-product
-      steps.  A mask with no ear left (a cyclic core) is joined with
-      {!Mj_relation.Frame.natural_join} in a connected order, each
-      step linked to its prefix, and its rows counted.  A parent left
-      with no weighted row ends the count at 0.  Counts saturate at
-      [max_int].
+      steps.  When no ear is left (a cyclic core), the lowest live
+      scheme and the linked live scheme with the fewest rows are
+      merged: joined on their shared key with their row weights
+      multiplied, projected onto the linking attributes some other
+      live scheme carries, and rows that project alike summed into one
+      weighted row.  The merged bag takes the first scheme's place and
+      ear elimination resumes, so a cyclic core materializes one
+      projected two-input join per merge and never the mask's join.
+      A parent or merge left with no weighted row ends the count at 0.
+      Counts saturate at [max_int].
       @raise Invalid_argument if [mask] is [0] or names a scheme
       outside the database. *)
 

@@ -260,7 +260,8 @@ let contains s sub =
 
 (* The lost morsel lives on the pool path: caught where the pool grants
    more than one worker, reported as skipped (never as caught) where it
-   grants one.  The frame counter's lost message is caught everywhere. *)
+   grants one.  The frame counter's lost message and unsummed merge are
+   caught everywhere. *)
 let test_self_test () =
   match Fuzz.self_test () with
   | Ok msg ->
@@ -270,7 +271,9 @@ let test_self_test () =
       Alcotest.(check bool) "lost morsel skipped" (not pooled)
         (contains msg "planted frame.lost_morsel skipped");
       Alcotest.(check bool) "lost count message caught" true
-        (contains msg "planted cost.count_message caught")
+        (contains msg "planted cost.count_message caught");
+      Alcotest.(check bool) "unsummed count merge caught" true
+        (contains msg "planted cost.count_merge caught")
   | Error e -> Alcotest.failf "self-test failed: %s" e
 
 (* ------------------------------------------------------------------ *)

@@ -866,6 +866,24 @@ let test_verify_cache_traffic () =
        (fun name -> (name, Option.value ~default:0 (List.assoc_opt name counters)))
        [ "cost.cache_hits"; "cost.cache_misses" ])
 
+(* The minor words of one warm [Theorems.verify ~backend:Frame] on a
+   cyclic database of the tau-sweep benchmark (seed 3, database 4: six
+   relations over a random query graph with extra edges, uniform, 3
+   values), after a first verify.  Its cyclic masks count by merges,
+   so no cache miss joins rows. *)
+let test_verify_allocation () =
+  let rng = Random.State.make [| 3; 4 |] in
+  let rows = 5 + Random.State.int rng 4 in
+  let d = Querygraph.random ~extra_edge_prob:0.3 ~rng 6 in
+  let db = Dbgen.uniform_db ~rng ~rows ~domain:3 d in
+  Alcotest.(check bool) "cyclic" false (Acyclicity.is_alpha_acyclic d);
+  let warm = Theorems.verify ~backend:Cost.Cache.Frame db in
+  let before = Gc.minor_words () in
+  let report = Theorems.verify ~backend:Cost.Cache.Frame db in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "same report" true (warm = report);
+  Alcotest.(check (float 0.)) "minor words" 39018. words
+
 let test_cache_product_rule () =
   (* D = {AB, BC, DE} is unconnected; emptying DE empties every mask
      that holds it, and the product stops there. *)
@@ -1105,6 +1123,8 @@ let () =
             test_cache_product_rule;
           Alcotest.test_case "verify cache traffic" `Quick
             test_verify_cache_traffic;
+          Alcotest.test_case "verify allocation" `Quick
+            test_verify_allocation;
           prop_cache_matches_joins;
         ] );
       ( "monotone",

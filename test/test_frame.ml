@@ -171,15 +171,21 @@ let gen_hyper_db =
   Database.of_relations rels
 
 (* [Db.count] on every non-empty mask, the unconnected ones included,
-   against the row count of the seed join. *)
-let count_matches_join db =
-  let c = Frame.Db.counter (Frame.Db.of_database db) in
+   one counter for them all, against the row count of a join of the
+   same schemes: the seed join by default, [join_rows] when given. *)
+let count_matches_join ?join_rows db =
+  let fdb = Frame.Db.of_database db in
+  let c = Frame.Db.counter fdb in
   let u = Bitdb.make (Database.schemes db) in
+  let join_rows =
+    match join_rows with
+    | Some f -> f fdb
+    | None ->
+        fun d ->
+          Relation.cardinality (Database.join_all (Database.restrict db d))
+  in
   List.for_all
-    (fun m ->
-      Frame.Db.count c m
-      = Relation.cardinality
-          (Database.join_all (Database.restrict db (Bitdb.set_of_mask u m))))
+    (fun m -> Frame.Db.count c m = join_rows (Bitdb.set_of_mask u m))
     (List.init (Bitdb.full u) (fun m -> m + 1))
 
 let count_agrees =
@@ -251,6 +257,130 @@ let test_count_saturates () =
     (Frame.Db.saturating_mul (max_int / 2) 3);
   Alcotest.(check int) "saturating_mul exact" (max_int - 1)
     (Frame.Db.saturating_mul ((max_int - 1) / 2) 2)
+
+(* Query graphs with cyclic cores, where ear elimination gets stuck
+   and [Db.count] merges: cycles of 3 to 6 relations, the 4-clique and
+   random graphs with extra edges, in the uniform or skewed regime over
+   small domains (dangling rows), one relation emptied now and then. *)
+let gen_cyclic_db =
+  let open QCheck2.Gen in
+  let* kind = int_range 0 2 in
+  let* n = int_range 3 6 in
+  let* rows = int_range 1 8 in
+  let* domain = int_range 1 3 in
+  let* skewed = bool in
+  let* empty = int_range 0 (3 * n) in
+  let* seed = int_range 0 100_000 in
+  let rng = Random.State.make [| seed; n; kind |] in
+  let d =
+    match kind with
+    | 0 -> Querygraph.cycle n
+    | 1 -> Querygraph.clique 4
+    | _ -> Querygraph.random ~extra_edge_prob:0.6 ~rng n
+  in
+  let db =
+    if skewed then Dbgen.skewed_db ~rng ~rows ~domain:(domain + 1) ~skew:1.5 d
+    else Dbgen.uniform_db ~rng ~rows ~domain d
+  in
+  return
+    (match List.nth_opt (Database.relations db) empty with
+    | Some r -> Database.replace db (Relation.make (Relation.scheme r) [])
+    | None -> db)
+
+let count_cyclic_agrees =
+  qtest "Db.count equals join_schemes on cyclic cores" ~count:150
+    gen_cyclic_db
+    (count_matches_join ~join_rows:(fun fdb d ->
+         Frame.cardinality (Frame.Db.join_schemes fdb d)))
+
+let count_masks db masks =
+  let c = Frame.Db.counter (Frame.Db.of_database db) in
+  List.map (Frame.Db.count c) masks
+
+let i = Value.int
+
+(* A triangle whose merge projects two rows onto one: AB and BC (the
+   smaller partner) join on B into (1,1,1) and (1,2,1), both (1,1) on
+   AC's attributes, so the merged row weighs 2.  Keeping one weight
+   (the planted [cost.count_merge]) reads 1. *)
+let triangle =
+  Database.of_relations
+    [
+      Relation.of_rows "AB" [ [ i 1; i 1 ]; [ i 1; i 2 ] ];
+      Relation.of_rows "BC" [ [ i 1; i 1 ]; [ i 2; i 1 ] ];
+      Relation.of_rows "AC" [ [ i 1; i 1 ]; [ i 2; i 2 ]; [ i 3; i 3 ] ];
+    ]
+
+let test_count_merge_sums () =
+  Alcotest.(check int) "the join's rows" 2
+    (Relation.cardinality (Database.join_all triangle));
+  Alcotest.(check (list int)) "merged weights sum" [ 2 ]
+    (count_masks triangle [ 0b111 ]);
+  Mj_failpoint.Failpoint.with_saved (fun () ->
+      Mj_failpoint.Failpoint.enable Mj_failpoint.Failpoint.Cost_count_merge;
+      Alcotest.(check (list int)) "first weight only" [ 1 ]
+        (count_masks triangle [ 0b111 ]))
+
+(* AB and its partner BC share no B value: the merge is empty and so is
+   the count, though the other two pairs of the triangle join. *)
+let test_count_merge_empty () =
+  let db =
+    Database.of_relations
+      [
+        Relation.of_rows "AB" [ [ i 1; i 1 ] ];
+        Relation.of_rows "BC" [ [ i 2; i 1 ] ];
+        Relation.of_rows "AC" [ [ i 1; i 1 ]; [ i 2; i 2 ] ];
+      ]
+  in
+  Alcotest.(check (list int)) "counts" [ 0; 1; 0; 1 ]
+    (count_masks db [ 0b111; 0b011; 0b101; 0b110 ])
+
+(* A cyclic count merges slot 0 into a bag over other attributes; the
+   acyclic sub-masks that follow, slot 0 among them, and the full mask
+   again must read the schemes themselves. *)
+let test_count_merge_restored () =
+  let rng = Random.State.make [| 4 |] in
+  let db = Dbgen.uniform_db ~rng ~rows:8 ~domain:3 (Querygraph.cycle 4) in
+  let fdb = Frame.Db.of_database db in
+  let u = Bitdb.make (Database.schemes db) in
+  let join m =
+    Frame.cardinality (Frame.Db.join_schemes fdb (Bitdb.set_of_mask u m))
+  in
+  let masks = [ 0b1111; 0b0111; 0b1011; 0b0001; 0b1111 ] in
+  let c = Frame.Db.counter fdb in
+  Alcotest.(check (list int)) "each count reads its own schemes"
+    (List.map join masks)
+    (List.map (Frame.Db.count c) masks)
+
+(* The triangle {A,B}, {A,C}, {B,C} on [a] values of A, with [m] ears
+   {A, Xi} under AB and [m] ears {C, Yi} under AC, each of 1000 rows
+   per A or C value, so every row of AB and of AC weighs 1000^m.  AB
+   merges with AC (BC has more rows), and all [a] merged rows project
+   onto one (B, C) key: the bag's one weight is [a] products of two
+   1000^m weights, summed. *)
+let test_count_merge_saturates () =
+  let db ~a m =
+    let ears hub tips =
+      List.init m (fun e ->
+          Relation.of_rows
+            (hub ^ String.make 1 tips.[e])
+            (List.concat
+               (List.init a (fun v ->
+                    List.init 1000 (fun x -> [ i v; i x ])))))
+    in
+    Database.of_relations
+      ([
+         Relation.of_rows "AB" (List.init a (fun v -> [ i v; i 0 ]));
+         Relation.of_rows "AC" (List.init a (fun v -> [ i v; i 0 ]));
+         Relation.of_rows "BC" (List.init (a + 1) (fun v -> [ i v; i v ]));
+       ]
+      @ ears "A" "DEFG" @ ears "C" "HIJK")
+  in
+  let full ~a m = count_masks (db ~a m) [ (1 lsl (3 + (2 * m))) - 1 ] in
+  Alcotest.(check (list int)) "exact below max_int"
+    [ 4_000_000_000_000_000_000 ] (full ~a:4 3);
+  Alcotest.(check (list int)) "the sum saturates" [ max_int ] (full ~a:5 3);
+  Alcotest.(check (list int)) "the product saturates" [ max_int ] (full ~a:1 4)
 
 let cache_backends_agree =
   qtest "Cost.Cache backends agree on the complete tau table" ~count:40
@@ -631,6 +761,7 @@ let () =
           project_agrees;
           join_all_agrees;
           count_agrees;
+          count_cyclic_agrees;
           cache_backends_agree;
         ] );
       ( "count",
@@ -638,6 +769,12 @@ let () =
           Alcotest.test_case "wider than 62 attributes" `Quick
             test_count_wide_universe;
           Alcotest.test_case "saturates at max_int" `Quick test_count_saturates;
+          Alcotest.test_case "merged weights sum" `Quick test_count_merge_sums;
+          Alcotest.test_case "empty merge" `Quick test_count_merge_empty;
+          Alcotest.test_case "merged slots are restored" `Quick
+            test_count_merge_restored;
+          Alcotest.test_case "saturates through a merge" `Quick
+            test_count_merge_saturates;
         ] );
       ( "parallel",
         [
