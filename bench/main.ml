@@ -1285,13 +1285,10 @@ let () =
         Printf.eprintf "unknown experiment %s (known: %s)\n" id
           (String.concat " " (List.map fst experiments));
         exit 2);
-    (* CLI > env > default: flag values are registered before the config
-       forces its (memoized, first-set-wins) environment read, so every
-       default-using path — the pool's worker count, [Cost.Cache]'s
-       τ-oracle backend in THM/GAMMA/CASE — observes the flags. *)
-    Option.iter
-      (fun p -> Cost.Cache.set_env_backend (Engine.backend_of_plane p))
-      flags.Mj_cli.plane;
+    (* CLI > env > default: the domains flag is registered before the
+       config forces its (memoized, first-set-wins) environment read, so
+       every default-using path — the pool's worker count — observes
+       it. *)
     Option.iter (fun d -> Pool.set_env_domains (max 1 d)) flags.Mj_cli.domains;
     config := Some (Mj_cli.make_config flags);
     List.iter

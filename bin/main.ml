@@ -216,7 +216,7 @@ let run_verify scenario ((shape_name, _) as shape) n seed rows domain regime
   let t0 = Obs.monotonic_time () in
   let report =
     Obs.span obs "verify" (fun () ->
-        Theorems.verify ~obs ~backend:(Engine.Config.backend cfg) db)
+        Theorems.verify ~obs db)
   in
   let duration_ms = (Obs.monotonic_time () -. t0) *. 1e3 in
   Format.printf "%a@." Theorems.pp_report report;
@@ -1353,11 +1353,11 @@ let serve_cmd =
 let () =
   let doc = "strategies for multiple joins — reproduction toolbox" in
   (* Resolve the environment exactly once per process, before any
-     subcommand runs: this registers the MJ_DATA_PLANE / MJ_DOMAINS
-     defaults with Cost.Cache and the pool, so subcommands without
-     engine flags (examples, plan, analyze, ...) keep their historical
-     env-driven behavior.  A malformed MJ_FAILPOINTS must die cleanly
-     here, not as an uncaught exception. *)
+     subcommand runs: this registers the MJ_DOMAINS default with the
+     pool, so subcommands without engine flags (examples, plan,
+     analyze, ...) keep their historical env-driven behavior.  A
+     malformed MJ_FAILPOINTS must die cleanly here, not as an uncaught
+     exception. *)
   (try ignore (Engine.Config.of_env ())
    with Failure msg ->
      prerr_endline ("mjoin: " ^ msg);

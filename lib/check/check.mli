@@ -64,10 +64,10 @@
       [Refuted], the DP's reported optimum must equal the materialized
       τ of the strategy it returns and bound the case's own strategy,
       and the subspace minima must nest ([min_all ≤ min_cp_free], …).
-      Every mask's cardinality, on the environment's cache and on a
-      [Frame]-counted one, must equal its materialized join
-      ([theorems:cache_exact]), and [Theorems.verify] must give the
-      same report on both backends ([theorems:backends]).
+      Every mask's cardinality in the default ([Frame]-counted) cache
+      must equal its materialized join ([theorems:cache_exact]), and
+      [Theorems.verify] must give the same report on the materializing
+      [Seed] backend ([theorems:backends]).
     - {!faults}: fault injection through {!Mj_failpoint.Failpoint} —
       a killed pool worker must not change pool results, a poisoned
       τ-cache must detect and bypass its corrupt entries, oversized

@@ -99,12 +99,6 @@ let planted_case =
    case over a path. *)
 let planted_acyclic_case = Gen.normalize { planted_case with Gen.shape = Gen.Path }
 
-(* A merge runs only on a cyclic core, and the random graph above
-   stops shrinking once fewer relations leave it acyclic; over a cycle
-   every smaller cycle is cyclic too. *)
-let planted_cyclic_case =
-  Gen.normalize { planted_case with Gen.shape = Gen.Cycle }
-
 (* Most checks read the τ cache only on the masks a strategy's steps
    produce, and the product rule only prices unconnected ones; over a
    chain whose random strategy takes no Cartesian product step, the
@@ -113,10 +107,9 @@ let planted_cyclic_case =
 let planted_cp_free_case =
   Gen.normalize { planted_case with Gen.seed = 8; shape = Gen.Chain }
 
-(* The theorem checks count through a [Frame] cache whatever the
-   environment says; under [MJ_DATA_PLANE=frame] every check that reads
-   the default cache does too, and the first of them catches a wrong
-   frame count. *)
+(* Every check that reads the default τ cache counts through [Frame],
+   whatever the data plane, and the first of them catches a wrong frame
+   count. *)
 let count_readers = [ "wcoj"; "yann"; "metamorphic"; "theorems" ]
 
 (* Plant one named mutation into the fixed case and require the whole
@@ -187,11 +180,12 @@ let self_test () =
          serves without decoding), the serve stale-plan cache
          collision (caught by the serve leg's τ-log comparison), the τ
          cache's off-by-one product rule, and the frame counter's lost
-         message and unsummed merge (all three caught by the theorem
-         checks' exact cache comparison; the merge on a cycle, where
-         cyclic cores survive shrinking).  The lost morsel sits on the
-         pool path, which a 1-core host never takes: there it is
-         reported as skipped. *)
+         message and unsummed merge (the product rule caught by the
+         theorem checks' exact cache comparison, the counter's two
+         faults by the first check that reads the default cache; the
+         merge's repro shrinks onto a cycle, where cyclic cores
+         survive).  The lost morsel sits on the pool path, which a
+         1-core host never takes: there it is reported as skipped. *)
       let rec all acc = function
         | [] -> Ok (String.concat "; " (List.rev acc))
         | (caught_by, case, spec) :: rest -> (
@@ -214,6 +208,6 @@ let self_test () =
            ([ "serve" ], d, "serve.cache_stale_plan");
            ([ "theorems" ], planted_cp_free_case, "cost.cp_product");
            (count_readers, d, "cost.count_message");
-           (count_readers, planted_cyclic_case, "cost.count_merge");
+           (count_readers, d, "cost.count_merge");
          ]
         @ if pooled then [ ([ "digest" ], d, "frame.lost_morsel") ] else []))

@@ -61,14 +61,13 @@ val self_test : unit -> (string, string) result
     the case), [frame.skip_root_sort] and [frame.lost_morsel] (all
     caught by the matrix's digest checks, on the hash the daemon serves
     without decoding), [serve.cache_stale_plan] (caught by the serve
-    leg's τ-log comparison against a cold run), [cost.cp_product],
-    [cost.count_message] and [cost.count_merge] (on a cyclic twin of
-    the case; caught by the theorem checks; under
-    [MJ_DATA_PLANE=frame] the two counter faults are caught by the
-    first check that reads the default cache) — the case must fail
-    under the expected check family, the failure must shrink to at
-    most 4 relations, and the minimized repro must still fail planted
-    and pass clean.  [frame.lost_morsel] lives on the hash join's pool
+    leg's τ-log comparison against a cold run), [cost.cp_product]
+    (caught by the theorem checks), [cost.count_message] and
+    [cost.count_merge] (caught by the first check that reads the
+    default, [Frame]-counted cache; the merge's repro shrinks onto a
+    cycle) — the case must fail under the expected check family, the
+    failure must shrink to at most 4 relations, and the minimized
+    repro must still fail planted and pass clean.  [frame.lost_morsel] lives on the hash join's pool
     path: when [Mj_pool.Pool.workers 4 = 1] no join takes it, and the
     summary reports that fault as skipped, not caught.  Returns a
     human-readable summary on success. *)

@@ -121,7 +121,11 @@ let shrink d =
     List.concat_map
       (fun n -> [ { d with n } ])
       (List.sort_uniq compare [ 2; d.n / 2; d.n - 1 ])
-    @ [ { d with shape = Chain }; { d with regime = Uniform } ]
+    @ [ { d with shape = Chain } ]
+    (* A fault that needs a cyclic core shrinks onto a cycle, where
+       every smaller cycle stays cyclic. *)
+    @ (if d.n >= 3 then [ { d with shape = Cycle } ] else [])
+    @ [ { d with regime = Uniform } ]
     @ List.concat_map
         (fun rows -> [ { d with rows } ])
         (List.sort_uniq compare [ 1; d.rows / 2; d.rows - 1 ])

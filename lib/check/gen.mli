@@ -59,10 +59,10 @@ val generate : Random.State.t -> max_n:int -> descriptor
 
 val shrink : descriptor -> descriptor list
 (** Structurally smaller candidates, most aggressive first (fewer
-    relations, then simpler shape/regime, then fewer rows, smaller
-    domain).  Every candidate is normalized and strictly smaller in
-    the well-founded shrink order, so greedy minimization
-    terminates. *)
+    relations, then a simpler shape — chain, or cycle for three or
+    more relations — and regime, then fewer rows, smaller domain).
+    Every candidate is normalized and strictly smaller in the
+    well-founded shrink order, so greedy minimization terminates. *)
 
 val to_string : descriptor -> string
 (** [key=value] lines — the repro-file payload. *)

@@ -41,18 +41,6 @@ module Cache = struct
 
   type backend = Seed | Frame
 
-  (* The old [backend_of_env] re-read MJ_DATA_PLANE on every call.  The
-     environment is now resolved exactly once, by
-     [Mj_engine.Engine.Config.of_env], which registers the result here;
-     first registration wins so the default backend is stable for the
-     whole process. *)
-  let env_backend = ref None
-
-  let set_env_backend b =
-    match !env_backend with
-    | None -> env_backend := Some b
-    | Some _ -> ()
-
   type t = {
     db : Database.t;
     univ : Bitdb.t;
@@ -65,12 +53,7 @@ module Cache = struct
     bypasses : Obs.counter;
   }
 
-  let create ?(obs = Obs.noop) ?backend db =
-    let backend =
-      match backend with
-      | Some b -> b
-      | None -> Option.value !env_backend ~default:Seed
-    in
+  let create ?(obs = Obs.noop) ?(backend = Frame) db =
     {
       db;
       univ = Bitdb.make (Database.schemes db);
@@ -85,7 +68,6 @@ module Cache = struct
 
   let database c = c.db
   let universe c = c.univ
-  let backend c = c.backend
 
   let counter c =
     match c.counter with

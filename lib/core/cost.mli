@@ -53,18 +53,14 @@ module Cache : sig
   type t
 
   type backend =
-    | Seed   (** materialize through the seed [Relation] algebra *)
+    | Seed
+        (** materialize through the seed [Relation] algebra: the
+            reference the [Frame] counts are checked against *)
     | Frame  (** count through the columnar {!Mj_relation.Frame} path *)
 
-  val set_env_backend : backend -> unit
-  (** Register the process-wide default backend — what {!create} falls
-      back to when no explicit [?backend] is passed.  Called exactly
-      once by [Mj_engine.Engine.Config.of_env] with the resolved value
-      of [MJ_DATA_PLANE] — this module never reads the environment.
-      The first registration wins; later calls are ignored. *)
-
   val create : ?obs:Mj_obs.Obs.sink -> ?backend:backend -> Database.t -> t
-  (** Both backends produce identical cardinalities (certified by
+  (** [backend] defaults to [Frame], whatever the data plane.  Both
+      backends produce identical cardinalities (certified by
       [bench FRAME], the qcheck equivalence suite and the fuzzer's
       theorem checks); [Frame] encodes the database and builds a
       {!Mj_relation.Frame.Db.counter} once, on the first miss, and
@@ -74,7 +70,6 @@ module Cache : sig
       materializes the mask's join. *)
 
   val database : t -> Database.t
-  val backend : t -> backend
 
   val universe : t -> Bitdb.t
   (** The indexed universe over [Database.schemes db]; masks passed to

@@ -46,9 +46,9 @@ val verify : ?obs:Mj_obs.Obs.sink -> ?backend:Cost.Cache.backend -> Database.t -
     checkers, the four optimum DPs and Theorem 1's decision
     ({!Optimal.linear_optima_cp_free}); pass [obs] to record its
     [cost.cache_hits] / [cost.cache_misses] counters.  [backend] selects
-    the data plane the cache counts through (default: seed [Relation]s,
-    or columnar frames under [MJ_DATA_PLANE=frame]); both produce
-    identical reports. *)
+    how the cache counts (default: [Frame], whatever the data plane;
+    [Seed] materializes every mask's join); both produce identical
+    reports. *)
 
 val lemma5_consistent : Database.t -> bool
 (** Lemma 5 sanity: if [R_D ≠ ∅] and C3 holds then C1 holds.  Returns

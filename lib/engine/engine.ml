@@ -1,5 +1,4 @@
 open Mj_relation
-open Multijoin
 module Obs = Mj_obs.Obs
 module Pool = Mj_pool.Pool
 
@@ -12,10 +11,6 @@ let plane_of_string s =
   | "seed" -> Some Seed
   | "frame" -> Some Frame
   | _ -> None
-
-let backend_of_plane = function
-  | Seed -> Cost.Cache.Seed
-  | Frame -> Cost.Cache.Frame
 
 module Config = struct
   type t = {
@@ -31,13 +26,12 @@ module Config = struct
 
   (* The single point of environment reads in the whole library tree:
      MJ_DATA_PLANE, MJ_DOMAINS, MJ_ALGO_POLICY, MJ_TELEMETRY and
-     MJ_MORSEL are read once per process, here, and the resolved values
-     are pushed down to the two modules that used to read the
-     environment themselves (the pool's default worker count and
-     [Cost.Cache]'s default backend), so every legacy caller keeps its
-     env-driven behavior without a second read.  An empty or blank
-     value means unset; any other value that does not parse fails
-     loudly, naming the variable, like MJ_FAILPOINTS. *)
+     MJ_MORSEL are read once per process, here, and the resolved
+     MJ_DOMAINS is pushed down to the pool's default worker count, so
+     every default-using caller keeps its env-driven behavior without a
+     second read.  An empty or blank value means unset; any other value
+     that does not parse fails loudly, naming the variable, like
+     MJ_FAILPOINTS. *)
   let env =
     lazy
       (let var name ~expect parse =
@@ -69,7 +63,6 @@ module Config = struct
            | Ok () -> ()
            | Error msg -> failwith ("MJ_FAILPOINTS: " ^ msg))
        | None -> ());
-       Cost.Cache.set_env_backend (backend_of_plane plane);
        (match domains with Some d -> Pool.set_env_domains d | None -> ());
        (plane, domains, policy, telemetry, morsel))
 
@@ -99,8 +92,6 @@ module Config = struct
       morsel =
         (match morsel with Some m -> Some (max 1 m) | None -> base.morsel);
     }
-
-  let backend c = backend_of_plane c.plane
 end
 
 type stats = {

@@ -25,9 +25,10 @@
     The two planes implement the same {!Driver.PLANE} signature —
     {!Exec} over seed tuple lists, {!Frame_engine} over columnar
     frames — and {!execute_plan} / {!execute_digest} pick between
-    them, so callers ([mjoin explain], [mjoin optimize],
-    [Theorems.verify] via {!Config.backend}, the bench harness, the
-    serve daemon) never branch on the plane themselves.
+    them, so callers ([mjoin explain], [mjoin optimize], the bench
+    harness, the serve daemon) never branch on the plane themselves.
+    [Theorems.verify]'s τ oracle counts through [Frame] on every
+    plane.
 
     Determinism: a [Config.t] pins every execution-relevant choice
     (plane, worker domains, lowering policy).  Lowering is a pure
@@ -43,11 +44,6 @@ type plane = Seed | Frame
 val plane_name : plane -> string
 val plane_of_string : string -> plane option
 (** ["seed"] / ["frame"], case-insensitive. *)
-
-val backend_of_plane : plane -> Cost.Cache.backend
-(** The τ-oracle backend matching a data plane — what
-    [Theorems.verify ~backend] and [Cost.Cache.create ~backend]
-    expect. *)
 
 module Config : sig
   type t = {
@@ -85,10 +81,9 @@ module Config : sig
       [MJ_FAILPOINTS] (a comma-separated list of fault-injection
       points forwarded to [Mj_failpoint.Failpoint.set_spec]).  An
       empty or blank variable counts as unset.  The variables are read
-      once per process (memoized) and the resolved values are
-      registered with [Mj_pool.Pool.set_env_domains] and
-      [Cost.Cache.set_env_backend], so legacy default-using callers
-      observe the same environment without re-reading it.
+      once per process (memoized) and the resolved [MJ_DOMAINS] is
+      registered with [Mj_pool.Pool.set_env_domains], so default-using
+      callers observe the same environment without re-reading it.
       @raise Failure naming the variable on an unknown [MJ_FAILPOINTS]
       name, an unknown [MJ_DATA_PLANE] or [MJ_ALGO_POLICY], or a
       non-numeric [MJ_DOMAINS] or [MJ_MORSEL] — a typo'd setting must
@@ -106,9 +101,6 @@ module Config : sig
   (** {!of_env} with explicit overrides — the documented precedence
       CLI flag > environment variable > built-in default, used by every
       [mjoin] subcommand and the bench harness. *)
-
-  val backend : t -> Cost.Cache.backend
-  (** [backend_of_plane c.plane]. *)
 end
 
 (** Execution statistics common to both planes, with the plane-specific

@@ -25,7 +25,7 @@ let policy_of_string s =
    plan is already worst-case optimal (Yannakakis), so the node would
    only replace one optimal evaluation with another. *)
 let is_cyclic schemes =
-  Scheme.Set.cardinal schemes >= 3 && not (Gyo.is_alpha_acyclic_bits schemes)
+  Scheme.Set.cardinal schemes >= 3 && not (Gyo.is_alpha_acyclic schemes)
 
 (* The elimination order of a generic join, fixed at plan time: most
    shared attributes first (each level then intersects the most
@@ -91,8 +91,7 @@ let best_rooted_tree ~oracle schemes trees =
    when the set is cyclic (or empty).  Exhaustive tree search where it
    is affordable, GYO's ear tree (always a join tree) beyond. *)
 let yann_tree ?oracle db schemes =
-  if Scheme.Set.is_empty schemes || not (Gyo.is_alpha_acyclic_bits schemes)
-  then None
+  if Scheme.Set.is_empty schemes then None
   else
     match Gyo.ear_decomposition schemes with
     | None -> None

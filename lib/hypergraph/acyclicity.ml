@@ -1,7 +1,5 @@
 open Mj_relation
 
-let is_alpha_acyclic = Gyo.is_alpha_acyclic
-
 let nonempty_subsets d =
   if Scheme.Set.cardinal d > 15 then
     invalid_arg "Acyclicity.is_beta_acyclic: database scheme too large";

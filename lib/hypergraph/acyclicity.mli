@@ -3,7 +3,8 @@
     Section 5 shows that γ-acyclic pairwise-consistent databases satisfy
     condition [C4].  This module implements the three classic degrees [7]:
 
-    - {e α-acyclic}: the GYO reduction empties the scheme (see {!Gyo});
+    - {e α-acyclic}: the GYO reduction empties the scheme
+      ({!Gyo.is_alpha_acyclic});
     - {e β-acyclic}: every subset of the schemes is α-acyclic,
       equivalently there is no β-cycle;
     - {e γ-acyclic}: there is no γ-cycle.
@@ -16,8 +17,6 @@
     small schemes used by the condition checkers and tests. *)
 
 open Mj_relation
-
-val is_alpha_acyclic : Hypergraph.t -> bool
 
 val is_beta_acyclic : Hypergraph.t -> bool
 (** Checked by testing every non-empty subset of schemes for

@@ -897,19 +897,18 @@ module Db = struct
     if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
 
   (* Everything a count needs.  Scheme [i] is the i-th scheme in
-     [Scheme.compare] order.  Its linking attributes (those of the
-     database's attributes that two or more schemes carry) are a bitset
-     of [words] ints at [bits.(i * words)], bit [b] the [b]-th linking
-     attribute in attribute order.  A count works on one slot per
-     scheme: its rows, their weights and the column of each linking
-     attribute, with [kpos.(i * k + j)] slot [i]'s columns shared with
-     slot [j] in attribute order, so [kpos.(i * k + j)] and [kpos.(j *
-     k + i)] line up as one key.  A merge replaces a slot, its bitset
-     and its keys; [merged] flags those slots, and the next count
-     restores them from [oslots], [obits] and [okpos].  The rest is
-     scratch: the message's hash index ([head]/[next] chains over the
-     ear's rows, [sum] per key group), grown when a merged slot
-     outgrows it, and one bitset. *)
+     [Scheme.compare] order, and [ear] holds its linking-attribute
+     bitset (see {!Ear}); a count sets the ear search's live set to
+     its own.  A count works on one slot per scheme: its rows, their
+     weights and the column of each linking attribute, with [kpos.(i *
+     k + j)] slot [i]'s columns shared with slot [j] in attribute
+     order, so [kpos.(i * k + j)] and [kpos.(j * k + i)] line up as one
+     key.  A merge replaces a slot, its bitset and its keys; [merged]
+     flags those slots, and the next count restores them from
+     [oslots], [obits] and [okpos].  The rest is scratch: the message's
+     hash index ([head]/[next] chains over the ear's rows, [sum] per
+     key group), grown when a merged slot outgrows it, and one
+     bitset. *)
   type slot = {
     sdata : int array;
     swidth : int;
@@ -919,11 +918,9 @@ module Db = struct
   }
 
   type counter = {
-    k : int;
-    words : int;
+    ear : Ear.t;
     slots : slot array;
     oslots : slot array;
-    bits : int array;
     obits : int array;
     kpos : int array array;
     okpos : int array array;
@@ -950,10 +947,8 @@ module Db = struct
   (* The key columns slots [x] and [y] share, as [kpos.(x * k + y)] and
      [kpos.(y * k + x)]. *)
   let set_key c x y =
-    let words = c.words in
-    let shared w =
-      c.bits.((x * words) + w) land c.bits.((y * words) + w)
-    in
+    let { Ear.k; words; bits; _ } = c.ear in
+    let shared w = bits.((x * words) + w) land bits.((y * words) + w) in
     let n = fold_bits words shared (fun n _ -> n + 1) 0 in
     let kx = Array.make n 0 and ky = Array.make n 0 in
     let cx = c.slots.(x).scol and cy = c.slots.(y).scol in
@@ -964,8 +959,8 @@ module Db = struct
            ky.(t) <- cy.(b);
            t + 1)
          0);
-    c.kpos.((x * c.k) + y) <- kx;
-    c.kpos.((y * c.k) + x) <- ky
+    c.kpos.((x * k) + y) <- kx;
+    c.kpos.((y * k) + x) <- ky
 
   let counter fdb =
     let cframes =
@@ -974,37 +969,14 @@ module Db = struct
     let k = Array.length cframes in
     if k > Sys.int_size - 1 then
       invalid_arg "Frame.Db.counter: more relations than a mask holds";
-    let occurs =
-      Array.fold_left
-        (fun m f ->
-          Array.fold_left
-            (fun m a ->
-              Attr.Map.update a
-                (fun n -> Some (1 + Option.value n ~default:0))
-                m)
-            m f.attrs)
-        Attr.Map.empty cframes
-    in
-    let linking, nlinking =
-      Attr.Map.fold
-        (fun a n (m, b) ->
-          if n >= 2 then (Attr.Map.add a b m, b + 1) else (m, b))
-        occurs (Attr.Map.empty, 0)
-    in
-    let words = max 1 ((nlinking + Sys.int_size - 1) / Sys.int_size) in
-    let bits = Array.make (k * words) 0 in
+    let ear = Ear.make (Array.map (fun f -> f.scheme) cframes) in
     let slots =
-      Array.mapi
-        (fun i f ->
-          let scol = Array.make nlinking (-1) in
+      Array.map
+        (fun f ->
+          let scol = Array.make (Ear.nlinks ear) (-1) in
           Array.iteri
             (fun col a ->
-              match Attr.Map.find_opt a linking with
-              | Some b ->
-                  scol.(b) <- col;
-                  let w = (i * words) + (b / Sys.int_size) in
-                  bits.(w) <- bits.(w) lor (1 lsl (b mod Sys.int_size))
-              | None -> ())
+              match Ear.link ear a with -1 -> () | b -> scol.(b) <- col)
             f.attrs;
           {
             sdata = f.data;
@@ -1018,19 +990,17 @@ module Db = struct
     let largest = Array.fold_left (fun m f -> max m f.rows) 1 cframes in
     let c =
       {
-        k;
-        words;
+        ear;
         slots;
         oslots = Array.copy slots;
-        bits;
-        obits = Array.copy bits;
+        obits = Array.copy ear.bits;
         kpos = Array.make (k * k) [||];
         okpos = Array.make (k * k) [||];
         merged = 0;
         head = Array.make (pow2_at_least (2 * largest)) (-1);
         next = Array.make largest (-1);
         sum = Array.make largest 0;
-        scratch = Array.make words 0;
+        scratch = Array.make ear.words 0;
       }
     in
     for x = 0 to k - 1 do
@@ -1043,11 +1013,11 @@ module Db = struct
 
   (* Put every slot a merge replaced back to its scheme. *)
   let restore c =
-    let k = c.k and words = c.words in
+    let { Ear.k; words; bits; _ } = c.ear in
     for i = 0 to k - 1 do
       if c.merged land (1 lsl i) <> 0 then begin
         c.slots.(i) <- c.oslots.(i);
-        Array.blit c.obits (i * words) c.bits (i * words) words;
+        Array.blit c.obits (i * words) bits (i * words) words;
         for x = 0 to k - 1 do
           c.kpos.((i * k) + x) <- c.okpos.((i * k) + x);
           c.kpos.((x * k) + i) <- c.okpos.((x * k) + i)
@@ -1064,45 +1034,6 @@ module Db = struct
       c.sum <- Array.make n 0
     end
 
-  (* Word [w] of the union of the bitsets of the slots in [set]. *)
-  let[@inline] union_word c set w =
-    let u = ref 0 in
-    for j = 0 to c.k - 1 do
-      if set land (1 lsl j) <> 0 then u := !u lor c.bits.((j * c.words) + w)
-    done;
-    !u
-
-  (* Scheme [e] is an ear of [live] when every linking attribute it
-     shares with another live scheme lies in one live scheme [p]; the
-     first such [p] is returned, or [-1]. *)
-  let parent c live e =
-    let words = c.words in
-    let others = live land lnot (1 lsl e) in
-    for w = 0 to words - 1 do
-      c.scratch.(w) <- c.bits.((e * words) + w) land union_word c others w
-    done;
-    let rec find p =
-      if p >= c.k then -1
-      else if p = e || live land (1 lsl p) = 0 then find (p + 1)
-      else begin
-        let covered = ref true in
-        for w = 0 to words - 1 do
-          if c.scratch.(w) land lnot c.bits.((p * words) + w) <> 0 then
-            covered := false
-        done;
-        if !covered then p else find (p + 1)
-      end
-    in
-    find 0
-
-  (* The first ear [e] of [live] and its parent [p], as [e * k + p],
-     or [-1] when every live scheme is stuck (a cyclic core). *)
-  let rec ear c live e =
-    if e >= c.k then -1
-    else if live land (1 lsl e) <> 0 then
-      match parent c live e with -1 -> ear c live (e + 1) | p -> (e * c.k) + p
-    else ear c live (e + 1)
-
   (* Ear [e] sends [p] its message: [e]'s rows grouped by the key they
      share with [p], each group's weight summed, and [p]'s row weights
      multiplied by their group's sum (0 when no group matches).  A row
@@ -1111,7 +1042,8 @@ module Db = struct
   let send c ~weighted e p =
     let se = c.slots.(e) and sp = c.slots.(p) in
     let de = se.sdata and we = se.sweight and width = se.swidth in
-    let ke = c.kpos.((e * c.k) + p) and kp = c.kpos.((p * c.k) + e) in
+    let k = c.ear.k in
+    let ke = c.kpos.((e * k) + p) and kp = c.kpos.((p * k) + e) in
     let e_weighted = weighted land (1 lsl e) <> 0
     and p_weighted = weighted land (1 lsl p) <> 0 in
     reserve c se.srows;
@@ -1163,17 +1095,17 @@ module Db = struct
      to it with the fewest rows, the lowest on a tie.  One exists: a
      slot linked to no other live slot is an ear. *)
   let partner c live i =
-    let words = c.words in
+    let { Ear.k; words; bits; _ } = c.ear in
     let linked j =
       let rec go w =
         w < words
-        && (c.bits.((i * words) + w) land c.bits.((j * words) + w) <> 0
+        && (bits.((i * words) + w) land bits.((j * words) + w) <> 0
            || go (w + 1))
       in
       go 0
     in
     let best = ref (-1) in
-    for j = 0 to c.k - 1 do
+    for j = 0 to k - 1 do
       if j <> i && live land (1 lsl j) <> 0 && linked j
          && (!best < 0 || c.slots.(j).srows < c.slots.(!best).srows)
       then best := j
@@ -1192,14 +1124,18 @@ module Db = struct
      merged bag replaces slot [i] (its bitset and its keys with the
      other live slots too).  Returns whether it has a row. *)
   let merge c ~live ~weighted i j =
-    let k = c.k and words = c.words in
+    let { Ear.k; words; bits; _ } = c.ear in
     let si = c.slots.(i) and sj = c.slots.(j) in
     let keep = c.scratch
     and others = live land lnot ((1 lsl i) lor (1 lsl j)) in
     for w = 0 to words - 1 do
+      let carried = ref 0 in
+      for x = 0 to k - 1 do
+        if others land (1 lsl x) <> 0 then
+          carried := !carried lor bits.((x * words) + w)
+      done;
       keep.(w) <-
-        (c.bits.((i * words) + w) lor c.bits.((j * words) + w))
-        land union_word c others w
+        (bits.((i * words) + w) lor bits.((j * words) + w)) land !carried
     done;
     let keep_word w = keep.(w) in
     let width = fold_bits words keep_word (fun n _ -> n + 1) 0 in
@@ -1306,7 +1242,7 @@ module Db = struct
          ignore (fold_bits words keep_word (fun t b -> scol.(b) <- t; t + 1) 0);
          c.slots.(i) <-
            { sdata = !out; swidth = width; srows = !n; sweight = !ow; scol };
-         Array.blit keep 0 c.bits (i * words) words;
+         Array.blit keep 0 bits (i * words) words;
          c.merged <- c.merged lor (1 lsl i);
          for x = 0 to k - 1 do
            if others land (1 lsl x) <> 0 then set_key c i x
@@ -1315,7 +1251,8 @@ module Db = struct
        end
 
   let count c mask =
-    if mask <= 0 || mask lsr c.k <> 0 then
+    let k = c.ear.k in
+    if mask <= 0 || mask lsr k <> 0 then
       invalid_arg "Frame.Db.count: mask outside the database";
     if c.merged <> 0 then restore c;
     let rec reduce live weighted first =
@@ -1330,8 +1267,9 @@ module Db = struct
           !n
         end
       end
-      else
-        match ear c live 0 with
+      else begin
+        c.ear.live.(0) <- live;
+        match Ear.find c.ear with
         | -1 ->
             (* A cyclic core: merge two of its slots, then look for
                ears again. *)
@@ -1341,7 +1279,7 @@ module Db = struct
               reduce (live land lnot (1 lsl j)) (weighted lor (1 lsl i)) first
             else 0
         | ep ->
-            let e = ep / c.k and p = ep mod c.k in
+            let e = ep / k and p = ep mod k in
             let live = live land lnot (1 lsl e) in
             if first
                && Mj_failpoint.Failpoint.fire
@@ -1355,6 +1293,7 @@ module Db = struct
             else if send c ~weighted e p then
               reduce live (weighted lor (1 lsl p)) false
             else 0
+      end
     in
     reduce mask 0 true
 

@@ -302,7 +302,8 @@ module Db : sig
       sub-database whose schemes are the set bits of [mask] (bit [i]
       is the [i]-th scheme in [Scheme.compare] order, the indexing of
       [Mj_hypergraph.Bitdb]), counted without materializing it.  GYO
-      ear elimination runs on the linking-attribute bitsets; each
+      ear elimination ({!Ear.find}) runs on the linking-attribute
+      bitsets; each
       eliminated ear sends its parent a message — its rows grouped by
       the key they share, each group's weight summed — and the parent
       multiplies it into its row weights (Yannakakis in the counting

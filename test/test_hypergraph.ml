@@ -155,6 +155,102 @@ let prop_gyo_matches_join_tree_existence =
       let d = Querygraph.random ~extra_edge_prob:0.3 ~rng 5 in
       Gyo.is_alpha_acyclic d = (Jointree.all_join_trees d <> []))
 
+(* A random hypergraph grown as a tree, each scheme keeping some of an
+   earlier scheme's attributes and adding fresh ones, then given a few
+   attributes of other schemes, so attributes shared by many schemes,
+   contained schemes and cycles all come out.  A [wide] one has 13–16
+   schemes of 5–8 fresh attributes each: its universe is wider than the
+   62 bits of one int, and about a third of them are acyclic. *)
+let random_hypergraph ~wide seed =
+  let rng = Random.State.make [| seed; 0xea5 |] in
+  let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let pick s =
+    List.nth (Attr.Set.elements s) (Random.State.int rng (Attr.Set.cardinal s))
+  in
+  let fresh = ref 0 in
+  let k = if wide then int 13 16 else int 2 9 in
+  let schemes = Array.make k Attr.Set.empty in
+  for i = 0 to k - 1 do
+    let kept =
+      if i = 0 then Attr.Set.empty
+      else
+        Attr.Set.filter
+          (fun _ -> Random.State.bool rng)
+          schemes.(Random.State.int rng i)
+    in
+    let own =
+      List.init
+        (if wide then int 5 8 else int 1 2)
+        (fun _ ->
+          incr fresh;
+          Attr.make (Printf.sprintf "a%d" !fresh))
+    in
+    schemes.(i) <- Attr.Set.union kept (Attr.Set.of_list own)
+  done;
+  for _ = 1 to int 0 (if wide then 5 else 4) do
+    let i = Random.State.int rng k in
+    let a = pick schemes.(Random.State.int rng k) in
+    schemes.(i) <- Attr.Set.add a schemes.(i)
+  done;
+  Scheme.Set.of_list (Array.to_list schemes)
+
+(* The definition, on sets: the lowest live scheme whose attributes
+   shared with the other live schemes all lie in one of them, and the
+   lowest such witness; ears are removed until one scheme is left, or
+   none is an ear. *)
+let reference_ears d =
+  let lowest_ear live =
+    List.find_map
+      (fun s ->
+        let rest = Scheme.Set.remove s live in
+        let shared = Attr.Set.inter s (Scheme.Set.universe rest) in
+        Option.map
+          (fun w -> (s, w))
+          (List.find_opt (Attr.Set.subset shared) (Scheme.Set.elements rest)))
+      (Scheme.Set.elements live)
+  in
+  let rec peel live acc =
+    if Scheme.Set.cardinal live <= 1 then Some (List.rev acc)
+    else
+      match lowest_ear live with
+      | None -> None
+      | Some (e, w) -> peel (Scheme.Set.remove e live) ((e, w) :: acc)
+  in
+  peel d []
+
+let same_ears =
+  Option.equal
+    (List.equal (fun (e, w) (e', w') -> Scheme.equal e e' && Scheme.equal w w'))
+
+(* Over grown hypergraphs, narrow and wide, and random query graphs
+   (about 30% acyclic). *)
+let prop_ear_order =
+  qtest "ear decomposition removes the lowest ear at its lowest witness"
+    ~count:300
+    QCheck2.Gen.(pair (int_range 1 100_000) (int_range 0 2))
+    (fun (seed, kind) ->
+      let d =
+        match kind with
+        | 0 ->
+            let rng = Random.State.make [| seed |] in
+            Querygraph.random ~extra_edge_prob:0.3 ~rng
+              (2 + Random.State.int rng 7)
+        | _ -> random_hypergraph ~wide:(kind = 2) seed
+      in
+      (kind < 2 || Attr.Set.cardinal (Scheme.Set.universe d) > 62)
+      && same_ears (Gyo.ear_decomposition d) (reference_ears d))
+
+(* One ear search allocates nothing, on a two-word universe too. *)
+let test_ear_find_allocation () =
+  let search =
+    Ear.make (Array.of_list (Scheme.Set.elements (Querygraph.chain 70)))
+  in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Ear.find search)
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before)
+
 (* ------------------------------------------------------------------ *)
 (* Join trees                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -203,7 +299,7 @@ let test_beta_triangle () =
   (* α-acyclic but β-cyclic: the covered triangle. *)
   let covered = hg [ "AB"; "BC"; "AC"; "ABC" ] in
   Alcotest.(check bool) "covered triangle alpha" true
-    (Acyclicity.is_alpha_acyclic covered);
+    (Gyo.is_alpha_acyclic covered);
   Alcotest.(check bool) "covered triangle not beta" false
     (Acyclicity.is_beta_acyclic covered)
 
@@ -345,6 +441,9 @@ let () =
           Alcotest.test_case "ear decomposition cyclic" `Quick
             test_ear_decomposition_cyclic;
           prop_gyo_matches_join_tree_existence;
+          prop_ear_order;
+          Alcotest.test_case "ear search allocates nothing" `Quick
+            test_ear_find_allocation;
         ] );
       ( "jointree",
         [

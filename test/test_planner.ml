@@ -89,14 +89,9 @@ let test_config_overrides () =
   Alcotest.(check int) "domains override" 3 cfg.Engine.Config.domains;
   Alcotest.(check string) "policy override" "wcoj"
     (Planner.policy_name cfg.Engine.Config.algo_policy);
-  Alcotest.(check bool) "backend follows the plane" true
-    (Engine.Config.backend cfg = Cost.Cache.Frame);
   let clamped = Engine.Config.make ~domains:0 () in
   Alcotest.(check int) "domains clamped to >= 1" 1
-    clamped.Engine.Config.domains;
-  let seed = Engine.Config.make ~plane:Engine.Seed () in
-  Alcotest.(check bool) "seed backend" true
-    (Engine.Config.backend seed = Cost.Cache.Seed)
+    clamped.Engine.Config.domains
 
 let test_parsing () =
   Alcotest.(check bool) "plane: seed" true
@@ -130,6 +125,47 @@ let test_frame_domain_determinism () =
   Alcotest.(check int) "identical tau" s1.Engine.tuples_generated
     s4.Engine.tuples_generated
 
+(* The yann lowering of a chain of 70 relations: 71 attributes, wider
+   than one int, so the ear search runs on two-word bitsets.  The root
+   the catalog picks and the elimination order (each [ear>parent]) are
+   pinned. *)
+let test_yann_chain70 () =
+  let d = Querygraph.chain 70 in
+  let rng = Random.State.make [| 70 |] in
+  let db = Dbgen.uniform_db ~rng ~rows:4 ~domain:3 d in
+  let s = Enumerate.random_strategy ~rng d in
+  match Planner.lower ~policy:Planner.Yannakakis db s with
+  | Physical.Semijoin_program rt ->
+      Alcotest.(check string) "root" "c34,c35"
+        (Scheme.to_string rt.Jointree.root);
+      Alcotest.(check string) "elimination order"
+        "c69,c70>c68,c69 c68,c69>c67,c68 c0,c1>c1,c2 c67,c68>c66,c67 \
+         c1,c2>c2,c3 c66,c67>c65,c66 c2,c3>c3,c4 c65,c66>c64,c65 \
+         c3,c4>c4,c5 c64,c65>c63,c64 c4,c5>c5,c6 c63,c64>c62,c63 \
+         c5,c6>c6,c7 c62,c63>c61,c62 c6,c7>c7,c8 c61,c62>c60,c61 \
+         c7,c8>c8,c9 c60,c61>c59,c60 c8,c9>c10,c9 c59,c60>c58,c59 \
+         c10,c9>c10,c11 c58,c59>c57,c58 c10,c11>c11,c12 c57,c58>c56,c57 \
+         c11,c12>c12,c13 c56,c57>c55,c56 c12,c13>c13,c14 \
+         c55,c56>c54,c55 c13,c14>c14,c15 c54,c55>c53,c54 \
+         c14,c15>c15,c16 c53,c54>c52,c53 c15,c16>c16,c17 \
+         c52,c53>c51,c52 c16,c17>c17,c18 c51,c52>c50,c51 \
+         c17,c18>c18,c19 c50,c51>c49,c50 c18,c19>c19,c20 \
+         c49,c50>c48,c49 c19,c20>c20,c21 c48,c49>c47,c48 \
+         c20,c21>c21,c22 c47,c48>c46,c47 c21,c22>c22,c23 \
+         c46,c47>c45,c46 c22,c23>c23,c24 c45,c46>c44,c45 \
+         c23,c24>c24,c25 c44,c45>c43,c44 c24,c25>c25,c26 \
+         c43,c44>c42,c43 c25,c26>c26,c27 c42,c43>c41,c42 \
+         c26,c27>c27,c28 c41,c42>c40,c41 c27,c28>c28,c29 \
+         c40,c41>c39,c40 c28,c29>c29,c30 c39,c40>c38,c39 \
+         c29,c30>c30,c31 c38,c39>c37,c38 c30,c31>c31,c32 \
+         c37,c38>c36,c37 c31,c32>c32,c33 c36,c37>c35,c36 \
+         c32,c33>c33,c34 c35,c36>c34,c35 c33,c34>c34,c35"
+        (String.concat " "
+           (List.map
+              (fun (e, p) -> Scheme.to_string e ^ ">" ^ Scheme.to_string p)
+              rt.Jointree.elims))
+  | _ -> Alcotest.fail "chain-70 did not lower to a semijoin program"
+
 let () =
   Alcotest.run "planner"
     [
@@ -146,4 +182,6 @@ let () =
           Alcotest.test_case "frame plane: domain-count determinism" `Quick
             test_frame_domain_determinism;
         ] );
+      ( "yann",
+        [ Alcotest.test_case "chain-70 plan" `Quick test_yann_chain70 ] );
     ]
