@@ -145,6 +145,32 @@ let differential db s =
   matrix ~leg:"differential" ~policy:Planner.Hash_all ~expected:(Cost.eval db s)
     ~steps:(Cost.step_costs db s) db s
 
+(* The hash join's order contract: inline and on the pool, at any
+   worker count, it emits the same rows in the same order.  Every
+   finisher sorts the root, so no digest sees that order; this check
+   reads it on the unsorted frames, joining the case's strategy step by
+   step on 1 domain and on 4 in {!cell_morsel}-row morsels. *)
+let emission db s =
+  guard @@ fun () ->
+  let fdb = Frame.Db.of_database db in
+  let rec go = function
+    | Strategy.Leaf sch ->
+        let f = Frame.Db.find fdb sch in
+        (f, f)
+    | Strategy.Join n ->
+        let l1, l4 = go n.left and r1, r4 = go n.right in
+        let j1 = Frame.natural_join ~domains:1 l1 r1
+        and j4 = Frame.natural_join ~domains:4 ?morsel:(cell_morsel 4) l4 r4 in
+        if not (Frame.same_emission j1 j4) then
+          fail "emission:order"
+            "%a: the 4-domain join emits its %d rows in another order than \
+             the 1-domain join's %d"
+            Scheme.Set.pp n.schemes (Frame.cardinality j4)
+            (Frame.cardinality j1);
+        (j1, j4)
+  in
+  ignore (go s)
+
 (* The worst-case-optimal leg of the matrix.  On a cyclic strategy the
    [Wcoj] policy rewrites the whole plan into one n-ary node, so its τ
    and span shapes legitimately differ from the binary leg's.  The wcoj
@@ -466,6 +492,24 @@ let metamorphic db s =
 (* Theorems: the paper's postconditions against the exhaustive DP.    *)
 (* ------------------------------------------------------------------ *)
 
+(* C1–C4 read off {!Conditions.iter_triples} and
+   {!Conditions.iter_pairs}: the definitions the mask decision must
+   agree with. *)
+let conditions_by_enumeration cache =
+  let c1 = ref true and c1_strict = ref true in
+  Conditions.iter_triples cache (fun w ->
+      if w.Conditions.tau_e_e1 > w.tau_e_e2 then c1 := false;
+      if w.tau_e_e1 >= w.tau_e_e2 then c1_strict := false;
+      true);
+  let c2 = ref true and c3 = ref true and c4 = ref true in
+  Conditions.iter_pairs cache (fun w ->
+      let j = w.Conditions.tau_join in
+      if j > w.tau_1 && j > w.tau_2 then c2 := false;
+      if j > w.tau_1 || j > w.tau_2 then c3 := false;
+      if j < w.tau_1 || j < w.tau_2 then c4 := false;
+      true);
+  { Conditions.c1 = !c1; c1_strict = !c1_strict; c2 = !c2; c3 = !c3; c4 = !c4 }
+
 let theorems db =
   guard @@ fun () ->
   let rep = Theorems.verify db in
@@ -543,6 +587,13 @@ let theorems db =
         "frame cache says |%a| = %d, the join has %d rows" Scheme.Set.pp d
         cached joined
   done;
+  (* The report's conditions, decided on masks, against the literal
+     enumeration of their triples and pairs. *)
+  let enumerated = conditions_by_enumeration cache in
+  if enumerated <> rep.Theorems.conditions then
+    fail "theorems:conditions" "decided %a, enumerated %a"
+      Conditions.pp_summary rep.Theorems.conditions Conditions.pp_summary
+      enumerated;
   (* The materializing seed cache gives the same report. *)
   if Theorems.verify ~backend:Cost.Cache.Seed db <> rep then
     fail "theorems:backends" "the seed and frame caches give different reports";
@@ -793,6 +844,8 @@ let run_case ?(faults = true) d =
   let db, s = Gen.materialize d in
   let ( >>> ) o k = match o with Pass -> k () | Fail _ -> o in
   differential db s
+  >>> fun () ->
+  emission db s
   >>> fun () ->
   twin db s
   >>> fun () ->

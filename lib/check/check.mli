@@ -16,6 +16,12 @@
       same scan/join span skeleton in every cell.  The wcoj and yann
       legs below run the same matrix loop over their own policy; each
       supplies only its expected step log and its own extra check.
+    - {!emission}: the frame hash join's order contract.  Every step
+      of the case's strategy is joined inline on 1 domain and in 3-row
+      morsels on 4, and the two must emit the same rows in the same
+      order ([Frame.same_emission]).  Every finisher sorts the root,
+      so this is the check that sees a merge in the wrong morsel
+      order.
     - {!wcoj_differential}: the worst-case-optimal leg, separately.
       The [Wcoj] policy collapses cyclic strategies into one n-ary
       generic join, so its τ and span shapes legitimately differ from
@@ -67,7 +73,10 @@
       Every mask's cardinality in the default ([Frame]-counted) cache
       must equal its materialized join ([theorems:cache_exact]), and
       [Theorems.verify] must give the same report on the materializing
-      [Seed] backend ([theorems:backends]).
+      [Seed] backend ([theorems:backends]).  The report's C1–C4,
+      decided on masks, must equal those read off
+      [Conditions.iter_triples] and [Conditions.iter_pairs]
+      ([theorems:conditions]).
     - {!faults}: fault injection through {!Mj_failpoint.Failpoint} —
       a killed pool worker must not change pool results, a poisoned
       τ-cache must detect and bypass its corrupt entries, oversized
@@ -99,6 +108,7 @@ type outcome = Pass | Fail of failure
 val pp_failure : Format.formatter -> failure -> unit
 
 val differential : Database.t -> Strategy.t -> outcome
+val emission : Database.t -> Strategy.t -> outcome
 val wcoj_differential : Database.t -> Strategy.t -> outcome
 val yann_differential : Database.t -> Strategy.t -> outcome
 val serve_differential : Database.t -> Strategy.t -> outcome

@@ -107,6 +107,11 @@ let planted_acyclic_case = Gen.normalize { planted_case with Gen.shape = Gen.Pat
 let planted_cp_free_case =
   Gen.normalize { planted_case with Gen.seed = 8; shape = Gen.Chain }
 
+(* A decision that keeps E's neighbours can only make C1 and C1' fail
+   where they held.  Both fail outright on the skewed case, so that
+   mutation is planted on its uniform twin, where they hold. *)
+let planted_uniform_case = Gen.normalize { planted_case with Gen.regime = Gen.Uniform }
+
 (* Every check that reads the default τ cache counts through [Frame],
    whatever the data plane, and the first of them catches a wrong frame
    count. *)
@@ -173,19 +178,23 @@ let self_test () =
         (Format.asprintf "clean harness is not quiet on %a: %a" Gen.pp d
            Check.pp_failure f)
   | Check.Pass -> (
-      (* Eight independent planted bugs, each through the full loop:
+      (* Ten independent planted bugs, each through the full loop:
          the lossy frame join, the lossy yann semijoin reducer, the
          skipped root sort and the parallel join's lost morsel (all
          caught by the matrix's digest checks, on the hash the daemon
-         serves without decoding), the serve stale-plan cache
-         collision (caught by the serve leg's τ-log comparison), the τ
-         cache's off-by-one product rule, and the frame counter's lost
-         message and unsummed merge (the product rule caught by the
-         theorem checks' exact cache comparison, the counter's two
-         faults by the first check that reads the default cache; the
-         merge's repro shrinks onto a cycle, where cyclic cores
-         survive).  The lost morsel sits on the pool path, which a
-         1-core host never takes: there it is reported as skipped. *)
+         serves without decoding), the parallel join's morsel order
+         (caught by the emission check, since every digest reads a
+         sorted root), the serve stale-plan cache collision (caught by
+         the serve leg's τ-log comparison), the τ cache's off-by-one
+         product rule, the frame counter's lost message and unsummed
+         merge (the product rule caught by the theorem checks' exact
+         cache comparison, the counter's two faults by the first check
+         that reads the default cache; the merge's repro shrinks onto
+         a cycle, where cyclic cores survive), and the conditions
+         decision that keeps E's neighbours (caught by the theorem
+         checks' comparison with the enumeration).  The lost morsel
+         and the morsel order sit on the pool path, which a 1-core
+         host never takes: there they are reported as skipped. *)
       let rec all acc = function
         | [] -> Ok (String.concat "; " (List.rev acc))
         | (caught_by, case, spec) :: rest -> (
@@ -194,13 +203,22 @@ let self_test () =
             | Ok msg -> all (msg :: acc) rest)
       in
       let pooled = Mj_pool.Pool.workers 4 > 1 in
+      let on_pool =
+        [
+          ([ "digest" ], d, "frame.lost_morsel");
+          ([ "emission" ], d, "frame.morsel_order");
+        ]
+      in
+      let skipped (_, _, spec) =
+        Printf.sprintf
+          "planted %s skipped: the pool grants one worker here, so no join \
+           takes the pool path"
+          spec
+      in
       all
-        (if pooled then []
-         else
-           [
-             "planted frame.lost_morsel skipped: the pool grants one worker \
-              here, so no join takes the pool path";
-           ])
+        (List.rev
+           (Printf.sprintf "cores: %d" Mj_pool.Pool.cores
+           :: (if pooled then [] else List.map skipped on_pool)))
         ([
            ([ "digest" ], d, "frame.lossy_join");
            ([ "digest" ], planted_acyclic_case, "yann.lossy_semijoin");
@@ -209,5 +227,6 @@ let self_test () =
            ([ "theorems" ], planted_cp_free_case, "cost.cp_product");
            (count_readers, d, "cost.count_message");
            (count_readers, d, "cost.count_merge");
+           ([ "theorems" ], planted_uniform_case, "conditions.keep_neighbors");
          ]
-        @ if pooled then [ ([ "digest" ], d, "frame.lost_morsel") ] else []))
+        @ if pooled then on_pool else []))

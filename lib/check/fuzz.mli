@@ -60,14 +60,18 @@ val self_test : unit -> (string, string) result
     [frame.lossy_join], [yann.lossy_semijoin] (on an acyclic twin of
     the case), [frame.skip_root_sort] and [frame.lost_morsel] (all
     caught by the matrix's digest checks, on the hash the daemon serves
-    without decoding), [serve.cache_stale_plan] (caught by the serve
-    leg's τ-log comparison against a cold run), [cost.cp_product]
-    (caught by the theorem checks), [cost.count_message] and
-    [cost.count_merge] (caught by the first check that reads the
-    default, [Frame]-counted cache; the merge's repro shrinks onto a
-    cycle) — the case must fail under the expected check family, the
-    failure must shrink to at most 4 relations, and the minimized
-    repro must still fail planted and pass clean.  [frame.lost_morsel] lives on the hash join's pool
-    path: when [Mj_pool.Pool.workers 4 = 1] no join takes it, and the
-    summary reports that fault as skipped, not caught.  Returns a
-    human-readable summary on success. *)
+    without decoding), [frame.morsel_order] (caught by the emission
+    check), [serve.cache_stale_plan] (caught by the serve leg's τ-log
+    comparison against a cold run), [cost.cp_product] (caught by the
+    theorem checks), [cost.count_message] and [cost.count_merge]
+    (caught by the first check that reads the default, [Frame]-counted
+    cache; the merge's repro shrinks onto a cycle) and
+    [conditions.keep_neighbors] (on a uniform twin of the case, caught
+    by the theorem checks) — the case must fail under the expected
+    check family, the failure must shrink to at most 4 relations, and
+    the minimized repro must still fail planted and pass clean.
+    [frame.lost_morsel] and [frame.morsel_order] live on the hash
+    join's pool path: when [Mj_pool.Pool.workers 4 = 1] no join takes
+    it, and the summary reports those faults as skipped, not caught.
+    The summary opens with the host's core count ([Mj_pool.Pool.cores]).
+    Returns a human-readable summary on success. *)

@@ -120,11 +120,6 @@ let violations_c4 ?limit db =
   collect ?limit (iter_pairs cache) (fun w ->
       w.tau_join < w.tau_1 || w.tau_join < w.tau_2)
 
-let holds_c1 db = violations_c1 ~limit:1 db = []
-let holds_c1_strict db = violations_c1_strict ~limit:1 db = []
-let holds_c3 db = violations_c3 ~limit:1 db = []
-let holds_c4 db = violations_c4 ~limit:1 db = []
-
 type summary = {
   c1 : bool;
   c1_strict : bool;
@@ -133,21 +128,80 @@ type summary = {
   c4 : bool;
 }
 
-let summarize_cached cache =
+(* The decision on masks.  [card.(m)] is the cardinality of a
+   connected mask and [-1] on every other: a mask is connected iff some
+   member [i] leaves a connected rest linked to [i] (a connected graph
+   has a vertex that is no cut vertex).  [nbr.(m)] is the union of
+   [adj] over [m], and [g.(x)] the smallest cardinality of a nonempty
+   connected submask of [x] ([max_int] for [x = 0]).
+
+   In a triple, E2 ranges over the nonempty connected submasks of
+   [x = full ∖ (E ∪ E1 ∪ nbr E)], and since E2 is not linked to E,
+   τ(R_E ⋈ R_E2) is [saturating_mul (card E) (card E2)], the cache's
+   own product rule.  It grows with card E2, so C1 holds iff
+   [card (E ∪ E1) <= saturating_mul (card E) (g x)] on every pair with
+   [x <> 0]; C1' asks for [<].  The linked disjoint connected pairs are
+   exactly the splits of a connected mask into two connected parts. *)
+let decide u card_of =
+  Subset_dp.check_size u;
+  let n = Bitdb.size u and full = Bitdb.full u and adj = u.Bitdb.adj in
+  let card = Array.make (full + 1) (-1)
+  and nbr = Array.make (full + 1) 0
+  and g = Array.make (full + 1) max_int in
+  for m = 1 to full do
+    let connected = ref (m land (m - 1) = 0) and best = ref max_int in
+    for i = 0 to n - 1 do
+      if m land (1 lsl i) <> 0 then begin
+        let rest = m lxor (1 lsl i) in
+        nbr.(m) <- nbr.(m) lor adj.(i);
+        if card.(rest) >= 0 && adj.(i) land rest <> 0 then connected := true;
+        best := Int.min !best g.(rest)
+      end
+    done;
+    if !connected then begin
+      let c = card_of m in
+      card.(m) <- c;
+      best := Int.min !best c
+    end;
+    g.(m) <- !best
+  done;
+  let keep = Mj_failpoint.Failpoint.fire Conditions_keep_neighbors in
   let c1 = ref true and c1_strict = ref true in
-  iter_triples cache (fun w ->
-      if w.tau_e_e1 > w.tau_e_e2 then c1 := false;
-      if w.tau_e_e1 >= w.tau_e_e2 then c1_strict := false;
-      !c1 || !c1_strict);
   let c2 = ref true and c3 = ref true and c4 = ref true in
-  iter_pairs cache (fun w ->
-      if w.tau_join > w.tau_1 && w.tau_join > w.tau_2 then c2 := false;
-      if w.tau_join > w.tau_1 || w.tau_join > w.tau_2 then c3 := false;
-      if w.tau_join < w.tau_1 || w.tau_join < w.tau_2 then c4 := false;
-      !c2 || !c3 || !c4);
+  (* E = [e] of cardinality [ce]; E ∪ E1 = [m] of cardinality [cm]. *)
+  let triple m cm e ce =
+    let x = full land lnot (if keep then m else m lor nbr.(e)) in
+    if x <> 0 then begin
+      let bound = Frame.Db.saturating_mul ce g.(x) in
+      if cm > bound then c1 := false;
+      if cm >= bound then c1_strict := false
+    end
+  in
+  let m = ref 1 in
+  while !m <= full && (!c1 || !c1_strict || !c2 || !c3 || !c4) do
+    let cm = card.(!m) in
+    if cm >= 0 then
+      Subset_dp.iter_anchored_splits !m (fun m1 m2 ->
+          let ca = card.(m1) and cb = card.(m2) in
+          if ca >= 0 && cb >= 0 then begin
+            if cm > ca && cm > cb then c2 := false;
+            if cm > ca || cm > cb then c3 := false;
+            if cm < ca || cm < cb then c4 := false;
+            triple !m cm m1 ca;
+            triple !m cm m2 cb
+          end);
+    incr m
+  done;
   { c1 = !c1; c1_strict = !c1_strict; c2 = !c2; c3 = !c3; c4 = !c4 }
 
+let summarize_cached cache =
+  decide (Cost.Cache.universe cache) (Cost.Cache.card_mask cache)
+
 let summarize db = summarize_cached (Cost.Cache.create db)
+let holds_c1 db = (summarize db).c1
+let holds_c1_strict db = (summarize db).c1_strict
+let holds_c3 db = (summarize db).c3
+let holds_c4 db = (summarize db).c4
 
 let pp_summary fmt s =
   let mark b = if b then "yes" else "no" in

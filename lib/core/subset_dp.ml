@@ -163,12 +163,15 @@ let iter_anchored_splits mask f =
 
 let max_relations = 22
 
+let check_size u =
+  if Bitdb.size u > max_relations then
+    invalid_arg
+      (Printf.sprintf "subset DP: too many relations (max %d)" max_relations)
+
 let drive ?(obs = Obs.noop) ~span ~oracle d f =
   Obs.span obs span @@ fun () ->
   let u = Bitdb.make d in
-  if Bitdb.size u > max_relations then
-    invalid_arg
-      (Printf.sprintf "subset DP: too many relations (max %d)" max_relations);
+  check_size u;
   let dp =
     make ~units:(Bitdb.size u)
       (Dense (Array.make (1 lsl Bitdb.size u) absent))

@@ -85,6 +85,12 @@ val iter_anchored_splits : int -> (int -> int -> unit) -> unit
 (** Every unordered split of a mask once: the lowest unit anchored in
     the left part, left parts in decreasing numeric order. *)
 
+val check_size : Bitdb.t -> unit
+(** The one relation cap of every table that is a flat array over all
+    [2^n] masks.
+    @raise Invalid_argument ["subset DP: too many relations (max 22)"]
+    beyond 22 relations. *)
+
 val drive :
   ?obs:Mj_obs.Obs.sink ->
   span:string ->

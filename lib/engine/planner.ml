@@ -121,25 +121,29 @@ let yann_tree ?oracle db schemes =
         in
         Some (best_rooted_tree ~oracle schemes trees)
 
-let rec lower ?(policy = Hash_all) ?oracle db strategy =
+let generic_join schemes =
+  Physical.Generic_join (Scheme.Set.elements schemes, elimination_order schemes)
+
+let lower ?(policy = Hash_all) ?oracle db strategy =
+  let schemes = Strategy.schemes strategy in
   match policy with
   | Hash_all -> Physical.of_strategy strategy
   | Yannakakis -> (
       (* The asymptotically right algorithm for the α-acyclic regime:
          Yannakakis's semijoin program is instance-optimal there (total
          work O(input + output)), so every acyclic query lowers to a
-         [Semijoin_program] over a cost-picked rooted join tree, and
-         cyclic queries fall through to the wcoj arm — between them,
-         every query now routes to the algorithm whose worst case
-         matches its structure.  Single-relation strategies keep their
-         trivial binary lowering. *)
-      let schemes = Strategy.schemes strategy in
-      match
-        if Scheme.Set.cardinal schemes >= 2 then yann_tree ?oracle db schemes
-        else None
-      with
-      | Some rt -> Physical.Semijoin_program rt
-      | None -> lower ~policy:Wcoj ?oracle db strategy)
+         [Semijoin_program] over a cost-picked rooted join tree.  A
+         query the ear decomposition leaves a core of is cyclic, and
+         lowers to the wcoj arm's generic join without a second
+         decomposition — between them, every query routes to the
+         algorithm whose worst case matches its structure.
+         Single-relation strategies keep their trivial binary
+         lowering. *)
+      if Scheme.Set.cardinal schemes < 2 then Physical.of_strategy strategy
+      else
+        match yann_tree ?oracle db schemes with
+        | Some rt -> Physical.Semijoin_program rt
+        | None -> generic_join schemes)
   | Wcoj ->
       (* Priced by the AGM bound, by dominance rather than per-plan
          arithmetic: the generic join's worst case over the whole
@@ -155,10 +159,7 @@ let rec lower ?(policy = Hash_all) ?oracle db strategy =
          surfaced — [Cost.Cache.agm], [mjoin explain] — as the
          certificate of why.  Acyclic strategies keep their binary
          plan: there binary plans are already optimal. *)
-      let schemes = Strategy.schemes strategy in
-      if is_cyclic schemes then
-        Physical.Generic_join
-          (Scheme.Set.elements schemes, elimination_order schemes)
+      if is_cyclic schemes then generic_join schemes
       else Physical.of_strategy strategy
 
 (* Ranked (top-k) lowering — the [mjoin topk] surface.  Only defined on

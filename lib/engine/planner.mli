@@ -30,9 +30,9 @@ type policy =
   | Yannakakis
       (** acyclic-first: α-acyclic strategies (two or more relations)
           lower to a {!Physical.Semijoin_program} over the cost-best
-          rooted join tree; cyclic ones fall through to the [Wcoj] arm —
-          every query routes to the algorithm whose worst case matches
-          its structure *)
+          rooted join tree; cyclic ones lower as under [Wcoj] — every
+          query routes to the algorithm whose worst case matches its
+          structure *)
 
 val policy_name : policy -> string
 (** ["hash"], ["wcoj"] or ["yann"]. *)
@@ -86,9 +86,11 @@ val lower :
     discarded — the node is n-ary) with {!elimination_order}; otherwise
     the [Hash_all] plan applies unchanged.  Under [Yannakakis], an
     α-acyclic strategy over at least two relations lowers to
-    [Physical.Semijoin_program (yann_tree …)] and anything else falls
-    through to the [Wcoj] arm.  [oracle] overrides the catalog
-    estimator that {!yann_tree} prices join trees with. *)
+    [Physical.Semijoin_program (yann_tree …)], a cyclic one to the
+    [Wcoj] arm's generic join (the ear decomposition that found no
+    join tree already decided cyclicity, so it runs once), and a
+    single relation to its [Hash_all] plan.  [oracle] overrides the
+    catalog estimator that {!yann_tree} prices join trees with. *)
 
 val lower_ranked :
   ?oracle:(Scheme.Set.t -> int) ->

@@ -11,6 +11,8 @@ type t =
   | Frame_lost_morsel
   | Cost_count_message
   | Cost_count_merge
+  | Frame_morsel_order
+  | Conditions_keep_neighbors
 
 exception Injected of string
 
@@ -28,6 +30,8 @@ let all =
     Frame_lost_morsel;
     Cost_count_message;
     Cost_count_merge;
+    Frame_morsel_order;
+    Conditions_keep_neighbors;
   ]
 
 let name = function
@@ -43,6 +47,8 @@ let name = function
   | Frame_lost_morsel -> "frame.lost_morsel"
   | Cost_count_message -> "cost.count_message"
   | Cost_count_merge -> "cost.count_merge"
+  | Frame_morsel_order -> "frame.morsel_order"
+  | Conditions_keep_neighbors -> "conditions.keep_neighbors"
 
 let of_name s =
   let s = String.lowercase_ascii (String.trim s) in
@@ -61,6 +67,8 @@ let index = function
   | Frame_lost_morsel -> 9
   | Cost_count_message -> 10
   | Cost_count_merge -> 11
+  | Frame_morsel_order -> 12
+  | Conditions_keep_neighbors -> 13
 
 (* One atomic bitmask of active points, one atomic hit counter per
    point: consultation from pool workers running on other domains is

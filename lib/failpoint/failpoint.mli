@@ -75,6 +75,17 @@ type t =
           row group when it merges two schemes of a cyclic core,
           instead of their sum — the planted defect that shows the
           theorem checks reach the merge of a cyclic mask *)
+  | Frame_morsel_order
+      (** the frame plane's parallel hash join merges its per-morsel
+          buffers last morsel first, the order a last-in-first-out
+          claim queue hands them out, instead of in morsel-index order
+          — the planted defect that shows the checks see an order bug,
+          not only a lost row *)
+  | Conditions_keep_neighbors
+      (** the mask decision of C1 and C1' leaves the neighbours of [E]
+          in the set its [E2] ranges over, so [E2] may be linked to [E]
+          — the planted defect that shows the theorem checks compare
+          the decision with the enumeration *)
 
 exception Injected of string
 (** Raised by {!trip}; carries the failpoint name. *)
@@ -86,7 +97,8 @@ val name : t -> string
     ["frame.lossy_join"], ["yann.lossy_semijoin"],
     ["serve.worker_stall"], ["serve.cache_stale_plan"],
     ["frame.skip_root_sort"], ["cost.cp_product"],
-    ["frame.lost_morsel"], ["cost.count_message"], ["cost.count_merge"]. *)
+    ["frame.lost_morsel"], ["cost.count_message"], ["cost.count_merge"],
+    ["frame.morsel_order"], ["conditions.keep_neighbors"]. *)
 
 val of_name : string -> t option
 

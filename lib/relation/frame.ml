@@ -40,6 +40,9 @@ let is_empty f = f.rows = 0
 let dict f = f.dict
 let sorted f = f.sorted
 
+let same_emission f1 f2 =
+  Attr.Set.equal f1.scheme f2.scheme && f1.data = f2.data
+
 (* ------------------------------------------------------------------ *)
 (* Canonical order                                                     *)
 
@@ -418,6 +421,14 @@ let hash_join ~obs ~domains ~morsel ~stats spec f1 f2 =
     let parts =
       if Mj_failpoint.Failpoint.fire Mj_failpoint.Failpoint.Frame_lost_morsel
       then Array.sub parts 0 (nmor - 1)
+      else parts
+    in
+    (* The planted [frame.morsel_order] defect merges the buffers last
+       morsel first, as a last-in-first-out claim queue would hand them
+       out: the same rows, emitted in another order. *)
+    let parts =
+      if Mj_failpoint.Failpoint.fire Mj_failpoint.Failpoint.Frame_morsel_order
+      then Array.of_list (List.rev (Array.to_list parts))
       else parts
     in
     let total =

@@ -107,6 +107,12 @@ val equal : t -> t -> bool
 (** Content equality (scheme + rows, sorted on demand).  Only
     meaningful for frames sharing one dictionary. *)
 
+val same_emission : t -> t -> bool
+(** The same rows {e in the same stored order}: the order an unsorted
+    frame's rows were emitted in, which {!equal} and every sorted
+    reader ignore.  Only meaningful for frames sharing one
+    dictionary. *)
+
 (** {1 Algebra} *)
 
 val default_morsel : int

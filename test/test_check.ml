@@ -258,18 +258,29 @@ let contains s sub =
   in
   go 0
 
-(* The lost morsel lives on the pool path: caught where the pool grants
-   more than one worker, reported as skipped (never as caught) where it
-   grants one.  The frame counter's lost message and unsummed merge are
+(* The lost morsel and the morsel order live on the pool path: caught
+   where the pool grants more than one worker, reported as skipped
+   (never as caught) where it grants one, and the summary names the
+   core count either way.  The frame counter's lost message and
+   unsummed merge and the conditions decision's kept neighbours are
    caught everywhere. *)
 let test_self_test () =
   match Fuzz.self_test () with
   | Ok msg ->
       let pooled = Mj_pool.Pool.workers 4 > 1 in
-      Alcotest.(check bool) "lost morsel caught" pooled
-        (contains msg "planted frame.lost_morsel caught");
-      Alcotest.(check bool) "lost morsel skipped" (not pooled)
-        (contains msg "planted frame.lost_morsel skipped");
+      Alcotest.(check bool) "core count" true
+        (String.starts_with
+           ~prefix:(Printf.sprintf "cores: %d" Mj_pool.Pool.cores)
+           msg);
+      List.iter
+        (fun spec ->
+          Alcotest.(check bool) (spec ^ " caught") pooled
+            (contains msg ("planted " ^ spec ^ " caught"));
+          Alcotest.(check bool) (spec ^ " skipped") (not pooled)
+            (contains msg ("planted " ^ spec ^ " skipped")))
+        [ "frame.lost_morsel"; "frame.morsel_order" ];
+      Alcotest.(check bool) "kept neighbours caught" true
+        (contains msg "planted conditions.keep_neighbors caught");
       Alcotest.(check bool) "lost count message caught" true
         (contains msg "planted cost.count_message caught");
       Alcotest.(check bool) "unsummed count merge caught" true

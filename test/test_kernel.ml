@@ -272,10 +272,71 @@ let definitional_summary db =
     c4 = !c4;
   }
 
+(* Up to 7 relations over random graphs, and unconnected schemes: a
+   random graph or a chain with one relation cut out.  Superkey,
+   uniform and skewed data, and in one database of four a zero-row
+   relation. *)
+let gen_conditions_db =
+  let open QCheck2.Gen in
+  let* n = int_range 2 7 in
+  let* kind = int_range 0 2 in
+  let* regime = int_range 0 2 in
+  let* empty = int_range 0 3 in
+  let* seed = int_range 0 100_000 in
+  let rng = Random.State.make [| seed; n; 7 |] in
+  let cut d =
+    Scheme.Set.remove
+      (List.nth (Scheme.Set.elements d)
+         (Random.State.int rng (Scheme.Set.cardinal d)))
+      d
+  in
+  let d =
+    match kind with
+    | 0 -> Querygraph.random ~extra_edge_prob:0.3 ~rng n
+    | 1 -> cut (Querygraph.random ~extra_edge_prob:0.1 ~rng (n + 1))
+    | _ -> cut (Querygraph.chain (n + 1))
+  in
+  let rows = 2 + Random.State.int rng 3 in
+  let db =
+    match regime with
+    | 0 -> Dbgen.superkey_db ~rng ~rows ~domain:(rows + 4) d
+    | 1 -> Dbgen.uniform_db ~rng ~rows ~domain:3 d
+    | _ -> Dbgen.skewed_db ~rng ~rows ~domain:4 ~skew:1.2 d
+  in
+  return
+    (if empty = 0 then
+       Database.replace db (Relation.empty (Scheme.Set.min_elt d))
+     else db)
+
 let prop_summarize =
   qtest "Conditions.summarize agrees with the definitions over universes"
-    ~count:40 gen_random_db (fun db ->
+    ~count:60 gen_conditions_db (fun db ->
       definitional_summary db = Conditions.summarize db)
+
+(* The decision's C1 bound [card E · g X] saturates at [max_int], as
+   the cache's product rule does.  Chain AB–BC–CD–DE with E = AB,
+   E1 = BC: X = {CD, DE}, and every count is 2^40, so the bound
+   saturates while τ(E ∪ E1) = max_int meets it: C1 holds, C1' does
+   not (and every join outgrows its sides: C4 alone of the pair
+   conditions holds).  A wrapping product would read 2^80 mod 2^63 = 0
+   and refute C1. *)
+let test_summarize_saturates () =
+  let u = Bitdb.make (Querygraph.chain 4) in
+  let card m = if m land (m - 1) = 0 then 1 lsl 40 else max_int in
+  let s = Conditions.decide u card in
+  Alcotest.(check (list bool))
+    "saturated (c1, c1', c2, c3, c4)"
+    [ true; false; false; false; true ]
+    [ s.Conditions.c1; s.Conditions.c1_strict; s.Conditions.c2;
+      s.Conditions.c3; s.Conditions.c4 ]
+
+(* The decision's dense arrays share the subset DP's relation cap. *)
+let test_summarize_cap () =
+  let rng = Random.State.make [| 23 |] in
+  let db = Dbgen.uniform_db ~rng ~rows:1 ~domain:2 (Querygraph.chain 23) in
+  Alcotest.check_raises "k = 23"
+    (Invalid_argument "subset DP: too many relations (max 22)") (fun () ->
+      ignore (Conditions.summarize db))
 
 (* ------------------------------------------------------------------ *)
 (* Relation satellite: empty-common natural join                        *)
@@ -407,7 +468,13 @@ let () =
           prop_all_optima;
           Alcotest.test_case "pinned seed" `Quick test_pinned_seed;
         ] );
-      ("conditions-equivalence", [ prop_summarize ]);
+      ( "conditions-equivalence",
+        [
+          prop_summarize;
+          Alcotest.test_case "saturated C1 bound" `Quick
+            test_summarize_saturates;
+          Alcotest.test_case "relation cap" `Quick test_summarize_cap;
+        ] );
       ("relation-satellites", [ prop_join_disjoint ]);
       ( "pool-determinism",
         [

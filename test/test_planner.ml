@@ -125,6 +125,25 @@ let test_frame_domain_determinism () =
   Alcotest.(check int) "identical tau" s1.Engine.tuples_generated
     s4.Engine.tuples_generated
 
+(* A cyclic strategy lowers under [Yannakakis] exactly as under [Wcoj]:
+   one generic join over the whole scheme set, in the same elimination
+   order.  Cycles and random graphs of 3–6 relations; the acyclic draws
+   among the random graphs are skipped. *)
+let gen_cyclic_case =
+  let open QCheck2.Gen in
+  let* kind = int_range 2 3 in
+  let* n = int_range 3 6 in
+  let* seed = int_range 0 100_000 in
+  let rng = Random.State.make [| seed; n; kind |] in
+  let d = shape kind n in
+  let db = Dbgen.uniform_db ~rng ~rows:4 ~domain:3 d in
+  return (db, Enumerate.random_strategy ~rng d)
+
+let yann_cyclic_is_wcoj (db, s) =
+  QCheck2.assume (Planner.is_cyclic (Strategy.schemes s));
+  let lower policy = Physical.to_string (Planner.lower ~policy db s) in
+  lower Planner.Yannakakis = lower Planner.Wcoj
+
 (* The yann lowering of a chain of 70 relations: 71 attributes, wider
    than one int, so the ear search runs on two-word bitsets.  The root
    the catalog picks and the elimination order (each [ear>parent]) are
@@ -183,5 +202,9 @@ let () =
             test_frame_domain_determinism;
         ] );
       ( "yann",
-        [ Alcotest.test_case "chain-70 plan" `Quick test_yann_chain70 ] );
+        [
+          Alcotest.test_case "chain-70 plan" `Quick test_yann_chain70;
+          qtest "cyclic strategies: the yann lowering is the wcoj lowering"
+            ~count:60 gen_cyclic_case yann_cyclic_is_wcoj;
+        ] );
     ]
