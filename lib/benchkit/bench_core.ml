@@ -58,6 +58,24 @@ let race ~reps f g =
   done;
   ((!fb, Option.get !fr), (!gb, Option.get !gr))
 
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+let race_median ~reps f g =
+  Gc.compact ();
+  let fs = ref [] and gs = ref [] and fr = ref None and gr = ref None in
+  for _ = 1 to reps do
+    let ms, r = f () in
+    fs := ms :: !fs;
+    fr := Some r;
+    let ms, r = g () in
+    gs := ms :: !gs;
+    gr := Some r
+  done;
+  ((median !fs, Option.get !fr), (median !gs, Option.get !gr))
+
 (* ------------------------------------------------------------------ *)
 (* Verdict                                                              *)
 

@@ -71,6 +71,16 @@ val race :
     the ratio and neither side sweeps the other's garbage.  The floored
     ratio rows use this. *)
 
+val race_median :
+  reps:int -> (unit -> float * 'a) -> (unit -> float * 'b) ->
+  (float * 'a) * (float * 'b)
+(** Two contenders that time themselves (each call returns its own
+    wall time in ms, e.g. one span inside a larger run), called
+    alternately [reps] times after one heap compaction: their median
+    times and last results.  For timings too short or too embedded for
+    {!race}'s whole-call clock, and for rows whose committed value
+    should be the middle run, not the luckiest. *)
+
 (** {1 Verdict and output} *)
 
 val failures : leg -> string list

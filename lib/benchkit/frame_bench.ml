@@ -4,6 +4,7 @@ open Multijoin
 module Dbgen = Mj_workload.Dbgen
 module Pool = Mj_pool.Pool
 module Json = Mj_obs.Json
+module Obs = Mj_obs.Obs
 
 (* One relation-per-key-ish database: [n] tuples per relation over a
    domain of [n] values keeps join outputs near [n] rows, so the micro
@@ -95,6 +96,72 @@ let exec_engine_row n =
     (frame_ms, frame_stats.Mj_engine.Frame_engine.tuples_generated)
     equal
 
+(* The warm certify of a served query, on each plane: the daemon's
+   [Engine.execute_digest] of the default strategy under the hash
+   policy on one domain, timed by its own ["serve.certify"] span (the
+   seed plane's [Relation.make] of the root list and its digest; the
+   frame plane's order pass and hash loop over the unsorted root).
+   Medians of alternated runs.  [sorted_rows] and [hashed_bytes] (the
+   length of the digest's byte stream) are deterministic. *)
+let certify_row (shape, n, reps) =
+  let w =
+    { Mj_serve.Protocol.shape; n; rows = 400; domain = 400; regime = "uniform";
+      seed = 0 }
+  in
+  let db = Mj_serve.Protocol.materialize w in
+  let fdb = Frame.Db.of_database db in
+  let certify plane () =
+    let obs = Obs.make ~gc:false () in
+    let cfg =
+      { (Mj_engine.Engine.Config.make ~plane ~policy:Mj_engine.Planner.Hash_all
+           ~domains:1 ~obs ())
+        with telemetry = None }
+    in
+    let plan =
+      Mj_engine.Engine.lower cfg db (Mj_serve.Protocol.default_strategy db)
+    in
+    let digest, stats = Mj_engine.Engine.execute_digest ~fdb cfg db plan in
+    let rec span = function
+      | [] -> invalid_arg "Frame_bench: no serve.certify span"
+      | t :: _ when t.Obs.name = "serve.certify" -> t.Obs.duration
+      | t :: rest -> span (t.Obs.children @ rest)
+    in
+    (span (Obs.trace obs) *. 1000.0, (digest, stats))
+  in
+  let (seed_ms, (seed_d, _)), (frame_ms, (frame_d, frame_stats)) =
+    Bench_core.race_median ~reps (certify Mj_engine.Engine.Seed)
+      (certify Mj_engine.Engine.Frame)
+  in
+  let r = Database.join_all db in
+  let hashed_bytes =
+    Relation.fold
+      (fun tu acc -> acc + 1 + String.length (Tuple.to_string tu))
+      r
+      (String.length (Scheme.to_string (Relation.scheme r)))
+  in
+  let sorted_rows =
+    (Option.get frame_stats.Mj_engine.Engine.frame)
+      .Mj_engine.Frame_engine.sorted_rows
+  in
+  Bench_core.(
+    row
+      [
+        ("experiment", Key (Json.str "certify"));
+        ("shape", Key (Json.str (Printf.sprintf "%s-%d" shape n)));
+        ("n", Key (Json.int 400));
+        ("reps", Info (Json.int reps));
+        ("seed_ms", Ms seed_ms);
+        ("frame_ms", Ms frame_ms);
+        speedup seed_ms frame_ms;
+        ("rows", Out (Json.int (Relation.cardinality r)));
+        ("sorted_rows", Out (Json.int sorted_rows));
+        ("hashed_bytes", Out (Json.int hashed_bytes));
+        ( "equal",
+          Check
+            (Int64.equal seed_d frame_d
+            && Int64.equal frame_d (Relation.digest r)) );
+      ])
+
 (* Regimes of the GAMMA/THM experiments. *)
 let regime_gen = function
   | "uniform" -> fun ~rng d -> Dbgen.uniform_db ~rng ~rows:6 ~domain:3 d
@@ -185,6 +252,10 @@ let run ?domains ?(quick = false) () =
       ]
   in
   let engine_rows = [ exec_engine_row engine_n ] in
+  let certify_reps = if quick then 11 else 41 in
+  let certify_rows =
+    List.map certify_row [ ("chain", 4, certify_reps); ("path", 4, certify_reps) ]
+  in
   let dict_size = ref 0 in
   let micro_rows = List.map (join_micro_row dict_size) micro_specs in
   let morsel_rows = List.map (join_morsel_row ~domains ~morsel) morsel_specs in
@@ -197,5 +268,5 @@ let run ?domains ?(quick = false) () =
           ("morsel", Info (Json.int morsel));
           ("dict_size", Out (Json.int !dict_size));
         ];
-      rows = micro_rows @ morsel_rows @ engine_rows @ tau_rows;
+      rows = micro_rows @ morsel_rows @ engine_rows @ certify_rows @ tau_rows;
     }

@@ -18,6 +18,15 @@
       equal τ.  At n ≥ 200 the row carries a
       [speedup_floor] of 1.0: the frame plane must not lose to the seed
       executor at small n.
+    - ["certify"] — the warm certify of a served chain-4 and path-4
+      query at 400 rows: the ["serve.certify"] span of
+      [Engine.execute_digest] on the seed plane ([Relation.make] of the
+      root list, then its digest) against the frame plane (one order
+      pass and one hash loop over the unsorted root), medians of
+      alternated runs ({!Bench_core.race_median}); certifies equal
+      digests, and records the result [rows], the frame plane's
+      [sorted_rows] and the digest's [hashed_bytes] as deterministic
+      fields.
     - ["tau-gamma"] — a GAMMA-style trial loop (exact optimum + linear
       optimum per seeded database) driven once by a [Cost.Cache Seed]
       and once by a [Cost.Cache Frame]; certifies bit-identical τ tables
@@ -35,8 +44,8 @@
 val run : ?domains:int -> ?quick:bool -> unit -> Bench_core.leg
 (** [quick] (default [false]) trims sizes to CI-smoke scale.  [domains]
     defaults to {!Mj_pool.Pool.default_domains}.  Rows carry [seed_ms],
-    [frame_ms] (fastest rep; for ["join-morsel"] the 1-domain and
-    pool-width frame joins), [seed_value]/[frame_value] and the
+    [frame_ms] (fastest rep, the median for ["certify"]; for
+    ["join-morsel"] the 1-domain and pool-width frame joins), [seed_value]/[frame_value] and the
     [equal] check; the document's [morsel] is the join-morsel row's
     probe-morsel size and its [dict_size] counts the interned values of
     the largest join-micro database. *)

@@ -159,15 +159,15 @@ let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
     | Some rt -> rt
     | None -> invalid_arg ("Yann_bench: " ^ shape ^ " scheme is not acyclic")
   in
-  (* Both contenders end in the engine's finisher — sort the root
-     frame, then decode — and count into fresh stats each rep, so
+  (* Both contenders end in the engine's finisher — decode the root
+     frame in value order — and count into fresh stats each rep, so
      [binary_probes] is one join's probes. *)
   let (binary_ms, (binary_r, bstats)), (yann_ms, (yann_r, yann_stats)) =
     Bench_core.race ~reps
       (fun () ->
         let stats = Frame.fresh_stats () in
         let f = binary_join ~stats fdb d in
-        (Frame.to_relation (Frame.sort ~stats f), stats))
+        (Frame.to_relation ~stats f, stats))
       (fun () ->
         (* The Yannakakis contender is the engine's own semijoin
            program on the same pre-encoded database; τ is its join

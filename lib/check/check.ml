@@ -72,19 +72,38 @@ let pp_step_log fmt log =
        (fun fmt (d, c) -> Format.fprintf fmt "%a=%d" Scheme.Set.pp d c))
     log
 
+(* The result hash by its definition: FNV-1a, one byte at a time on
+   boxed [Int64]s, over the scheme string and a newline plus
+   [Tuple.to_string] per tuple in [Tuple.compare] order.  It shares no
+   code with [Fnv], whose one byte loop every served and reference
+   digest now runs, so a bug in that loop shows up here. *)
+let definitional_hash r =
+  let feed =
+    String.fold_left (fun h c ->
+        Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+  in
+  List.fold_left
+    (fun h tu -> feed (feed h "\n") (Tuple.to_string tu))
+    (feed 0xcbf29ce484222325L (Scheme.to_string (Relation.scheme r)))
+    (List.sort Tuple.compare (Relation.tuples r))
+
 (* Certification on the native result, checked first in every matrix
    cell: the serve daemon answers with [Engine.execute_digest], which on
    the frame plane hashes code buffers and decodes nothing, so a lossy
    kernel must show up in the served hash and row count themselves —
-   not only in a decode nobody reads.  [cfg] is the cell's config; the
-   digest run records no spans. *)
-let check_digest where (cfg : Engine.Config.t) db s expected =
+   not only in a decode nobody reads.  [want] is the reference's
+   {!definitional_hash}; the served hash must equal it and
+   [Protocol.result_hash] of the reference.  [cfg] is the cell's
+   config; the digest run records no spans. *)
+let check_digest where (cfg : Engine.Config.t) db s expected ~want =
   let cfg = { cfg with obs = Obs.noop } in
   let got, stats = Engine.execute_digest cfg db (Engine.lower cfg db s) in
-  let want = Protocol.result_hash expected in
-  if not (Int64.equal got want) then
-    fail "digest:hash" "%s: served hash %s, reference %s" where
-      (Protocol.hash_hex got) (Protocol.hash_hex want);
+  List.iter
+    (fun (name, reference) ->
+      if not (Int64.equal got reference) then
+        fail "digest:hash" "%s: served hash %s, %s %s" where
+          (Protocol.hash_hex got) name (Protocol.hash_hex reference))
+    [ ("reference", Protocol.result_hash expected); ("definition", want) ];
   if stats.Engine.result_rows <> Relation.cardinality expected then
     fail "digest:rows" "%s: served %d rows, reference has %d" where
       stats.Engine.result_rows (Relation.cardinality expected)
@@ -100,6 +119,7 @@ let step_total steps = List.fold_left (fun acc (_, c) -> acc + c) 0 steps
    [plane/policy/N-domain] cell. *)
 let matrix ~leg ~policy ~expected ~steps db s =
   let tau = step_total steps in
+  let want = definitional_hash expected in
   let reference = ref None in
   List.iter
     (fun plane ->
@@ -114,7 +134,7 @@ let matrix ~leg ~policy ~expected ~steps db s =
             Engine.Config.make ~plane ~domains ?morsel:(cell_morsel domains)
               ~policy ~obs ()
           in
-          check_digest where cfg db s expected;
+          check_digest where cfg db s expected ~want;
           let r, stats = Engine.run cfg db s in
           if not (Relation.equal r expected) then
             fail (leg ^ ":result")

@@ -178,11 +178,12 @@ let self_test () =
         (Format.asprintf "clean harness is not quiet on %a: %a" Gen.pp d
            Check.pp_failure f)
   | Check.Pass -> (
-      (* Ten independent planted bugs, each through the full loop:
+      (* Eleven independent planted bugs, each through the full loop:
          the lossy frame join, the lossy yann semijoin reducer, the
-         skipped root sort and the parallel join's lost morsel (all
-         caught by the matrix's digest checks, on the hash the daemon
-         serves without decoding), the parallel join's morsel order
+         skipped root sort, the order pass's unfinished bucket and the
+         parallel join's lost morsel (all caught by the matrix's digest
+         checks, on the hash the daemon serves without decoding), the
+         parallel join's morsel order
          (caught by the emission check, since every digest reads a
          sorted root), the serve stale-plan cache collision (caught by
          the serve leg's τ-log comparison), the τ cache's off-by-one
@@ -223,6 +224,7 @@ let self_test () =
            ([ "digest" ], d, "frame.lossy_join");
            ([ "digest" ], planted_acyclic_case, "yann.lossy_semijoin");
            ([ "digest" ], d, "frame.skip_root_sort");
+           ([ "digest" ], d, "frame.certify_bucket");
            ([ "serve" ], d, "serve.cache_stale_plan");
            ([ "theorems" ], planted_cp_free_case, "cost.cp_product");
            (count_readers, d, "cost.count_message");

@@ -58,7 +58,8 @@ val self_test : unit -> (string, string) result
 (** Certify the harness can actually catch bugs: a clean fixed case
     must pass; then, for each planted mutation in turn —
     [frame.lossy_join], [yann.lossy_semijoin] (on an acyclic twin of
-    the case), [frame.skip_root_sort] and [frame.lost_morsel] (all
+    the case), [frame.skip_root_sort], [frame.certify_bucket] and
+    [frame.lost_morsel] (all
     caught by the matrix's digest checks, on the hash the daemon serves
     without decoding), [frame.morsel_order] (caught by the emission
     check), [serve.cache_stale_plan] (caught by the serve leg's τ-log

@@ -78,12 +78,10 @@ module Frame_plane = struct
   let cardinality = Frame.cardinality
   let note_step _ctx _n = ()
   let join_label = "frame-hash"
-  (* Join outputs are left unsorted; the finishers establish the root's
-     order themselves, so the sort lands in [ctx.fstats]. *)
-  let to_relation ctx _scheme f =
-    Frame.to_relation (Frame.sort ~stats:ctx.fstats f)
-
-  let digest ctx _scheme f = Frame.digest (Frame.sort ~stats:ctx.fstats f)
+  (* Join outputs are left unsorted; each finisher walks the root in
+     value order by one order pass, counted in [ctx.fstats]. *)
+  let to_relation ctx _scheme f = Frame.to_relation ~stats:ctx.fstats f
+  let digest ctx _scheme f = Frame.digest ~stats:ctx.fstats f
 end
 
 module Drive = Driver.Make (Frame_plane)
@@ -144,4 +142,4 @@ let execute_digest ?(obs = Obs.noop) ?domains ?morsel ?fdb db plan =
 let execute_stats ?(obs = Obs.noop) ?domains ?morsel db plan =
   snd
     (run ~obs ?domains ?morsel db plan ~finish:(fun ctx (_, f) ->
-         ignore (Frame.sort ~stats:ctx.Frame_plane.fstats f)))
+         ignore (Frame.value_order ~stats:ctx.Frame_plane.fstats f)))

@@ -13,6 +13,7 @@ type t =
   | Cost_count_merge
   | Frame_morsel_order
   | Conditions_keep_neighbors
+  | Frame_certify_bucket
 
 exception Injected of string
 
@@ -32,6 +33,7 @@ let all =
     Cost_count_merge;
     Frame_morsel_order;
     Conditions_keep_neighbors;
+    Frame_certify_bucket;
   ]
 
 let name = function
@@ -49,6 +51,7 @@ let name = function
   | Cost_count_merge -> "cost.count_merge"
   | Frame_morsel_order -> "frame.morsel_order"
   | Conditions_keep_neighbors -> "conditions.keep_neighbors"
+  | Frame_certify_bucket -> "frame.certify_bucket"
 
 let of_name s =
   let s = String.lowercase_ascii (String.trim s) in
@@ -69,6 +72,7 @@ let index = function
   | Cost_count_merge -> 11
   | Frame_morsel_order -> 12
   | Conditions_keep_neighbors -> 13
+  | Frame_certify_bucket -> 14
 
 (* One atomic bitmask of active points, one atomic hit counter per
    point: consultation from pool workers running on other domains is

@@ -51,10 +51,11 @@ type t =
           lowered for a {e different} strategy — the planted serve bug
           the self-test must detect via its τ step log *)
   | Frame_skip_root_sort
-      (** the frame plane's finishers skip the sort of the root frame
-          ([Frame.sort] marks it sorted as emitted), so decode and
-          digest read the join's emission order — the planted defect
-          that shows the digest check sees a missing sort *)
+      (** the frame plane's decode and certify take an unsorted root
+          frame's emitted order for value order ([Frame.value_order]
+          makes no order pass), so they read the join's emission order
+          — the planted defect that shows the digest check sees a
+          missing sort *)
   | Cost_cp_product
       (** [Cost.Cache] prices every unconnected sub-database at the
           product of its components' cardinalities plus one — the
@@ -86,6 +87,12 @@ type t =
           in the set its [E2] ranges over, so [E2] may be linked to [E]
           — the planted defect that shows the theorem checks compare
           the decision with the enumeration *)
+  | Frame_certify_bucket
+      (** the order pass behind the frame plane's decode and certify
+          ([Frame.value_order]) leaves its first multi-row bucket of the
+          leading column in stored order instead of finishing it on
+          the remaining columns — the planted defect that shows the
+          digest check sees a partial sort, not only a missing one *)
 
 exception Injected of string
 (** Raised by {!trip}; carries the failpoint name. *)
@@ -98,7 +105,8 @@ val name : t -> string
     ["serve.worker_stall"], ["serve.cache_stale_plan"],
     ["frame.skip_root_sort"], ["cost.cp_product"],
     ["frame.lost_morsel"], ["cost.count_message"], ["cost.count_merge"],
-    ["frame.morsel_order"], ["conditions.keep_neighbors"]. *)
+    ["frame.morsel_order"], ["conditions.keep_neighbors"],
+    ["frame.certify_bucket"]. *)
 
 val of_name : string -> t option
 

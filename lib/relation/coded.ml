@@ -228,31 +228,147 @@ let sort_packed w nrows data widths total =
   done;
   (!kept, out)
 
-(* Rows wider than one int: a stable LSD counting sort per column over
-   a row permutation, then one dedupe scan. *)
-let sort_columns w nrows data maxc =
-  let count = Array.make (Array.fold_left max 0 maxc + 2) 0 in
-  let perm = Array.init nrows (fun i -> i) in
-  let tmp = Array.make nrows 0 in
-  for col = w - 1 downto 0 do
-    let m = maxc.(col) + 1 in
-    Array.fill count 0 (m + 1) 0;
-    for i = 0 to nrows - 1 do
-      let v = Array.unsafe_get data ((Array.unsafe_get perm i * w) + col) in
-      Array.unsafe_set count (v + 1) (Array.unsafe_get count (v + 1) + 1)
-    done;
-    for v = 1 to m do
-      Array.unsafe_set count v
-        (Array.unsafe_get count v + Array.unsafe_get count (v - 1))
-    done;
-    for i = 0 to nrows - 1 do
-      let p = Array.unsafe_get perm i in
-      let v = Array.unsafe_get data ((p * w) + col) in
-      Array.unsafe_set tmp (Array.unsafe_get count v) p;
-      Array.unsafe_set count v (Array.unsafe_get count v + 1)
-    done;
-    Array.blit tmp 0 perm 0 nrows
+(* ------------------------------------------------------------------ *)
+(* Rank order                                                          *)
+
+(* Rows [a] and [b] compared by the ranks of their columns from [from]
+   on: a plain loop, like [row_compare]. *)
+let rank_compare rank data w from a b =
+  let ba = a * w and bb = b * w in
+  let j = ref from and c = ref 0 in
+  while !c = 0 && !j < w do
+    let x : int = rank.(data.(ba + !j)) and y : int = rank.(data.(bb + !j)) in
+    c := if x < y then -1 else if x > y then 1 else 0;
+    incr j
   done;
+  !c
+
+let in_rank_order rank w nrows data =
+  let i = ref 1 in
+  while !i < nrows && rank_compare rank data w 0 (!i - 1) !i < 0 do
+    incr i
+  done;
+  !i >= nrows
+
+(* The bucket finishers order [perm.(lo .. hi - 1)] on columns 1 and
+   up (the bucket shares column 0) and return the row comparisons they
+   made.  Buckets of up to [small_bucket] rows take an insertion sort,
+   which is the cheapest on the one- to few-row buckets of most
+   leading columns; larger ones an in-place heap sort, so a leading
+   column that holds one code in most rows costs O(b log b), never
+   O(b²).  Neither allocates. *)
+let small_bucket = 16
+
+let insertion rank data w perm lo hi =
+  let made = ref 0 in
+  for i = lo + 1 to hi - 1 do
+    let x = perm.(i) in
+    let j = ref (i - 1) and moving = ref true in
+    while !moving && !j >= lo do
+      incr made;
+      if rank_compare rank data w 1 perm.(!j) x > 0 then begin
+        perm.(!j + 1) <- perm.(!j);
+        decr j
+      end
+      else moving := false
+    done;
+    perm.(!j + 1) <- x
+  done;
+  !made
+
+(* Sift [x] down from slot [i] of the [n]-slot max-heap held in
+   [perm.(lo ..)]. *)
+let sift_down rank data w perm lo n i x =
+  let i = ref i and made = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    if l >= n then sifting := false
+    else begin
+      let child =
+        if l + 1 < n then begin
+          incr made;
+          if rank_compare rank data w 1 perm.(lo + l + 1) perm.(lo + l) > 0
+          then l + 1
+          else l
+        end
+        else l
+      in
+      incr made;
+      if rank_compare rank data w 1 perm.(lo + child) x > 0 then begin
+        perm.(lo + !i) <- perm.(lo + child);
+        i := child
+      end
+      else sifting := false
+    end
+  done;
+  perm.(lo + !i) <- x;
+  !made
+
+let heapsort rank data w perm lo hi =
+  let n = hi - lo and made = ref 0 in
+  for i = (n / 2) - 1 downto 0 do
+    made := !made + sift_down rank data w perm lo n i perm.(lo + i)
+  done;
+  for last = n - 1 downto 1 do
+    let x = perm.(lo + last) in
+    perm.(lo + last) <- perm.(lo);
+    made := !made + sift_down rank data w perm lo last 0 x
+  done;
+  !made
+
+let rank_order ?(on_sort = ignore) ?compares ~rank w nrows data =
+  if in_rank_order rank w nrows data then None
+  else begin
+    on_sort nrows;
+    (* One counting pass on column 0: [count.(k)] becomes the start of
+       bucket [k], then, as rows are placed, its end. *)
+    let top = ref 0 in
+    for i = 0 to nrows - 1 do
+      let k = rank.(data.(i * w)) in
+      if k > !top then top := k
+    done;
+    let count = Array.make (!top + 2) 0 in
+    for i = 0 to nrows - 1 do
+      let k = rank.(data.(i * w)) + 1 in
+      count.(k) <- count.(k) + 1
+    done;
+    for k = 1 to !top do
+      count.(k) <- count.(k) + count.(k - 1)
+    done;
+    let perm = Array.make nrows 0 in
+    for i = 0 to nrows - 1 do
+      let k = rank.(data.(i * w)) in
+      let p = count.(k) in
+      perm.(p) <- i;
+      count.(k) <- p + 1
+    done;
+    if w > 1 then begin
+      let made = ref 0 and lo = ref 0 in
+      for k = 0 to !top do
+        let hi = count.(k) in
+        let b = hi - !lo in
+        if b > 1 then
+          made :=
+            !made
+            +
+            if b <= small_bucket then insertion rank data w perm !lo hi
+            else heapsort rank data w perm !lo hi;
+        lo := hi
+      done;
+      match compares with Some c -> c := !c + !made | None -> ()
+    end;
+    Some perm
+  end
+
+(* Rows wider than one int: {!rank_order} with every code its own rank,
+   then one dedupe scan. *)
+let sort_wide w nrows data maxc =
+  let rank = Array.init (Array.fold_left max 0 maxc + 1) Fun.id in
+  let perm =
+    match rank_order ~rank w nrows data with
+    | Some perm -> perm
+    | None -> Array.init nrows Fun.id
+  in
   let kept = ref 1 in
   for k = 1 to nrows - 1 do
     if row_compare data w perm.(k - 1) perm.(k) <> 0 then incr kept
@@ -282,7 +398,7 @@ let canonicalize ?(on_sort = ignore) w nrows data =
     let widths = Array.map bits maxc in
     let total = Array.fold_left ( + ) 0 widths in
     if total <= max_key_bits then sort_packed w nrows data widths total
-    else sort_columns w nrows data maxc
+    else sort_wide w nrows data maxc
   end
 
 (* ------------------------------------------------------------------ *)

@@ -81,8 +81,34 @@ val canonicalize :
       [nrows] and at most the total key width, so a handful of rows
       never pays for a 2{^11}-bucket histogram.  Time O(passes *
       (rows + 2{^digit})) with passes = ⌈key bits / digit⌉.
-    - {b fallback.}  Wider rows keep a stable LSD counting sort per
-      column over a row permutation, O(w * (rows + max code)). *)
+    - {b fallback.}  Wider rows are ordered by {!rank_order}, every
+      code its own rank, and copied out without their duplicates. *)
+
+(** {1 Rank order} *)
+
+val rank_order :
+  ?on_sort:(int -> unit) -> ?compares:int ref -> rank:int array ->
+  int -> int -> int array -> int array option
+(** [rank_order ~rank w nrows data] lists the first [nrows] rows of
+    width [w] in ascending lexicographic order of [rank.(code)] per
+    column.  [rank] is a dictionary's code-to-rank table (the identity
+    when codes follow value order), so a frame's rows come out in
+    {!Tuple.compare} order without a sorted copy of the buffer.  [None]
+    means the rows already are strictly ascending (one allocation-free
+    O(rows * w) scan); otherwise, after [on_sort nrows], the result is
+    the permutation: its [r]-th entry is the row in [r]-th place, and
+    equal rows are adjacent.
+    - One counting pass on column 0 places every row in its leading
+      rank's bucket (stable, so a bucket holds its rows in stored
+      order).
+    - Each multi-row bucket is then finished on columns 1 and up: an
+      insertion sort up to 16 rows, an in-place heap sort beyond, so
+      skew on column 0 costs O(b log b) per bucket of [b] rows.
+    It allocates the permutation and the bucket counts (the largest
+    leading rank plus two words), nothing per row or cell, and keeps
+    no state between calls, so any number of domains may call it at
+    once.  [compares], when given, is increased by the row comparisons
+    the bucket finish made. *)
 
 (** {1 Coded databases} *)
 

@@ -1,83 +1,101 @@
-(* 64-bit FNV-1a with the state split into 32-bit halves [hi] and
-   [lo].  The prime is 2^40 + 0x1b3, so one multiply step is
-   h * 0x1b3 + (h lsl 40) mod 2^64: the low half's product carries into
-   the high half, and of [h lsl 40] only [lo lsl 8] lands below bit 64.
-   Every intermediate stays under 2^42, well inside a native int. *)
+(* 64-bit FNV-1a.  Every loop below holds the state in a local [Int64]
+   variable, which ocamlopt keeps unboxed: a byte costs one xor and one
+   multiply, and a block of rows allocates nothing until its final
+   state is stored back into the stream.  [byte], [string] and [int]
+   are inlined into those loops, so the state never crosses a call. *)
 
-type t = { mutable lo : int; mutable hi : int }
+let prime = 0x100000001b3L
 
-let mask32 = 0xffffffff
-let create () = { lo = 0x84222325; hi = 0xcbf29ce4 }
+let[@inline] byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) prime
 
-let[@inline] byte t b =
-  let lo = t.lo lxor b in
-  let m = lo * 0x1b3 in
-  t.hi <- ((t.hi * 0x1b3) + (m lsr 32) + (lo lsl 8)) land mask32;
-  t.lo <- m land mask32
-
-let string t s =
-  let lo = ref t.lo and hi = ref t.hi in
+let[@inline] string h s =
+  let h = ref h in
   for i = 0 to String.length s - 1 do
-    let l = !lo lxor Char.code (String.unsafe_get s i) in
-    let m = l * 0x1b3 in
-    hi := ((!hi * 0x1b3) + (m lsr 32) + (l lsl 8)) land mask32;
-    lo := m land mask32
+    h := byte !h (Char.code (String.unsafe_get s i))
   done;
-  t.lo <- !lo;
-  t.hi <- !hi
+  !h
 
-let char t c = byte t (Char.code c)
-
-(* Digits most-significant first, on the non-positive side so that
-   [min_int] needs no special case ([m mod 10] is then in [-9, 0]). *)
-let rec digits t m =
-  if m <= -10 then digits t (m / 10);
-  byte t (Char.code '0' - (m mod 10))
-
-let int t n =
-  if n < 0 then char t '-';
-  digits t (if n < 0 then n else -n)
-
-let value t = function Value.Int i -> int t i | Value.Str s -> string t s
-
-let to_int64 t =
-  Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo)
+(* [string_of_int n]'s bytes, rendered backwards into [digits] (20
+   bytes: [min_int] is a sign and 19 digits) and hashed forwards.  The
+   digits come from the non-positive side, so [min_int] needs no
+   special case ([m mod 10] is then in [-9, 0]). *)
+let[@inline] int digits h n =
+  let m = ref (if n < 0 then n else -n) and i = ref 20 in
+  let more = ref true in
+  while !more do
+    decr i;
+    Bytes.unsafe_set digits !i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10;
+    more := !m <> 0
+  done;
+  if n < 0 then begin
+    decr i;
+    Bytes.unsafe_set digits !i '-'
+  end;
+  let h = ref h in
+  for k = !i to 19 do
+    h := byte !h (Char.code (Bytes.unsafe_get digits k))
+  done;
+  !h
 
 (* The result stream: the scheme string, then per row
    ["\n(" A "=" v ", " B "=" v ... ")"].  Column [j]'s prefix is built
-   once per stream and [col] is the next column of the current row, so
-   a row costs its bytes and nothing else. *)
-type result = { h : t; labels : string array; mutable col : int }
+   once per stream. *)
+type result = {
+  labels : string array;
+  digits : Bytes.t; (* this stream's scratch for [int] *)
+  mutable h : int64;
+}
 
 let result scheme =
-  let h = create () in
-  string h (Attr.Set.to_string scheme);
   let labels =
     Array.of_list
       (List.mapi
          (fun j a -> (if j = 0 then "\n(" else ", ") ^ Attr.name a ^ "=")
          (Attr.Set.elements scheme))
   in
-  { h; labels; col = 0 }
+  {
+    labels;
+    digits = Bytes.create 20;
+    h = string 0xcbf29ce484222325L (Attr.Set.to_string scheme);
+  }
 
-let next_cell s =
-  if s.col >= Array.length s.labels then
-    invalid_arg "Fnv.cell: row wider than the scheme";
-  string s.h s.labels.(s.col);
-  s.col <- s.col + 1
+let close = Char.code ')'
 
-let cell_value s v =
-  next_cell s;
-  value s.h v
+let check_width fn s width =
+  if width <> Array.length s.labels then
+    invalid_arg (fn ^ ": rows differ in width from the scheme")
 
-let cell_text s text =
-  next_cell s;
-  string s.h text
+let text_rows s ~text ~data ~width ?perm n =
+  check_width "Fnv.text_rows" s width;
+  let labels = s.labels in
+  let h = ref s.h in
+  for r = 0 to n - 1 do
+    let base = (match perm with None -> r | Some p -> p.(r)) * width in
+    for j = 0 to width - 1 do
+      h := string !h (Array.unsafe_get labels j);
+      h := string !h text.(data.(base + j))
+    done;
+    h := byte !h close
+  done;
+  s.h <- !h
 
-let end_row s =
-  if s.col <> Array.length s.labels then
-    invalid_arg "Fnv.end_row: row narrower than the scheme";
-  char s.h ')';
-  s.col <- 0
+let tuples s rows =
+  let width = Array.length s.labels in
+  let labels = s.labels and digits = s.digits in
+  let h = ref s.h in
+  for r = 0 to Array.length rows - 1 do
+    let tu = rows.(r) in
+    check_width "Fnv.tuples" s (Tuple.width tu);
+    for j = 0 to width - 1 do
+      h := string !h (Array.unsafe_get labels j);
+      h :=
+        (match Tuple.value tu j with
+        | Value.Int n -> int digits !h n
+        | Value.Str v -> string !h v)
+    done;
+    h := byte !h close
+  done;
+  s.h <- !h
 
-let digest s = to_int64 s.h
+let digest s = s.h

@@ -53,43 +53,32 @@ let pow2_at_least n =
   done;
   !p
 
+(* The [on_sort] hook of the [Coded] sorts: rows that went through a
+   sort count in [stats.sorted_rows]. *)
+let count_sorted =
+  Option.map (fun st n -> st.sorted_rows <- st.sorted_rows + n)
+
 (* Sort-unique [nrows] rows of width [w].  Rows that pass the
    already-sorted scan are only trimmed; the rest go through the sort
    and are counted in [stats.sorted_rows]. *)
 let sort_rows ?stats w nrows data =
-  match stats with
-  | None -> Coded.canonicalize w nrows data
-  | Some st ->
-      Coded.canonicalize
-        ~on_sort:(fun n -> st.sorted_rows <- st.sorted_rows + n)
-        w nrows data
+  Coded.canonicalize ?on_sort:(count_sorted stats) w nrows data
 
 (* The first [len] ints of a scratch buffer as an exact-length row
    store: the buffer itself when it fits exactly, else a trimmed copy. *)
 let trim len (a : int array) =
   if Array.length a = len then a else Array.sub a 0 len
 
-(* The one place order is established: a sorted frame is returned as
-   it is, an unsorted one is sorted once into a fresh frame.  Rows are
+(* Code order, established on demand: a sorted frame is returned as it
+   is, an unsorted one is sorted once into a fresh frame.  Rows are
    already distinct, so the count cannot change. *)
-let in_order ?stats f =
+let sort ?stats f =
   if f.sorted then f
   else begin
     let rows, data = sort_rows ?stats f.width f.rows f.data in
     assert (rows = f.rows);
     { f with data = trim (rows * f.width) data; sorted = true }
   end
-
-let sort ?stats f =
-  if (not f.sorted)
-     && Mj_failpoint.Failpoint.fire Mj_failpoint.Failpoint.Frame_skip_root_sort
-  then
-    (* The planted mutation for [mjoin fuzz --self-test]: claim the
-       order without establishing it, so decode and digest read the
-       rows as emitted.  Never active outside an explicit failpoint
-       activation. *)
-    { f with sorted = true }
-  else in_order ?stats f
 
 (* ------------------------------------------------------------------ *)
 (* Conversion                                                          *)
@@ -114,33 +103,58 @@ let of_relation dict r =
   { scheme; attrs; width = w; rows; data = trim (rows * w) data; sorted = true;
     dict }
 
-(* The value order of a frame's rows — the prelude shared by decode and
-   digest, so the two cannot disagree on row order.  When interning
-   assigned codes in value order, code order is value order and the
-   rows only need to be in order ([in_order]: nothing to do on a sorted
-   frame).  Otherwise remap every cell to its value rank in the
-   dictionary's (cached) order and sort that copy — one sort whether or
-   not the frame was sorted by code.  Rank is injective, so rows stay
-   distinct and the row count is unchanged.  For same-scheme tuples
-   [Tuple.compare] is exactly lexicographic value order over the sorted
-   attribute columns, so the rows come out in [Tuple.compare] order.
+(* The planted mutation [frame.certify_bucket] for [mjoin fuzz
+   --self-test]: put the first run of rows sharing a leading rank back
+   in stored order, as if the order pass had not finished that bucket.
+   Never active outside an explicit failpoint activation. *)
+let unfinish_first_bucket rank f perm =
+  let lead r = rank.(f.data.(perm.(r) * f.width)) in
+  let i = ref 0 in
+  while !i + 1 < f.rows && lead !i <> lead (!i + 1) do
+    incr i
+  done;
+  let j = ref !i in
+  while !j + 1 < f.rows && lead !j = lead (!j + 1) do
+    incr j
+  done;
+  let bucket = Array.sub perm !i (!j - !i + 1) in
+  Array.sort Int.compare bucket;
+  Array.blit bucket 0 perm !i (Array.length bucket)
 
-   Returns the dictionary's [by_rank] (rank -> code) and the rows as
-   row-major ranks in that order. *)
-let value_order f =
+(* The value order of a frame's rows — the one order pass decode and
+   digest share, so the two cannot disagree on row order, and neither
+   copies the rows.  A sorted frame over a dictionary whose codes
+   follow value order is already in value order; anything else gets
+   [Coded.rank_order] by the dictionary's (cached) ranks, which returns
+   [None] when the stored order passes its scan.  For same-scheme
+   tuples [Tuple.compare] is exactly lexicographic value order over the
+   sorted attribute columns, so the rows come out in [Tuple.compare]
+   order. *)
+let value_order ?stats f =
   let o = Dict.order f.dict in
-  if o.identity then (o.by_rank, (in_order f).data)
-  else begin
-    let ncells = f.rows * f.width in
-    let ranked = Array.make ncells 0 in
-    for c = 0 to ncells - 1 do
-      ranked.(c) <- o.rank.(Array.unsafe_get f.data c)
-    done;
-    let _, sorted = sort_rows f.width f.rows ranked in
-    (o.by_rank, sorted)
-  end
+  if
+    o.identity
+    && (f.sorted
+       || (* The planted mutation for [mjoin fuzz --self-test]: take
+             the emitted order for value order, so decode and digest
+             read the rows as emitted.  Never active outside an
+             explicit failpoint activation. *)
+       Mj_failpoint.Failpoint.fire Mj_failpoint.Failpoint.Frame_skip_root_sort)
+  then None
+  else
+    let perm =
+      Coded.rank_order ?on_sort:(count_sorted stats) ~rank:o.rank f.width
+        f.rows f.data
+    in
+    (match perm with
+    | Some p
+      when Mj_failpoint.Failpoint.fire
+             Mj_failpoint.Failpoint.Frame_certify_bucket ->
+        unfinish_first_bucket o.rank f p
+    | _ -> ());
+    perm
 
-let to_relation f =
+let to_relation ?stats f =
   (* Rows are distinct and over [f.scheme] by construction: each tuple
      is one value array over a shared header, so [Relation.of_array]'s
      scheme check is a pointer test per tuple, and the rows arrive in
@@ -149,12 +163,12 @@ let to_relation f =
   if f.rows = 0 then Relation.empty f.scheme
   else begin
     let w = f.width in
-    let by_rank, ranks = value_order f in
-    let value cell = Dict.value f.dict by_rank.(ranks.(cell)) in
+    let perm = value_order ?stats f in
+    let value cell = Dict.value f.dict f.data.(cell) in
     let header = Tuple.header f.scheme in
     let tuples = Array.make f.rows Tuple.empty in
     for r = 0 to f.rows - 1 do
-      let base = r * w in
+      let base = (match perm with None -> r | Some p -> p.(r)) * w in
       let vals = Array.make w (value base) in
       for j = 1 to w - 1 do
         vals.(j) <- value (base + j)
@@ -165,27 +179,19 @@ let to_relation f =
   end
 
 (* [Relation.digest (to_relation f)] without building the relation:
-   the same stream, fed from code buffers in [value_order], with each
-   value rendered once per dictionary. *)
-let digest f =
+   one block of [Fnv]'s byte loop over the code buffer, walked in
+   [value_order], with each value rendered once per dictionary. *)
+let digest ?stats f =
   let s = Fnv.result f.scheme in
-  if f.rows > 0 then begin
-    let by_rank, ranks = value_order f in
-    let text = Dict.text f.dict in
-    for r = 0 to f.rows - 1 do
-      let base = r * f.width in
-      for j = 0 to f.width - 1 do
-        Fnv.cell_text s text.(by_rank.(ranks.(base + j)))
-      done;
-      Fnv.end_row s
-    done
-  end;
+  if f.rows > 0 then
+    Fnv.text_rows s ~text:(Dict.text f.dict) ~data:f.data ~width:f.width
+      ?perm:(value_order ?stats f) f.rows;
   Fnv.digest s
 
 let equal f1 f2 =
   Attr.Set.equal f1.scheme f2.scheme
   && f1.rows = f2.rows
-  && (in_order f1).data = (in_order f2).data
+  && (sort f1).data = (sort f2).data
 
 (* ------------------------------------------------------------------ *)
 (* Compiled join specs                                                 *)
@@ -593,7 +599,7 @@ module Trie = struct
       go 0
     in
     let tdata =
-      if identity then (in_order ?stats f).data
+      if identity then (sort ?stats f).data
       else begin
         (* Permuted rows are distinct but, sorted frame or not, in no
            useful order; one sort of the permuted copy makes the

@@ -20,12 +20,13 @@
     {!project}, {!generic_join}, {!topk} and {!Db.of_database} produce
     sorted frames; {!natural_join} leaves its emitted rows unsorted
     (the join of distinct inputs is already distinct) and {!semijoin}
-    inherits its left input's flag.  The readers of order — decode and
-    digest ({!to_relation}, {!digest}), {!equal} and the tries behind
-    {!generic_join} and {!topk} — sort an unsorted frame on demand, and
-    the engine's finishers sort the root explicitly with {!sort}.  So
-    the τ-counting joins of a plan never sort, and a result is sorted
-    once, by whoever reads its order.  The hash join emits the same
+    inherits its left input's flag.  The readers of order sort an
+    unsorted frame on demand: {!equal} and the tries behind
+    {!generic_join} and {!topk} by {!sort}, decode and digest
+    ({!to_relation}, {!digest}, the engine's finishers) by walking the
+    permutation of one {!value_order} pass.  So
+    the τ-counting joins of a plan never sort, and a result is put in
+    order once, by whoever reads its order.  The hash join emits the same
     rows in the same order inline and on the pool, at any
     [MJ_DOMAINS].
 
@@ -61,8 +62,8 @@ type stats = {
   mutable morsels : int;     (** probe morsels the joins ran (1 inline) *)
   mutable sorted_rows : int;
       (** rows that went through a sort — not through the
-          already-sorted scan — in {!sort}, the tries, {!generic_join}
-          and {!topk} *)
+          already-sorted scan — in {!sort}, the order pass of
+          {!value_order}, the tries, {!generic_join} and {!topk} *)
 }
 (** Counters threaded through the join kernels ([mj_relation] cannot
     depend on the engines; engines fold these into observability
@@ -73,16 +74,32 @@ val fresh_stats : unit -> stats
 val of_relation : Dict.t -> Relation.t -> t
 (** [of_relation dict r] encodes [r], interning its values in [dict]. *)
 
-val to_relation : t -> Relation.t
-(** Decode back to the seed representation.  Round-trip identity:
-    [Relation.equal (to_relation (of_relation d r)) r]. *)
+val value_order : ?stats:stats -> t -> int array option
+(** The rows' value order ({!Tuple.compare} order of the decoded
+    tuples), as the permutation {!to_relation} and {!digest} walk:
+    [None] when the stored order already is value order — a sorted
+    frame over a dictionary whose codes follow value order, or rows
+    that pass {!Coded.rank_order}'s scan — else [Some p], the [r]-th
+    row in value order being stored row [p.(r)].  The order pass
+    ({!Coded.rank_order} by the dictionary's ranks) copies no rows and
+    adds the frame's rows to [stats.sorted_rows].  Two failpoints plant
+    defects here for [mjoin fuzz --self-test]: under
+    [frame.skip_root_sort] an unsorted frame over a value-ordered
+    dictionary is taken to be in order, and under
+    [frame.certify_bucket] the first run of rows sharing a leading
+    value keeps its stored order. *)
 
-val digest : t -> int64
-(** [Relation.digest (to_relation f)], computed on the code buffers
-    without decoding: the present codes are ranked by value once (the
-    prelude {!to_relation} shares, so decode order and digest order
-    cannot drift apart), each present value is rendered once, and the
-    FNV-1a stream runs over the rows in value order. *)
+val to_relation : ?stats:stats -> t -> Relation.t
+(** Decode back to the seed representation, walking {!value_order}
+    (so the decode is the frame's one sort, counted in [stats]).
+    Round-trip identity: [Relation.equal (to_relation (of_relation d r)) r]. *)
+
+val digest : ?stats:stats -> t -> int64
+(** [Relation.digest (to_relation f)], computed on the code buffer
+    without decoding and without a sorted copy: one {!value_order}
+    pass, then one block of {!Fnv.text_rows} over the rows in that
+    order, each present value rendered once per dictionary
+    ({!Dict.text}). *)
 
 val scheme : t -> Attr.Set.t
 val cardinality : t -> int
@@ -96,12 +113,11 @@ val sorted : t -> bool
     outputs (and semijoins of them) that nothing has sorted yet. *)
 
 val sort : ?stats:stats -> t -> t
-(** [sort f] is [f] with its rows in canonical order: [f] itself when
-    it is already sorted, else one sort into a fresh frame, its rows
-    added to [stats.sorted_rows] (unless they pass the already-sorted
-    scan).  Under the [frame.skip_root_sort] failpoint an unsorted
-    frame is only {e marked} sorted — the planted defect of [mjoin fuzz
-    --self-test]. *)
+(** [sort f] is [f] with its rows in canonical (code) order: [f] itself
+    when it is already sorted, else one sort into a fresh frame, its
+    rows added to [stats.sorted_rows] (unless they pass the
+    already-sorted scan).  Decode and digest do not need it: they walk
+    {!value_order}. *)
 
 val equal : t -> t -> bool
 (** Content equality (scheme + rows, sorted on demand).  Only

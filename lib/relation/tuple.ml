@@ -66,6 +66,8 @@ let iter f t =
   done
 
 let scheme t = Attr.Set.of_list (Array.to_list t.attrs)
+let width t = Array.length t.vals
+let[@inline] value t j = t.vals.(j)
 
 (* The position of [a] in [attrs], or [-(p + 1)] where [p] is the
    position it would be inserted at. *)

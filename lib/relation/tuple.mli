@@ -50,6 +50,14 @@ val iter : (Attr.t -> Value.t -> unit) -> t -> unit
 val scheme : t -> Attr.Set.t
 (** The set of attributes the tuple is defined on. *)
 
+val width : t -> int
+(** The number of attributes. *)
+
+val value : t -> int -> Value.t
+(** [value t j] is the value of [t]'s [j]-th attribute in increasing
+    attribute order, read in place (what the result digest walks).
+    @raise Invalid_argument unless [0 <= j < width t]. *)
+
 val get : t -> Attr.t -> Value.t
 (** [get t a] is the value [t] assigns to [a].
     @raise Not_found if [a] is not in the tuple's scheme. *)

@@ -573,6 +573,104 @@ let execute_digest_agrees =
       && seed_dst.Mj_engine.Exec.result_rows = Relation.cardinality seed_r
       && seed_st.Mj_engine.Exec.result_rows = Relation.cardinality seed_r)
 
+(* The result hash by its definition: FNV-1a one byte at a time on
+   boxed [Int64]s, over the scheme string and a newline plus
+   [Tuple.to_string] per tuple in [Tuple.compare] order.  It shares no
+   code with [Fnv], so it checks the one byte loop both digests run. *)
+let definitional_hash r =
+  let feed =
+    String.fold_left (fun h c ->
+        Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+  in
+  List.fold_left
+    (fun h tu -> feed (feed h "\n") (Tuple.to_string tu))
+    (feed 0xcbf29ce484222325L (Scheme.to_string (Relation.scheme r)))
+    (List.sort Tuple.compare (Relation.tuples r))
+
+(* Negative and extreme ints and strings, some carrying the stream's
+   own separators. *)
+let emitted_values =
+  List.map Value.int [ min_int; -40; -7; 0; 3; 12; max_int ]
+  @ List.map Value.str [ ""; "a"; "b, c"; "\n(x)"; String.make 70 'q' ]
+
+(* [A K ...] joined with [K ...] on frames, up to 11 columns in all: the
+   join emits its rows unsorted, and [A] leads every output row.  With
+   [skew], most rows of [A] hold one value, so its bucket of the order
+   pass outgrows the insertion sort.  The dictionary is 0 fresh (first-seen codes), 1
+   pre-interned in reverse value order (codes descend as values
+   ascend), 2 fresh after 5,000 unused codes, or 3 value-ordered
+   ([Dict.of_sorted], the identity order) over the same 5,000 smaller
+   values: in modes 2 and 3 every code needs 13 bits, so five columns
+   no longer pack into 62. *)
+let gen_emitted_case =
+  let open QCheck2.Gen in
+  let subset names =
+    let* bits = int_range 0 ((1 lsl List.length names) - 1) in
+    return (List.filteri (fun i _ -> bits land (1 lsl i) <> 0) names)
+  in
+  let* left = subset [ "B"; "C"; "D"; "E"; "F" ] in
+  let* right = subset [ "G"; "H"; "I"; "J" ] in
+  let* skew = bool in
+  let* kdom = int_range 0 4 in
+  let value_of = function
+    | "K" -> map Value.int (int_range 0 kdom)
+    | "A" when skew ->
+        frequency [ (8, pure (Value.int 3)); (2, oneofl emitted_values) ]
+    | _ -> oneofl emitted_values
+  in
+  let rel names rows =
+    let attrs = List.map Attr.make names in
+    let* rows = list_size (int_range 0 rows) (flatten_l (List.map value_of names)) in
+    return
+      (Relation.make (Attr.Set.of_list attrs)
+         (List.map (fun vals -> Tuple.of_list (List.combine attrs vals)) rows))
+  in
+  let* r1 = rel ("A" :: "K" :: left) 40 in
+  let* r2 = rel ("K" :: right) 12 in
+  let* mode = int_range 0 3 in
+  return (r1, r2, mode)
+
+let emitted_dict mode =
+  let data = emitted_values @ List.init 5 Value.int in
+  let padding = List.init 5000 (fun i -> Value.int (-1_000_000 - i)) in
+  match mode with
+  | 1 ->
+      let d = Frame.Dict.create () in
+      List.iter
+        (fun v -> ignore (Frame.Dict.intern d v))
+        (List.sort_uniq (fun a b -> Value.compare b a) data);
+      d
+  | 2 ->
+      let d = Frame.Dict.create () in
+      List.iter (fun v -> ignore (Frame.Dict.intern d v)) padding;
+      d
+  | 3 ->
+      Frame.Dict.of_sorted
+        (Array.of_list (List.sort_uniq Value.compare (padding @ data)))
+  | _ -> Frame.Dict.create ()
+
+let print_emitted (r1, r2, mode) =
+  Printf.sprintf "mode=%d\n%s\n%s" mode (Relation.to_string r1)
+    (Relation.to_string r2)
+
+let emitted_digest_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print:print_emitted
+       ~name:"digest and decode of emitted-order joins match the definition"
+       gen_emitted_case (fun (r1, r2, mode) ->
+         let d = emitted_dict mode in
+         let j = Frame.natural_join (Frame.of_relation d r1) (Frame.of_relation d r2) in
+         let r = Relation.natural_join r1 r2 in
+         let want = definitional_hash r in
+         let digest_stats = Frame.fresh_stats ()
+         and decode_stats = Frame.fresh_stats () in
+         Int64.equal (Relation.digest r) want
+         && Int64.equal (Frame.digest ~stats:digest_stats j) want
+         && Relation.equal (Frame.to_relation ~stats:decode_stats j) r
+         (* one order pass at most, the same for both finishers *)
+         && digest_stats.Frame.sorted_rows = decode_stats.Frame.sorted_rows
+         && List.mem digest_stats.Frame.sorted_rows [ 0; Frame.cardinality j ]))
+
 let engines_agree =
   qtest "Frame_engine agrees with Exec on left-deep plans" ~count:60 gen_db
     (fun db ->
@@ -665,6 +763,67 @@ let canonicalize_law =
          && data = before
          (* only input that is not already canonical is sorted *)
          && !sorted = if rows_of w nrows data = want then 0 else nrows))
+
+(* Distinct rows of width 1–12 over codes [0, ncodes), in shuffled
+   order, with a random code-to-rank table; with [skew] most rows lead
+   with code 0. *)
+let gen_rank_case =
+  let open QCheck2.Gen in
+  let* w = int_range 1 12 in
+  let* ncodes = int_range 1 40 in
+  let* skew = bool in
+  let code = int_range 0 (ncodes - 1) in
+  let lead = if skew then frequency [ (9, pure 0); (1, code) ] else code in
+  let* rows =
+    list_size (int_range 0 120)
+      (let* c0 = lead in
+       let* rest = list_repeat (w - 1) code in
+       return (c0 :: rest))
+  in
+  let* rows = shuffle_l (List.sort_uniq compare rows) in
+  let* rank = shuffle_a (Array.init ncodes Fun.id) in
+  return (w, rows, rank)
+
+let print_rank_case (w, rows, rank) =
+  Printf.sprintf "w=%d rank=[%s] rows=%s" w
+    (String.concat ";" (Array.to_list (Array.map string_of_int rank)))
+    (String.concat " "
+       (List.map (fun r -> String.concat "," (List.map string_of_int r)) rows))
+
+let rank_order_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~print:print_rank_case
+       ~name:"Coded.rank_order lists the rows in rank order"
+       gen_rank_case (fun (w, rows, rank) ->
+         let n = List.length rows in
+         let data = Array.of_list (List.concat rows) in
+         let keyed = List.mapi (fun i r -> (List.map (Array.get rank) r, i)) rows in
+         let want = List.map snd (List.sort compare keyed) in
+         let sorted = ref 0 in
+         let got =
+           Coded.rank_order ~on_sort:(fun k -> sorted := !sorted + k) ~rank w n
+             data
+         in
+         match got with
+         | None -> want = List.init n Fun.id && !sorted = 0
+         | Some perm -> Array.to_list perm = want && !sorted = n))
+
+(* One code in every row of the leading column: the bucket finish is a
+   heap sort, so 4,096 rows in descending order cost at most
+   2·n·log₂ n comparisons, where the insertion sort of small buckets
+   would make n(n−1)/2 = 8,386,560. *)
+let test_rank_order_skew () =
+  let n = 4096 in
+  let data = Array.init (2 * n) (fun c -> if c mod 2 = 0 then 0 else n - 1 - (c / 2)) in
+  let compares = ref 0 in
+  let perm =
+    Coded.rank_order ~compares ~rank:(Array.init n Fun.id) 2 n data
+  in
+  Alcotest.(check (option (array int))) "ascending" (Some (Array.init n (fun r -> n - 1 - r))) perm;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d comparisons, bound %d" !compares (2 * n * 12))
+    true
+    (!compares <= 2 * n * 12)
 
 (* ------------------------------------------------------------------ *)
 (* Order on demand                                                      *)
@@ -786,6 +945,17 @@ let () =
           engines_agree;
         ] );
       ( "digest",
-        [ digest_agrees; digest_of_join_agrees; execute_digest_agrees ] );
-      ("order", [ canonicalize_law; unsorted_join_law ]);
+        [
+          digest_agrees;
+          digest_of_join_agrees;
+          execute_digest_agrees;
+          emitted_digest_law;
+        ] );
+      ( "order",
+        [
+          canonicalize_law;
+          unsorted_join_law;
+          rank_order_law;
+          Alcotest.test_case "skewed leading column" `Quick test_rank_order_skew;
+        ] );
     ]

@@ -603,12 +603,13 @@ let gen_value =
       oneofl (List.map Value.str [ ""; ", "; "\n"; "a=b"; "(x)"; "\xe2\x88\x85" ]);
     ]
 
-(* Non-empty schemes over single-letter and multi-letter attributes
-   (the scheme string switches to comma separators for the latter);
-   up to 12 tuples, so empty and single-tuple states show up often. *)
+(* Non-empty schemes of up to nine single-letter and multi-letter
+   attributes (the scheme string switches to comma separators for the
+   latter); up to 12 tuples, so empty and single-tuple states show up
+   often. *)
 let gen_digest_relation =
   let open QCheck2.Gen in
-  let pool = [ "A"; "B"; "C"; "key"; "x1" ] in
+  let pool = [ "A"; "B"; "C"; "D"; "E"; "F"; "G"; "key"; "x1" ] in
   let* bits = int_range 1 ((1 lsl List.length pool) - 1) in
   let attrs =
     List.filteri (fun idx _ -> bits land (1 lsl idx) <> 0) pool
@@ -633,6 +634,12 @@ let test_digest_fixed () =
   check "empty state hashes its scheme alone"
     (Relation.empty (Attr.Set.of_string "AB"));
   check "width 1" (Relation.of_rows "A" [ [ i min_int ]; [ i 0 ]; [ s "z" ] ]);
+  check "every decimal width"
+    (Relation.of_rows "AB"
+       (List.init 19 (fun k ->
+            let p = int_of_float (10. ** float_of_int k) in
+            [ i p; i (-p - 1) ])
+       @ [ [ i max_int; i min_int ] ]));
   Alcotest.(check bool)
     "tuple order is part of the stream, not the insertion order" true
     (Int64.equal
@@ -643,15 +650,21 @@ let test_digest_fixed () =
    that does not match fails loudly instead of hashing garbage. *)
 let test_digest_row_width () =
   let stream () = Fnv.result (Attr.Set.of_string "AB") in
-  Alcotest.check_raises "row wider than the scheme"
-    (Invalid_argument "Fnv.cell: row wider than the scheme") (fun () ->
-      let st = stream () in
-      List.iter (Fnv.cell_value st) [ i 1; i 2; i 3 ]);
-  Alcotest.check_raises "row narrower than the scheme"
-    (Invalid_argument "Fnv.end_row: row narrower than the scheme") (fun () ->
-      let st = stream () in
-      Fnv.cell_value st (i 1);
-      Fnv.end_row st)
+  let tuples_of_width w =
+    [| Tuple.of_list (List.init w (fun k -> (attr (String.make 1 (Char.chr (65 + k))), i k)))
+    |]
+  in
+  List.iter
+    (fun w ->
+      Alcotest.check_raises
+        (Printf.sprintf "tuple of width %d" w)
+        (Invalid_argument "Fnv.tuples: rows differ in width from the scheme")
+        (fun () -> Fnv.tuples (stream ()) (tuples_of_width w)))
+    [ 1; 3 ];
+  Alcotest.check_raises "block of another width"
+    (Invalid_argument "Fnv.text_rows: rows differ in width from the scheme")
+    (fun () ->
+      Fnv.text_rows (stream ()) ~text:[| "1" |] ~data:[| 0; 0; 0 |] ~width:3 1)
 
 (* ------------------------------------------------------------------ *)
 (* Reference model                                                      *)
@@ -944,16 +957,14 @@ module Model = struct
       if c <> 0 then c else Tuple_set.compare r1.tuples r2.tuples
 
     (* The result digest over the tuples in set order, which is
-       [Tuple.compare] order; [Tuple.iter] visits each tuple's bindings in
-       column order, so nothing is allocated per tuple or binding. *)
+       [Tuple.compare] order, each fed as a flat tuple. *)
     let digest r =
       let s = Fnv.result r.scheme in
-      let cell _ v = Fnv.cell_value s v in
-      Tuple_set.iter
-        (fun tu ->
-          Tuple.iter cell tu;
-          Fnv.end_row s)
-        r.tuples;
+      Fnv.tuples s
+        (Array.of_list
+           (List.map
+              (fun tu -> Mj_relation.Tuple.of_list (Attr.Map.bindings tu))
+              (Tuple_set.elements r.tuples)));
       Fnv.digest s
 
     let pp fmt r =

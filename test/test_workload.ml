@@ -643,6 +643,113 @@ let test_only_the_root_sorts () =
   Alcotest.(check int) "digest sorts the result rows"
     digested.Frame_engine.result_rows digested.Frame_engine.sorted_rows
 
+(* The same pin on string values: the dictionary of a string-valued
+   database is still in value order, and each finisher's one order
+   pass is the only sort of the result rows. *)
+let test_string_root_sorts_once () =
+  let w =
+    {
+      Mj_serve.Protocol.shape = "chain";
+      n = 4;
+      rows = 400;
+      domain = 400;
+      regime = "uniform";
+      seed = 0;
+    }
+  in
+  let as_string v =
+    match v with Value.Int k -> Value.str (Printf.sprintf "s%d" k) | v -> v
+  in
+  let db =
+    Database.of_relations
+      (List.map
+         (fun r ->
+           Relation.make (Relation.scheme r)
+             (List.map
+                (fun tu ->
+                  Tuple.of_list
+                    (List.map (fun (a, v) -> (a, as_string v)) (Tuple.bindings tu)))
+                (Relation.tuples r)))
+         (Database.relations (Mj_serve.Protocol.materialize w)))
+  in
+  let cfg =
+    config ~plane:Engine.Frame ~policy:Planner.Hash_all Obs.noop
+  in
+  let plan = Engine.lower cfg db (Mj_serve.Protocol.default_strategy db) in
+  let r, decoded = Engine.execute_plan cfg db plan in
+  let d, digested = Engine.execute_digest cfg db plan in
+  let decoded = Option.get decoded.Engine.frame
+  and digested = Option.get digested.Engine.frame in
+  Alcotest.(check bool) "strings" true
+    (Relation.exists
+       (fun tu -> match Tuple.value tu 0 with Value.Str _ -> true | _ -> false)
+       r);
+  Alcotest.(check int64) "digest" (Relation.digest r) d;
+  Alcotest.(check bool) "more than one row" true (Relation.cardinality r > 1);
+  Alcotest.(check int) "decode sorts the result rows once"
+    (Relation.cardinality r) decoded.Frame_engine.sorted_rows;
+  Alcotest.(check int) "digest sorts the result rows once"
+    (Relation.cardinality r) digested.Frame_engine.sorted_rows
+
+(* One warm frame certify, as exact words: the path-4 root at 400 rows
+   (the serve-hot frame kind: 425 rows of 9 columns, too wide for one
+   packed key),
+   joined left-deep on one domain and left unsorted.  Its order pass
+   allocates the permutation (one word per row plus a header), its
+   [Some] box (two words) and the bucket counts (the largest leading
+   code plus two, plus a header);
+   the stream's labels and scratch and the boxed result are the same
+   for the root in code order, which needs no pass.  Nothing is
+   allocated per row or cell beyond the permutation. *)
+let test_frame_certify_allocation () =
+  let w =
+    {
+      Mj_serve.Protocol.shape = "path";
+      n = 4;
+      rows = 400;
+      domain = 400;
+      regime = "uniform";
+      seed = 0;
+    }
+  in
+  let db = Mj_serve.Protocol.materialize w in
+  let fdb = Frame.Db.of_database db in
+  let root = Frame.Db.join_all ~domains:1 fdb in
+  let sorted = Frame.sort root in
+  (* Both heaps: arrays over 256 words go straight to the major one.
+     The minor heap is emptied first, so nothing is promoted. *)
+  let major () =
+    let _, _, words = Gc.counters () in
+    words
+  in
+  let words f =
+    ignore (Frame.digest f);
+    Gc.minor ();
+    let j0 = major () in
+    let m0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Frame.digest f));
+    let m1 = Gc.minor_words () in
+    let j1 = major () in
+    m1 -. m0 +. (j1 -. j0)
+  in
+  let certify = words root and stream = words sorted in
+  let r = Frame.to_relation root in
+  let lead = Attr.Set.min_elt (Relation.scheme r) in
+  let top =
+    Relation.fold
+      (fun tu acc ->
+        max acc (Option.get (Frame.Dict.code (Frame.dict root) (Tuple.get tu lead))))
+      r 0
+  in
+  let rows = Frame.cardinality root in
+  Alcotest.(check (pair int int)) "rows and columns" (425, 9)
+    (rows, Attr.Set.cardinal (Frame.scheme root));
+  Alcotest.(check bool) "emitted unsorted" false (Frame.sorted root);
+  Alcotest.(check (float 0.)) "the permutation and the bucket counts"
+    (float_of_int (2 + (rows + 1) + (top + 2 + 1)))
+    (certify -. stream);
+  Alcotest.(check (float 0.)) "certify words" 980. certify
+
 (* Allocation as exact counts.  A frame hash join allocates a fixed
    handful of words whatever its size: probing, chain walks
    ([keys_match]) and output rows allocate nothing per row.  The first
@@ -711,7 +818,7 @@ let test_seed_query_allocation () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check int64) "same digest" warm digest;
   Alcotest.(check int) "tau" 1140 stats.Engine.tuples_generated;
-  Alcotest.(check (float 0.)) "minor words" 55654. words
+  Alcotest.(check (float 0.)) "minor words" 55648. words
 
 (* Row counts force nothing; a restricted view keeps the coded form and
    shares its states with the parent; replace forces the rest. *)
@@ -770,12 +877,16 @@ let () =
           Alcotest.test_case "derived forms" `Quick test_derived_forms;
           Alcotest.test_case "only the root sorts" `Quick
             test_only_the_root_sorts;
+          Alcotest.test_case "string values sort once" `Quick
+            test_string_root_sorts_once;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "frame join" `Quick test_frame_join_allocation;
           Alcotest.test_case "warm seed query" `Quick
             test_seed_query_allocation;
+          Alcotest.test_case "warm frame certify" `Quick
+            test_frame_certify_allocation;
         ] );
       ( "dbgen",
         [
