@@ -651,13 +651,12 @@ let run_explain scenario shape n seed rows domain regime
         Format.printf
           "@.summary: %d join steps [frame], tau=%d (est %d), result=%d \
            rows, max q-error=%.2f, dict=%d values, probes=%d (%d hits), \
-           partitions=%d, sorted=%d rows@."
+           partitions=%d@."
           !join_steps fs.Mj_engine.Frame_engine.tuples_generated tau'
           fs.Mj_engine.Frame_engine.result_rows !max_q
           fs.Mj_engine.Frame_engine.dict_size fs.Mj_engine.Frame_engine.probes
           fs.Mj_engine.Frame_engine.probe_hits
           fs.Mj_engine.Frame_engine.partitions
-          fs.Mj_engine.Frame_engine.sorted_rows
     | None, None -> assert false
   in
   Format.printf "Scenario %s@.plan: %s@.lowered (%s, %s plane): %s@.@." name

@@ -24,12 +24,13 @@ type stats = {
   dict_size : int;         (** distinct values interned for the database *)
   probes : int;
   probe_hits : int;
-  partitions : int;        (** index build parts the joins ran (1 per inline join) *)
+  partitions : int;        (** hash indexes the joins built (1 per hash join) *)
   morsels : int;           (** probe morsels the joins ran (1 per inline join) *)
   sorted_rows : int;
       (** rows that went through a sort ({!Mj_relation.Frame.stats}):
-          the finisher's root sort plus any trie, generic-join or top-k
-          sort; join steps sort nothing *)
+          the finisher's root order pass (none under {!execute_stats})
+          plus any trie, generic-join or top-k sort; join steps sort
+          nothing *)
   per_step : (Scheme.Set.t * int) list;  (** post-order, like [Cost.step_costs] *)
 }
 
@@ -62,5 +63,5 @@ val execute_digest :
 val execute_stats :
   ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int ->
   Database.t -> Physical.t -> stats
-(** {!execute_plan}'s stats alone: the root frame is sorted, as every
-    finisher does, but neither decoded nor digested. *)
+(** {!execute_plan}'s stats alone: the root frame is neither ordered,
+    decoded nor digested, so [sorted_rows] counts no finisher pass. *)

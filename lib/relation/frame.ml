@@ -295,12 +295,40 @@ let claim_chunk ntasks workers = max 1 (ntasks / (workers * 64))
 
 (* The index is a chained-array hash table: [head] maps a bucket to its
    first entry, [next] threads the chain through entry slots, so
-   building and probing allocate nothing beyond two int arrays.  Build
-   rows are inserted in ascending order, so each chain lists its rows
-   in descending order whoever inserts them. *)
+   building and probing allocate nothing beyond two int arrays. *)
 let[@inline] insert head next k h =
   Array.unsafe_set next k (Array.unsafe_get head h);
   Array.unsafe_set head h k
+
+(* Index [f] on its columns [pos].  Each row's key hash is first written
+   into its own [next] slot — in [morsel]-row tasks on the pool when
+   [workers > 1], inline otherwise — and one ascending pass then
+   threads the chains, reading each slot's hash before overwriting it.
+   So each chain lists its rows in descending order whoever hashed
+   them, and the build does [rows] hashes and [rows] inserts at any
+   worker count. *)
+let build_index ~workers ~morsel f pos =
+  let n = f.rows and w = f.width in
+  let next = Array.make (max 1 n) 0 in
+  let hash lo hi =
+    for k = lo to hi - 1 do
+      Array.unsafe_set next k (key_hash f.data (k * w) pos)
+    done
+  in
+  if workers <= 1 then hash 0 n
+  else begin
+    let nh = (n + morsel - 1) / morsel in
+    ignore
+      (Pool.run ~domains:workers ~chunk:(claim_chunk nh workers)
+         (Array.init nh (fun t () ->
+              hash (t * morsel) (min n ((t + 1) * morsel)))))
+  end;
+  let bmask = pow2_at_least (2 * max 1 n) - 1 in
+  let head = Array.make (bmask + 1) (-1) in
+  for k = 0 to n - 1 do
+    insert head next k (Array.unsafe_get next k land bmask)
+  done;
+  (head, next, bmask)
 
 (* Probe rows [lo, hi) of [pf] into [b]; emitted rows keep the (f1, f2)
    orientation whichever side was built.  Inlined at both call sites,
@@ -325,16 +353,11 @@ let[@inline] probe_range ~stats ~swap spec head next bmask bf bpos pf ppos b
   done;
   stats.probes <- stats.probes + (hi - lo)
 
-(* Hash join: index the smaller frame, probe the larger in morsels of
-   [morsel] rows.  It runs on the pool iff the probe side spans at
-   least two morsels and the pool grants more than one worker;
-   otherwise the whole join is one inline build and one probe into one
-   buffer.  On the pool the build takes two deterministic phases —
-   (A) key hashes into a scratch array, one slice per task, then (B)
-   the chains threaded over disjoint bucket ranges, one task per range
-   scanning the rows in ascending order; a row lands in one bucket, so
-   each [head] and [next] entry has one writer and needs no lock — and
-   (C) the probe morsels are claimed off the shared queue, each into a
+(* Hash join: index the smaller frame ({!build_index}), probe the
+   larger in morsels of [morsel] rows.  It runs on the pool iff the
+   probe side spans at least two morsels and the pool grants more than
+   one worker; otherwise it probes every row into one buffer.  On the
+   pool the probe morsels are claimed off the shared queue, each into a
    private buffer, and merged in morsel-index order.  The chains and
    hence the emitted rows are the same on either path, at any worker
    count. *)
@@ -344,57 +367,18 @@ let hash_join ~obs ~domains ~morsel ~stats spec f1 f2 =
     if swap then (f2, spec.k2pos, f1, spec.k1pos)
     else (f1, spec.k1pos, f2, spec.k2pos)
   in
-  let nb = bf.rows and np = pf.rows in
-  let bw = bf.width and w = spec.out_width in
-  let bmask = pow2_at_least (2 * max 1 nb) - 1 in
-  (* The index is allocated where it is built: on the pool path, after
-     phase A's scratch pass. *)
-  let index () = (Array.make (bmask + 1) (-1), Array.make (max 1 nb) (-1)) in
+  let np = pf.rows and w = spec.out_width in
   let nmor = (np + morsel - 1) / morsel in
   let workers = min (Pool.workers domains) nmor in
+  let head, next, bmask = build_index ~workers ~morsel bf bpos in
+  stats.partitions <- stats.partitions + 1;
   if workers <= 1 then begin
-    let head, next = index () in
-    for k = 0 to nb - 1 do
-      insert head next k (key_hash bf.data (k * bw) bpos land bmask)
-    done;
     let b = buf_make (w * (np + 16)) in
     probe_range ~stats ~swap spec head next bmask bf bpos pf ppos b 0 np;
-    stats.partitions <- stats.partitions + 1;
     stats.morsels <- stats.morsels + 1;
     (b.blen / w, b.bdata)
   end
   else begin
-    let hashes = Array.make (max 1 nb) 0 in
-    let nh = (nb + morsel - 1) / morsel in
-    ignore
-      (Pool.run ~domains:workers ~chunk:(claim_chunk nh workers)
-         (Array.init nh (fun t () ->
-              for k = t * morsel to min nb ((t + 1) * morsel) - 1 do
-                Array.unsafe_set hashes k (key_hash bf.data (k * bw) bpos)
-              done)));
-    let head, next = index () in
-    let bparts = min (bmask + 1) (pow2_at_least (2 * workers)) in
-    let bspan = (bmask + 1) / bparts in
-    stats.partitions <- stats.partitions + bparts;
-    ignore
-      (Pool.run_traced ~obs ~domains:workers
-         (Array.init bparts (fun p child ->
-              let lo = p * bspan and hi = ((p + 1) * bspan) - 1 in
-              let build () =
-                for k = 0 to nb - 1 do
-                  let h = Array.unsafe_get hashes k land bmask in
-                  if h >= lo && h <= hi then insert head next k h
-                done
-              in
-              if Obs.enabled child then
-                Obs.span child
-                  ~attrs:
-                    [
-                      ("part", Mj_obs.Json.int p);
-                      ("buckets", Mj_obs.Json.int bspan);
-                    ]
-                  "build-part" build
-              else build ())));
     stats.morsels <- stats.morsels + nmor;
     let parts =
       Pool.run_traced ~obs ~domains:workers ~chunk:(claim_chunk nmor workers)
@@ -500,14 +484,9 @@ let semijoin ?stats f1 f2 =
   else begin
     let k1pos = Array.of_list (List.map (col_of f1) common) in
     let k2pos = Array.of_list (List.map (col_of f2) common) in
-    let bmask = pow2_at_least (2 * max 1 f2.rows) - 1 in
-    let head = Array.make (bmask + 1) (-1) in
-    let next = Array.make (max 1 f2.rows) (-1) in
-    for i = 0 to f2.rows - 1 do
-      let h = key_hash f2.data (i * f2.width) k2pos land bmask in
-      next.(i) <- head.(h);
-      head.(h) <- i
-    done;
+    let head, next, bmask =
+      build_index ~workers:1 ~morsel:default_morsel f2 k2pos
+    in
     let w = f1.width in
     let out = Array.make (max 1 (f1.rows * w)) 0 in
     let kept = ref 0 in

@@ -58,7 +58,7 @@ type t
 type stats = {
   mutable probes : int;      (** hash-table probes during joins *)
   mutable probe_hits : int;  (** probes that produced ≥ 1 output row *)
-  mutable partitions : int;  (** index build parts the joins ran (1 inline) *)
+  mutable partitions : int;  (** hash indexes the joins built (1 per join) *)
   mutable morsels : int;     (** probe morsels the joins ran (1 inline) *)
   mutable sorted_rows : int;
       (** rows that went through a sort — not through the
@@ -147,26 +147,27 @@ val natural_join :
     least two morsels and the pool grants more than one worker
     ([Mj_pool.Pool.workers domains], [domains] defaulting to
     [Mj_pool.Pool.default_domains]).  Otherwise it builds inline and
-    probes every row into one buffer.  On the pool the shared
-    read-only index is built in two deterministic phases (key hashing
-    over disjoint row slices, then chain threading over disjoint
-    bucket ranges) and the morsels are pulled from the pool's work
-    queue, each filling a private buffer; buffers merge in
-    morsel-index order, so the emitted rows are bit-identical on
+    probes every row into one buffer.  Either way the index is built
+    once: each build row's key hash is computed (in [morsel]-row pool
+    tasks on the pool path), then one ascending pass threads the
+    chains, so the build does one hash and one insert per build row
+    at any [domains].  On the pool the morsels are pulled from the
+    pool's work queue, each filling a private buffer; buffers merge
+    in morsel-index order, so the emitted rows are bit-identical on
     either path and at any [domains].  The result is those rows,
     {e unsorted}: every output row merges one distinct input pair, so
     it is distinct without a pass, and order is left to the readers of
-    order ({!sort}).  [stats.partitions] and [stats.morsels] count the
-    build parts and probe morsels the join ran: one each inline.
-    With an active [obs] sink the pool path records one [build-part]
-    child span per index range and one [morsel] child span per probe
-    morsel (via [Mj_pool.Pool.run_traced]), each tagged with the
-    worker lane that ran it — the per-domain timelines of a parallel
-    join; the inline path records none.
+    order ({!sort}).  [stats.partitions] counts one index per join and
+    [stats.morsels] the probe morsels the join ran (one inline).
+    With an active [obs] sink the pool path records one [morsel] child
+    span per probe morsel (via [Mj_pool.Pool.run_traced]), each tagged
+    with the worker lane that ran it — the per-domain timelines of a
+    parallel join; the inline path records none.
     @raise Invalid_argument if the frames use different dictionaries. *)
 
 val semijoin : ?stats:stats -> t -> t -> t
-(** [semijoin f1 f2] is [R1 ⋉ R2]. *)
+(** [semijoin f1 f2] is [R1 ⋉ R2]: [f2] indexed inline by the hash
+    join's index build, [f1] probed in one pass. *)
 
 val project : t -> Attr.Set.t -> t
 (** [project f x] is [R[X]] with sort-unique dedup on the packed rows.
