@@ -752,29 +752,43 @@ let rand () =
 (* PIPE: pipelining linear strategies (Section 1's motivation)          *)
 (* ------------------------------------------------------------------ *)
 
+(* What a materializing hash-join execution of [s] holds at its peak:
+   each join keeps its right (build) input and its output, so the peak
+   is the largest of those over the strategy's joins, read off one
+   exact cardinality cache. *)
+let materialized_peak db s =
+  let cache = Cost.Cache.create db in
+  let rec go = function
+    | Strategy.Leaf _ -> 0
+    | Strategy.Join n ->
+        List.fold_left max (go n.left)
+          [
+            go n.right;
+            Cost.Cache.card cache (Strategy.schemes n.right);
+            Cost.Cache.card cache n.schemes;
+          ]
+  in
+  go s
+
 let pipe () =
   section "PIPE"
     "Pipelined vs materializing execution of linear strategies";
   let module Exec = Mj_engine.Exec in
-  let module Physical = Mj_engine.Physical in
   (* Example 1's S1: the 70-tuple intermediate never materializes. *)
   let db = Scenarios.example1 in
   let s = List.assoc "S1" Scenarios.example1_strategies in
   let _, pstats = Exec.execute_pipelined db s in
-  let _, mstats = Exec.execute db (Physical.of_strategy s) in
+  let peak = materialized_peak db s in
   Printf.printf
     "  Example 1 S1: stage outputs %s, pipeline peak buffer %d,\n\
     \  materializing peak %d\n"
     (String.concat "+" (List.map string_of_int pstats.Exec.emitted_per_stage))
-    pstats.Exec.peak_buffer mstats.Exec.max_materialized;
+    pstats.Exec.peak_buffer peak;
   check "pipeline peak = largest base relation (7)"
     (pstats.Exec.peak_buffer = 7);
-  check "materializing engine must hold the 490-tuple result"
-    (mstats.Exec.max_materialized >= 490);
+  check "materializing engine must hold the 490-tuple result" (peak >= 490);
   check "both count tau tuples generated"
-    (List.fold_left ( + ) 0 pstats.Exec.emitted_per_stage
-     = mstats.Exec.tuples_generated
-    && mstats.Exec.tuples_generated = Cost.tau db s);
+    (List.fold_left ( + ) 0 pstats.Exec.emitted_per_stage = Cost.tau db s);
   (* Generated chains: the gap grows with the intermediate blowup. *)
   Printf.printf "  %-10s %-18s %-18s\n" "chain n" "pipeline peak"
     "materializing peak";
@@ -787,9 +801,8 @@ let pipe () =
       let order = Scheme.Set.elements (Database.schemes db) in
       let s = Strategy.left_deep order in
       let _, p = Exec.execute_pipelined db s in
-      let _, m = Exec.execute db (Physical.of_strategy s) in
       Printf.printf "  %-10d %-18d %-18d\n" n p.Exec.peak_buffer
-        m.Exec.max_materialized)
+        (materialized_peak db s))
     [ 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
@@ -1163,7 +1176,7 @@ let leg id title run =
 
 let frame =
   leg "FRAME"
-    "Columnar dictionary-encoded frames vs seed Relation/Exec data plane \
+    "Columnar dictionary-encoded frames vs the seed Relation algebra \
      (equal results certified)"
     (fun () -> Frame_bench.run ~domains:(config_domains ()) ~quick:!quick ())
 

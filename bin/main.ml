@@ -110,7 +110,6 @@ let emit_telemetry (cfg : Engine.Config.t) ~cmd ~query fields =
           ([
              ("cmd", Json.str cmd);
              ("query", Json.str query);
-             ("plane", Json.str (Engine.plane_name cfg.Engine.Config.plane));
              ("policy",
               Json.str (Planner.policy_name cfg.Engine.Config.algo_policy));
              ("domains", Json.int cfg.Engine.Config.domains);
@@ -210,9 +209,7 @@ let run_verify scenario ((shape_name, _) as shape) n seed rows domain regime
   in
   let obs = Obs.make () in
   let cfg = make_config ~obs config in
-  Format.printf "engine: %s plane, %d domains@."
-    (Engine.plane_name cfg.Engine.Config.plane)
-    cfg.Engine.Config.domains;
+  Format.printf "engine: %d domains@." cfg.Engine.Config.domains;
   let t0 = Obs.monotonic_time () in
   let report =
     Obs.span obs "verify" (fun () ->
@@ -331,8 +328,7 @@ let run_optimize ((shape_name, _) as shape) n seed rows domain regime config
            (Strategy.to_string r.strategy)
      | None -> ());
   (* Execute the winning plan through the unified Config → Planner →
-     Engine path, so `optimize` shows what its choice actually costs on
-     the configured plane. *)
+     Engine path, so `optimize` shows what its choice actually costs. *)
   (match (match dpccp with Some r -> Some r | None -> dpsize) with
   | Some r ->
       let plan = Engine.lower cfg db r.Optimal.strategy in
@@ -340,8 +336,7 @@ let run_optimize ((shape_name, _) as shape) n seed rows domain regime config
       let stats = Engine.execute_stats cfg db plan in
       let duration_ms = (Obs.monotonic_time () -. t0) *. 1e3 in
       Format.printf
-        "@.  executed (%s plane, %s lowering): %s@.    %d result rows, tau %d@."
-        (Engine.plane_name stats.Engine.plane)
+        "@.  executed (%s lowering): %s@.    %d result rows, tau %d@."
         (Planner.policy_name cfg.Engine.Config.algo_policy)
         (Physical.to_string plan) stats.Engine.result_rows
         stats.Engine.tuples_generated;
@@ -432,14 +427,15 @@ let run_plan (name, db) strategy_text =
   | None -> ());
   (* Execute it physically, hash joins everywhere. *)
   let module Exec = Mj_engine.Exec in
+  let module Frame_engine = Mj_engine.Frame_engine in
   let module Physical = Mj_engine.Physical in
-  let result, stats = Exec.execute db (Physical.of_strategy s) in
+  let result, stats =
+    Frame_engine.execute_plan db (Physical.of_strategy s)
+  in
   Format.printf
-    "@.execution (hash joins): %d result tuples, %d generated, %d probes, \
-     peak %d@."
+    "@.execution (hash joins): %d result tuples, %d generated, %d probes@."
     (Relation.cardinality result)
-    stats.Exec.tuples_generated stats.Exec.hash_probes
-    stats.Exec.max_materialized;
+    stats.Frame_engine.tuples_generated stats.Frame_engine.probes;
   if Strategy.is_linear s then begin
     let _, p = Exec.execute_pipelined db s in
     Format.printf "pipelined: stage outputs %s, peak buffer %d@."
@@ -624,45 +620,33 @@ let run_explain scenario shape n seed rows domain regime
   let est_tbl = Hashtbl.create 16 in
   List.iter
     (fun d' ->
-      Hashtbl.replace est_tbl (Mj_engine.Driver.scheme_key d') (est_oracle d'))
+      Hashtbl.replace est_tbl (Mj_engine.Frame_engine.scheme_key d')
+        (est_oracle d'))
     (Strategy.subtree_schemes strategy);
   let obs = Obs.make () in
   let max_q = ref 1.0 and join_steps = ref 0 in
   let steps = ref [] (* per-step telemetry, reverse display order *) in
-  (* One path for both data planes: lower under the config's policy,
-     execute on the config's plane.  Both backends emit the same
-     scan/join spans, so the tree walk below is engine-agnostic; only
-     the summary tail differs, keyed on the plane-specific stats. *)
+  (* Lower under the config's policy, then execute; the tree walk below
+     reads the executor's scan/join spans. *)
   let cfg = make_config ~obs config in
   let plan = Engine.lower cfg db strategy in
   let t0 = Obs.monotonic_time () in
   let stats = Engine.execute_stats cfg db plan in
   let duration_ms = (Obs.monotonic_time () -. t0) *. 1e3 in
   let summary_tail tau' =
-    match (stats.Engine.seed, stats.Engine.frame) with
-    | Some es, _ ->
-        Format.printf
-          "@.summary: %d join steps, tau=%d (est %d), result=%d rows, max \
-           q-error=%.2f, scanned=%d, peak=%d@."
-          !join_steps es.Mj_engine.Exec.tuples_generated tau'
-          stats.Engine.result_rows !max_q es.Mj_engine.Exec.tuples_scanned
-          es.Mj_engine.Exec.max_materialized
-    | None, Some fs ->
-        Format.printf
-          "@.summary: %d join steps [frame], tau=%d (est %d), result=%d \
-           rows, max q-error=%.2f, dict=%d values, probes=%d (%d hits), \
-           partitions=%d@."
-          !join_steps fs.Mj_engine.Frame_engine.tuples_generated tau'
-          fs.Mj_engine.Frame_engine.result_rows !max_q
-          fs.Mj_engine.Frame_engine.dict_size fs.Mj_engine.Frame_engine.probes
-          fs.Mj_engine.Frame_engine.probe_hits
-          fs.Mj_engine.Frame_engine.partitions
-    | None, None -> assert false
+    let fs = Option.get stats.Engine.frame in
+    Format.printf
+      "@.summary: %d join steps, tau=%d (est %d), result=%d rows, max \
+       q-error=%.2f, dict=%d values, probes=%d (%d hits), partitions=%d@."
+      !join_steps fs.Mj_engine.Frame_engine.tuples_generated tau'
+      fs.Mj_engine.Frame_engine.result_rows !max_q
+      fs.Mj_engine.Frame_engine.dict_size fs.Mj_engine.Frame_engine.probes
+      fs.Mj_engine.Frame_engine.probe_hits
+      fs.Mj_engine.Frame_engine.partitions
   in
-  Format.printf "Scenario %s@.plan: %s@.lowered (%s, %s plane): %s@.@." name
+  Format.printf "Scenario %s@.plan: %s@.lowered (%s): %s@.@." name
     (Strategy.to_string strategy)
     (Planner.policy_name cfg.Engine.Config.algo_policy)
-    (Engine.plane_name cfg.Engine.Config.plane)
     (Physical.to_string plan);
   (* Every query gets its acyclicity classification: cyclic queries
      carry an AGM certificate — the fractional-cover bound on the
@@ -747,13 +731,13 @@ let run_explain scenario shape n seed rows domain regime
                 @ [ ("est", Json.int est); ("q_error", Json.float q) ])
               :: !steps;
             Format.printf
-              "%s%-12s %-26s %8.3f ms  est=%-6d act=%-6d q-err=%.2f%s@." indent
+              "%s%-16s %-26s %8.3f ms  est=%-6d act=%-6d q-err=%.2f%s@." indent
               label scheme
               (sp.Obs.duration *. 1e3)
               est actual q order_sfx
         | None ->
             steps := Json.Obj step_base :: !steps;
-            Format.printf "%s%-12s %-26s %8.3f ms  act=%-6d%s@." indent label
+            Format.printf "%s%-16s %-26s %8.3f ms  act=%-6d%s@." indent label
               scheme
               (sp.Obs.duration *. 1e3)
               actual order_sfx)
@@ -849,8 +833,7 @@ let run_topk scenario shape n seed rows domain regime k config
               wcoj instead"
              Scheme.Set.pp d)
   in
-  Format.printf "Scenario %s@.lowered (yann, %s plane): %s@.@." name
-    (Engine.plane_name cfg.Engine.Config.plane)
+  Format.printf "Scenario %s@.lowered (yann): %s@.@." name
     (Physical.to_string plan);
   let t0 = Obs.monotonic_time () in
   let result, stats = Engine.execute_plan cfg db plan in
@@ -859,18 +842,10 @@ let run_topk scenario shape n seed rows domain regime k config
     Relation.pp result;
   (* The output-sensitivity receipt: probes/scans bounded by the trie
      prefix the k answers touch, not by the full join. *)
-  (match (stats.Engine.seed, stats.Engine.frame) with
-  | Some es, _ ->
-      Format.printf
-        "@.rows=%d, tau=%d, scanned=%d, probes=%d (seed plane)@."
-        stats.Engine.result_rows stats.Engine.tuples_generated
-        es.Mj_engine.Exec.tuples_scanned es.Mj_engine.Exec.hash_probes
-  | None, Some fs ->
-      Format.printf
-        "@.rows=%d, tau=%d, probes=%d, dict=%d values (frame plane)@."
-        stats.Engine.result_rows stats.Engine.tuples_generated
-        fs.Mj_engine.Frame_engine.probes fs.Mj_engine.Frame_engine.dict_size
-  | None, None -> assert false);
+  let fs = Option.get stats.Engine.frame in
+  Format.printf "@.rows=%d, tau=%d, probes=%d, dict=%d values@."
+    stats.Engine.result_rows stats.Engine.tuples_generated
+    fs.Mj_engine.Frame_engine.probes fs.Mj_engine.Frame_engine.dict_size;
   emit_telemetry cfg ~cmd:"topk" ~query:name
     [
       ("plan", Json.str (Physical.to_string plan));
@@ -986,9 +961,7 @@ let run_stats scenario shape n seed rows domain regime repeat
       done;
       if prometheus then print_string (Export.prometheus_string obs)
       else begin
-        Format.printf "%s: %d run(s), %s plane, %s lowering, %d domains@."
-          name repeat
-          (Engine.plane_name cfg.Engine.Config.plane)
+        Format.printf "%s: %d run(s), %s lowering, %d domains@." name repeat
           (Planner.policy_name cfg.Engine.Config.algo_policy)
           cfg.Engine.Config.domains;
         Export.render_metrics Format.std_formatter obs
@@ -1212,7 +1185,7 @@ let fuzz_cmd =
       & info [ "self-test" ]
           ~doc:
             "Certify the harness catches bugs: plant each mutation (the \
-             frame-plane lossy join, the lossy yann semijoin, the skipped \
+             lossy hash join, the lossy yann semijoin, the skipped \
              root sort, the stale serve plan, the off-by-one product \
              rule of the τ cache, the frame counter's lost message and \
              unsummed merge, and the parallel join's lost morsel), \
@@ -1333,7 +1306,7 @@ let serve_cmd =
       & info [ "plan-cache" ] ~docv:"N"
           ~doc:
             "Bounded LRU plan-cache capacity (lowered plans keyed on \
-             workload, strategy, policy, plane and stats epoch).  \
+             workload, strategy, policy and stats epoch).  \
              Default: $(b,MJ_SERVE_PLAN_CACHE), else 128.")
   in
   Cmd.v

@@ -48,7 +48,7 @@ let () =
     | Some rt -> Physical.Semijoin_program rt
   in
   let result, stats =
-    Engine.execute_plan (Engine.Config.make ~plane:Engine.Seed ()) db plan
+    Engine.execute_plan (Engine.Config.make ()) db plan
   in
   Format.printf "Yannakakis result = plain join: %b (%d tuples)@.@."
     (Relation.equal result (Database.join_all db))

@@ -36,14 +36,6 @@ let keep best last (ms, r) =
   best := Float.min !best ms;
   last := Some r
 
-let best_of ~reps f =
-  Gc.full_major ();
-  let best = ref infinity and last = ref None in
-  for _ = 1 to reps do
-    keep best last (timed f)
-  done;
-  (!best, Option.get !last)
-
 let race ~reps f g =
   (* Return memory to the OS first so major-GC slices over a bloated
      heap don't dominate both contenders. *)
@@ -62,6 +54,11 @@ let median xs =
   let a = Array.of_list xs in
   Array.sort Float.compare a;
   a.(Array.length a / 2)
+
+let median_of ~reps f =
+  Gc.compact ();
+  let ms = List.init reps (fun _ -> f ()) in
+  (median (List.map fst ms), snd (List.nth ms (reps - 1)))
 
 let race_median ~reps f g =
   Gc.compact ();

@@ -58,18 +58,22 @@ type leg = {
 
 (** {1 Timing} *)
 
-val best_of : reps:int -> (unit -> 'a) -> float * 'a
-(** Settle the heap, run [f] [reps] times and return the fastest wall
-    time in ms with the last result.  Preemption and GC pauses only
-    ever add time, so the minimum is the least-contaminated estimate. *)
+val timed : (unit -> 'a) -> float * 'a
+(** One call's wall time in ms, with its result. *)
 
 val race :
   reps:int -> (unit -> 'a) -> (unit -> 'b) -> (float * 'a) * (float * 'b)
 (** Two contenders' fastest-of-[reps] wall times and last results.
     Their reps interleave, with the heap settled before each segment,
     so noise on a longer timescale than one rep lands on both sides of
-    the ratio and neither side sweeps the other's garbage.  The floored
-    ratio rows use this. *)
+    the ratio and neither side sweeps the other's garbage.  Preemption
+    and GC pauses only ever add time, so the minimum is the
+    least-contaminated estimate.  The floored ratio rows use this. *)
+
+val median_of : reps:int -> (unit -> float * 'a) -> float * 'a
+(** One contender that times itself (each call returns its own wall
+    time in ms), called [reps] times after one heap compaction: its
+    median time and last result.  For a timing with no contender. *)
 
 val race_median :
   reps:int -> (unit -> float * 'a) -> (unit -> float * 'b) ->

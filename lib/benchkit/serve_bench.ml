@@ -5,7 +5,7 @@
 
    - "mixed" rows: N client tasks (Pool.run, one domain each) fire a
      round-robin mix of chain/star/snowflake/triangle requests across
-     policies and planes through [Serve.handle_line], sharing the
+     policies through [Serve.handle_line], sharing the
      daemon's warm state.  Latencies go through the Obs quantile
      histogram (p50/p95/p99); QPS is responses over the wall clock of
      the parallel section; every "ok" response is certified
@@ -15,9 +15,9 @@
    - the "plan-cache" row: the warm-over-cold gate.  Cold = a fresh
      daemon per shot (registry miss, plan-cache miss); warm = the same
      line repeated against one daemon (registry and plan cache hot).
-     The two sides race (Bench_core.race); the row carries the ≥ 2.0×
-     speedup floor, and [warm_minor_words], the minor words of one
-     more warm shot. *)
+     The two sides alternate and the row reports their medians
+     (Bench_core.race_median); it carries the ≥ 2.0× speedup floor, and
+     [warm_minor_words], the minor words of one more warm shot. *)
 
 module Obs = Mj_obs.Obs
 module Json = Mj_obs.Json
@@ -30,11 +30,7 @@ module Protocol = Mj_serve.Protocol
 (* ------------------------------------------------------------------ *)
 (* Request specs and the cold oracle                                   *)
 
-type spec = {
-  workload : Protocol.workload;
-  policy : Planner.policy;
-  plane : Engine.plane;
-}
+type spec = { workload : Protocol.workload; policy : Planner.policy }
 
 let request_line s =
   let w = s.workload in
@@ -49,7 +45,6 @@ let request_line s =
          ("regime", Json.str w.Protocol.regime);
          ("seed", Json.int w.Protocol.seed);
          ("policy", Json.str (Planner.policy_name s.policy));
-         ("plane", Json.str (Engine.plane_name s.plane));
        ])
 
 (* What a cold, single-shot lower-and-execute answers for a spec — the
@@ -61,10 +56,7 @@ type oracle = { rows : int; tau : int; hash : string; steps : string }
 let oracle_of_spec s =
   let db = Protocol.materialize s.workload in
   let strategy = Protocol.default_strategy db in
-  let cfg =
-    Engine.Config.make ~plane:s.plane ~policy:s.policy ~domains:1
-      ~obs:Obs.noop ()
-  in
+  let cfg = Engine.Config.make ~policy:s.policy ~domains:1 ~obs:Obs.noop () in
   let digest, stats =
     Engine.execute_digest cfg db (Engine.lower cfg db strategy)
   in
@@ -104,13 +96,13 @@ let mixed_specs ~rows ~domain =
     { Protocol.default_workload with shape; n; rows; domain; regime }
   in
   [
-    { workload = w "star" 4 "uniform"; policy = Planner.Hash_all; plane = Frame };
-    { workload = w "snowflake" 4 "uniform"; policy = Planner.Yannakakis; plane = Seed };
-    { workload = w "cycle" 3 "skewed"; policy = Planner.Wcoj; plane = Frame };
-    { workload = w "chain" 4 "uniform"; policy = Planner.Hash_all; plane = Seed };
+    { workload = w "star" 4 "uniform"; policy = Planner.Hash_all };
+    { workload = w "snowflake" 4 "uniform"; policy = Planner.Yannakakis };
+    { workload = w "cycle" 3 "skewed"; policy = Planner.Wcoj };
+    { workload = w "chain" 4 "uniform"; policy = Planner.Hash_all };
   ]
 
-let mix_name = "chain/star/snowflake/triangle x hash/wcoj/yann x planes"
+let mix_name = "chain/star/snowflake/triangle x hash/wcoj/yann"
 
 let count status responses =
   List.length
@@ -218,13 +210,12 @@ let floor_spec ~quick =
         regime = "superkey";
       };
     policy = Planner.Hash_all;
-    plane = Seed;
   }
 
 let plan_cache_row ~quick =
   let spec = floor_spec ~quick in
   let line = request_line spec in
-  let reps = if quick then 3 else 5 in
+  let reps = if quick then 3 else 9 in
   let queue_cap = 64 in
   let mk () =
     Serve.create ~queue_cap
@@ -240,12 +231,14 @@ let plan_cache_row ~quick =
   let _prime = Serve.handle_line srv line in
   let warm_responses = ref [] in
   let (cold_ms, _), (warm_ms, _) =
-    Bench_core.race ~reps
-      (fun () -> Serve.handle_line (Queue.pop colds) line)
+    Bench_core.race_median ~reps
       (fun () ->
-        let resp = Serve.handle_line srv line in
-        warm_responses := resp :: !warm_responses;
-        resp)
+        Bench_core.timed (fun () -> Serve.handle_line (Queue.pop colds) line))
+      (fun () ->
+        Bench_core.timed (fun () ->
+            let resp = Serve.handle_line srv line in
+            warm_responses := resp :: !warm_responses;
+            resp))
   in
   (* One more warm shot, outside the race, counted in minor words: an
      exact, repeatable measure of the warm path's allocation. *)
@@ -267,10 +260,9 @@ let plan_cache_row ~quick =
     row ~floor:2.0
       (identity ~workload:"plan-cache"
          ~mix:
-           (Printf.sprintf "%s policy=%s plane=%s"
+           (Printf.sprintf "%s policy=%s"
               (Protocol.workload_key spec.workload)
-              (Planner.policy_name spec.policy)
-              (Engine.plane_name spec.plane))
+              (Planner.policy_name spec.policy))
          ~clients:1 ~requests:(reps + 2) ~queue_cap ~reps
       @ tallies srv ~ok:(reps + 2) ~overloaded:0 ~errors:0
       @ [

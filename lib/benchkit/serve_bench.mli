@@ -3,7 +3,7 @@
 
     Mixed rows drive N concurrent client tasks (one pool domain each)
     through [Serve.handle_line] with a round-robin
-    chain/star/snowflake/triangle mix across policies and planes, all
+    chain/star/snowflake/triangle mix across policies, all
     sharing the daemon's warm state — per-database registries, frame
     dictionaries and the LRU plan cache.  Each row
     reports throughput ([qps]), the p50/p95/p99 latency quantiles from
@@ -15,8 +15,9 @@
     The ["plan-cache"] row is the gate the acceptance criteria name: a
     repeated-shape workload timed cold (a fresh daemon per shot — every
     warm structure misses) against warm (one daemon, primed once),
-    the two sides raced ({!Bench_core.race}), with a 2.0×
-    [speedup_floor].  A violated floor, or any non-certified row,
+    the two sides alternated and reported as medians
+    ({!Bench_core.race_median}: the row sits near its floor, so the
+    luckiest run would misdescribe it), with a 2.0× [speedup_floor].  A violated floor, or any non-certified row,
     fails the leg.
 
     Rows with more clients than cores are marked [clamped] and skipped

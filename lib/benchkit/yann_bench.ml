@@ -128,17 +128,15 @@ let build_db shape ~n ~fanout ~matching =
    the row measures algorithms, not encoding. *)
 let binary_join ?stats fdb d = Frame.Db.join_schemes ?stats ~domains:1 fdb d
 
-(* Cross-plane certification: both planes × both domain counts under
-   the yann policy must report the bit-identical relation and τ. *)
+(* Cross-domain certification: 1 and 4 domains under the yann policy
+   must report the bit-identical relation and τ. *)
 let certify db =
   let d = Database.schemes db in
   let s = Strategy.left_deep (Scheme.Set.elements d) in
   let reference = ref None in
   List.for_all
-    (fun (plane, domains) ->
-      let cfg =
-        Engine.Config.make ~plane ~domains ~policy:Planner.Yannakakis ()
-      in
+    (fun domains ->
+      let cfg = Engine.Config.make ~domains ~policy:Planner.Yannakakis () in
       let r, st = Engine.run cfg db s in
       match !reference with
       | None ->
@@ -146,9 +144,7 @@ let certify db =
           true
       | Some (r0, t0) ->
           Relation.equal r r0 && st.Engine.tuples_generated = t0)
-    [
-      (Engine.Seed, 1); (Engine.Seed, 4); (Engine.Frame, 1); (Engine.Frame, 4);
-    ]
+    [ 1; 4 ]
 
 let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
   let db = build_db shape ~n ~fanout ~matching in

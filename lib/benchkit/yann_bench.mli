@@ -21,8 +21,8 @@
     - [tau_binary] / [tau_yann] — the τ certificates (semijoins
       contribute none; [tau_yann] is the join phase only);
     - [equal] — yann and binary results equal;
-    - [cert_ok] — the engine matrix {seed,frame} × {1,4} domains under
-      the yann policy agrees on result and τ;
+    - [cert_ok] — the engine at 1 and 4 domains under the yann policy
+      agrees on result and τ;
     - [topk_ok] / [topk_probes] — {!Mj_relation.Frame.topk} streams
       exactly the [topk_k]-prefix of the sorted full output straight
       off the base frames, with the probe counter as the

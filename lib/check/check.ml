@@ -28,11 +28,10 @@ let guard f = try f () ; Pass with Failed x -> Fail x
 (* Differential: the engine matrix against the algebraic reference.   *)
 (* ------------------------------------------------------------------ *)
 
-let planes = [ Engine.Seed; Engine.Frame ]
 let domain_counts = [ 1; 4 ]
 
 (* The multi-domain cells join in 3-row morsels, so fuzz-sized probe
-   sides span several morsels and take the frame plane's pool path
+   sides span several morsels and take the hash join's pool path
    whenever the pool grants more than one worker.  On a 1-core host
    the pool grants one and every cell runs inline. *)
 let cell_morsel domains = if domains > 1 then Some 3 else None
@@ -88,8 +87,8 @@ let definitional_hash r =
     (List.sort Tuple.compare (Relation.tuples r))
 
 (* Certification on the native result, checked first in every matrix
-   cell: the serve daemon answers with [Engine.execute_digest], which on
-   the frame plane hashes code buffers and decodes nothing, so a lossy
+   cell: the serve daemon answers with [Engine.execute_digest], which
+   hashes code buffers and decodes nothing, so a lossy
    kernel must show up in the served hash and row count themselves —
    not only in a decode nobody reads.  [want] is the reference's
    {!definitional_hash}; the served hash must equal it and
@@ -110,55 +109,50 @@ let check_digest where (cfg : Engine.Config.t) db s expected ~want =
 
 let step_total steps = List.fold_left (fun acc (_, c) -> acc + c) 0 steps
 
-(* One leg of the engine matrix: both planes × both domain counts (the
-   multi-domain cells in {!cell_morsel}-row morsels) run [s] under
+(* One leg of the engine matrix: both domain counts (the multi-domain
+   cells in {!cell_morsel}-row morsels) run [s] under
    [policy], serve the reference's digest, and must return
    [expected] with the τ and per-step log of [steps] and one span
    skeleton across the whole leg.  Failures are named [leg ^
    ":result"], [":tau"], [":steps"] and [":spans"], located by a
-   [plane/policy/N-domain] cell. *)
+   [frame/policy/N-domain] cell. *)
 let matrix ~leg ~policy ~expected ~steps db s =
   let tau = step_total steps in
   let want = definitional_hash expected in
   let reference = ref None in
   List.iter
-    (fun plane ->
-      List.iter
-        (fun domains ->
-          let where =
-            Printf.sprintf "%s/%s/%d-domain" (Engine.plane_name plane)
-              (Planner.policy_name policy) domains
-          in
-          let obs = Obs.make () in
-          let cfg =
-            Engine.Config.make ~plane ~domains ?morsel:(cell_morsel domains)
-              ~policy ~obs ()
-          in
-          check_digest where cfg db s expected ~want;
-          let r, stats = Engine.run cfg db s in
-          if not (Relation.equal r expected) then
-            fail (leg ^ ":result")
-              "%s: %d rows, reference has %d (strategy %s)" where
-              (Relation.cardinality r)
-              (Relation.cardinality expected)
-              (Strategy.to_string s);
-          if stats.Engine.tuples_generated <> tau then
-            fail (leg ^ ":tau") "%s: reported τ=%d, reference prices %d"
-              where stats.Engine.tuples_generated tau;
-          if not (step_log_equal stats.Engine.per_step steps) then
-            fail (leg ^ ":steps") "%s: per-step log %a ≠ %a" where
-              pp_step_log stats.Engine.per_step pp_step_log steps;
-          let sk = skeleton obs in
-          match !reference with
-          | None -> reference := Some (where, sk)
-          | Some (ref_where, ref_sk) ->
-              if sk <> ref_sk then
-                fail (leg ^ ":spans")
-                  "%s: %d scan/join/semijoin spans with a different shape \
-                   than %s's %d"
-                  where (List.length sk) ref_where (List.length ref_sk))
-        domain_counts)
-    planes
+    (fun domains ->
+      let where =
+        Printf.sprintf "frame/%s/%d-domain" (Planner.policy_name policy) domains
+      in
+      let obs = Obs.make () in
+      let cfg =
+        Engine.Config.make ~domains ?morsel:(cell_morsel domains) ~policy
+          ~obs ()
+      in
+      check_digest where cfg db s expected ~want;
+      let r, stats = Engine.run cfg db s in
+      if not (Relation.equal r expected) then
+        fail (leg ^ ":result") "%s: %d rows, reference has %d (strategy %s)"
+          where (Relation.cardinality r)
+          (Relation.cardinality expected)
+          (Strategy.to_string s);
+      if stats.Engine.tuples_generated <> tau then
+        fail (leg ^ ":tau") "%s: reported τ=%d, reference prices %d" where
+          stats.Engine.tuples_generated tau;
+      if not (step_log_equal stats.Engine.per_step steps) then
+        fail (leg ^ ":steps") "%s: per-step log %a ≠ %a" where pp_step_log
+          stats.Engine.per_step pp_step_log steps;
+      let sk = skeleton obs in
+      match !reference with
+      | None -> reference := Some (where, sk)
+      | Some (ref_where, ref_sk) ->
+          if sk <> ref_sk then
+            fail (leg ^ ":spans")
+              "%s: %d scan/join/semijoin spans with a different shape than \
+               %s's %d"
+              where (List.length sk) ref_where (List.length ref_sk))
+    domain_counts
 
 let differential db s =
   guard @@ fun () ->
@@ -196,7 +190,7 @@ let emission db s =
    and span shapes legitimately differ from the binary leg's.  The wcoj
    cells get their own expected τ/step log, derived from the lowered
    plan itself through the exact-cardinality cache, and must agree with
-   each other across planes and domain counts. *)
+   each other across domain counts. *)
 let wcoj_steps cache plan =
   let rec go acc = function
     | Physical.Scan _ -> acc
@@ -273,37 +267,30 @@ let yann_differential db s =
   let steps = yann_plan_steps db expected plan in
   matrix ~leg:"yann" ~policy:Planner.Yannakakis ~expected ~steps db s;
   (* Ranked enumeration: top-k must be the k-prefix of the sorted full
-     output, on every plane, with τ = the rows streamed. *)
+     output, with τ = the rows streamed. *)
   match plan with
   | Physical.Semijoin_program rt ->
       let full = Relation.tuples expected in
       let card = List.length full in
       let ks = List.sort_uniq compare [ 1; (card + 1) / 2; card; card + 3 ] in
       let prefix k = List.filteri (fun i _ -> i < k) full in
+      let cfg =
+        Engine.Config.make ~domains:1 ~policy:Planner.Yannakakis ()
+      in
       List.iter
-        (fun plane ->
-          List.iter
-            (fun k ->
-              let where =
-                Printf.sprintf "%s/topk k=%d" (Engine.plane_name plane) k
-              in
-              let cfg =
-                Engine.Config.make ~plane ~domains:1
-                  ~policy:Planner.Yannakakis ()
-              in
-              let r, stats =
-                Engine.execute_plan cfg db
-                  (Physical.Ranked_enumerate (rt, k))
-              in
-              let want = prefix k in
-              if not (List.equal Tuple.equal (Relation.tuples r) want) then
-                fail "yann:topk" "%s: %d rows ≠ the sorted %d-prefix"
-                  where (Relation.cardinality r) (List.length want);
-              if stats.Engine.tuples_generated <> List.length want then
-                fail "yann:topk_tau" "%s: τ=%d ≠ %d rows streamed" where
-                  stats.Engine.tuples_generated (List.length want))
-            ks)
-        planes
+        (fun k ->
+          let where = Printf.sprintf "frame/topk k=%d" k in
+          let r, stats =
+            Engine.execute_plan cfg db (Physical.Ranked_enumerate (rt, k))
+          in
+          let want = prefix k in
+          if not (List.equal Tuple.equal (Relation.tuples r) want) then
+            fail "yann:topk" "%s: %d rows ≠ the sorted %d-prefix" where
+              (Relation.cardinality r) (List.length want);
+          if stats.Engine.tuples_generated <> List.length want then
+            fail "yann:topk_tau" "%s: τ=%d ≠ %d rows streamed" where
+              stats.Engine.tuples_generated (List.length want))
+        ks
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -336,78 +323,60 @@ let serve_response_field name line =
   | None -> None
   | Some j -> Json.member name j
 
-(* One serve instance per plane: submit the case's strategy twice
-   (plan-cache miss then hit) plus the alternate-strategy probe, and
-   require every response to match a cold [Engine.run] of the same
-   request — rows, τ, result hash and the per-step τ log — with the τ
-   logs of hit and miss identical.  A [timeout]/[overloaded]/[error]
-   status is a failure here: the daemon under no injected fault must
-   answer every query. *)
+(* One serve instance: submit the case's strategy twice (plan-cache
+   miss then hit) plus the alternate-strategy probe, and require every
+   response to match a cold [Engine.run] of the same request — rows, τ,
+   result hash and the per-step τ log — with the τ logs of hit and miss
+   identical.  A [timeout]/[overloaded]/[error] status is a failure
+   here: the daemon under no injected fault must answer every query. *)
 let serve_differential db s =
   guard @@ fun () ->
   let key = "check-case" in
-  List.iter
-    (fun plane ->
-      let cfg =
-        Engine.Config.make ~plane ~domains:1 ~policy:Planner.Hash_all
-          ~obs:Obs.noop ()
-      in
-      let t = Serve.create ~timeout_ms:5_000 ~cfg () in
-      let submit strat =
-        Serve.submit_query t ~plane ~strategy:strat ~key
-          ~db:(fun () -> db)
-          ()
-      in
-      let check_response where strat line =
-        let where = Printf.sprintf "%s/%s" (Engine.plane_name plane) where in
-        (match Protocol.status_of_response line with
-        | "ok" -> ()
-        | status ->
-            fail "serve:status" "%s: status %s (%s)" where status line);
-        let cold_cfg =
-          Engine.Config.make ~plane ~domains:1 ~policy:Planner.Hash_all
-            ~obs:Obs.noop ()
-        in
-        let r, stats = Engine.run cold_cfg db strat in
-        let expect name v =
-          match serve_response_field name line with
-          | Some got when got = v -> ()
-          | got ->
-              fail "serve:response"
-                "%s: field %s = %s, cold run has %s" where name
-                (match got with Some g -> Json.to_string g | None -> "absent")
-                (Json.to_string v)
-        in
-        expect "rows" (Json.int stats.Engine.result_rows);
-        expect "tau" (Json.int stats.Engine.tuples_generated);
-        expect "hash"
-          (Json.str (Protocol.hash_hex (Protocol.result_hash r)));
-        match serve_response_field "steps" line with
-        | Some steps
-          when Json.to_string steps
-               = serve_steps_string stats.Engine.per_step ->
-            ()
-        | Some steps ->
-            fail "serve:steps" "%s: served τ log %s ≠ cold %s" where
-              (Json.to_string steps)
-              (serve_steps_string stats.Engine.per_step)
-        | None -> fail "serve:steps" "%s: response carries no τ log" where
-      in
-      let miss = submit s in
-      check_response "miss" s miss;
-      let hit = submit s in
-      check_response "hit" s hit;
-      if
-        serve_response_field "steps" miss <> serve_response_field "steps" hit
-        || serve_response_field "tau" miss <> serve_response_field "tau" hit
-      then
-        fail "serve:determinism"
-          "%s: plan-cache hit and miss disagree on τ log"
-          (Engine.plane_name plane);
-      match alt_strategy db s with
-      | Some alt -> check_response "alt" alt (submit alt)
-      | None -> ())
-    planes
+  let cfg =
+    Engine.Config.make ~domains:1 ~policy:Planner.Hash_all ~obs:Obs.noop ()
+  in
+  let t = Serve.create ~timeout_ms:5_000 ~cfg () in
+  let submit strat =
+    Serve.submit_query t ~strategy:strat ~key ~db:(fun () -> db) ()
+  in
+  let check_response where strat line =
+    (match Protocol.status_of_response line with
+    | "ok" -> ()
+    | status -> fail "serve:status" "%s: status %s (%s)" where status line);
+    let r, stats = Engine.run cfg db strat in
+    let expect name v =
+      match serve_response_field name line with
+      | Some got when got = v -> ()
+      | got ->
+          fail "serve:response" "%s: field %s = %s, cold run has %s" where
+            name
+            (match got with Some g -> Json.to_string g | None -> "absent")
+            (Json.to_string v)
+    in
+    expect "rows" (Json.int stats.Engine.result_rows);
+    expect "tau" (Json.int stats.Engine.tuples_generated);
+    expect "hash" (Json.str (Protocol.hash_hex (Protocol.result_hash r)));
+    match serve_response_field "steps" line with
+    | Some steps
+      when Json.to_string steps = serve_steps_string stats.Engine.per_step ->
+        ()
+    | Some steps ->
+        fail "serve:steps" "%s: served τ log %s ≠ cold %s" where
+          (Json.to_string steps)
+          (serve_steps_string stats.Engine.per_step)
+    | None -> fail "serve:steps" "%s: response carries no τ log" where
+  in
+  let miss = submit s in
+  check_response "miss" s miss;
+  let hit = submit s in
+  check_response "hit" s hit;
+  if
+    serve_response_field "steps" miss <> serve_response_field "steps" hit
+    || serve_response_field "tau" miss <> serve_response_field "tau" hit
+  then fail "serve:determinism" "plan-cache hit and miss disagree on τ log";
+  match alt_strategy db s with
+  | Some alt -> check_response "alt" alt (submit alt)
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Metamorphic: rewrites that provably preserve result or cost.       *)
@@ -683,10 +652,7 @@ let faults db s =
   Failpoint.reset ();
   let expected = Cost.eval db s in
   Failpoint.enable Failpoint.Estimate_oversize;
-  let cfg =
-    Engine.Config.make ~plane:Engine.Seed ~domains:1
-      ~policy:Planner.Yannakakis ()
-  in
+  let cfg = Engine.Config.make ~domains:1 ~policy:Planner.Yannakakis () in
   let plan = Engine.lower cfg db s in
   let skewed, skewed_stats = Engine.execute_plan cfg db plan in
   Failpoint.disable Failpoint.Estimate_oversize;
@@ -703,22 +669,19 @@ let faults db s =
   if not (step_log_equal skewed_stats.Engine.per_step want) then
     fail "faults:estimate_oversize" "τ log %a ≠ the lowered plan's %a"
       pp_step_log skewed_stats.Engine.per_step pp_step_log want;
-  (* The planted frame-plane mutation must be visible in the τ log —
+  (* The planted kernel mutation must be visible in the τ log —
      this is the detector the self-test relies on.  R_D ≠ ∅ under the
      generators, but raw caller databases may produce τ = 0, where a
      lossy join has nothing to drop. *)
   Failpoint.reset ();
   if tau > 0 then begin
     Failpoint.enable Failpoint.Frame_lossy_join;
-    let cfg =
-      Engine.Config.make ~plane:Engine.Frame ~domains:1
-        ~policy:Planner.Hash_all ()
-    in
+    let cfg = Engine.Config.make ~domains:1 ~policy:Planner.Hash_all () in
     let _, st = Engine.run cfg db s in
     Failpoint.disable Failpoint.Frame_lossy_join;
     if st.Engine.tuples_generated = tau then
       fail "faults:lossy_join"
-        "planted frame-plane mutation went undetected (τ log unchanged at \
+        "planted kernel mutation went undetected (τ log unchanged at \
          %d)"
         tau
   end;
@@ -732,8 +695,7 @@ let faults db s =
   | Physical.Semijoin_program _ when not (Relation.is_empty expected) ->
       Failpoint.enable Failpoint.Yann_lossy_semijoin;
       let cfg =
-        Engine.Config.make ~plane:Engine.Frame ~domains:1
-          ~policy:Planner.Yannakakis ()
+        Engine.Config.make ~domains:1 ~policy:Planner.Yannakakis ()
       in
       let r, st = Engine.run cfg db s in
       Failpoint.disable Failpoint.Yann_lossy_semijoin;
@@ -751,8 +713,7 @@ let faults db s =
      error, never a crash or a wrong answer. *)
   Failpoint.reset ();
   let serve_cfg () =
-    Engine.Config.make ~plane:Engine.Seed ~domains:1 ~policy:Planner.Hash_all
-      ~obs:Obs.noop ()
+    Engine.Config.make ~domains:1 ~policy:Planner.Hash_all ~obs:Obs.noop ()
   in
   Failpoint.enable Failpoint.Serve_worker_stall;
   let stall_t = Serve.create ~timeout_ms:1 ~cfg:(serve_cfg ()) () in
@@ -808,51 +769,43 @@ let faults db s =
 
 (* A generated database is born coded and builds seed states on demand;
    its twin is built from those states and encodes its own dictionary,
-   the path CSV input and the scenarios take.  Every plane × lowering
-   policy cell must lower both to the same plan and give the
-   same result, τ log, served digest and dictionary size. *)
+   the path CSV input and the scenarios take.  Under every lowering
+   policy the two must lower to the same plan and give the same result,
+   τ log, served digest and dictionary size. *)
 let twin db s =
   guard @@ fun () ->
   let twin = Database.of_relations (Database.relations db) in
   List.iter
-    (fun plane ->
-      List.iter
-        (fun policy ->
-          let where =
-            Printf.sprintf "%s/%s" (Engine.plane_name plane)
-              (Planner.policy_name policy)
-          in
-          let cfg =
-            Engine.Config.make ~plane ~domains:1 ~policy ~obs:Obs.noop ()
-          in
-          let run db =
-            let plan = Engine.lower cfg db s in
-            let r, stats = Engine.execute_plan cfg db plan in
-            let digest, _ = Engine.execute_digest cfg db plan in
-            (Physical.to_string plan, r, stats, digest)
-          in
-          let plan, r, st, d = run db and plan', r', st', d' = run twin in
-          if plan <> plan' then
-            fail "twin:plan" "%s: coded %s, relation-built %s" where plan plan';
-          if not (Relation.equal r r') then
-            fail "twin:result" "%s: results differ (%d vs %d rows)" where
-              (Relation.cardinality r) (Relation.cardinality r');
-          if not (step_log_equal st.Engine.per_step st'.Engine.per_step) then
-            fail "twin:steps" "%s: coded %a, relation-built %a" where
-              pp_step_log st.Engine.per_step pp_step_log st'.Engine.per_step;
-          if not (Int64.equal d d') then
-            fail "twin:digest" "%s: coded %s, relation-built %s" where
-              (Protocol.hash_hex d) (Protocol.hash_hex d');
-          match (st.Engine.frame, st'.Engine.frame) with
-          | Some f, Some f'
-            when f.Mj_engine.Frame_engine.dict_size
-                 <> f'.Mj_engine.Frame_engine.dict_size ->
-              fail "twin:dict" "%s: coded %d values, relation-built %d" where
-                f.Mj_engine.Frame_engine.dict_size
-                f'.Mj_engine.Frame_engine.dict_size
-          | _ -> ())
-        [ Planner.Hash_all; Planner.Wcoj; Planner.Yannakakis ])
-    planes
+    (fun policy ->
+      let where = Planner.policy_name policy in
+      let cfg = Engine.Config.make ~domains:1 ~policy ~obs:Obs.noop () in
+      let run db =
+        let plan = Engine.lower cfg db s in
+        let r, stats = Engine.execute_plan cfg db plan in
+        let digest, _ = Engine.execute_digest cfg db plan in
+        (Physical.to_string plan, r, stats, digest)
+      in
+      let plan, r, st, d = run db and plan', r', st', d' = run twin in
+      if plan <> plan' then
+        fail "twin:plan" "%s: coded %s, relation-built %s" where plan plan';
+      if not (Relation.equal r r') then
+        fail "twin:result" "%s: results differ (%d vs %d rows)" where
+          (Relation.cardinality r) (Relation.cardinality r');
+      if not (step_log_equal st.Engine.per_step st'.Engine.per_step) then
+        fail "twin:steps" "%s: coded %a, relation-built %a" where pp_step_log
+          st.Engine.per_step pp_step_log st'.Engine.per_step;
+      if not (Int64.equal d d') then
+        fail "twin:digest" "%s: coded %s, relation-built %s" where
+          (Protocol.hash_hex d) (Protocol.hash_hex d');
+      match (st.Engine.frame, st'.Engine.frame) with
+      | Some f, Some f'
+        when f.Mj_engine.Frame_engine.dict_size
+             <> f'.Mj_engine.Frame_engine.dict_size ->
+          fail "twin:dict" "%s: coded %d values, relation-built %d" where
+            f.Mj_engine.Frame_engine.dict_size
+            f'.Mj_engine.Frame_engine.dict_size
+      | _ -> ())
+    [ Planner.Hash_all; Planner.Wcoj; Planner.Yannakakis ]
 
 (* ------------------------------------------------------------------ *)
 (* One case through every applicable check.                           *)

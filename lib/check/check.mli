@@ -3,17 +3,17 @@
     Independent oracles over one materialized case, each rooted in
     machine-checkable ground truth rather than golden outputs:
 
-    - {!differential}: the engine matrix.  Both data planes × 1 and 4
-      worker domains, under the binary [hash] lowering (4 cells; the
-      4-domain cells join in 3-row morsels, so the frame plane's hash
-      join takes the pool path whenever the pool grants more than one
-      worker), must
-      serve the reference's wire hash ([Protocol.result_hash]) and row
-      count through [Engine.execute_digest] — what the serve daemon
-      answers with; on the frame plane it hashes code buffers and never
+    - {!differential}: the engine matrix against the paper's algebra.
+      1 and 4 worker domains under the binary [hash] lowering (2 cells;
+      the 4-domain cell joins in 3-row morsels, so the hash join takes
+      the pool path whenever the pool grants more than one worker) must
+      serve the reference's wire hash ([Protocol.result_hash] of
+      [Cost.eval]) and row count through [Engine.execute_digest] — what
+      the serve daemon answers with; it hashes code buffers and never
       decodes — and produce the bit-identical result relation, the
-      exact [Cost.tau] tuple count, the same per-step τ log and the
-      same scan/join span skeleton in every cell.  The wcoj and yann
+      exact [Cost.tau] tuple count, the per-step τ log of
+      [Cost.step_costs] and the same scan/join span skeleton in every
+      cell.  The wcoj and yann
       legs below run the same matrix loop over their own policy; each
       supplies only its expected step log and its own extra check.
     - {!emission}: the frame hash join's order contract.  Every step
@@ -28,22 +28,21 @@
       every binary cell; its expected per-step log is therefore derived
       from the lowered plan itself through the exact-cardinality cache
       (for a cyclic case: exactly one step pricing at [|R_D|]), and
-      planes × domain counts must agree with {e each other}
-      on served hash and rows, result, τ, steps and join spans.
+      the domain counts must agree with {e each other} on served hash
+      and rows, result, τ, steps and join spans.
     - {!yann_differential}: the Yannakakis leg.  The [yann] policy
       lowers α-acyclic strategies to a semijoin program over a
       cost-chosen join tree, so its expected step log is derived from
       the plan via the Goodman–Shmueli property: after a full
       reduction, every join-phase intermediate over a subtree prefix
-      is [π_{prefix}(R_D)] — each priced step ≤ |R_D|.  Planes ×
-      domain counts must agree on served hash and rows, result, τ,
-      steps and
+      is [π_{prefix}(R_D)] — each priced step ≤ |R_D|.  The domain
+      counts must agree on served hash and rows, result, τ, steps and
       scan/semijoin/join/topk span shapes, and on acyclic plans the
       ranked enumerator must stream exactly the k-prefix of the
       sorted full output for several k (cyclic strategies fall through
       to the wcoj arm and are priced like that leg).
     - {!serve_differential}: the [mjoin serve] daemon's warm path.
-      Per plane, one {!Mj_serve.Serve} instance answers the case's
+      One {!Mj_serve.Serve} instance answers the case's
       strategy twice (plan-cache miss then hit) plus an
       alternate-strategy probe whose τ log provably differs; every
       response must match a cold single-shot [Engine.run] of the same
@@ -55,10 +54,9 @@
     - {!twin}: the case's generated database is born coded; its
       relation-built twin ([Database.of_relations] over its states)
       encodes its own dictionary, the path CSV input and the scenarios
-      take.  Across both planes × the hash, wcoj and yann
-      policies, the two must lower to the same
-      plan and give the same result, τ log, served digest and
-      dictionary size.
+      take.  Under the hash, wcoj and yann policies, the two must lower
+      to the same plan and give the same result, τ log, served digest
+      and dictionary size.
     - {!metamorphic}: strategy rewrites that provably preserve the
       result or the cost — commuting every step leaves τ unchanged,
       {!Multijoin.Transform} surgeries and a left-deep rebuild leave
@@ -83,7 +81,7 @@
       estimates may change the [yann] join tree but not the result,
       and the τ log must be the one the lowered plan prices (on a
       semijoin-program plan the failpoint must fire), and the planted
-      frame-plane mutations must be {e visible} — [frame.lossy_join]
+      kernel mutations must be {e visible} — [frame.lossy_join]
       in the τ log, [yann.lossy_semijoin] in the yann cells' result
       (this is what the self-test leans on).  The serve failpoints are
       exercised too: under [serve.worker_stall] the daemon must answer

@@ -113,8 +113,7 @@ let planted_cp_free_case =
 let planted_uniform_case = Gen.normalize { planted_case with Gen.regime = Gen.Uniform }
 
 (* Every check that reads the default τ cache counts through [Frame],
-   whatever the data plane, and the first of them catches a wrong frame
-   count. *)
+   and the first of them catches a wrong frame count. *)
 let count_readers = [ "wcoj"; "yann"; "metamorphic"; "theorems" ]
 
 (* Plant one named mutation into the fixed case and require the whole

@@ -2,16 +2,6 @@ open Cmdliner
 module Engine = Mj_engine.Engine
 module Planner = Mj_engine.Planner
 
-let plane_conv =
-  let parse s =
-    match Engine.plane_of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg (Printf.sprintf "unknown engine %s (expected seed or frame)" s))
-  in
-  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Engine.plane_name p))
-
 let policy_conv =
   let parse s =
     match Planner.policy_of_string s with
@@ -24,16 +14,6 @@ let policy_conv =
   in
   Arg.conv
     (parse, fun fmt p -> Format.pp_print_string fmt (Planner.policy_name p))
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (some plane_conv) None
-    & info [ "engine" ] ~docv:"PLANE"
-        ~doc:
-          "Data plane: 'seed' (materializing tuple engine) or 'frame' \
-           (columnar dictionary-encoded engine).  Default: \
-           $(b,MJ_DATA_PLANE), else seed.")
 
 let domains_arg =
   Arg.(
@@ -63,42 +43,26 @@ let telemetry_arg =
     & opt (some string) None
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:
-          "Append a per-query telemetry record (shape, plane, policy, \
-           domains, per-step est/actual cardinality, Q-error, timings, GC \
-           deltas) to $(docv) as JSONL.  Default: $(b,MJ_TELEMETRY), else \
-           off.")
-
-let morsel_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "morsel" ] ~docv:"ROWS"
-        ~doc:
-          "Probe-morsel size (rows) for the frame plane's hash join, which \
-           runs in parallel only when its probe side spans two morsels.  \
-           Default: $(b,MJ_MORSEL), else 16384.")
+          "Append a per-query telemetry record (shape, policy, domains, \
+           per-step est/actual cardinality, Q-error, timings, GC deltas) \
+           to $(docv) as JSONL.  Default: $(b,MJ_TELEMETRY), else off.")
 
 type flags = {
-  plane : Engine.plane option;
   domains : int option;
   policy : Planner.policy option;
   telemetry : string option;
-  morsel : int option;
 }
 
 let engine_term =
   Term.(
-    const (fun plane domains ->
-        { plane; domains; policy = None; telemetry = None; morsel = None })
-    $ engine_arg $ domains_arg)
+    const (fun domains -> { domains; policy = None; telemetry = None })
+    $ domains_arg)
 
 let config_term =
   Term.(
-    const (fun f policy telemetry morsel ->
-        { f with policy; telemetry; morsel })
-    $ engine_term $ policy_arg $ telemetry_arg $ morsel_arg)
+    const (fun f policy telemetry -> { f with policy; telemetry })
+    $ engine_term $ policy_arg $ telemetry_arg)
 
 let make_config ?obs f =
-  Engine.Config.make ?plane:f.plane ?domains:f.domains ?policy:f.policy ?obs
-    ?telemetry:f.telemetry ?morsel:f.morsel ()
-
+  Engine.Config.make ?domains:f.domains ?policy:f.policy ?obs
+    ?telemetry:f.telemetry ()

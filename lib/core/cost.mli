@@ -59,7 +59,7 @@ module Cache : sig
     | Frame  (** count through the columnar {!Mj_relation.Frame} path *)
 
   val create : ?obs:Mj_obs.Obs.sink -> ?backend:backend -> Database.t -> t
-  (** [backend] defaults to [Frame], whatever the data plane.  Both
+  (** [backend] defaults to [Frame].  Both
       backends produce identical cardinalities (certified by
       [bench FRAME], the qcheck equivalence suite and the fuzzer's
       theorem checks); [Frame] encodes the database and builds a

@@ -46,8 +46,8 @@ val verify : ?obs:Mj_obs.Obs.sink -> ?backend:Cost.Cache.backend -> Database.t -
     checkers, the four optimum DPs and Theorem 1's decision
     ({!Optimal.linear_optima_cp_free}); pass [obs] to record its
     [cost.cache_hits] / [cost.cache_misses] counters.  [backend] selects
-    how the cache counts (default: [Frame], whatever the data plane;
-    [Seed] materializes every mask's join); both produce identical
+    how the cache counts (default: [Frame]; [Seed] materializes every
+    mask's join); both produce identical
     reports. *)
 
 val lemma5_consistent : Database.t -> bool

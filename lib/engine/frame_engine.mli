@@ -1,20 +1,27 @@
-(** The columnar plan executor.
+(** The plan executor.
 
-    Evaluates a {!Physical} plan bottom-up over
-    {!Mj_relation.Frame} frames instead of seed {!Mj_relation.Relation}
-    states: the database is dictionary-encoded once, every step is
-    a compiled-key columnar hash join (on [Mj_pool.Pool] when its
+    Evaluates a {!Physical} plan bottom-up over {!Mj_relation.Frame}
+    frames: the database is dictionary-encoded once, every binary step
+    is the compiled-key columnar hash join (on [Mj_pool.Pool] when its
     probe side spans two morsels and the pool grants two workers; see
-    [Frame.natural_join]), and the final frame is decoded back, so callers see the same [Relation.t] the materializing
-    {!Exec} engine produces — or, through {!execute_digest}, hashed on
-    its code buffers when the caller only certifies the answer.
+    [Frame.natural_join]), a {!Physical.Generic_join} node runs the
+    leapfrog kernel, and a semijoin program sweeps {!Frame.semijoin}
+    before its join phase or its ranked enumeration ({!Frame.topk}).
+    The root frame is then decoded to a [Relation.t] or, through
+    {!execute_digest}, hashed on its code buffers.  The paper's algebra
+    ([Multijoin.Cost.eval], [Cost.step_costs]) is the reference every
+    result and τ log is checked against.
 
-    Observability matches [Exec]: every leaf opens a ["scan"] span and
-    every step a ["join"] span carrying ["scheme"] and ["rows"]
-    attributes (so [mjoin explain]'s tree renderer works unchanged),
-    and the frame-specific counters [frame.dict_size],
-    [frame.partitions], [frame.morsels], [frame.probes],
-    [frame.probe_hits] and [frame.sorted_rows] are added to the sink. *)
+    The observability contract, which [mjoin explain]'s tree renderer
+    reads: one ["scan"] span per leaf and one ["join"] span per step,
+    each carrying [scheme] and [rows] attributes, joins additionally
+    [algo] (["frame-hash"], or ["wcoj"] with an [order]); a semijoin
+    program adds one ["semijoin"] span per sweep step (no τ entry) and
+    ranked enumeration one ["topk"] span; the whole run is wrapped in
+    an ["execute-frame"] span.  The counters [exec.tuples_generated],
+    [frame.dict_size], [frame.partitions], [frame.morsels],
+    [frame.probes], [frame.probe_hits] and [frame.sorted_rows] are
+    added to the sink. *)
 
 open Mj_relation
 
@@ -34,21 +41,24 @@ type stats = {
   per_step : (Scheme.Set.t * int) list;  (** post-order, like [Cost.step_costs] *)
 }
 
+val scheme_key : Scheme.Set.t -> string
+(** The canonical span attribute for a scheme set (shared with the
+    explain renderer). *)
+
 val execute_plan :
   ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int -> ?fdb:Frame.Db.t ->
   Database.t -> Physical.t -> Relation.t * stats
-(** Execute a physical plan on the columnar plane.  Every binary step
-    runs the columnar hash join (span attribute [algo = "frame-hash"]).
-    Results and [tuples_generated] agree with [Exec.execute] on the
-    same plan — τ is a property of the join {e order}, not the
-    kernel.
+(** Execute a physical plan.  Results and [tuples_generated] agree
+    with [Cost.eval] and [Cost.tau] of the plan's strategy — τ is a
+    property of the join {e order}, not the kernel.
 
     [?fdb] supplies a pre-encoded copy of [db] (as built by
     [Frame.Db.of_database]) and skips the per-call dictionary encode —
     the warm-state hook the serve daemon uses to amortize encoding
     across queries.  The caller guarantees it encodes exactly [db];
     execution never mutates it, so one encoding may be shared by
-    concurrent executions.
+    concurrent executions.  [?morsel] is the hash join's probe-morsel
+    size (default [Frame.default_morsel]).
     @raise Invalid_argument if a scanned scheme is missing from [db]. *)
 
 val execute_digest :

@@ -4,15 +4,15 @@
     they "can be programmed as nested loops, can take advantage of
     existing indices, and can use pipelining".  This module gives the
     strategy an executable form: a physical plan fixes how each step of
-    a {!Multijoin.Strategy.t} runs, and {!Exec} or {!Frame_engine} runs
-    it.
+    a {!Multijoin.Strategy.t} runs, and {!Frame_engine} runs it (a
+    linear strategy can also stream through {!Exec.execute_pipelined}).
 
-    A binary step ([Join]) is a hash join on each plane: the {e right}
+    A binary step ([Join]) is a hash join: the {e right}
     child is built into a hash table on the common attributes and the
     left child probes it.  τ counts the tuples a strategy generates, so
     the per-step join algorithm could change the time a plan takes but
-    never its result, its τ or its step log; the planes keep one binary
-    kernel each.  No kernel takes a base relation's index from an
+    never its result, its τ or its step log; the executor keeps one
+    binary kernel.  No kernel takes a base relation's index from an
     earlier execution, so Section 1's "existing indices" stay an
     argument about linear strategies, not an operator.
 

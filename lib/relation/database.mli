@@ -7,8 +7,8 @@
 
     The state is held in up to two forms, each built on first demand
     from the other: per-scheme seed {!Relation.t} states, which the
-    seed plane and the paper's algebra read, and one {!Coded.t}, which
-    the frame plane and the catalog read.  A generated database is born
+    paper's algebra reads, and one {!Coded.t}, which the frame
+    executor and the catalog read.  A generated database is born
     coded ({!of_coded}) and decodes a seed state only when {!find} (or
     anything built on it) asks for that scheme; a database built from
     relations encodes its coded form on the first {!coded}.  Scheme

@@ -1,6 +1,6 @@
 (** Columnar relation frames: the dictionary-encoded data plane.
 
-    The seed data plane stores each tuple as an attribute header and a
+    The seed algebra ({!Relation}) stores each tuple as an attribute header and a
     boxed [Value.t] array and each relation as a sorted array of
     tuples, so every join probe still allocates a merged tuple and
     hashes a heap-allocated key.  A

@@ -3,8 +3,7 @@
     Pure data structure, no locking: the serve daemon guards every call
     with its own mutex, and the unit tests exercise the eviction and
     invalidation laws directly.  Keys are the canonical strings the
-    daemon builds from (workload, strategy, policy, plane, stats
-    epoch); values are whatever the caller caches (lowered
+    daemon builds from (workload, strategy, policy, stats epoch); values are whatever the caller caches (lowered
     [Physical.t] plans).  Hit/miss/eviction counts accumulate in the
     cache so the daemon can export them as [Mj_obs] counters. *)
 

@@ -5,13 +5,14 @@
     (the same shape/rows/domain/regime/seed knobs every [mjoin]
     subcommand takes — materialization is deterministic, so client and
     server agree on the database without shipping tuples) plus the
-    engine knobs (policy, plane, an optional explicit strategy in the
-    paper's [(AB * BC) * CD] notation).
+    engine knobs (policy, an optional explicit strategy in the paper's
+    [(AB * BC) * CD] notation).  A ["plane"] field is still accepted
+    and validated, then ignored.
 
     Requests:
     {v
     {"id":1,"op":"query","shape":"chain","n":4,"seed":7,"rows":40,
-     "domain":12,"regime":"uniform","policy":"hash","plane":"seed",
+     "domain":12,"regime":"uniform","policy":"hash",
      "strategy":"(AB * BC) * CD"}
     {"id":2,"op":"stats"}
     {"id":3,"op":"invalidate"}
@@ -69,7 +70,10 @@ type query = {
   workload : workload;
   policy : Mj_engine.Planner.policy;
   plane : Mj_engine.Engine.plane option;
-      (** [None]: the daemon's configured plane *)
+      (** the request's ["plane"], validated ([seed] or [frame]) and
+          then read by nothing: every query runs on the one executor.
+          Kept only so that code outside [lib/] that reads it still
+          compiles *)
   strategy : string option;  (** paper notation; [None]: left-deep *)
 }
 
@@ -112,9 +116,8 @@ val result_hash : Relation.t -> int64
 (** [Relation.digest]: 64-bit FNV-1a over the scheme string followed by
     ["\n"] and the {!Tuple.to_string} rendering of each tuple in
     ascending {!Tuple.compare} order.  That byte stream is the wire
-    contract: every plane and every release must hash it bit for bit,
-    and the daemon computes it on the native result ([Frame.digest] on
-    the frame plane, no decode).  Equal relations always hash equal;
+    contract: every release must hash it bit for bit, and the daemon
+    computes it on the native result ([Frame.digest], no decode).  Equal relations always hash equal;
     the converse holds only up to 64-bit collisions, so a matching
     hash is strong evidence, not a proof, that two answers agree. *)
 

@@ -9,7 +9,7 @@ module Pool = Mj_pool.Pool
 module Failpoint = Mj_failpoint.Failpoint
 
 (* Per-database warm state.  The frame dictionary is built once, on
-   the first frame-plane query, and shared read-only afterwards. *)
+   the first query, and shared read-only afterwards. *)
 type db_entry = { db : Database.t; mutable fdb : Frame.Db.t option }
 
 type t = {
@@ -133,7 +133,7 @@ let frame_db t entry =
 
 let strategy_string s = Format.asprintf "%a" Strategy.pp s
 
-let plan_key t ~plane ~policy ~key ~strat_s =
+let plan_key t ~policy ~key ~strat_s =
   let e = locked t (fun () -> t.epoch) in
   (* The planted serve bug: under [serve.cache_stale_plan] the
      strategy component collapses, so two different strategies over
@@ -143,14 +143,11 @@ let plan_key t ~plane ~policy ~key ~strat_s =
   let strat_part =
     if Failpoint.fire Serve_stale_plan then "*" else strat_s
   in
-  Printf.sprintf "%s%s|%s|%s|%s" (epoch_prefix e) (Engine.plane_name plane)
-    (Planner.policy_name policy) key strat_part
+  Printf.sprintf "%s%s|%s|%s" (epoch_prefix e) (Planner.policy_name policy)
+    key strat_part
 
-let submit_query t ?id ?obs ?plane ?strategy ?policy ~key ~db () =
+let submit_query t ?id ?obs ?strategy ?policy ~key ~db () =
   let obs = match obs with Some o -> o | None -> t.cfg.Engine.Config.obs in
-  let plane =
-    match plane with Some p -> p | None -> t.cfg.Engine.Config.plane
-  in
   let policy =
     match policy with Some p -> p | None -> t.cfg.Engine.Config.algo_policy
   in
@@ -179,16 +176,14 @@ let submit_query t ?id ?obs ?plane ?strategy ?policy ~key ~db () =
         | None -> Protocol.default_strategy entry.db
       in
       let strat_s = strategy_string strategy in
-      let pkey = plan_key t ~plane ~policy ~key ~strat_s in
+      let pkey = plan_key t ~policy ~key ~strat_s in
       let cached = locked t (fun () -> Plan_cache.find t.plans pkey) in
       bump t
         (match cached with
         | Some _ -> "serve.plan_cache_hit"
         | None -> "serve.plan_cache_miss")
         (fun () -> ());
-      let cfg_req =
-        { t.cfg with Engine.Config.plane; algo_policy = policy; obs }
-      in
+      let cfg_req = { t.cfg with Engine.Config.algo_policy = policy; obs } in
       let plan =
         match cached with
         | Some plan -> plan
@@ -197,15 +192,12 @@ let submit_query t ?id ?obs ?plane ?strategy ?policy ~key ~db () =
             locked t (fun () -> Plan_cache.add t.plans pkey plan);
             plan
       in
-      let fdb =
-        match plane with
-        | Engine.Frame -> Some (frame_db t entry)
-        | Engine.Seed -> None
+      (* Certify on the native result: the digest runs on the root
+         frame's code buffers, so nothing is decoded, and [ms] below
+         covers it. *)
+      let digest, stats =
+        Engine.execute_digest ~fdb:(frame_db t entry) cfg_req entry.db plan
       in
-      (* Certify on the native result: the digest runs on the plane's
-         root item — frame code buffers on the frame plane, which then
-         decodes nothing — and [ms] below covers it. *)
-      let digest, stats = Engine.execute_digest ?fdb cfg_req entry.db plan in
       let ms = (Obs.monotonic_time () -. start) *. 1000. in
       (digest, stats, strat_s, cached <> None, ms)
     with
@@ -218,7 +210,7 @@ let submit_query t ?id ?obs ?plane ?strategy ?policy ~key ~db () =
                 [
                   ("cmd", Json.str "serve");
                   ("query", Json.str (key ^ " | " ^ strat_s));
-                  ("plane", Json.str (Engine.plane_name plane));
+                  ("plane", Json.str "frame");
                   ("policy", Json.str (Planner.policy_name policy));
                   ("domains", Json.int t.cfg.Engine.Config.domains);
                   ("duration_ms", Json.float ms);
@@ -235,7 +227,7 @@ let submit_query t ?id ?obs ?plane ?strategy ?policy ~key ~db () =
             ("hash", Json.str (Protocol.hash_hex digest));
             ("steps", Protocol.steps_json stats.Engine.per_step);
             ("cached_plan", Json.bool hit);
-            ("plane", Json.str (Engine.plane_name plane));
+            ("plane", Json.str "frame");
             ("policy", Json.str (Planner.policy_name policy));
             ("strategy", Json.str strat_s);
             ("ms", Json.float ms);
@@ -274,7 +266,7 @@ let shed t ~id =
 
 let run_query t ?id ?obs (q : Protocol.query) =
   let strategy = Option.map Strategy.of_string q.Protocol.strategy in
-  submit_query t ?id ?obs ?plane:q.Protocol.plane ?strategy
+  submit_query t ?id ?obs ?strategy
     ~policy:q.Protocol.policy
     ~key:(Protocol.workload_key q.Protocol.workload)
     ~db:(fun () -> Protocol.materialize q.Protocol.workload)

@@ -4,11 +4,10 @@
     format that keeps warm state alive across queries:
 
     - a {e database registry} keyed by {!Protocol.workload_key} —
-      materialized databases and their frame-plane dictionary
-      encodings ([Frame.Db.of_database], built once and shared
+      materialized databases and their frame dictionary encodings ([Frame.Db.of_database], built once and shared
       read-only by concurrent executions);
     - a bounded LRU {e plan cache} ({!Plan_cache}) keyed on
-      [(stats epoch, plane, policy, workload, strategy)] — hit/miss
+      [(stats epoch, policy, workload, strategy)] — hit/miss
       counters surface as the [Mj_obs] counters
       [serve.plan_cache_hit] / [serve.plan_cache_miss], and
       {!invalidate} bumps the epoch so every older key becomes
@@ -48,7 +47,7 @@ val create :
   t
 (** [queue_cap] (default 64, clamped ≥ 0 — 0 sheds every query),
     [timeout_ms] (default 10_000, clamped ≥ 1), [plan_cache_cap]
-    (default 128).  The config supplies the default plane, lowering
+    (default 128).  The config supplies the default lowering
     policy, worker domains and telemetry sidecar; its
     sink receives the serve counters and per-request spans. *)
 
@@ -80,7 +79,6 @@ val submit_query :
   t ->
   ?id:int ->
   ?obs:Obs.sink ->
-  ?plane:Engine.plane ->
   ?strategy:Strategy.t ->
   ?policy:Planner.policy ->
   key:string ->
@@ -91,12 +89,12 @@ val submit_query :
     parser — the entry point the check harness and the tests drive
     directly.  [key] identifies the database in the registry; [db] is
     only forced on a registry miss.  [strategy] defaults to
-    {!Protocol.default_strategy}, [policy]/[plane] to the config's.
+    {!Protocol.default_strategy}, [policy] to the config's.
     [obs] (default: the config's sink) receives the request span —
     pass each concurrent caller its own child sink.  The answer is
     certified on the native result ([Engine.execute_digest], inside a
-    [serve.certify] child span of [serve.request]): the frame plane
-    hashes its code buffers and never decodes a [Relation.t].  The
+    [serve.certify] child span of [serve.request]): the root frame's
+    code buffers are hashed and no [Relation.t] is decoded.  The
     response's [ms] and the telemetry [duration_ms] cover execution
     {e and} certification.  Returns the response line (status [ok],
     [error] or [overloaded]). *)

@@ -24,30 +24,16 @@ test -s "$TMP/explain.jsonl"
 test -s "$TMP/opt.jsonl"
 grep -q 'opt.pairs_inspected' "$TMP/opt.jsonl"
 
-# Unified engine flags (--engine / --domains / --policy) on every
-# executing subcommand, both planes.  'cost' is an alias of 'hash'.
-"$MJOIN" explain --scenario ex1 --engine frame --policy cost > /dev/null
-"$MJOIN" explain --scenario ex1 --engine seed --policy cost --domains 2 \
-  | grep -q 'lowered (hash, seed plane)'
-"$MJOIN" explain --shape chain -n 4 --regime skewed --engine frame \
-  | grep -q 'frame plane'
-"$MJOIN" verify --scenario ex3 --engine frame --domains 2 \
-  | grep -q 'engine: frame plane, 2 domains'
-"$MJOIN" optimize --shape star -n 5 --engine frame --policy cost \
-  | grep -q 'executed (frame plane, hash lowering)'
-"$MJOIN" optimize --shape chain -n 4 --engine seed \
-  | grep -q 'executed (seed plane, hash lowering)'
-MJ_DATA_PLANE=frame "$MJOIN" explain --scenario ex1 | grep -q 'frame plane'
+# Unified engine flags (--domains / --policy) on every executing
+# subcommand.  'cost' is an alias of 'hash'.
+"$MJOIN" explain --scenario ex1 --policy cost --domains 2 \
+  | grep -q 'lowered (hash)'
+"$MJOIN" verify --scenario ex3 --domains 2 | grep -q 'engine: 2 domains'
+"$MJOIN" optimize --shape star -n 5 --policy cost \
+  | grep -q 'executed (hash lowering)'
 # CLI beats the environment.
-MJ_DATA_PLANE=frame "$MJOIN" explain --scenario ex1 --engine seed \
-  | grep -q 'seed plane'
-
-# Frame plane morsel size, flag and environment spellings.
-"$MJOIN" verify --scenario ex3 --engine frame --morsel 512 \
-  | grep -q 'engine: frame plane'
-"$MJOIN" optimize --shape chain -n 4 --engine frame > /dev/null
-MJ_MORSEL=1024 "$MJOIN" explain --scenario ex1 \
-  --engine frame | grep -q 'frame plane'
+MJ_ALGO_POLICY=wcoj "$MJOIN" explain --scenario ex1 --policy hash \
+  | grep -q 'lowered (hash)'
 
 # Profiling v2: quantile stats, Prometheus exposition, telemetry
 # persistence (flag and environment), and telemetry aggregation.
@@ -55,7 +41,7 @@ MJ_MORSEL=1024 "$MJOIN" explain --scenario ex1 \
 "$MJOIN" stats --scenario university --repeat 2 | grep -q 'span.join.ms'
 "$MJOIN" stats --shape chain -n 4 --repeat 2 --prometheus \
   | grep -q '# TYPE mjoin_exec_tuples_generated counter'
-"$MJOIN" stats --scenario ex1 --engine frame --repeat 2 --prometheus \
+"$MJOIN" stats --scenario ex1 --repeat 2 --prometheus \
   | grep -q 'mjoin_join_probes_count'
 "$MJOIN" explain --scenario university --telemetry "$TMP/tel.jsonl" \
   | grep -q 'telemetry: appended'
@@ -85,8 +71,7 @@ if "$MJOIN" bench-diff "$TMP/bench.json" --inject 50 --threshold 25 \
 grep -q '0 regression' "$TMP/diff.txt"
 
 # Yannakakis acyclic path: the yann policy, the acyclicity
-# classification on explain, and ranked (top-k) enumeration on both
-# planes.
+# classification on explain, and ranked (top-k) enumeration.
 "$MJOIN" explain --shape star --size 4 --policy yann \
   | grep -q 'classification: alpha-acyclic'
 "$MJOIN" explain --shape star --size 4 --policy yann \
@@ -97,7 +82,7 @@ grep -q '0 regression' "$TMP/diff.txt"
   | grep -q 'classification: cyclic'
 "$MJOIN" verify --shape snowflake -n 4 --policy yann > /dev/null
 "$MJOIN" topk --shape star --size 4 --rows 20 --limit 5 | grep -q 'top-5'
-"$MJOIN" topk --shape path --size 4 --engine frame --limit 3 \
+"$MJOIN" topk --shape path --size 4 --limit 3 \
   | grep -q 'tau=3'
 MJ_ALGO_POLICY=yann "$MJOIN" explain --shape chain --size 4 \
   | grep -q 'lowered (yann'
@@ -129,23 +114,23 @@ MJ_FAILPOINTS=estimate.oversize "$MJOIN" verify --scenario ex3 > /dev/null
 # Error paths must exit non-zero but not crash with a backtrace.
 if MJ_FAILPOINTS=bogus "$MJOIN" verify --scenario ex3 > /dev/null 2>&1; then exit 1; fi
 MJ_FAILPOINTS=bogus "$MJOIN" examples ex1 2>&1 | grep -q 'unknown failpoint'
-# So must an unknown plane or policy and a non-numeric worker or morsel
-# count; an empty or blank value means unset.
-for var in MJ_DATA_PLANE=columnar MJ_ALGO_POLICY=greedy MJ_DOMAINS=four \
-  MJ_MORSEL=big; do
+# So must an unknown policy and a non-numeric worker count; an empty
+# or blank value means unset.
+for var in MJ_ALGO_POLICY=greedy MJ_DOMAINS=four; do
   if env "$var" "$MJOIN" verify --scenario ex3 > /dev/null 2>&1; then exit 1; fi
   env "$var" "$MJOIN" examples ex1 2>&1 | grep -q "mjoin: ${var%%=*}: "
 done
-MJ_DATA_PLANE= MJ_ALGO_POLICY=' ' MJ_DOMAINS= MJ_MORSEL= \
-  "$MJOIN" verify --scenario ex3 | grep -q 'engine: seed plane'
+MJ_ALGO_POLICY=' ' MJ_DOMAINS= \
+  "$MJOIN" verify --scenario ex3 | grep -q 'engine: [0-9]* domains'
 if "$MJOIN" fuzz --replay /nonexistent.repro > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" examples nosuch > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" query "$TMP/db.txt" 'Q(x) :- nosuch(x,y).' > /dev/null 2>&1; then exit 1; fi
-if "$MJOIN" explain --scenario ex1 --engine columnar > /dev/null 2>&1; then exit 1; fi
-# Frames have one row store; the old row-store flag is gone.
+# Every plan runs on frames, with one row store and the default morsel;
+# the old plane, row-store and morsel flags are gone.
+if "$MJOIN" explain --scenario ex1 --engine frame > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" explain --scenario ex1 --storage heap > /dev/null 2>&1; then exit 1; fi
+if "$MJOIN" verify --scenario ex3 --morsel 512 > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" explain --scenario ex1 --policy greedy > /dev/null 2>&1; then exit 1; fi
-if "$MJOIN" verify --scenario ex3 --engine bogus > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" optimize --shape chain -n 4 --policy bogus > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" explain --scenario ex1 --algo hash > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" bench-diff "$TMP/db.txt" > /dev/null 2>&1; then exit 1; fi
@@ -178,9 +163,10 @@ test "$(wc -l < "$TMP/serve-tel.jsonl")" = 2
 grep -q '"cmd":"serve"' "$TMP/serve-tel.jsonl"
 grep -q '"plan_cache":"hit"' "$TMP/serve-tel.jsonl"
 "$MJOIN" stats --from "$TMP/serve-tel.jsonl" | grep -q 'telemetry.cmd.serve'
-# Wire compatibility: the result hash is computed on each plane's
-# native result (frame code buffers, no decode), and must equal the
-# pinned hex the daemon has always served for this workload.
+# Wire compatibility: the result hash is computed on the native result
+# (frame code buffers, no decode), and must equal the pinned hex the
+# daemon has always served for this workload, whichever plane the
+# request names (the field is still accepted, then ignored).
 GOLDEN=93ed89284983ef4b
 for plane in seed frame; do
   echo '{"id":1,"op":"query","shape":"chain","n":4,"rows":40,"domain":12,"seed":7,"plane":"'$plane'"}' \
@@ -189,7 +175,7 @@ done
 test "$(cat "$TMP/hash-seed")" = "$(cat "$TMP/hash-frame")"
 test "$(cat "$TMP/hash-frame")" = "\"hash\":\"$GOLDEN\""
 # The same contract on generated superkey data large enough that the
-# generator, the seed plane's sorted states and the decode all matter.
+# generator and the order pass both matter.
 GOLDEN=0b66406c2ecd28c0
 for plane in seed frame; do
   echo '{"id":1,"op":"query","shape":"chain","n":4,"rows":3000,"domain":4000,"regime":"superkey","seed":5,"plane":"'$plane'"}' \

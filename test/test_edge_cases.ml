@@ -53,9 +53,10 @@ let test_engine_on_empty_states () =
       [ Relation.empty (Scheme.of_string "AB"); Relation.empty (Scheme.of_string "BC") ]
   in
   let plan = Mj_engine.Physical.of_strategy (Strategy.of_string "AB * BC") in
-  let result, stats = Mj_engine.Exec.execute db plan in
+  let result, stats = Mj_engine.Frame_engine.execute_plan db plan in
   Alcotest.(check bool) "empty result" true (Relation.is_empty result);
-  Alcotest.(check int) "nothing generated" 0 stats.Mj_engine.Exec.tuples_generated
+  Alcotest.(check int) "nothing generated" 0
+    stats.Mj_engine.Frame_engine.tuples_generated
 
 let test_pipeline_on_empty_join () =
   let s = Strategy.of_string "AB * BC" in

@@ -1,8 +1,8 @@
 (* Tests for the physical execution engine: the hash-join plan computes
-   the same relation as the algebra, the materializing engine's
-   generated tuple count equals the paper's tau, and pipelined execution
-   of linear strategies reproduces the step costs while bounding memory
-   by the base relations. *)
+   the same relation as the algebra, the engine's generated tuple count
+   equals the paper's tau, and pipelined execution of linear strategies
+   reproduces the step costs while bounding memory by the base
+   relations. *)
 
 open Mj_relation
 open Mj_hypergraph
@@ -47,50 +47,60 @@ let test_plan_pp () =
 
 let ex1 = Scenarios.example1
 
+(* The engine on a strategy's binary hash plan. *)
+let execute ?obs db s = Frame_engine.execute_plan ?obs db (Physical.of_strategy s)
+
 let test_generated_equals_tau_example1 () =
   List.iter
     (fun (sname, s) ->
-      let _, stats = Exec.execute ex1 (Physical.of_strategy s) in
+      let _, stats = execute ex1 s in
       Alcotest.(check int)
         (Printf.sprintf "%s generates tau tuples" sname)
-        (Cost.tau ex1 s) stats.Exec.tuples_generated)
+        (Cost.tau ex1 s) stats.Frame_engine.tuples_generated)
     Scenarios.example1_strategies
 
 let test_per_step_matches_step_costs () =
   let s = List.assoc "S3" Scenarios.example1_strategies in
-  let plan = Physical.of_strategy s in
-  let _, stats = Exec.execute ex1 plan in
+  let _, stats = execute ex1 s in
   Alcotest.(check (list int)) "10, 49, 490"
     (List.map snd (Cost.step_costs ex1 s))
-    (List.map snd stats.Exec.per_step)
+    (List.map snd stats.Frame_engine.per_step)
 
+(* The "scan" spans' rows are the base tuples the plan reads. *)
 let test_scanned_counts_base_tuples () =
-  let s = Strategy.of_string "AB * BC" in
-  let plan = Physical.of_strategy s in
-  let _, stats = Exec.execute ex1 plan in
-  Alcotest.(check int) "4 + 4 scanned" 8 stats.Exec.tuples_scanned
+  let obs = Mj_obs.Obs.make () in
+  ignore (execute ~obs ex1 (Strategy.of_string "AB * BC"));
+  let rec scanned acc (sp : Mj_obs.Obs.span_tree) =
+    let acc =
+      match (sp.name, List.assoc_opt "rows" sp.attrs) with
+      | "scan", Some (Mj_obs.Json.Num n) -> acc + int_of_float n
+      | _ -> acc
+    in
+    List.fold_left scanned acc sp.children
+  in
+  Alcotest.(check int) "4 + 4 scanned" 8
+    (List.fold_left scanned 0 (Mj_obs.Obs.trace obs))
 
 let test_hash_probes () =
-  let s = Strategy.of_string "AB * BC" in
-  let _, stats = Exec.execute ex1 (Physical.of_strategy s) in
-  Alcotest.(check int) "one probe per left tuple" 4 stats.Exec.hash_probes
+  let _, stats = execute ex1 (Strategy.of_string "AB * BC") in
+  Alcotest.(check int) "one probe per left tuple" 4 stats.Frame_engine.probes
 
 let test_missing_scheme () =
   let plan = Physical.Scan (Scheme.of_string "XY") in
-  match Exec.execute ex1 plan with
+  match Frame_engine.execute_plan ex1 plan with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "missing scheme must be rejected"
 
 let prop_engine_matches_algebra =
   qtest "every algorithm = algebra join, generated = tau" ~count:60
     gen_db_and_strategy (fun (db, s) ->
-      let result, stats = Exec.execute db (Physical.of_strategy s) in
+      let result, stats = execute db s in
       Relation.equal result (Database.join_all db)
-      && stats.Exec.tuples_generated = Cost.tau db s)
+      && stats.Frame_engine.tuples_generated = Cost.tau db s)
 
-(* Each join compiles its merge once, so all rows of one seed join
-   share one header — even over example 1's [of_rows] states, whose
-   tuples each carry their own — materialized or pipelined. *)
+(* Each join of the algebra compiles its merge once, so all rows of one
+   seed join share one header — even over example 1's [of_rows] states,
+   whose tuples each carry their own — materialized or pipelined. *)
 let test_join_rows_share_a_header () =
   let s = Strategy.of_string "((AB * BC) * DE) * FG" in
   let one_header name r =
@@ -101,7 +111,7 @@ let test_join_rows_share_a_header () =
         Alcotest.(check bool) name true
           (List.for_all (fun t' -> Tuple.header_of t' == h) rest)
   in
-  one_header "hash" (fst (Exec.execute ex1 (Physical.of_strategy s)));
+  one_header "hash" (Cost.eval ex1 s);
   one_header "pipelined" (fst (Exec.execute_pipelined ex1 s))
 
 (* ------------------------------------------------------------------ *)
@@ -128,9 +138,9 @@ let test_pipeline_buffer_bounded_by_bases () =
   let _, stats = Exec.execute_pipelined ex1 s in
   Alcotest.(check int) "peak buffer = largest base" 7 stats.Exec.peak_buffer;
   (* The materializing engine, by contrast, holds the 490-tuple result. *)
-  let _, mat = Exec.execute ex1 (Physical.of_strategy s) in
+  let _, mat = execute ex1 s in
   Alcotest.(check bool) "materializing peak >= 490" true
-    (mat.Exec.max_materialized >= 490)
+    (List.exists (fun (_, n) -> n >= 490) mat.Frame_engine.per_step)
 
 let test_pipeline_rejects_bushy () =
   let s = Strategy.of_string "(AB * BC) * (DE * FG)" in
@@ -153,9 +163,10 @@ let prop_pipeline_equals_materializing =
       in
       let s = Strategy.left_deep shuffled in
       let piped, pstats = Exec.execute_pipelined db s in
-      let mat, mstats = Exec.execute db (Physical.of_strategy s) in
+      let mat, mstats = execute db s in
       Relation.equal piped mat
-      && pstats.Exec.emitted_per_stage = List.map snd mstats.Exec.per_step)
+      && pstats.Exec.emitted_per_stage
+         = List.map snd mstats.Frame_engine.per_step)
 
 let prop_pipeline_total_equals_tau =
   qtest "sum of pipeline stage outputs = tau" ~count:60
@@ -196,11 +207,11 @@ let prop_pipeline_matches_ground_truth =
       (* The independent ground truth: the algebra's per-step sizes. *)
       let truth = List.map snd (Cost.step_costs db s) in
       let piped, pstats = Exec.execute_pipelined db s in
-      let mat, mstats = Exec.execute db (Physical.of_strategy s) in
+      let mat, mstats = execute db s in
       Relation.equal piped mat
       && Relation.equal piped (Database.join_all db)
       && pstats.Exec.emitted_per_stage = truth
-      && List.map snd mstats.Exec.per_step = truth)
+      && List.map snd mstats.Frame_engine.per_step = truth)
 
 (* ------------------------------------------------------------------ *)
 

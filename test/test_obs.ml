@@ -1,7 +1,7 @@
 (* Tests for the observability layer: the JSON printer/parser
    round-trips, spans nest (and survive exceptions) under a
-   deterministic clock, sink counters reproduce the engine's legacy
-   [Exec.stats] on a fixed scenario, the JSONL exporter's output
+   deterministic clock, sink counters reproduce the engine's
+   [Frame_engine.stats] on a fixed scenario, the JSONL exporter's output
    matches golden lines and re-parses line by line, and the optimizer
    search-effort counters agree with the closed-form pair counts. *)
 
@@ -170,13 +170,13 @@ let test_merge_registry () =
   | None -> Alcotest.fail "histogram not merged"
 
 (* ------------------------------------------------------------------ *)
-(* Engine integration: sink counters = legacy stats                     *)
+(* Engine integration: sink counters = the engine's stats              *)
 (* ------------------------------------------------------------------ *)
 
 let exec_with_sink () =
   let obs = Obs.make () in
   let plan = Physical.of_strategy (Strategy.of_string "AB * BC") in
-  let _, stats = Exec.execute ~obs Scenarios.example1 plan in
+  let _, stats = Frame_engine.execute_plan ~obs Scenarios.example1 plan in
   (obs, stats)
 
 let test_counters_match_stats () =
@@ -186,16 +186,20 @@ let test_counters_match_stats () =
     | Some n -> n
     | None -> Alcotest.failf "counter %s missing from sink" name
   in
-  Alcotest.(check int) "scanned" stats.Exec.tuples_scanned
-    (v "exec.tuples_scanned");
-  Alcotest.(check int) "generated" stats.Exec.tuples_generated
+  Alcotest.(check int) "generated" stats.Frame_engine.tuples_generated
     (v "exec.tuples_generated");
-  Alcotest.(check int) "comparisons" stats.Exec.comparisons
-    (v "exec.comparisons");
-  Alcotest.(check int) "hash probes" stats.Exec.hash_probes
-    (v "exec.hash_probes");
-  Alcotest.(check int) "max materialized" stats.Exec.max_materialized
-    (v "exec.max_materialized");
+  Alcotest.(check int) "dictionary" stats.Frame_engine.dict_size
+    (v "frame.dict_size");
+  Alcotest.(check int) "hash probes" stats.Frame_engine.probes
+    (v "frame.probes");
+  Alcotest.(check int) "probe hits" stats.Frame_engine.probe_hits
+    (v "frame.probe_hits");
+  Alcotest.(check int) "partitions" stats.Frame_engine.partitions
+    (v "frame.partitions");
+  Alcotest.(check int) "morsels" stats.Frame_engine.morsels
+    (v "frame.morsels");
+  Alcotest.(check int) "sorted rows" stats.Frame_engine.sorted_rows
+    (v "frame.sorted_rows");
   (* And the strategy's tau really is what the counter holds. *)
   Alcotest.(check int) "generated = tau"
     (Cost.tau Scenarios.example1 (Strategy.of_string "AB * BC"))
@@ -204,14 +208,14 @@ let test_counters_match_stats () =
 let test_execute_trace_shape () =
   let obs, _ = exec_with_sink () in
   match Obs.trace obs with
-  | [ { Obs.name = "execute"; children = [ join ]; _ } ] ->
+  | [ { Obs.name = "execute-frame"; children = [ join ]; _ } ] ->
       Alcotest.(check string) "root join span" "join" join.Obs.name;
       Alcotest.(check int) "two scans under the join" 2
         (List.length join.Obs.children);
       Alcotest.(check bool)
         "join output cardinality recorded" true
         (List.assoc_opt "rows" join.Obs.attrs = Some (Json.int 10))
-  | _ -> Alcotest.fail "expected execute > join > [scan; scan]"
+  | _ -> Alcotest.fail "expected execute-frame > join > [scan; scan]"
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                            *)
@@ -789,10 +793,7 @@ let test_bench_core_race () =
   Alcotest.(check int) "second contender's result" 42 g_r;
   Alcotest.(check bool) "timings are finite and non-negative" true
     (Float.is_finite f_ms && Float.is_finite g_ms && f_ms >= 0.0
-   && g_ms >= 0.0);
-  let ms, r = Bench_core.best_of ~reps:2 (fun () -> 7) in
-  Alcotest.(check int) "best_of result" 7 r;
-  Alcotest.(check bool) "best_of timing" true (Float.is_finite ms && ms >= 0.0)
+   && g_ms >= 0.0)
 
 let () =
   Alcotest.run "obs"
@@ -822,7 +823,7 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "sink counters = Exec.stats" `Quick
+          Alcotest.test_case "sink counters = Frame_engine.stats" `Quick
             test_counters_match_stats;
           Alcotest.test_case "trace shape of execute" `Quick
             test_execute_trace_shape;

@@ -1,8 +1,8 @@
 (* Equivalence suite for the planner and the unified engine core.
 
-   The contract under test is the one the Engine docs state: the data
-   plane is an execution detail — for any strategy, the binary lowering
-   on both planes produces the identical result relation, generates
+   The contract under test is the one the Engine docs state: the domain
+   count is an execution detail — for any strategy, the binary lowering
+   at 1 and 2 domains produces the algebra's result relation, generates
    exactly Cost.tau tuples, and reproduces Cost.step_costs step by
    step. *)
 
@@ -47,13 +47,11 @@ let gen_case =
   let s = Enumerate.random_strategy ~rng d in
   return (db, s)
 
-let planes = [ Engine.Seed; Engine.Frame ]
-
 (* ------------------------------------------------------------------ *)
 (* The equivalence property                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The binary lowering on every plane: same result, τ tuples
+(* The binary lowering at 1 and 2 domains: same result, τ tuples
    generated, per-step cardinalities identical to Cost.step_costs,
    strategy recoverable from the lowered plan. *)
 let equivalence (db, s) =
@@ -61,19 +59,16 @@ let equivalence (db, s) =
   let tau = Cost.tau db s in
   let steps = List.map snd (Cost.step_costs db s) in
   List.for_all
-    (fun plane ->
-      let cfg =
-        Engine.Config.make ~plane ~domains:2 ~policy:Planner.Hash_all ()
-      in
+    (fun domains ->
+      let cfg = Engine.Config.make ~domains ~policy:Planner.Hash_all () in
       let plan = Engine.lower cfg db s in
       let r, stats = Engine.execute_plan cfg db plan in
       Strategy.equal (Physical.strategy_of plan) s
       && Relation.equal r expected
-      && stats.Engine.plane = plane
       && stats.Engine.tuples_generated = tau
       && stats.Engine.result_rows = Relation.cardinality expected
       && List.map snd stats.Engine.per_step = steps)
-    planes
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Config                                                               *)
@@ -116,7 +111,7 @@ let test_frame_domain_determinism () =
   let db = Dbgen.uniform_db ~rng ~rows:8 ~domain:3 (Querygraph.chain 4) in
   let s = Strategy.left_deep (Database.scheme_list db) in
   let run domains =
-    Engine.run (Engine.Config.make ~plane:Engine.Frame ~domains ()) db s
+    Engine.run (Engine.Config.make ~domains ()) db s
   in
   let r1, s1 = run 1 in
   let r4, s4 = run 4 in

@@ -23,6 +23,8 @@ let qtest name ?(count = 100) gen prop =
 (* Request lines and the cold oracle                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* [plane] is only the request's ["plane"] field: the daemon validates
+   it and runs every query on the one executor. *)
 type spec = {
   workload : Protocol.workload;
   policy : Planner.policy;
@@ -52,10 +54,7 @@ type oracle = { o_rows : int; o_tau : int; o_hash : string; o_steps : string }
 let oracle_of_spec s =
   let db = Protocol.materialize s.workload in
   let strategy = Protocol.default_strategy db in
-  let cfg =
-    Engine.Config.make ~plane:s.plane ~policy:s.policy ~domains:1
-      ~obs:Obs.noop ()
-  in
+  let cfg = Engine.Config.make ~policy:s.policy ~domains:1 ~obs:Obs.noop () in
   let result, stats = Engine.run cfg db strategy in
   {
     o_rows = stats.Engine.result_rows;
@@ -118,8 +117,8 @@ let mk_serve ?(queue_cap = 64) ?(domains = 1) () =
 (* ------------------------------------------------------------------ *)
 
 (* A deterministic request mix drawn from one integer seed: shapes ×
-   sizes × policies × planes, small enough that the cold oracle stays
-   cheap at qcheck counts. *)
+   sizes × policies × request planes, small enough that the cold oracle
+   stays cheap at qcheck counts. *)
 let spec_of_rng rng =
   let shapes = [| "chain"; "star"; "path"; "cycle" |] in
   let shape = shapes.(Random.State.int rng (Array.length shapes)) in
@@ -546,8 +545,8 @@ let test_golden_hash () =
     [ Engine.Seed; Engine.Frame ]
 
 (* Certification is a named layer of the request: a [serve.certify]
-   span directly under [serve.request], after the plane's execute
-   root. *)
+   span directly under [serve.request], after the execute root,
+   whichever plane the request names. *)
 let test_certify_span () =
   List.iter
     (fun plane ->
@@ -568,12 +567,7 @@ let test_certify_span () =
       | [ request ] ->
           Alcotest.(check (list string))
             (Engine.plane_name plane ^ " request children")
-            [
-              (match plane with
-              | Engine.Seed -> "execute"
-              | Engine.Frame -> "execute-frame");
-              "serve.certify";
-            ]
+            [ "execute-frame"; "serve.certify" ]
             (List.map (fun (sp : Obs.span_tree) -> sp.name) request.children)
       | spans ->
           Alcotest.failf "want one serve.request span, got %d"

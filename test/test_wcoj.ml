@@ -183,39 +183,34 @@ let frame_kernel_agrees =
         (Frame.Db.generic_join fdb ~order d)
         (Frame.Db.join_schemes fdb d))
 
-let seed_reference_agrees =
-  qtest "seed-plane reference generic join ≡ Database.join_all" gen_db
-    (fun db ->
+let engine_generic_join_agrees =
+  qtest "engine generic join ≡ Database.join_all" gen_db (fun db ->
       let d = schemes_of db in
       let order = Planner.elimination_order d in
       let plan = Physical.Generic_join (Scheme.Set.elements d, order) in
-      let cfg = Engine.Config.make ~plane:Engine.Seed () in
-      let result, _ = Engine.execute_plan cfg db plan in
+      let result, _ = Engine.execute_plan (Engine.Config.make ()) db plan in
       Relation.equal result (Database.join_all db))
 
 let engine_matrix_agrees =
   qtest "wcoj policy ≡ hash policy across planes × domains"
     ~count:60 gen_db (fun db ->
-      let reference =
-        let cfg = Engine.Config.make ~plane:Engine.Seed ~policy:Hash_all () in
-        fst (Engine.run cfg db (Strategy.left_deep (scheme_list db)))
-      in
       let strategy = Strategy.left_deep (scheme_list db) in
+      let reference = Cost.eval db strategy in
       List.for_all
-        (fun (plane, domains) ->
-          let cfg = Engine.Config.make ~plane ~domains ~policy:Wcoj () in
+        (fun domains ->
+          let cfg = Engine.Config.make ~domains ~policy:Wcoj () in
           Relation.equal (fst (Engine.run cfg db strategy)) reference)
-        [ (Engine.Seed, 1); (Engine.Seed, 4); (Engine.Frame, 1); (Engine.Frame, 4) ])
+        [ 1; 4 ])
 
 let planes_same_tau =
   qtest "wcoj τ and per-step log agree across planes" ~count:60 gen_db
     (fun db ->
       let strategy = Strategy.left_deep (scheme_list db) in
-      let run plane =
-        let cfg = Engine.Config.make ~plane ~policy:Wcoj () in
+      let run domains =
+        let cfg = Engine.Config.make ~domains ~policy:Wcoj () in
         snd (Engine.run cfg db strategy)
       in
-      let s = run Engine.Seed and f = run Engine.Frame in
+      let s = run 1 and f = run 4 in
       s.Engine.tuples_generated = f.Engine.tuples_generated
       && s.Engine.per_step = f.Engine.per_step)
 
@@ -487,7 +482,7 @@ let () =
     [
       ("trie", [ trie_next_exhaustive; trie_seek_law ]);
       ( "kernel",
-        [ frame_kernel_agrees; seed_reference_agrees; engine_matrix_agrees;
+        [ frame_kernel_agrees; engine_generic_join_agrees; engine_matrix_agrees;
           planes_same_tau; kernel_pins; kernel_empty_pins; kernel_errors ] );
       ("planner", [ lowering_shape; elimination_order_is_permutation ]);
       ("agm", [ agm_bounds_output; agm_triangle_value; cover_feasible ]);

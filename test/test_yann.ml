@@ -4,9 +4,8 @@
 
    - the engine matrix: the [yann] policy against the [Hash_all]
      reference on random acyclic databases (chain / star / path /
-     snowflake × data regimes), across {seed, frame} × {1, 4} domains —
-     bit-identical results, and within each plane
-     identical τ and per-step logs across domain counts;
+     snowflake × data regimes), at 1 and 4 domains — bit-identical
+     results, and identical τ and per-step logs across domain counts;
    - the Goodman–Shmueli projection laws: a full reduction leaves every
      relation equal to the projection of the full join onto its scheme,
      and every root-containing prefix of the join tree's join order
@@ -16,7 +15,7 @@
      order (GYO's ear tree) and its optimal count;
    - ranked enumeration: [Ranked_enumerate (rt, k)] streams exactly the
      k-prefix of the sorted full output for {e every} k from 0 to
-     |output|+2, on both planes, with τ = the rows streamed;
+     |output|+2, with τ = the rows streamed;
    - the walker's span skeleton (names, nesting, attribute keys in
      order) for semijoin, ranked, binary and generic-join plans;
    - the lowering contract: acyclic strategies lower to one
@@ -73,32 +72,22 @@ let strategy_of db = Strategy.left_deep (scheme_list db)
 let engine_matrix_agrees =
   qtest "yann policy ≡ hash policy across planes × domains"
     ~count:80 gen_db (fun db ->
-      let reference =
-        let cfg = Engine.Config.make ~plane:Engine.Seed ~policy:Hash_all () in
-        fst (Engine.run cfg db (strategy_of db))
-      in
+      let reference = Cost.eval db (strategy_of db) in
       List.for_all
-        (fun (plane, domains) ->
-          let cfg =
-            Engine.Config.make ~plane ~domains ~policy:Planner.Yannakakis ()
-          in
+        (fun domains ->
+          let cfg = Engine.Config.make ~domains ~policy:Planner.Yannakakis () in
           Relation.equal (fst (Engine.run cfg db (strategy_of db))) reference)
-        [ (Engine.Seed, 1); (Engine.Seed, 4); (Engine.Frame, 1); (Engine.Frame, 4) ])
+        [ 1; 4 ])
 
 let domains_deterministic =
   qtest "yann τ and per-step log agree across planes and domain counts"
     ~count:60 gen_db (fun db ->
       let strategy = strategy_of db in
-      let run plane domains =
-        let cfg =
-          Engine.Config.make ~plane ~domains ~policy:Planner.Yannakakis ()
-        in
+      let run domains =
+        let cfg = Engine.Config.make ~domains ~policy:Planner.Yannakakis () in
         snd (Engine.run cfg db strategy)
       in
-      let cells =
-        [ run Engine.Seed 1; run Engine.Seed 4; run Engine.Frame 1;
-          run Engine.Frame 4 ]
-      in
+      let cells = [ run 1; run 2; run 4 ] in
       match cells with
       | first :: rest ->
           List.for_all
@@ -176,7 +165,7 @@ let paper_table_pinned =
                   match Gyo.rooted_ear_tree (Database.schemes db) with
                   | None -> Alcotest.fail "chains and stars are acyclic"
                   | Some rt ->
-                      let cfg = Engine.Config.make ~plane:Engine.Seed () in
+                      let cfg = Engine.Config.make () in
                       let _, stats =
                         Engine.execute_plan cfg db
                           (Physical.Semijoin_program rt)
@@ -220,23 +209,18 @@ let topk_all_k =
           let full = Relation.tuples (Database.join_all db) in
           let card = List.length full in
           let prefix k = List.filteri (fun i _ -> i < k) full in
+          let cfg =
+            Engine.Config.make ~domains:1 ~policy:Planner.Yannakakis ()
+          in
           List.for_all
-            (fun plane ->
-              List.for_all
-                (fun k ->
-                  let cfg =
-                    Engine.Config.make ~plane ~domains:1
-                      ~policy:Planner.Yannakakis ()
-                  in
-                  let r, stats =
-                    Engine.execute_plan cfg db
-                      (Physical.Ranked_enumerate (rt, k))
-                  in
-                  let want = prefix k in
-                  List.equal Tuple.equal (Relation.tuples r) want
-                  && stats.Engine.tuples_generated = List.length want)
-                (List.init (card + 3) Fun.id))
-            [ Engine.Seed; Engine.Frame ])
+            (fun k ->
+              let r, stats =
+                Engine.execute_plan cfg db (Physical.Ranked_enumerate (rt, k))
+              in
+              let want = prefix k in
+              List.equal Tuple.equal (Relation.tuples r) want
+              && stats.Engine.tuples_generated = List.length want)
+            (List.init (card + 3) Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Span skeleton                                                        *)
@@ -245,7 +229,7 @@ let topk_all_k =
 (* The walker's span shapes are an interface ([mjoin explain], the
    check harness and the telemetry read them): span names, nesting and
    each span's attribute keys in order, pinned for the semijoin
-   program, ranked enumeration and a binary hash plan on both planes. *)
+   program, ranked enumeration, a binary hash plan and a generic join. *)
 let span_skeleton_pinned =
   Alcotest.test_case "span names and attribute keys, in order" `Quick
     (fun () ->
@@ -279,18 +263,15 @@ let span_skeleton_pinned =
         ]
       in
       List.iter
-        (fun (plane, root) ->
-          List.iter
-            (fun (plan, want) ->
-              let obs = Mj_obs.Obs.make ~gc:false () in
-              let cfg = Engine.Config.make ~plane ~obs () in
-              ignore (Engine.execute_plan cfg db plan);
-              Alcotest.(check (list string))
-                (Physical.to_string plan)
-                [ root ^ "()" ^ want ]
-                (List.map skeleton (Mj_obs.Obs.trace obs)))
-            cases)
-        [ (Engine.Seed, "execute"); (Engine.Frame, "execute-frame") ])
+        (fun (plan, want) ->
+          let obs = Mj_obs.Obs.make ~gc:false () in
+          let cfg = Engine.Config.make ~obs () in
+          ignore (Engine.execute_plan cfg db plan);
+          Alcotest.(check (list string))
+            (Physical.to_string plan)
+            [ "execute-frame()" ^ want ]
+            (List.map skeleton (Mj_obs.Obs.trace obs)))
+        cases)
 
 (* ------------------------------------------------------------------ *)
 (* Lowering contract                                                    *)
