@@ -49,5 +49,5 @@ val run : ?domains:int -> ?quick:bool -> unit -> Bench_core.leg
     [frame_ms] (fastest rep; for ["join-morsel"] the 1-domain and
     pool-width frame joins), [seed_value]/[frame_value] and the
     [equal] check, except ["certify"] (its [frame_ms] alone, a median); the document's [morsel] is the join-morsel row's
-    probe-morsel size and its [dict_size] counts the interned values of
+    probe-morsel size and its [dict_size] counts the dictionary's values of
     the largest join-micro database. *)

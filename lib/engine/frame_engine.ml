@@ -128,7 +128,7 @@ let walk ~obs ctx plan =
      generate no tuples under the paper's measure), then either join the
      reduced frames root-outward (one "join" span and one τ entry per
      step, like any binary plan) or stream the [k] least rows of the
-     reduced tree out of the rank-space leapfrog (one "topk" span, one τ
+     reduced tree out of the leapfrog (one "topk" span, one τ
      entry: the ≤ k rows it streamed out). *)
   and yannakakis (rt : Mj_hypergraph.Jointree.rooted) limit =
     let order = Mj_hypergraph.Jointree.join_order rt in

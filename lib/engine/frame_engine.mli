@@ -28,7 +28,7 @@ open Mj_relation
 type stats = {
   tuples_generated : int;  (** the paper's τ: sum of step output rows *)
   result_rows : int;
-  dict_size : int;         (** distinct values interned for the database *)
+  dict_size : int;         (** distinct values in the database's dictionary *)
   probes : int;
   probe_hits : int;
   partitions : int;        (** hash indexes the joins built (1 per hash join) *)

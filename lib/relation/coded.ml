@@ -2,118 +2,48 @@
    buffer per scheme.  See coded.mli for the contract. *)
 
 module Dict = struct
-  (* The dictionary's value order: [by_rank] lists the codes ascending
-     by [Value.compare], [rank] inverts it, [identity] says both are
-     the identity (codes already follow value order).  [covers] is the
-     dictionary size it was computed at; interning more values makes it
-     stale. *)
-  type order = {
-    covers : int;
-    rank : int array;
-    by_rank : int array;
-    identity : bool;
-  }
-
   type t = {
-    (* value -> code; [None] until first needed on a dictionary built
-       by [of_sorted], which never interns on the query path *)
-    mutable codes : (Value.t, int) Hashtbl.t option;
-    mutable values : Value.t array; (* decode table, dense prefix *)
-    mutable size : int;
-    order : order option Atomic.t;
+    values : Value.t array; (* strictly ascending: code [c] is [values.(c)] *)
     text : string array option Atomic.t; (* code -> Value.to_string *)
   }
 
-  let create ?(hint = 256) () =
-    {
-      codes = Some (Hashtbl.create hint);
-      values = Array.make 64 (Value.int 0);
-      size = 0;
-      order = Atomic.make None;
-      text = Atomic.make None;
-    }
-
-  let identity_order n =
-    let id = Array.init n Fun.id in
-    { covers = n; rank = id; by_rank = id; identity = true }
-
   let of_sorted values =
-    let n = Array.length values in
-    {
-      codes = None;
-      values;
-      size = n;
-      order = Atomic.make (Some (identity_order n));
-      text = Atomic.make None;
-    }
+    for c = 1 to Array.length values - 1 do
+      if Value.compare values.(c - 1) values.(c) >= 0 then
+        invalid_arg "Frame.Dict.of_sorted: values not strictly ascending"
+    done;
+    { values; text = Atomic.make None }
 
-  let size d = d.size
+  let size d = Array.length d.values
 
-  let table d =
-    match d.codes with
-    | Some t -> t
-    | None ->
-        let t = Hashtbl.create (max 16 d.size) in
-        for c = 0 to d.size - 1 do
-          Hashtbl.replace t d.values.(c) c
-        done;
-        d.codes <- Some t;
-        t
+  (* The first code whose value is not below [v]. *)
+  let search values v =
+    let lo = ref 0 and hi = ref (Array.length values) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Value.compare values.(mid) v < 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
 
-  let intern d v =
-    let codes = table d in
-    match Hashtbl.find_opt codes v with
-    | Some c -> c
-    | None ->
-        let c = d.size in
-        (* Growing copies first, so a decode table shared with a coded
-           database is never written. *)
-        if c = Array.length d.values then begin
-          let bigger = Array.make (max 64 (2 * c)) (Value.int 0) in
-          Array.blit d.values 0 bigger 0 c;
-          d.values <- bigger
-        end;
-        d.values.(c) <- v;
-        Hashtbl.add codes v c;
-        d.size <- c + 1;
-        c
-
-  let code d v = Hashtbl.find_opt (table d) v
+  let code d v =
+    let c = search d.values v in
+    if c < Array.length d.values && Value.equal d.values.(c) v then Some c
+    else None
 
   let value d c =
-    if c < 0 || c >= d.size then
+    if c < 0 || c >= Array.length d.values then
       invalid_arg "Frame.Dict.value: code out of range";
     d.values.(c)
 
-  (* Computed on first use and kept for as long as no value is
-     interned, so a warm dictionary (the serve daemon's, frozen after
-     encode) sorts its values once, not once per query.  Concurrent
-     readers may race to fill the cache; each computes the same arrays
-     and the atomic publishes whole ones. *)
-  let order d =
-    match Atomic.get d.order with
-    | Some o when o.covers = d.size -> o
-    | _ ->
-        let n = d.size and values = d.values in
-        let by_rank = Array.init n Fun.id in
-        Array.stable_sort
-          (fun a b -> Value.compare values.(a) values.(b))
-          by_rank;
-        let rank = Array.make n 0 in
-        Array.iteri (fun r c -> rank.(c) <- r) by_rank;
-        let identity =
-          let rec go r = r = n || (by_rank.(r) = r && go (r + 1)) in
-          go 0
-        in
-        let o = { covers = n; rank; by_rank; identity } in
-        Atomic.set d.order (Some o);
-        o
-
+  (* Computed on first use and kept: the dictionary never changes, so
+     a warm one (the serve daemon's) renders its values once, not once
+     per query.  Concurrent readers may race to fill the cache; each
+     computes the same array and the atomic publishes a whole one. *)
   let text d =
     match Atomic.get d.text with
-    | Some t when Array.length t = d.size -> t
-    | _ ->
-        let t = Array.init d.size (fun c -> Value.to_string d.values.(c)) in
+    | Some t -> t
+    | None ->
+        let t = Array.map Value.to_string d.values in
         Atomic.set d.text (Some t);
         t
 end
@@ -121,11 +51,12 @@ end
 (* ------------------------------------------------------------------ *)
 (* Canonical form                                                      *)
 
-(* Lexicographic comparison of rows [i] and [j]: a plain loop, so the
-   dedupe scans below allocate nothing per row. *)
-let row_compare data w i j =
+(* Lexicographic comparison of rows [i] and [j] on their columns from
+   [from] on: a plain loop, so the scans and sorts below allocate
+   nothing per row. *)
+let row_compare data w from i j =
   let bi = i * w and bj = j * w in
-  let k = ref 0 and c = ref 0 in
+  let k = ref from and c = ref 0 in
   while !c = 0 && !k < w do
     let a : int = data.(bi + !k) and b : int = data.(bj + !k) in
     c := if a < b then -1 else if a > b then 1 else 0;
@@ -134,11 +65,12 @@ let row_compare data w i j =
   !c
 
 (* True iff the first [nrows] rows are already strictly increasing —
-   the common case for relation states recoded in value order.  One
-   O(rows * w) scan that lets [canonicalize] skip the sort. *)
+   the common case for relation states coded in value order.  One
+   O(rows * w) scan that lets [canonicalize] and [order] skip the
+   sort. *)
 let sorted_distinct w nrows data =
   let i = ref 1 in
-  while !i < nrows && row_compare data w (!i - 1) !i < 0 do
+  while !i < nrows && row_compare data w 0 (!i - 1) !i < 0 do
     incr i
   done;
   !i >= nrows
@@ -229,26 +161,7 @@ let sort_packed w nrows data widths total =
   (!kept, out)
 
 (* ------------------------------------------------------------------ *)
-(* Rank order                                                          *)
-
-(* Rows [a] and [b] compared by the ranks of their columns from [from]
-   on: a plain loop, like [row_compare]. *)
-let rank_compare rank data w from a b =
-  let ba = a * w and bb = b * w in
-  let j = ref from and c = ref 0 in
-  while !c = 0 && !j < w do
-    let x : int = rank.(data.(ba + !j)) and y : int = rank.(data.(bb + !j)) in
-    c := if x < y then -1 else if x > y then 1 else 0;
-    incr j
-  done;
-  !c
-
-let in_rank_order rank w nrows data =
-  let i = ref 1 in
-  while !i < nrows && rank_compare rank data w 0 (!i - 1) !i < 0 do
-    incr i
-  done;
-  !i >= nrows
+(* Row order                                                           *)
 
 (* The bucket finishers order [perm.(lo .. hi - 1)] on columns 1 and
    up (the bucket shares column 0) and return the row comparisons they
@@ -259,14 +172,14 @@ let in_rank_order rank w nrows data =
    O(b²).  Neither allocates. *)
 let small_bucket = 16
 
-let insertion rank data w perm lo hi =
+let insertion data w perm lo hi =
   let made = ref 0 in
   for i = lo + 1 to hi - 1 do
     let x = perm.(i) in
     let j = ref (i - 1) and moving = ref true in
     while !moving && !j >= lo do
       incr made;
-      if rank_compare rank data w 1 perm.(!j) x > 0 then begin
+      if row_compare data w 1 perm.(!j) x > 0 then begin
         perm.(!j + 1) <- perm.(!j);
         decr j
       end
@@ -278,7 +191,7 @@ let insertion rank data w perm lo hi =
 
 (* Sift [x] down from slot [i] of the [n]-slot max-heap held in
    [perm.(lo ..)]. *)
-let sift_down rank data w perm lo n i x =
+let sift_down data w perm lo n i x =
   let i = ref i and made = ref 0 and sifting = ref true in
   while !sifting do
     let l = (2 * !i) + 1 in
@@ -287,14 +200,14 @@ let sift_down rank data w perm lo n i x =
       let child =
         if l + 1 < n then begin
           incr made;
-          if rank_compare rank data w 1 perm.(lo + l + 1) perm.(lo + l) > 0
+          if row_compare data w 1 perm.(lo + l + 1) perm.(lo + l) > 0
           then l + 1
           else l
         end
         else l
       in
       incr made;
-      if rank_compare rank data w 1 perm.(lo + child) x > 0 then begin
+      if row_compare data w 1 perm.(lo + child) x > 0 then begin
         perm.(lo + !i) <- perm.(lo + child);
         i := child
       end
@@ -304,79 +217,78 @@ let sift_down rank data w perm lo n i x =
   perm.(lo + !i) <- x;
   !made
 
-let heapsort rank data w perm lo hi =
+let heapsort data w perm lo hi =
   let n = hi - lo and made = ref 0 in
   for i = (n / 2) - 1 downto 0 do
-    made := !made + sift_down rank data w perm lo n i perm.(lo + i)
+    made := !made + sift_down data w perm lo n i perm.(lo + i)
   done;
   for last = n - 1 downto 1 do
     let x = perm.(lo + last) in
     perm.(lo + last) <- perm.(lo);
-    made := !made + sift_down rank data w perm lo last 0 x
+    made := !made + sift_down data w perm lo last 0 x
   done;
   !made
 
-let rank_order ?(on_sort = ignore) ?compares ~rank w nrows data =
-  if in_rank_order rank w nrows data then None
+(* The sort behind [order]: one counting pass on column 0, then every
+   multi-row bucket finished on the columns after it. *)
+let permutation ?compares w nrows data =
+  (* [count.(k)] becomes the start of bucket [k], then, as rows are
+     placed, its end. *)
+  let top = ref 0 in
+  for i = 0 to nrows - 1 do
+    let k = data.(i * w) in
+    if k > !top then top := k
+  done;
+  let count = Array.make (!top + 2) 0 in
+  for i = 0 to nrows - 1 do
+    let k = data.(i * w) + 1 in
+    count.(k) <- count.(k) + 1
+  done;
+  for k = 1 to !top do
+    count.(k) <- count.(k) + count.(k - 1)
+  done;
+  let perm = Array.make nrows 0 in
+  for i = 0 to nrows - 1 do
+    let k = data.(i * w) in
+    let p = count.(k) in
+    perm.(p) <- i;
+    count.(k) <- p + 1
+  done;
+  if w > 1 then begin
+    let made = ref 0 and lo = ref 0 in
+    for k = 0 to !top do
+      let hi = count.(k) in
+      let b = hi - !lo in
+      if b > 1 then
+        made :=
+          !made
+          +
+          if b <= small_bucket then insertion data w perm !lo hi
+          else heapsort data w perm !lo hi;
+      lo := hi
+    done;
+    match compares with Some c -> c := !c + !made | None -> ()
+  end;
+  perm
+
+let order ?(on_sort = ignore) ?compares w nrows data =
+  if sorted_distinct w nrows data then None
   else begin
     on_sort nrows;
-    (* One counting pass on column 0: [count.(k)] becomes the start of
-       bucket [k], then, as rows are placed, its end. *)
-    let top = ref 0 in
-    for i = 0 to nrows - 1 do
-      let k = rank.(data.(i * w)) in
-      if k > !top then top := k
-    done;
-    let count = Array.make (!top + 2) 0 in
-    for i = 0 to nrows - 1 do
-      let k = rank.(data.(i * w)) + 1 in
-      count.(k) <- count.(k) + 1
-    done;
-    for k = 1 to !top do
-      count.(k) <- count.(k) + count.(k - 1)
-    done;
-    let perm = Array.make nrows 0 in
-    for i = 0 to nrows - 1 do
-      let k = rank.(data.(i * w)) in
-      let p = count.(k) in
-      perm.(p) <- i;
-      count.(k) <- p + 1
-    done;
-    if w > 1 then begin
-      let made = ref 0 and lo = ref 0 in
-      for k = 0 to !top do
-        let hi = count.(k) in
-        let b = hi - !lo in
-        if b > 1 then
-          made :=
-            !made
-            +
-            if b <= small_bucket then insertion rank data w perm !lo hi
-            else heapsort rank data w perm !lo hi;
-        lo := hi
-      done;
-      match compares with Some c -> c := !c + !made | None -> ()
-    end;
-    Some perm
+    Some (permutation ?compares w nrows data)
   end
 
-(* Rows wider than one int: {!rank_order} with every code its own rank,
-   then one dedupe scan. *)
-let sort_wide w nrows data maxc =
-  let rank = Array.init (Array.fold_left max 0 maxc + 1) Fun.id in
-  let perm =
-    match rank_order ~rank w nrows data with
-    | Some perm -> perm
-    | None -> Array.init nrows Fun.id
-  in
+(* Rows wider than one int: the order pass, then one dedupe scan. *)
+let sort_wide w nrows data =
+  let perm = permutation w nrows data in
   let kept = ref 1 in
   for k = 1 to nrows - 1 do
-    if row_compare data w perm.(k - 1) perm.(k) <> 0 then incr kept
+    if row_compare data w 0 perm.(k - 1) perm.(k) <> 0 then incr kept
   done;
   let out = Array.make (!kept * w) 0 in
   let oi = ref 0 in
   for k = 0 to nrows - 1 do
-    if k = 0 || row_compare data w perm.(k - 1) perm.(k) <> 0 then begin
+    if k = 0 || row_compare data w 0 perm.(k - 1) perm.(k) <> 0 then begin
       Array.blit data (perm.(k) * w) out (!oi * w) w;
       incr oi
     end
@@ -398,7 +310,7 @@ let canonicalize ?(on_sort = ignore) w nrows data =
     let widths = Array.map bits maxc in
     let total = Array.fold_left ( + ) 0 widths in
     if total <= max_key_bits then sort_packed w nrows data widths total
-    else sort_wide w nrows data maxc
+    else sort_wide w nrows data
   end
 
 (* ------------------------------------------------------------------ *)
@@ -409,20 +321,20 @@ type t = { values : Value.t array; blocks : block Scheme.Map.t }
 
 let width = Attr.Set.cardinal
 
-(* Remap every cell through the monotone [code] (so canonical order is
-   kept or, for raw input, established by the sort that follows) and
-   canonicalize. *)
+(* Remap every cell of each [(scheme, rows, cells)] through the
+   monotone [code] (so canonical order is kept or, for raw input,
+   established by the sort that follows) and canonicalize. *)
 let recode code blocks =
   List.fold_left
-    (fun acc (s, b) ->
+    (fun acc (s, rows, cells) ->
       if Scheme.Map.mem s acc then invalid_arg "Coded: duplicate scheme";
       let w = width s in
-      let ncells = b.rows * w in
+      let ncells = rows * w in
       let buf = Array.make ncells 0 in
       for i = 0 to ncells - 1 do
-        Array.unsafe_set buf i (code (Array.unsafe_get b.codes i))
+        Array.unsafe_set buf i (code (Array.unsafe_get cells i))
       done;
-      let rows, codes = canonicalize w b.rows buf in
+      let rows, codes = canonicalize w rows buf in
       Scheme.Map.add s { rows; codes } acc)
     Scheme.Map.empty blocks
 
@@ -485,32 +397,35 @@ let of_ints blocks =
       (present, Hashtbl.find index)
     end
   in
-  { values = Array.map Value.int present; blocks = recode code blocks }
+  {
+    values = Array.map Value.int present;
+    blocks = recode code (List.map (fun (s, b) -> (s, b.rows, b.codes)) blocks);
+  }
 
 let of_relations rels =
-  (* Intern in first-seen order, then rank the values once and recode
-     by rank: each relation's tuples are in [Tuple.compare] order, so
-     the ranked rows arrive sorted and canonicalize is one scan. *)
-  let dict = Dict.create () in
-  let raw =
+  (* Sort the distinct values once and code each cell by its rank:
+     each relation's tuples are in [Tuple.compare] order, so the coded
+     rows arrive sorted and canonicalize is one scan. *)
+  let cells =
     List.map
       (fun r ->
-        let s = Relation.scheme r in
-        let codes = Array.make (Relation.cardinality r * width s) 0 in
-        let cell = ref 0 in
+        let s = Relation.scheme r and rows = Relation.cardinality r in
+        let a = Array.make (rows * width s) (Value.int 0) in
+        let i = ref 0 in
         Relation.iter
           (Tuple.iter (fun _ v ->
-               codes.(!cell) <- Dict.intern dict v;
-               incr cell))
+               a.(!i) <- v;
+               incr i))
           r;
-        (s, { rows = Relation.cardinality r; codes }))
+        (s, rows, a))
       rels
   in
-  let o = Dict.order dict in
-  {
-    values = Array.map (fun c -> Dict.value dict c) o.by_rank;
-    blocks = recode (fun c -> Array.unsafe_get o.rank c) raw;
-  }
+  let values =
+    Array.of_list
+      (List.sort_uniq Value.compare
+         (List.concat_map (fun (_, _, a) -> Array.to_list a) cells))
+  in
+  { values; blocks = recode (Dict.search values) cells }
 
 let rows c s = (Scheme.Map.find s c.blocks).rows
 

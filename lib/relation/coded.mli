@@ -5,8 +5,8 @@
     row-major buffer of codes into it: rows strictly ascending
     lexicographically, hence duplicate-free.  Because code order is
     value order, a canonical buffer lists its rows in {!Tuple.compare}
-    order, so decoding needs no sort and a frame built on it can be
-    decoded and digested without ranking the dictionary.
+    order: decoding needs no sort, and no rank table translates
+    between the two orders.
 
     The dictionary ({!Dict}) and the sort ({!canonicalize}) live
     here, below {!Database} and {!Frame}, so both can use them. *)
@@ -15,49 +15,32 @@
 
 module Dict : sig
   type t
-  (** A mutable interning table mapping every distinct [Value.t] seen so
-      far to a dense code [0 .. size-1], with the inverse decode array.
-      One dictionary is shared by all frames of a database, so codes are
-      comparable across relations and join keys never need to look at
-      the underlying values.  Interning mutates the table: it is not
-      safe to intern from two domains at once.  Every other operation
-      only reads it (the caches below publish whole arrays through an
-      [Atomic]). *)
-
-  val create : ?hint:int -> unit -> t
+  (** An immutable value dictionary: a strictly ascending array of
+      distinct [Value.t]s, value [values.(c)] coded as [c].  So code
+      order is value order: rows compared code by code compare like
+      their decoded tuples, and no rank table translates between the
+      two.  One dictionary is shared by all frames of a database, so
+      codes are comparable across relations and join keys never need
+      to look at the underlying values.  Any number of domains may
+      read it at once: its only cache ({!text}) publishes a whole
+      array through an [Atomic]. *)
 
   val of_sorted : Value.t array -> t
   (** [of_sorted values] is the dictionary coding [values.(c)] as [c].
-      [values] must be strictly ascending by [Value.compare]; the value
-      order is then known up front ({!order} is the identity) and the
-      value-to-code table is built only if something interns or looks
-      a value up.  The array is shared, never written. *)
+      The array is shared, never written.
+      @raise Invalid_argument unless [values] is strictly ascending by
+      [Value.compare]. *)
 
   val size : t -> int
 
-  val intern : t -> Value.t -> int
-  (** [intern d v] returns the code of [v], assigning the next dense
-      code on first sight. *)
-
   val code : t -> Value.t -> int option
-  (** [code d v] is [v]'s code if it has been interned. *)
+  (** [code d v] is [v]'s code if [d] holds [v] (a binary search). *)
 
   val value : t -> int -> Value.t
   (** Decode.  @raise Invalid_argument if the code is out of range. *)
 
-  type order = {
-    covers : int;  (** the dictionary size the order was computed at *)
-    rank : int array;  (** code -> rank in value order *)
-    by_rank : int array;  (** rank -> code *)
-    identity : bool;  (** codes already follow value order *)
-  }
-
-  val order : t -> order
-  (** The codes ranked by [Value.compare], cached until the next new
-      value is interned. *)
-
   val text : t -> string array
-  (** [Value.to_string] of every code, cached the same way. *)
+  (** [Value.to_string] of every code, computed once. *)
 end
 
 (** {1 Canonical form} *)
@@ -81,31 +64,30 @@ val canonicalize :
       [nrows] and at most the total key width, so a handful of rows
       never pays for a 2{^11}-bucket histogram.  Time O(passes *
       (rows + 2{^digit})) with passes = ⌈key bits / digit⌉.
-    - {b fallback.}  Wider rows are ordered by {!rank_order}, every
-      code its own rank, and copied out without their duplicates. *)
+    - {b fallback.}  Wider rows are ordered by {!order}'s sort and
+      copied out without their duplicates. *)
 
-(** {1 Rank order} *)
+(** {1 Row order} *)
 
-val rank_order :
-  ?on_sort:(int -> unit) -> ?compares:int ref -> rank:int array ->
-  int -> int -> int array -> int array option
-(** [rank_order ~rank w nrows data] lists the first [nrows] rows of
-    width [w] in ascending lexicographic order of [rank.(code)] per
-    column.  [rank] is a dictionary's code-to-rank table (the identity
-    when codes follow value order), so a frame's rows come out in
-    {!Tuple.compare} order without a sorted copy of the buffer.  [None]
+val order :
+  ?on_sort:(int -> unit) -> ?compares:int ref -> int -> int -> int array ->
+  int array option
+(** [order w nrows data] lists the first [nrows] rows of width [w] in
+    ascending lexicographic code order.  Codes follow value order, so
+    a frame's rows come out in {!Tuple.compare} order without a sorted
+    copy of the buffer.  [None]
     means the rows already are strictly ascending (one allocation-free
     O(rows * w) scan); otherwise, after [on_sort nrows], the result is
     the permutation: its [r]-th entry is the row in [r]-th place, and
     equal rows are adjacent.
     - One counting pass on column 0 places every row in its leading
-      rank's bucket (stable, so a bucket holds its rows in stored
+      code's bucket (stable, so a bucket holds its rows in stored
       order).
     - Each multi-row bucket is then finished on columns 1 and up: an
       insertion sort up to 16 rows, an in-place heap sort beyond, so
       skew on column 0 costs O(b log b) per bucket of [b] rows.
     It allocates the permutation and the bucket counts (the largest
-    leading rank plus two words), nothing per row or cell, and keeps
+    leading code plus two words), nothing per row or cell, and keeps
     no state between calls, so any number of domains may call it at
     once.  [compares], when given, is increased by the row comparisons
     the bucket finish made. *)
@@ -133,8 +115,8 @@ val of_ints : (Scheme.t * block) list -> t
     row count or two blocks of one scheme. *)
 
 val of_relations : Relation.t list -> t
-(** The coded form of relation states (distinct schemes): intern,
-    rank the values once, recode by rank. *)
+(** The coded form of relation states (distinct schemes): the distinct
+    values sorted once, every cell coded by its value's rank. *)
 
 val rows : t -> Scheme.t -> int
 (** @raise Not_found if the scheme is absent. *)

@@ -93,22 +93,25 @@ let of_relation dict r =
      order, so the cells arrive row-major. *)
   let cell = ref 0 in
   let put _ v =
-    data.(!cell) <- Dict.intern dict v;
-    incr cell
+    match Dict.code dict v with
+    | Some c ->
+        data.(!cell) <- c;
+        incr cell
+    | None -> invalid_arg ("Frame.of_relation: no code for " ^ Value.to_string v)
   in
   Relation.iter (fun tu -> Tuple.iter put tu) r;
-  (* Code order need not follow Value order, so re-sort into canonical
-     form (the source set is already duplicate-free). *)
+  (* Codes follow value order and the tuples come in [Tuple.compare]
+     order, so the rows arrive canonical and this is one scan. *)
   let rows, data = sort_rows w n data in
   { scheme; attrs; width = w; rows; data = trim (rows * w) data; sorted = true;
     dict }
 
 (* The planted mutation [frame.certify_bucket] for [mjoin fuzz
-   --self-test]: put the first run of rows sharing a leading rank back
+   --self-test]: put the first run of rows sharing a leading code back
    in stored order, as if the order pass had not finished that bucket.
    Never active outside an explicit failpoint activation. *)
-let unfinish_first_bucket rank f perm =
-  let lead r = rank.(f.data.(perm.(r) * f.width)) in
+let unfinish_first_bucket f perm =
+  let lead r = f.data.(perm.(r) * f.width) in
   let i = ref 0 in
   while !i + 1 < f.rows && lead !i <> lead (!i + 1) do
     incr i
@@ -123,34 +126,28 @@ let unfinish_first_bucket rank f perm =
 
 (* The value order of a frame's rows — the one order pass decode and
    digest share, so the two cannot disagree on row order, and neither
-   copies the rows.  A sorted frame over a dictionary whose codes
-   follow value order is already in value order; anything else gets
-   [Coded.rank_order] by the dictionary's (cached) ranks, which returns
-   [None] when the stored order passes its scan.  For same-scheme
-   tuples [Tuple.compare] is exactly lexicographic value order over the
-   sorted attribute columns, so the rows come out in [Tuple.compare]
-   order. *)
+   copies the rows.  Codes follow value order, so a sorted frame is
+   already in value order; an unsorted one gets [Coded.order], which
+   returns [None] when the stored order passes its scan.  For
+   same-scheme tuples [Tuple.compare] is exactly lexicographic value
+   order over the sorted attribute columns, so the rows come out in
+   [Tuple.compare] order. *)
 let value_order ?stats f =
-  let o = Dict.order f.dict in
   if
-    o.identity
-    && (f.sorted
-       || (* The planted mutation for [mjoin fuzz --self-test]: take
-             the emitted order for value order, so decode and digest
-             read the rows as emitted.  Never active outside an
-             explicit failpoint activation. *)
-       Mj_failpoint.Failpoint.fire Mj_failpoint.Failpoint.Frame_skip_root_sort)
+    f.sorted
+    || (* The planted mutation for [mjoin fuzz --self-test]: take the
+          emitted order for value order, so decode and digest read the
+          rows as emitted.  Never active outside an explicit failpoint
+          activation. *)
+    Mj_failpoint.Failpoint.fire Mj_failpoint.Failpoint.Frame_skip_root_sort
   then None
   else
-    let perm =
-      Coded.rank_order ?on_sort:(count_sorted stats) ~rank:o.rank f.width
-        f.rows f.data
-    in
+    let perm = Coded.order ?on_sort:(count_sorted stats) f.width f.rows f.data in
     (match perm with
     | Some p
       when Mj_failpoint.Failpoint.fire
              Mj_failpoint.Failpoint.Frame_certify_bucket ->
-        unfinish_first_bucket o.rank f p
+        unfinish_first_bucket f p
     | _ -> ());
     perm
 
@@ -682,17 +679,6 @@ let leapfrog_align ~stats its =
   done;
   !alive
 
-(* [f] with every code replaced by its rank in value order, sorted.
-   The map is a bijection, so the rows stay distinct. *)
-let rank_space ~stats rank f =
-  let w = f.width in
-  let buf = Array.make (max 1 (f.rows * w)) 0 in
-  for i = 0 to (f.rows * w) - 1 do
-    buf.(i) <- rank.(Array.unsafe_get f.data i)
-  done;
-  let rows, data = sort_rows ~stats w f.rows buf in
-  { f with rows; data = trim (rows * w) data; sorted = true }
-
 (* The leapfrog DFS behind [generic_join] ([ranked = None]) and [topk]
    ([ranked = Some k]); [name] prefixes the [Invalid_argument] messages.
 
@@ -703,16 +689,12 @@ let rank_space ~stats rank f =
    per-tuple allocation anywhere on the path.  Assignments come out in
    lexicographic code order along [order].
 
-   Ranked (top-k) enumeration: codes are interned in first-seen order,
-   so code order says nothing about value order.  The fix is the decode
-   path's rank trick run forwards: rank the dictionary's codes by value
-   once, run the DFS over the frames remapped into rank space, and map
-   each emitted rank back to its code.  Level keys then ascend in value
-   order, emissions stream out in exactly [Tuple.compare] order (for
-   [order] the sorted attributes), and the DFS stops dead once [k] rows
-   are out — the work is bounded by the trie prefix the [k] results
-   touch, not by the size of the full join.  [k ≤ 0] or an empty input
-   frame answers before any work. *)
+   Ranked (top-k) enumeration: codes follow value order, so level keys
+   ascend in value order, emissions stream out in exactly
+   [Tuple.compare] order (for [order] the sorted attributes), and the
+   DFS stops dead once [k] rows are out — the work is bounded by the
+   trie prefix the [k] results touch, not by the size of the full
+   join.  [k ≤ 0] or an empty input frame answers before any work. *)
 let leapfrog_join ~name ~ranked ?stats ~order frames =
   match frames with
   | [] -> invalid_arg (name ^ ": no frames")
@@ -751,18 +733,10 @@ let leapfrog_join ~name ~ranked ?stats ~order frames =
       | Some k when k <= 0 || List.exists (fun f -> f.rows = 0) frames ->
           frame 0 [||]
       | _ ->
-          let prepare, decode, budget =
-            match ranked with
-            | None -> (Fun.id, None, max_int)
-            | Some k ->
-                let { Dict.rank; by_rank; _ } = Dict.order f0.dict in
-                (rank_space ~stats rank, Some by_rank, k)
-          in
+          let budget = Option.value ranked ~default:max_int in
           let tries =
             Array.of_list
-              (List.map
-                 (fun f -> Trie.of_frame ~stats ~order (prepare f))
-                 frames)
+              (List.map (fun f -> Trie.of_frame ~stats ~order f) frames)
           in
           (* Iterators participating at each level: the relations whose
              scheme carries that attribute, in frame-list order. *)
@@ -790,17 +764,9 @@ let leapfrog_join ~name ~ranked ?stats ~order frames =
           let emit () =
             buf_reserve b w;
             let d = b.bdata and o = b.blen in
-            (match decode with
-            | None ->
-                for j = 0 to w - 1 do
-                  Array.unsafe_set d (o + j)
-                    vals.(Array.unsafe_get lvl_of_col j)
-                done
-            | Some by_rank ->
-                for j = 0 to w - 1 do
-                  Array.unsafe_set d (o + j)
-                    by_rank.(vals.(Array.unsafe_get lvl_of_col j))
-                done);
+            for j = 0 to w - 1 do
+              Array.unsafe_set d (o + j) vals.(Array.unsafe_get lvl_of_col j)
+            done;
             b.blen <- o + w;
             decr remaining
           in

@@ -5,9 +5,9 @@
     tuples, so every join probe still allocates a merged tuple and
     hashes a heap-allocated key.  A
     {e frame} is the flat, integer-coded twin of a {!Relation}: a
-    per-database {!Dict} interns every [Value.t] to a dense int code,
-    and a relation state becomes one row-major packed-code buffer plus
-    a column-index header (the sorted scheme).  Equality, hashing and
+    per-database {!Dict} codes every [Value.t] by its rank in value
+    order, and a relation state becomes one row-major packed-code
+    buffer plus a column-index header (the sorted scheme).  Equality, hashing and
     joins then work on packed int rows — no per-probe allocation.
 
     Rows live in one plain [int array] per frame, exactly [rows ×
@@ -24,16 +24,15 @@
     unsorted frame on demand: {!equal} and the tries behind
     {!generic_join} and {!topk} by {!sort}, decode and digest
     ({!to_relation}, {!digest}, the engine's finishers) by walking the
-    permutation of one {!value_order} pass.  So
-    the τ-counting joins of a plan never sort, and a result is put in
-    order once, by whoever reads its order.  The hash join emits the same
-    rows in the same order inline and on the pool, at any
-    [MJ_DOMAINS].
+    permutation of one {!value_order} pass.  So the τ-counting joins
+    of a plan never sort, and a result is put in order once, by
+    whoever reads its order.  The hash join emits the same rows in the
+    same order inline and on the pool, at any [MJ_DOMAINS].
 
     The public algebra mirrors {!Relation}; [to_relation (of_relation
-    dict r) = r] for every state, and each operation agrees with its
-    seed counterpart (certified by [test/test_frame.ml] and the
-    [bench FRAME] head-to-head). *)
+    dict r) = r] for every state whose values [dict] holds, and each
+    operation agrees with its seed counterpart (certified by
+    [test/test_frame.ml] and the [bench FRAME] head-to-head). *)
 
 (** {1 Value dictionary} *)
 
@@ -72,22 +71,21 @@ type stats = {
 val fresh_stats : unit -> stats
 
 val of_relation : Dict.t -> Relation.t -> t
-(** [of_relation dict r] encodes [r], interning its values in [dict]. *)
+(** [of_relation dict r] encodes [r] by looking each value up in
+    [dict]; the rows come out sorted with one scan.
+    @raise Invalid_argument if [dict] lacks a value of [r]. *)
 
 val value_order : ?stats:stats -> t -> int array option
 (** The rows' value order ({!Tuple.compare} order of the decoded
     tuples), as the permutation {!to_relation} and {!digest} walk:
-    [None] when the stored order already is value order — a sorted
-    frame over a dictionary whose codes follow value order, or rows
-    that pass {!Coded.rank_order}'s scan — else [Some p], the [r]-th
-    row in value order being stored row [p.(r)].  The order pass
-    ({!Coded.rank_order} by the dictionary's ranks) copies no rows and
+    [None] for a sorted frame (codes follow value order) or rows that
+    pass {!Coded.order}'s scan, else [Some p], the [r]-th row in value
+    order being stored row [p.(r)].  The order pass copies no rows and
     adds the frame's rows to [stats.sorted_rows].  Two failpoints plant
     defects here for [mjoin fuzz --self-test]: under
-    [frame.skip_root_sort] an unsorted frame over a value-ordered
-    dictionary is taken to be in order, and under
-    [frame.certify_bucket] the first run of rows sharing a leading
-    value keeps its stored order. *)
+    [frame.skip_root_sort] an unsorted frame is taken to be in order,
+    under [frame.certify_bucket] the first run of rows sharing a
+    leading code keeps its stored order. *)
 
 val to_relation : ?stats:stats -> t -> Relation.t
 (** Decode back to the seed representation, walking {!value_order}
@@ -257,14 +255,11 @@ val generic_join : ?stats:stats -> order:Attr.t list -> t list -> t
 val topk : ?stats:stats -> order:Attr.t list -> k:int -> t list -> t
 (** [topk ~order ~k frames] is the [k] lexicographically least tuples
     (by {!Tuple.compare} over the output scheme) of the natural join of
-    [frames], computed without materializing the join: the dictionary's
-    codes are ranked by value once, the frames are remapped into rank
-    space (one sort each, so unsorted inputs cost nothing extra), and
-    {!generic_join}'s own leapfrog kernel runs there, decoding each
-    emitted rank back to its code, with an emission budget — level keys
-    then ascend in {e value} order, so the first [k] emissions are the
+    [frames], computed without materializing the join:
+    {!generic_join}'s own leapfrog kernel runs with an emission budget,
+    and since codes follow value order the first [k] emissions are the
     answer and the DFS stops dead.  [order] must be the sorted
-    attributes of the union scheme for the ranking to equal
+    attributes of the union scheme for the emission order to equal
     [Tuple.compare]; with [k] at least the full output size the result
     equals [generic_join].  Work is bounded by the trie prefix the [k]
     results touch ([stats.probes] certifies output-sensitivity).
@@ -285,7 +280,7 @@ module Db : sig
 
   val of_database : Database.t -> t
   (** Wrap the database's coded form ({!Database.coded}): the dictionary
-      is its value array, with the value order known up front, and each
+      is its value array ({!Dict.of_sorted}), and each
       frame shares its canonical code buffer.  Forces no seed state. *)
 
   val dict : t -> Dict.t

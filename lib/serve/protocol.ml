@@ -56,6 +56,20 @@ let int_field name default j =
   | Some (Json.Num v) when Float.is_integer v -> Ok (int_of_float v)
   | Some _ -> Error (Printf.sprintf "field %s must be an integer" name)
 
+(* The largest workload one request may name.  Materializing fills
+   [rows] cells per column of every relation, and the superkey and
+   skewed regimes allocate arrays of [domain] entries, so an unbounded
+   field would let one line make the daemon allocate without limit. *)
+let max_n = 16
+let max_rows = 10_000
+let max_domain = 100_000
+
+let bounded_field name default lo hi j =
+  match int_field name default j with
+  | Ok v when v < lo || v > hi ->
+      Error (Printf.sprintf "field %s must be between %d and %d" name lo hi)
+  | r -> r
+
 let str_field name default j =
   match Json.member name j with
   | None -> Ok default
@@ -73,9 +87,9 @@ let parse_query j =
     if List.mem regime Mj_workload.Dbgen.regimes then Ok ()
     else Error (Printf.sprintf "unknown regime %s" regime)
   in
-  let* n = int_field "n" default_workload.n j in
-  let* rows = int_field "rows" default_workload.rows j in
-  let* domain = int_field "domain" default_workload.domain j in
+  let* n = bounded_field "n" default_workload.n 1 max_n j in
+  let* rows = bounded_field "rows" default_workload.rows 0 max_rows j in
+  let* domain = bounded_field "domain" default_workload.domain 1 max_domain j in
   let* seed = int_field "seed" default_workload.seed j in
   let* policy_s = str_field "policy" "hash" j in
   let* policy =

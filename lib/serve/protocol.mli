@@ -88,11 +88,20 @@ type op =
 
 type request = { id : int option; op : op }
 
+val max_n : int
+val max_rows : int
+val max_domain : int
+(** The bounds a query's workload must keep: [n] in [1 .. max_n] (16),
+    [rows] in [0 .. max_rows] (10,000) and [domain] in
+    [1 .. max_domain] (100,000), so one request cannot make the daemon
+    materialize an arbitrarily large database. *)
+
 val parse : string -> (request, string) result
 (** Parse one request line.  [Error] carries a human-readable reason
     (malformed JSON, unknown op/policy/plane/shape/regime, bad
-    strategy syntax) — the daemon turns it into a structured ["error"]
-    response, never a crash. *)
+    strategy syntax, a workload field outside its bound, e.g. ["field
+    rows must be between 0 and 10000"]) — the daemon turns it into a
+    structured ["error"] response, never a crash. *)
 
 (** {1 Responses} *)
 

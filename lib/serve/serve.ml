@@ -302,20 +302,19 @@ let handle_line t ?obs line =
       else shed t ~id
   | Ok { Protocol.id; op } -> run_control t ?id op
 
-(* One admission round over a batch of lines.  Queries are admitted in
-   input order against the shared in-flight budget, dispatched onto the
-   pool (one trace lane per request), and every admitted request
-   completes before control ops run and the responses return — which
-   is the drain guarantee handle-loops rely on. *)
-let handle_batch t ?obs lines =
+(* One admission round over a batch of parsed lines.  Queries are
+   admitted in input order against the shared in-flight budget,
+   dispatched onto the pool (one trace lane per request), and every
+   admitted request completes before control ops run and the responses
+   return — which is the drain guarantee handle-loops rely on. *)
+let handle_requests t ?obs requests =
   let obs = match obs with Some o -> o | None -> t.cfg.Engine.Config.obs in
-  let lines = Array.of_list lines in
-  let n = Array.length lines in
-  let responses = Array.make n None in
-  let jobs = ref [] in
+  let requests = Array.of_list requests in
+  let responses = Array.make (Array.length requests) None in
+  let jobs = ref [] and controls = ref [] in
   Array.iteri
-    (fun i line ->
-      match Protocol.parse line with
+    (fun i request ->
+      match request with
       | Error msg ->
           bump t "serve.errors" (fun () ->
               t.requests <- t.requests + 1;
@@ -325,8 +324,8 @@ let handle_batch t ?obs lines =
       | Ok { Protocol.id; op = Protocol.Query q } ->
           if admit t then jobs := (i, id, q) :: !jobs
           else responses.(i) <- Some (shed t ~id)
-      | Ok _ -> ())
-    lines;
+      | Ok { Protocol.id; op } -> controls := (i, id, op) :: !controls)
+    requests;
   let jobs = Array.of_list (List.rev !jobs) in
   let results =
     Pool.run_traced ~obs ~domains:t.cfg.Engine.Config.domains
@@ -340,44 +339,97 @@ let handle_batch t ?obs lines =
   (* Control ops after the queries: a [stats] in the same batch sees
      the batch it rode in with, and [shutdown] still lets every
      admitted neighbour finish. *)
-  Array.iteri
-    (fun i line ->
-      match responses.(i) with
-      | Some _ -> ()
-      | None -> (
-          match Protocol.parse line with
-          | Ok { Protocol.id; op } ->
-              responses.(i) <- Some (run_control t ?id op)
-          | Error _ -> assert false))
-    lines;
+  List.iter
+    (fun (i, id, op) -> responses.(i) <- Some (run_control t ?id op))
+    (List.rev !controls);
   Array.to_list
     (Array.map (function Some r -> r | None -> assert false) responses)
+
+let handle_batch t ?obs lines =
+  handle_requests t ?obs (List.map Protocol.parse lines)
 
 (* ------------------------------------------------------------------ *)
 (* Serving loops                                                       *)
 
+(* The longest request line [serve_fd] reads, newline excluded.  A
+   longer line is answered [bad_request] and skipped up to its
+   newline, so one client cannot make the daemon buffer without
+   limit. *)
+let max_line = 1 lsl 22
+
 (* A line reader over a raw descriptor: [next_line ~block:false] only
    consumes input that is already readable, which is how consecutive
    piped requests coalesce into one admission batch without ever
-   blocking an interactive client. *)
+   blocking an interactive client.  Each byte is searched for a
+   newline once, so a long line costs time linear in its length. *)
 module Reader = struct
+  type item = Line of string | Too_long
+
   type r = {
     fd : Unix.file_descr;
-    buf : Buffer.t;
+    mutable buf : Bytes.t;
+    mutable start : int; (* first byte not yet taken *)
+    mutable stop : int; (* end of the bytes read *)
+    mutable scanned : int; (* [start, scanned) holds no newline *)
+    mutable skipping : bool; (* dropping the rest of an over-long line *)
     mutable eof : bool;
   }
 
-  let create fd = { fd; buf = Buffer.create 1024; eof = false }
+  let chunk = 4096
 
-  let take_line r =
-    let s = Buffer.contents r.buf in
-    match String.index_opt s '\n' with
-    | Some i ->
-        Buffer.clear r.buf;
-        Buffer.add_string r.buf
-          (String.sub s (i + 1) (String.length s - i - 1));
-        Some (String.sub s 0 i)
-    | None -> None
+  let create fd =
+    {
+      fd;
+      buf = Bytes.create (4 * chunk);
+      start = 0;
+      stop = 0;
+      scanned = 0;
+      skipping = false;
+      eof = false;
+    }
+
+  let rec take_line r =
+    let i = ref r.scanned in
+    while !i < r.stop && Bytes.get r.buf !i <> '\n' do
+      incr i
+    done;
+    r.scanned <- !i;
+    if !i < r.stop then begin
+      let first = r.start in
+      r.start <- !i + 1;
+      r.scanned <- r.start;
+      if r.skipping then begin
+        r.skipping <- false;
+        take_line r
+      end
+      else if !i - first > max_line then Some Too_long
+      else Some (Line (Bytes.sub_string r.buf first (!i - first)))
+    end
+    else if r.skipping || r.stop - r.start > max_line then begin
+      let first = not r.skipping in
+      r.skipping <- true;
+      r.start <- r.stop;
+      r.scanned <- r.stop;
+      if first then Some Too_long else None
+    end
+    else None
+
+  (* Room for one more chunk: slide the untaken bytes to the front,
+     and double the buffer only when they fill it. *)
+  let reserve r =
+    if r.stop + chunk > Bytes.length r.buf then begin
+      let live = r.stop - r.start in
+      let buf =
+        if live + chunk > Bytes.length r.buf then
+          Bytes.create (2 * Bytes.length r.buf)
+        else r.buf
+      in
+      Bytes.blit r.buf r.start buf 0 live;
+      r.buf <- buf;
+      r.scanned <- r.scanned - r.start;
+      r.start <- 0;
+      r.stop <- live
+    end
 
   let refill r ~block =
     if r.eof then false
@@ -390,26 +442,28 @@ module Reader = struct
           | _ -> true
       in
       if not ready then false
-      else
-        let chunk = Bytes.create 4096 in
-        match Unix.read r.fd chunk 0 (Bytes.length chunk) with
+      else begin
+        reserve r;
+        match Unix.read r.fd r.buf r.stop (Bytes.length r.buf - r.stop) with
         | 0 ->
             r.eof <- true;
             false
         | k ->
-            Buffer.add_subbytes r.buf chunk 0 k;
+            r.stop <- r.stop + k;
             true
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+      end
 
   let rec next_line r ~block =
     match take_line r with
-    | Some line -> Some line
+    | Some item -> Some item
     | None ->
         if refill r ~block then next_line r ~block
-        else if r.eof && Buffer.length r.buf > 0 then begin
-          let line = Buffer.contents r.buf in
-          Buffer.clear r.buf;
-          Some line
+        else if r.eof && r.stop > r.start then begin
+          let line = Bytes.sub_string r.buf r.start (r.stop - r.start) in
+          r.start <- r.stop;
+          r.scanned <- r.stop;
+          Some (Line line)
         end
         else None
 end
@@ -427,19 +481,24 @@ let write_all fd s =
 
 let serve_fd t fd_in fd_out =
   let reader = Reader.create fd_in in
+  let parse = function
+    | Reader.Line line -> Protocol.parse line
+    | Reader.Too_long ->
+        Error (Printf.sprintf "request line longer than %d bytes" max_line)
+  in
   let rec loop () =
     if not (stopped t) then
       match Reader.next_line reader ~block:true with
       | None -> ()
       | Some first ->
-          let batch = ref [ first ] in
+          let batch = ref [ parse first ] in
           let continue = ref true in
           while !continue do
             match Reader.next_line reader ~block:false with
-            | Some line -> batch := line :: !batch
+            | Some item -> batch := parse item :: !batch
             | None -> continue := false
           done;
-          let responses = handle_batch t (List.rev !batch) in
+          let responses = handle_requests t (List.rev !batch) in
           write_all fd_out (String.concat "\n" responses ^ "\n");
           loop ()
   in

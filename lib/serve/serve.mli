@@ -119,12 +119,18 @@ val request_stop : t -> unit
 
 val stopped : t -> bool
 
+val max_line : int
+(** The longest request line {!serve_fd} reads, newline excluded
+    (4 MiB). *)
+
 val serve_fd : t -> Unix.file_descr -> Unix.file_descr -> unit
 (** Serve NDJSON requests from one descriptor pair until EOF, a
     [shutdown] op, or {!request_stop}.  Consecutive already-buffered
     lines are batched through {!handle_batch} (so piped workloads
     exercise admission control); responses are written in request
-    order and flushed per batch. *)
+    order and flushed per batch.  Each input byte is searched for a
+    newline once; a line longer than {!max_line} is answered
+    [bad_request] and skipped up to its newline. *)
 
 val listen_and_serve : t -> Unix.sockaddr -> unit
 (** Bind, listen and accept one client at a time, running {!serve_fd}

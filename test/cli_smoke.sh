@@ -189,6 +189,14 @@ echo '{not json' | "$MJOIN" serve 2> /dev/null \
   | grep -q '"code":"bad_request"'
 echo '{"op":"query","policy":"greedy-banana"}' | "$MJOIN" serve 2> /dev/null \
   | grep -q '"status":"error"'
+# A workload field beyond its bound is refused by name before anything
+# is materialized.
+echo '{"op":"query","shape":"chain","n":4,"rows":20000,"domain":4000}' \
+  | "$MJOIN" serve 2> /dev/null \
+  | grep -q '"error":"field rows must be between 0 and 10000"'
+# A 2 MiB request line is read in one linear pass and answered.
+{ printf '{"op":"ping","pad":"'; head -c 2097152 /dev/zero | tr '\0' x; printf '"}\n'; } \
+  | "$MJOIN" serve 2> /dev/null | grep -q '"pong":true'
 # Admission control: a zero queue cap sheds every query (flag and
 # MJ_SERVE_* spellings) while control ops still answer.
 echo '{"op":"query"}' | "$MJOIN" serve --queue-cap 0 2> /dev/null \

@@ -911,7 +911,7 @@ let test_verify_allocation () =
   let report = Theorems.verify ~backend:Cost.Cache.Frame db in
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) "same report" true (warm = report);
-  Alcotest.(check (float 0.)) "minor words" 34461. words
+  Alcotest.(check (float 0.)) "minor words" 34445. words
 
 let test_cache_product_rule () =
   (* D = {AB, BC, DE} is unconnected; emptying DE empties every mask

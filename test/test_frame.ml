@@ -61,23 +61,54 @@ let pick_subset pick xs =
 (* Dictionary                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_dict_interning () =
-  let d = Frame.Dict.create () in
-  let c1 = Frame.Dict.intern d (Value.int 7) in
-  let c2 = Frame.Dict.intern d (Value.str "x") in
-  Alcotest.(check int) "same value, same code" c1
-    (Frame.Dict.intern d (Value.int 7));
-  Alcotest.(check int) "codes are dense" 1 c2;
-  Alcotest.(check int) "size counts distinct values" 2 (Frame.Dict.size d);
-  Alcotest.(check bool) "decode inverts intern" true
-    (Value.equal (Frame.Dict.value d c2) (Value.str "x"));
-  Alcotest.(check (option int)) "code finds interned values" (Some c1)
-    (Frame.Dict.code d (Value.int 7));
-  Alcotest.(check (option int)) "code misses unseen values" None
-    (Frame.Dict.code d (Value.int 99));
+(* The value-ordered dictionary of every value in [rels]. *)
+let dict_of rels =
+  Frame.Dict.of_sorted
+    (Array.of_list
+       (List.sort_uniq Value.compare
+          (List.concat_map
+             (fun r ->
+               List.concat_map
+                 (fun tu -> List.map snd (Tuple.bindings tu))
+                 (Relation.tuples r))
+             rels)))
+
+let test_dict_codes () =
+  let values = [| Value.int (-3); Value.int 7; Value.str ""; Value.str "x" |] in
+  let d = Frame.Dict.of_sorted values in
+  Alcotest.(check int) "size counts the values" 4 (Frame.Dict.size d);
+  Array.iteri
+    (fun c v ->
+      Alcotest.(check (option int)) "a value's code is its rank" (Some c)
+        (Frame.Dict.code d v);
+      Alcotest.(check bool) "decode inverts code" true
+        (Value.equal (Frame.Dict.value d c) v))
+    values;
+  List.iter
+    (fun v ->
+      Alcotest.(check (option int)) "code misses absent values" None
+        (Frame.Dict.code d v))
+    [ Value.int (-4); Value.int 0; Value.int 99; Value.str "a"; Value.str "y" ];
   Alcotest.check_raises "decode rejects out-of-range codes"
     (Invalid_argument "Frame.Dict.value: code out of range") (fun () ->
-      ignore (Frame.Dict.value d 99))
+      ignore (Frame.Dict.value d 99));
+  List.iter
+    (fun vs ->
+      Alcotest.check_raises "of_sorted rejects values out of order"
+        (Invalid_argument "Frame.Dict.of_sorted: values not strictly ascending")
+        (fun () -> ignore (Frame.Dict.of_sorted vs)))
+    [ [| Value.str "x"; Value.int 7 |]; [| Value.int 7; Value.int 7 |] ]
+
+let test_of_relation_absent () =
+  let a = Attr.make "A" in
+  let r =
+    Relation.make (Attr.Set.of_list [ a ])
+      [ Tuple.of_list [ (a, Value.int 1) ]; Tuple.of_list [ (a, Value.int 2) ] ]
+  in
+  Alcotest.check_raises "a value the dictionary lacks is refused"
+    (Invalid_argument "Frame.of_relation: no code for 2")
+    (fun () ->
+      ignore (Frame.of_relation (Frame.Dict.of_sorted [| Value.int 1 |]) r))
 
 let test_dict_mismatch () =
   let attr = Attr.make in
@@ -86,8 +117,8 @@ let test_dict_mismatch () =
       (Attr.Set.of_list [ attr "A" ])
       [ Tuple.of_list [ (attr "A", Value.int 1) ] ]
   in
-  let f1 = Frame.of_relation (Frame.Dict.create ()) r in
-  let f2 = Frame.of_relation (Frame.Dict.create ()) r in
+  let f1 = Frame.of_relation (dict_of [ r ]) r in
+  let f2 = Frame.of_relation (dict_of [ r ]) r in
   Alcotest.check_raises "joining across dictionaries is refused"
     (Invalid_argument "Frame.natural_join: frames use different dictionaries")
     (fun () -> ignore (Frame.natural_join f1 f2))
@@ -98,7 +129,7 @@ let test_dict_mismatch () =
 
 let round_trip =
   qtest "of_relation/to_relation round-trips every relation" gen_db (fun db ->
-      let dict = Frame.Dict.create () in
+      let dict = dict_of (Database.relations db) in
       List.for_all
         (fun r ->
           let f = Frame.of_relation dict r in
@@ -110,7 +141,7 @@ let round_trip =
 let join_agrees =
   qtest "natural_join agrees with the seed join" gen_db_pick (fun (db, pick) ->
       let r1, r2 = pick_two db pick in
-      let dict = Frame.Dict.create () in
+      let dict = dict_of [ r1; r2 ] in
       let f1 = Frame.of_relation dict r1 and f2 = Frame.of_relation dict r2 in
       Relation.equal
         (Frame.to_relation (Frame.natural_join f1 f2))
@@ -119,7 +150,7 @@ let join_agrees =
 let semijoin_agrees =
   qtest "semijoin agrees with the seed semijoin" gen_db_pick (fun (db, pick) ->
       let r1, r2 = pick_two db pick in
-      let dict = Frame.Dict.create () in
+      let dict = dict_of [ r1; r2 ] in
       let f1 = Frame.of_relation dict r1 and f2 = Frame.of_relation dict r2 in
       Relation.equal
         (Frame.to_relation (Frame.semijoin f1 f2))
@@ -133,7 +164,7 @@ let project_agrees =
         Attr.Set.of_list
           (pick_subset pick (Attr.Set.elements (Relation.scheme r)))
       in
-      let f = Frame.of_relation (Frame.Dict.create ()) r in
+      let f = Frame.of_relation (dict_of [ r ]) r in
       Relation.equal (Frame.to_relation (Frame.project f x))
         (Relation.project r x))
 
@@ -489,7 +520,7 @@ let range_db n1 n2 =
 
 let join_rows ~domains ~morsel n1 n2 =
   let r1, r2 = range_db n1 n2 in
-  let dict = Frame.Dict.create () in
+  let dict = dict_of [ r1; r2 ] in
   let f1 = Frame.of_relation dict r1 and f2 = Frame.of_relation dict r2 in
   let stats = Frame.fresh_stats () in
   let j = Frame.natural_join ~domains ~morsel ~stats f1 f2 in
@@ -527,11 +558,9 @@ let digest_values =
   @ List.map Value.str [ ""; "a"; "b, c"; "zz"; String.make 90 'q' ]
 
 (* A relation over a non-empty subset of {A, B, C} (width 1 included;
-   empty states included) with values from [digest_values], plus how
-   the dictionary was prepared: 0 fresh, 1 every pool value pre-interned
-   in reverse value order (codes then descend as values ascend, so
-   decode and digest take the non-monotone re-sort path), 2 interned in
-   pool order (Ints first, then strings out of value order). *)
+   empty states included) with values from [digest_values], plus which
+   dictionary codes it: 0 exactly the relation's values, 1 the whole
+   pool (values no row uses hold codes between the used ones). *)
 let gen_digest_case =
   let open QCheck2.Gen in
   let* bits = int_range 1 7 in
@@ -544,24 +573,19 @@ let gen_digest_case =
     return (Tuple.of_list (List.combine attrs vals))
   in
   let* tuples = list_size (int_range 0 10) gen_tuple in
-  let* dict_mode = int_range 0 2 in
+  let* dict_mode = int_range 0 1 in
   return (Relation.make (Attr.Set.of_list attrs) tuples, dict_mode)
 
-let prepared_dict mode =
-  let d = Frame.Dict.create () in
-  (match mode with
+let prepared_dict r = function
   | 1 ->
-      List.iter
-        (fun v -> ignore (Frame.Dict.intern d v))
-        (List.rev (List.sort Value.compare digest_values))
-  | 2 -> List.iter (fun v -> ignore (Frame.Dict.intern d v)) digest_values
-  | _ -> ());
-  d
+      Frame.Dict.of_sorted
+        (Array.of_list (List.sort_uniq Value.compare digest_values))
+  | _ -> dict_of [ r ]
 
 let digest_agrees =
   qtest "Frame.digest equals Relation.digest" ~count:300 gen_digest_case
     (fun (r, mode) ->
-      let f = Frame.of_relation (prepared_dict mode) r in
+      let f = Frame.of_relation (prepared_dict r mode) r in
       Int64.equal (Frame.digest f) (Relation.digest r)
       && Relation.equal (Frame.to_relation f) r)
 
@@ -569,7 +593,7 @@ let digest_of_join_agrees =
   qtest "Frame.digest of a join equals the seed join's digest" gen_db_pick
     (fun (db, pick) ->
       let r1, r2 = pick_two db pick in
-      let dict = Frame.Dict.create () in
+      let dict = dict_of [ r1; r2 ] in
       let f1 = Frame.of_relation dict r1 and f2 = Frame.of_relation dict r2 in
       Int64.equal
         (Frame.digest (Frame.natural_join f1 f2))
@@ -615,12 +639,10 @@ let emitted_values =
 (* [A K ...] joined with [K ...] on frames, up to 11 columns in all: the
    join emits its rows unsorted, and [A] leads every output row.  With
    [skew], most rows of [A] hold one value, so its bucket of the order
-   pass outgrows the insertion sort.  The dictionary is 0 fresh (first-seen codes), 1
-   pre-interned in reverse value order (codes descend as values
-   ascend), 2 fresh after 5,000 unused codes, or 3 value-ordered
-   ([Dict.of_sorted], the identity order) over the same 5,000 smaller
-   values: in modes 2 and 3 every code needs 13 bits, so five columns
-   no longer pack into 62. *)
+   pass outgrows the insertion sort.  The dictionary holds 0 exactly
+   the values present, or 1 those values and 5,000 smaller ones: in
+   mode 1 every code needs 13 bits, so five columns no longer pack
+   into 62. *)
 let gen_emitted_case =
   let open QCheck2.Gen in
   let subset names =
@@ -646,27 +668,16 @@ let gen_emitted_case =
   in
   let* r1 = rel ("A" :: "K" :: left) 40 in
   let* r2 = rel ("K" :: right) 12 in
-  let* mode = int_range 0 3 in
+  let* mode = int_range 0 1 in
   return (r1, r2, mode)
 
-let emitted_dict mode =
-  let data = emitted_values @ List.init 5 Value.int in
-  let padding = List.init 5000 (fun i -> Value.int (-1_000_000 - i)) in
-  match mode with
+let emitted_dict r1 r2 = function
   | 1 ->
-      let d = Frame.Dict.create () in
-      List.iter
-        (fun v -> ignore (Frame.Dict.intern d v))
-        (List.sort_uniq (fun a b -> Value.compare b a) data);
-      d
-  | 2 ->
-      let d = Frame.Dict.create () in
-      List.iter (fun v -> ignore (Frame.Dict.intern d v)) padding;
-      d
-  | 3 ->
+      let data = emitted_values @ List.init 5 Value.int in
+      let padding = List.init 5000 (fun i -> Value.int (-1_000_000 - i)) in
       Frame.Dict.of_sorted
         (Array.of_list (List.sort_uniq Value.compare (padding @ data)))
-  | _ -> Frame.Dict.create ()
+  | _ -> dict_of [ r1; r2 ]
 
 let print_emitted (r1, r2, mode) =
   Printf.sprintf "mode=%d\n%s\n%s" mode (Relation.to_string r1)
@@ -677,7 +688,7 @@ let emitted_digest_law =
     (QCheck2.Test.make ~count:300 ~print:print_emitted
        ~name:"digest and decode of emitted-order joins match the definition"
        gen_emitted_case (fun (r1, r2, mode) ->
-         let d = emitted_dict mode in
+         let d = emitted_dict r1 r2 mode in
          let j = Frame.natural_join (Frame.of_relation d r1) (Frame.of_relation d r2) in
          let r = Relation.natural_join r1 r2 in
          let want = definitional_hash r in
@@ -783,9 +794,8 @@ let canonicalize_law =
          && !sorted = if rows_of w nrows data = want then 0 else nrows))
 
 (* Distinct rows of width 1–12 over codes [0, ncodes), in shuffled
-   order, with a random code-to-rank table; with [skew] most rows lead
-   with code 0. *)
-let gen_rank_case =
+   order; with [skew] most rows lead with code 0. *)
+let gen_order_case =
   let open QCheck2.Gen in
   let* w = int_range 1 12 in
   let* ncodes = int_range 1 40 in
@@ -799,28 +809,24 @@ let gen_rank_case =
        return (c0 :: rest))
   in
   let* rows = shuffle_l (List.sort_uniq compare rows) in
-  let* rank = shuffle_a (Array.init ncodes Fun.id) in
-  return (w, rows, rank)
+  return (w, rows)
 
-let print_rank_case (w, rows, rank) =
-  Printf.sprintf "w=%d rank=[%s] rows=%s" w
-    (String.concat ";" (Array.to_list (Array.map string_of_int rank)))
+let print_order_case (w, rows) =
+  Printf.sprintf "w=%d rows=%s" w
     (String.concat " "
        (List.map (fun r -> String.concat "," (List.map string_of_int r)) rows))
 
-let rank_order_law =
+let order_law =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:500 ~print:print_rank_case
-       ~name:"Coded.rank_order lists the rows in rank order"
-       gen_rank_case (fun (w, rows, rank) ->
+    (QCheck2.Test.make ~count:500 ~print:print_order_case
+       ~name:"Coded.order lists the rows in code order"
+       gen_order_case (fun (w, rows) ->
          let n = List.length rows in
          let data = Array.of_list (List.concat rows) in
-         let keyed = List.mapi (fun i r -> (List.map (Array.get rank) r, i)) rows in
-         let want = List.map snd (List.sort compare keyed) in
+         let want = List.map snd (List.sort compare (List.mapi (fun i r -> (r, i)) rows)) in
          let sorted = ref 0 in
          let got =
-           Coded.rank_order ~on_sort:(fun k -> sorted := !sorted + k) ~rank w n
-             data
+           Coded.order ~on_sort:(fun k -> sorted := !sorted + k) w n data
          in
          match got with
          | None -> want = List.init n Fun.id && !sorted = 0
@@ -830,13 +836,11 @@ let rank_order_law =
    heap sort, so 4,096 rows in descending order cost at most
    2·n·log₂ n comparisons, where the insertion sort of small buckets
    would make n(n−1)/2 = 8,386,560. *)
-let test_rank_order_skew () =
+let test_order_skew () =
   let n = 4096 in
   let data = Array.init (2 * n) (fun c -> if c mod 2 = 0 then 0 else n - 1 - (c / 2)) in
   let compares = ref 0 in
-  let perm =
-    Coded.rank_order ~compares ~rank:(Array.init n Fun.id) 2 n data
-  in
+  let perm = Coded.order ~compares 2 n data in
   Alcotest.(check (option (array int))) "ascending" (Some (Array.init n (fun r -> n - 1 - r))) perm;
   Alcotest.(check bool)
     (Printf.sprintf "%d comparisons, bound %d" !compares (2 * n * 12))
@@ -849,9 +853,9 @@ let test_rank_order_skew () =
 
 (* A chain of 3–4 relations, joined left to right in morsels of 1 or 3
    rows (so even tiny joins take the pool path when it grants more than
-   one worker), with the frames encoded either
-   over the database's value-ordered dictionary (Db.of_database) or a
-   first-seen interning one (of_relation: a non-identity order). *)
+   one worker), with the frames taken either from the database's coded
+   form (Db.of_database) or encoded by of_relation over a dictionary
+   built from the relations' values. *)
 let gen_chain =
   let open QCheck2.Gen in
   let* n = int_range 3 4 in
@@ -883,9 +887,7 @@ let unsorted_join_law =
            if coded then
              let fdb = Frame.Db.of_database db in
              List.map (fun r -> Frame.Db.find fdb (Relation.scheme r)) rels
-           else
-             let dict = Frame.Dict.create () in
-             List.map (Frame.of_relation dict) rels
+           else List.map (Frame.of_relation (dict_of rels)) rels
          in
          let join = function
            | [] -> assert false
@@ -927,8 +929,10 @@ let () =
     [
       ( "dict",
         [
-          Alcotest.test_case "interning" `Quick test_dict_interning;
+          Alcotest.test_case "value-ordered codes" `Quick test_dict_codes;
           Alcotest.test_case "dictionary mismatch" `Quick test_dict_mismatch;
+          Alcotest.test_case "of_relation rejects an absent value" `Quick
+            test_of_relation_absent;
         ] );
       ( "equivalence",
         [
@@ -973,7 +977,7 @@ let () =
         [
           canonicalize_law;
           unsorted_join_law;
-          rank_order_law;
-          Alcotest.test_case "skewed leading column" `Quick test_rank_order_skew;
+          order_law;
+          Alcotest.test_case "skewed leading column" `Quick test_order_skew;
         ] );
     ]

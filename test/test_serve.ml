@@ -476,6 +476,89 @@ let test_ping_and_stats () =
         (Json.member "serve.requests" j <> None)
   | None -> Alcotest.fail "unparseable stats response"
 
+(* Every workload field outside its bound is refused by name before
+   anything is materialized. *)
+let test_workload_bounds () =
+  let srv = mk_serve () in
+  List.iter
+    (fun (field, value, msg) ->
+      let resp =
+        Serve.handle_line srv
+          (Printf.sprintf {|{"op":"query","%s":%d}|} field value)
+      in
+      match Json.of_string_opt resp with
+      | Some j ->
+          Alcotest.(check (pair (option string) (option string)))
+            (Printf.sprintf "%s=%d" field value)
+            (Some "bad_request", Some msg)
+            (str_field "code" j, str_field "error" j)
+      | None -> Alcotest.fail "unparseable error response")
+    [
+      ("n", Protocol.max_n + 1, "field n must be between 1 and 16");
+      ("n", 0, "field n must be between 1 and 16");
+      ("rows", Protocol.max_rows + 1, "field rows must be between 0 and 10000");
+      ("rows", -1, "field rows must be between 0 and 10000");
+      ( "domain",
+        Protocol.max_domain + 1,
+        "field domain must be between 1 and 100000" );
+      ("domain", 0, "field domain must be between 1 and 100000");
+    ];
+  Alcotest.(check string) "the bounds themselves are served" "ok"
+    (status
+       (Serve.handle_line srv
+          (Printf.sprintf
+             {|{"op":"query","shape":"chain","n":2,"rows":%d,"domain":%d}|}
+             Protocol.max_rows Protocol.max_domain)))
+
+(* Lines through [serve_fd] over a pipe: one of exactly [max_line]
+   bytes is served, one a byte longer is refused and skipped up to its
+   newline, and the line after it is served again. *)
+let test_long_lines () =
+  let srv = mk_serve () in
+  let ping id pad =
+    Printf.sprintf {|{"op":"ping","id":%d,"pad":"%s"}|} id (String.make pad 'x')
+  in
+  let sized id len = ping id (len - String.length (ping id 0)) in
+  let input =
+    String.concat "\n"
+      [ sized 1 Serve.max_line; sized 2 (Serve.max_line + 1); ping 3 0 ]
+    ^ "\n"
+  in
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  let writer =
+    Domain.spawn (fun () ->
+        let b = Bytes.of_string input in
+        let rec go off =
+          if off < Bytes.length b then
+            go (off + Unix.write in_w b off (Bytes.length b - off))
+        in
+        go 0;
+        Unix.close in_w)
+  in
+  Serve.serve_fd srv in_r out_w;
+  Domain.join writer;
+  Unix.close in_r;
+  Unix.close out_w;
+  let ic = Unix.in_channel_of_descr out_r in
+  let out = In_channel.input_all ic in
+  close_in ic;
+  let codes =
+    List.map
+      (fun line ->
+        match Json.of_string_opt line with
+        | Some j -> (int_field "id" j, status line, str_field "code" j)
+        | None -> Alcotest.fail "unparseable response")
+      (String.split_on_char '\n' (String.trim out))
+  in
+  Alcotest.(check (list (triple (option int) string (option string))))
+    "responses"
+    [
+      (Some 1, "ok", None);
+      (None, "error", Some "bad_request");
+      (Some 3, "ok", None);
+    ]
+    codes
+
 (* ------------------------------------------------------------------ *)
 (* Wire compatibility                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -614,5 +697,7 @@ let () =
           Alcotest.test_case "malformed request" `Quick test_malformed_request;
           Alcotest.test_case "unknown policy" `Quick test_unknown_policy;
           Alcotest.test_case "ping and stats" `Quick test_ping_and_stats;
+          Alcotest.test_case "workload bounds" `Quick test_workload_bounds;
+          Alcotest.test_case "long lines" `Quick test_long_lines;
         ] );
     ]
