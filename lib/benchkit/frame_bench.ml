@@ -110,7 +110,6 @@ let certify_row (shape, n, reps) =
       seed = 0 }
   in
   let db = Mj_serve.Protocol.materialize w in
-  let fdb = Frame.Db.of_database db in
   let certify () =
     let obs = Obs.make ~gc:false () in
     let cfg =
@@ -121,7 +120,7 @@ let certify_row (shape, n, reps) =
     let plan =
       Mj_engine.Engine.lower cfg db (Mj_serve.Protocol.default_strategy db)
     in
-    let digest, stats = Mj_engine.Engine.execute_digest ~fdb cfg db plan in
+    let digest, stats = Mj_engine.Engine.execute_digest cfg db plan in
     let rec span = function
       | [] -> invalid_arg "Frame_bench: no serve.certify span"
       | t :: _ when t.Obs.name = "serve.certify" -> t.Obs.duration

@@ -168,7 +168,7 @@ let bench_row ?floor ?(topk_k = 10) ~reps (shape, n, fanout, matching) =
         (* The Yannakakis contender is the engine's own semijoin
            program on the same pre-encoded database; τ is its join
            phase. *)
-        Frame_engine.execute_plan ~domains:1 ~fdb db
+        Frame_engine.execute_plan ~domains:1 db
           (Physical.Semijoin_program rt))
   in
   let binary_probes = bstats.Frame.probes in

@@ -34,7 +34,10 @@ let step_costs db s =
 let rec tau_oracle card = function
   | Strategy.Leaf _ -> 0
   | Strategy.Join n ->
-      tau_oracle card n.left + tau_oracle card n.right + card n.schemes
+      Frame.Db.saturating_add
+        (Frame.Db.saturating_add (tau_oracle card n.left)
+           (tau_oracle card n.right))
+        (card n.schemes)
 
 module Cache = struct
   module Obs = Mj_obs.Obs

@@ -12,9 +12,10 @@ type result = {
   cost : int;
 }
 
-(* One reached mask.  [cost = max_int] until some split gives it a
-   plan; [left] is the left part of the winning split; [here] is the
-   memoized [card] of the mask, [unpriced] until first needed. *)
+(* One reached mask.  [left] is the left part of the winning split, [0]
+   until the mask has a plan (a leaf's is the leaf), so a plan whose
+   cost saturates at [max_int] is still a plan; [here] is the memoized
+   [card] of the mask, [unpriced] until first needed. *)
 type entry = { mutable cost : int; mutable left : int; mutable here : int }
 
 let unpriced = min_int
@@ -57,7 +58,9 @@ let make ?(combine = Sum) ?(leaf_cost = fun _ -> 0) ~units store card =
     { combine; card; store; pairs = 0; entries = 0; pruned = 0; estimates = 0 }
   in
   for i = 0 to units - 1 do
-    (entry dp (1 lsl i)).cost <- leaf_cost i
+    let e = entry dp (1 lsl i) in
+    e.cost <- leaf_cost i;
+    e.left <- 1 lsl i
   done;
   dp
 
@@ -65,6 +68,8 @@ let create ?combine ?leaf_cost ~units card =
   make ?combine ?leaf_cost ~units (Sparse (Tbl.create 64)) card
 
 let cost_of dp m = (find dp m).cost
+let mem dp m = (find dp m).left <> 0
+let ( +| ) = Mj_relation.Frame.Db.saturating_add
 
 (* The memoized [card] of mask [m], whose entry is [e]. *)
 let[@inline] here dp e m =
@@ -80,16 +85,16 @@ let price dp e m m1 c1 c2 =
   let out = here dp e m in
   let c =
     match dp.combine with
-    | Sum -> c1 + c2 + out
-    | Max -> max c1 c2 + out
+    | Sum -> c1 +| c2 +| out
+    | Max -> max c1 c2 +| out
     | Priced step ->
         let m2 = m lxor m1 in
-        c1 + c2
-        + step ~left:(here dp (find dp m1) m1) ~right:(here dp (find dp m2) m2)
-            ~out
+        c1 +| c2
+        +| step ~left:(here dp (find dp m1) m1) ~right:(here dp (find dp m2) m2)
+             ~out
   in
-  if c < e.cost then begin
-    if e.cost = max_int then dp.entries <- dp.entries + 1;
+  if e.left = 0 || c < e.cost then begin
+    if e.left = 0 then dp.entries <- dp.entries + 1;
     e.cost <- c;
     e.left <- m1
   end
@@ -98,33 +103,27 @@ let price dp e m m1 c1 c2 =
 let offer dp ~usable m1 m2 =
   dp.pairs <- dp.pairs + 1;
   if usable then begin
-    let c1 = cost_of dp m1 and c2 = cost_of dp m2 in
-    if c1 <> max_int && c2 <> max_int then begin
+    if mem dp m1 && mem dp m2 then begin
       let m = m1 lor m2 in
-      price dp (entry dp m) m m1 c1 c2
+      price dp (entry dp m) m m1 (cost_of dp m1) (cost_of dp m2)
     end
   end
 
-let rec solve_cost dp ~splits m =
+let rec solve_entry dp ~splits m =
   let e = find dp m in
-  if e != absent then e.cost
+  if e != absent then e
   else begin
     let e = entry dp m in
     splits m (fun m1 m2 ->
         dp.pairs <- dp.pairs + 1;
-        let c1 = solve_cost dp ~splits m1 in
-        let c2 = solve_cost dp ~splits m2 in
-        if c1 <> max_int && c2 <> max_int then price dp e m m1 c1 c2);
-    e.cost
+        let e1 = solve_entry dp ~splits m1 in
+        let e2 = solve_entry dp ~splits m2 in
+        if e1.left <> 0 && e2.left <> 0 then price dp e m m1 e1.cost e2.cost);
+    e
   end
 
-let solve dp ~splits m = ignore (solve_cost dp ~splits m)
-
-let mem dp m = cost_of dp m <> max_int
-
-let cost dp m =
-  let c = cost_of dp m in
-  if c = max_int then None else Some c
+let solve dp ~splits m = ignore (solve_entry dp ~splits m)
+let cost dp m = if mem dp m then Some (cost_of dp m) else None
 
 let build dp ~leaf ~node m =
   let rec go m =
@@ -188,11 +187,11 @@ let rec strategy_cost combine card = function
       and c2 = strategy_cost combine card n.right
       and out = card n.schemes in
       match combine with
-      | Sum -> c1 + c2 + out
-      | Max -> max c1 c2 + out
+      | Sum -> c1 +| c2 +| out
+      | Max -> max c1 c2 +| out
       | Priced step ->
-          c1 + c2
-          + step
+          c1 +| c2
+          +| step
               ~left:(card (Strategy.schemes n.left))
               ~right:(card (Strategy.schemes n.right))
               ~out)

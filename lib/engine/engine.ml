@@ -118,19 +118,21 @@ let lower (cfg : Config.t) db strategy =
   counting_forced cfg db @@ fun () ->
   Planner.lower ~policy:cfg.algo_policy db strategy
 
-let execute_plan ?fdb (cfg : Config.t) db plan =
+(* [?fdb] is read by nothing: the executor reads the database's own
+   coded form, which is what [Frame.Db.of_database] returns. *)
+let execute_plan ?fdb:_ (cfg : Config.t) db plan =
   counting_forced cfg db @@ fun () ->
   let r, s =
     Frame_engine.execute_plan ~obs:cfg.obs ~domains:cfg.domains
-      ?morsel:cfg.morsel ?fdb db plan
+      ?morsel:cfg.morsel db plan
   in
   (r, of_frame s)
 
-let execute_digest ?fdb (cfg : Config.t) db plan =
+let execute_digest (cfg : Config.t) db plan =
   counting_forced cfg db @@ fun () ->
   let d, s =
     Frame_engine.execute_digest ~obs:cfg.obs ~domains:cfg.domains
-      ?morsel:cfg.morsel ?fdb db plan
+      ?morsel:cfg.morsel db plan
   in
   (d, of_frame s)
 
@@ -140,4 +142,4 @@ let execute_stats (cfg : Config.t) db plan =
     (Frame_engine.execute_stats ~obs:cfg.obs ~domains:cfg.domains
        ?morsel:cfg.morsel db plan)
 
-let run ?fdb cfg db strategy = execute_plan ?fdb cfg db (lower cfg db strategy)
+let run cfg db strategy = execute_plan cfg db (lower cfg db strategy)

@@ -123,13 +123,11 @@ val execute_plan :
   ?fdb:Mj_relation.Frame.Db.t ->
   Config.t -> Database.t -> Physical.t -> Relation.t * stats
 (** Run an already-lowered plan on {!Frame_engine} with the config's
-    domains and morsel.  [?fdb] is a pre-encoded frame copy of the
-    database ([Frame.Db.of_database]) — the serve daemon's warm
-    dictionary; it is never mutated, so one encoding can back
-    concurrent executions. *)
+    domains and morsel, over the database's one coded form
+    ([Frame.Db.of_database]).  [?fdb] is read by nothing: it is kept
+    only so that code outside [lib/] that passes it still compiles. *)
 
 val execute_digest :
-  ?fdb:Mj_relation.Frame.Db.t ->
   Config.t -> Database.t -> Physical.t -> int64 * stats
 (** {!execute_plan} for callers that only certify the answer: the same
     walk, finished with a digest of the result instead of the result
@@ -145,7 +143,6 @@ val execute_stats : Config.t -> Database.t -> Physical.t -> stats
     without decoding, digesting or opening a span. *)
 
 val run :
-  ?fdb:Mj_relation.Frame.Db.t ->
   Config.t -> Database.t -> Strategy.t -> Relation.t * stats
 (** [lower] then [execute_plan] — the whole
     Config → Planner → Engine path in one call.

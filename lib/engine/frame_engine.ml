@@ -188,16 +188,12 @@ let walk ~obs ctx plan =
 
 (* One walk, then a finisher on the root frame; the row count is the
    frame's own, so neither finisher has to decode to report it. *)
-let run ~finish ~obs ?domains ?morsel ?fdb db plan =
+let run ~finish ~obs ?domains ?morsel db plan =
   let ctx =
     {
-      (* A caller-supplied [fdb] (the serve daemon's per-database warm
-         dictionary) skips the per-call re-encode; execution only reads
-         it, so one encoding can serve concurrent queries. *)
-      fdb =
-        (match fdb with
-        | Some fdb -> fdb
-        | None -> Frame.Db.of_database db);
+      (* The database's one encoding, built on its first read and only
+         read by execution, so concurrent queries share it. *)
+      fdb = Frame.Db.of_database db;
       fstats = Frame.fresh_stats ();
       domains;
       morsel;
@@ -232,12 +228,12 @@ let run ~finish ~obs ?domains ?morsel ?fdb db plan =
 
 (* Join outputs are left unsorted; each finisher walks the root in value
    order by one order pass, counted in [ctx.fstats]. *)
-let execute_plan ?(obs = Obs.noop) ?domains ?morsel ?fdb db plan =
-  run ~obs ?domains ?morsel ?fdb db plan ~finish:(fun ctx f ->
+let execute_plan ?(obs = Obs.noop) ?domains ?morsel db plan =
+  run ~obs ?domains ?morsel db plan ~finish:(fun ctx f ->
       Frame.to_relation ~stats:ctx.fstats f)
 
-let execute_digest ?(obs = Obs.noop) ?domains ?morsel ?fdb db plan =
-  run ~obs ?domains ?morsel ?fdb db plan ~finish:(fun ctx f ->
+let execute_digest ?(obs = Obs.noop) ?domains ?morsel db plan =
+  run ~obs ?domains ?morsel db plan ~finish:(fun ctx f ->
       Obs.span obs "serve.certify" (fun () ->
           Frame.digest ~stats:ctx.fstats f))
 

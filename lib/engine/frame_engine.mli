@@ -1,7 +1,7 @@
 (** The plan executor.
 
-    Evaluates a {!Physical} plan bottom-up over {!Mj_relation.Frame}
-    frames: the database is dictionary-encoded once, every binary step
+    Evaluates a {!Physical} plan bottom-up over the database's own
+    frames ([Frame.Db.of_database]): every binary step
     is the compiled-key columnar hash join (on [Mj_pool.Pool] when its
     probe side spans two morsels and the pool grants two workers; see
     [Frame.natural_join]), a {!Physical.Generic_join} node runs the
@@ -46,23 +46,19 @@ val scheme_key : Scheme.Set.t -> string
     explain renderer). *)
 
 val execute_plan :
-  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int -> ?fdb:Frame.Db.t ->
+  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int ->
   Database.t -> Physical.t -> Relation.t * stats
 (** Execute a physical plan.  Results and [tuples_generated] agree
     with [Cost.eval] and [Cost.tau] of the plan's strategy — τ is a
     property of the join {e order}, not the kernel.
 
-    [?fdb] supplies a pre-encoded copy of [db] (as built by
-    [Frame.Db.of_database]) and skips the per-call dictionary encode —
-    the warm-state hook the serve daemon uses to amortize encoding
-    across queries.  The caller guarantees it encodes exactly [db];
-    execution never mutates it, so one encoding may be shared by
-    concurrent executions.  [?morsel] is the hash join's probe-morsel
+    Execution never mutates the database's frames, so concurrent
+    executions share them.  [?morsel] is the hash join's probe-morsel
     size (default [Frame.default_morsel]).
     @raise Invalid_argument if a scanned scheme is missing from [db]. *)
 
 val execute_digest :
-  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int -> ?fdb:Frame.Db.t ->
+  ?obs:Mj_obs.Obs.sink -> ?domains:int -> ?morsel:int ->
   Database.t -> Physical.t -> int64 * stats
 (** {!execute_plan}, finished with [Frame.digest] of the root frame
     (inside a ["serve.certify"] span on [obs]) instead of a decode: the

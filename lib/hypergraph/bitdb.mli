@@ -77,9 +77,16 @@ val iter_submasks_ascending : int -> (int -> unit) -> unit
 val iter_connected_subsets : t -> int -> (int -> unit) -> unit
 (** DPccp-style (Moerkotte–Neumann EnumerateCsg) enumeration of the
     connected subsets of [within]: each emitted exactly once by
-    neighborhood expansion, never by enumerate-then-filter.  Emission
-    order is unspecified; use {!connected_subsets} for the canonical
-    order. *)
+    neighborhood expansion, never by enumerate-then-filter: each node,
+    highest index first, then its growths by {!csg_rec} excluding the
+    nodes of lower index.  DPccp's pair order is this emission order;
+    {!connected_subsets} gives increasing mask order. *)
+
+val csg_rec : t -> int -> int -> int -> (int -> unit) -> unit
+(** [csg_rec u within s x emit] (EnumerateCsgRec) emits [s lor sub] for
+    each non-empty submask [sub] of [n], the neighbours of [s] in
+    [within] outside [x], decreasing from [n], then recurses on each
+    with [x lor n]. *)
 
 val connected_subsets : t -> int -> int list
 (** Connected subsets of [within], in increasing mask order. *)

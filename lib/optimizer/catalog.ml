@@ -7,35 +7,33 @@ type entry = {
 
 type t = entry Scheme.Map.t
 
-(* Distinct values per column, counted on the coded form: codes are
+(* Distinct values per column, counted on the frames: codes are
    dense and biject with values, so one mark array over the dictionary
    serves every column — each column stamps its own id, so the array is
    never cleared. *)
 let of_database db =
   let c = Database.coded db in
-  let mark = Array.make (Array.length c.Coded.values) (-1) in
+  let mark = Array.make (Coded.Dict.size c.ddict) (-1) in
   let stamp = ref 0 in
-  Scheme.Map.mapi
-    (fun scheme (b : Coded.block) ->
-      let w = Attr.Set.cardinal scheme in
-      let distincts, _ =
-        Attr.Set.fold
-          (fun a (m, j) ->
-            let id = !stamp in
-            incr stamp;
-            let n = ref 0 in
-            for r = 0 to b.rows - 1 do
-              let v = Array.unsafe_get b.codes ((r * w) + j) in
-              if mark.(v) <> id then begin
-                mark.(v) <- id;
-                incr n
-              end
-            done;
-            (Attr.Map.add a !n m, j + 1))
-          scheme (Attr.Map.empty, 0)
+  Scheme.Map.map
+    (fun (f : Coded.frame) ->
+      let distinct m (j, a) =
+        incr stamp;
+        let n = ref 0 in
+        for r = 0 to f.rows - 1 do
+          let v = Array.unsafe_get f.data ((r * f.width) + j) in
+          if mark.(v) <> !stamp then begin
+            mark.(v) <- !stamp;
+            incr n
+          end
+        done;
+        Attr.Map.add a !n m
       in
-      { card = b.rows; distincts })
-    c.Coded.blocks
+      let distincts =
+        Seq.fold_left distinct Attr.Map.empty (Array.to_seqi f.attrs)
+      in
+      { card = f.rows; distincts })
+    c.frames
 
 let synthetic specs =
   List.fold_left

@@ -3,27 +3,9 @@ open Multijoin
 
 (* Moerkotte–Neumann enumeration.  B_i is the mask of nodes with index
    <= i; subsets are emitted so that each csg and each csg-cmp pair
-   appears exactly once. *)
-
-let subsets_of mask f =
-  (* All non-empty submasks of [mask] (including [mask] itself). *)
-  if mask <> 0 then begin
-    f mask;
-    Bitdb.iter_subsets mask f
-  end
-
-let rec enumerate_csg_rec g s x emit =
-  let n = Bitdb.neighborhood g s land lnot x in
-  subsets_of n (fun s' -> emit (s lor s'));
-  subsets_of n (fun s' -> enumerate_csg_rec g (s lor s') (x lor n) emit)
-
-let enumerate_csg g emit =
-  for i = Bitdb.size g - 1 downto 0 do
-    let v = 1 lsl i in
-    emit v;
-    let b_i = (1 lsl (i + 1)) - 1 in
-    enumerate_csg_rec g v b_i emit
-  done
+   appears exactly once.  The connected subgraphs are [Bitdb]'s
+   EnumerateCsg over the whole universe; each one's complements grow
+   by the same recursion. *)
 
 let enumerate_cmp g s1 emit =
   let min_s1 = s1 land -s1 in
@@ -35,13 +17,13 @@ let enumerate_cmp g s1 emit =
     if n land v <> 0 then begin
       emit v;
       let b_i = (1 lsl (i + 1)) - 1 in
-      enumerate_csg_rec g v (x lor (b_i land n)) emit
+      Bitdb.csg_rec g (Bitdb.full g) v (x lor (b_i land n)) emit
     end
   done
 
 let pairs_of g =
   let pairs = ref [] in
-  enumerate_csg g (fun s1 ->
+  Bitdb.iter_connected_subsets g (Bitdb.full g) (fun s1 ->
       enumerate_cmp g s1 (fun s2 -> pairs := (s1, s2) :: !pairs));
   List.rev !pairs
 

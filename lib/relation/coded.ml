@@ -16,18 +16,14 @@ module Dict = struct
 
   let size d = Array.length d.values
 
-  (* The first code whose value is not below [v]. *)
-  let search values v =
-    let lo = ref 0 and hi = ref (Array.length values) in
+  (* Binary search for the first code whose value is not below [v]. *)
+  let code d v =
+    let lo = ref 0 and hi = ref (Array.length d.values) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Value.compare values.(mid) v < 0 then lo := mid + 1 else hi := mid
+      if Value.compare d.values.(mid) v < 0 then lo := mid + 1 else hi := mid
     done;
-    !lo
-
-  let code d v =
-    let c = search d.values v in
-    if c < Array.length d.values && Value.equal d.values.(c) v then Some c
+    if !lo < Array.length d.values && Value.equal d.values.(!lo) v then Some !lo
     else None
 
   let value d c =
@@ -314,35 +310,58 @@ let canonicalize ?(on_sort = ignore) w nrows data =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Coded databases                                                     *)
+(* Frames and coded databases                                          *)
 
+type frame = {
+  scheme : Attr.Set.t;
+  attrs : Attr.t array; (* sorted; attrs.(j) labels column j *)
+  width : int;
+  rows : int;
+  data : int array; (* row-major, exactly rows * width ints, duplicate-free *)
+  sorted : bool; (* rows ascend lexicographically by code *)
+  dict : Dict.t;
+}
+
+type t = { ddict : Dict.t; frames : frame Scheme.Map.t }
+
+(* Defined last, so that an unannotated [x.rows] reads a block: the
+   generators build and read these without naming the type. *)
 type block = { rows : int; codes : int array }
-type t = { values : Value.t array; blocks : block Scheme.Map.t }
 
-let width = Attr.Set.cardinal
+(* A canonical [(rows, data)] pair from [canonicalize], which always
+   returns an exact-length buffer, as a sorted frame. *)
+let frame dict scheme (rows, data) =
+  let attrs = Array.of_list (Attr.Set.elements scheme) in
+  { scheme; attrs; width = Array.length attrs; rows; data; sorted = true; dict }
 
-(* Remap every cell of each [(scheme, rows, cells)] through the
-   monotone [code] (so canonical order is kept or, for raw input,
-   established by the sort that follows) and canonicalize. *)
-let recode code blocks =
-  List.fold_left
-    (fun acc (s, rows, cells) ->
-      if Scheme.Map.mem s acc then invalid_arg "Coded: duplicate scheme";
-      let w = width s in
-      let ncells = rows * w in
-      let buf = Array.make ncells 0 in
-      for i = 0 to ncells - 1 do
-        Array.unsafe_set buf i (code (Array.unsafe_get cells i))
-      done;
-      let rows, codes = canonicalize w rows buf in
-      Scheme.Map.add s { rows; codes } acc)
-    Scheme.Map.empty blocks
+let add_frame acc (f : frame) =
+  if Scheme.Map.mem f.scheme acc then invalid_arg "Coded: duplicate scheme";
+  Scheme.Map.add f.scheme f acc
+
+let of_relation dict r =
+  let scheme = Relation.scheme r in
+  let w = Attr.Set.cardinal scheme and n = Relation.cardinality r in
+  let data = Array.make (n * w) 0 in
+  (* Tuple.iter visits the values in increasing attribute order, so the
+     cells arrive row-major. *)
+  let cell = ref 0 in
+  let put _ v =
+    match Dict.code dict v with
+    | Some c ->
+        data.(!cell) <- c;
+        incr cell
+    | None -> invalid_arg ("Frame.of_relation: no code for " ^ Value.to_string v)
+  in
+  Relation.iter (Tuple.iter put) r;
+  (* Codes follow value order and the tuples come in [Tuple.compare]
+     order, so the rows arrive canonical and this is one scan. *)
+  frame dict scheme (canonicalize w n data)
 
 let of_ints blocks =
   let maxv = ref (-1) and cells = ref 0 in
   List.iter
-    (fun (s, b) ->
-      let ncells = b.rows * width s in
+    (fun (s, (b : block)) ->
+      let ncells = b.rows * Attr.Set.cardinal s in
       if b.rows < 0 || Array.length b.codes < ncells then
         invalid_arg "Coded.of_ints: block shorter than its row count";
       for i = 0 to ncells - 1 do
@@ -361,7 +380,7 @@ let of_ints blocks =
       let mark = Array.make (!maxv + 1) (-1) in
       List.iter
         (fun (s, b) ->
-          for i = 0 to (b.rows * width s) - 1 do
+          for i = 0 to (b.rows * Attr.Set.cardinal s) - 1 do
             mark.(b.codes.(i)) <- 0
           done)
         blocks;
@@ -380,7 +399,9 @@ let of_ints blocks =
     else begin
       let all =
         Array.concat
-          (List.map (fun (s, b) -> Array.sub b.codes 0 (b.rows * width s)) blocks)
+          (List.map
+             (fun (s, b) -> Array.sub b.codes 0 (b.rows * Attr.Set.cardinal s))
+             blocks)
       in
       Array.sort Int.compare all;
       let n = ref 0 in
@@ -397,58 +418,63 @@ let of_ints blocks =
       (present, Hashtbl.find index)
     end
   in
-  {
-    values = Array.map Value.int present;
-    blocks = recode code (List.map (fun (s, b) -> (s, b.rows, b.codes)) blocks);
-  }
+  let ddict = Dict.of_sorted (Array.map Value.int present) in
+  (* Every cell remapped through the monotone [code] into a fresh
+     exact-length buffer, then canonicalized: the sort runs on dense
+     codes, the set semantics of [Relation.make]. *)
+  let frames =
+    List.fold_left
+      (fun acc (s, b) ->
+        let w = Attr.Set.cardinal s in
+        let ncells = b.rows * w in
+        let buf = Array.make ncells 0 in
+        for i = 0 to ncells - 1 do
+          Array.unsafe_set buf i (code (Array.unsafe_get b.codes i))
+        done;
+        add_frame acc (frame ddict s (canonicalize w b.rows buf)))
+      Scheme.Map.empty blocks
+  in
+  { ddict; frames }
 
 let of_relations rels =
-  (* Sort the distinct values once and code each cell by its rank:
-     each relation's tuples are in [Tuple.compare] order, so the coded
-     rows arrive sorted and canonicalize is one scan. *)
-  let cells =
-    List.map
-      (fun r ->
-        let s = Relation.scheme r and rows = Relation.cardinality r in
-        let a = Array.make (rows * width s) (Value.int 0) in
-        let i = ref 0 in
-        Relation.iter
-          (Tuple.iter (fun _ v ->
-               a.(!i) <- v;
-               incr i))
-          r;
-        (s, rows, a))
-      rels
+  (* Sort the distinct values once; each relation is then coded by
+     {!of_relation}, whose rows arrive canonical. *)
+  let values = ref [] in
+  List.iter
+    (Relation.iter (Tuple.iter (fun _ v -> values := v :: !values)))
+    rels;
+  let ddict =
+    Dict.of_sorted (Array.of_list (List.sort_uniq Value.compare !values))
   in
-  let values =
-    Array.of_list
-      (List.sort_uniq Value.compare
-         (List.concat_map (fun (_, _, a) -> Array.to_list a) cells))
-  in
-  { values; blocks = recode (Dict.search values) cells }
+  {
+    ddict;
+    frames =
+      List.fold_left
+        (fun acc r -> add_frame acc (of_relation ddict r))
+        Scheme.Map.empty rels;
+  }
 
-let rows c s = (Scheme.Map.find s c.blocks).rows
-
-let decode c s =
-  let b = Scheme.Map.find s c.blocks in
-  if b.rows = 0 then Relation.empty s
+let to_relation ?perm (f : frame) =
+  (* Rows are distinct and over [f.scheme] by construction: each tuple
+     is one value array over a shared header, so [Relation.of_array]'s
+     scheme check is a pointer test per tuple, and the rows arrive in
+     [Tuple.compare] order, so its sort is one ascending scan. *)
+  if f.rows = 0 then Relation.empty f.scheme
   else begin
-    (* Codes follow value order, so the rows are already in
-       [Tuple.compare] order and [Relation.of_array]'s sort is one
-       scan; every row shares one header, so its scheme check is a
-       pointer test. *)
-    let w = width s and header = Tuple.header s in
-    let tuples = Array.make b.rows Tuple.empty in
-    for r = 0 to b.rows - 1 do
-      let base = r * w in
-      let vals = Array.make w c.values.(b.codes.(base)) in
+    let w = f.width in
+    let value cell = Dict.value f.dict f.data.(cell) in
+    let header = Tuple.header f.scheme in
+    let tuples = Array.make f.rows Tuple.empty in
+    for r = 0 to f.rows - 1 do
+      let base = (match perm with None -> r | Some p -> p.(r)) * w in
+      let vals = Array.make w (value base) in
       for j = 1 to w - 1 do
-        vals.(j) <- c.values.(b.codes.(base + j))
+        vals.(j) <- value (base + j)
       done;
       tuples.(r) <- Tuple.of_values header vals
     done;
-    Relation.of_array s tuples
+    Relation.of_array f.scheme tuples
   end
 
 let restrict c d =
-  { c with blocks = Scheme.Map.filter (fun s _ -> Scheme.Set.mem s d) c.blocks }
+  { c with frames = Scheme.Map.filter (fun s _ -> Scheme.Set.mem s d) c.frames }

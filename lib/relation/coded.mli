@@ -1,15 +1,16 @@
-(** Coded databases: the frame plane's input form.
+(** Coded databases: a database's one encoded form.
 
     A coded database is one dictionary of values in ascending
-    {!Value.compare} order plus, per relation scheme, a {e canonical}
-    row-major buffer of codes into it: rows strictly ascending
-    lexicographically, hence duplicate-free.  Because code order is
-    value order, a canonical buffer lists its rows in {!Tuple.compare}
-    order: decoding needs no sort, and no rank table translates
-    between the two orders.
+    {!Value.compare} order plus, per relation scheme, a {e frame}: a
+    {e canonical} row-major buffer of codes into it (rows strictly
+    ascending lexicographically, hence duplicate-free) with its
+    attribute header.  Because code order is value order, a canonical
+    buffer lists its rows in {!Tuple.compare} order: decoding needs no
+    sort, and no rank table translates between the two orders.
 
-    The dictionary ({!Dict}) and the sort ({!canonicalize}) live
-    here, below {!Database} and {!Frame}, so both can use them. *)
+    The dictionary ({!Dict}), the sort ({!canonicalize}), the frame
+    record and the decode loop ({!to_relation}) live here, below
+    {!Database} and [Frame], so both use them. *)
 
 (** {1 Value dictionary} *)
 
@@ -49,7 +50,7 @@ val canonicalize :
   ?on_sort:(int -> unit) -> int -> int -> int array -> int * int array
 (** [canonicalize w nrows data] sort-uniques the first [nrows] rows of
     width [w] held in a possibly larger buffer, returning the kept row
-    count and a packed canonical buffer.  The codes must be
+    count and an exact-length canonical buffer.  The codes must be
     non-negative ints.  Already-canonical input short-circuits to a
     trim (the input buffer itself when no trim is needed) after one
     allocation-free O(rows * w) scan.  Anything else is sorted, after
@@ -92,39 +93,54 @@ val order :
     once.  [compares], when given, is increased by the row comparisons
     the bucket finish made. *)
 
-(** {1 Coded databases} *)
+(** {1 Frames and coded databases} *)
+
+type frame = {
+  scheme : Attr.Set.t;
+  attrs : Attr.t array;  (** ascending: [attrs.(j)] labels column [j] *)
+  width : int;
+  rows : int;
+  data : int array;  (** row-major, exactly [rows * width], duplicate-free *)
+  sorted : bool;  (** rows ascend lexicographically by code *)
+  dict : Dict.t;
+}
+(** One coded relation state, the record behind the abstract [Frame.t]:
+    it lives below {!Database} so that a coded database can hold
+    frames.  Everything else builds and reads frames through [Frame]. *)
+
+type t = private { ddict : Dict.t; frames : frame Scheme.Map.t }
+(** A coded database, which is [Frame.Db.t]: one sorted frame per
+    scheme, all coded against [ddict].  {!of_ints} and {!of_relations}
+    keep exactly the values some frame uses. *)
 
 type block = { rows : int; codes : int array }
-(** [rows] rows of row-major codes whose width is the cardinality of
-    the block's scheme (columns in increasing attribute order). *)
-
-type t = private { values : Value.t array; blocks : block Scheme.Map.t }
-(** [values] strictly ascending by [Value.compare]; every block
-    canonical, its codes indexing [values].  {!of_ints} and
-    {!of_relations} keep exactly the values some block uses, so the
-    dictionary size is the database's distinct-value count. *)
+(** The generators' output: [rows] rows of row-major non-negative ints,
+    one column per attribute of the block's scheme in increasing
+    order, in any row order, duplicates allowed. *)
 
 val of_ints : (Scheme.t * block) list -> t
-(** [of_ints blocks] codes raw generated data: each block holds
-    non-negative ints, in any row order and with duplicate rows
-    allowed.  The ints present anywhere become the dictionary (as
-    [Value.int], ascending), every cell is remapped to its dense code
-    in one pass and every block is canonicalized — the set semantics of
+(** [of_ints blocks] codes generated data: the ints present anywhere
+    become the dictionary (as [Value.int], ascending), every cell is
+    remapped to its dense code in one pass into an exact-length buffer
+    and every block is canonicalized — the set semantics of
     {!Relation.make}.  No allocation depends on the largest int.
     @raise Invalid_argument on a negative int, a block shorter than its
     row count or two blocks of one scheme. *)
 
 val of_relations : Relation.t list -> t
 (** The coded form of relation states (distinct schemes): the distinct
-    values sorted once, every cell coded by its value's rank. *)
+    values sorted once, then each state coded by {!of_relation}. *)
 
-val rows : t -> Scheme.t -> int
-(** @raise Not_found if the scheme is absent. *)
+val of_relation : Dict.t -> Relation.t -> frame
+(** [of_relation dict r] codes [r] by looking each value up in [dict];
+    the rows come out sorted with one scan.
+    @raise Invalid_argument if [dict] lacks a value of [r]. *)
 
-val decode : t -> Scheme.t -> Relation.t
-(** The relation state a block codes.
-    @raise Not_found if the scheme is absent. *)
+val to_relation : ?perm:int array -> frame -> Relation.t
+(** Decode a frame, its rows taken in stored order or in the order
+    [perm] lists them.  Codes follow value order, so a sorted frame
+    needs no [perm]. *)
 
 val restrict : t -> Scheme.Set.t -> t
-(** The blocks of the given schemes, over the same dictionary (which
-    may then hold values no kept block uses). *)
+(** The frames of the given schemes, shared, over the same dictionary
+    (which may then hold values no kept frame uses). *)

@@ -1,11 +1,12 @@
 (* A scheme set plus two forms of the state, each built on first demand
-   from the other: per-scheme seed relations and one coded form.  At
-   least one form is always complete: a database built from relations
-   has every seed slot filled, and one whose coded form is absent was
-   built from relations (or derived from one by [replace] or
-   [map_states], which fill every slot).  Both are published through
-   [Atomic.compare_and_set], so a form forced from several domains at
-   once is built by each racer and exactly one copy wins. *)
+   from the other: per-scheme seed relations and one coded form, the
+   frames every execution reads.  At least one form is always complete:
+   a database built from relations has every seed slot filled, and one
+   whose coded form is absent was built from relations (or derived from
+   one by [replace] or [map_states], which fill every slot).  Both are
+   published through [Atomic.compare_and_set], so a form forced from
+   several domains at once is built by each racer and exactly one copy
+   wins. *)
 type t = {
   seeds : Relation.t option Atomic.t Scheme.Map.t;
   coded : Coded.t option Atomic.t;
@@ -28,10 +29,10 @@ let of_relations rs =
        Scheme.Map.empty rs)
 
 let of_coded (c : Coded.t) =
-  if Scheme.Map.is_empty c.blocks then
+  if Scheme.Map.is_empty c.frames then
     invalid_arg "Database.of_coded: empty database";
   {
-    seeds = Scheme.Map.map (fun _ -> Atomic.make None) c.blocks;
+    seeds = Scheme.Map.map (fun _ -> Atomic.make None) c.frames;
     coded = Atomic.make (Some c);
     forced = Atomic.make 0;
   }
@@ -55,9 +56,8 @@ let find db s =
   | Some r -> r
   | None ->
       (* An empty slot means the coded form is present. *)
-      let won, r =
-        publish slot (Coded.decode (Option.get (Atomic.get db.coded)) s)
-      in
+      let c = Option.get (Atomic.get db.coded) in
+      let won, r = publish slot (Coded.to_relation (Scheme.Map.find s c.frames)) in
       if won then Atomic.incr db.forced;
       r
 
@@ -78,7 +78,7 @@ let seed_forced db = Atomic.get db.forced
 let cardinality db s =
   match Atomic.get (Scheme.Map.find s db.seeds) with
   | Some r -> Relation.cardinality r
-  | None -> Coded.rows (Option.get (Atomic.get db.coded)) s
+  | None -> (Scheme.Map.find s (Option.get (Atomic.get db.coded)).frames).rows
 
 let universe db =
   Scheme.Map.fold (fun s _ acc -> Attr.Set.union s acc) db.seeds Attr.Set.empty

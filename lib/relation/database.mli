@@ -7,15 +7,16 @@
 
     The state is held in up to two forms, each built on first demand
     from the other: per-scheme seed {!Relation.t} states, which the
-    paper's algebra reads, and one {!Coded.t}, which the frame
-    executor and the catalog read.  A generated database is born
-    coded ({!of_coded}) and decodes a seed state only when {!find} (or
-    anything built on it) asks for that scheme; a database built from
-    relations encodes its coded form on the first {!coded}.  Scheme
-    queries, {!cardinality}, {!total_tuples} and {!pp_brief} force
-    neither form.  Forcing is safe from several domains at once: racers
-    may each build a form, exactly one is published and all return
-    it. *)
+    paper's algebra reads, and one {!Coded.t}, its frames, which every
+    execution path, the τ counter and the catalog read
+    ([Frame.Db.of_database] is {!coded}).  A generated database is
+    born coded ({!of_coded}) and decodes a seed state only when {!find}
+    (or anything built on it) asks for that scheme; a database built
+    from relations encodes its coded form on the first {!coded}, once.
+    Scheme queries, {!cardinality}, {!total_tuples} and {!pp_brief}
+    force neither form.  Forcing is safe from several domains at once:
+    racers may each build a form, exactly one is published and all
+    return it. *)
 
 type t
 
@@ -43,12 +44,13 @@ val relations : t -> Relation.t list
 (** Every seed state, in {!scheme_list} order (forces them all). *)
 
 val find : t -> Scheme.t -> Relation.t
-(** The seed state of a scheme, decoded from the coded form on first
-    demand.
+(** The seed state of a scheme, decoded from its frame on first demand
+    ({!Coded.to_relation}, the loop [Frame.to_relation] runs too).
     @raise Not_found if the scheme is not in the database. *)
 
 val coded : t -> Coded.t
-(** The coded form, encoded from the seed states on first demand. *)
+(** The coded form, encoded from the seed states on first demand; every
+    call returns the same value. *)
 
 val cardinality : t -> Scheme.t -> int
 (** The row count of one relation, from whichever form is present.
@@ -68,9 +70,9 @@ val universe : t -> Attr.Set.t
 (** [∪D]. *)
 
 val restrict : t -> Scheme.Set.t -> t
-(** [restrict db d'] is the sub-database [(D', D')].  It keeps the coded
-    form (over the parent's dictionary) and shares the seed states, so a
-    state forced through either is forced for both.
+(** [restrict db d'] is the sub-database [(D', D')].  It shares the
+    seed states, so a state forced through either is forced for both,
+    and the parent's coded form if present (over its dictionary).
     @raise Invalid_argument if [d'] is empty or not a subset of the
     database scheme. *)
 

@@ -13,13 +13,13 @@ module Dict = Coded.Dict
    that name [Frame.Heap] still compile. *)
 type storage = Heap
 
-type t = {
+type t = Coded.frame = {
   scheme : Attr.Set.t;
-  attrs : Attr.t array; (* sorted; attrs.(j) labels column j *)
+  attrs : Attr.t array;
   width : int;
   rows : int;
-  data : int array; (* row-major, exactly rows * width ints, duplicate-free *)
-  sorted : bool; (* rows ascend lexicographically by code *)
+  data : int array;
+  sorted : bool;
   dict : Dict.t;
 }
 
@@ -77,34 +77,13 @@ let sort ?stats f =
   else begin
     let rows, data = sort_rows ?stats f.width f.rows f.data in
     assert (rows = f.rows);
-    { f with data = trim (rows * f.width) data; sorted = true }
+    { f with data; sorted = true }
   end
 
 (* ------------------------------------------------------------------ *)
 (* Conversion                                                          *)
 
-let of_relation dict r =
-  let scheme = Relation.scheme r in
-  let attrs = Array.of_list (Attr.Set.elements scheme) in
-  let w = Array.length attrs in
-  let n = Relation.cardinality r in
-  let data = Array.make (max 1 (n * w)) 0 in
-  (* Tuple.iter visits the values in increasing attribute order = attrs
-     order, so the cells arrive row-major. *)
-  let cell = ref 0 in
-  let put _ v =
-    match Dict.code dict v with
-    | Some c ->
-        data.(!cell) <- c;
-        incr cell
-    | None -> invalid_arg ("Frame.of_relation: no code for " ^ Value.to_string v)
-  in
-  Relation.iter (fun tu -> Tuple.iter put tu) r;
-  (* Codes follow value order and the tuples come in [Tuple.compare]
-     order, so the rows arrive canonical and this is one scan. *)
-  let rows, data = sort_rows w n data in
-  { scheme; attrs; width = w; rows; data = trim (rows * w) data; sorted = true;
-    dict }
+let of_relation = Coded.of_relation
 
 (* The planted mutation [frame.certify_bucket] for [mjoin fuzz
    --self-test]: put the first run of rows sharing a leading code back
@@ -151,29 +130,12 @@ let value_order ?stats f =
     | _ -> ());
     perm
 
+(* Decode walks [value_order], so decode and digest read the rows in
+   one order. *)
 let to_relation ?stats f =
-  (* Rows are distinct and over [f.scheme] by construction: each tuple
-     is one value array over a shared header, so [Relation.of_array]'s
-     scheme check is a pointer test per tuple, and the rows arrive in
-     [Tuple.compare] order ([value_order]), so its sort is one
-     ascending scan. *)
-  if f.rows = 0 then Relation.empty f.scheme
-  else begin
-    let w = f.width in
-    let perm = value_order ?stats f in
-    let value cell = Dict.value f.dict f.data.(cell) in
-    let header = Tuple.header f.scheme in
-    let tuples = Array.make f.rows Tuple.empty in
-    for r = 0 to f.rows - 1 do
-      let base = (match perm with None -> r | Some p -> p.(r)) * w in
-      let vals = Array.make w (value base) in
-      for j = 1 to w - 1 do
-        vals.(j) <- value (base + j)
-      done;
-      tuples.(r) <- Tuple.of_values header vals
-    done;
-    Relation.of_array f.scheme tuples
-  end
+  Coded.to_relation
+    ?perm:(if f.rows = 0 then None else value_order ?stats f)
+    f
 
 (* [Relation.digest (to_relation f)] without building the relation:
    one block of [Fnv]'s byte loop over the code buffer, walked in
@@ -530,8 +492,7 @@ let project f x =
     done
   done;
   let rows, data = sort_rows w f.rows data in
-  { scheme = x; attrs; width = w; rows; data = trim (rows * w) data;
-    sorted = true; dict = f.dict }
+  { scheme = x; attrs; width = w; rows; data; sorted = true; dict = f.dict }
 
 (* ------------------------------------------------------------------ *)
 (* Trie iterators and the generic (worst-case-optimal) join            *)
@@ -790,7 +751,7 @@ let leapfrog_join ~name ~ranked ?stats ~order frames =
           (* Rows are already distinct; one sort in code space restores
              canonical order when the emission order differs from it. *)
           let rows, data = sort_rows ~stats w (b.blen / w) b.bdata in
-          frame rows (trim (rows * w) data))
+          frame rows data)
 
 let generic_join ?stats ~order frames =
   leapfrog_join ~name:"Frame.generic_join" ~ranked:None ?stats ~order frames
@@ -802,33 +763,11 @@ let topk ?stats ~order ~k frames =
 (* Databases of frames                                                 *)
 
 module Db = struct
-  type frame = t
+  type t = Coded.t
 
-  type t = { ddict : Dict.t; frames : frame Scheme.Map.t }
-
-  let of_database db =
-    let c = Database.coded db in
-    let ddict = Dict.of_sorted c.values in
-    let frames =
-      Scheme.Map.mapi
-        (fun scheme (b : Coded.block) ->
-          let attrs = Array.of_list (Attr.Set.elements scheme) in
-          let width = Array.length attrs in
-          {
-            scheme;
-            attrs;
-            width;
-            rows = b.rows;
-            data = trim (b.rows * width) b.codes;
-            sorted = true;
-            dict = ddict;
-          })
-        c.blocks
-    in
-    { ddict; frames }
-
-  let dict fdb = fdb.ddict
-  let find fdb s = Scheme.Map.find s fdb.frames
+  let of_database = Database.coded
+  let dict (fdb : t) = fdb.ddict
+  let find (fdb : t) s = Scheme.Map.find s fdb.frames
 
   let join_schemes ?obs ?domains ?morsel ?stats fdb d =
     match Scheme.Set.elements d with
@@ -844,7 +783,7 @@ module Db = struct
 
   let join_all ?obs ?domains ?morsel ?stats fdb =
     join_schemes ?obs ?domains ?morsel ?stats fdb
-      (Scheme.Map.fold (fun s _ acc -> Scheme.Set.add s acc) fdb.frames
+      (Scheme.Map.fold (fun s _ acc -> Scheme.Set.add s acc) fdb.Coded.frames
          Scheme.Set.empty)
 
   (* ---------------------------------------------------------------- *)
@@ -926,7 +865,7 @@ module Db = struct
 
   let counter fdb =
     let cframes =
-      Array.of_list (List.map snd (Scheme.Map.bindings fdb.frames))
+      Array.of_list (List.map snd (Scheme.Map.bindings fdb.Coded.frames))
     in
     let k = Array.length cframes in
     if k > Sys.int_size - 1 then

@@ -89,7 +89,8 @@ val value_order : ?stats:stats -> t -> int array option
 
 val to_relation : ?stats:stats -> t -> Relation.t
 (** Decode back to the seed representation, walking {!value_order}
-    (so the decode is the frame's one sort, counted in [stats]).
+    (so the decode is the frame's one sort, counted in [stats]) in
+    {!Database.find}'s decode loop ({!Coded.to_relation}).
     Round-trip identity: [Relation.equal (to_relation (of_relation d r)) r]. *)
 
 val digest : ?stats:stats -> t -> int64
@@ -276,12 +277,12 @@ module Db : sig
 
   type t
   (** All relations of one {!Database} encoded against one shared
-      dictionary. *)
+      dictionary: its coded form ({!Coded.t}). *)
 
   val of_database : Database.t -> t
-  (** Wrap the database's coded form ({!Database.coded}): the dictionary
-      is its value array ({!Dict.of_sorted}), and each
-      frame shares its canonical code buffer.  Forces no seed state. *)
+  (** The database's one encoding ({!Database.coded}): built on the
+      first read, then shared by every caller.  Forces no seed
+      state. *)
 
   val dict : t -> Dict.t
 
@@ -339,6 +340,10 @@ module Db : sig
       Counts saturate at [max_int].
       @raise Invalid_argument if [mask] is [0] or names a scheme
       outside the database. *)
+
+  val saturating_add : int -> int -> int
+  (** [a + b] on non-negative counts, [max_int] when it overflows: τ
+      sums counts with it. *)
 
   val saturating_mul : int -> int -> int
   (** [a × b] on non-negative counts, [max_int] when it overflows. *)

@@ -8,16 +8,12 @@ module Planner = Mj_engine.Planner
 module Pool = Mj_pool.Pool
 module Failpoint = Mj_failpoint.Failpoint
 
-(* Per-database warm state.  The frame dictionary is built once, on
-   the first query, and shared read-only afterwards. *)
-type db_entry = { db : Database.t; mutable fdb : Frame.Db.t option }
-
 type t = {
   cfg : Engine.Config.t;
   queue_cap : int;
   timeout_ms : int;
   mutex : Mutex.t;
-  registry : (string, db_entry) Hashtbl.t;
+  registry : (string, Database.t) Hashtbl.t; (* each keeps its encoding *)
   plans : Mj_engine.Physical.t Plan_cache.t;
   mutable epoch : int;
   in_flight : int Atomic.t;
@@ -101,32 +97,19 @@ let stopped t = Atomic.get t.stop
 (* ------------------------------------------------------------------ *)
 (* Warm-state access                                                   *)
 
-let db_entry t ~key ~db =
+let registered t ~key ~db =
   match locked t (fun () -> Hashtbl.find_opt t.registry key) with
-  | Some e -> e
+  | Some d -> d
   | None ->
       (* Materialize outside the lock — generation can be slow — and
          let the first writer win if two requests race on the key. *)
       let materialized = db () in
       locked t (fun () ->
           match Hashtbl.find_opt t.registry key with
-          | Some e -> e
+          | Some d -> d
           | None ->
-              let e = { db = materialized; fdb = None } in
-              Hashtbl.add t.registry key e;
-              e)
-
-let frame_db t entry =
-  match locked t (fun () -> entry.fdb) with
-  | Some fdb -> fdb
-  | None ->
-      let built = Frame.Db.of_database entry.db in
-      locked t (fun () ->
-          match entry.fdb with
-          | Some fdb -> fdb
-          | None ->
-              entry.fdb <- Some built;
-              built)
+              Hashtbl.add t.registry key materialized;
+              materialized)
 
 (* ------------------------------------------------------------------ *)
 (* Query execution                                                     *)
@@ -169,11 +152,11 @@ let submit_query t ?id ?obs ?strategy ?policy ~key ~db () =
   end
   else
     match
-      let entry = db_entry t ~key ~db in
+      let db = registered t ~key ~db in
       let strategy =
         match strategy with
         | Some s -> s
-        | None -> Protocol.default_strategy entry.db
+        | None -> Protocol.default_strategy db
       in
       let strat_s = strategy_string strategy in
       let pkey = plan_key t ~policy ~key ~strat_s in
@@ -188,16 +171,14 @@ let submit_query t ?id ?obs ?strategy ?policy ~key ~db () =
         match cached with
         | Some plan -> plan
         | None ->
-            let plan = Engine.lower cfg_req entry.db strategy in
+            let plan = Engine.lower cfg_req db strategy in
             locked t (fun () -> Plan_cache.add t.plans pkey plan);
             plan
       in
       (* Certify on the native result: the digest runs on the root
          frame's code buffers, so nothing is decoded, and [ms] below
          covers it. *)
-      let digest, stats =
-        Engine.execute_digest ~fdb:(frame_db t entry) cfg_req entry.db plan
-      in
+      let digest, stats = Engine.execute_digest cfg_req db plan in
       let ms = (Obs.monotonic_time () -. start) *. 1000. in
       (digest, stats, strat_s, cached <> None, ms)
     with

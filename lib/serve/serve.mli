@@ -4,7 +4,8 @@
     format that keeps warm state alive across queries:
 
     - a {e database registry} keyed by {!Protocol.workload_key} —
-      materialized databases and their frame dictionary encodings ([Frame.Db.of_database], built once and shared
+      materialized databases, each holding its one frame encoding
+      ([Frame.Db.of_database], built on its first query and shared
       read-only by concurrent executions);
     - a bounded LRU {e plan cache} ({!Plan_cache}) keyed on
       [(stats epoch, policy, workload, strategy)] — hit/miss

@@ -183,6 +183,18 @@ for plane in seed frame; do
 done
 test "$(cat "$TMP/hash-seed")" = "$(cat "$TMP/hash-frame")"
 test "$(cat "$TMP/hash-frame")" = "\"hash\":\"$GOLDEN\""
+# The consistent regime is the served regime whose database is built
+# from relations and encoded on its first query.  The same query in a
+# later batch reads that database's one encoding: a plan-cache hit, the
+# same hash.
+{
+  echo '{"id":1,"op":"query","shape":"chain","n":4,"rows":30,"domain":10,"regime":"consistent","seed":3}'
+  sleep 0.3
+  echo '{"id":2,"op":"query","shape":"chain","n":4,"rows":30,"domain":10,"regime":"consistent","seed":3}'
+} | "$MJOIN" serve > "$TMP/consistent.out" 2> /dev/null
+test "$(grep -c '"status":"ok"' "$TMP/consistent.out")" = 2
+grep '"id":2' "$TMP/consistent.out" | grep -q '"cached_plan":true'
+test "$(grep -o '"hash":"[0-9a-f]*"' "$TMP/consistent.out" | sort -u | wc -l)" = 1
 # Error paths answer structured per-request errors; the daemon itself
 # exits 0 on EOF.
 echo '{not json' | "$MJOIN" serve 2> /dev/null \

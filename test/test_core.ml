@@ -911,7 +911,7 @@ let test_verify_allocation () =
   let report = Theorems.verify ~backend:Cost.Cache.Frame db in
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) "same report" true (warm = report);
-  Alcotest.(check (float 0.)) "minor words" 34445. words
+  Alcotest.(check (float 0.)) "minor words" 34224. words
 
 let test_cache_product_rule () =
   (* D = {AB, BC, DE} is unconnected; emptying DE empties every mask
@@ -1032,6 +1032,23 @@ let prop_optimum_beats_every_tree =
         (fun t -> Setops.tau Setops.Inter family t >= best)
         (Setops.all_trees names))
 
+(* A saturated count is a count: the τ sums saturate at [max_int]
+   instead of wrapping, and a plan costing [max_int] is still a plan. *)
+let test_saturated_sums () =
+  let s = st "((AB * BC) * CD) * DE" in
+  Alcotest.(check int) "tau_oracle" max_int (Cost.tau_oracle (fun _ -> max_int) s);
+  Alcotest.(check int) "one saturated term" max_int
+    (Cost.tau_oracle (fun d -> if Scheme.Set.cardinal d = 4 then max_int else 7) s);
+  Alcotest.(check int) "strategy_cost" max_int
+    (Subset_dp.strategy_cost Sum (fun _ -> max_int) s);
+  let dp = Subset_dp.create ~units:3 (fun _ -> max_int) in
+  Subset_dp.solve dp ~splits:Subset_dp.iter_anchored_splits 7;
+  Alcotest.(check (option int)) "a plan at max_int" (Some max_int)
+    (Subset_dp.cost dp 7);
+  Alcotest.(check (option (list int))) "its tree" (Some [ 0; 1; 2 ])
+    (Option.map (List.sort Int.compare)
+       (Subset_dp.build dp ~leaf:(fun i -> [ i ]) ~node:( @ ) 7))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1067,6 +1084,7 @@ let () =
           Alcotest.test_case "eval = join_all" `Quick test_eval_matches_join_all;
           Alcotest.test_case "missing scheme" `Quick test_cost_missing_scheme;
           prop_tau_oracle_consistent;
+          Alcotest.test_case "saturated sums" `Quick test_saturated_sums;
           prop_eval_order_independent;
         ] );
       ( "transform",

@@ -426,6 +426,15 @@ let dp_variants ?(makespan = true) oracle d =
      else [])
   |> List.map (fun (name, r) -> name ^ ": " ^ show_plan r)
 
+(* Saturated counts: under a [card] of [max_int] every sum saturates,
+   so every plan costs [max_int], and every driver still returns one. *)
+let test_dp_saturated () =
+  let suffix = " " ^ string_of_int max_int in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) line true (String.ends_with ~suffix line))
+    (dp_variants (fun _ -> max_int) (Querygraph.chain 4))
+
 let golden_schemes =
   [
     ("chain6", Querygraph.chain 6, true);
@@ -822,6 +831,8 @@ let () =
           prop_plans_are_valid;
           prop_heuristics_dominated_by_dp;
           prop_selinger_policy_ordering;
+          Alcotest.test_case "saturated counts keep a plan" `Quick
+            test_dp_saturated;
         ] );
       ( "ikkbz",
         [

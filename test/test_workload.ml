@@ -485,8 +485,8 @@ let test_wide_domain () =
   let db = Mj_serve.Protocol.materialize w in
   let twin = Database.of_relations (Database.relations db) in
   Alcotest.(check bool) "same as the twin" true (same_form db twin);
-  let c = Database.coded db in
-  let values = Array.to_list c.Coded.values in
+  let d = Frame.Db.dict (Frame.Db.of_database db) in
+  let values = List.init (Frame.Dict.size d) (Frame.Dict.value d) in
   Alcotest.(check bool) "ascending" true
     (List.sort_uniq Value.compare values = values);
   Alcotest.(check bool) "wide values kept" true
@@ -523,9 +523,8 @@ let test_frame_pipeline_forces_nothing () =
           let obs = Obs.make () in
           let cfg = config ~policy obs in
           let db = Mj_serve.Protocol.materialize w in
-          let fdb = Frame.Db.of_database db in
           let plan = Engine.lower cfg db (Mj_serve.Protocol.default_strategy db) in
-          ignore (Engine.execute_plan ~fdb cfg db plan);
+          ignore (Engine.execute_plan cfg db plan);
           ignore (Engine.execute_digest cfg db plan);
           let where =
             Mj_serve.Protocol.workload_key w ^ " " ^ Planner.policy_name policy
@@ -598,6 +597,69 @@ let test_concurrent_forcing () =
       (Database.seed_forced db)
   done
 
+(* One encoding per database: [Frame.Db.of_database] returns the same
+   frames on every call, for a born-coded database and for one built
+   from relations (encoded on the first call), and a restricted view
+   shares its parent's frames and dictionary. *)
+let test_one_encoding () =
+  let db = Mj_serve.Protocol.materialize (List.hd lazy_workloads) in
+  let twin = Database.of_relations (Database.relations db) in
+  List.iter
+    (fun (name, db) ->
+      let fdb = Frame.Db.of_database db in
+      Alcotest.(check bool) (name ^ ": one encoding") true
+        (fdb == Frame.Db.of_database db);
+      let cfg = config ~policy:Planner.Hash_all Obs.noop in
+      ignore
+        (Engine.execute_digest cfg db
+           (Engine.lower cfg db (Mj_serve.Protocol.default_strategy db)));
+      Alcotest.(check bool) (name ^ ": kept after a query") true
+        (fdb == Frame.Db.of_database db);
+      let s = Scheme.Set.min_elt (Database.schemes db) in
+      let sub = Database.restrict db (Scheme.Set.singleton s) in
+      let fsub = Frame.Db.of_database sub in
+      Alcotest.(check bool) (name ^ ": the view shares the frame") true
+        (Frame.Db.find fsub s == Frame.Db.find fdb s);
+      Alcotest.(check bool) (name ^ ": and the dictionary") true
+        (Frame.Db.dict fsub == Frame.Db.dict fdb))
+    [ ("born coded", db); ("relation-built", twin) ]
+
+(* A relation-built database encoded from four pool domains at once
+   publishes one encoding: every racer returns the same frames. *)
+let test_concurrent_encoding () =
+  let w = List.hd lazy_workloads in
+  let rels = Database.relations (Mj_serve.Protocol.materialize w) in
+  for _ = 1 to 5 do
+    let db = Database.of_relations rels in
+    let got =
+      Mj_pool.Pool.run ~domains:4
+        (Array.init 4 (fun _ () -> Frame.Db.of_database db))
+    in
+    Array.iter
+      (fun fdb ->
+        Alcotest.(check bool) "one published encoding" true
+          (fdb == got.(0) && fdb == Frame.Db.of_database db))
+      got
+  done
+
+(* τ sums saturate: chain-16 at 10,000 rows over 100 values joins to
+   far more than [max_int] rows, so |R_D| counts as [max_int] and the
+   default plan's exact τ, whose last term it is, is [max_int] too —
+   not a wrapped sum below its own last term. *)
+let test_saturated_tau () =
+  let db =
+    Mj_serve.Protocol.materialize
+      { Mj_serve.Protocol.shape = "chain"; n = 16; rows = 10_000; domain = 100;
+        regime = "uniform"; seed = 0 }
+  in
+  let cache = Cost.Cache.create db in
+  Alcotest.(check int) "|R_D|" max_int
+    (Cost.Cache.card_mask cache (Bitdb.full (Cost.Cache.universe cache)));
+  Alcotest.(check int) "tau of the default plan" max_int
+    (Cost.tau_oracle (Cost.Cache.card cache)
+       (Mj_serve.Protocol.default_strategy db));
+  Alcotest.(check int) "no seed state forced" 0 (Database.seed_forced db)
+
 (* Order on demand, as a work count: the oneshot-large chain-4 cost
    frame query (rows=6000, two domains) leaves every join output
    unsorted, so the only rows that go through a sort are the result's,
@@ -618,7 +680,6 @@ let test_only_the_root_sorts () =
     }
   in
   let db = Mj_serve.Protocol.materialize w in
-  let fdb = Frame.Db.of_database db in
   let frame_stats finish =
     let obs = Obs.make () in
     let cfg = config ~policy:Planner.Hash_all obs in
@@ -630,10 +691,10 @@ let test_only_the_root_sorts () =
     fs
   in
   let decoded =
-    frame_stats (fun cfg plan -> snd (Engine.execute_plan ~fdb cfg db plan))
+    frame_stats (fun cfg plan -> snd (Engine.execute_plan cfg db plan))
   in
   let digested =
-    frame_stats (fun cfg plan -> snd (Engine.execute_digest ~fdb cfg db plan))
+    frame_stats (fun cfg plan -> snd (Engine.execute_digest cfg db plan))
   in
   Alcotest.(check int) "result rows" 6210 decoded.Frame_engine.result_rows;
   Alcotest.(check int) "decode sorts the result rows"
@@ -749,6 +810,11 @@ let () =
           Alcotest.test_case "verify on frames forces no seed state" `Quick
             test_verify_on_frames_forces_nothing;
           Alcotest.test_case "concurrent forcing" `Quick test_concurrent_forcing;
+          Alcotest.test_case "one encoding per database" `Quick
+            test_one_encoding;
+          Alcotest.test_case "concurrent encoding" `Quick
+            test_concurrent_encoding;
+          Alcotest.test_case "saturated tau" `Quick test_saturated_tau;
           Alcotest.test_case "derived forms" `Quick test_derived_forms;
           Alcotest.test_case "only the root sorts" `Quick
             test_only_the_root_sorts;
