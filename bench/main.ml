@@ -34,8 +34,6 @@ let config = ref None
 let get_config () =
   match !config with Some c -> c | None -> Engine.Config.of_env ()
 
-let config_domains () = (get_config ()).Engine.Config.domains
-
 let section id title =
   Printf.printf "\n%s\n[%s] %s\n%s\n" (String.make 74 '=') id title
     (String.make 74 '=')
@@ -1178,7 +1176,7 @@ let frame =
   leg "FRAME"
     "Columnar dictionary-encoded frames vs the seed Relation algebra \
      (equal results certified)"
-    (fun () -> Frame_bench.run ~domains:(config_domains ()) ~quick:!quick ())
+    (fun () -> Frame_bench.run ~quick:!quick ())
 
 let par =
   leg "PAR"

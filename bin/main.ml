@@ -7,7 +7,19 @@
      enumerate   count / list the strategy subspaces of a query shape
      optimize    generate a database and compare optimizers on it
      space       search-space size table for a query shape
-     explain     EXPLAIN ANALYZE: execute a plan with tracing on *)
+     analyze     load a database file; verify and optimize it
+     plan        cost and execute one strategy on a scenario
+     query       run a conjunctive query against a database file
+     explain     EXPLAIN ANALYZE: execute a plan with tracing on
+     topk        ranked enumeration of an alpha-acyclic join
+     stats       execute a plan repeatedly and print registry metrics
+     bench-diff  regression gate over BENCH_*.json files
+     fuzz        differential/metamorphic fuzzing of the engine matrix
+     serve       long-running NDJSON query daemon
+
+   verify, explain, topk and stats run on [--scenario] or on the
+   database the generation flags denote (optimize: the flags only);
+   that database is [Protocol.materialize]'s, the daemon's builder. *)
 
 open Mj_relation
 open Mj_hypergraph
@@ -20,6 +32,7 @@ module Export = Mj_obs.Export
 module Engine = Mj_engine.Engine
 module Planner = Mj_engine.Planner
 module Physical = Mj_engine.Physical
+module Protocol = Mj_serve.Protocol
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                     *)
@@ -37,18 +50,28 @@ let scenario_conv =
   in
   Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
 
+(* The scenario [examples], [conditions] and [plan] take first. *)
+let scenario_pos =
+  Arg.(
+    required
+    & pos 0 (some scenario_conv) None
+    & info [] ~docv:"SCENARIO"
+        ~doc:
+          ("Scenario name: "
+          ^ String.concat ", " (List.map fst Mj_workload.Scenarios.all)
+          ^ "."))
+
 let shape_conv =
-  let parse s =
-    match List.assoc_opt s Mj_workload.Dbgen.shapes with
-    | Some shape -> Ok (s, shape)
-    | None -> Error (`Msg (Printf.sprintf "unknown shape %s" s))
+  let parse = function
+    | s when List.mem_assoc s Mj_workload.Dbgen.shapes -> Ok s
+    | s -> Error (`Msg (Printf.sprintf "unknown shape %s" s))
   in
-  Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
+  Arg.conv (parse, Format.pp_print_string)
 
 let shape_arg =
   Arg.(
     value
-    & opt shape_conv ("chain", List.assoc "chain" Mj_workload.Dbgen.shapes)
+    & opt shape_conv "chain"
     & info [ "shape" ]
         ~doc:
           ("Query shape: "
@@ -80,19 +103,60 @@ let regime_arg =
     & info [ "regime" ]
         ~doc:"Data regime: superkey (C3 holds), uniform, skewed, consistent.")
 
+(* The generation flags as the workload they denote; its database is
+   [Protocol.materialize]'s, the serve daemon's and the fuzzer's
+   builder. *)
+let workload_term =
+  let make shape n seed rows domain regime =
+    { Protocol.shape; n; rows; domain; regime; seed }
+  in
+  Term.(
+    const make $ shape_arg $ n_arg $ seed_arg $ rows_arg $ domain_arg
+    $ regime_arg)
+
+(* A workload's database.  A knob out of range (a cycle of fewer than
+   three relations, superkey rows over the domain) is the user's error,
+   not an internal one. *)
+let materialize w =
+  try Protocol.materialize w
+  with Invalid_argument msg ->
+    prerr_endline ("mjoin: " ^ msg);
+    exit 1
+
+(* A generated database's telemetry [query] string. *)
+let query_of (w : Protocol.workload) =
+  Printf.sprintf "%s-%d/%s/seed%d" w.shape w.n w.regime w.seed
+
 (* The database a command runs on: the named paper scenario, else the
-   one [--shape], [--size], [--regime] and [--seed] generate (one RNG
-   seeded by [seed] draws the shape, then the data, like
-   [Protocol.materialize]), labelled with the scenario's name or the
-   generating knobs. *)
-let database scenario (shape_name, shape) n seed rows domain regime =
-  match scenario with
-  | Some (name, db) -> (name, db)
-  | None ->
-      let rng = Random.State.make [| seed |] in
-      let d = shape ~rng n in
-      ( Printf.sprintf "%s-%d (%s data, seed %d)" shape_name n regime seed,
-        Mj_workload.Dbgen.of_regime ~regime ~rng ~rows ~domain d )
+   one the generation flags denote, labelled with the scenario's name
+   or the generating knobs. *)
+type input = {
+  label : string;
+  workload : Protocol.workload option;  (** [None]: a paper scenario *)
+  db : Database.t;
+}
+
+let input_term =
+  let scenario =
+    Arg.(
+      value
+      & opt (some scenario_conv) None
+      & info [ "scenario" ] ~docv:"SCENARIO"
+          ~doc:"Run on this paper scenario instead of a generated database.")
+  in
+  let pick scenario (w : Protocol.workload) =
+    match scenario with
+    | Some (label, db) -> { label; workload = None; db }
+    | None ->
+        {
+          label =
+            Printf.sprintf "%s-%d (%s data, seed %d)" w.shape w.n w.regime
+              w.seed;
+          workload = Some w;
+          db = materialize w;
+        }
+  in
+  Term.(const pick $ scenario $ workload_term)
 
 let config_term = Mj_cli.config_term
 let make_config = Mj_cli.make_config
@@ -120,6 +184,32 @@ let emit_telemetry (cfg : Engine.Config.t) ~cmd ~query fields =
       Mj_obs.Telemetry.append path record;
       Format.printf "telemetry: appended to %s@." path
 
+(* [--trace]: the sink's spans and counters as JSONL Chrome trace
+   events. *)
+let trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:"Write spans and counters to $(docv) as JSONL Chrome trace events.")
+
+let write_trace obs = function
+  | Some path ->
+      Export.write_jsonl path obs;
+      Format.printf "trace written to %s (%d events)@." path
+        (List.length (Export.trace_events obs))
+  | None -> ()
+
+(* The optimizer's plan: DPccp, or DPsize with Cartesian products when
+   the scheme is unconnected and one is unavoidable. *)
+let optimizer_plan est d =
+  match Dpccp.plan ~oracle:est d with
+  | Some r -> r.Optimal.strategy
+  | None -> (
+      match Dpsize.plan ~allow_cp:true ~oracle:est d with
+      | Some r -> r.Optimal.strategy
+      | None -> failwith "no plan found")
+
 (* ------------------------------------------------------------------ *)
 (* examples                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -144,15 +234,9 @@ let run_examples (name, db) =
   Format.printf "@.%a@." Theorems.pp_report (Theorems.verify db)
 
 let examples_cmd =
-  let scenario =
-    Arg.(
-      required
-      & pos 0 (some scenario_conv) None
-      & info [] ~docv:"SCENARIO" ~doc:"Scenario name (ex1, ex2a, ex2b, ex3, ex4, ex5, supply).")
-  in
   Cmd.v
     (Cmd.info "examples" ~doc:"Print a paper scenario with all strategies costed")
-    Term.(const run_examples $ scenario)
+    Term.(const run_examples $ scenario_pos)
 
 (* ------------------------------------------------------------------ *)
 (* conditions                                                           *)
@@ -180,32 +264,24 @@ let run_conditions (name, db) =
   show_pairs "C4 violations" (Conditions.violations_c4 ~limit:5 db)
 
 let conditions_cmd =
-  let scenario =
-    Arg.(
-      required
-      & pos 0 (some scenario_conv) None
-      & info [] ~docv:"SCENARIO" ~doc:"Scenario name.")
-  in
   Cmd.v
     (Cmd.info "conditions" ~doc:"Check C1/C1'/C2/C3/C4 with witnesses")
-    Term.(const run_conditions $ scenario)
+    Term.(const run_conditions $ scenario_pos)
 
 (* ------------------------------------------------------------------ *)
 (* verify                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_verify scenario ((shape_name, _) as shape) n seed rows domain regime
-    config =
-  let name, db = database scenario shape n seed rows domain regime in
+let run_verify { label; workload; db } config =
   let query =
-    match scenario with
-    | Some _ ->
-        Format.printf "Scenario %s@." name;
-        name
+    match workload with
     | None ->
-        Format.printf "%s query of %d relations, %s data, seed %d@." shape_name
-          n regime seed;
-        Printf.sprintf "%s-%d/%s/seed%d" shape_name n regime seed
+        Format.printf "Scenario %s@." label;
+        label
+    | Some w ->
+        Format.printf "%s query of %d relations, %s data, seed %d@." w.shape
+          w.n w.regime w.seed;
+        query_of w
   in
   let obs = Obs.make () in
   let cfg = make_config ~obs config in
@@ -236,25 +312,17 @@ let run_verify scenario ((shape_name, _) as shape) n seed rows domain regime
     ]
 
 let verify_cmd =
-  let scenario =
-    Arg.(
-      value
-      & opt (some scenario_conv) None
-      & info [ "scenario" ] ~doc:"Verify a paper scenario instead of generating.")
-  in
   Cmd.v
     (Cmd.info "verify" ~doc:"Run the theorem validators on a database")
-    Term.(
-      const run_verify $ scenario $ shape_arg $ n_arg $ seed_arg $ rows_arg
-      $ domain_arg $ regime_arg $ config_term)
+    Term.(const run_verify $ input_term $ config_term)
 
 (* ------------------------------------------------------------------ *)
 (* enumerate                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run_enumerate (shape_name, shape) n seed list_them =
+let run_enumerate shape_name n seed list_them =
   let rng = Random.State.make [| seed |] in
-  let d = shape ~rng n in
+  let d = List.assoc shape_name Mj_workload.Dbgen.shapes ~rng n in
   Format.printf "%s of %d relations: %a@.@." shape_name n Scheme.Set.pp d;
   Format.printf "  %-18s %d@." "all strategies"
     (Enumerate.count Enumerate.All d);
@@ -288,12 +356,11 @@ let graceful f x =
       prerr_endline ("mjoin: " ^ msg);
       exit 1
 
-let run_optimize ((shape_name, _) as shape) n seed rows domain regime config
-    trace_file =
-  let _, db = database None shape n seed rows domain regime in
+let run_optimize (w : Protocol.workload) config trace_file =
+  let db = materialize w in
   let d = Database.schemes db in
-  Format.printf "%s query of %d relations, %s data: %a@.@." shape_name n regime
-    Database.pp_brief db;
+  Format.printf "%s query of %d relations, %s data: %a@.@." w.shape w.n
+    w.regime Database.pp_brief db;
   let est = Estimate.of_catalog (Catalog.of_database db) in
   (* With --trace, every optimizer records into one sink: its spans stay
      separate, the search-effort counters accumulate across them.
@@ -321,7 +388,7 @@ let run_optimize ((shape_name, _) as shape) n seed rows domain regime config
   show "Selinger (linear, CP ok)" (Selinger.plan ~obs ~cp:`Always ~oracle:est d);
   show "greedy GOO" (Some (Greedy.goo ~obs ~oracle:est d));
   show "smallest-first" (Some (Greedy.smallest_first ~obs ~oracle:est d));
-  (if n <= 9 then
+  (if w.n <= 9 then
      match Optimal.optimum db with
      | Some r ->
          Format.printf "@.  exact tau optimum: %d with %s@." r.cost
@@ -340,8 +407,7 @@ let run_optimize ((shape_name, _) as shape) n seed rows domain regime config
         (Planner.policy_name cfg.Engine.Config.algo_policy)
         (Physical.to_string plan) stats.Engine.result_rows
         stats.Engine.tuples_generated;
-      emit_telemetry cfg ~cmd:"optimize"
-        ~query:(Printf.sprintf "%s-%d/%s/seed%d" shape_name n regime seed)
+      emit_telemetry cfg ~cmd:"optimize" ~query:(query_of w)
         [
           ("strategy", Json.str (Strategy.to_string r.Optimal.strategy));
           ("est_cost", Json.int r.Optimal.cost);
@@ -350,34 +416,22 @@ let run_optimize ((shape_name, _) as shape) n seed rows domain regime config
           ("duration_ms", Json.float duration_ms);
         ]
   | None -> ());
-  match trace_file with
-  | Some path ->
-      Export.write_jsonl path obs;
-      Format.printf "@.trace written to %s (%d events)@." path
-        (List.length (Export.trace_events obs))
-  | None -> ()
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Write spans and counters to $(docv) as JSONL Chrome trace events.")
+  if trace_file <> None then Format.printf "@.";
+  write_trace obs trace_file
 
 let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize" ~doc:"Compare optimizers on a generated database")
     Term.(
-      const (fun sh n seed rows domain regime cfg tr ->
-          graceful (run_optimize sh n seed rows domain regime cfg) tr)
-      $ shape_arg $ n_arg $ seed_arg $ rows_arg $ domain_arg $ regime_arg
-      $ config_term $ trace_arg)
+      const (fun w cfg tr -> graceful (run_optimize w cfg) tr)
+      $ workload_term $ config_term $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* space                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_space (shape_name, shape) max_n =
+let run_space shape_name max_n =
+  let shape = List.assoc shape_name Mj_workload.Dbgen.shapes in
   let rng = Random.State.make [| 0 |] in
   let sizes = List.init (max 0 (max_n - 1)) (fun i -> i + 2) in
   let sizes = List.filter (fun n -> shape_name <> "cycle" || n >= 3) sizes in
@@ -444,12 +498,6 @@ let run_plan (name, db) strategy_text =
   end
 
 let plan_cmd =
-  let scenario =
-    Arg.(
-      required
-      & pos 0 (some scenario_conv) None
-      & info [] ~docv:"SCENARIO" ~doc:"Scenario name.")
-  in
   let strategy =
     Arg.(
       required
@@ -460,7 +508,7 @@ let plan_cmd =
   in
   Cmd.v
     (Cmd.info "plan" ~doc:"Cost and execute one strategy on a scenario")
-    Term.(const (fun sc st -> graceful (run_plan sc) st) $ scenario $ strategy)
+    Term.(const (fun sc st -> graceful (run_plan sc) st) $ scenario_pos $ strategy)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                              *)
@@ -587,9 +635,7 @@ let q_error ~est ~actual =
   and a = Float.max 1.0 (float_of_int actual) in
   Float.max (e /. a) (a /. e)
 
-let run_explain scenario shape n seed rows domain regime
-    strategy_text config trace_file =
-  let name, db = database scenario shape n seed rows domain regime in
+let run_explain { label = name; db; _ } strategy_text config trace_file =
   let d = Database.schemes db in
   let est_oracle = Estimate.of_catalog (Catalog.of_database db) in
   let strategy =
@@ -606,14 +652,7 @@ let run_explain scenario shape n seed rows domain regime
                    (Scheme.to_string sch)))
           (Strategy.schemes s);
         s
-    | None -> (
-        match Dpccp.plan ~oracle:est_oracle d with
-        | Some r -> r.Optimal.strategy
-        | None -> (
-            (* Unconnected scheme: a Cartesian product is unavoidable. *)
-            match Dpsize.plan ~allow_cp:true ~oracle:est_oracle d with
-            | Some r -> r.Optimal.strategy
-            | None -> failwith "no plan found"))
+    | None -> optimizer_plan est_oracle d
   in
   (* Estimated cardinality of every plan subtree, keyed like the span
      attributes so the tree walk below can pair est with act. *)
@@ -765,21 +804,9 @@ let run_explain scenario shape n seed rows domain regime
       ("duration_ms", Json.float duration_ms);
       ("steps", Json.Arr (List.rev !steps));
     ];
-  match trace_file with
-  | Some path ->
-      Export.write_jsonl path obs;
-      Format.printf "trace written to %s (%d events)@." path
-        (List.length (Export.trace_events obs))
-  | None -> ()
+  write_trace obs trace_file
 
 let explain_cmd =
-  let scenario =
-    Arg.(
-      value
-      & opt (some scenario_conv) None
-      & info [ "scenario" ]
-          ~doc:"Explain a paper scenario instead of a generated database.")
-  in
   let strategy =
     Arg.(
       value
@@ -796,11 +823,8 @@ let explain_cmd =
           tracing, print the per-step tree with est vs actual cardinality \
           and Q-error")
     Term.(
-      const
-        (fun sc sh n seed rows domain regime st cfg tr ->
-          graceful (run_explain sc sh n seed rows domain regime st cfg) tr)
-      $ scenario $ shape_arg $ n_arg $ seed_arg $ rows_arg $ domain_arg
-      $ regime_arg $ strategy $ config_term $ trace_arg)
+      const (fun input st cfg tr -> graceful (run_explain input st cfg) tr)
+      $ input_term $ strategy $ config_term $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* topk                                                                 *)
@@ -811,9 +835,7 @@ let explain_cmd =
    join.  Only α-acyclic queries qualify ([Planner.lower_ranked]); a
    cyclic input is a loud error, not a silent fallback to a full
    evaluation. *)
-let run_topk scenario shape n seed rows domain regime k config
-    trace_file =
-  let name, db = database scenario shape n seed rows domain regime in
+let run_topk { label = name; db; _ } k config trace_file =
   let d = Database.schemes db in
   let obs = Obs.make () in
   let cfg =
@@ -854,21 +876,9 @@ let run_topk scenario shape n seed rows domain regime k config
       ("result_rows", Json.int stats.Engine.result_rows);
       ("duration_ms", Json.float duration_ms);
     ];
-  match trace_file with
-  | Some path ->
-      Export.write_jsonl path obs;
-      Format.printf "trace written to %s (%d events)@." path
-        (List.length (Export.trace_events obs))
-  | None -> ()
+  write_trace obs trace_file
 
 let topk_cmd =
-  let scenario =
-    Arg.(
-      value
-      & opt (some scenario_conv) None
-      & info [ "scenario" ]
-          ~doc:"Rank a paper scenario instead of a generated database.")
-  in
   let limit =
     Arg.(
       value
@@ -883,11 +893,8 @@ let topk_cmd =
           of the join of an alpha-acyclic query, without materializing the \
           full join (errors on cyclic queries)")
     Term.(
-      const
-        (fun sc sh n seed rows domain regime k cfg tr ->
-          graceful (run_topk sc sh n seed rows domain regime k cfg) tr)
-      $ scenario $ shape_arg $ n_arg $ seed_arg $ rows_arg $ domain_arg
-      $ regime_arg $ limit $ config_term $ trace_arg)
+      const (fun input k cfg tr -> graceful (run_topk input k cfg) tr)
+      $ input_term $ limit $ config_term $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* stats                                                                *)
@@ -930,8 +937,7 @@ let stats_of_telemetry obs path =
     records;
   List.length records
 
-let run_stats scenario shape n seed rows domain regime repeat
-    prometheus from_file config =
+let run_stats { label = name; db; _ } repeat prometheus from_file config =
   let obs = Obs.make () in
   match from_file with
   | Some path ->
@@ -942,17 +948,11 @@ let run_stats scenario shape n seed rows domain regime repeat
         Export.render_metrics Format.std_formatter obs
       end
   | None ->
-      let name, db = database scenario shape n seed rows domain regime in
       let cfg = make_config ~obs config in
-      let d = Database.schemes db in
-      let est_oracle = Estimate.of_catalog (Catalog.of_database db) in
       let strategy =
-        match Dpccp.plan ~oracle:est_oracle d with
-        | Some r -> r.Optimal.strategy
-        | None -> (
-            match Dpsize.plan ~allow_cp:true ~oracle:est_oracle d with
-            | Some r -> r.Optimal.strategy
-            | None -> failwith "no plan found")
+        optimizer_plan
+          (Estimate.of_catalog (Catalog.of_database db))
+          (Database.schemes db)
       in
       let plan = Engine.lower cfg db strategy in
       let repeat = max 1 repeat in
@@ -968,13 +968,6 @@ let run_stats scenario shape n seed rows domain regime repeat
       end
 
 let stats_cmd =
-  let scenario =
-    Arg.(
-      value
-      & opt (some scenario_conv) None
-      & info [ "scenario" ]
-          ~doc:"Profile a paper scenario instead of a generated database.")
-  in
   let repeat =
     Arg.(
       value & opt int 20
@@ -1003,12 +996,9 @@ let stats_cmd =
           p50/p90/p95/p99 quantiles (or aggregate a telemetry file); \
           optionally as Prometheus text exposition")
     Term.(
-      const
-        (fun sc sh n seed rows domain regime repeat prom from cfg ->
-          graceful
-            (run_stats sc sh n seed rows domain regime repeat prom from) cfg)
-      $ scenario $ shape_arg $ n_arg $ seed_arg $ rows_arg $ domain_arg
-      $ regime_arg $ repeat $ prometheus $ from_file $ config_term)
+      const (fun input repeat prom from cfg ->
+          graceful (run_stats input repeat prom from) cfg)
+      $ input_term $ repeat $ prometheus $ from_file $ config_term)
 
 (* ------------------------------------------------------------------ *)
 (* bench-diff                                                           *)

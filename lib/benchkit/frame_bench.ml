@@ -2,7 +2,6 @@ open Mj_relation
 open Mj_hypergraph
 open Multijoin
 module Dbgen = Mj_workload.Dbgen
-module Pool = Mj_pool.Pool
 module Json = Mj_obs.Json
 module Obs = Mj_obs.Obs
 
@@ -49,25 +48,6 @@ let join_micro_row dict_size (shape, n, reps) =
     (seed_ms, Relation.cardinality seed_r)
     (frame_ms, Frame.cardinality frame_f)
     equal
-
-(* Columnar join at one domain vs the pool's domain count, in morsels
-   of [morsel] probe rows: the probe sides span several, so the joins
-   take the pool wherever it grants two workers.  Speedup is the
-   parallel scaling and equality is bit-identical frames (the
-   determinism argument).  The two sides' reps interleave
-   ([Bench_core.race]), so host noise lands on both. *)
-let join_morsel_row ~domains ~morsel (shape, n, reps) =
-  let db = micro_db shape n in
-  let fdb = Frame.Db.of_database db in
-  let (one_ms, one_f), (par_ms, par_f) =
-    Bench_core.race ~reps
-      (fun () -> Frame.Db.join_all ~domains:1 ~morsel fdb)
-      (fun () -> Frame.Db.join_all ~domains ~morsel fdb)
-  in
-  mk_row "join-morsel" shape n reps
-    (one_ms, Frame.cardinality one_f)
-    (par_ms, Frame.cardinality par_f)
-    (Frame.equal one_f par_f)
 
 (* The engine against the paper's algebra on one left-deep hash plan:
    [Cost.eval] of the plan's strategy vs [Frame_engine.execute_plan],
@@ -214,20 +194,12 @@ let tau_thm_row ?(experiment = "tau-thm") ?graph regime trials =
     (frame_ms, sum frame_reports)
     (seed_reports = frame_reports)
 
-let run ?domains ?(quick = false) () =
-  let domains =
-    match domains with Some d -> max 1 d | None -> Pool.default_domains ()
-  in
+let run ?(quick = false) () =
   let micro_specs =
     if quick then [ ("chain", 2_000, 3); ("star", 2_000, 3) ]
     else
       [ ("chain", 10_000, 9); ("star", 10_000, 9); ("chain", 100_000, 3) ]
   in
-  let morsel_specs =
-    if quick then [ ("chain", 2_000, 3) ] else [ ("chain", 100_000, 3) ]
-  in
-  (* Eight morsels at quick scale too, so the row takes the pool. *)
-  let morsel = if quick then 2_000 / 8 else Frame.default_morsel in
   let trials = if quick then 2 else 8 in
   let engine_n = if quick then 60 else 200 in
   (* Every row is timed alone: a row that shares the cores with its
@@ -253,15 +225,9 @@ let run ?domains ?(quick = false) () =
   in
   let dict_size = ref 0 in
   let micro_rows = List.map (join_micro_row dict_size) micro_specs in
-  let morsel_rows = List.map (join_morsel_row ~domains ~morsel) morsel_specs in
   Bench_core.
     {
       name = "FRAME";
-      meta =
-        [
-          ("domains", Info (Json.int domains));
-          ("morsel", Info (Json.int morsel));
-          ("dict_size", Out (Json.int !dict_size));
-        ];
-      rows = micro_rows @ morsel_rows @ engine_rows @ certify_rows @ tau_rows;
+      meta = [ ("dict_size", Out (Json.int !dict_size)) ];
+      rows = micro_rows @ engine_rows @ certify_rows @ tau_rows;
     }

@@ -10,11 +10,6 @@
       database of [n] tuples per relation, frames pinned to one domain,
       the two sides raced ({!Bench_core.race}); certifies
       [Relation.equal] of the decoded result.
-    - ["join-morsel"] — the same columnar join at 1 domain vs the pool's
-      domain count, with probe sides spanning several morsels (the
-      quick row uses 250-row morsels) so the joins take the pool
-      wherever it grants two workers; the speedup column is the
-      parallel scaling, and equality is bit-identical frames.
     - ["exec-engine"] — [Cost.eval] of a left-deep strategy vs
       [Frame_engine.execute_plan] of its hash plan; certifies equal
       result relations and equal τ.  At n ≥ 200 the row carries a
@@ -40,14 +35,19 @@
       whose cyclic masks the frame counter merges.
 
     Every row is timed alone, one after another, so no row's wall time
-    carries a sibling's load; only the ["join-morsel"] row's own joins
-    use the pool. *)
+    carries a sibling's load.  The frame join's parallel scaling is
+    PAR's ({!Par_bench}), over the same {!micro_db}. *)
 
-val run : ?domains:int -> ?quick:bool -> unit -> Bench_core.leg
-(** [quick] (default [false]) trims sizes to CI-smoke scale.  [domains]
-    defaults to {!Mj_pool.Pool.default_domains}.  Rows carry [seed_ms],
-    [frame_ms] (fastest rep; for ["join-morsel"] the 1-domain and
-    pool-width frame joins), [seed_value]/[frame_value] and the
-    [equal] check, except ["certify"] (its [frame_ms] alone, a median); the document's [morsel] is the join-morsel row's
-    probe-morsel size and its [dict_size] counts the dictionary's values of
-    the largest join-micro database. *)
+val micro_db : string -> int -> Mj_relation.Database.t
+(** [micro_db shape n]: a 3-relation [shape] ({!Mj_workload.Dbgen.shapes}
+    name) of [n] uniform tuples per relation over [max 2 n] values, so
+    join outputs stay near [n] rows and a join row measures join
+    machinery rather than output explosion.  Deterministic in
+    [(shape, n)]; the join-micro rows and PAR's sweep run on it. *)
+
+val run : ?quick:bool -> unit -> Bench_core.leg
+(** [quick] (default [false]) trims sizes to CI-smoke scale.  Rows carry
+    [seed_ms], [frame_ms] (fastest rep), [seed_value]/[frame_value] and
+    the [equal] check, except ["certify"] (its [frame_ms] alone, a
+    median); the document's [dict_size] counts the dictionary's values
+    of the largest join-micro database. *)

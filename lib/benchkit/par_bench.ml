@@ -1,12 +1,6 @@
 open Mj_relation
-module Dbgen = Mj_workload.Dbgen
 module Pool = Mj_pool.Pool
 module Json = Mj_obs.Json
-
-let micro_db shape n =
-  let rng = Random.State.make [| n; 1990; Hashtbl.hash shape |] in
-  Dbgen.uniform_db ~rng ~rows:n ~domain:(max 2 n)
-    (List.assoc shape Dbgen.shapes ~rng 3)
 
 (* One (shape, n) workload swept over the domain counts.  The
    reference result is a 1-domain join on its own encoding; every cell
@@ -17,7 +11,7 @@ let micro_db shape n =
    both sides of its speedup, and the 1-domain cell, raced against
    itself, reads the harness's noise floor. *)
 let sweep ~cores ~morsel ~domain_counts ~reps (shape, n) =
-  let db = micro_db shape n in
+  let db = Frame_bench.micro_db shape n in
   let reference =
     Frame.Db.join_all ~domains:1 (Frame.Db.of_database db)
   in

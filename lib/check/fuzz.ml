@@ -87,17 +87,17 @@ let planted_case =
   Gen.normalize
     {
       Gen.seed = 7;
-      shape = Gen.Random_graph;
+      shape = "random";
       n = 5;
       rows = 5;
       domain = 3;
-      regime = Gen.Skewed;
+      regime = "skewed";
     }
 
 (* The yann reducer only runs on α-acyclic strategies; the random
    graph above may be cyclic, so its mutation is planted into the same
    case over a path. *)
-let planted_acyclic_case = Gen.normalize { planted_case with Gen.shape = Gen.Path }
+let planted_acyclic_case = Gen.normalize { planted_case with Gen.shape = "path" }
 
 (* Most checks read the τ cache only on the masks a strategy's steps
    produce, and the product rule only prices unconnected ones; over a
@@ -105,12 +105,12 @@ let planted_acyclic_case = Gen.normalize { planted_case with Gen.shape = Gen.Pat
    theorem checks, which read every mask, are the ones to catch a wrong
    product. *)
 let planted_cp_free_case =
-  Gen.normalize { planted_case with Gen.seed = 8; shape = Gen.Chain }
+  Gen.normalize { planted_case with Gen.seed = 8; shape = "chain" }
 
 (* A decision that keeps E's neighbours can only make C1 and C1' fail
    where they held.  Both fail outright on the skewed case, so that
    mutation is planted on its uniform twin, where they hold. *)
-let planted_uniform_case = Gen.normalize { planted_case with Gen.regime = Gen.Uniform }
+let planted_uniform_case = Gen.normalize { planted_case with Gen.regime = "uniform" }
 
 (* Every check that reads the default τ cache counts through [Frame],
    and the first of them catches a wrong frame count. *)

@@ -1,73 +1,44 @@
-open Mj_hypergraph
 open Multijoin
-module Dbgen = Mj_workload.Dbgen
+module Protocol = Mj_serve.Protocol
 
-type shape = Chain | Star | Cycle | Clique | Random_graph | Path | Snowflake
-type regime = Uniform | Skewed | Superkey
-
-type descriptor = {
-  seed : int;
-  shape : shape;
+type descriptor = Protocol.workload = {
+  shape : string;
   n : int;
   rows : int;
   domain : int;
-  regime : regime;
+  regime : string;
+  seed : int;
 }
 
-let shape_name = function
-  | Chain -> "chain"
-  | Star -> "star"
-  | Cycle -> "cycle"
-  | Clique -> "clique"
-  | Random_graph -> "random"
-  | Path -> "path"
-  | Snowflake -> "snowflake"
+(* Ranks orient the shrink order (lower is simpler) and feed the
+   materialize RNG seed, so a name's rank is its index here and new
+   names are APPENDED: renumbering would silently change every
+   committed repro descriptor.  [path] and [snowflake] came with the
+   yann path. *)
+let shapes =
+  [ "chain"; "star"; "cycle"; "clique"; "random"; "path"; "snowflake" ]
 
-let shape_of_name = function
-  | "chain" -> Some Chain
-  | "star" -> Some Star
-  | "cycle" -> Some Cycle
-  | "clique" -> Some Clique
-  | "random" -> Some Random_graph
-  | "path" -> Some Path
-  | "snowflake" -> Some Snowflake
-  | _ -> None
+let regimes = [ "uniform"; "skewed"; "superkey" ]
 
-let regime_name = function
-  | Uniform -> "uniform"
-  | Skewed -> "skewed"
-  | Superkey -> "superkey"
-
-let regime_of_name = function
-  | "uniform" -> Some Uniform
-  | "skewed" -> Some Skewed
-  | "superkey" -> Some Superkey
-  | _ -> None
-
-(* Ranks orient the shrink order: lower is simpler.  The two acyclic
-   shapes added for the yann path are APPENDED (5, 6): the rank feeds
-   the materialize RNG seed, so renumbering would silently change every
-   committed repro descriptor. *)
-let shape_rank = function
-  | Chain -> 0
-  | Star -> 1
-  | Cycle -> 2
-  | Clique -> 3
-  | Random_graph -> 4
-  | Path -> 5
-  | Snowflake -> 6
-let regime_rank = function Uniform -> 0 | Skewed -> 1 | Superkey -> 2
-
-let min_n = function
-  | Cycle | Clique -> 3
-  | Chain | Star | Random_graph | Path | Snowflake -> 2
+let rank names name =
+  let rec go i = function
+    | [] ->
+        invalid_arg
+          (Printf.sprintf "Gen: %s is not one of %s" name
+             (String.concat ", " names))
+    | x :: rest -> if x = name then i else go (i + 1) rest
+  in
+  go 0 names
 
 let normalize d =
-  let n = max (min_n d.shape) d.n in
+  (* An unknown name is rejected before any field is clamped. *)
+  ignore (rank shapes d.shape, rank regimes d.regime);
+  let min_n = match d.shape with "cycle" | "clique" -> 3 | _ -> 2 in
+  let n = max min_n d.n in
   let rows = max 1 d.rows in
   let domain = max 1 d.domain in
   (* superkey_db requires injective columns, hence rows ≤ domain. *)
-  let domain = if d.regime = Superkey then max domain rows else domain in
+  let domain = if d.regime = "superkey" then max domain rows else domain in
   { d with seed = max 0 d.seed; n; rows; domain }
 
 let materialize d =
@@ -75,57 +46,42 @@ let materialize d =
   let rng =
     Random.State.make
       [|
-        0x6a0; d.seed; shape_rank d.shape; d.n; d.rows; d.domain;
-        regime_rank d.regime;
+        0x6a0; d.seed; rank shapes d.shape; d.n; d.rows; d.domain;
+        rank regimes d.regime;
       |]
   in
-  let scheme =
-    match d.shape with
-    | Chain -> Querygraph.chain d.n
-    | Star -> Querygraph.star d.n
-    | Cycle -> Querygraph.cycle d.n
-    | Clique -> Querygraph.clique d.n
-    | Random_graph -> Querygraph.random ~extra_edge_prob:0.3 ~rng d.n
-    | Path -> Querygraph.path d.n
-    | Snowflake -> Querygraph.snowflake ~fanout:2 d.n
-  in
-  let db =
-    match d.regime with
-    | Uniform -> Dbgen.uniform_db ~rng ~rows:d.rows ~domain:d.domain scheme
-    | Skewed ->
-        Dbgen.skewed_db ~rng ~rows:d.rows ~domain:d.domain ~skew:1.2 scheme
-    | Superkey -> Dbgen.superkey_db ~rng ~rows:d.rows ~domain:d.domain scheme
-  in
-  (db, Enumerate.random_strategy ~rng scheme)
+  let db = Protocol.materialize ~rng d in
+  (db, Enumerate.random_strategy ~rng (Mj_relation.Database.schemes db))
 
+(* Every committed campaign's case list was drawn in this order
+   (regime, domain, rows, n, shape, seed); another order would change
+   it. *)
 let generate rng ~max_n =
   let pick xs = List.nth xs (Random.State.int rng (List.length xs)) in
-  normalize
-    {
-      seed = Random.State.int rng 100_000;
-      shape = pick [ Chain; Star; Cycle; Clique; Random_graph; Path; Snowflake ];
-      n = 2 + Random.State.int rng (max 1 (max_n - 1));
-      rows = 1 + Random.State.int rng 8;
-      domain = 1 + Random.State.int rng 8;
-      regime = pick [ Uniform; Skewed; Superkey ];
-    }
+  let regime = pick regimes in
+  let domain = 1 + Random.State.int rng 8 in
+  let rows = 1 + Random.State.int rng 8 in
+  let n = 2 + Random.State.int rng (max 1 (max_n - 1)) in
+  let shape = pick shapes in
+  let seed = Random.State.int rng 100_000 in
+  normalize { shape; n; rows; domain; regime; seed }
 
 (* The well-founded shrink order: lexicographic on (relations, shape,
    regime, rows, domain).  Every candidate below strictly decreases
    it, so greedy minimization terminates. *)
 let measure d =
-  (d.n, shape_rank d.shape, regime_rank d.regime, d.rows, d.domain)
+  (d.n, rank shapes d.shape, rank regimes d.regime, d.rows, d.domain)
 
 let shrink d =
   let candidates =
     List.concat_map
       (fun n -> [ { d with n } ])
       (List.sort_uniq compare [ 2; d.n / 2; d.n - 1 ])
-    @ [ { d with shape = Chain } ]
+    @ [ { d with shape = "chain" } ]
     (* A fault that needs a cyclic core shrinks onto a cycle, where
        every smaller cycle stays cyclic. *)
-    @ (if d.n >= 3 then [ { d with shape = Cycle } ] else [])
-    @ [ { d with regime = Uniform } ]
+    @ (if d.n >= 3 then [ { d with shape = "cycle" } ] else [])
+    @ [ { d with regime = "uniform" } ]
     @ List.concat_map
         (fun rows -> [ { d with rows } ])
         (List.sort_uniq compare [ 1; d.rows / 2; d.rows - 1 ])
@@ -142,16 +98,16 @@ let to_string d =
   String.concat "\n"
     [
       Printf.sprintf "seed=%d" d.seed;
-      Printf.sprintf "shape=%s" (shape_name d.shape);
+      Printf.sprintf "shape=%s" d.shape;
       Printf.sprintf "n=%d" d.n;
       Printf.sprintf "rows=%d" d.rows;
       Printf.sprintf "domain=%d" d.domain;
-      Printf.sprintf "regime=%s" (regime_name d.regime);
+      Printf.sprintf "regime=%s" d.regime;
     ]
   ^ "\n"
 
 let default =
-  { seed = 0; shape = Chain; n = 2; rows = 3; domain = 3; regime = Uniform }
+  { seed = 0; shape = "chain"; n = 2; rows = 3; domain = 3; regime = "uniform" }
 
 (* Parses [to_string] plus the repro-file extension keys, returning
    unconsumed (key, value) pairs so [Fuzz] can layer its own fields on
@@ -194,14 +150,12 @@ let of_pairs pairs =
         | "rows" -> continue (Result.map (fun rows -> { d with rows }) (int_field key v))
         | "domain" ->
             continue (Result.map (fun domain -> { d with domain }) (int_field key v))
-        | "shape" -> (
-            match shape_of_name v with
-            | Some shape -> go { d with shape } leftover rest
-            | None -> Error (Printf.sprintf "shape: unknown shape %S" v))
-        | "regime" -> (
-            match regime_of_name v with
-            | Some regime -> go { d with regime } leftover rest
-            | None -> Error (Printf.sprintf "regime: unknown regime %S" v))
+        | "shape" ->
+            if List.mem v shapes then go { d with shape = v } leftover rest
+            else Error (Printf.sprintf "shape: unknown shape %S" v)
+        | "regime" ->
+            if List.mem v regimes then go { d with regime = v } leftover rest
+            else Error (Printf.sprintf "regime: unknown regime %S" v)
         | _ -> go d ((key, v) :: leftover) rest)
   in
   go default [] pairs
@@ -217,5 +171,5 @@ let of_string s =
 
 let pp fmt d =
   let d = normalize d in
-  Format.fprintf fmt "%s-%d seed=%d rows=%d domain=%d %s" (shape_name d.shape)
-    d.n d.seed d.rows d.domain (regime_name d.regime)
+  Format.fprintf fmt "%s-%d seed=%d rows=%d domain=%d %s" d.shape d.n d.seed
+    d.rows d.domain d.regime

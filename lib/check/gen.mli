@@ -1,6 +1,6 @@
 (** The fuzzing generator DSL.
 
-    Every fuzz case is described by a tiny integer {!descriptor} — a
+    Every fuzz case is described by a six-field {!descriptor} — a
     seed plus the structural knobs of a generated workload — and
     {!materialize} turns a descriptor into the actual
     [(database, strategy)] pair deterministically (same descriptor,
@@ -9,34 +9,37 @@
     shrinking proposes structurally smaller ones, and repro files are
     just descriptors serialized as [key=value] lines.
 
-    The databases come from {!Mj_workload.Dbgen} over
-    {!Mj_hypergraph.Querygraph} shapes, so every case keeps the
-    generators' invariant [R_D ≠ ∅] (a spine tuple survives the full
-    join) — which the planted-mutation self-test relies on: a lossy
-    join can never hide behind an empty result. *)
+    The database is {!Mj_serve.Protocol.materialize}'s: a descriptor
+    is a {!Mj_serve.Protocol.workload}, the same six fields the CLI's
+    generation flags and the serve protocol's query fields name, so
+    every case keeps the generators' invariant [R_D ≠ ∅] (a spine tuple
+    survives the full join) — which the planted-mutation self-test
+    relies on: a lossy join can never hide behind an empty result. *)
 
 open Mj_relation
 open Multijoin
 
-type shape = Chain | Star | Cycle | Clique | Random_graph | Path | Snowflake
-(** [Path] (payload-carrying chains) and [Snowflake] (two-level stars,
-    fan-out 2) are the guaranteed-α-acyclic shapes added for the
-    Yannakakis path; campaigns that draw them exercise the semijoin
-    program and its projections. *)
-
-type regime = Uniform | Skewed | Superkey
-
-type descriptor = {
-  seed : int;      (** drives both data and strategy randomness *)
-  shape : shape;
+type descriptor = Mj_serve.Protocol.workload = {
+  shape : string;  (** one of {!shapes} *)
   n : int;         (** relations; ≥ 2, and ≥ 3 for cycles and cliques *)
   rows : int;      (** rows per base relation, ≥ 1 *)
   domain : int;    (** attribute domain size, ≥ 1 *)
-  regime : regime;
+  regime : string; (** one of {!regimes} *)
+  seed : int;      (** drives both data and strategy randomness *)
 }
 
-val shape_name : shape -> string
-val regime_name : regime -> string
+val shapes : string list
+(** The shapes a case draws, in rank order (simplest first): chain,
+    star, cycle, clique, random, path, snowflake — every one a
+    {!Mj_workload.Dbgen.shapes} name.  [path] (payload-carrying chains)
+    and [snowflake] (two-level stars, fan-out 2) are the
+    guaranteed-α-acyclic shapes added for the Yannakakis path;
+    campaigns that draw them exercise the semijoin program and its
+    projections. *)
+
+val regimes : string list
+(** The regimes a case draws, in rank order: uniform, skewed,
+    superkey — every one a {!Mj_workload.Dbgen.regimes} name. *)
 
 val default : descriptor
 (** [seed=0 shape=chain n=2 rows=3 domain=3 regime=uniform] — what
@@ -44,14 +47,17 @@ val default : descriptor
 
 val normalize : descriptor -> descriptor
 (** Clamp every field into its legal range (the ranges documented on
-    {!descriptor}, plus [rows ≤ domain] under [Superkey]).  Idempotent;
+    {!descriptor}, plus [rows ≤ domain] under [superkey]).  Idempotent;
     applied by {!materialize} and {!of_string}, so every descriptor the
-    harness handles is in normal form. *)
+    harness handles is in normal form.
+    @raise Invalid_argument on a shape outside {!shapes} or a regime
+    outside {!regimes}. *)
 
 val materialize : descriptor -> Database.t * Strategy.t
-(** The case a descriptor denotes: the query shape, a database filled
-    per the regime, and a random strategy over its schemes — all drawn
-    from a [Random.State] seeded by the descriptor alone. *)
+(** The case a descriptor denotes: {!Mj_serve.Protocol.materialize}'s
+    database, then a random strategy over its schemes — all drawn from
+    one [Random.State] seeded by every field of the descriptor (each
+    name by its rank), not by [seed] alone. *)
 
 val generate : Random.State.t -> max_n:int -> descriptor
 (** Draw a random (normalized) descriptor with at most [max_n]

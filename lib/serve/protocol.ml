@@ -16,11 +16,13 @@ type workload = {
 let default_workload =
   { shape = "chain"; n = 3; rows = 16; domain = 16; regime = "uniform"; seed = 0 }
 
-(* The CLI's construction: one [Random.State] seeded by the workload
-   seed drives both the (random) shape draw and the data fill, so the
-   database is a pure function of the workload. *)
-let materialize w =
-  let rng = Random.State.make [| w.seed |] in
+(* One [Random.State] drives both the (random) shape draw and the data
+   fill, so the database is a pure function of the workload and the
+   state's seed. *)
+let materialize ?rng w =
+  let rng =
+    match rng with Some rng -> rng | None -> Random.State.make [| w.seed |]
+  in
   let shape =
     match List.assoc_opt w.shape Mj_workload.Dbgen.shapes with
     | Some shape -> shape

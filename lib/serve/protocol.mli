@@ -47,12 +47,19 @@ val default_workload : workload
 (** [chain, n=3, rows=16, domain=16, uniform, seed=0] — what request
     fields default to when omitted. *)
 
-val materialize : workload -> Database.t
-(** The database a workload denotes — same construction as the CLI
-    ([Querygraph] shape, [Dbgen] regime, [Random.State.make [|seed|]]),
-    so it is reproducible anywhere.
-    @raise Invalid_argument on out-of-range knobs (e.g. [cycle] with
-    [n < 3], [superkey] with [rows > domain]). *)
+val materialize : ?rng:Random.State.t -> workload -> Database.t
+(** The database a workload denotes: the {!Mj_workload.Dbgen.shapes}
+    shape, filled per {!Mj_workload.Dbgen.of_regime}.  One random
+    state draws the shape (only [random] draws), then the data; it is
+    [rng], by default [Random.State.make [|seed|]].  This is the one
+    builder of a workload's database: the CLI's generation flags, the
+    serve protocol's query fields and the fuzzer's descriptors
+    ({!Mj_check.Gen}, which passes an [rng] seeded by every field and
+    then draws its strategy from it) all come here, so the same fields
+    give the same database anywhere.
+    @raise Invalid_argument on an unknown shape or regime or an
+    out-of-range knob (e.g. [cycle] with [n < 3], [superkey] with
+    [rows > domain]). *)
 
 val default_strategy : Database.t -> Strategy.t
 (** The strategy used when a request names none: left-deep over the

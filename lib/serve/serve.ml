@@ -269,20 +269,6 @@ let run_control t ?id op =
       Protocol.ok ~id [ ("draining", Json.bool true) ]
   | Protocol.Query _ -> assert false
 
-let handle_line t ?obs line =
-  match Protocol.parse line with
-  | Error msg ->
-      bump t "serve.errors" (fun () ->
-          t.requests <- t.requests + 1;
-          t.errors <- t.errors + 1);
-      Protocol.error ~id:None ~code:"bad_request" msg
-  | Ok { Protocol.id; op = Protocol.Query q } ->
-      if admit t then
-        Fun.protect ~finally:(fun () -> release t) @@ fun () ->
-        run_query t ?id ?obs q
-      else shed t ~id
-  | Ok { Protocol.id; op } -> run_control t ?id op
-
 (* One admission round over a batch of parsed lines.  Queries are
    admitted in input order against the shared in-flight budget,
    dispatched onto the pool (one trace lane per request), and every
@@ -326,8 +312,12 @@ let handle_requests t ?obs requests =
   Array.to_list
     (Array.map (function Some r -> r | None -> assert false) responses)
 
-let handle_batch t ?obs lines =
-  handle_requests t ?obs (List.map Protocol.parse lines)
+(* One line is a batch of one: its query runs inline on the calling
+   domain ([Pool.run] never dispatches a single task). *)
+let handle_line t ?obs line =
+  match handle_requests t ?obs [ Protocol.parse line ] with
+  | [ response ] -> response
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Serving loops                                                       *)

@@ -100,17 +100,23 @@ val submit_query :
     {e and} certification.  Returns the response line (status [ok],
     [error] or [overloaded]). *)
 
-val handle_line : t -> ?obs:Obs.sink -> string -> string
-(** Parse and execute one request line; never raises — malformed input
-    becomes a structured [error] response. *)
-
-val handle_batch : t -> ?obs:Obs.sink -> string list -> string list
-(** One admission round: parse every line, shed queries beyond the
+val handle_requests :
+  t ->
+  ?obs:Obs.sink ->
+  (Protocol.request, string) result list ->
+  string list
+(** One admission round over parsed request lines ({!Protocol.parse}):
+    answer each parse error [bad_request], shed queries beyond the
     queue cap with [overloaded] responses, dispatch the admitted ones
     onto the [Mj_pool.Pool] worker set (each with its own trace lane),
     then apply control ops (stats/invalidate/ping/shutdown) in input
     order.  Responses come back in request order.  All admitted
     requests complete before this returns — the drain guarantee. *)
+
+val handle_line : t -> ?obs:Obs.sink -> string -> string
+(** [handle_requests] over one parsed line, whose query runs inline on
+    the calling domain; never raises — malformed input becomes a
+    structured [error] response. *)
 
 (** {1 Serving loops} *)
 
@@ -127,7 +133,7 @@ val max_line : int
 val serve_fd : t -> Unix.file_descr -> Unix.file_descr -> unit
 (** Serve NDJSON requests from one descriptor pair until EOF, a
     [shutdown] op, or {!request_stop}.  Consecutive already-buffered
-    lines are batched through {!handle_batch} (so piped workloads
+    lines are batched through {!handle_requests} (so piped workloads
     exercise admission control); responses are written in request
     order and flushed per batch.  Each input byte is searched for a
     newline once; a line longer than {!max_line} is answered

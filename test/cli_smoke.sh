@@ -9,6 +9,8 @@ trap 'rm -rf "$TMP"' EXIT
 "$MJOIN" conditions ex5 > /dev/null
 "$MJOIN" verify --scenario ex3 > /dev/null
 "$MJOIN" verify --shape chain -n 4 --regime superkey > /dev/null
+"$MJOIN" verify --shape path --regime consistent \
+  | grep -q 'path query of 5 relations, consistent data, seed 1'
 "$MJOIN" enumerate --shape star -n 5 > /dev/null
 "$MJOIN" space --shape chain --max 6 > /dev/null
 "$MJOIN" optimize --shape cycle -n 5 --regime skewed > /dev/null
@@ -41,6 +43,8 @@ MJ_ALGO_POLICY=wcoj "$MJOIN" explain --scenario ex1 --policy hash \
 "$MJOIN" stats --scenario university --repeat 2 | grep -q 'span.join.ms'
 "$MJOIN" stats --shape chain -n 4 --repeat 2 --prometheus \
   | grep -q '# TYPE mjoin_exec_tuples_generated counter'
+"$MJOIN" stats --shape random --repeat 2 \
+  | grep -q '^random-5 (uniform data, seed 1): 2 run(s)'
 "$MJOIN" stats --scenario ex1 --repeat 2 --prometheus \
   | grep -q 'mjoin_join_probes_count'
 "$MJOIN" explain --scenario university --telemetry "$TMP/tel.jsonl" \
@@ -84,6 +88,14 @@ grep -q '0 regression' "$TMP/diff.txt"
 "$MJOIN" topk --shape star --size 4 --rows 20 --limit 5 | grep -q 'top-5'
 "$MJOIN" topk --shape path --size 4 --limit 3 \
   | grep -q 'tau=3'
+"$MJOIN" topk --scenario university --limit 3 | grep -q 'rows=3, tau=3'
+# verify, explain, topk and stats share one database term: one
+# --scenario flag with one doc; optimize takes the generation flags only.
+for cmd in verify explain topk stats; do
+  test "$("$MJOIN" $cmd --help=plain \
+    | grep -c 'Run on this paper scenario instead of a generated database')" = 1
+done
+if "$MJOIN" optimize --scenario ex1 > /dev/null 2>&1; then exit 1; fi
 MJ_ALGO_POLICY=yann "$MJOIN" explain --shape chain --size 4 \
   | grep -q 'lowered (yann'
 
@@ -139,6 +151,9 @@ if "$MJOIN" stats --from "$TMP/db.txt" > /dev/null 2>&1; then exit 1; fi
 if "$MJOIN" topk --shape cycle --size 4 > /dev/null 2>&1; then exit 1; fi
 "$MJOIN" topk --shape cycle --size 4 2>&1 | grep -q 'cyclic'
 if "$MJOIN" topk --shape star --size 4 --limit x > /dev/null 2>&1; then exit 1; fi
+# A generation knob out of range is the user's error, not an internal one.
+if "$MJOIN" verify --shape cycle -n 2 > /dev/null 2>&1; then exit 1; fi
+"$MJOIN" explain --shape cycle -n 2 2>&1 | grep -q '^mjoin: Querygraph.cycle: need n >= 3'
 
 # Serving: NDJSON over stdin.  Happy path — the repeated query arrives
 # in a later batch (the sleeps split the read loop's batches), so it

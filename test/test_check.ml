@@ -20,12 +20,12 @@ let descriptor_gen =
             Gen.seed;
             shape =
               List.nth
-                [ Gen.Chain; Gen.Star; Gen.Cycle; Gen.Random_graph ]
+                [ "chain"; "star"; "cycle"; "random" ]
                 shape;
             n;
             rows;
             domain;
-            regime = List.nth [ Gen.Uniform; Gen.Skewed; Gen.Superkey ] regime;
+            regime = List.nth [ "uniform"; "skewed"; "superkey" ] regime;
           })
       (pair (int_range 0 100_000)
          (quad (int_range 0 3) (int_range 2 7) (int_range 1 9)
@@ -66,6 +66,83 @@ let test_of_string_rejects_unknown () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown key must be rejected"
 
+(* The case-to-database map, pinned: every fuzz shape × regime at fixed
+   fields denotes this full join (by digest) and this random strategy.
+   A change to the descriptor's RNG seeding, to the order of the shape
+   or regime lists (a name's rank), or to the builder moves a pin, and
+   with it every committed repro. *)
+let case_pins =
+  [
+    ("chain", "uniform", 3390213936345010690L, "(((c0,c1 * c1,c2) * c2,c3) * c3,c4)");
+    ("chain", "skewed", -9019051312945000628L, "(c2,c3 * ((c0,c1 * c3,c4) * c1,c2))");
+    ("chain", "superkey", -7621904865701705863L, "(c1,c2 * (c0,c1 * (c2,c3 * c3,c4)))");
+    ("star", "uniform", 4831662904386952193L, "(((s3,t3 * s1,s2,s3) * s1,t1) * s2,t2)");
+    ("star", "skewed", 6951737109735663880L, "(s1,t1 * ((s1,s2,s3 * s3,t3) * s2,t2))");
+    ("star", "superkey", 379812244151521138L, "((s1,s2,s3 * (s1,t1 * s2,t2)) * s3,t3)");
+    ("cycle", "uniform", -998650079713947879L, "((c2,c3 * (c0,c3 * c0,c1)) * c1,c2)");
+    ("cycle", "skewed", 536410337409380384L, "((c1,c2 * c0,c1) * (c0,c3 * c2,c3))");
+    ("cycle", "superkey", 1110142626854637708L, "((c0,c1 * c0,c3) * (c1,c2 * c2,c3))");
+    ("clique", "uniform", 2728654458648766409L, "(e0_1,e0_2,e0_3,v0 * (e0_3,e1_3,e2_3,v3 * (e0_2,e1_2,e2_3,v2 * e0_1,e1_2,e1_3,v1)))");
+    ("clique", "skewed", 16789417787860116L, "(((e0_2,e1_2,e2_3,v2 * e0_1,e0_2,e0_3,v0) * e0_3,e1_3,e2_3,v3) * e0_1,e1_2,e1_3,v1)");
+    ("clique", "superkey", 7753611927735923176L, "((e0_1,e1_2,e1_3,v1 * e0_1,e0_2,e0_3,v0) * (e0_3,e1_3,e2_3,v3 * e0_2,e1_2,e2_3,v2))");
+    ("random", "uniform", 7999740058608591936L, "(e0_2,v2 * ((e0_1,v1 * e0_3,v3) * e0_1,e0_2,e0_3,v0))");
+    ("random", "skewed", 2352588092702380161L, "((e0_1,e1_2,e1_3,v1 * (e1_2,e2_3,v2 * e0_1,e0_3,v0)) * e0_3,e1_3,e2_3,v3)");
+    ("random", "superkey", -6144343754507172236L, "(e0_3,v3 * ((e0_2,e1_2,v2 * e0_1,e1_2,v1) * e0_1,e0_2,e0_3,v0))");
+    ("path", "uniform", -445974788025267354L, "((c0,c1,p0 * c1,c2,p1) * (c2,c3,p2 * c3,c4,p3))");
+    ("path", "skewed", -3279549973746683086L, "(c3,c4,p3 * ((c2,c3,p2 * c0,c1,p0) * c1,c2,p1))");
+    ("path", "superkey", 373310465955639561L, "((c3,c4,p3 * c0,c1,p0) * (c1,c2,p1 * c2,c3,p2))");
+    ("snowflake", "uniform", 2934152549937450102L, "(((d1,d1_1,d1_2,u1 * d1_2,w1_2) * d1) * d1_1,w1_1)");
+    ("snowflake", "skewed", 5831552119615200717L, "((d1,d1_1,d1_2,u1 * d1_1,w1_1) * (d1 * d1_2,w1_2))");
+    ("snowflake", "superkey", -3922969246728927136L, "((d1 * (d1_1,w1_1 * d1,d1_1,d1_2,u1)) * d1_2,w1_2)");
+  ]
+
+let test_case_pins () =
+  Alcotest.(check int) "every shape x regime" 21 (List.length case_pins);
+  List.iter
+    (fun (shape, regime, digest, strategy) ->
+      let d = { Gen.seed = 3; shape; n = 4; rows = 6; domain = 3; regime } in
+      let db, s = Gen.materialize d in
+      let case = Format.asprintf "%a" Gen.pp d in
+      Alcotest.(check int64) (case ^ ": join digest") digest
+        (Mj_relation.Relation.digest (Mj_relation.Database.join_all db));
+      Alcotest.(check string) (case ^ ": strategy") strategy
+        (Multijoin.Strategy.to_string s))
+    case_pins
+
+(* [generate]'s draws, pinned at the campaign [fuzz --seed 5] runs. *)
+let test_campaign_pins () =
+  List.iteri
+    (fun i expected ->
+      Alcotest.(check string) (Printf.sprintf "case %d" i) expected
+        (Format.asprintf "%a" Gen.pp (Fuzz.case_descriptor ~seed:5 ~max_n:5 i)))
+    [
+    "clique-3 seed=16782 rows=6 domain=1 skewed";
+    "star-4 seed=62182 rows=7 domain=3 uniform";
+    "random-4 seed=75608 rows=7 domain=8 superkey";
+    "path-3 seed=5582 rows=2 domain=3 skewed";
+    "cycle-5 seed=70533 rows=1 domain=7 uniform";
+    ]
+
+(* The fuzzer draws only names the one builder accepts. *)
+let test_names_are_workload_names () =
+  List.iter
+    (fun shape ->
+      Alcotest.(check bool) (shape ^ " is a Dbgen shape") true
+        (List.mem_assoc shape Mj_workload.Dbgen.shapes))
+    Gen.shapes;
+  List.iter
+    (fun regime ->
+      Alcotest.(check bool) (regime ^ " is a Dbgen regime") true
+        (List.mem regime Mj_workload.Dbgen.regimes))
+    Gen.regimes;
+  Alcotest.(check bool) "an unknown shape is rejected" true
+    (match Gen.normalize { Gen.default with Gen.shape = "torus" } with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "a repro naming a regime the fuzzer does not draw is rejected"
+    true
+    (Result.is_error (Gen.of_string "regime=consistent\n"))
+
 (* ------------------------------------------------------------------ *)
 (* The checks on fixed cases                                            *)
 (* ------------------------------------------------------------------ *)
@@ -73,17 +150,17 @@ let test_of_string_rejects_unknown () =
 let fixed_cases =
   [
     { Gen.default with Gen.seed = 11 };
-    { Gen.default with Gen.seed = 12; shape = Gen.Star; n = 4; rows = 5 };
-    { Gen.default with Gen.seed = 13; shape = Gen.Cycle; n = 4; domain = 2 };
+    { Gen.default with Gen.seed = 12; shape = "star"; n = 4; rows = 5 };
+    { Gen.default with Gen.seed = 13; shape = "cycle"; n = 4; domain = 2 };
     {
       Gen.default with
       Gen.seed = 14;
-      shape = Gen.Random_graph;
+      shape = "random";
       n = 5;
       rows = 6;
-      regime = Gen.Skewed;
+      regime = "skewed";
     };
-    { Gen.default with Gen.seed = 15; n = 3; regime = Gen.Superkey };
+    { Gen.default with Gen.seed = 15; n = 3; regime = "superkey" };
   ]
 
 let test_fixed_cases_pass () =
@@ -111,9 +188,9 @@ let test_individual_passes () =
 let leg_cases =
   [
     ( "acyclic",
-      { Gen.default with Gen.seed = 12; shape = Gen.Star; n = 4; rows = 5 } );
+      { Gen.default with Gen.seed = 12; shape = "star"; n = 4; rows = 5 } );
     ( "cyclic",
-      { Gen.default with Gen.seed = 13; shape = Gen.Cycle; n = 4; domain = 2 }
+      { Gen.default with Gen.seed = 13; shape = "cycle"; n = 4; domain = 2 }
     );
   ]
 
@@ -334,6 +411,9 @@ let () =
           prop_materialize_deterministic;
           prop_shrink_terminates;
           Alcotest.test_case "unknown key" `Quick test_of_string_rejects_unknown;
+          Alcotest.test_case "case pins" `Quick test_case_pins;
+          Alcotest.test_case "campaign pins" `Quick test_campaign_pins;
+          Alcotest.test_case "workload names" `Quick test_names_are_workload_names;
         ] );
       ( "checks",
         [

@@ -158,7 +158,7 @@ let concurrent_oracle_law =
       let srv = mk_serve ~queue_cap:1024 ~domains:4 () in
       let lines = List.mapi (fun i s -> request_line ~id:i s) specs in
       let check_batch () =
-        let responses = Serve.handle_batch srv lines in
+        let responses = Serve.handle_requests srv (List.map Protocol.parse lines) in
         List.for_all2
           (fun s r -> status r = "ok" && response_matches (oracle_of_spec s) r)
           specs responses
@@ -355,7 +355,7 @@ let test_invalidate_via_protocol () =
 (* Admission control: queue-cap refusal                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [handle_batch] admits in input order against the in-flight budget
+(* [handle_requests] admits in input order against the in-flight budget
    before dispatching, so a batch of q queries against cap c sheds
    exactly max(0, q-c), and precisely the tail. *)
 let queue_cap_law =
@@ -372,7 +372,7 @@ let queue_cap_law =
       in
       let total = cap + k in
       let lines = List.init total (fun i -> request_line ~id:i spec) in
-      let responses = Serve.handle_batch srv lines in
+      let responses = Serve.handle_requests srv (List.map Protocol.parse lines) in
       let oracle = oracle_of_spec spec in
       let statuses = List.map status responses in
       let admitted, shed =
@@ -421,7 +421,7 @@ let drain_law =
         @ [ {|{"op":"shutdown"}|} ]
         @ List.mapi (fun i s -> request_line ~id:(100 + i) s) specs
       in
-      let responses = Serve.handle_batch srv lines in
+      let responses = Serve.handle_requests srv (List.map Protocol.parse lines) in
       let oracles = List.map oracle_of_spec specs in
       (* Every query in the batch — before and after the shutdown line —
          was admitted before control ops ran, so every one completes
