@@ -266,6 +266,24 @@ let fig () =
     (best_connected.cost = best_linear_connected.cost)
 
 (* ------------------------------------------------------------------ *)
+(* Seeded trials                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every statistical experiment below runs its seeds through
+   [Pool.trials] and summarizes the seed-ordered results here. *)
+let count p results =
+  Array.fold_left (fun n r -> if p r then n + 1 else n) 0 results
+
+(* Sums run from the last seed down to the first, the order of the
+   sequential loops these experiments were first written as, so the
+   printed means are unchanged. *)
+let mean ratios =
+  Array.fold_right (fun r acc -> acc +. r) ratios 0.0
+  /. float_of_int (Array.length ratios)
+
+let worst ratios = Array.fold_left Float.max 1.0 ratios
+
+(* ------------------------------------------------------------------ *)
 (* THM1-3: Monte-Carlo theorem validation per data regime               *)
 (* ------------------------------------------------------------------ *)
 
@@ -301,13 +319,8 @@ let theorem_experiment id which =
   List.iter
     (fun (regime_name, gen) ->
       let tally = fresh_tally () in
-      (* Trials fan out over domains; each derives everything from its
-         own seed and results merge in seed order, so the tally (and
-         the printed table) is identical at any domain count. *)
       let outcomes =
-        Pool.init samples (fun i ->
-            let seed = i + 1 in
-            let rng = Random.State.make [| seed; which |] in
+        Pool.trials samples ~salt:[| which |] (fun seed rng ->
             let n = 4 + (seed mod 2) in
             let d = Querygraph.random ~extra_edge_prob:0.3 ~rng n in
             let db : Database.t = gen ~rng d in
@@ -323,11 +336,7 @@ let theorem_experiment id which =
       Printf.printf "  %-10s %-8d %-11d %-6d %-8d %-22d\n" regime_name samples
         tally.applicable tally.holds tally.refuted tally.vacuous_and_fails;
       if tally.refuted > 0 then check "NO REFUTATIONS" false)
-    [
-      ("superkey", fun ~rng d -> Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d);
-      ("uniform", fun ~rng d -> Dbgen.uniform_db ~rng ~rows:5 ~domain:3 d);
-      ("skewed", fun ~rng d -> Dbgen.skewed_db ~rng ~rows:5 ~domain:4 ~skew:1.2 d);
-    ];
+    Dbgen.thm_regimes;
   print_endline
     "  (refuted = 0 everywhere is the reproduction of the theorem; the\n\
     \   last column shows the conclusion really failing once hypotheses do)"
@@ -342,13 +351,13 @@ let sk () =
   let shapes = [ ("chain", Querygraph.chain 4); ("star", Querygraph.star 4) ] in
   List.iter
     (fun (name, d) ->
-      let ok = ref true in
-      for seed = 1 to 20 do
-        let rng = Random.State.make [| seed; 77 |] in
-        let db = Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d in
-        if not (Conditions.holds_c3 db) then ok := false
-      done;
-      check (Printf.sprintf "injective %s databases all satisfy C3" name) !ok)
+      let c3 =
+        Pool.trials 20 ~salt:[| 77 |] (fun _ rng ->
+            Conditions.holds_c3 (Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d))
+      in
+      check
+        (Printf.sprintf "injective %s databases all satisfy C3" name)
+        (Array.for_all Fun.id c3))
     shapes;
   (* Declared FDs: the chase certifies the lossless-join hypothesis, and
      C2 follows on data satisfying those FDs (the star schema). *)
@@ -437,15 +446,9 @@ let gamma () =
     (fun (shape_name, shape) ->
       List.iter
         (fun (regime_name, gen) ->
-          (* Seed-per-trial fan-out; the prepend fold rebuilds the exact
-             descending-seed list the sequential loop accumulated, so the
-             float summation order (and the output) is unchanged. *)
           let results =
-            Pool.init samples (fun i ->
-                let seed = i + 1 in
-                let rng =
-                  Random.State.make [| seed; 7; Hashtbl.hash shape_name |]
-                in
+            Pool.trials samples ~salt:[| 7; Hashtbl.hash shape_name |]
+              (fun _ rng ->
                 let db : Database.t = gen ~rng (shape 6) in
                 let best_all = (Optimal.optimum_exn db).cost in
                 let best_linear =
@@ -457,20 +460,11 @@ let gamma () =
                 in
                 (ratio, best_linear = best_all))
           in
-          let ratios = Array.fold_left (fun acc (r, _) -> r :: acc) [] results in
-          let optimal =
-            Array.fold_left (fun n (_, hit) -> if hit then n + 1 else n) 0 results
-          in
-          let mean = List.fold_left ( +. ) 0.0 ratios /. float_of_int samples in
-          let worst = List.fold_left Float.max 1.0 ratios in
+          let ratios = Array.map fst results in
           Printf.printf "  %-8s %-10s %-9d %-11.3f %-11.3f %d/%d\n" shape_name
-            regime_name samples mean worst optimal samples)
-        [
-          ("superkey", fun ~rng d -> Dbgen.superkey_db ~rng ~rows:6 ~domain:10 d);
-          ("uniform", fun ~rng d -> Dbgen.uniform_db ~rng ~rows:6 ~domain:3 d);
-          ( "skewed",
-            fun ~rng d -> Dbgen.skewed_db ~rng ~rows:6 ~domain:4 ~skew:1.5 d );
-        ])
+            regime_name samples (mean ratios) (worst ratios)
+            (count snd results) samples)
+        Dbgen.gamma_regimes)
     [
       ("chain", Querygraph.chain);
       ("cycle", Querygraph.cycle);
@@ -487,31 +481,30 @@ let gamma () =
 let mono () =
   section "MONO" "Section 5: monotone decreasing / increasing strategies";
   let samples = 15 in
-  let dec = ref 0 in
-  for seed = 1 to samples do
-    let rng = Random.State.make [| seed; 31 |] in
-    let d = Querygraph.random ~extra_edge_prob:0.3 ~rng 5 in
-    let db = Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d in
-    if Monotone.exists_optimal_linear_monotone_decreasing db then incr dec
-  done;
+  let dec =
+    count Fun.id
+      (Pool.trials samples ~salt:[| 31 |] (fun _ rng ->
+           let d = Querygraph.random ~extra_edge_prob:0.3 ~rng 5 in
+           Monotone.exists_optimal_linear_monotone_decreasing
+             (Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d)))
+  in
   Printf.printf
     "  superkey (C3) databases with a monotone-decreasing linear optimum: \
      %d/%d\n"
-    !dec samples;
-  check "all of them" (!dec = samples);
-  let inc = ref 0 in
-  for seed = 1 to samples do
-    let rng = Random.State.make [| seed; 32 |] in
-    let db =
-      Dbgen.consistent_acyclic_db ~rng ~rows:5 ~domain:4 (Querygraph.chain 4)
-    in
-    if Monotone.all_cp_free_strategies_monotone_increasing db then incr inc
-  done;
+    dec samples;
+  check "all of them" (dec = samples);
+  let inc =
+    count Fun.id
+      (Pool.trials samples ~salt:[| 32 |] (fun _ rng ->
+           Monotone.all_cp_free_strategies_monotone_increasing
+             (Dbgen.consistent_acyclic_db ~rng ~rows:5 ~domain:4
+                (Querygraph.chain 4))))
+  in
   Printf.printf
     "  gamma-acyclic consistent databases where every CP-free strategy is\n\
     \  monotone increasing (C4): %d/%d\n"
-    !inc samples;
-  check "all of them" (!inc = samples)
+    inc samples;
+  check "all of them" (inc = samples)
 
 (* ------------------------------------------------------------------ *)
 (* SETOP: union and intersection strategies (Section 5)                 *)
@@ -520,37 +513,36 @@ let mono () =
 let setop () =
   section "SETOP" "Section 5: intersection satisfies C3; union experiments";
   let samples = 200 in
-  let linear_optimal = ref 0 in
-  let ascending_optimal = ref 0 in
-  let union_linear_optimal = ref 0 in
-  for seed = 1 to samples do
-    let rng = Random.State.make [| seed; 71 |] in
-    let k = 3 + Random.State.int rng 3 in
-    let family =
-      Setops.of_ints
-        (List.init k (fun i ->
-             let size = 1 + Random.State.int rng 9 in
-             ( Printf.sprintf "X%d" i,
-               List.init size (fun _ -> Random.State.int rng 12) )))
-    in
-    let _, best = Setops.optimum Setops.Inter family in
-    let _, best_linear = Setops.optimum_linear Setops.Inter family in
-    if best = best_linear then incr linear_optimal;
-    if Setops.tau Setops.Inter family (Setops.ascending_linear family) = best
-    then incr ascending_optimal;
-    let _, u_best = Setops.optimum Setops.Union family in
-    let _, u_linear = Setops.optimum_linear Setops.Union family in
-    if u_best = u_linear then incr union_linear_optimal
-  done;
+  let results =
+    Pool.trials samples ~salt:[| 71 |] (fun _ rng ->
+        let k = 3 + Random.State.int rng 3 in
+        let family =
+          Setops.of_ints
+            (List.init k (fun i ->
+                 let size = 1 + Random.State.int rng 9 in
+                 ( Printf.sprintf "X%d" i,
+                   List.init size (fun _ -> Random.State.int rng 12) )))
+        in
+        let _, best = Setops.optimum Setops.Inter family in
+        let _, best_linear = Setops.optimum_linear Setops.Inter family in
+        let _, u_best = Setops.optimum Setops.Union family in
+        let _, u_linear = Setops.optimum_linear Setops.Union family in
+        ( best = best_linear,
+          Setops.tau Setops.Inter family (Setops.ascending_linear family) = best,
+          u_best = u_linear ))
+  in
+  let linear_optimal = count (fun (hit, _, _) -> hit) results in
+  let union_linear_optimal = count (fun (_, _, hit) -> hit) results in
   Printf.printf "  intersection: best linear = global optimum    %d/%d\n"
-    !linear_optimal samples;
-  check "Theorem 3 for intersections (100%)" (!linear_optimal = samples);
+    linear_optimal samples;
+  check "Theorem 3 for intersections (100%)" (linear_optimal = samples);
   Printf.printf "  intersection: ascending-size heuristic optimal %d/%d\n"
-    !ascending_optimal samples;
+    (count (fun (_, hit, _) -> hit) results)
+    samples;
   Printf.printf "  union: best linear = global optimum           %d/%d\n"
-    !union_linear_optimal samples;
+    union_linear_optimal samples;
   check "union: linear orders are NOT always optimal"
-    (!union_linear_optimal < samples);
+    (union_linear_optimal < samples);
   (* A minimal witness: overlapping sets must be united with each other
      first, which a linear spine cannot arrange for two disjoint pairs. *)
   let family =
@@ -579,32 +571,28 @@ let yann () =
   let samples = 15 in
   List.iter
     (fun (shape_name, shape, n) ->
-      let ratios = ref [] in
-      let opt = ref 0 in
-      for seed = 1 to samples do
-        let rng = Random.State.make [| seed; 81 |] in
-        let db = Dbgen.uniform_db ~rng ~rows:6 ~domain:3 (shape n) in
-        let reduced = Consistency.semijoin_reduce db in
-        let yann_tau =
-          match Gyo.rooted_ear_tree (Database.schemes db) with
-          | None -> assert false (* chains and stars are acyclic *)
-          | Some rt ->
-              let _, stats =
-                Engine.execute_plan (get_config ()) db
-                  (Physical.Semijoin_program rt)
-              in
-              stats.Engine.tuples_generated
-        in
-        let best = (Optimal.optimum_exn reduced).cost in
-        let ratio =
-          if best = 0 then 1.0 else float_of_int yann_tau /. float_of_int best
-        in
-        ratios := ratio :: !ratios;
-        if yann_tau = best then incr opt
-      done;
-      let mean = List.fold_left ( +. ) 0.0 !ratios /. float_of_int samples in
+      let results =
+        Pool.trials samples ~salt:[| 81 |] (fun _ rng ->
+            let db = Dbgen.uniform_db ~rng ~rows:6 ~domain:3 (shape n) in
+            let reduced = Consistency.semijoin_reduce db in
+            let yann_tau =
+              match Gyo.rooted_ear_tree (Database.schemes db) with
+              | None -> assert false (* chains and stars are acyclic *)
+              | Some rt ->
+                  let _, stats =
+                    Engine.execute_plan (get_config ()) db
+                      (Physical.Semijoin_program rt)
+                  in
+                  stats.Engine.tuples_generated
+            in
+            let best = (Optimal.optimum_exn reduced).cost in
+            let ratio =
+              if best = 0 then 1.0 else float_of_int yann_tau /. float_of_int best
+            in
+            (ratio, yann_tau = best))
+      in
       Printf.printf "  %-8s %-4d %-9d %-12.3f %d/%d\n" shape_name n samples
-        mean !opt samples)
+        (mean (Array.map fst results)) (count snd results) samples)
     [
       ("chain", Querygraph.chain, 4);
       ("chain", Querygraph.chain, 6);
@@ -649,29 +637,16 @@ let est () =
       List.iter
         (fun (regime_name, gen) ->
           let summarize make_oracle =
-            (* Same fan-out/merge discipline as GAMMA: per-seed tasks,
-               results folded back in the sequential loop's order. *)
             let results =
-              Pool.init samples (fun i ->
-                  let seed = i + 1 in
-                  let rng =
-                    Random.State.make [| seed; 9; Hashtbl.hash shape_name |]
-                  in
+              Pool.trials samples ~salt:[| 9; Hashtbl.hash shape_name |]
+                (fun _ rng ->
                   let d = shape 6 in
                   let db : Database.t = gen ~rng d in
                   run_estimator db d make_oracle)
             in
-            let regrets =
-              Array.fold_left (fun acc (r, _) -> r :: acc) [] results
-            in
-            let hits =
-              Array.fold_left (fun n (_, h) -> if h then n + 1 else n) 0 results
-            in
-            let mean =
-              List.fold_left ( +. ) 0.0 regrets /. float_of_int samples
-            in
-            let worst = List.fold_left Float.max 1.0 regrets in
-            Printf.sprintf "%.3f/%.3f/%d" mean worst hits
+            let regrets = Array.map fst results in
+            Printf.sprintf "%.3f/%.3f/%d" (mean regrets) (worst regrets)
+              (count snd results)
           in
           let uniform_cell =
             summarize (fun db -> Estimate.of_catalog (Catalog.of_database db))
@@ -679,12 +654,7 @@ let est () =
           let mcv_cell = summarize (fun db -> Estimate.of_database_mcv ~k:8 db) in
           Printf.printf "  %-8s %-10s %-9d %-22s %-22s\n" shape_name regime_name
             samples uniform_cell mcv_cell)
-        [
-          ("superkey", fun ~rng d -> Dbgen.superkey_db ~rng ~rows:6 ~domain:10 d);
-          ("uniform", fun ~rng d -> Dbgen.uniform_db ~rng ~rows:6 ~domain:3 d);
-          ( "skewed",
-            fun ~rng d -> Dbgen.skewed_db ~rng ~rows:6 ~domain:4 ~skew:1.5 d );
-        ])
+        Dbgen.gamma_regimes)
     [ ("chain", Querygraph.chain); ("cycle", Querygraph.cycle) ];
   print_endline
     "  (cells are mean regret / max regret / runs hitting the optimum.\n\
@@ -707,36 +677,35 @@ let rand () =
   let samples = 10 in
   List.iter
     (fun (name, d) ->
-      let ii_ratios = ref [] and sa_ratios = ref [] and ii_hits = ref 0 in
-      for seed = 1 to samples do
-        let rng = Random.State.make [| seed; 10 |] in
-        let cat =
-          Catalog.synthetic
-            (List.map
-               (fun s -> (s, 1 lsl (3 + Random.State.int rng 5), []))
-               (Scheme.Set.elements d))
-        in
-        let oracle = Estimate.of_catalog cat in
-        let opt =
-          match Optimal.optimum_with_oracle ~oracle d with
-          | Some r -> r.Optimal.cost
-          | None -> assert false
-        in
-        let ii =
-          Random_search.iterative_improvement ~rng ~oracle ~restarts:8 d
-        in
-        let sa =
-          Random_search.simulated_annealing ~rng ~oracle ~cooling:0.85
-            ~steps_per_temperature:15 d
-        in
-        let ratio c = if opt = 0 then 1.0 else float_of_int c /. float_of_int opt in
-        ii_ratios := ratio ii.Optimal.cost :: !ii_ratios;
-        sa_ratios := ratio sa.Optimal.cost :: !sa_ratios;
-        if ii.Optimal.cost = opt then incr ii_hits
-      done;
-      let mean rs = List.fold_left ( +. ) 0.0 !rs /. float_of_int samples in
+      let results =
+        Pool.trials samples ~salt:[| 10 |] (fun _ rng ->
+            let cat =
+              Catalog.synthetic
+                (List.map
+                   (fun s -> (s, 1 lsl (3 + Random.State.int rng 5), []))
+                   (Scheme.Set.elements d))
+            in
+            let oracle = Estimate.of_catalog cat in
+            let opt =
+              match Optimal.optimum_with_oracle ~oracle d with
+              | Some r -> r.Optimal.cost
+              | None -> assert false
+            in
+            let ii =
+              Random_search.iterative_improvement ~rng ~oracle ~restarts:8 d
+            in
+            let sa =
+              Random_search.simulated_annealing ~rng ~oracle ~cooling:0.85
+                ~steps_per_temperature:15 d
+            in
+            let ratio c = if opt = 0 then 1.0 else float_of_int c /. float_of_int opt in
+            (ratio ii.Optimal.cost, ratio sa.Optimal.cost, ii.Optimal.cost = opt))
+      in
       Printf.printf "  %-8s %-9d %-14.3f %-14.3f %d/%d\n" name samples
-        (mean ii_ratios) (mean sa_ratios) !ii_hits samples)
+        (mean (Array.map (fun (r, _, _) -> r) results))
+        (mean (Array.map (fun (_, r, _) -> r) results))
+        (count (fun (_, _, hit) -> hit) results)
+        samples)
     [
       ("chain8", Querygraph.chain 8);
       ("cycle8", Querygraph.cycle 8);
@@ -828,43 +797,44 @@ let lem () =
      from the true optimum (which may use CPs on other databases), apply
      the proof's moves, land on an equally cheap CP-free strategy. *)
   let samples = 20 in
-  let ok = ref 0 in
-  for seed = 1 to samples do
-    let rng = Random.State.make [| seed; 16 |] in
-    let d = Querygraph.random ~extra_edge_prob:0.3 ~rng 5 in
-    let db = Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d in
-    let best = Optimal.optimum_exn db in
-    let normalized = Lemmas.to_cp_free db best.Optimal.strategy in
-    if
-      Strategy.avoids_cartesian normalized
-      && Cost.tau db normalized = best.Optimal.cost
-    then incr ok
-  done;
+  let ok =
+    count Fun.id
+      (Pool.trials samples ~salt:[| 16 |] (fun _ rng ->
+           let d = Querygraph.random ~extra_edge_prob:0.3 ~rng 5 in
+           let db = Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d in
+           let best = Optimal.optimum_exn db in
+           let normalized = Lemmas.to_cp_free db best.Optimal.strategy in
+           Strategy.avoids_cartesian normalized
+           && Cost.tau db normalized = best.Optimal.cost))
+  in
   Printf.printf
     "  Theorem 2 construction on %d superkey databases: CP-free with\n\
     \  unchanged tau in %d/%d cases\n"
-    samples !ok samples;
-  check "all of them" (!ok = samples);
+    samples ok samples;
+  check "all of them" (ok = samples);
   (* And starting from arbitrary (non-optimal) strategies, the
      construction never increases tau when C1+C2 hold. *)
-  let ok2 = ref 0 in
-  for seed = 1 to samples do
-    let rng = Random.State.make [| seed; 17 |] in
-    let d = Querygraph.random ~extra_edge_prob:0.3 ~rng 5 in
-    let db = Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d in
-    let s0 = Enumerate.random_strategy ~rng d in
-    let s1 = Lemmas.to_cp_free db s0 in
-    if Strategy.avoids_cartesian s1 && Cost.tau db s1 <= Cost.tau db s0 then
-      incr ok2
-  done;
+  let ok2 =
+    count Fun.id
+      (Pool.trials samples ~salt:[| 17 |] (fun _ rng ->
+           let d = Querygraph.random ~extra_edge_prob:0.3 ~rng 5 in
+           let db = Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d in
+           let s0 = Enumerate.random_strategy ~rng d in
+           let s1 = Lemmas.to_cp_free db s0 in
+           Strategy.avoids_cartesian s1 && Cost.tau db s1 <= Cost.tau db s0))
+  in
   Printf.printf
     "  from random starting strategies: CP-free, tau not increased in %d/%d\n"
-    !ok2 samples;
-  check "all of them " (!ok2 = samples)
+    ok2 samples;
+  check "all of them " (ok2 = samples)
 
 (* ------------------------------------------------------------------ *)
 (* COST: robustness of tau-optimality across cost models                *)
 (* ------------------------------------------------------------------ *)
+
+(* The GAMMA-scale populations whose joins are keyed or skewed. *)
+let keyed_regimes =
+  List.filter (fun (name, _) -> name <> "uniform") Dbgen.gamma_regimes
 
 let cost_models () =
   section "COST"
@@ -880,37 +850,33 @@ let cost_models () =
     (fun (shape_name, shape) ->
       List.iter
         (fun (regime_name, gen) ->
-          let agree = List.map (fun m -> (m, ref 0)) models in
-          for seed = 1 to samples do
-            let rng =
-              Random.State.make [| seed; 13; Hashtbl.hash shape_name |]
-            in
-            let db : Database.t = gen ~rng (shape 6) in
-            let d = Database.schemes db in
-            let oracle = Cost.cardinality_oracle db in
-            let tau_best = Optimal.optimum_exn db in
-            List.iter
-              (fun (m, hits) ->
-                match Costmodel.optimum ~model:m ~oracle d with
-                | Some model_best ->
-                    (* tau's winner is model-optimal iff its model cost
-                       matches the model optimum. *)
-                    if
-                      Costmodel.strategy_cost m oracle tau_best.Optimal.strategy
-                      = model_best.Optimal.cost
-                    then incr hits
-                | None -> ())
-              agree
-          done;
+          let agree =
+            Pool.trials samples ~salt:[| 13; Hashtbl.hash shape_name |]
+              (fun _ rng ->
+                let db : Database.t = gen ~rng (shape 6) in
+                let d = Database.schemes db in
+                let oracle = Cost.cardinality_oracle db in
+                let tau_best = Optimal.optimum_exn db in
+                List.map
+                  (fun m ->
+                    match Costmodel.optimum ~model:m ~oracle d with
+                    | Some model_best ->
+                        (* tau's winner is model-optimal iff its model cost
+                           matches the model optimum. *)
+                        Costmodel.strategy_cost m oracle tau_best.Optimal.strategy
+                        = model_best.Optimal.cost
+                    | None -> false)
+                  models)
+          in
           Printf.printf "  %-10s %-10s" shape_name regime_name;
-          List.iter
-            (fun (_, hits) -> Printf.printf " %-12s" (Printf.sprintf "%d/%d" !hits samples))
-            agree;
+          List.iteri
+            (fun i _ ->
+              Printf.printf " %-12s"
+                (Printf.sprintf "%d/%d" (count (fun a -> List.nth a i) agree)
+                   samples))
+            models;
           print_newline ())
-        [
-          ("superkey", fun ~rng d -> Dbgen.superkey_db ~rng ~rows:6 ~domain:10 d);
-          ("skewed", fun ~rng d -> Dbgen.skewed_db ~rng ~rows:6 ~domain:4 ~skew:1.5 d);
-        ])
+        keyed_regimes)
     [ ("chain", Querygraph.chain); ("cycle", Querygraph.cycle) ];
   print_endline
     "  (how often the tau winner stays optimal when steps also charge for\n\
@@ -926,28 +892,28 @@ let c4jt () =
   let samples = 12 in
   List.iter
     (fun (name, shape) ->
-      let holds = ref 0 in
-      for seed = 1 to samples do
-        let rng = Random.State.make [| seed; 14 |] in
-        let db = Dbgen.consistent_acyclic_db ~rng ~rows:5 ~domain:4 (shape 5) in
-        if Conditions_jt.holds_c4 db then incr holds
-      done;
+      let holds =
+        count Fun.id
+          (Pool.trials samples ~salt:[| 14 |] (fun _ rng ->
+               Conditions_jt.holds_c4
+                 (Dbgen.consistent_acyclic_db ~rng ~rows:5 ~domain:4 (shape 5))))
+      in
       Printf.printf "  %-8s consistent databases satisfying C4 (jt): %d/%d\n"
-        name !holds samples;
-      check (name ^ ": all of them") (!holds = samples))
+        name holds samples;
+      check (name ^ ": all of them") (holds = samples))
     [ ("chain", Querygraph.chain); ("star", Querygraph.star) ];
   (* Without consistency the condition genuinely fails on some
      databases: dangling tuples let a join shrink below its inputs. *)
-  let violating = ref 0 in
-  for seed = 1 to samples do
-    let rng = Random.State.make [| seed; 15 |] in
-    let raw = Dbgen.uniform_db ~rng ~rows:4 ~domain:6 (Querygraph.chain 4) in
-    if not (Conditions_jt.holds_c4 raw) then incr violating
-  done;
+  let violating =
+    count not
+      (Pool.trials samples ~salt:[| 15 |] (fun _ rng ->
+           Conditions_jt.holds_c4
+             (Dbgen.uniform_db ~rng ~rows:4 ~domain:6 (Querygraph.chain 4))))
+  in
   Printf.printf "  unreduced (possibly inconsistent) databases violating C4: %d/%d\n"
-    !violating samples;
+    violating samples;
   check "consistency is doing real work (some raw database violates)"
-    (!violating > 0)
+    (violating > 0)
 
 (* ------------------------------------------------------------------ *)
 (* CASE: the supply-chain snowflake end to end                          *)
@@ -1013,27 +979,27 @@ let loss () =
      optimum should coincide with the global optimum (Theorem 3's
      regime). *)
   let samples = 12 in
-  let hit = ref 0 in
-  for seed = 1 to samples do
-    let rng = Random.State.make [| seed; 19 |] in
-    let d = Querygraph.chain 4 in
-    let db = Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d in
-    let fds =
-      List.concat_map
-        (fun scheme ->
-          List.map
-            (fun a -> Fd.fd (Mj_relation.Attr.Set.singleton a) scheme)
-            (Mj_relation.Attr.Set.elements scheme))
-        (Scheme.Set.elements d)
-    in
-    match Lossless.gap_to_optimum fds db with
-    | Some (best, opt) when best = opt -> incr hit
-    | _ -> ()
-  done;
+  let hits =
+    Pool.trials samples ~salt:[| 19 |] (fun _ rng ->
+        let d = Querygraph.chain 4 in
+        let db = Dbgen.superkey_db ~rng ~rows:5 ~domain:9 d in
+        let fds =
+          List.concat_map
+            (fun scheme ->
+              List.map
+                (fun a -> Fd.fd (Mj_relation.Attr.Set.singleton a) scheme)
+                (Mj_relation.Attr.Set.elements scheme))
+            (Scheme.Set.elements d)
+        in
+        match Lossless.gap_to_optimum fds db with
+        | Some (best, opt) -> best = opt
+        | None -> false)
+  in
+  let hit = count Fun.id hits in
   Printf.printf
     "  superkey chains where the lossless optimum = global optimum: %d/%d\n"
-    !hit samples;
-  check "all of them" (!hit = samples);
+    hit samples;
+  check "all of them" (hit = samples);
   (* Without dependencies, no step can be proven lossless. *)
   check "no FDs: no lossless strategy"
     (Lossless.best_lossless [] Scenarios.example4 = None)
@@ -1053,34 +1019,31 @@ let makespan () =
     (fun (shape_name, shape) ->
       List.iter
         (fun (regime_name, gen) ->
-          let acc = Array.make 4 0 in
-          for seed = 1 to samples do
-            let rng =
-              Random.State.make [| seed; 18; Hashtbl.hash shape_name |]
-            in
-            let db : Database.t = gen ~rng (shape 6) in
-            let d = Database.schemes db in
-            let oracle = Cost.cardinality_oracle db in
-            let linear_opt =
-              Option.get
-                (Optimal.optimum_with_oracle ~subspace:Enumerate.Linear ~oracle d)
-            in
-            let mk_opt =
-              Option.get (Parallel.optimum_makespan ~oracle d)
-            in
-            acc.(0) <- acc.(0) + linear_opt.Optimal.cost;
-            acc.(1) <- acc.(1) + Parallel.makespan_oracle oracle linear_opt.Optimal.strategy;
-            acc.(2) <- acc.(2) + Cost.tau_oracle oracle mk_opt.Optimal.strategy;
-            acc.(3) <- acc.(3) + mk_opt.Optimal.cost
-          done;
+          let results =
+            Pool.trials samples ~salt:[| 18; Hashtbl.hash shape_name |]
+              (fun _ rng ->
+                let db : Database.t = gen ~rng (shape 6) in
+                let d = Database.schemes db in
+                let oracle = Cost.cardinality_oracle db in
+                let linear_opt =
+                  Option.get
+                    (Optimal.optimum_with_oracle ~subspace:Enumerate.Linear ~oracle d)
+                in
+                let mk_opt = Option.get (Parallel.optimum_makespan ~oracle d) in
+                [|
+                  linear_opt.Optimal.cost;
+                  Parallel.makespan_oracle oracle linear_opt.Optimal.strategy;
+                  Cost.tau_oracle oracle mk_opt.Optimal.strategy;
+                  mk_opt.Optimal.cost;
+                |])
+          in
+          let mean_of i =
+            Array.fold_left (fun acc r -> acc + r.(i)) 0 results / samples
+          in
           Printf.printf "  %-8s %-10s %-24s %-24s\n" shape_name regime_name
-            (Printf.sprintf "%d / %d" (acc.(0) / samples) (acc.(1) / samples))
-            (Printf.sprintf "%d / %d" (acc.(2) / samples) (acc.(3) / samples)))
-        [
-          ("superkey", fun ~rng d -> Dbgen.superkey_db ~rng ~rows:6 ~domain:10 d);
-          ( "skewed",
-            fun ~rng d -> Dbgen.skewed_db ~rng ~rows:6 ~domain:4 ~skew:1.5 d );
-        ])
+            (Printf.sprintf "%d / %d" (mean_of 0) (mean_of 1))
+            (Printf.sprintf "%d / %d" (mean_of 2) (mean_of 3)))
+        keyed_regimes)
     [ ("chain", Querygraph.chain); ("star", Querygraph.star) ];
   print_endline
     "  (columns: mean total work / mean critical path.  A linear strategy's\n\

@@ -1202,14 +1202,12 @@ let fuzz_cmd =
 (* serve                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The MJ_SERVE_* environment is read here, in the binary — the
-   library keeps its invariant that [Engine.Config.of_env] is the only
-   env-reading site under lib/.  Precedence: flag > MJ_SERVE_* >
-   built-in default. *)
+(* The MJ_SERVE_* environment is read here, in the binary, by the
+   library's one variable reader, so a malformed value fails naming
+   itself as MJ_DOMAINS does.  Precedence: flag > MJ_SERVE_* > built-in
+   default. *)
 let serve_env_int name =
-  match Sys.getenv_opt name with
-  | Some s -> int_of_string_opt (String.trim s)
-  | None -> None
+  Engine.Config.env_var name ~expect:"an integer" int_of_string_opt
 
 let run_serve listen queue_cap timeout_ms plan_cache config =
   let pick flag env default =

@@ -134,17 +134,11 @@ let certify_row (shape, n, reps) =
         ("equal", Check (Int64.equal frame_d (Relation.digest r)));
       ])
 
-(* Regimes of the GAMMA/THM experiments. *)
-let regime_gen = function
-  | "uniform" -> fun ~rng d -> Dbgen.uniform_db ~rng ~rows:6 ~domain:3 d
-  | "skewed" -> fun ~rng d -> Dbgen.skewed_db ~rng ~rows:6 ~domain:4 ~skew:1.5 d
-  | "superkey" -> fun ~rng d -> Dbgen.superkey_db ~rng ~rows:6 ~domain:10 d
-  | r -> invalid_arg ("Frame_bench: unknown regime " ^ r)
-
+(* The GAMMA experiment's populations. *)
 let trial_dbs ?(graph = Querygraph.chain 6) regime trials =
   List.init trials (fun i ->
       let rng = Random.State.make [| i + 1; 7; Hashtbl.hash regime |] in
-      regime_gen regime ~rng graph)
+      List.assoc regime Dbgen.gamma_regimes ~rng graph)
 
 (* The GAMMA inner loop under one cache backend: both DP optima plus the
    complete τ table (every non-empty sub-database cardinality), so

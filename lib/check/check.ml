@@ -551,16 +551,18 @@ let theorems db =
       rep.Theorems.min_all;
   (* Theorem 1's decision on the linear DP table against the
      enumeration of every optimal linear strategy it replaces. *)
-  let by_dp = Optimal.linear_optima_cp_free cache in
-  let by_enumeration =
-    List.for_all
-      (fun (r : Optimal.result) -> not (Strategy.uses_cartesian r.strategy))
-      (Optimal.all_optima_cached ~subspace:Enumerate.Linear cache)
-  in
-  if by_dp <> by_enumeration || by_dp <> rep.Theorems.theorem1_conclusion then
-    fail "theorems:theorem1"
-      "linear DP says %b, enumeration says %b, report says %b" by_dp
-      by_enumeration rep.Theorems.theorem1_conclusion;
+  (match Optimal.linear_optima_cp_free cache with
+  | None -> () (* a saturated linear optimum: Theorem 1 is undecided *)
+  | Some by_dp ->
+      let by_enumeration =
+        List.for_all
+          (fun (r : Optimal.result) -> not (Strategy.uses_cartesian r.strategy))
+          (Optimal.all_optima_cached ~subspace:Enumerate.Linear cache)
+      in
+      if by_dp <> by_enumeration || by_dp <> rep.Theorems.theorem1_conclusion then
+        fail "theorems:theorem1"
+          "linear DP says %b, enumeration says %b, report says %b" by_dp
+          by_enumeration rep.Theorems.theorem1_conclusion);
   (* Every cached cardinality of the frame-counted cache, the
      product-priced unconnected ones included, against the materialized
      join of its sub-database. *)

@@ -31,13 +31,7 @@ let step_costs db s =
   let _, _, rows = eval_with_cost db s in
   rows
 
-let rec tau_oracle card = function
-  | Strategy.Leaf _ -> 0
-  | Strategy.Join n ->
-      Frame.Db.saturating_add
-        (Frame.Db.saturating_add (tau_oracle card n.left)
-           (tau_oracle card n.right))
-        (card n.schemes)
+let tau_oracle = Subset_dp.strategy_cost Sum
 
 module Cache = struct
   module Obs = Mj_obs.Obs
@@ -158,9 +152,7 @@ module Cache = struct
     match Hashtbl.find_opt c.agm_table mask with
     | Some b -> b
     | None ->
-        let card i =
-          Relation.cardinality (base c.db (Bitdb.scheme c.univ i))
-        in
+        let card i = Database.cardinality c.db (Bitdb.scheme c.univ i) in
         let b = Cover.agm_bound c.univ mask ~card in
         Hashtbl.add c.agm_table mask b;
         b

@@ -111,7 +111,8 @@ module Cache : sig
 end
 
 val cardinality_oracle : Database.t -> Scheme.Set.t -> int
-(** The exact oracle: materializes the join of the sub-database.  Results
-    are memoized per returned closure (a fresh {!Cache.t}), so
-    sharing one oracle across many strategies for the same database
-    avoids recomputation. *)
+(** The exact oracle: the cardinality of the sub-database's join,
+    counted by a fresh [Frame]-backed {!Cache.t} without materializing
+    the join.  Results are memoized per returned closure, so sharing one
+    oracle across many strategies for the same database avoids
+    recomputation. *)

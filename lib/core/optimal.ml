@@ -146,24 +146,29 @@ let linear_optima_cp_free cache =
   Subset_dp.solve dp ~splits:(iter_linear_partitions u) full;
   let best m = Option.get (Subset_dp.cost dp m) in
   let decided = Hashtbl.create 64 in
-  let rec some_uses_cp m =
+  (* [cost] is [best m], known to the caller. *)
+  let rec some_uses_cp m cost =
     m land (m - 1) <> 0
     &&
     match Hashtbl.find_opt decided m with
     | Some b -> b
     | None ->
-        let rest_cost = best m - card m in
+        let rest_cost = cost - card m in
         let found = ref false in
         iter_linear_partitions u m (fun rest b ->
             if
               (not !found)
               && best rest = rest_cost
-              && ((not (Bitdb.linked u rest b)) || some_uses_cp rest)
+              && ((not (Bitdb.linked u rest b)) || some_uses_cp rest rest_cost)
             then found := true);
         Hashtbl.add decided m !found;
         !found
   in
-  not (some_uses_cp full)
+  (* A saturated optimum hides which strategies are optimal; below it,
+     every mask the descent subtracts from is tight, hence finite. *)
+  match best full with
+  | cost when cost = max_int -> None
+  | cost -> if some_uses_cp full cost then Some false else Some true
 
 (* Stream the subspace instead of materializing it: a single fold tracks
    the best cost and the ties seen so far, in enumeration order. *)

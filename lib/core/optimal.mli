@@ -6,8 +6,8 @@
     [best(D') = τ(R_{D'}) + min over allowed partitions (best(D1) + best(D2))].
 
     The DP runs against a cardinality oracle; pass
-    {!Cost.cardinality_oracle} for exact (materialized) τ — the ground
-    truth used by the theorem validators — or an estimator from
+    {!Cost.cardinality_oracle} for exact τ (counted, not joined) — the
+    ground truth used by the theorem validators — or an estimator from
     [Mj_optimizer] to model a real optimizer. *)
 
 open Mj_relation
@@ -54,9 +54,11 @@ val optimum_cached : ?subspace:Enumerate.subspace -> Cost.Cache.t -> result opti
 val optimum_exn : ?subspace:Enumerate.subspace -> Database.t -> result
 (** @raise Invalid_argument when the subspace is empty. *)
 
-val linear_optima_cp_free : Cost.Cache.t -> bool
+val linear_optima_cp_free : Cost.Cache.t -> bool option
 (** Does every τ-optimal linear strategy of the cache's database avoid
-    Cartesian products?  Theorem 1's conclusion, decided on the linear
+    Cartesian products?  [None] when the linear optimum saturates at
+    [max_int]: which linear strategies are optimal is then unknown.
+    Theorem 1's conclusion, decided on the linear
     DP table without enumerating a strategy: some optimal linear
     strategy of a sub-database uses a product iff one of its tight
     linear splits (one whose part's optimum plus the sub-database's

@@ -1,25 +1,12 @@
 open Mj_relation
 open Mj_hypergraph
 
-let linked_scheme_pairs d =
-  let schemes = Scheme.Set.elements d in
-  let rec pairs = function
-    | [] -> []
-    | s :: rest ->
-        List.filter_map
-          (fun s' ->
-            if Attr.Set.disjoint s s' then None else Some (s, s'))
-          rest
-        @ pairs rest
-  in
-  pairs schemes
-
 let all_joins_on_superkeys fds d =
   List.for_all
     (fun (s1, s2) ->
       let common = Attr.Set.inter s1 s2 in
       Fd.is_superkey fds s1 common && Fd.is_superkey fds s2 common)
-    (linked_scheme_pairs d)
+    (Querygraph.edges d)
 
 let no_nontrivial_lossy_joins fds d =
   List.for_all
@@ -49,4 +36,4 @@ let key_join_graph fds d =
         | false, false -> `Neither
       in
       (s1, s2, side))
-    (linked_scheme_pairs d)
+    (Querygraph.edges d)

@@ -27,8 +27,14 @@ type report = {
   theorem3_conclusion : bool;
 }
 
-let classify hypotheses conclusion =
+(* A minimum at [max_int] is a saturated sum, so a conclusion comparing
+   it decides nothing: whatever the hypotheses, the theorem is
+   undecided and its conclusion reads false (not established). *)
+let saturates = "τ saturates"
+
+let classify ~saturated hypotheses conclusion =
   match List.find_opt (fun (ok, _) -> not ok) hypotheses with
+  | _ when saturated -> Vacuous saturates
   | Some (_, name) -> Vacuous name
   | None -> if conclusion then Holds else Refuted
 
@@ -54,9 +60,13 @@ let verify ?obs ?backend db =
   let min_linear_cp_free = cost_of Enumerate.Linear_cp_free in
   (* Theorem 1's conclusion quantifies over every optimal linear
      strategy. *)
-  let theorem1_conclusion = Optimal.linear_optima_cp_free cache in
-  let theorem2_conclusion = min_cp_free = min_all in
-  let theorem3_conclusion = min_linear_cp_free = Some min_all in
+  let theorem1 = Optimal.linear_optima_cp_free cache in
+  let theorem1_conclusion = theorem1 = Some true in
+  let saturated = min_all = max_int in
+  let theorem2_conclusion = (not saturated) && min_cp_free = min_all in
+  let theorem3_conclusion =
+    (not saturated) && min_linear_cp_free = Some min_all
+  in
   let base_hyps =
     [ (connected, "D not connected"); (nonempty_result, "R_D empty") ]
   in
@@ -69,18 +79,20 @@ let verify ?obs ?backend db =
     min_cp_free;
     min_linear_cp_free;
     theorem1 =
-      classify
+      classify ~saturated:(theorem1 = None)
         (base_hyps @ [ (conditions.c1_strict, "C1' fails") ])
         theorem1_conclusion;
     theorem1_conclusion;
     theorem2 =
-      classify
+      classify ~saturated
         (base_hyps
         @ [ (conditions.c1, "C1 fails"); (conditions.c2, "C2 fails") ])
         theorem2_conclusion;
     theorem2_conclusion;
     theorem3 =
-      classify (base_hyps @ [ (conditions.c3, "C3 fails") ]) theorem3_conclusion;
+      classify ~saturated
+        (base_hyps @ [ (conditions.c3, "C3 fails") ])
+        theorem3_conclusion;
     theorem3_conclusion;
   }
 
@@ -89,17 +101,22 @@ let lemma5_consistent db =
   let summary = Conditions.summarize db in
   (not (nonempty && summary.c3)) || summary.c1
 
+let pp_conclusion status fmt b =
+  if status = Vacuous saturates then Format.pp_print_string fmt "undecided"
+  else Format.pp_print_bool fmt b
+
 let pp_report fmt r =
   Format.fprintf fmt
     "@[<v>connected: %b, R_D nonempty: %b@,conditions: %a@,\
      min tau — all: %d, linear: %d, cp-free: %d, linear-cp-free: %s@,\
-     Theorem 1: %a (optimal linear all cp-free: %b)@,\
-     Theorem 2: %a (cp-free matches optimum: %b)@,\
-     Theorem 3: %a (linear-cp-free matches optimum: %b)@]"
+     Theorem 1: %a (optimal linear all cp-free: %a)@,\
+     Theorem 2: %a (cp-free matches optimum: %a)@,\
+     Theorem 3: %a (linear-cp-free matches optimum: %a)@]"
     r.connected r.nonempty_result Conditions.pp_summary r.conditions r.min_all
     r.min_linear r.min_cp_free
     (match r.min_linear_cp_free with
     | Some c -> string_of_int c
     | None -> "-")
-    pp_status r.theorem1 r.theorem1_conclusion pp_status r.theorem2
-    r.theorem2_conclusion pp_status r.theorem3 r.theorem3_conclusion
+    pp_status r.theorem1 (pp_conclusion r.theorem1) r.theorem1_conclusion
+    pp_status r.theorem2 (pp_conclusion r.theorem2) r.theorem2_conclusion
+    pp_status r.theorem3 (pp_conclusion r.theorem3) r.theorem3_conclusion

@@ -9,6 +9,11 @@
       contradict the paper and is what the test suite asserts never
       happens.
 
+    A conclusion that compares a τ sum saturated at [max_int] is
+    undecided: the theorem reads [Vacuous "τ saturates"] whatever its
+    hypotheses, its conclusion reads [false], and {!pp_report} prints
+    it as undecided.
+
     A fourth piece of information is recorded for the necessity
     examples: whether the conclusion happens to hold anyway when the
     hypotheses fail (Examples 3–5 are engineered so it does not). *)

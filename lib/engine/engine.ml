@@ -24,35 +24,34 @@ module Config = struct
     morsel : int option;
   }
 
+  (* An empty or blank value means unset; any other value that does not
+     parse fails loudly, naming the variable, like MJ_FAILPOINTS. *)
+  let env_var name ~expect parse =
+    match Sys.getenv_opt name with
+    | None -> None
+    | Some s when String.trim s = "" -> None
+    | Some s -> (
+        match parse (String.trim s) with
+        | Some v -> Some v
+        | None -> failwith (Printf.sprintf "%s: %S is not %s" name s expect))
+
   (* The single point of environment reads in the whole library tree:
      MJ_DOMAINS, MJ_ALGO_POLICY and MJ_TELEMETRY are read once per
      process, here, and the resolved MJ_DOMAINS is pushed down to the
      pool's default worker count, so every default-using caller keeps
-     its env-driven behavior without a second read.  An empty or blank
-     value means unset; any other value that does not parse fails
-     loudly, naming the variable, like MJ_FAILPOINTS. *)
+     its env-driven behavior without a second read. *)
   let env =
     lazy
-      (let var name ~expect parse =
-         match Sys.getenv_opt name with
-         | None -> None
-         | Some s when String.trim s = "" -> None
-         | Some s -> (
-             match parse (String.trim s) with
-             | Some v -> Some v
-             | None ->
-                 failwith (Printf.sprintf "%s: %S is not %s" name s expect))
-       in
-       let domains =
-         var "MJ_DOMAINS" ~expect:"an integer" (fun s ->
+      (let domains =
+         env_var "MJ_DOMAINS" ~expect:"an integer" (fun s ->
              Option.map (max 1) (int_of_string_opt s))
        in
        let policy =
          Option.value ~default:Planner.Hash_all
-           (var "MJ_ALGO_POLICY" ~expect:"hash, wcoj or yann"
+           (env_var "MJ_ALGO_POLICY" ~expect:"hash, wcoj or yann"
               Planner.policy_of_string)
        in
-       let telemetry = var "MJ_TELEMETRY" ~expect:"a path" Option.some in
+       let telemetry = env_var "MJ_TELEMETRY" ~expect:"a path" Option.some in
        (match Sys.getenv_opt "MJ_FAILPOINTS" with
        | Some s -> (
            match Mj_failpoint.Failpoint.set_spec s with

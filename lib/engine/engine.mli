@@ -76,8 +76,8 @@ module Config : sig
   }
 
   val of_env : ?obs:Mj_obs.Obs.sink -> unit -> t
-  (** The {e only} place in the library tree that reads the
-      environment: [MJ_DOMAINS] (worker count, clamped ≥ 1),
+  (** The only variables the library tree reads:
+      [MJ_DOMAINS] (worker count, clamped ≥ 1),
       [MJ_ALGO_POLICY] (["hash"], ["wcoj"] or ["yann"]; ["cost"] is an
       alias of ["hash"]), [MJ_TELEMETRY] (a JSONL sidecar path for
       per-query telemetry), and [MJ_FAILPOINTS] (a comma-separated
@@ -91,6 +91,11 @@ module Config : sig
       name or [MJ_ALGO_POLICY], or a non-numeric [MJ_DOMAINS] — a
       typo'd setting must fail loudly, not silently run something
       else. *)
+
+  val env_var : string -> expect:string -> (string -> 'a option) -> 'a option
+  (** [env_var name ~expect parse] reads a variable as {!of_env} reads
+      its own: [None] if unset or blank, else [parse] of the trimmed
+      value.  @raise Failure naming the variable if [parse] rejects it. *)
 
   val make :
     ?plane:plane ->

@@ -2,116 +2,73 @@ open Mj_relation
 
 type tree = (Scheme.t * Scheme.t) list
 
+let neighbours adj s =
+  Option.value (Scheme.Map.find_opt s adj) ~default:Scheme.Set.empty
+
 (* Adjacency as a map from scheme to neighbour set. *)
 let adjacency edges =
-  List.fold_left
-    (fun acc (u, v) ->
-      let add k x m =
-        Scheme.Map.update k
-          (function None -> Some (Scheme.Set.singleton x) | Some s -> Some (Scheme.Set.add x s))
-          m
-      in
-      add u v (add v u acc))
-    Scheme.Map.empty edges
+  let add k x m =
+    Scheme.Map.update k
+      (fun ns -> Some (Scheme.Set.add x (Option.value ns ~default:Scheme.Set.empty)))
+      m
+  in
+  List.fold_left (fun acc (u, v) -> add u v (add v u acc)) Scheme.Map.empty edges
 
-let neighbours adj s =
-  match Scheme.Map.find_opt s adj with
-  | None -> Scheme.Set.empty
-  | Some ns -> ns
-
-let is_spanning_tree d edges =
-  let nodes = Scheme.Set.elements d in
-  let n = List.length nodes in
-  List.length edges = n - 1
-  && List.for_all (fun (u, v) -> Scheme.Set.mem u d && Scheme.Set.mem v d) edges
-  &&
-  (* Connectivity check by BFS over the edge adjacency. *)
-  match nodes with
-  | [] -> true
-  | seed :: _ ->
-      let adj = adjacency edges in
+(* Does [subset] induce a connected subgraph of the tree?  A BFS from
+   one member that only steps onto members. *)
+let connected_within adj subset =
+  match Scheme.Set.choose_opt subset with
+  | None -> true
+  | Some seed ->
       let rec grow frontier seen =
         if Scheme.Set.is_empty frontier then seen
         else
           let next =
             Scheme.Set.fold
-              (fun s acc -> Scheme.Set.union acc (neighbours adj s))
+              (fun s acc ->
+                Scheme.Set.union acc (Scheme.Set.inter (neighbours adj s) subset))
               frontier Scheme.Set.empty
           in
           let fresh = Scheme.Set.diff next seen in
           grow fresh (Scheme.Set.union seen fresh)
       in
       let seed_set = Scheme.Set.singleton seed in
-      Scheme.Set.cardinal (grow seed_set seed_set) = n
+      Scheme.Set.equal (grow seed_set seed_set) subset
+
+let is_spanning_tree d edges =
+  List.length edges = Scheme.Set.cardinal d - 1
+  && List.for_all (fun (u, v) -> Scheme.Set.mem u d && Scheme.Set.mem v d) edges
+  && connected_within (adjacency edges) d
 
 (* Running-intersection property: for every attribute, the schemes
-   containing it induce a connected subgraph of the tree. *)
+   containing it induce a connected subgraph of the tree.  The
+   adjacency is built once per tree, not per attribute. *)
 let running_intersection d edges =
   let adj = adjacency edges in
-  let universe = Scheme.Set.universe d in
   Attr.Set.for_all
-    (fun a ->
-      let holders = Hypergraph.schemes_containing d a in
-      match Scheme.Set.choose_opt holders with
-      | None -> true
-      | Some seed ->
-          (* BFS restricted to holder nodes. *)
-          let rec grow frontier seen =
-            if Scheme.Set.is_empty frontier then seen
-            else
-              let next =
-                Scheme.Set.fold
-                  (fun s acc ->
-                    Scheme.Set.union acc
-                      (Scheme.Set.inter (neighbours adj s) holders))
-                  frontier Scheme.Set.empty
-              in
-              let fresh = Scheme.Set.diff next seen in
-              grow fresh (Scheme.Set.union seen fresh)
-          in
-          let seed_set = Scheme.Set.singleton seed in
-          Scheme.Set.equal (grow seed_set seed_set) holders)
-    universe
+    (fun a -> connected_within adj (Hypergraph.schemes_containing d a))
+    (Scheme.Set.universe d)
 
 let is_join_tree d edges = is_spanning_tree d edges && running_intersection d edges
 
-(* Decode a Prüfer sequence over node indices 0..n-1 into tree edges. *)
+(* Decode a Prüfer sequence over node indices 0..n-1 into tree edges:
+   each entry is joined to the smallest remaining leaf. *)
 let pruefer_decode n seq =
   let degree = Array.make n 1 in
   List.iter (fun x -> degree.(x) <- degree.(x) + 1) seq;
-  let edges = ref [] in
-  let seq = ref seq in
-  let () =
-    List.iter
-      (fun _ ->
-        match !seq with
-        | [] -> ()
-        | x :: rest ->
-            (* Smallest leaf. *)
-            let leaf = ref (-1) in
-            (try
-               for i = 0 to n - 1 do
-                 if degree.(i) = 1 && !leaf = -1 then begin
-                   leaf := i;
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-            edges := (!leaf, x) :: !edges;
-            degree.(!leaf) <- 0;
-            degree.(x) <- degree.(x) - 1;
-            seq := rest)
-      (List.init (List.length !seq) Fun.id)
+  let rec smallest_leaf i = if degree.(i) = 1 then i else smallest_leaf (i + 1) in
+  let edges =
+    List.fold_left
+      (fun edges x ->
+        let leaf = smallest_leaf 0 in
+        degree.(leaf) <- 0;
+        degree.(x) <- degree.(x) - 1;
+        (leaf, x) :: edges)
+      [] seq
   in
   (* Two nodes of degree one remain. *)
-  let last = ref [] in
-  for i = n - 1 downto 0 do
-    if degree.(i) = 1 then last := i :: !last
-  done;
-  (match !last with
-  | [ u; v ] -> edges := (u, v) :: !edges
-  | _ -> assert false);
-  !edges
+  let u = smallest_leaf 0 in
+  (u, smallest_leaf (u + 1)) :: edges
 
 let all_spanning_trees nodes =
   let n = Array.length nodes in
@@ -138,40 +95,12 @@ let all_join_trees d =
   let nodes = Array.of_list (Scheme.Set.elements d) in
   List.filter (running_intersection d) (all_spanning_trees nodes)
 
-let induces_subtree edges subset =
-  match Scheme.Set.choose_opt subset with
-  | None -> true
-  | Some seed ->
-      let adj = adjacency edges in
-      let rec grow frontier seen =
-        if Scheme.Set.is_empty frontier then seen
-        else
-          let next =
-            Scheme.Set.fold
-              (fun s acc ->
-                Scheme.Set.union acc (Scheme.Set.inter (neighbours adj s) subset))
-              frontier Scheme.Set.empty
-          in
-          let fresh = Scheme.Set.diff next seen in
-          grow fresh (Scheme.Set.union seen fresh)
-      in
-      let seed_set = Scheme.Set.singleton seed in
-      Scheme.Set.equal (grow seed_set seed_set) subset
+let induces_subtree edges subset = connected_within (adjacency edges) subset
 
 let connected_in_some_join_tree d subset =
   if not (Scheme.Set.subset subset d) then
     invalid_arg "Jointree.connected_in_some_join_tree: subset not within D";
   List.exists (fun t -> induces_subtree t subset) (all_join_trees d)
-
-let nonempty_subsets_of set =
-  let elems = Scheme.Set.elements set in
-  let rec build = function
-    | [] -> [ Scheme.Set.empty ]
-    | s :: rest ->
-        let subs = build rest in
-        subs @ List.map (Scheme.Set.add s) subs
-  in
-  List.filter (fun s -> not (Scheme.Set.is_empty s)) (build elems)
 
 (* ------------------------------------------------------------------ *)
 (* Rooted orientations                                                  *)
@@ -202,8 +131,8 @@ let root_at edges root =
 let join_order r = r.root :: List.rev_map fst r.elims
 
 let linked_in_join_tree_sense d e1 e2 =
-  let subs1 = nonempty_subsets_of e1 in
-  let subs2 = nonempty_subsets_of e2 in
+  let subs1 = Hypergraph.subsets e1 in
+  let subs2 = Hypergraph.subsets e2 in
   List.exists
     (fun f1 ->
       List.exists

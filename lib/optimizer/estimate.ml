@@ -42,22 +42,12 @@ let of_catalog cat schemes_set =
 
 let graph_model ~card ~selectivity d schemes_set =
   ignore d;
-  let schemes = Scheme.Set.elements schemes_set in
-  let numerator =
-    List.fold_left (fun acc s -> acc *. card s) 1.0 schemes
-  in
-  let rec pairs acc = function
-    | [] -> acc
-    | s :: rest ->
-        let acc =
-          List.fold_left
-            (fun acc s' ->
-              if Attr.Set.disjoint s s' then acc else acc *. selectivity s s')
-            acc rest
-        in
-        pairs acc rest
-  in
-  clamp (pairs numerator schemes)
+  let numerator = Scheme.Set.fold (fun s acc -> acc *. card s) schemes_set 1.0 in
+  clamp
+    (List.fold_left
+       (fun acc (s, s') -> acc *. selectivity s s')
+       numerator
+       (Mj_hypergraph.Querygraph.edges schemes_set))
 
 (* ------------------------------------------------------------------ *)
 (* Most-common-value statistics                                         *)
@@ -167,26 +157,14 @@ let of_database_mcv ?k db =
   graph_model ~card ~selectivity d
 
 let edge_selectivities cat d =
-  let schemes = Scheme.Set.elements d in
-  let rec pairs = function
-    | [] -> []
-    | s :: rest ->
-        List.filter_map
-          (fun s' ->
-            let common = Attr.Set.inter s s' in
-            if Attr.Set.is_empty common then None
-            else
-              let sel =
-                Attr.Set.fold
-                  (fun a acc ->
-                    let v =
-                      max (Catalog.distinct cat s a) (Catalog.distinct cat s' a)
-                    in
-                    acc /. float_of_int (max 1 v))
-                  common 1.0
-              in
-              Some (s, s', sel))
-          rest
-        @ pairs rest
-  in
-  pairs schemes
+  List.map
+    (fun (s, s') ->
+      let sel =
+        Attr.Set.fold
+          (fun a acc ->
+            let v = max (Catalog.distinct cat s a) (Catalog.distinct cat s' a) in
+            acc /. float_of_int (max 1 v))
+          (Attr.Set.inter s s') 1.0
+      in
+      (s, s', sel))
+    (Mj_hypergraph.Querygraph.edges d)

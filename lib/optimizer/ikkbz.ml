@@ -32,17 +32,22 @@ let rec settle_head merges_c = function
       settle_head merges_c (merge_modules m1 m2 :: rest)
   | chain -> chain
 
-let tree_structure g =
-  (* Validate that the query graph is a tree and return, for root r,
-     the children lists of a BFS orientation. *)
+let is_tree g =
   let n = g.Bitdb.n in
   let edge_count = ref 0 in
   for i = 0 to n - 1 do
     edge_count := !edge_count + Bitdb.popcount g.Bitdb.adj.(i)
   done;
-  if !edge_count / 2 <> n - 1 || not (Bitdb.is_connected g (Bitdb.full g)) then
-    invalid_arg "Ikkbz: query graph is not a tree";
-  fun root ->
+  !edge_count / 2 = n - 1 && Bitdb.is_connected g (Bitdb.full g)
+
+(* The IKKBZ root loop over a tree given as neighbour lists: for every
+   root, orient the tree by BFS (visiting each node's neighbours in list
+   order), normalize it into one rank-ascending chain, price the
+   sequence under the ASI model and keep the cheapest root (the first
+   on ties). *)
+let best_rooted_order ~roots_c ~merges_c ~card ~selectivity g tree_adj =
+  let n = g.Bitdb.n in
+  let orient root =
     let parent = Array.make n (-1) in
     let children = Array.make n [] in
     let visited = Array.make n false in
@@ -51,16 +56,52 @@ let tree_structure g =
     visited.(root) <- true;
     while not (Queue.is_empty queue) do
       let v = Queue.pop queue in
-      for w = 0 to n - 1 do
-        if g.Bitdb.adj.(v) land (1 lsl w) <> 0 && not visited.(w) then begin
-          visited.(w) <- true;
-          parent.(w) <- v;
-          children.(v) <- w :: children.(v);
-          Queue.add w queue
-        end
-      done
+      List.iter
+        (fun w ->
+          if not visited.(w) then begin
+            visited.(w) <- true;
+            parent.(w) <- v;
+            children.(v) <- w :: children.(v);
+            Queue.add w queue
+          end)
+        tree_adj.(v)
     done;
     (parent, children)
+  in
+  let best = ref None in
+  for root = 0 to n - 1 do
+    Obs.incr roots_c 1;
+    let parent, children = orient root in
+    let node_module i =
+      let sel = selectivity g.Bitdb.nodes.(i) g.Bitdb.nodes.(parent.(i)) in
+      let t = sel *. card g.Bitdb.nodes.(i) in
+      { seq = [ i ]; t; c = t }
+    in
+    let rec normalize v =
+      let child_chains = List.map normalize children.(v) in
+      let merged = List.fold_left merge_chains [] child_chains in
+      if v = root then merged
+      else settle_head merges_c (node_module v :: merged)
+    in
+    let chain = normalize root in
+    let order_ids = root :: List.concat_map (fun m -> m.seq) chain in
+    let cost =
+      let rec go acc_cost acc_t = function
+        | [] -> acc_cost
+        | i :: rest ->
+            let m = node_module i in
+            let t = acc_t *. m.t in
+            go (acc_cost +. t) t rest
+      in
+      go 0.0 (card g.Bitdb.nodes.(root)) (List.tl order_ids)
+    in
+    match !best with
+    | Some (c, _) when c <= cost -> ()
+    | _ -> best := Some (cost, order_ids)
+  done;
+  match !best with
+  | Some (_, ids) -> List.map (fun i -> g.Bitdb.nodes.(i)) ids
+  | None -> assert false
 
 let order ?(obs = Obs.noop) ~card ~selectivity d =
   let roots_c = Obs.counter obs "opt.roots_tried" in
@@ -70,42 +111,15 @@ let order ?(obs = Obs.noop) ~card ~selectivity d =
   let n = g.Bitdb.n in
   if n = 1 then [ g.Bitdb.nodes.(0) ]
   else begin
-    let orient = tree_structure g in
-    let best = ref None in
-    for root = 0 to n - 1 do
-      Obs.incr roots_c 1;
-      let parent, children = orient root in
-      let node_module i =
-        let sel = selectivity g.Bitdb.nodes.(i) g.Bitdb.nodes.(parent.(i)) in
-        let t = sel *. card g.Bitdb.nodes.(i) in
-        { seq = [ i ]; t; c = t }
-      in
-      let rec normalize v =
-        let child_chains = List.map normalize children.(v) in
-        let merged = List.fold_left merge_chains [] child_chains in
-        if v = root then merged
-        else settle_head merges_c (node_module v :: merged)
-      in
-      let chain = normalize root in
-      let order_ids = root :: List.concat_map (fun m -> m.seq) chain in
-      (* Cost the sequence under the ASI model to pick the best root. *)
-      let cost =
-        let rec go acc_cost acc_t = function
-          | [] -> acc_cost
-          | i :: rest ->
-              let m = node_module i in
-              let t = acc_t *. m.t in
-              go (acc_cost +. t) t rest
-        in
-        go 0.0 (card g.Bitdb.nodes.(root)) (List.tl order_ids)
-      in
-      match !best with
-      | Some (c, _) when c <= cost -> ()
-      | _ -> best := Some (cost, order_ids)
-    done;
-    match !best with
-    | Some (_, ids) -> List.map (fun i -> g.Bitdb.nodes.(i)) ids
-    | None -> assert false
+    if not (is_tree g) then invalid_arg "Ikkbz: query graph is not a tree";
+    (* Neighbours in ascending index order. *)
+    let tree_adj =
+      Array.init n (fun v ->
+          List.filter
+            (fun w -> g.Bitdb.adj.(v) land (1 lsl w) <> 0)
+            (List.init n Fun.id))
+    in
+    best_rooted_order ~roots_c ~merges_c ~card ~selectivity g tree_adj
   end
 
 let plan ?obs ~card ~selectivity d =
@@ -148,62 +162,8 @@ let order_on_spanning_tree ?(obs = Obs.noop) ~card ~selectivity d =
           tree_adj.(j) <- i :: tree_adj.(j)
         end)
       edges;
-    (* Run the IKKBZ root loop directly on the spanning tree's
-       orientation: dropped edges do not participate in the ASI ranks
-       (their selectivity is treated as 1 during ordering). *)
-    let orient root =
-      let parent = Array.make n (-1) in
-      let children = Array.make n [] in
-      let visited = Array.make n false in
-      let queue = Queue.create () in
-      Queue.add root queue;
-      visited.(root) <- true;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        List.iter
-          (fun w ->
-            if not visited.(w) then begin
-              visited.(w) <- true;
-              parent.(w) <- v;
-              children.(v) <- w :: children.(v);
-              Queue.add w queue
-            end)
-          tree_adj.(v)
-      done;
-      (parent, children)
-    in
-    let best = ref None in
-    for root = 0 to n - 1 do
-      Obs.incr roots_c 1;
-      let parent, children = orient root in
-      let node_module i =
-        let sel = selectivity g.Bitdb.nodes.(i) g.Bitdb.nodes.(parent.(i)) in
-        let t = sel *. card g.Bitdb.nodes.(i) in
-        { seq = [ i ]; t; c = t }
-      in
-      let rec normalize v =
-        let child_chains = List.map normalize children.(v) in
-        let merged = List.fold_left merge_chains [] child_chains in
-        if v = root then merged
-        else settle_head merges_c (node_module v :: merged)
-      in
-      let chain = normalize root in
-      let order_ids = root :: List.concat_map (fun m -> m.seq) chain in
-      let cost =
-        let rec go acc_cost acc_t = function
-          | [] -> acc_cost
-          | i :: rest ->
-              let m = node_module i in
-              let t = acc_t *. m.t in
-              go (acc_cost +. t) t rest
-        in
-        go 0.0 (card g.Bitdb.nodes.(root)) (List.tl order_ids)
-      in
-      match !best with
-      | Some (c, _) when c <= cost -> ()
-      | _ -> best := Some (cost, order_ids)
-    done;
-    match !best with
-    | Some (_, ids) -> List.map (fun i -> g.Bitdb.nodes.(i)) ids
-    | None -> assert false
+    (* Run the IKKBZ root loop directly on the spanning tree: dropped
+       edges do not participate in the ASI ranks (their selectivity is
+       treated as 1 during ordering). *)
+    best_rooted_order ~roots_c ~merges_c ~card ~selectivity g tree_adj
   end

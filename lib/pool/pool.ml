@@ -225,3 +225,8 @@ let run_traced ?(obs = Mj_obs.Obs.noop) ?domains ?chunk tasks =
   end
 
 let init ?domains n f = run ?domains (Array.init n (fun i -> fun () -> f i))
+
+let trials ?domains samples ~salt f =
+  init ?domains samples (fun i ->
+      let seed = i + 1 in
+      f seed (Random.State.make (Array.append [| seed |] salt)))

@@ -92,3 +92,10 @@ val run_traced :
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [init n f] is [run [| fun () -> f 0; ...; fun () -> f (n-1) |]] —
     the seed-per-trial idiom. *)
+
+val trials :
+  ?domains:int -> int -> salt:int array -> (int -> Random.State.t -> 'a) -> 'a array
+(** The idiom itself: [trials samples ~salt f] is [f seed rng] for
+    [seed = 1 .. samples], in seed order, each on its own
+    [Random.State.make (Array.append [| seed |] salt)] — the same array
+    at any domain count when [f] is pure. *)

@@ -32,6 +32,20 @@ let consistent_acyclic_db ~rng ~rows ~domain d =
 
 let regimes = [ "uniform"; "skewed"; "superkey"; "consistent" ]
 
+let thm_regimes =
+  [
+    ("superkey", fun ~rng d -> superkey_db ~rng ~rows:5 ~domain:9 d);
+    ("uniform", fun ~rng d -> uniform_db ~rng ~rows:5 ~domain:3 d);
+    ("skewed", fun ~rng d -> skewed_db ~rng ~rows:5 ~domain:4 ~skew:1.2 d);
+  ]
+
+let gamma_regimes =
+  [
+    ("superkey", fun ~rng d -> superkey_db ~rng ~rows:6 ~domain:10 d);
+    ("uniform", fun ~rng d -> uniform_db ~rng ~rows:6 ~domain:3 d);
+    ("skewed", fun ~rng d -> skewed_db ~rng ~rows:6 ~domain:4 ~skew:1.5 d);
+  ]
+
 let shapes =
   [
     ("chain", fun ~rng:_ n -> Querygraph.chain n);

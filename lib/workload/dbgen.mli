@@ -43,6 +43,14 @@ val regimes : string list
 (** The regime names {!of_regime} accepts:
     [["uniform"; "skewed"; "superkey"; "consistent"]]. *)
 
+val thm_regimes : (string * (rng:Random.State.t -> Hypergraph.t -> Database.t)) list
+(** The THM experiments' populations by regime: superkey ([rows] 5,
+    [domain] 9), uniform ([domain] 3), skewed ([domain] 4, skew 1.2). *)
+
+val gamma_regimes : (string * (rng:Random.State.t -> Hypergraph.t -> Database.t)) list
+(** GAMMA's, also EST's, COST's, MAKESPAN's and FRAME's: superkey ([rows]
+    6, [domain] 10), uniform ([domain] 3), skewed ([domain] 4, skew 1.5). *)
+
 val shapes : (string * (rng:Random.State.t -> int -> Hypergraph.t)) list
 (** The query shapes the CLI and the serve protocol accept, by name:
     chain, cycle, star, path, snowflake (fanout 2), clique and random

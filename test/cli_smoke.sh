@@ -231,6 +231,15 @@ echo '{"op":"query"}' | "$MJOIN" serve --queue-cap 0 2> /dev/null \
 { echo '{"op":"query"}'; echo '{"op":"ping"}'; } \
   | MJ_SERVE_QUEUE_CAP=0 "$MJOIN" serve 2> /dev/null \
   | grep -q '"pong":true'
+# A malformed MJ_SERVE_* integer dies naming itself; a blank one means
+# unset.
+for var in MJ_SERVE_QUEUE_CAP=lots MJ_SERVE_TIMEOUT_MS=ten MJ_SERVE_PLAN_CACHE=1.5; do
+  if echo '{"op":"ping"}' | env "$var" "$MJOIN" serve > /dev/null 2>&1; then exit 1; fi
+  echo '{"op":"ping"}' | env "$var" "$MJOIN" serve 2>&1 \
+    | grep -q "mjoin: ${var%%=*}: .* is not an integer"
+done
+echo '{"op":"ping"}' | MJ_SERVE_TIMEOUT_MS=' ' "$MJOIN" serve 2> /dev/null \
+  | grep -q '"pong":true'
 # A malformed --listen spec must die cleanly, non-zero.
 if "$MJOIN" serve --listen bogus:addr < /dev/null > /dev/null 2>&1; then exit 1; fi
 

@@ -848,7 +848,7 @@ let prop_theorem1_dp_matches_enumeration =
   qtest "theorem 1: the linear DP decides as the enumeration" ~count:60
     gen_theorem_db (fun db ->
       let cache = Cost.Cache.create db in
-      Optimal.linear_optima_cp_free cache = theorem1_by_enumeration cache)
+      Optimal.linear_optima_cp_free cache = Some (theorem1_by_enumeration cache))
 
 let test_theorem1_dp_example3 () =
   (* Three optimal linear strategies, one of them with a CP. *)
@@ -856,7 +856,8 @@ let test_theorem1_dp_example3 () =
   Alcotest.(check int) "three optima" 3
     (List.length (Optimal.all_optima_cached ~subspace:Enumerate.Linear cache));
   Alcotest.(check bool) "enumeration" false (theorem1_by_enumeration cache);
-  Alcotest.(check bool) "DP" false (Optimal.linear_optima_cp_free cache)
+  Alcotest.(check (option bool)) "DP" (Some false)
+    (Optimal.linear_optima_cp_free cache)
 
 let cache_matches_joins db =
   let u = Bitdb.make (Database.schemes db) in
@@ -911,7 +912,7 @@ let test_verify_allocation () =
   let report = Theorems.verify ~backend:Cost.Cache.Frame db in
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) "same report" true (warm = report);
-  Alcotest.(check (float 0.)) "minor words" 34224. words
+  Alcotest.(check (float 0.)) "minor words" 34217. words
 
 let test_cache_product_rule () =
   (* D = {AB, BC, DE} is unconnected; emptying DE empties every mask
@@ -1032,6 +1033,46 @@ let prop_optimum_beats_every_tree =
         (fun t -> Setops.tau Setops.Inter family t >= best)
         (Setops.all_trees names))
 
+(* A theorem whose conclusion compares saturated sums is undecided.
+   The workload [chain, n, rows 10,000, domain 100, uniform, seed 0]:
+   at n = 10 every minimum saturates at [max_int]; at n = 9 none does,
+   and Theorem 3's conclusion is decided false. *)
+let test_saturated_theorems () =
+  let verify n =
+    Theorems.verify
+      (Dbgen.of_regime ~regime:"uniform" ~rng:(Random.State.make [| 0 |])
+         ~rows:10_000 ~domain:100 (Querygraph.chain n))
+  in
+  let r = verify 10 in
+  Alcotest.(check (list int)) "all four minima saturate"
+    [ max_int; max_int; max_int; max_int ]
+    [ r.min_all; r.min_linear; r.min_cp_free; Option.get r.min_linear_cp_free ];
+  List.iter
+    (fun (name, status, conclusion) ->
+      Alcotest.(check bool) (name ^ " undecided") true
+        (status = Theorems.Vacuous "τ saturates");
+      Alcotest.(check bool) (name ^ " conclusion not established") false
+        conclusion)
+    [
+      ("theorem 1", r.theorem1, r.theorem1_conclusion);
+      ("theorem 2", r.theorem2, r.theorem2_conclusion);
+      ("theorem 3", r.theorem3, r.theorem3_conclusion);
+    ];
+  let lines =
+    String.split_on_char '\n' (Format.asprintf "%a" Theorems.pp_report r)
+  in
+  Alcotest.(check string) "the report says undecided"
+    "Theorem 3: vacuous (τ saturates) (linear-cp-free matches optimum: \
+     undecided)"
+    (List.nth lines (List.length lines - 1));
+  let r = verify 9 in
+  Alcotest.(check int) "n=9 optimum" 1_585_772_358_685_511_165 r.min_all;
+  Alcotest.(check (option int)) "n=9 linear CP-free"
+    (Some 1_611_197_492_859_523_115) r.min_linear_cp_free;
+  Alcotest.(check bool) "n=9 theorem 3 decided" false r.theorem3_conclusion;
+  Alcotest.(check bool) "n=9 theorem 3 status" true
+    (r.theorem3 = Theorems.Vacuous "C3 fails")
+
 (* A saturated count is a count: the τ sums saturate at [max_int]
    instead of wrapping, and a plan costing [max_int] is still a plan. *)
 let test_saturated_sums () =
@@ -1085,6 +1126,7 @@ let () =
           Alcotest.test_case "missing scheme" `Quick test_cost_missing_scheme;
           prop_tau_oracle_consistent;
           Alcotest.test_case "saturated sums" `Quick test_saturated_sums;
+          Alcotest.test_case "saturated theorems" `Quick test_saturated_theorems;
           prop_eval_order_independent;
         ] );
       ( "transform",

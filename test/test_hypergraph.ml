@@ -275,6 +275,25 @@ let test_all_join_trees_triangle () =
   Alcotest.(check int) "triangle has none" 0
     (List.length (Jointree.all_join_trees (hg [ "AB"; "BC"; "AC" ])))
 
+(* Join-tree counts of the generated shapes, computed on the enumerator
+   that filters every labelled spanning tree: each shape has exactly
+   one, and four schemes sharing one attribute have all 4^2. *)
+let test_all_join_trees_counts () =
+  List.iter
+    (fun (name, d, expected) ->
+      Alcotest.(check int) name expected (List.length (Jointree.all_join_trees d)))
+    [
+      ("chain-5", Querygraph.chain 5, 1);
+      ("chain-6", Querygraph.chain 6, 1);
+      ("star-5", Querygraph.star 5, 1);
+      ("star-6", Querygraph.star 6, 1);
+      ("path-5", Querygraph.path 5, 1);
+      ("path-6", Querygraph.path 6, 1);
+      ("snowflake-5", Querygraph.snowflake 5, 1);
+      ("snowflake-6", Querygraph.snowflake 6, 1);
+      ("one shared attribute", hg [ "AB"; "AC"; "AD"; "AE" ], 16);
+    ]
+
 let test_connected_in_join_tree () =
   let d = hg [ "AB"; "BC"; "CD" ] in
   Alcotest.(check bool) "{AB,BC} induces subtree" true
@@ -452,6 +471,8 @@ let () =
             test_all_join_trees_chain;
           Alcotest.test_case "all join trees of triangle" `Quick
             test_all_join_trees_triangle;
+          Alcotest.test_case "join-tree counts" `Quick
+            test_all_join_trees_counts;
           Alcotest.test_case "connected in join-tree sense" `Quick
             test_connected_in_join_tree;
           Alcotest.test_case "linked in join-tree sense" `Quick

@@ -382,7 +382,12 @@ let prop_pool_deterministic =
         let rng = Random.State.make [| seed; i |] in
         List.init 8 (fun _ -> Random.State.int rng 1_000_000)
       in
-      Pool.init ~domains:1 16 task = Pool.init ~domains:4 16 task)
+      (* [Pool.trials] too: seeds from 1, each salted state its own. *)
+      let trial seed' rng = (seed', Random.State.int rng 1_000_000) in
+      Pool.init ~domains:1 16 task = Pool.init ~domains:4 16 task
+      && Pool.trials ~domains:4 16 ~salt:[| seed |] trial
+         = Array.init 16 (fun i ->
+               trial (i + 1) (Random.State.make [| i + 1; seed |])))
 
 (* The pool keeps its helper domains between runs: thousands of runs,
    runs nested inside tasks (which must take other helpers, not wait

@@ -262,6 +262,36 @@ let prop_ikkbz_order_connected_prefixes =
       in
       prefixes Scheme.Set.empty order)
 
+(* Random tie-free statistics on a tree query graph: the spanning tree
+   Kruskal keeps is the graph itself, so the spanning-tree variant must
+   order exactly as IKKBZ does, though it visits neighbours in another
+   order. *)
+let gen_tie_free_tree =
+  let open QCheck2.Gen in
+  let* n = int_range 2 10 in
+  let* seed = int_range 0 100_000 in
+  let rng = Random.State.make [| seed; n; 43 |] in
+  let d = Querygraph.random ~extra_edge_prob:0.0 ~rng n in
+  let cards = Hashtbl.create 16 and sels = Hashtbl.create 16 in
+  Scheme.Set.iter
+    (fun s -> Hashtbl.replace cards s (1.0 +. Random.State.float rng 1000.0))
+    d;
+  List.iter
+    (fun e -> Hashtbl.replace sels e (0.001 +. Random.State.float rng 0.998))
+    (Querygraph.edges d);
+  let selectivity s1 s2 =
+    match Hashtbl.find_opt sels (s1, s2) with
+    | Some v -> v
+    | None -> Option.value (Hashtbl.find_opt sels (s2, s1)) ~default:1.0
+  in
+  return (d, Hashtbl.find cards, selectivity)
+
+let prop_ikkbz_spanning_tree_of_a_tree =
+  qtest "IKKBZ on a tree's spanning tree = IKKBZ" ~count:300 gen_tie_free_tree
+    (fun (d, card, selectivity) ->
+      Ikkbz.order_on_spanning_tree ~card ~selectivity d
+      = Ikkbz.order ~card ~selectivity d)
+
 let test_ikkbz_rejects_cycles () =
   let d = Querygraph.cycle 4 in
   match Ikkbz.order ~card:(fun _ -> 8.0) ~selectivity:(fun _ _ -> 0.5) d with
@@ -838,6 +868,7 @@ let () =
         [
           prop_ikkbz_optimal_on_trees;
           prop_ikkbz_order_connected_prefixes;
+          prop_ikkbz_spanning_tree_of_a_tree;
           Alcotest.test_case "rejects cycles" `Quick test_ikkbz_rejects_cycles;
           Alcotest.test_case "chain example" `Quick test_ikkbz_chain_example;
         ] );

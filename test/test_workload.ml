@@ -660,6 +660,19 @@ let test_saturated_tau () =
        (Mj_serve.Protocol.default_strategy db));
   Alcotest.(check int) "no seed state forced" 0 (Database.seed_forced db)
 
+(* The AGM bound prices each relation by its row count, read from the
+   coded form: pricing a cyclic query decodes no seed state. *)
+let test_agm_forces_nothing () =
+  let db =
+    Mj_serve.Protocol.materialize
+      { Mj_serve.Protocol.shape = "cycle"; n = 4; rows = 200; domain = 50;
+        regime = "uniform"; seed = 1 }
+  in
+  let cache = Cost.Cache.create db in
+  Alcotest.(check bool) "priced" true
+    (Cost.Cache.agm cache (Database.schemes db) <> None);
+  Alcotest.(check int) "no seed state forced" 0 (Database.seed_forced db)
+
 (* Order on demand, as a work count: the oneshot-large chain-4 cost
    frame query (rows=6000, two domains) leaves every join output
    unsorted, so the only rows that go through a sort are the result's,
@@ -815,6 +828,8 @@ let () =
           Alcotest.test_case "concurrent encoding" `Quick
             test_concurrent_encoding;
           Alcotest.test_case "saturated tau" `Quick test_saturated_tau;
+          Alcotest.test_case "AGM forces no seed state" `Quick
+            test_agm_forces_nothing;
           Alcotest.test_case "derived forms" `Quick test_derived_forms;
           Alcotest.test_case "only the root sorts" `Quick
             test_only_the_root_sorts;
