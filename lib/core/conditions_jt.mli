@@ -9,20 +9,15 @@
     lossless-connected-subset theorem and Goodman–Shmueli's
     [R_D[R] = R]).
 
-    This module checks that statement literally.  It enumerates all join
-    trees, so it is limited to small schemes (≤ 8 relations). *)
+    This module checks that statement on masks: a subset is connected
+    iff some join tree has [|E| - 1] edges inside it, and two disjoint
+    subsets are linked iff some join tree has an edge between them.  It
+    lists every join tree, and a scheme of [k] relations can have
+    [k^(k-2)] of them, so it keeps an 8-relation cap. *)
 
 open Mj_relation
 
-type witness = {
-  j1 : Mj_hypergraph.Hypergraph.t;
-  j2 : Mj_hypergraph.Hypergraph.t;
-  tau_join : int;
-  tau_1 : int;
-  tau_2 : int;
-}
-
-val violations_c4 : ?limit:int -> Database.t -> witness list
+val violations_c4 : ?limit:int -> Database.t -> Conditions.pair_witness list
 (** Pairs of disjoint, join-tree-connected, join-tree-linked subsets
     whose join is smaller than one side.
     @raise Invalid_argument if the scheme is not α-acyclic or has more

@@ -113,10 +113,7 @@ let yann_tree ?oracle db schemes =
           else v
         in
         let trees =
-          if Scheme.Set.cardinal schemes <= 6 then
-            match Jointree.all_join_trees schemes with
-            | [] -> [ edges ]
-            | ts -> ts
+          if Scheme.Set.cardinal schemes <= 6 then Jointree.all_join_trees schemes
           else [ edges ]
         in
         Some (best_rooted_tree ~oracle schemes trees)

@@ -65,13 +65,13 @@ val yann_tree :
   Jointree.rooted option
 (** The rooted join tree the [Yannakakis] policy would run: [None] when
     the scheme set is cyclic (or empty); otherwise the cost-optimal
-    root/orientation — every join tree ([Jointree.all_join_trees]) when
-    the set has at most 6 relations, GYO's ear tree beyond, each rooted
-    at every scheme, priced as the sum of catalog-estimated
-    cardinalities of the join phase's left-deep prefixes (semijoins are
-    free under the paper's τ), first strict minimum in a fixed
-    enumeration order.  What [mjoin explain] prints as the chosen root
-    and semijoin order. *)
+    root/orientation — every join tree ([Jointree.all_join_trees], in
+    its order) when the set has at most 6 relations, GYO's ear tree
+    beyond, each rooted at every scheme in [Scheme.compare] order,
+    priced as the sum of catalog-estimated cardinalities of the join
+    phase's left-deep prefixes (semijoins are free under the paper's
+    τ), the first strict minimum winning.  [mjoin explain] prints its
+    root and semijoin order. *)
 
 val lower :
   ?policy:policy ->

@@ -51,56 +51,65 @@ let running_intersection d edges =
 
 let is_join_tree d edges = is_spanning_tree d edges && running_intersection d edges
 
-(* Decode a Prüfer sequence over node indices 0..n-1 into tree edges:
-   each entry is joined to the smallest remaining leaf. *)
-let pruefer_decode n seq =
-  let degree = Array.make n 1 in
-  List.iter (fun x -> degree.(x) <- degree.(x) + 1) seq;
-  let rec smallest_leaf i = if degree.(i) = 1 then i else smallest_leaf (i + 1) in
-  let edges =
-    List.fold_left
-      (fun edges x ->
-        let leaf = smallest_leaf 0 in
-        degree.(leaf) <- 0;
-        degree.(x) <- degree.(x) - 1;
-        (leaf, x) :: edges)
-      [] seq
+(* The Prüfer code of a tree on nodes 0..n-1 (n >= 2), last entry first,
+   and its edges as the decoder lists them: last two nodes, then removals. *)
+let pruefer n edges =
+  let nbrs = Array.make n [] in
+  let link u v = nbrs.(u) <- v :: nbrs.(u) in
+  List.iter (fun (u, v) -> link u v; link v u) edges;
+  let rec leaf i = match nbrs.(i) with [ _ ] -> i | _ -> leaf (i + 1) in
+  let rec strip k code removed =
+    let l = leaf 0 in
+    if k = 0 then (code, (l, leaf (l + 1)) :: removed)
+    else
+      let p = List.hd nbrs.(l) in
+      nbrs.(l) <- [];
+      nbrs.(p) <- List.filter (( <> ) l) nbrs.(p);
+      strip (k - 1) (p :: code) ((l, p) :: removed)
   in
-  (* Two nodes of degree one remain. *)
-  let u = smallest_leaf 0 in
-  (u, smallest_leaf (u + 1)) :: edges
+  strip (n - 2) [] []
 
-let all_spanning_trees nodes =
-  let n = Array.length nodes in
-  if n > 8 then invalid_arg "Jointree: database scheme too large (max 8)";
-  if n = 1 then [ [] ]
-  else if n = 2 then [ [ (nodes.(0), nodes.(1)) ] ]
-  else begin
-    (* All Prüfer sequences of length n-2 over 0..n-1. *)
-    let rec sequences len =
-      if len = 0 then [ [] ]
-      else
-        let shorter = sequences (len - 1) in
-        List.concat_map
-          (fun tail -> List.init n (fun x -> x :: tail))
-          shorter
-    in
-    List.map
-      (fun seq ->
-        List.map (fun (u, v) -> (nodes.(u), nodes.(v))) (pruefer_decode n seq))
-      (sequences (n - 2))
-  end
-
+(* The join trees are the spanning trees of weight W* (jointree.mli),
+   here Σ_S |S| - |⋃D|.  The search includes or excludes each pair,
+   heaviest first (an inclusion joins two components), and drops a
+   branch once [needed] more edges of the current weight fall short. *)
 let all_join_trees d =
   let nodes = Array.of_list (Scheme.Set.elements d) in
-  List.filter (running_intersection d) (all_spanning_trees nodes)
-
-let induces_subtree edges subset = connected_within (adjacency edges) subset
+  let n = Array.length nodes in
+  let size = Attr.Set.cardinal in
+  let total = Scheme.Set.fold (fun s w -> w + size s) d 0 in
+  let target = total - size (Scheme.Set.universe d) in
+  let weight i j = size (Attr.Set.inter nodes.(i) nodes.(j)) in
+  let pairs =
+    List.concat (List.init n (fun j -> List.init j (fun i -> (weight i j, i, j))))
+    |> List.sort (fun (w, _, _) (w', _, _) -> Int.compare w' w)
+  in
+  let rec search pairs edges weight needed comp acc =
+    match pairs with
+    | _ when needed = 0 -> if weight = target then edges :: acc else acc
+    | (w, i, j) :: rest when weight + (needed * w) >= target ->
+        let ci = comp.(i) and cj = comp.(j) in
+        let merged = Array.map (fun c -> if c = cj then ci else c) in
+        let acc =
+          if ci = cj then acc
+          else search rest ((i, j) :: edges) (weight + w) (needed - 1) (merged comp) acc
+        in
+        search rest edges weight needed comp acc
+    | _ -> acc
+  in
+  if n <= 1 then [ [] ]
+  else
+    search pairs [] 0 (n - 1) (Array.init n Fun.id) []
+    |> List.map (pruefer n)
+    (* Colex order of the codes: callers keep the first of equally
+       priced trees, so the order is part of the contract. *)
+    |> List.sort (fun (c, _) (c', _) -> List.compare Int.compare c c')
+    |> List.map (fun (_, t) -> List.map (fun (u, v) -> (nodes.(u), nodes.(v))) t)
 
 let connected_in_some_join_tree d subset =
   if not (Scheme.Set.subset subset d) then
     invalid_arg "Jointree.connected_in_some_join_tree: subset not within D";
-  List.exists (fun t -> induces_subtree t subset) (all_join_trees d)
+  List.exists (fun t -> connected_within (adjacency t) subset) (all_join_trees d)
 
 (* ------------------------------------------------------------------ *)
 (* Rooted orientations                                                  *)

@@ -18,23 +18,26 @@ val is_join_tree : Hypergraph.t -> tree -> bool
     [d]'s schemes satisfying the running-intersection property. *)
 
 val all_join_trees : Hypergraph.t -> tree list
-(** Every join tree of [d], found by enumerating all labelled spanning
-    trees (Prüfer sequences) and filtering.  Exponential:
-    @raise Invalid_argument when [|D| > 8].  Returns the empty list iff
-    [d] is not α-acyclic; a singleton [d] has one (empty) tree. *)
+(** Every join tree of [d]: none iff [d] is not α-acyclic, one empty
+    tree for a singleton, and no size cap (though [k] relations can have
+    [k^(k-2)] join trees).  A spanning tree's weight [Σ_{(u,v)} |u ∩ v|]
+    counts, per attribute [a], its edges inside [D_a], the schemes
+    holding [a]; these form a forest on [D_a], so the weight is at most
+    [W* = Σ_a (|D_a| - 1)], with equality iff every [D_a] induces a
+    subtree.  So the join trees are the spanning trees of weight [W*],
+    found by a pruned search over the scheme pairs, heaviest first.
+    Order, which callers' tie rules read: ascending Prüfer code (nodes
+    in [Scheme.compare] order) compared from its last entry, edges as
+    that code's decoder lists them. *)
 
 val connected_in_some_join_tree : Hypergraph.t -> Scheme.Set.t -> bool
 (** The Section 5 notion: does some join tree for [d] have the subset
-    inducing a subtree?
-    @raise Invalid_argument if the subset is not included in [d] or
-    [|D| > 8]. *)
+    inducing a subtree?  The definitional reference.
+    @raise Invalid_argument if the subset is not included in [d]. *)
 
 val linked_in_join_tree_sense : Hypergraph.t -> Scheme.Set.t -> Scheme.Set.t -> bool
 (** Section 5: [E1] is linked to [E2] iff [F1 ∪ F2] is connected (in the
     join-tree sense) for some non-empty [F1 ⊆ E1] and [F2 ⊆ E2]. *)
-
-val induces_subtree : tree -> Scheme.Set.t -> bool
-(** Does the node subset induce a connected subgraph of the tree? *)
 
 (** {1 Rooted orientations}
 

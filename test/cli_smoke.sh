@@ -98,6 +98,9 @@ done
 if "$MJOIN" optimize --scenario ex1 > /dev/null 2>&1; then exit 1; fi
 MJ_ALGO_POLICY=yann "$MJOIN" explain --shape chain --size 4 \
   | grep -q 'lowered (yann'
+# ex1 has 8 join trees; the tie rule keeps the first cheapest rooting.
+"$MJOIN" explain --scenario ex1 --policy yann \
+  | grep -qF 'lowered (yann): (yann root=AB FG->AB DE->AB BC->AB)'
 
 cat > "$TMP/db.txt" <<DB
 = users

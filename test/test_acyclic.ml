@@ -72,7 +72,7 @@ let prop_gyo_matches_brute_force =
     scheme_case
     (fun case ->
       let d = random_scheme case in
-      Gyo.is_alpha_acyclic d = (Jointree.all_join_trees d <> []))
+      Gyo.is_alpha_acyclic d = (Jointree_ref.pruefer_join_trees d <> []))
 
 let prop_gyo_tree_is_a_join_tree =
   qtest "on acyclic schemes, GYO's tree passes the definitional check"
@@ -111,6 +111,33 @@ let prop_brute_force_trees_all_valid =
     (fun case ->
       let d = random_scheme case in
       List.for_all (Jointree.is_join_tree d) (Jointree.all_join_trees d))
+
+(* ------------------------------------------------------------------ *)
+(* The weight search on schemes with many join trees                    *)
+(* ------------------------------------------------------------------ *)
+
+let multi_tree = Jointree_ref.multi_tree_case ~max_k:7
+
+let prop_all_join_trees_is_pruefer_filter =
+  qtest "all_join_trees = the Prüfer filter, same list and order" ~count:150
+    multi_tree
+    (fun case ->
+      let d = Jointree_ref.multi_tree_scheme case in
+      List.equal Jointree_ref.tree_equal (Jointree.all_join_trees d)
+        (Jointree_ref.pruefer_join_trees d))
+
+let prop_all_join_trees_valid =
+  qtest "every listed join tree passes the definitional check" ~count:150
+    multi_tree
+    (fun case ->
+      let d = Jointree_ref.multi_tree_scheme case in
+      List.for_all (Jointree.is_join_tree d) (Jointree.all_join_trees d))
+
+let prop_gyo_iff_join_trees =
+  qtest "GYO acyclicity ⇔ all_join_trees is non-empty" ~count:300 multi_tree
+    (fun case ->
+      let d = Jointree_ref.multi_tree_scheme case in
+      Gyo.is_alpha_acyclic d = (Jointree.all_join_trees d <> []))
 
 (* ------------------------------------------------------------------ *)
 (* Lossless joins under functional dependencies                         *)
@@ -204,6 +231,12 @@ let () =
           prop_gyo_tree_is_a_join_tree;
           prop_rooted_ear_tree;
           prop_brute_force_trees_all_valid;
+        ] );
+      ( "multi-tree",
+        [
+          prop_all_join_trees_is_pruefer_filter;
+          prop_all_join_trees_valid;
+          prop_gyo_iff_join_trees;
         ] );
       ( "lossless",
         [

@@ -194,7 +194,10 @@ let prop_to_cp_free =
 (* Join-tree C4 mirrored through Jointree's predicates                  *)
 (* ------------------------------------------------------------------ *)
 
-let def_jt_c4 db =
+(* The witnesses in [violations_c4]'s order: pairs of disjoint
+   join-tree-connected subsets, the one with the smaller minimum first,
+   linked in the join-tree sense, whose join is smaller than a side. *)
+let def_jt_c4_witnesses db =
   let d = Database.schemes db in
   let oracle = Cost.cardinality_oracle db in
   let jt_conn =
@@ -202,20 +205,31 @@ let def_jt_c4 db =
       (Jointree.connected_in_some_join_tree d)
       (Hypergraph.subsets d)
   in
-  List.for_all
+  List.concat_map
     (fun e1 ->
-      List.for_all
+      List.filter_map
         (fun e2 ->
-          (not (Scheme.Set.disjoint e1 e2))
-          || (not (Jointree.linked_in_join_tree_sense d e1 e2))
-          ||
-          let j = oracle (Scheme.Set.union e1 e2) in
-          j >= oracle e1 && j >= oracle e2)
+          if
+            Scheme.Set.disjoint e1 e2
+            && Scheme.compare (Scheme.Set.min_elt e1) (Scheme.Set.min_elt e2) < 0
+            && Jointree.linked_in_join_tree_sense d e1 e2
+          then
+            let j = oracle (Scheme.Set.union e1 e2) in
+            let t1 = oracle e1 and t2 = oracle e2 in
+            if j < t1 || j < t2 then Some (e1, e2, j, t1, t2) else None
+          else None)
         jt_conn)
     jt_conn
 
+let def_jt_c4 db = def_jt_c4_witnesses db = []
+
 let acyclic_small_db (shape, n, seed, regime) =
   small_db ((shape mod 2), n, seed, regime)
+
+(* Section 5's claim: α-acyclic + pairwise consistent ⇒ C4 under the
+   join-tree definitions.  Full reduction establishes consistency. *)
+let jt_c4_after_reduction db =
+  Conditions_jt.holds_c4 (Consistency.semijoin_reduce db)
 
 let prop_jt_c4_definitional =
   qtest "Conditions_jt.holds_c4 = the Jointree-predicate scan" ~count:20
@@ -225,14 +239,66 @@ let prop_jt_c4_definitional =
       Conditions_jt.holds_c4 db = def_jt_c4 db)
 
 let prop_jt_c4_after_reduction =
-  (* Section 5's claim: α-acyclic + pairwise consistent ⇒ C4 under the
-     join-tree definitions.  Full reduction establishes consistency. *)
   qtest "C4 (join-tree sense) holds after full reduction" ~count:20
     small_case
+    (fun case -> jt_c4_after_reduction (acyclic_small_db case))
+
+(* Chains and stars have one join tree, where join-tree connectedness
+   is plain connectedness.  These schemes have several, and unconnected
+   schemes besides. *)
+let multi_tree_db ((case, regime) : (int * int) * int) =
+  let d = Jointree_ref.acyclic_multi_tree_scheme case in
+  let rng = Random.State.make [| snd case; regime; 84 |] in
+  match regime mod 3 with
+  | 0 -> Dbgen.uniform_db ~rng ~rows:4 ~domain:3 d
+  | 1 -> Dbgen.skewed_db ~rng ~rows:5 ~domain:3 ~skew:1.2 d
+  | _ -> Dbgen.superkey_db ~rng ~rows:3 ~domain:4 d
+
+let multi_tree_case =
+  QCheck2.Gen.(pair (Jointree_ref.multi_tree_case ~max_k:5) (int_range 0 2))
+
+let prop_jt_c4_witnesses_multi_tree =
+  qtest "violations_c4 = the Jointree-predicate scan's witnesses, many trees"
+    ~count:500 multi_tree_case
     (fun case ->
-      let db = acyclic_small_db case in
-      let reduced = Consistency.semijoin_reduce db in
-      Conditions_jt.holds_c4 reduced)
+      let db = multi_tree_db case in
+      List.equal
+        (fun (e1, e2, j, t1, t2) (e1', e2', j', t1', t2') ->
+          Scheme.Set.equal e1 e1' && Scheme.Set.equal e2 e2'
+          && (j, t1, t2) = (j', t1', t2'))
+        (def_jt_c4_witnesses db)
+        (List.map
+           (fun (w : Conditions.pair_witness) ->
+             (w.p1, w.p2, w.tau_join, w.tau_1, w.tau_2))
+           (Conditions_jt.violations_c4 db)))
+
+let prop_jt_c4_after_reduction_multi_tree =
+  qtest "C4 (join-tree sense) holds after full reduction, many trees"
+    ~count:100 multi_tree_case
+    (fun case -> jt_c4_after_reduction (multi_tree_db case))
+
+(* {AB, AC, AD, DE} has three join trees, the three trees on AB, AC and
+   AD with DE hanging off AD: any two of AB, AC, AD are adjacent in one
+   of them, DE only ever to AD.  The list is pinned from the subset-list
+   scan that preceded the masks. *)
+let test_jt_c4_witnesses () =
+  let d = Hypergraph.of_strings [ "AB"; "AC"; "AD"; "DE" ] in
+  let rng = Random.State.make [| 0; 83 |] in
+  let db = Dbgen.uniform_db ~rng ~rows:4 ~domain:3 d in
+  Alcotest.(check int) "join trees" 3 (List.length (Jointree.all_join_trees d));
+  Alcotest.(check (list string))
+    "witnesses"
+    [
+      "{AB} | {AD} 2 4 4";
+      "{AB} | {AC, AD} 4 4 5";
+      "{AB} | {AD, DE} 4 4 6";
+      "{AB, AC} | {AD} 4 6 4";
+    ]
+    (List.map
+       (fun (w : Conditions.pair_witness) ->
+         Format.asprintf "%a | %a %d %d %d" Hypergraph.pp w.p1 Hypergraph.pp
+           w.p2 w.tau_join w.tau_1 w.tau_2)
+       (Conditions_jt.violations_c4 db))
 
 let () =
   Alcotest.run "conditions"
@@ -251,5 +317,11 @@ let () =
           prop_to_cp_free;
         ] );
       ( "jointree-c4",
-        [ prop_jt_c4_definitional; prop_jt_c4_after_reduction ] );
+        [
+          prop_jt_c4_definitional;
+          prop_jt_c4_after_reduction;
+          prop_jt_c4_after_reduction_multi_tree;
+          prop_jt_c4_witnesses_multi_tree;
+          Alcotest.test_case "multi-tree witnesses" `Quick test_jt_c4_witnesses;
+        ] );
     ]

@@ -13,6 +13,9 @@ module Dbgen = Mj_workload.Dbgen
 module Engine = Mj_engine.Engine
 module Planner = Mj_engine.Planner
 module Physical = Mj_engine.Physical
+module Catalog = Mj_optimizer.Catalog
+module Estimate = Mj_optimizer.Estimate
+module Scenarios = Mj_workload.Scenarios
 
 let qtest name ?(count = 100) gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
@@ -180,6 +183,67 @@ let test_yann_chain70 () =
               rt.Jointree.elims))
   | _ -> Alcotest.fail "chain-70 did not lower to a semijoin program"
 
+(* ex1 and ex2a each have 8 join trees and 16 rooted candidates of the
+   minimum price, over 4 distinct join orders: the tie rule (first
+   strict minimum, trees in colex Prüfer order, roots in scheme order)
+   picks this one, as the Prüfer enumeration did. *)
+let test_yann_tie_rule () =
+  List.iter
+    (fun (name, db) ->
+      let d = Database.schemes db in
+      Alcotest.(check int) (name ^ " join trees") 8
+        (List.length (Jointree.all_join_trees d));
+      match Planner.yann_tree db d with
+      | None -> Alcotest.fail (name ^ ": no join tree")
+      | Some rt ->
+          Alcotest.(check string) name "root=AB FG>AB DE>AB BC>AB"
+            (String.concat " "
+               (("root=" ^ Scheme.to_string rt.Jointree.root)
+               :: List.map
+                    (fun (c, p) -> Scheme.to_string c ^ ">" ^ Scheme.to_string p)
+                    rt.Jointree.elims)))
+    [ ("ex1", Scenarios.example1); ("ex2a", Scenarios.example2_c1_not_c2) ]
+
+(* The reference tie rule: every tree of the brute-force list rooted at
+   every scheme, priced by the catalog estimates of the join phase's
+   left-deep prefixes, the first strict minimum kept. *)
+let first_strict_minimum db d trees =
+  let oracle = Estimate.of_catalog (Catalog.of_database db) in
+  let price rt =
+    match Jointree.join_order rt with
+    | [] -> 0
+    | first :: rest ->
+        snd
+          (List.fold_left
+             (fun (acc, c) s ->
+               let acc = Scheme.Set.add s acc in
+               (acc, c + max 1 (oracle acc)))
+             (Scheme.Set.singleton first, 0)
+             rest)
+  in
+  List.fold_left
+    (fun best rt ->
+      let c = price rt in
+      match best with Some (_, b) when b <= c -> best | _ -> Some (rt, c))
+    None
+    (List.concat_map
+       (fun t -> List.map (Jointree.root_at t) (Scheme.Set.elements d))
+       trees)
+  |> Option.map fst
+
+let yann_tree_is_first_minimum (case, seed) =
+  let d = Jointree_ref.multi_tree_scheme case in
+  let rng = Random.State.make [| seed; 2039 |] in
+  let db =
+    if seed mod 2 = 0 then Dbgen.uniform_db ~rng ~rows:5 ~domain:3 d
+    else Dbgen.skewed_db ~rng ~rows:6 ~domain:4 ~skew:1.5 d
+  in
+  let same (a : Jointree.rooted) (b : Jointree.rooted) =
+    Scheme.equal a.root b.root && Jointree_ref.tree_equal a.elims b.elims
+  in
+  Option.equal same (Planner.yann_tree db d)
+    (first_strict_minimum db d (Jointree_ref.pruefer_join_trees d))
+
 let () =
   Alcotest.run "planner"
     [
@@ -201,5 +265,12 @@ let () =
           Alcotest.test_case "chain-70 plan" `Quick test_yann_chain70;
           qtest "cyclic strategies: the yann lowering is the wcoj lowering"
             ~count:60 gen_cyclic_case yann_cyclic_is_wcoj;
+          Alcotest.test_case "tie rule on ex1 and ex2a" `Quick
+            test_yann_tie_rule;
+          qtest "yann_tree = first strict minimum over the Prüfer filter"
+            ~count:150
+            QCheck2.Gen.(
+              pair (Jointree_ref.multi_tree_case ~max_k:6) (int_range 0 10_000))
+            yann_tree_is_first_minimum;
         ] );
     ]
